@@ -26,10 +26,8 @@ use super::{FractionalParams, FractionalSolution};
 use crate::{Instance, KmdsError};
 use ftclust_graphs::NodeId;
 use ftclust_netsim::exec::{Executor, Phase, Stack};
-use ftclust_netsim::transport::TransportConfig;
 use ftclust_netsim::{
-    bits_for_ids, ChurnPlan, Context, Control, Envelope, EventLog, Metrics, NodeLogic, Payload,
-    Topology,
+    bits_for_ids, Context, Control, Envelope, EventLog, Metrics, NodeLogic, Payload, Topology,
 };
 
 /// Bits charged per transmitted numeric value (see the module docs).
@@ -309,8 +307,8 @@ fn lp_phases(t2: u64) -> Vec<Phase> {
 /// Runs **Algorithm 1** through the composable executor stack of
 /// [`ftclust_netsim::exec`]: the reliable transport (loss masking), churn
 /// and tracing layers selected by `stack` compose freely. This is the
-/// canonical driver — [`run_fractional_protocol`] and the historical
-/// `_lossy`/`_traced` entry points are thin shims over it.
+/// canonical driver — [`run_fractional_protocol`] is a thin wrapper
+/// over it on the empty stack.
 ///
 /// When the stack is traced, the run's [`EventLog`] attributes every
 /// round, message and bit of Theorem 4.5's `O(t²)` schedule to its phase
@@ -411,54 +409,6 @@ pub fn run_fractional_protocol(
     run_fractional_stack(inst, params, Stack::new()).map(|(run, _)| run)
 }
 
-/// [`run_fractional_protocol`] with a recorded [`EventLog`].
-///
-/// # Errors
-///
-/// As [`run_fractional_protocol`].
-///
-/// # Panics
-///
-/// As [`run_fractional_protocol`].
-#[deprecated(
-    note = "compose layers with `run_fractional_stack(inst, params, Stack::new().traced())`"
-)]
-pub fn run_fractional_protocol_traced(
-    // lint: driver-drift — deprecated shim delegating to the executor stack
-    inst: &Instance<'_>,
-    params: &FractionalParams,
-) -> Result<(FractionalProtocolRun, EventLog), KmdsError> {
-    run_fractional_stack(inst, params, Stack::new().traced())
-        .map(|(run, log)| (run, log.unwrap_or_default()))
-}
-
-/// Runs **Algorithm 1** over **lossy links** through the reliable
-/// transport.
-///
-/// # Errors
-///
-/// Returns [`KmdsError::Sim`] wrapping
-/// [`ftclust_netsim::SimError::DeliveryFailed`] if loss exceeds a
-/// retransmit budget, or `RoundLimitExceeded` past the physical-round
-/// budget [`TransportConfig::round_budget`].
-#[deprecated(
-    note = "compose layers with `run_fractional_stack(inst, params, Stack::new().churned(churn).transport(transport))`"
-)]
-pub fn run_fractional_protocol_lossy(
-    // lint: driver-drift — deprecated shim delegating to the executor stack
-    inst: &Instance<'_>,
-    params: &FractionalParams,
-    churn: ChurnPlan,
-    transport: TransportConfig,
-) -> Result<FractionalProtocolRun, KmdsError> {
-    run_fractional_stack(
-        inst,
-        params,
-        Stack::new().churned(churn).transport(transport),
-    )
-    .map(|(run, _)| run)
-}
-
 /// Runs Algorithm 1 on an **asynchronous** network with random message
 /// delays up to `max_delay` ticks, using the α-synchronizer of
 /// [`ftclust_netsim::synchronizer`] — the reduction the paper invokes in
@@ -510,26 +460,13 @@ pub fn run_fractional_async_stack(
     Ok(assemble_solution(inst, t, delta, run.logics.iter()))
 }
 
-/// [`run_fractional_async_stack`] on the empty stack.
-///
-/// # Errors
-///
-/// As [`run_fractional_async_stack`].
-#[deprecated(note = "use `run_fractional_async_stack` (composes with the executor stack)")]
-pub fn run_fractional_protocol_async(
-    inst: &Instance<'_>,
-    params: &FractionalParams,
-    max_delay: u64,
-) -> Result<FractionalSolution, KmdsError> {
-    run_fractional_async_stack(inst, params, max_delay, Stack::new())
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay under test to pin their parity with the stack
 mod tests {
     use super::*;
     use crate::fractional::solve_fractional;
     use ftclust_graphs::generators;
+    use ftclust_netsim::transport::TransportConfig;
+    use ftclust_netsim::ChurnPlan;
 
     #[test]
     fn asynchronous_execution_matches_engine() {
@@ -537,7 +474,7 @@ mod tests {
         let inst = Instance::uniform_clamped(&g, 2);
         let params = FractionalParams::new(2);
         let engine = solve_fractional(&inst, &params).unwrap();
-        let asynced = run_fractional_protocol_async(&inst, &params, 5).unwrap();
+        let asynced = run_fractional_async_stack(&inst, &params, 5, Stack::new()).unwrap();
         assert_eq!(engine, asynced);
     }
 
@@ -587,13 +524,10 @@ mod tests {
         let params = FractionalParams::new(2);
         let engine = solve_fractional(&inst, &params).unwrap();
         for p in [0.0, 0.05, 0.2] {
-            let run = run_fractional_protocol_lossy(
-                &inst,
-                &params,
-                ChurnPlan::none().drop_probability(p),
-                TransportConfig::default(),
-            )
-            .unwrap();
+            let stack = Stack::new()
+                .churned(ChurnPlan::none().drop_probability(p))
+                .transport(TransportConfig::default());
+            let (run, _) = run_fractional_stack(&inst, &params, stack).unwrap();
             assert_eq!(engine, run.solution, "diverged at p = {p}");
             if p == 0.0 {
                 assert_eq!(run.metrics.retransmits, 0, "spurious retransmits at p = 0");
@@ -619,7 +553,8 @@ mod tests {
         let inst = Instance::uniform_clamped(&g, 2);
         let params = FractionalParams::new(2);
         let base = run_fractional_protocol(&inst, &params).unwrap();
-        let (traced, log) = run_fractional_protocol_traced(&inst, &params).unwrap();
+        let (traced, log) = run_fractional_stack(&inst, &params, Stack::new().traced()).unwrap();
+        let log = log.expect("traced stack records a log");
         assert_eq!(base.solution, traced.solution);
         assert_eq!(base.metrics, traced.metrics);
         log.reconcile(&traced.metrics).unwrap();

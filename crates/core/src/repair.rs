@@ -36,10 +36,11 @@
 //! [`repair_coverage`] is the analytic engine: it evaluates the rounds
 //! directly on shared state (the fast path for sweeps).
 //! [`run_repair_protocol`] executes the same rounds as real message
-//! passing on [`ftclust_netsim`], and [`run_repair_protocol_lossy`] does
-//! so over **lossy links** through the reliable transport of
-//! [`ftclust_netsim::transport`] — all three produce the identical healed
-//! set, additions and iteration count for the same [`RepairConfig`].
+//! passing on [`ftclust_netsim`], and [`run_repair_stack`] does so under
+//! any executor stack, including **lossy links** behind the reliable
+//! transport of [`ftclust_netsim::transport`]. All three produce the
+//! identical healed set, additions and iteration count for the same
+//! [`RepairConfig`].
 //!
 //! # Continuous mode
 //!
@@ -104,10 +105,9 @@ use crate::{DominatingSet, KmdsError};
 use ftclust_graphs::{Graph, NodeId};
 use ftclust_netsim::exec::{completed_iterations, Executor, Phase, Stack};
 use ftclust_netsim::monitor::HealthMonitor;
-use ftclust_netsim::transport::TransportConfig;
 use ftclust_netsim::{
-    bits_for_ids, node_rng, ChurnPlan, Context, Control, Envelope, EventLog, Metrics, NodeLogic,
-    Payload, Topology,
+    bits_for_ids, node_rng, Context, Control, Envelope, EventLog, Metrics, NodeLogic, Payload,
+    Topology,
 };
 use ftclust_par as par;
 use rand::rngs::StdRng;
@@ -552,7 +552,7 @@ impl NodeLogic for RepairNode {
 }
 
 /// Result of a metered repair-protocol execution
-/// ([`run_repair_protocol`] / [`run_repair_protocol_lossy`]).
+/// ([`run_repair_protocol`] / [`run_repair_stack`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairProtocolRun {
     /// The healed set over the **full** node universe — identical to
@@ -658,8 +658,7 @@ fn repair_phases() -> Vec<Phase> {
 /// [`ftclust_netsim::exec`] on the surviving subgraph: the reliable
 /// transport (loss masking), churn and tracing layers selected by
 /// `stack` compose freely. This is the canonical driver —
-/// [`run_repair_protocol`] and the historical `_lossy`/`_traced` entry
-/// points are thin shims over it.
+/// [`run_repair_protocol`] is a thin wrapper over it on the empty stack.
 ///
 /// When the stack is traced, [`EventLog::rollups`] shows how the repair
 /// cost is spread over iterations versus detection via the plan above.
@@ -770,69 +769,11 @@ pub fn run_repair_protocol(
     run_repair_stack(g, set, alive, k, cfg, Stack::new()).map(|(run, _)| run)
 }
 
-/// [`run_repair_protocol`] with a recorded [`EventLog`].
-///
-/// # Errors
-///
-/// As [`run_repair_protocol`].
-///
-/// # Panics
-///
-/// As [`run_repair_protocol`].
-#[deprecated(note = "compose layers with `run_repair_stack(..., Stack::new().traced())`")]
-pub fn run_repair_protocol_traced(
-    // lint: driver-drift — deprecated shim delegating to the executor stack
-    g: &Graph,
-    set: &DominatingSet,
-    alive: &[bool],
-    k: u32,
-    cfg: &RepairConfig,
-) -> Result<(RepairProtocolRun, EventLog), KmdsError> {
-    run_repair_stack(g, set, alive, k, cfg, Stack::new().traced())
-        .map(|(run, log)| (run, log.unwrap_or_default()))
-}
-
 /// Logical-round budget of a repair run: detection + one three-round
 /// iteration per survivor (the progress bound), a trailing no-op
 /// iteration, and slack.
 fn repair_round_budget(n_sub: usize) -> u64 {
     1 + 3 * (n_sub as u64 + 2) + 8
-}
-
-/// Runs the coverage repair over **lossy links** via the reliable
-/// transport.
-///
-/// # Errors
-///
-/// Returns [`KmdsError::Sim`] if loss exhausts a retransmit budget or the
-/// physical-round budget is exceeded.
-///
-/// # Panics
-///
-/// Panics if `alive.len()` or the set universe mismatch the graph, or if
-/// `k == 0`.
-#[deprecated(
-    note = "compose layers with `run_repair_stack(..., Stack::new().churned(churn).transport(transport))`"
-)]
-pub fn run_repair_protocol_lossy(
-    // lint: driver-drift — deprecated shim delegating to the executor stack
-    g: &Graph,
-    set: &DominatingSet,
-    alive: &[bool],
-    k: u32,
-    cfg: &RepairConfig,
-    churn: ChurnPlan,
-    transport: TransportConfig,
-) -> Result<RepairProtocolRun, KmdsError> {
-    run_repair_stack(
-        g,
-        set,
-        alive,
-        k,
-        cfg,
-        Stack::new().churned(churn).transport(transport),
-    )
-    .map(|(run, _)| run)
 }
 
 /// Per-node state of the **continuous** repair service (see the
@@ -1091,13 +1032,13 @@ pub fn run_repair_continuous(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay under test to pin their parity with the stack
 mod tests {
     use super::*;
     use crate::udg::UdgAlgorithm;
     use crate::validate::{is_k_dominating, Semantics};
     use ftclust_graphs::generators;
     use ftclust_netsim::node_rng as nrng;
+    use ftclust_netsim::transport::TransportConfig;
     use rand::Rng;
 
     /// Kill `count` members (spread across the id range) plus `count / 2`
@@ -1330,7 +1271,6 @@ mod tests {
 
     #[test]
     fn lossy_protocol_matches_engine() {
-        use ftclust_netsim::transport::TransportConfig;
         use ftclust_netsim::ChurnPlan;
         let udg = generators::random_udg(200, 9.0, 1.0, 51);
         let g = udg.graph();
@@ -1339,16 +1279,10 @@ mod tests {
         let cfg = RepairConfig::new(13).rule(PromotionRule::Random);
         let engine = repair_coverage(g, &run.set, &alive, 2, &cfg).unwrap();
         for p in [0.0, 0.05, 0.2] {
-            let proto = run_repair_protocol_lossy(
-                g,
-                &run.set,
-                &alive,
-                2,
-                &cfg,
-                ChurnPlan::none().drop_probability(p),
-                TransportConfig::default(),
-            )
-            .unwrap();
+            let stack = Stack::new()
+                .churned(ChurnPlan::none().drop_probability(p))
+                .transport(TransportConfig::default());
+            let (proto, _) = run_repair_stack(g, &run.set, &alive, 2, &cfg, stack).unwrap();
             assert_protocol_matches(&proto, &engine, &format!("p = {p}"));
             if p == 0.0 {
                 assert_eq!(proto.metrics.retransmits, 0, "lossless run retransmitted");
@@ -1370,7 +1304,9 @@ mod tests {
         let alive = churn_mask(g, &run.set, 6, 2);
         let cfg = RepairConfig::new(5);
         let base = run_repair_protocol(g, &run.set, &alive, 2, &cfg).unwrap();
-        let (traced, log) = run_repair_protocol_traced(g, &run.set, &alive, 2, &cfg).unwrap();
+        let (traced, log) =
+            run_repair_stack(g, &run.set, &alive, 2, &cfg, Stack::new().traced()).unwrap();
+        let log = log.expect("traced stack records a log");
         assert_eq!(base, traced);
         log.reconcile(&traced.metrics).unwrap();
         let rollups = log.rollups();

@@ -15,10 +15,7 @@ use super::{select_repair_targets, RepairSelection, RoundingOutcome, RoundingPar
 use crate::{DominatingSet, Instance, KmdsError};
 use ftclust_graphs::NodeId;
 use ftclust_netsim::exec::{Executor, Phase, Stack};
-use ftclust_netsim::transport::TransportConfig;
-use ftclust_netsim::{
-    ChurnPlan, Context, Control, Envelope, EventLog, Metrics, NodeLogic, Payload, Topology,
-};
+use ftclust_netsim::{Context, Control, Envelope, EventLog, Metrics, NodeLogic, Payload, Topology};
 use rand::Rng;
 
 /// Wire messages of the rounding protocol.
@@ -122,8 +119,8 @@ pub struct RoundingProtocolRun {
 /// Runs **Algorithm 2** through the composable executor stack of
 /// [`ftclust_netsim::exec`]: the reliable transport (loss masking), churn
 /// and tracing layers selected by `stack` compose freely. This is the
-/// canonical driver — [`run_rounding_protocol`] and the historical
-/// `_lossy`/`_traced` entry points are thin shims over it.
+/// canonical driver — [`run_rounding_protocol`] is a thin wrapper over
+/// it on the empty stack.
 ///
 /// When the stack is traced, each of Algorithm 2's (at most three)
 /// rounds runs under a `rounding_round(r)` span — flag draw,
@@ -223,30 +220,7 @@ pub fn run_rounding_protocol(
     run_rounding_stack(inst, x, delta, seed, params, Stack::new()).map(|(run, _)| run)
 }
 
-/// [`run_rounding_protocol`] with a recorded [`EventLog`].
-///
-/// # Errors
-///
-/// As [`run_rounding_protocol`].
-///
-/// # Panics
-///
-/// As [`run_rounding_protocol`].
-#[deprecated(note = "compose layers with `run_rounding_stack(..., Stack::new().traced())`")]
-pub fn run_rounding_protocol_traced(
-    // lint: driver-drift — deprecated shim delegating to the executor stack
-    inst: &Instance<'_>,
-    x: &[f64],
-    delta: usize,
-    seed: u64,
-    params: &RoundingParams,
-) -> Result<(RoundingProtocolRun, EventLog), KmdsError> {
-    run_rounding_stack(inst, x, delta, seed, params, Stack::new().traced())
-        .map(|(run, log)| (run, log.unwrap_or_default()))
-}
-
-/// Assembles the [`RoundingOutcome`] from the final per-node states —
-/// shared by the lossless and lossy runners.
+/// Assembles the [`RoundingOutcome`] from the final per-node states.
 fn assemble_outcome<'n>(nodes: impl Iterator<Item = &'n RoundingNode>) -> RoundingOutcome {
     let mut members = Vec::new();
     let mut initial_picks = 0;
@@ -263,48 +237,15 @@ fn assemble_outcome<'n>(nodes: impl Iterator<Item = &'n RoundingNode>) -> Roundi
     }
 }
 
-/// Runs **Algorithm 2** over **lossy links** via the reliable transport.
-///
-/// # Errors
-///
-/// Returns [`KmdsError::Sim`] if loss exhausts a retransmit budget or the
-/// physical-round budget is exceeded.
-///
-/// # Panics
-///
-/// Panics if `x.len()` differs from the node count.
-#[deprecated(
-    note = "compose layers with `run_rounding_stack(..., Stack::new().churned(churn).transport(transport))`"
-)]
-pub fn run_rounding_protocol_lossy(
-    // lint: driver-drift — deprecated shim delegating to the executor stack
-    inst: &Instance<'_>,
-    x: &[f64],
-    delta: usize,
-    seed: u64,
-    params: &RoundingParams,
-    churn: ChurnPlan,
-    transport: TransportConfig,
-) -> Result<RoundingProtocolRun, KmdsError> {
-    run_rounding_stack(
-        inst,
-        x,
-        delta,
-        seed,
-        params,
-        Stack::new().churned(churn).transport(transport),
-    )
-    .map(|(run, _)| run)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay under test to pin their parity with the stack
 mod tests {
     use super::*;
     use crate::fractional::{solve_fractional, FractionalParams};
     use crate::rounding::round_fractional;
     use crate::validate::{is_k_dominating_instance, Semantics};
     use ftclust_graphs::generators;
+    use ftclust_netsim::transport::TransportConfig;
+    use ftclust_netsim::ChurnPlan;
 
     #[test]
     fn protocol_equals_engine_for_both_selection_rules() {
@@ -350,16 +291,11 @@ mod tests {
         for seed in [0u64, 9] {
             let engine = round_fractional(&inst, &frac.x, frac.delta, seed, &params);
             for p in [0.0, 0.05, 0.2] {
-                let run = run_rounding_protocol_lossy(
-                    &inst,
-                    &frac.x,
-                    frac.delta,
-                    seed,
-                    &params,
-                    ChurnPlan::none().drop_probability(p),
-                    TransportConfig::default(),
-                )
-                .unwrap();
+                let stack = Stack::new()
+                    .churned(ChurnPlan::none().drop_probability(p))
+                    .transport(TransportConfig::default());
+                let (run, _) =
+                    run_rounding_stack(&inst, &frac.x, frac.delta, seed, &params, stack).unwrap();
                 assert_eq!(engine, run.outcome, "diverged at seed {seed}, p = {p}");
                 if p == 0.0 {
                     assert_eq!(run.metrics.retransmits, 0);
@@ -395,8 +331,16 @@ mod tests {
         let frac = solve_fractional(&inst, &FractionalParams::new(2)).unwrap();
         let params = RoundingParams::default();
         let base = run_rounding_protocol(&inst, &frac.x, frac.delta, 3, &params).unwrap();
-        let (traced, log) =
-            run_rounding_protocol_traced(&inst, &frac.x, frac.delta, 3, &params).unwrap();
+        let (traced, log) = run_rounding_stack(
+            &inst,
+            &frac.x,
+            frac.delta,
+            3,
+            &params,
+            Stack::new().traced(),
+        )
+        .unwrap();
+        let log = log.expect("traced stack records a log");
         assert_eq!(base.outcome, traced.outcome);
         assert_eq!(base.metrics, traced.metrics);
         log.reconcile(&traced.metrics).unwrap();

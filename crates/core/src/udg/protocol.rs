@@ -28,10 +28,8 @@ use super::{IdMode, PromotionRule, UdgAlgorithm, UdgRun};
 use crate::{DominatingSet, KmdsError};
 use ftclust_graphs::{NodeId, UnitDiskGraph};
 use ftclust_netsim::exec::{completed_iterations, Executor, Phase, Stack};
-use ftclust_netsim::transport::TransportConfig;
 use ftclust_netsim::{
-    bits_for_ids, ChurnPlan, Context, Control, Envelope, EventLog, Metrics, NodeLogic, Payload,
-    Topology,
+    bits_for_ids, Context, Control, Envelope, EventLog, Metrics, NodeLogic, Payload, Topology,
 };
 use rand::Rng;
 
@@ -277,8 +275,8 @@ fn empty_udg_run() -> UdgProtocolRun {
 /// Runs **Algorithm 3** through the composable executor stack of
 /// [`ftclust_netsim::exec`]: the reliable transport (loss masking), churn
 /// and tracing layers selected by `stack` compose freely. This is the
-/// canonical driver — [`run_udg_protocol`] and the historical
-/// `_lossy`/`_traced` entry points are thin shims over it.
+/// canonical driver — [`run_udg_protocol`] is a thin wrapper over it on
+/// the empty stack.
 ///
 /// When the stack is traced, [`EventLog::rollups`] splits the run's cost
 /// between Part I sparsification and Part II promotion via the plan
@@ -368,26 +366,11 @@ pub fn run_udg_protocol(
     run_udg_stack(udg, config, Stack::new()).map(|(run, _)| run)
 }
 
-/// [`run_udg_protocol`] with a recorded [`EventLog`].
-///
-/// # Errors
-///
-/// As [`run_udg_protocol`].
-#[deprecated(note = "compose layers with `run_udg_stack(udg, config, Stack::new().traced())`")]
-pub fn run_udg_protocol_traced(
-    // lint: driver-drift — deprecated shim delegating to the executor stack
-    udg: &UnitDiskGraph,
-    config: &UdgAlgorithm,
-) -> Result<(UdgProtocolRun, EventLog), KmdsError> {
-    run_udg_stack(udg, config, Stack::new().traced())
-        .map(|(run, log)| (run, log.unwrap_or_default()))
-}
-
-/// Assembles the [`UdgRun`] from the final per-node states — shared by
-/// the lossless and lossy runners. `logical_rounds` is the number of
-/// protocol rounds *executed by the nodes* (equal to the simulator rounds
-/// in a lossless run, and to the transport's logical-round count in a
-/// lossy one), from which the Part II iteration count is derived.
+/// Assembles the [`UdgRun`] from the final per-node states.
+/// `logical_rounds` is the number of protocol rounds *executed by the
+/// nodes* (equal to the simulator rounds in a lossless run, and to the
+/// transport's logical-round count in a lossy one), from which the
+/// Part II iteration count is derived.
 fn assemble_run<'n>(
     part1_rounds: u32,
     logical_rounds: u64,
@@ -419,36 +402,13 @@ fn assemble_run<'n>(
     }
 }
 
-/// Runs **Algorithm 3** over **lossy links** via the reliable transport.
-///
-/// # Errors
-///
-/// Returns [`KmdsError::Sim`] if loss exhausts a retransmit budget or the
-/// physical-round budget is exceeded.
-#[deprecated(
-    note = "compose layers with `run_udg_stack(udg, config, Stack::new().churned(churn).transport(transport))`"
-)]
-pub fn run_udg_protocol_lossy(
-    // lint: driver-drift — deprecated shim delegating to the executor stack
-    udg: &UnitDiskGraph,
-    config: &UdgAlgorithm,
-    churn: ChurnPlan,
-    transport: TransportConfig,
-) -> Result<UdgProtocolRun, KmdsError> {
-    run_udg_stack(
-        udg,
-        config,
-        Stack::new().churned(churn).transport(transport),
-    )
-    .map(|(run, _)| run)
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay under test to pin their parity with the stack
 mod tests {
     use super::*;
     use crate::validate::{is_k_dominating, Semantics};
     use ftclust_graphs::generators;
+    use ftclust_netsim::transport::TransportConfig;
+    use ftclust_netsim::ChurnPlan;
 
     #[test]
     fn protocol_equals_engine() {
@@ -474,13 +434,10 @@ mod tests {
         let config = UdgAlgorithm::new(2).seed(4);
         let engine = config.run(&udg).unwrap();
         for p in [0.0, 0.05, 0.2] {
-            let run = run_udg_protocol_lossy(
-                &udg,
-                &config,
-                ChurnPlan::none().drop_probability(p),
-                TransportConfig::default(),
-            )
-            .unwrap();
+            let stack = Stack::new()
+                .churned(ChurnPlan::none().drop_probability(p))
+                .transport(TransportConfig::default());
+            let (run, _) = run_udg_stack(&udg, &config, stack).unwrap();
             assert_eq!(engine, run.run, "diverged at p = {p}");
             if p == 0.0 {
                 assert_eq!(run.metrics.retransmits, 0);
@@ -536,7 +493,8 @@ mod tests {
         let udg = generators::random_udg(120, 8.0, 1.0, 11);
         let config = UdgAlgorithm::new(2).seed(4);
         let base = run_udg_protocol(&udg, &config).unwrap();
-        let (traced, log) = run_udg_protocol_traced(&udg, &config).unwrap();
+        let (traced, log) = run_udg_stack(&udg, &config, Stack::new().traced()).unwrap();
+        let log = log.expect("traced stack records a log");
         assert_eq!(base.run, traced.run);
         assert_eq!(base.metrics, traced.metrics);
         log.reconcile(&traced.metrics).unwrap();

@@ -1,13 +1,14 @@
 //! Live churn: crash **and recovery** events, random membership churn,
 //! and per-link outage windows.
 //!
-//! [`crate::FaultPlan`] models the static half of the paper's motivation —
-//! pre-scheduled crash-stop failures evaluated after the fact. A
-//! [`ChurnPlan`] models the dynamic half: nodes die *and come back* while
-//! the protocol is running (the mobile/churning networks of Gao et al.'s
-//! *Discrete Mobile Centers*, the basis of Algorithm 3 Part I), links
-//! suffer transient outages, and failures can arrive at seeded-random
-//! rounds rather than a fixed schedule.
+//! A [`ChurnPlan`] is the simulator's one fault schedule for nodes and
+//! links. It covers both halves of the paper's motivation: crash-stop
+//! failures (crashes with no recovery), and the dynamic case where nodes
+//! die *and come back* while the protocol is running (the
+//! mobile/churning networks of Gao et al.'s *Discrete Mobile Centers*,
+//! the basis of Algorithm 3 Part I). Links suffer transient outages and
+//! i.i.d. message loss, and failures can arrive at seeded-random rounds
+//! rather than a fixed schedule.
 //!
 //! All churn decisions are made **on the simulator's sequential merge
 //! path** (see `DESIGN.md` §8): scheduled events are applied in plan
@@ -46,7 +47,6 @@
 //! assert!(!plan.link_down(NodeId::new(1), NodeId::new(0), 4));
 //! ```
 
-use crate::FaultPlan;
 use ftclust_graphs::NodeId;
 use std::ops::Range;
 
@@ -79,9 +79,9 @@ struct LinkOutage {
 /// A live-churn plan: scheduled crash/recovery events, seeded-random
 /// churn, per-link outage windows, and i.i.d. message loss.
 ///
-/// Pass it to [`crate::Simulator::with_churn`]. A crash-only
-/// [`FaultPlan`] converts losslessly via `From` (used by
-/// [`crate::Simulator::with_faults`]).
+/// Pass it to [`crate::Simulator::with_churn`], or to the executor
+/// through [`crate::exec::Stack::churned`]. A crash-stop schedule is a
+/// plan with crashes and no recoveries.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnPlan {
     /// Scheduled events in insertion order; [`ChurnPlan::scheduled_events`]
@@ -204,18 +204,6 @@ impl ChurnPlan {
     }
 }
 
-impl From<FaultPlan> for ChurnPlan {
-    /// A crash-stop plan is churn without recoveries. Crashes convert in
-    /// node-id order, so the derived plan is deterministic.
-    fn from(plan: FaultPlan) -> Self {
-        let mut churn = ChurnPlan::none().drop_probability(plan.drop_prob());
-        for (node, round) in plan.crashes_sorted() {
-            churn = churn.crash(node, round);
-        }
-        churn
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,17 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_converts_to_crash_only_churn() {
-        let fp = FaultPlan::none()
-            .crash(NodeId::new(3), 5)
-            .crash(NodeId::new(1), 2)
-            .drop_probability(0.25);
-        let churn = ChurnPlan::from(fp);
-        assert_eq!(churn.drop_prob(), 0.25);
-        let ev = churn.scheduled_events();
-        assert_eq!(ev[0], (2, NodeId::new(1), ChurnEvent::Crash));
-        assert_eq!(ev[1], (5, NodeId::new(3), ChurnEvent::Crash));
-        assert!(!churn.can_wake(NodeId::new(3), 6));
+    #[should_panic(expected = "drop probability")]
+    fn invalid_drop_probability_panics() {
+        let _ = ChurnPlan::none().drop_probability(1.5);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub enum SimError {
     /// An asynchronous execution ran out of events with nodes still
     /// waiting for input: message loss (or a synchronizer bug) starved
     /// them of the bundles they need to advance. Raised by
-    /// [`crate::synchronizer::run_asynchronously_lossy`] instead of
+    /// [`crate::synchronizer::run_asynchronously`] instead of
     /// livelocking — see the module docs for why the event-driven
     /// synchronizer cannot retransmit on its own.
     AsyncStalled {

@@ -38,16 +38,16 @@
 //! # Parity
 //!
 //! A lossless untraced run executes exactly like [`Simulator::run`]; a
-//! transport run delegates to [`transport::run_reliably`]; a traced
-//! lossless run replays the [`Phase`] plan precisely the way the
-//! historical hand-written traced drivers bracketed their steps. The
-//! previously-missing traced transport combination brackets spans by
-//! the transport's **logical-round frontier** (the largest logical
-//! round any node has completed), so per-phase rollups stay meaningful
-//! even though loss stretches physical time; physical rounds after the
-//! last logical boundary (ack drains, retransmission tails of the
-//! final phase) are attributed to the still-open final span, and a
-//! plan-less traced run records an unspanned log.
+//! traced lossless run replays the [`Phase`] plan precisely the way the
+//! historical hand-written traced drivers bracketed their steps. A
+//! transport run steps the simulator until every [`Reliable`] node is
+//! done; traced, it brackets spans by the transport's **logical-round
+//! frontier** (the largest logical round any node has completed), so
+//! per-phase rollups stay meaningful even though loss stretches
+//! physical time; physical rounds after the last logical boundary (ack
+//! drains, retransmission tails of the final phase) are attributed to
+//! the still-open final span, and a plan-less traced run records an
+//! unspanned log.
 
 use crate::adversary::AdversaryPlan;
 use crate::churn::ChurnPlan;
@@ -58,7 +58,7 @@ use crate::sim::Simulator;
 use crate::synchronizer::{self, AsyncRun};
 use crate::topology::Topology;
 use crate::trace::{EventLog, REGISTERED_SPANS};
-use crate::transport::{self, Reliable, TransportConfig};
+use crate::transport::{Reliable, TransportConfig};
 use ftclust_graphs::NodeId;
 
 /// One entry of a declarative span schedule (see [`Executor::phases`]).
@@ -129,16 +129,15 @@ impl Phase {
 }
 
 /// Orthogonal layer selection for an [`Executor`] run: which of the
-/// transport, churn and tracing layers are engaged, in plain-data form
-/// so callers (protocol stack runners, benches) can build and pass it
-/// around without naming the node-logic type.
+/// transport, loss, churn, adversary and tracing layers are engaged, in
+/// plain-data form so callers (protocol stack runners, benches) can build
+/// and pass it around without naming the node-logic type.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stack {
-    churn: ChurnPlan,
+    churn: Option<ChurnPlan>,
+    loss: Option<f64>,
     transport: Option<TransportConfig>,
     traced: bool,
-    drop_probability: f64,
-    churned: bool,
     adversary: Option<AdversaryPlan>,
 }
 
@@ -152,7 +151,9 @@ impl Stack {
     /// [`Executor::run`] a positive `p` implies the reliable-transport
     /// layer (with [`TransportConfig::default`] unless
     /// [`Stack::transport`] picked a policy); for
-    /// [`Executor::run_async`] it selects synchronizer bundle loss.
+    /// [`Executor::run_async`] it selects synchronizer bundle loss. An
+    /// explicit `p` overrides the drop rate of a [`Stack::churned`] plan,
+    /// whichever of the two calls comes first.
     ///
     /// # Panics
     ///
@@ -162,22 +163,15 @@ impl Stack {
             (0.0..=1.0).contains(&p),
             "drop probability must be in [0, 1], got {p}"
         );
-        self.drop_probability = p;
-        self.churn = self.churn.drop_probability(p);
+        self.loss = Some(p);
         self
     }
 
     /// Engages the churn layer with `plan` (crashes, recoveries, random
-    /// churn, outage windows). A loss probability set earlier via
-    /// [`Stack::lossy`] is re-applied on top of `plan`, so the two
-    /// builder calls compose in either order.
+    /// churn, outage windows, and the plan's own drop rate unless
+    /// [`Stack::lossy`] sets one).
     pub fn churned(mut self, plan: ChurnPlan) -> Self {
-        self.churn = if self.drop_probability > 0.0 {
-            plan.drop_probability(self.drop_probability)
-        } else {
-            plan
-        };
-        self.churned = true;
+        self.churn = Some(plan);
         self
     }
 
@@ -208,7 +202,7 @@ impl Stack {
 
     /// Will [`Executor::run`] wrap nodes in the reliable transport?
     pub fn engages_transport(&self) -> bool {
-        self.transport.is_some() || self.drop_probability > 0.0
+        self.transport.is_some() || self.loss.is_some_and(|p| p > 0.0)
     }
 
     /// Is the tracing layer engaged?
@@ -216,14 +210,32 @@ impl Stack {
         self.traced
     }
 
-    /// The i.i.d. drop probability set via [`Stack::lossy`] (0 if none).
-    pub fn drop_probability(&self) -> f64 {
-        self.drop_probability
+    /// The simulator's effective fault schedule: the churn plan (none if
+    /// unset) with the explicit loss rate, if any, in place of its own.
+    fn take_churn_plan(&mut self) -> ChurnPlan {
+        let plan = self.churn.take().unwrap_or_default();
+        match self.loss {
+            Some(p) => plan.drop_probability(p),
+            None => plan,
+        }
     }
 
-    /// The adversary plan set via [`Stack::adversarial`], if any.
-    pub fn adversary(&self) -> Option<&AdversaryPlan> {
-        self.adversary.as_ref()
+    /// A simulator over `topo` with this stack's churn, adversary and
+    /// tracing layers installed.
+    fn simulator<'a, M: NodeLogic>(
+        &mut self,
+        topo: Topology<'a>,
+        make: impl FnMut(NodeId) -> M,
+        seed: u64,
+    ) -> Simulator<'a, M> {
+        let mut sim = Simulator::with_churn(topo, make, seed, self.take_churn_plan());
+        if let Some(plan) = self.adversary.take() {
+            sim.set_adversary(plan);
+        }
+        if self.traced {
+            sim.set_tracer(EventLog::new());
+        }
+        sim
     }
 }
 
@@ -247,11 +259,9 @@ pub struct Run<L> {
 }
 
 /// The composable protocol executor. Construct with a topology, a
-/// node-logic factory and a master seed, select layers via the
-/// [`Stack`] (or the [`Executor::lossy`] / [`Executor::churned`] /
-/// [`Executor::traced`] / [`Executor::transport`] sugar), attach a span
-/// plan with [`Executor::phases`], and execute with [`Executor::run`]
-/// or [`Executor::run_async`].
+/// node-logic factory and a master seed, select layers with a [`Stack`],
+/// attach a span plan with [`Executor::phases`], and execute with
+/// [`Executor::run`] or [`Executor::run_async`].
 ///
 /// ```
 /// use ftclust_netsim::exec::{Executor, Phase, Stack};
@@ -272,8 +282,7 @@ pub struct Run<L> {
 /// # }
 /// let g = generators::cycle(8);
 /// let run = Executor::new(Topology::from_graph(&g), |_| Node, 7)
-///     .lossy(0.1)
-///     .traced()
+///     .stack(Stack::new().lossy(0.1).traced())
 ///     .run(4)?;
 /// assert!(run.log.is_some());
 /// # Ok::<(), ftclust_netsim::SimError>(())
@@ -315,36 +324,6 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         self
     }
 
-    /// Sugar for [`Stack::lossy`] on the current stack.
-    pub fn lossy(mut self, p: f64) -> Self {
-        self.stack = self.stack.lossy(p);
-        self
-    }
-
-    /// Sugar for [`Stack::churned`] on the current stack.
-    pub fn churned(mut self, plan: ChurnPlan) -> Self {
-        self.stack = self.stack.churned(plan);
-        self
-    }
-
-    /// Sugar for [`Stack::transport`] on the current stack.
-    pub fn transport(mut self, cfg: TransportConfig) -> Self {
-        self.stack = self.stack.transport(cfg);
-        self
-    }
-
-    /// Sugar for [`Stack::traced`] on the current stack.
-    pub fn traced(mut self) -> Self {
-        self.stack = self.stack.traced();
-        self
-    }
-
-    /// Sugar for [`Stack::adversarial`] on the current stack.
-    pub fn adversarial(mut self, plan: AdversaryPlan) -> Self {
-        self.stack = self.stack.adversarial(plan);
-        self
-    }
-
     /// Attaches the declarative span plan used by traced runs (ignored
     /// when tracing is off; an empty plan records an unspanned log).
     pub fn phases(mut self, plan: Vec<Phase>) -> Self {
@@ -373,13 +352,7 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         validate_phases(&self.phases);
         if self.stack.engages_transport() {
             let cfg = self.stack.transport.unwrap_or_default();
-            if self.stack.traced {
-                self.run_transport_traced(cfg, logical_budget)
-            } else {
-                self.run_transport(cfg, logical_budget)
-            }
-        } else if self.stack.traced {
-            self.run_sync_traced(logical_budget)
+            self.run_transport(cfg, logical_budget)
         } else {
             self.run_sync(logical_budget)
         }
@@ -393,7 +366,7 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
     ///
     /// # Errors
     ///
-    /// As [`synchronizer::run_asynchronously_with`].
+    /// As [`synchronizer::run_asynchronously`].
     ///
     /// # Panics
     ///
@@ -409,7 +382,7 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
             "the α-synchronizer cannot host the transport layer (no timers drive retransmission)"
         );
         assert!(
-            !self.stack.churned,
+            self.stack.churn.is_none(),
             "the α-synchronizer supports i.i.d. bundle loss only, not churn plans"
         );
         // An adversary folds partially into the synchronizer (see the
@@ -417,7 +390,7 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         // combines with the configured drop rate into the probability of
         // *either* fate; jitter and duplication are subsumed by the
         // synchronizer's own delay and exactly-once semantics.
-        let mut drop_probability = self.stack.drop_probability;
+        let mut drop_probability = self.stack.loss.unwrap_or(0.0);
         if let Some(plan) = &self.stack.adversary {
             assert!(
                 !plan.has_partitions(),
@@ -425,7 +398,7 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
             );
             drop_probability = 1.0 - (1.0 - drop_probability) * (1.0 - plan.corrupt_prob());
         }
-        synchronizer::run_asynchronously_with(
+        synchronizer::run_asynchronously(
             self.topo,
             self.make,
             self.seed,
@@ -436,33 +409,14 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         )
     }
 
-    /// Lossless untraced path: exactly `Simulator::run`.
-    fn run_sync(self, budget: u64) -> Result<Run<L>, SimError> {
-        let mut sim = Simulator::with_churn(self.topo, self.make, self.seed, self.stack.churn);
-        if let Some(plan) = self.stack.adversary {
-            sim.set_adversary(plan);
-        }
-        sim.run(budget)?;
-        let metrics = sim.metrics().clone();
-        let logical_rounds = metrics.rounds;
-        Ok(Run {
-            logics: sim.into_logics(),
-            metrics,
-            logical_rounds,
-            log: None,
-        })
-    }
-
-    /// Lossless traced path: replays the phase plan the way the
-    /// historical hand-written traced drivers bracketed their steps, so
-    /// the run (states *and* metrics) is identical to the untraced one.
-    fn run_sync_traced(self, budget: u64) -> Result<Run<L>, SimError> {
-        let mut sim = Simulator::with_churn(self.topo, self.make, self.seed, self.stack.churn);
-        if let Some(plan) = self.stack.adversary {
-            sim.set_adversary(plan);
-        }
-        sim.set_tracer(EventLog::new());
-        for phase in &self.phases {
+    /// Synchronous path. Untraced, this is exactly `Simulator::run`;
+    /// traced, it first replays the phase plan the way the historical
+    /// hand-written traced drivers bracketed their steps, so the run
+    /// (states *and* metrics) is identical to the untraced one.
+    fn run_sync(mut self, budget: u64) -> Result<Run<L>, SimError> {
+        let mut sim = self.stack.simulator(self.topo, self.make, self.seed);
+        let phases: &[Phase] = if self.stack.traced { &self.phases } else { &[] };
+        for phase in phases {
             match *phase {
                 Phase::Span { name, arg, rounds } => {
                     enter(&mut sim, name, arg);
@@ -490,8 +444,9 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
                 }
             }
         }
-        // Rounds the plan does not cover (an empty or partial plan) run
-        // to quiescence unspanned; a no-op after a Loop/Tail plan.
+        // Rounds the plan does not cover (an untraced run, an empty or
+        // partial plan) run to quiescence unspanned; a no-op after a
+        // Loop/Tail plan.
         sim.run(budget)?;
         let metrics = sim.metrics().clone();
         let logical_rounds = metrics.rounds;
@@ -504,50 +459,24 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         })
     }
 
-    /// Transport untraced path: delegates to
-    /// [`transport::run_reliably_with`].
-    fn run_transport(self, cfg: TransportConfig, logical: u64) -> Result<Run<L>, SimError> {
-        let run = transport::run_reliably_with(
-            self.topo,
-            self.make,
-            self.seed,
-            self.stack.churn,
-            self.stack.adversary,
-            cfg,
-            cfg.round_budget(logical),
-        )?;
-        Ok(Run {
-            logics: run.logics,
-            metrics: run.metrics,
-            logical_rounds: run.logical_rounds,
-            log: None,
-        })
-    }
-
-    /// Transport + tracing — the combination the historical driver
-    /// matrix never had. Runs the [`transport::run_reliably`] loop with
-    /// a tracer attached and advances the span plan whenever the
-    /// logical-round frontier crosses a phase boundary.
-    fn run_transport_traced(
-        mut self,
-        cfg: TransportConfig,
-        logical: u64,
-    ) -> Result<Run<L>, SimError> {
+    /// Transport path: every node wrapped in [`Reliable`], the simulator
+    /// stepped until every node is [`Reliable::done`]. Traced, the span
+    /// plan advances whenever the logical-round frontier crosses a phase
+    /// boundary; the frontier is only computed when tracing is engaged.
+    fn run_transport(mut self, cfg: TransportConfig, logical: u64) -> Result<Run<L>, SimError> {
         let make = &mut self.make;
-        let mut sim = Simulator::with_churn(
-            self.topo,
-            |v| Reliable::new(make(v), cfg),
-            self.seed,
-            self.stack.churn,
-        );
-        if let Some(plan) = self.stack.adversary.take() {
-            sim.set_adversary(plan);
+        let mut sim = self
+            .stack
+            .simulator(self.topo, |v| Reliable::new(make(v), cfg), self.seed);
+        let mut cursor = self.stack.traced.then(|| SpanCursor::new(&self.phases));
+        if let Some(cursor) = &mut cursor {
+            cursor.open_current(&mut sim, 0);
         }
-        sim.set_tracer(EventLog::new());
         let max_rounds = cfg.round_budget(logical);
-        let mut cursor = SpanCursor::new(&self.phases);
-        cursor.open_current(&mut sim, 0);
         while sim.step() {
+            // Surface a delivery failure immediately: the victim's
+            // neighbors would otherwise wait for its frames until the
+            // round limit and mask the root cause.
             if let Some((v, failure)) = sim
                 .logics()
                 .enumerate()
@@ -555,12 +484,18 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
             {
                 return Err(failure.into_error(NodeId::new(v as u32)));
             }
-            let frontier = sim
-                .logics()
-                .map(Reliable::logical_rounds)
-                .max()
-                .unwrap_or(0);
-            cursor.advance_to(frontier, &mut sim);
+            if let Some(cursor) = &mut cursor {
+                let frontier = sim
+                    .logics()
+                    .map(Reliable::logical_rounds)
+                    .max()
+                    .unwrap_or(0);
+                cursor.advance_to(frontier, &mut sim);
+            }
+            // Global termination: every node knows (from received acks
+            // and halting frames) that it needs nothing more from the
+            // network. Transport nodes stay responsive rather than
+            // halting on their own, so this observation ends the run.
             if sim.logics().all(Reliable::done) {
                 break;
             }
@@ -573,12 +508,15 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
                 });
             }
         }
-        cursor.close(&mut sim);
-        let metrics = sim.metrics().clone();
-        let mut logical_rounds = 0;
-        for l in sim.logics() {
-            logical_rounds = logical_rounds.max(l.logical_rounds());
+        if let Some(cursor) = &mut cursor {
+            cursor.close(&mut sim);
         }
+        let metrics = sim.metrics().clone();
+        let logical_rounds = sim
+            .logics()
+            .map(Reliable::logical_rounds)
+            .max()
+            .unwrap_or(0);
         let log = sim.take_event_log();
         Ok(Run {
             logics: sim
@@ -604,7 +542,7 @@ fn exit<M: NodeLogic>(sim: &mut Simulator<'_, M>, name: &'static str, arg: Optio
     sim.span_exit(name, arg); // lint: span-name-not-literal — plan names are asserted against REGISTERED_SPANS in validate_phases
 }
 
-/// The round-limit check shared by the traced synchronous paths,
+/// The round-limit check of the traced synchronous path's loop phases,
 /// identical to the historical drivers' inline checks.
 fn check_budget<M: NodeLogic>(sim: &Simulator<'_, M>, limit: u64) -> Result<(), SimError> {
     if sim.round() >= limit && !sim.is_quiescent() {
@@ -903,8 +841,7 @@ mod tests {
             .unwrap();
         for p in [0.0, 0.15] {
             let lossy = Executor::new(Topology::from_graph(&g), flood, 9)
-                .transport(TransportConfig::default())
-                .lossy(p)
+                .stack(Stack::new().transport(TransportConfig::default()).lossy(p))
                 .run(10)
                 .unwrap();
             assert_eq!(lossy.logics, lossless.logics, "p={p}");
@@ -919,8 +856,7 @@ mod tests {
             .run(10)
             .unwrap();
         let run = Executor::new(Topology::from_graph(&g), flood, 2)
-            .lossy(0.2)
-            .traced()
+            .stack(Stack::new().lossy(0.2).traced())
             .run(10)
             .unwrap();
         assert_eq!(run.logics, lossless.logics);
@@ -933,7 +869,7 @@ mod tests {
     fn unregistered_phase_name_is_rejected() {
         let g = generators::cycle(4);
         let _ = Executor::new(Topology::from_graph(&g), flood, 0)
-            .traced()
+            .stack(Stack::new().traced())
             .phases(vec![Phase::span("bogus_phase", 1)])
             .run(10);
     }
@@ -954,7 +890,7 @@ mod tests {
             .run(10)
             .unwrap();
         let (asynced, log) = Executor::new(Topology::from_graph(&g), flood, 4)
-            .traced()
+            .stack(Stack::new().traced())
             .run_async(4, 10)
             .unwrap();
         assert_eq!(asynced.logics, sync.logics);
@@ -966,7 +902,28 @@ mod tests {
     fn async_rejects_transport() {
         let g = generators::cycle(4);
         let _ = Executor::new(Topology::from_graph(&g), flood, 0)
-            .transport(TransportConfig::default())
+            .stack(Stack::new().transport(TransportConfig::default()))
             .run_async(2, 10);
+    }
+
+    #[test]
+    fn explicit_loss_overrides_the_churn_plan_in_either_order() {
+        let plan = ChurnPlan::none().drop_probability(0.1);
+        let loss_first = Stack::new().lossy(0.0).churned(plan.clone());
+        let plan_first = Stack::new().churned(plan).lossy(0.0);
+        assert_eq!(loss_first, plan_first);
+        let g = generators::gnp(20, 0.2, 3);
+        let lossless = Executor::new(Topology::from_graph(&g), flood, 9)
+            .run(10)
+            .unwrap();
+        for stack in [loss_first, plan_first] {
+            let run = Executor::new(Topology::from_graph(&g), flood, 9)
+                .stack(stack)
+                .run(10)
+                .unwrap();
+            assert_eq!(run.metrics.dropped_messages, 0);
+            assert_eq!(run.metrics, lossless.metrics);
+            assert_eq!(run.logics, lossless.logics);
+        }
     }
 }

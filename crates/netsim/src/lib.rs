@@ -16,16 +16,22 @@
 //!   ([`Context::distance_to`]).
 //!
 //! Protocols implement [`NodeLogic`]; a [`Simulator`] executes one logic
-//! instance per node until all halt. Crash-stop failures and random message
-//! loss are injected via [`FaultPlan`] — the paper's *motivation* is that
-//! k-fold dominating sets tolerate exactly such faults. Live churn (crash
-//! **and recovery** events, seeded-random membership churn, link outage
-//! windows) is injected via [`ChurnPlan`], driving the self-healing repair
-//! protocol in `ftclust-core`. Beyond loss, an [`AdversaryPlan`] injects
-//! the faults real radios produce — reordering delay jitter, frame
-//! duplication, payload corruption, scheduled group partitions — and the
-//! [`monitor`] module measures detection latency and time-to-repair when
-//! the repair protocol runs continuously under that chaos.
+//! instance per node until all halt. Faults are injected via a
+//! [`ChurnPlan`]: crash-stop failures and random message loss — the
+//! paper's *motivation* is that k-fold dominating sets tolerate exactly
+//! such faults — as well as live churn (crash **and recovery** events,
+//! seeded-random membership churn, link outage windows), which drives the
+//! self-healing repair protocol in `ftclust-core`. Beyond loss, an
+//! [`AdversaryPlan`] injects the faults real radios produce — reordering
+//! delay jitter, frame duplication, payload corruption, scheduled group
+//! partitions — and the [`monitor`] module measures detection latency and
+//! time-to-repair when the repair protocol runs continuously under that
+//! chaos.
+//!
+//! Protocols run through one driver, [`exec::Executor`], whose
+//! [`exec::Stack`] engages the reliable transport, loss, churn,
+//! adversary and tracing layers; [`exec::Executor::run_async`] runs the
+//! same protocol on an asynchronous network through the α-synchronizer.
 //!
 //! Determinism: all randomness derives from a master seed via per-node
 //! streams ([`node_rng`]), so every execution is exactly reproducible and
@@ -75,7 +81,6 @@
 mod arena;
 mod churn;
 mod error;
-mod fault;
 mod message;
 mod metrics;
 mod node;
@@ -92,7 +97,6 @@ pub mod transport;
 pub use adversary::AdversaryPlan;
 pub use churn::{ChurnEvent, ChurnPlan, RandomChurn};
 pub use error::SimError;
-pub use fault::FaultPlan;
 pub use message::{bits_for_ids, Envelope, Payload};
 pub use metrics::Metrics;
 pub use node::{Context, Control, NodeLogic};

@@ -3,9 +3,7 @@ use crate::arena::{DeliverySorter, InboxArena};
 use crate::metrics::TransportCounters;
 use crate::node::Context;
 use crate::trace::{EventLog, NoopTracer, TraceEvent, Tracer};
-use crate::{
-    ChurnEvent, ChurnPlan, Control, Envelope, FaultPlan, Metrics, NodeLogic, SimError, Topology,
-};
+use crate::{ChurnEvent, ChurnPlan, Control, Envelope, Metrics, NodeLogic, SimError, Topology};
 use ftclust_graphs::NodeId;
 use ftclust_par as par;
 use rand::rngs::StdRng;
@@ -167,18 +165,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     ///
     /// `master_seed` drives all node-local randomness via [`node_rng`].
     pub fn new(topo: Topology<'a>, make_logic: impl FnMut(NodeId) -> L, master_seed: u64) -> Self {
-        Self::with_faults(topo, make_logic, master_seed, FaultPlan::none())
-    }
-
-    /// Creates a simulator with crash-stop fault injection (the plan is
-    /// converted to a recovery-free [`ChurnPlan`]).
-    pub fn with_faults(
-        topo: Topology<'a>,
-        make_logic: impl FnMut(NodeId) -> L,
-        master_seed: u64,
-        faults: FaultPlan,
-    ) -> Self {
-        Self::with_churn(topo, make_logic, master_seed, faults.into())
+        Self::with_churn(topo, make_logic, master_seed, ChurnPlan::none())
     }
 
     /// Creates a simulator with live churn injection: scheduled and
@@ -968,15 +955,15 @@ mod tests {
     fn crashed_node_is_silent() {
         let g = generators::path(2);
         let topo = Topology::from_graph(&g);
-        let faults = FaultPlan::none().crash(NodeId::new(1), 0);
-        let mut sim = Simulator::with_faults(
+        let churn = ChurnPlan::none().crash(NodeId::new(1), 0);
+        let mut sim = Simulator::with_churn(
             topo,
             |_| Gossip {
                 heard: vec![],
                 rounds: 3,
             },
             0,
-            faults,
+            churn,
         );
         sim.run(100).unwrap();
         // Node 0 never hears from the crashed node 1.
@@ -990,15 +977,15 @@ mod tests {
         // Node 1 crashes at round 1: its round-0 messages are dead on
         // arrival (receivers crashed at 1 receive them; here node 0 is fine
         // so it receives the round-0 message at round 1).
-        let faults = FaultPlan::none().crash(NodeId::new(1), 1);
-        let mut sim = Simulator::with_faults(
+        let churn = ChurnPlan::none().crash(NodeId::new(1), 1);
+        let mut sim = Simulator::with_churn(
             topo,
             |_| Gossip {
                 heard: vec![],
                 rounds: 5,
             },
             0,
-            faults,
+            churn,
         );
         sim.run(100).unwrap();
         assert_eq!(sim.logic(NodeId::new(0)).heard, vec![1]);
@@ -1008,15 +995,15 @@ mod tests {
     fn full_message_loss_blocks_gossip() {
         let g = generators::complete(4);
         let topo = Topology::from_graph(&g);
-        let faults = FaultPlan::none().drop_probability(1.0);
-        let mut sim = Simulator::with_faults(
+        let churn = ChurnPlan::none().drop_probability(1.0);
+        let mut sim = Simulator::with_churn(
             topo,
             |_| Gossip {
                 heard: vec![],
                 rounds: 2,
             },
             0,
-            faults,
+            churn,
         );
         let m = sim.run(100).unwrap();
         assert_eq!(m.dropped_messages, m.messages);
@@ -1066,17 +1053,17 @@ mod tests {
         let run = |threads: usize| {
             ftclust_par::with_threads(threads, || {
                 let topo = Topology::from_graph(&g);
-                let faults = FaultPlan::none()
+                let churn = ChurnPlan::none()
                     .crash(NodeId::new(3), 2)
                     .drop_probability(0.2);
-                let mut sim = Simulator::with_faults(
+                let mut sim = Simulator::with_churn(
                     topo,
                     |_| Gossip {
                         heard: vec![],
                         rounds: 6,
                     },
                     9,
-                    faults,
+                    churn,
                 );
                 sim.run(100).unwrap();
                 let heard: Vec<Vec<u64>> = sim.logics().map(|l| l.heard.clone()).collect();
@@ -1186,8 +1173,8 @@ mod tests {
         // arrival and the conservation law closes.
         let g = generators::path(2);
         let topo = Topology::from_graph(&g);
-        let faults = FaultPlan::none().crash(NodeId::new(1), 1);
-        let mut sim = Simulator::with_faults(topo, |_| Counter { seen: 0, rounds: 5 }, 0, faults);
+        let churn = ChurnPlan::none().crash(NodeId::new(1), 1);
+        let mut sim = Simulator::with_churn(topo, |_| Counter { seen: 0, rounds: 5 }, 0, churn);
         sim.run(100).unwrap();
         let m = sim.metrics().clone();
         assert_eq!(m.messages, 6);
@@ -1338,11 +1325,10 @@ mod tests {
         let g = generators::gnp(20, 0.3, 3);
         let run = |traced: bool| {
             let topo = Topology::from_graph(&g);
-            let faults = FaultPlan::none()
+            let churn = ChurnPlan::none()
                 .crash(NodeId::new(2), 1)
                 .drop_probability(0.2);
-            let mut sim =
-                Simulator::with_faults(topo, |_| Counter { seen: 0, rounds: 5 }, 4, faults);
+            let mut sim = Simulator::with_churn(topo, |_| Counter { seen: 0, rounds: 5 }, 4, churn);
             if traced {
                 sim.set_tracer(EventLog::new());
             }

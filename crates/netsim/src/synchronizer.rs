@@ -45,7 +45,7 @@
 //! bundle was lost could never be scheduled. Loss tolerance therefore
 //! lives under the round-driven [`crate::Simulator`] (which ticks whether
 //! or not messages arrive), and the asynchronous executor **fails fast**
-//! instead of livelocking: [`run_asynchronously_lossy`] detects the drained
+//! instead of livelocking: [`run_asynchronously`] detects the drained
 //! queue and returns [`SimError::AsyncStalled`] naming the starved nodes
 //! and the number of lost bundles. Because bundles are all-or-nothing, a
 //! lossy run that *does* complete saw every inbox it needed and its result
@@ -70,8 +70,8 @@ pub struct AsyncStats {
     pub ticks: u64,
     /// Bundles sent (each bundle is one wire message of the synchronizer).
     pub bundles: u64,
-    /// Bundles lost to injected message loss (always 0 for
-    /// [`run_asynchronously`]; see [`run_asynchronously_lossy`]).
+    /// Bundles lost to injected message loss (always 0 when the drop
+    /// probability is 0).
     pub dropped_bundles: u64,
     /// The largest local round any node executed.
     pub max_local_round: u64,
@@ -305,156 +305,37 @@ impl<'a, L: NodeLogic> AsyncExec<'a, L> {
 /// Executes the synchronous protocol built by `make_logic` on an
 /// asynchronous network where every message is delayed by a uniform random
 /// number of ticks in `1..=max_delay`, using the synchronizer described in
-/// the [module docs](self).
+/// the [module docs](self). This is the synchronizer behind
+/// [`crate::exec::Executor::run_async`].
 ///
 /// The returned protocol states equal those of a synchronous
 /// [`crate::Simulator`] run with the same `master_seed`.
 ///
+/// * **Loss.** Each bundle is discarded in flight with probability
+///   `drop_probability`, drawn from a dedicated stream, so
+///   `drop_probability == 0.0` draws nothing and matches a lossless run
+///   bit for bit. The synchronizer itself does not retransmit — see the
+///   [module docs](self#message-loss) for why it *cannot* host the
+///   timer-driven [`crate::transport`] layer. A run that completes is
+///   exactly the synchronous execution; a run starved by loss **fails
+///   fast** with [`SimError::AsyncStalled`] instead of livelocking.
+/// * **Tracing.** With `traced` set, every local round executed at a node
+///   becomes a [`TraceEvent::SynchronizerPulse`] stamped with the global
+///   delivery tick, returned as `Some` log. The pulse stream is
+///   deterministic for a given seed (the executor is sequential), so
+///   traced asynchronous runs diff cleanly.
+///
 /// # Errors
 ///
-/// Returns [`SimError::RoundLimitExceeded`] if any node would exceed
-/// `max_rounds` local rounds.
+/// [`SimError::RoundLimitExceeded`] if any node would exceed `max_rounds`
+/// local rounds; [`SimError::AsyncStalled`] if the event queue drains
+/// while nodes are still waiting for lost bundles.
 ///
 /// # Panics
 ///
-/// Panics if `max_delay == 0`.
+/// Panics if `max_delay == 0` or `drop_probability` is not in `[0, 1]`.
+#[allow(clippy::too_many_arguments)]
 pub fn run_asynchronously<L: NodeLogic>(
-    topo: Topology<'_>,
-    make_logic: impl FnMut(NodeId) -> L,
-    master_seed: u64,
-    max_delay: u64,
-    max_rounds: u64,
-) -> Result<AsyncRun<L>, SimError> {
-    run_async_impl(
-        topo,
-        make_logic,
-        master_seed,
-        max_delay,
-        max_rounds,
-        0.0,
-        false,
-    )
-    .map(|(run, _)| run)
-}
-
-/// [`run_asynchronously`] with a recorded [`EventLog`]: every local round
-/// executed at a node becomes a
-/// [`TraceEvent::SynchronizerPulse`] stamped with the global delivery
-/// tick. The pulse stream is deterministic for a given seed (the
-/// executor is sequential), so traced asynchronous runs diff cleanly.
-///
-/// # Errors
-///
-/// As [`run_asynchronously`].
-///
-/// # Panics
-///
-/// Panics if `max_delay == 0`.
-pub fn run_asynchronously_traced<L: NodeLogic>(
-    // lint: driver-drift — α-synchronizer wrapper predating the stack; delegates to run_async_impl
-    topo: Topology<'_>,
-    make_logic: impl FnMut(NodeId) -> L,
-    master_seed: u64,
-    max_delay: u64,
-    max_rounds: u64,
-) -> Result<(AsyncRun<L>, EventLog), SimError> {
-    run_async_impl(
-        topo,
-        make_logic,
-        master_seed,
-        max_delay,
-        max_rounds,
-        0.0,
-        true,
-    )
-    .map(|(run, log)| (run, log.unwrap_or_default()))
-}
-
-/// [`run_asynchronously`] with i.i.d. bundle loss: each bundle is
-/// discarded in flight with probability `drop_probability` (drawn from a
-/// dedicated stream, so `drop_probability == 0.0` reproduces
-/// [`run_asynchronously`] bit for bit).
-///
-/// The synchronizer itself does not retransmit — see the [module
-/// docs](self#message-loss) for why it *cannot* host the timer-driven
-/// [`crate::transport`] layer. A run that completes is exactly the
-/// synchronous execution; a run starved by loss **fails fast** with
-/// [`SimError::AsyncStalled`] instead of livelocking.
-///
-/// # Errors
-///
-/// [`SimError::AsyncStalled`] if the event queue drains while nodes are
-/// still waiting for lost bundles; [`SimError::RoundLimitExceeded`] as in
-/// [`run_asynchronously`].
-///
-/// # Panics
-///
-/// Panics if `max_delay == 0` or `drop_probability` is not in `[0, 1]`.
-pub fn run_asynchronously_lossy<L: NodeLogic>(
-    // lint: driver-drift — α-synchronizer wrapper predating the stack; delegates to run_async_impl
-    topo: Topology<'_>,
-    make_logic: impl FnMut(NodeId) -> L,
-    master_seed: u64,
-    max_delay: u64,
-    max_rounds: u64,
-    drop_probability: f64,
-) -> Result<AsyncRun<L>, SimError> {
-    assert!(
-        (0.0..=1.0).contains(&drop_probability),
-        "drop probability must be in [0, 1], got {drop_probability}"
-    );
-    run_async_impl(
-        topo,
-        make_logic,
-        master_seed,
-        max_delay,
-        max_rounds,
-        drop_probability,
-        false,
-    )
-    .map(|(run, _)| run)
-}
-
-/// The fully-composed asynchronous entry point used by
-/// [`crate::exec::Executor::run_async`]: [`run_asynchronously`] with any
-/// combination of i.i.d. bundle loss (see [`run_asynchronously_lossy`])
-/// and trace recording (see [`run_asynchronously_traced`]). The
-/// returned log is `Some` iff `traced` is set.
-///
-/// # Errors
-///
-/// As [`run_asynchronously_lossy`].
-///
-/// # Panics
-///
-/// Panics if `max_delay == 0` or `drop_probability` is not in `[0, 1]`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_asynchronously_with<L: NodeLogic>(
-    topo: Topology<'_>,
-    make_logic: impl FnMut(NodeId) -> L,
-    master_seed: u64,
-    max_delay: u64,
-    max_rounds: u64,
-    drop_probability: f64,
-    traced: bool,
-) -> Result<(AsyncRun<L>, Option<EventLog>), SimError> {
-    assert!(
-        (0.0..=1.0).contains(&drop_probability),
-        "drop probability must be in [0, 1], got {drop_probability}"
-    );
-    run_async_impl(
-        topo,
-        make_logic,
-        master_seed,
-        max_delay,
-        max_rounds,
-        drop_probability,
-        traced,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_async_impl<L: NodeLogic>(
     topo: Topology<'_>,
     mut make_logic: impl FnMut(NodeId) -> L,
     master_seed: u64,
@@ -463,6 +344,10 @@ fn run_async_impl<L: NodeLogic>(
     drop_probability: f64,
     traced: bool,
 ) -> Result<(AsyncRun<L>, Option<EventLog>), SimError> {
+    assert!(
+        (0.0..=1.0).contains(&drop_probability),
+        "drop probability must be in [0, 1], got {drop_probability}"
+    );
     assert!(max_delay > 0, "max_delay must be at least 1 tick");
     let g = topo.graph();
     let n = g.node_count();
@@ -582,19 +467,35 @@ mod tests {
         }
     }
 
+    fn flood(rounds: u64) -> impl Fn(NodeId) -> Flood + Copy {
+        move |v| Flood {
+            best: v.raw() as u64,
+            draws: vec![],
+            rounds,
+        }
+    }
+
     fn sync_run(g: &ftclust_graphs::Graph, seed: u64, rounds: u64) -> Vec<Flood> {
         let topo = Topology::from_graph(g);
-        let mut sim = Simulator::new(
-            topo,
-            |v| Flood {
-                best: v.raw() as u64,
-                draws: vec![],
-                rounds,
-            },
-            seed,
-        );
+        let mut sim = Simulator::new(topo, flood(rounds), seed);
         sim.run(10_000).unwrap();
         sim.logics().cloned().collect()
+    }
+
+    /// A lossless, untraced asynchronous run.
+    fn async_run(
+        g: &ftclust_graphs::Graph,
+        seed: u64,
+        rounds: u64,
+        max_delay: u64,
+        max_rounds: u64,
+    ) -> AsyncRun<Flood> {
+        let topo = Topology::from_graph(g);
+        let (run, log) =
+            run_asynchronously(topo, flood(rounds), seed, max_delay, max_rounds, 0.0, false)
+                .unwrap();
+        assert!(log.is_none(), "untraced run recorded a log");
+        run
     }
 
     #[test]
@@ -605,19 +506,7 @@ mod tests {
             (generators::star(6), 3),
         ] {
             let sync = sync_run(&g, seed, 6);
-            let topo = Topology::from_graph(&g);
-            let run = run_asynchronously(
-                topo,
-                |v| Flood {
-                    best: v.raw() as u64,
-                    draws: vec![],
-                    rounds: 6,
-                },
-                seed,
-                7, // delays up to 7 ticks
-                10_000,
-            )
-            .unwrap();
+            let run = async_run(&g, seed, 6, 7, 10_000); // delays up to 7 ticks
             assert_eq!(
                 run.logics, sync,
                 "async execution diverged from synchronous"
@@ -632,34 +521,12 @@ mod tests {
         let g = generators::cycle(7);
         let run_traced = || {
             let topo = Topology::from_graph(&g);
-            run_asynchronously_traced(
-                topo,
-                |v| Flood {
-                    best: v.raw() as u64,
-                    draws: vec![],
-                    rounds: 4,
-                },
-                5,
-                3,
-                10_000,
-            )
-            .unwrap()
+            let (run, log) = run_asynchronously(topo, flood(4), 5, 3, 10_000, 0.0, true).unwrap();
+            (run, log.expect("traced run records a log"))
         };
         let (run, log) = run_traced();
         // Tracing must not perturb execution.
-        let topo = Topology::from_graph(&g);
-        let untraced = run_asynchronously(
-            topo,
-            |v| Flood {
-                best: v.raw() as u64,
-                draws: vec![],
-                rounds: 4,
-            },
-            5,
-            3,
-            10_000,
-        )
-        .unwrap();
+        let untraced = async_run(&g, 5, 4, 3, 10_000);
         assert_eq!(run.logics, untraced.logics);
         // Every local round of every node pulses exactly once: 7 nodes
         // x rounds 0..=4.
@@ -679,31 +546,8 @@ mod tests {
     #[test]
     fn async_run_is_deterministic() {
         let g = generators::gnp(20, 0.25, 9);
-        let topo = Topology::from_graph(&g);
-        let a = run_asynchronously(
-            topo,
-            |v| Flood {
-                best: v.raw() as u64,
-                draws: vec![],
-                rounds: 4,
-            },
-            5,
-            5,
-            1_000,
-        )
-        .unwrap();
-        let b = run_asynchronously(
-            topo,
-            |v| Flood {
-                best: v.raw() as u64,
-                draws: vec![],
-                rounds: 4,
-            },
-            5,
-            5,
-            1_000,
-        )
-        .unwrap();
+        let a = async_run(&g, 5, 4, 5, 1_000);
+        let b = async_run(&g, 5, 4, 5, 1_000);
         assert_eq!(a.logics, b.logics);
         assert_eq!(a.stats, b.stats);
     }
@@ -721,24 +565,16 @@ mod tests {
         }
         let g = generators::path(3);
         let topo = Topology::from_graph(&g);
-        let err = run_asynchronously(topo, |_| Forever, 0, 2, 5).unwrap_err();
+        let err = run_asynchronously(topo, |_| Forever, 0, 2, 5, 0.0, false).unwrap_err();
         assert!(matches!(err, SimError::RoundLimitExceeded { limit: 5, .. }));
     }
 
     #[test]
     fn lossy_with_zero_probability_matches_lossless() {
         let g = generators::gnp(18, 0.3, 4);
-        let topo = Topology::from_graph(&g);
-        let make = |v: NodeId| Flood {
-            best: v.raw() as u64,
-            draws: vec![],
-            rounds: 5,
-        };
-        let a = run_asynchronously(topo, make, 11, 4, 1_000).unwrap();
-        let b = run_asynchronously_lossy(topo, make, 11, 4, 1_000, 0.0).unwrap();
-        assert_eq!(a.logics, b.logics);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(b.stats.dropped_bundles, 0);
+        let run = async_run(&g, 11, 5, 4, 1_000);
+        assert_eq!(run.logics, sync_run(&g, 11, 5));
+        assert_eq!(run.stats.dropped_bundles, 0);
     }
 
     #[test]
@@ -754,20 +590,8 @@ mod tests {
             let g = generators::gnp(14, 0.3, seed);
             let sync = sync_run(&g, seed, 5);
             let topo = Topology::from_graph(&g);
-            let out = run_asynchronously_lossy(
-                topo,
-                |v| Flood {
-                    best: v.raw() as u64,
-                    draws: vec![],
-                    rounds: 5,
-                },
-                seed,
-                4,
-                10_000,
-                0.25,
-            );
-            match out {
-                Ok(run) => {
+            match run_asynchronously(topo, flood(5), seed, 4, 10_000, 0.25, false) {
+                Ok((run, _)) => {
                     completions += 1;
                     assert_eq!(
                         run.logics, sync,
@@ -800,15 +624,10 @@ mod tests {
     fn lossy_run_is_deterministic() {
         let g = generators::gnp(16, 0.25, 2);
         let topo = Topology::from_graph(&g);
-        let make = |v: NodeId| Flood {
-            best: v.raw() as u64,
-            draws: vec![],
-            rounds: 4,
-        };
-        let a = run_asynchronously_lossy(topo, make, 3, 5, 10_000, 0.2);
-        let b = run_asynchronously_lossy(topo, make, 3, 5, 10_000, 0.2);
+        let a = run_asynchronously(topo, flood(4), 3, 5, 10_000, 0.2, false);
+        let b = run_asynchronously(topo, flood(4), 3, 5, 10_000, 0.2, false);
         match (a, b) {
-            (Ok(x), Ok(y)) => {
+            (Ok((x, _)), Ok((y, _))) => {
                 assert_eq!(x.logics, y.logics);
                 assert_eq!(x.stats, y.stats);
             }
@@ -822,36 +641,13 @@ mod tests {
     fn invalid_drop_probability_panics() {
         let g = generators::path(2);
         let topo = Topology::from_graph(&g);
-        let _ = run_asynchronously_lossy(
-            topo,
-            |v| Flood {
-                best: v.raw() as u64,
-                draws: vec![],
-                rounds: 1,
-            },
-            0,
-            1,
-            10,
-            1.5,
-        );
+        let _ = run_asynchronously(topo, flood(1), 0, 1, 10, 1.5, false);
     }
 
     #[test]
     fn isolated_nodes_run_alone() {
         let g = generators::empty(3);
-        let topo = Topology::from_graph(&g);
-        let run = run_asynchronously(
-            topo,
-            |v| Flood {
-                best: v.raw() as u64,
-                draws: vec![],
-                rounds: 2,
-            },
-            0,
-            3,
-            100,
-        )
-        .unwrap();
+        let run = async_run(&g, 0, 2, 3, 100);
         assert_eq!(run.logics.len(), 3);
         for l in &run.logics {
             assert_eq!(l.draws.len(), 3); // rounds 0, 1, 2

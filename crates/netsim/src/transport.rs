@@ -22,10 +22,14 @@
 //!   [`TransportConfig::backoff_cap`]),
 //! * a frame that stays unacknowledged after
 //!   [`TransportConfig::max_retransmits`] retransmissions is a **delivery
-//!   failure**: the node halts and [`run_reliably`] surfaces
-//!   [`SimError::DeliveryFailed`] naming the link, the sequence number
-//!   and the attempt count — loss beyond the budget is an error, never a
-//!   silent wrong answer.
+//!   failure**: the node halts and [`crate::exec::Executor::run`]
+//!   surfaces [`SimError::DeliveryFailed`] naming the link, the sequence
+//!   number and the attempt count — loss beyond the budget is an error,
+//!   never a silent wrong answer.
+//!
+//! Run a protocol over the transport with
+//! [`crate::exec::Executor`] and a [`crate::exec::Stack`] that engages
+//! it (`.transport(cfg)`, or `.lossy(p)` with `p > 0`).
 //!
 //! # Logical vs physical rounds
 //!
@@ -55,12 +59,30 @@
 //! neighbor's halting frame has been received — all facts it *knows*
 //! from received frames, never inferred from timeouts — but it stays in
 //! the network, re-acknowledging retransmissions indefinitely (only
-//! isolated nodes halt on their own). [`run_reliably`], which observes
-//! every node, stops the simulation once **all** nodes are done: global
-//! knowledge that no protocol frame can still be needed. A frame
+//! isolated nodes halt on their own). The executor's transport path,
+//! which observes every node, stops the simulation once **all** nodes
+//! are done: global knowledge that no protocol frame can still be
+//! needed. A frame
 //! therefore fails only when its retransmit budget is genuinely
 //! exhausted — reported as a (deterministic, seeded)
 //! [`SimError::DeliveryFailed`] rather than a hang or a stranded peer.
+//!
+//! # What the transport masks
+//!
+//! The transport masks **message** loss (drops, outage windows); it does
+//! not mask *node* crashes — a frame addressed to a crashed node that
+//! never recovers exhausts its budget and fails. Run crash-tolerant
+//! protocols on the surviving topology instead (see
+//! `ftclust_core::repair`).
+//!
+//! Under an adversarial delivery layer (see [`crate::adversary`]) the
+//! ARQ machinery is exactly what the faults exercise: corruption is
+//! erased by the frame checksum and retransmitted like loss, network
+//! duplicates are suppressed by the per-link sequence numbers (counted
+//! in [`crate::Metrics::net_duplicated`]), delay jitter is absorbed by
+//! the out-of-order buffer and cumulative acks, and a partition
+//! outliving the retransmit budget surfaces [`SimError::DeliveryFailed`]
+//! naming the cut link — never a hang.
 //!
 //! # CONGEST accounting
 //!
@@ -78,10 +100,7 @@
 //! a [`Reliable`] one without loss) behaves exactly as before — the
 //! transport is pure opt-in.
 
-use crate::{
-    bits_for_ids, AdversaryPlan, ChurnPlan, Context, Control, Envelope, Metrics, NodeLogic,
-    Payload, SimError, Simulator, Topology,
-};
+use crate::{bits_for_ids, Context, Control, Envelope, NodeLogic, Payload, SimError};
 use ftclust_graphs::NodeId;
 use std::collections::VecDeque;
 
@@ -159,8 +178,8 @@ impl TransportConfig {
     /// A generous physical-round ceiling for a protocol that runs
     /// `logical_rounds` inner rounds: every round may wait out a full
     /// retransmission budget. Actual lossy runs finish in a small
-    /// multiple of `logical_rounds`; this is the diagnostic limit to
-    /// pass to [`run_reliably`].
+    /// multiple of `logical_rounds`; this is the diagnostic limit
+    /// [`crate::exec::Executor::run`] applies to a transport run.
     pub fn round_budget(&self, logical_rounds: u64) -> u64 {
         logical_rounds
             .saturating_mul(u64::from(self.max_retransmits) + 1)
@@ -274,8 +293,9 @@ impl<P> Link<P> {
 /// [module docs](self). `Reliable<L>` is itself a `NodeLogic` over
 /// [`FrameMsg`] frames, so it runs on the ordinary [`crate::Simulator`]
 /// — but connected nodes never halt on their own (see the module docs
-/// on termination), so drive the simulator with [`run_reliably`], or
-/// step it manually and stop once every node reports [`Reliable::done`].
+/// on termination), so drive it through [`crate::exec::Executor`] with a
+/// transport [`crate::exec::Stack`], or step the simulator manually and
+/// stop once every node reports [`Reliable::done`].
 #[derive(Debug)]
 pub struct Reliable<L: NodeLogic> {
     inner: L,
@@ -351,8 +371,8 @@ impl<L: NodeLogic> Reliable<L> {
     /// received frames — never inferred from timeouts — so `done` can
     /// never falsely turn true. A done node keeps re-acknowledging peer
     /// retransmissions until the whole run stops (see the module docs on
-    /// termination); [`run_reliably`] ends the simulation once every
-    /// node is done.
+    /// termination); the executor ends the simulation once every node is
+    /// done.
     pub fn done(&self) -> bool {
         self.inner_halted && self.links.iter().all(Link::closed)
     }
@@ -634,124 +654,11 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
     }
 }
 
-/// Result of [`run_reliably`]: the unwrapped inner states plus metrics.
-#[derive(Debug)]
-pub struct ReliableRun<L> {
-    /// Final inner protocol state per node, in id order — identical to
-    /// the states a lossless run produces.
-    pub logics: Vec<L>,
-    /// Communication metrics of the physical execution, including the
-    /// transport counters.
-    pub metrics: Metrics,
-    /// The largest logical round any node executed.
-    pub logical_rounds: u64,
-}
-
-/// Executes the protocol built by `make_logic` over lossy links: every
-/// node is wrapped in [`Reliable`] with the given policy and run on a
-/// [`Simulator`] under `churn`. On success the returned states are
-/// bit-for-bit those of a lossless run with the same `master_seed`.
-///
-/// The transport masks **message** loss (drops, outage windows); it does
-/// not mask *node* crashes — a frame addressed to a crashed node that
-/// never recovers exhausts its budget and fails. Run crash-tolerant
-/// protocols on the surviving topology instead (see
-/// `ftclust_core::repair`).
-///
-/// # Errors
-///
-/// [`SimError::DeliveryFailed`] as soon as any node exhausts a retransmit
-/// budget; [`SimError::RoundLimitExceeded`] if the run outlives
-/// `max_rounds` physical rounds (see
-/// [`TransportConfig::round_budget`]).
-pub fn run_reliably<'a, L: NodeLogic>(
-    topo: Topology<'a>,
-    make_logic: impl FnMut(NodeId) -> L,
-    master_seed: u64,
-    churn: ChurnPlan,
-    cfg: TransportConfig,
-    max_rounds: u64,
-) -> Result<ReliableRun<L>, SimError> {
-    run_reliably_with(topo, make_logic, master_seed, churn, None, cfg, max_rounds)
-}
-
-/// [`run_reliably`] with an optional adversarial delivery layer (see
-/// [`crate::adversary`]) underneath the transport. The ARQ machinery is
-/// exactly what the adversary's faults exercise: corruption is erased by
-/// the frame checksum and retransmitted like loss, network duplicates are
-/// suppressed by the per-link sequence numbers (counted in
-/// [`Metrics::net_duplicated`]), delay jitter is absorbed by the
-/// out-of-order buffer and cumulative acks, and a partition outliving the
-/// retransmit budget surfaces [`SimError::DeliveryFailed`] naming the cut
-/// link — never a hang.
-///
-/// # Errors
-///
-/// As [`run_reliably`].
-pub fn run_reliably_with<'a, L: NodeLogic>(
-    topo: Topology<'a>,
-    mut make_logic: impl FnMut(NodeId) -> L,
-    master_seed: u64,
-    churn: ChurnPlan,
-    adversary: Option<AdversaryPlan>,
-    cfg: TransportConfig,
-    max_rounds: u64,
-) -> Result<ReliableRun<L>, SimError> {
-    let mut sim = Simulator::with_churn(
-        topo,
-        |v| Reliable::new(make_logic(v), cfg),
-        master_seed,
-        churn,
-    );
-    if let Some(plan) = adversary {
-        sim.set_adversary(plan);
-    }
-    while sim.step() {
-        // Surface a delivery failure immediately: the victim's neighbors
-        // would otherwise wait for its frames until the round limit and
-        // mask the root cause.
-        if let Some((v, failure)) = sim
-            .logics()
-            .enumerate()
-            .find_map(|(i, l)| l.failure().map(|f| (i, f)))
-        {
-            return Err(failure.into_error(NodeId::new(v as u32)));
-        }
-        // Global termination: every node knows (from received acks and
-        // halting frames) that it needs nothing more from the network.
-        // Transport nodes stay responsive rather than halting on their
-        // own, so this observation is what ends the run.
-        if sim.logics().all(Reliable::done) {
-            break;
-        }
-        if sim.round() >= max_rounds && !sim.is_quiescent() {
-            return Err(SimError::RoundLimitExceeded {
-                limit: max_rounds,
-                round: sim.round(),
-                still_running: sim.running_count(),
-                in_flight: sim.in_flight_messages(),
-            });
-        }
-    }
-    let metrics = sim.metrics().clone();
-    let mut logical_rounds = 0;
-    for l in sim.logics() {
-        logical_rounds = logical_rounds.max(l.logical_rounds());
-    }
-    Ok(ReliableRun {
-        logics: sim
-            .into_logics()
-            .into_iter()
-            .map(Reliable::into_inner)
-            .collect(),
-        metrics,
-        logical_rounds,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{Executor, Run, Stack};
+    use crate::{ChurnPlan, Simulator, Topology};
     use ftclust_graphs::generators;
     use rand::Rng;
 
@@ -811,6 +718,20 @@ mod tests {
         sim.into_logics()
     }
 
+    /// Runs `Recorder`s for `rounds` rounds through the executor's
+    /// transport layer under `churn`.
+    fn reliable_run(
+        g: &ftclust_graphs::Graph,
+        seed: u64,
+        rounds: u64,
+        churn: ChurnPlan,
+        cfg: TransportConfig,
+    ) -> Result<Run<Recorder>, SimError> {
+        Executor::new(Topology::from_graph(g), |v| Recorder::new(v, rounds), seed)
+            .stack(Stack::new().churned(churn).transport(cfg))
+            .run(rounds + 1)
+    }
+
     #[test]
     fn lossless_transport_reproduces_direct_run() {
         for (g, seed) in [
@@ -819,15 +740,8 @@ mod tests {
             (generators::star(6), 5),
         ] {
             let direct = direct_run(&g, seed, 6);
-            let run = run_reliably(
-                Topology::from_graph(&g),
-                |v| Recorder::new(v, 6),
-                seed,
-                ChurnPlan::none(),
-                TransportConfig::default(),
-                100_000,
-            )
-            .unwrap();
+            let run =
+                reliable_run(&g, seed, 6, ChurnPlan::none(), TransportConfig::default()).unwrap();
             assert_eq!(run.logics, direct, "lossless transport diverged");
             assert_eq!(run.logical_rounds, 7); // rounds 0..=6 executed
             assert_eq!(run.metrics.retransmits, 0, "spurious retransmit at p = 0");
@@ -840,13 +754,12 @@ mod tests {
         let g = generators::gnp(20, 0.25, 11);
         let direct = direct_run(&g, 13, 8);
         for p in [0.05, 0.2, 0.35] {
-            let run = run_reliably(
-                Topology::from_graph(&g),
-                |v| Recorder::new(v, 8),
+            let run = reliable_run(
+                &g,
                 13,
+                8,
                 ChurnPlan::none().drop_probability(p),
                 TransportConfig::default(),
-                TransportConfig::default().round_budget(9),
             )
             .unwrap_or_else(|e| panic!("run at p = {p} failed: {e}"));
             assert_eq!(run.logics, direct, "execution diverged at p = {p}");
@@ -865,15 +778,7 @@ mod tests {
         let g = generators::path(2);
         let direct = direct_run(&g, 3, 5);
         let churn = ChurnPlan::none().link_outage(NodeId::new(0), NodeId::new(1), 2..14);
-        let run = run_reliably(
-            Topology::from_graph(&g),
-            |v| Recorder::new(v, 5),
-            3,
-            churn,
-            TransportConfig::default(),
-            10_000,
-        )
-        .unwrap();
+        let run = reliable_run(&g, 3, 5, churn, TransportConfig::default()).unwrap();
         assert_eq!(run.logics, direct);
         assert!(run.metrics.retransmits > 0);
         assert!(run.metrics.dropped_messages > 0);
@@ -887,15 +792,7 @@ mod tests {
             backoff_cap: 4,
             max_retransmits: 3,
         };
-        let err = run_reliably(
-            Topology::from_graph(&g),
-            |v| Recorder::new(v, 5),
-            0,
-            ChurnPlan::none().drop_probability(1.0),
-            cfg,
-            10_000,
-        )
-        .unwrap_err();
+        let err = reliable_run(&g, 0, 5, ChurnPlan::none().drop_probability(1.0), cfg).unwrap_err();
         match err {
             SimError::DeliveryFailed { attempts, .. } => {
                 assert_eq!(attempts, cfg.max_retransmits + 1);
@@ -940,13 +837,12 @@ mod tests {
         let g = generators::gnp(30, 0.2, 17);
         let run = |threads: usize| {
             ftclust_par::with_threads(threads, || {
-                let out = run_reliably(
-                    Topology::from_graph(&g),
-                    |v| Recorder::new(v, 7),
+                let out = reliable_run(
+                    &g,
                     23,
+                    7,
                     ChurnPlan::none().drop_probability(0.15),
                     TransportConfig::default(),
-                    100_000,
                 )
                 .unwrap();
                 (out.logics, out.metrics, out.logical_rounds)
@@ -978,15 +874,7 @@ mod tests {
     #[test]
     fn isolated_nodes_need_no_handshake() {
         let g = generators::empty(3);
-        let run = run_reliably(
-            Topology::from_graph(&g),
-            |v| Recorder::new(v, 2),
-            0,
-            ChurnPlan::none(),
-            TransportConfig::default(),
-            100,
-        )
-        .unwrap();
+        let run = reliable_run(&g, 0, 2, ChurnPlan::none(), TransportConfig::default()).unwrap();
         // Degree-0 nodes execute one logical round per physical round and
         // halt immediately: rounds 0..=2 and out.
         assert_eq!(run.metrics.rounds, 3);

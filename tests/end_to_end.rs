@@ -1,16 +1,13 @@
 //! Cross-crate integration tests: full pipelines over generated networks,
 //! engines vs. protocols vs. the asynchronous synchronizer.
-//!
-//! The historical `run_fractional_protocol_async` shim stays under test
-//! here to pin its parity with the executor stack it delegates to.
-#![allow(deprecated)]
 
-use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_protocol_async};
+use ftclust::core::fractional::protocol::{run_fractional_async_stack, run_fractional_protocol};
 use ftclust::core::fractional::{solve_fractional, FractionalParams};
 use ftclust::core::prelude::*;
 use ftclust::core::udg::protocol::run_udg_protocol;
 use ftclust::core::udg::UdgAlgorithm;
 use ftclust::graphs::generators;
+use ftclust::netsim::exec::Stack;
 
 #[test]
 fn pipeline_feasible_on_every_graph_family() {
@@ -67,7 +64,7 @@ fn three_execution_modes_agree_exactly() {
     let params = FractionalParams::new(3);
     let engine = solve_fractional(&inst, &params).unwrap();
     let synchronous = run_fractional_protocol(&inst, &params).unwrap().solution;
-    let asynchronous = run_fractional_protocol_async(&inst, &params, 4).unwrap();
+    let asynchronous = run_fractional_async_stack(&inst, &params, 4, Stack::new()).unwrap();
     assert_eq!(engine, synchronous);
     assert_eq!(engine, asynchronous);
 }

@@ -7,7 +7,7 @@ use ftclust::core::prelude::*;
 use ftclust::core::udg::UdgAlgorithm;
 use ftclust::graphs::{generators, NodeId};
 use ftclust::netsim::{
-    Context, Control, Envelope, FaultPlan, NodeLogic, Payload, Simulator, Topology,
+    ChurnPlan, Context, Control, Envelope, NodeLogic, Payload, Simulator, Topology,
 };
 
 #[test]
@@ -118,13 +118,14 @@ fn netsim_crash_injection_with_backbone_gossip() {
     let backbone = run.set.clone();
     // Crash two backbone nodes early.
     let victims: Vec<NodeId> = backbone.ids().filter(|v| v.raw() != 0).take(2).collect();
-    let mut faults = FaultPlan::none();
+    // Victims come in ascending id order, so the crash events are too.
+    let mut churn = ChurnPlan::none();
     for &v in &victims {
-        faults = faults.crash(v, 3);
+        churn = churn.crash(v, 3);
     }
     let rounds = 2 * g.node_count() as u64;
     let topo = Topology::from_udg(&udg);
-    let mut sim = Simulator::with_faults(
+    let mut sim = Simulator::with_churn(
         topo,
         |v| Relay {
             backbone: backbone.contains(v),
@@ -132,7 +133,7 @@ fn netsim_crash_injection_with_backbone_gossip() {
             rounds: 600,
         },
         0,
-        faults,
+        churn,
     );
     sim.run(rounds.max(700)).unwrap();
     // Every reachable node adjacent to the (mostly alive) backbone hears
@@ -191,14 +192,14 @@ fn message_loss_degrades_gracefully_not_catastrophically() {
     let run = UdgAlgorithm::new(3).seed(1).run(&udg).unwrap();
     let set = run.set.clone();
     let topo = Topology::from_udg(&udg);
-    let mut sim = Simulator::with_faults(
+    let mut sim = Simulator::with_churn(
         topo,
         |v| Head {
             is_head: set.contains(v),
             heard: 0,
         },
         7,
-        FaultPlan::none().drop_probability(0.10),
+        ChurnPlan::none().drop_probability(0.10),
     );
     sim.run(10).unwrap();
     let silent = udg

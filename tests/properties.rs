@@ -9,7 +9,8 @@ use ftclust::core::udg::UdgAlgorithm;
 use ftclust::geometry::Point;
 use ftclust::graphs::{generators, Graph, UnitDiskGraph};
 use ftclust::lp::solve as lp_solve;
-use ftclust::netsim::transport::{run_reliably, TransportConfig};
+use ftclust::netsim::exec::{Executor, Stack};
+use ftclust::netsim::transport::TransportConfig;
 use ftclust::netsim::{
     ChurnPlan, Context, Control, Envelope, Metrics, NodeLogic, Payload, Simulator, Topology,
 };
@@ -234,16 +235,10 @@ proptest! {
         if let Some((u, v)) = g.edges().next() {
             plan = plan.link_outage(u, v, 2..8);
         }
-        let cfg = TransportConfig::default();
-        let run = run_reliably(
-            Topology::from_graph(&g),
-            |_| Chatter { ttl: 4 },
-            seed,
-            plan,
-            cfg,
-            cfg.round_budget(4),
-        )
-        .unwrap();
+        let run = Executor::new(Topology::from_graph(&g), |_| Chatter { ttl: 4 }, seed)
+            .stack(Stack::new().churned(plan).transport(TransportConfig::default()))
+            .run(4)
+            .unwrap();
         prop_assert_eq!(run.logical_rounds, 4);
         // The run stops on the all-done observation, so the only frames
         // possibly still in flight are ARQ traffic: retransmitted copies

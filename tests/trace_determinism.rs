@@ -9,11 +9,8 @@
 //! in-memory logs and the rendered JSONL byte-for-byte, then reconcile
 //! each log's rollups against the run's `Metrics` conservation law.
 //!
-//! All main tests drive the composable executor stack directly
-//! (`run_*_stack` with `.traced()`); each historical `run_*_traced`
-//! shim keeps exactly one pinned parity test at the bottom of this file
-//! asserting it still delegates to the stack unchanged. The
-//! layer-composition combinations the old drivers never offered
+//! All tests drive the composable executor stack directly
+//! (`run_*_stack` with `.traced()`). The layer-composition combinations the old drivers never offered
 //! (lossy+traced, churned+lossy) are covered in `tests/exec_combos.rs`.
 
 use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_stack};
@@ -188,88 +185,4 @@ fn traced_runs_equal_untraced_runs() {
     assert!(log.is_some());
     assert_eq!(untraced.solution, traced.solution);
     assert_eq!(untraced.metrics, traced.metrics);
-}
-
-// ---------------------------------------------------------------------
-// Pinned parity tests: one per deprecated `run_*_traced` shim. These
-// are the only remaining callers; they exist solely to catch the shims
-// drifting from the stack they delegate to.
-// ---------------------------------------------------------------------
-
-#[test]
-#[allow(deprecated)]
-fn fractional_traced_shim_matches_stack() {
-    let g = generators::gnp(40, 0.15, 5);
-    let inst = Instance::uniform_clamped(&g, 2);
-    let params = FractionalParams::new(2);
-    let (shim, shim_log) =
-        ftclust::core::fractional::protocol::run_fractional_protocol_traced(&inst, &params)
-            .expect("shim");
-    let (stack, stack_log) =
-        run_fractional_stack(&inst, &params, Stack::new().traced()).expect("stack");
-    assert_eq!(shim.solution, stack.solution);
-    assert_eq!(shim.metrics, stack.metrics);
-    assert_eq!(shim_log, stack_log.unwrap());
-}
-
-#[test]
-#[allow(deprecated)]
-fn rounding_traced_shim_matches_stack() {
-    let g = generators::gnp(40, 0.15, 5);
-    let inst = Instance::uniform_clamped(&g, 2);
-    let frac = run_fractional_protocol(&inst, &FractionalParams::new(2)).expect("lp");
-    let params = RoundingParams::default();
-    let (shim, shim_log) = ftclust::core::rounding::protocol::run_rounding_protocol_traced(
-        &inst,
-        &frac.solution.x,
-        frac.solution.delta,
-        5,
-        &params,
-    )
-    .expect("shim");
-    let (stack, stack_log) = run_rounding_stack(
-        &inst,
-        &frac.solution.x,
-        frac.solution.delta,
-        5,
-        &params,
-        Stack::new().traced(),
-    )
-    .expect("stack");
-    assert_eq!(shim.outcome, stack.outcome);
-    assert_eq!(shim.metrics, stack.metrics);
-    assert_eq!(shim_log, stack_log.unwrap());
-}
-
-#[test]
-#[allow(deprecated)]
-fn udg_traced_shim_matches_stack() {
-    let udg = generators::random_udg(120, 8.0, 1.0, 5);
-    let config = UdgAlgorithm::new(2).seed(5);
-    let (shim, shim_log) =
-        ftclust::core::udg::protocol::run_udg_protocol_traced(&udg, &config).expect("shim");
-    let (stack, stack_log) = run_udg_stack(&udg, &config, Stack::new().traced()).expect("stack");
-    assert_eq!(shim.run, stack.run);
-    assert_eq!(shim.metrics, stack.metrics);
-    assert_eq!(shim_log, stack_log.unwrap());
-}
-
-#[test]
-#[allow(deprecated)]
-fn repair_traced_shim_matches_stack() {
-    let udg = generators::random_udg(120, 8.0, 1.0, 5);
-    let base = UdgAlgorithm::new(2).seed(5).run(&udg).expect("base");
-    let g = udg.graph();
-    let mut alive = vec![true; g.node_count()];
-    for v in base.set.ids().take(6) {
-        alive[v.index()] = false;
-    }
-    let cfg = RepairConfig::new(3);
-    let (shim, shim_log) =
-        ftclust::core::repair::run_repair_protocol_traced(g, &base.set, &alive, 2, &cfg)
-            .expect("shim");
-    let (stack, stack_log) =
-        run_repair_stack(g, &base.set, &alive, 2, &cfg, Stack::new().traced()).expect("stack");
-    assert_eq!(shim, stack);
-    assert_eq!(shim_log, stack_log.unwrap());
 }

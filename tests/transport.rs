@@ -4,10 +4,8 @@
 //! whole lossy execution (results *and* metered metrics) is bit-for-bit
 //! identical at every `FTCLUST_THREADS` setting.
 //!
-//! All main tests drive the composable executor stack directly
-//! (`run_*_stack` with `.churned(..).transport(..)`); each historical
-//! `run_*_lossy` shim keeps exactly one pinned parity test at the bottom
-//! of this file asserting it still delegates to the stack unchanged.
+//! All tests drive the composable executor stack directly
+//! (`run_*_stack` with `.churned(..).transport(..)`).
 
 use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_stack};
 use ftclust::core::fractional::FractionalParams;
@@ -159,102 +157,4 @@ fn lossy_executions_are_thread_invariant() {
             "lossy execution diverged at {threads} threads"
         );
     }
-}
-
-// ---------------------------------------------------------------------
-// Pinned parity tests: one per deprecated `run_*_lossy` shim. These are
-// the only remaining callers; they exist solely to catch the shims
-// drifting from the stack they delegate to.
-// ---------------------------------------------------------------------
-
-#[test]
-#[allow(deprecated)]
-fn fractional_lossy_shim_matches_stack() {
-    let g = generators::gnp(50, 0.12, 9);
-    let inst = Instance::uniform_clamped(&g, 2);
-    let params = FractionalParams::new(2);
-    let shim = ftclust::core::fractional::protocol::run_fractional_protocol_lossy(
-        &inst,
-        &params,
-        lossy(0.1),
-        TransportConfig::default(),
-    )
-    .unwrap();
-    let (stack, _) = run_fractional_stack(&inst, &params, lossy_stack(0.1)).unwrap();
-    assert_eq!(shim.solution, stack.solution);
-    assert_eq!(fingerprint(&shim.metrics), fingerprint(&stack.metrics));
-}
-
-#[test]
-#[allow(deprecated)]
-fn rounding_lossy_shim_matches_stack() {
-    let g = generators::gnp(50, 0.12, 9);
-    let inst = Instance::uniform_clamped(&g, 2);
-    let frac = run_fractional_protocol(&inst, &FractionalParams::new(2)).unwrap();
-    let params = RoundingParams::default();
-    let shim = ftclust::core::rounding::protocol::run_rounding_protocol_lossy(
-        &inst,
-        &frac.solution.x,
-        frac.solution.delta,
-        3,
-        &params,
-        lossy(0.1),
-        TransportConfig::default(),
-    )
-    .unwrap();
-    let (stack, _) = run_rounding_stack(
-        &inst,
-        &frac.solution.x,
-        frac.solution.delta,
-        3,
-        &params,
-        lossy_stack(0.1),
-    )
-    .unwrap();
-    assert_eq!(shim.outcome, stack.outcome);
-    assert_eq!(fingerprint(&shim.metrics), fingerprint(&stack.metrics));
-}
-
-#[test]
-#[allow(deprecated)]
-fn udg_lossy_shim_matches_stack() {
-    let udg = generators::random_udg(120, 8.0, 1.0, 17);
-    let config = UdgAlgorithm::new(2).seed(3);
-    let shim = ftclust::core::udg::protocol::run_udg_protocol_lossy(
-        &udg,
-        &config,
-        lossy(0.1),
-        TransportConfig::default(),
-    )
-    .unwrap();
-    let (stack, _) = run_udg_stack(&udg, &config, lossy_stack(0.1)).unwrap();
-    assert_eq!(shim.run, stack.run);
-    assert_eq!(fingerprint(&shim.metrics), fingerprint(&stack.metrics));
-}
-
-#[test]
-#[allow(deprecated)]
-fn repair_lossy_shim_matches_stack() {
-    let udg = generators::random_udg(120, 8.0, 1.0, 17);
-    let base = UdgAlgorithm::new(2).seed(3).run(&udg).unwrap();
-    let g = udg.graph();
-    let mut alive = vec![true; g.node_count()];
-    for v in base.set.ids().take(6) {
-        alive[v.index()] = false;
-    }
-    let cfg = RepairConfig::new(3);
-    let shim = ftclust::core::repair::run_repair_protocol_lossy(
-        g,
-        &base.set,
-        &alive,
-        2,
-        &cfg,
-        lossy(0.1),
-        TransportConfig::default(),
-    )
-    .unwrap();
-    let (stack, _) = run_repair_stack(g, &base.set, &alive, 2, &cfg, lossy_stack(0.1)).unwrap();
-    assert_eq!(shim.set, stack.set);
-    assert_eq!(shim.added, stack.added);
-    assert_eq!(fingerprint(&shim.metrics), fingerprint(&stack.metrics));
 }

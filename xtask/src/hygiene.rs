@@ -17,8 +17,7 @@
 //!   free functions are forbidden outside the executor module. The old
 //!   4×4 runner matrix drifted exactly because each layer combination
 //!   was a hand-written driver; new code composes layers through
-//!   `ftclust_netsim::exec::Stack` instead. The deprecated shims that
-//!   delegate to the stack carry waivers.
+//!   `ftclust_netsim::exec::Stack` instead.
 //!
 //! All rules only *emit* candidate violations here; waiver suppression
 //! (same or adjacent line, so rustfmt-wrapped statements keep their
