@@ -42,26 +42,10 @@ pub fn gnp(n: u32, p: f64, seed: u64) -> Graph {
     let log_q = (1.0 - p).ln();
     let total = (n as u64) * (n as u64 - 1) / 2;
     let mut idx: u64 = 0;
-    // Map a linear index to the (u, v) pair with u < v, row-major over u.
-    let unrank = |i: u64| -> (u32, u32) {
-        // Find u such that the first index of row u is <= i.
-        // Row u starts at S(u) = u*n - u*(u+1)/2 and has (n-1-u) entries.
-        let mut lo = 0u64;
-        let mut hi = (n - 1) as u64;
-        while lo < hi {
-            let mid = (lo + hi).div_ceil(2);
-            let start = mid * n as u64 - mid * (mid + 1) / 2;
-            if start <= i {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        let u = lo;
-        let start = u * n as u64 - u * (u + 1) / 2;
-        let v = u + 1 + (i - start);
-        (u as u32, v as u32)
-    };
+    // Map each linear index to its pair (u, v), u < v, row-major over u.
+    // Indices only grow, so the row is found by walking forward: row u
+    // holds the n-1-u indices [row_start, row_end).
+    let (mut u, mut row_start, mut row_end) = (0u32, 0u64, u64::from(n - 1));
     loop {
         let r: f64 = rng.random::<f64>();
         let skip = ((1.0 - r).ln() / log_q).floor() as u64;
@@ -69,7 +53,12 @@ pub fn gnp(n: u32, p: f64, seed: u64) -> Graph {
         if idx >= total {
             break;
         }
-        let (u, v) = unrank(idx);
+        while idx >= row_end {
+            u += 1;
+            row_start = row_end;
+            row_end += u64::from(n - 1 - u);
+        }
+        let v = u + 1 + (idx - row_start) as u32;
         super::add_generated_edge(&mut b, u, v);
         idx += 1;
         if idx >= total {

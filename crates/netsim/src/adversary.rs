@@ -231,10 +231,11 @@ pub(crate) enum Verdict {
 #[derive(Debug)]
 pub(crate) struct AdversaryState<P> {
     plan: AdversaryPlan,
-    /// Lazily-created per-directed-link streams, keyed `(from, to)`.
-    /// `BTreeMap` for deterministic drop order; draws themselves are
-    /// keyed lookups, so iteration order never matters.
-    streams: BTreeMap<(u32, u32), StdRng>,
+    /// Lazily-created per-directed-link streams, indexed by sender:
+    /// `streams[from]` holds `(to, stream)` pairs sorted by receiver
+    /// (self-links included). A stream is found by its endpoints alone,
+    /// so draws never depend on the order links were first used.
+    streams: Vec<Vec<(u32, StdRng)>>,
     /// Jittered envelopes keyed by the physical round at whose merge
     /// they are staged for (next-round) delivery.
     delayed: BTreeMap<u64, Vec<Envelope<P>>>,
@@ -245,7 +246,7 @@ impl<P> AdversaryState<P> {
     pub(crate) fn new(plan: AdversaryPlan) -> Self {
         AdversaryState {
             plan,
-            streams: BTreeMap::new(),
+            streams: Vec::new(),
             delayed: BTreeMap::new(),
             delayed_total: 0,
         }
@@ -258,11 +259,20 @@ impl<P> AdversaryState<P> {
         if self.plan.cuts(from, to, round) {
             return Verdict::Cut;
         }
-        let plan_seed = self.plan.seed;
-        let rng = self
-            .streams
-            .entry((from.raw(), to.raw()))
-            .or_insert_with(|| StdRng::seed_from_u64(link_stream_seed(plan_seed, from, to)));
+        let sender = from.raw() as usize;
+        if sender >= self.streams.len() {
+            self.streams.resize_with(sender + 1, Vec::new);
+        }
+        let row = &mut self.streams[sender];
+        let slot = match row.binary_search_by_key(&to.raw(), |&(w, _)| w) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                let seed = link_stream_seed(self.plan.seed, from, to);
+                row.insert(slot, (to.raw(), StdRng::seed_from_u64(seed)));
+                slot
+            }
+        };
+        let rng = &mut row[slot].1;
         if self.plan.corrupt_prob > 0.0 && rng.random::<f64>() < self.plan.corrupt_prob {
             return Verdict::Corrupt;
         }
@@ -287,14 +297,17 @@ impl<P> AdversaryState<P> {
     /// then insertion order — deterministic regardless of thread count.
     pub(crate) fn take_due(&mut self, round: u64) -> Vec<Envelope<P>> {
         let mut due: Vec<Envelope<P>> = Vec::new();
-        while let Some((&r, _)) = self.delayed.first_key_value() {
-            if r > round {
+        while let Some(entry) = self.delayed.first_entry() {
+            if *entry.key() > round {
                 break;
             }
-            let Some(batch) = self.delayed.remove(&r) else {
-                unreachable!("first_key_value just reported this key");
-            };
-            due.extend(batch);
+            let batch = entry.remove();
+            // Usually one batch is due: hand over its buffer uncopied.
+            if due.is_empty() {
+                due = batch;
+            } else {
+                due.extend(batch);
+            }
         }
         self.delayed_total -= due.len() as u64;
         due
@@ -397,6 +410,47 @@ mod tests {
             })
             .collect();
         assert_eq!(solo_run, mixed_run);
+    }
+
+    #[test]
+    fn link_streams_do_not_depend_on_first_use_order() {
+        // Shared senders, shared receivers, both directions of one link
+        // and a self-link: each stream must be keyed by its endpoints
+        // alone, never shared, re-seeded or keyed by insertion order.
+        let links = [(4, 1), (1, 4), (4, 9), (0, 9), (3, 3), (9, 0), (4, 0)];
+        let plan = AdversaryPlan::new(21)
+            .jitter(0.3, 4)
+            .duplicate(0.3)
+            .corrupt(0.3);
+        let verdicts = |order: &[usize], round_robin: bool| {
+            let mut state: AdversaryState<()> = AdversaryState::new(plan.clone());
+            let mut seen = vec![Vec::new(); links.len()];
+            let mut draw = |i: usize, r: u64| {
+                let (from, to) = links[i];
+                seen[i].push(state.decide(n(from), n(to), r));
+            };
+            if round_robin {
+                for r in 0..40 {
+                    order.iter().for_each(|&i| draw(i, r));
+                }
+            } else {
+                for &i in order {
+                    (0..40).for_each(|r| draw(i, r));
+                }
+            }
+            seen
+        };
+        let forward: Vec<usize> = (0..links.len()).collect();
+        let backward: Vec<usize> = forward.iter().rev().copied().collect();
+        let base = verdicts(&forward, true);
+        assert_eq!(base, verdicts(&backward, true));
+        assert_eq!(base, verdicts(&backward, false));
+        assert_eq!(base, verdicts(&[4, 0, 6, 2, 5, 3, 1], false));
+        for (i, a) in base.iter().enumerate() {
+            for b in &base[i + 1..] {
+                assert_ne!(a, b, "two links share one verdict stream");
+            }
+        }
     }
 
     #[test]

@@ -311,9 +311,19 @@ pub struct Reliable<L: NodeLogic> {
     /// Self-addressed inner messages, keyed by sending logical round.
     pending_self: Vec<(u64, Vec<L::Payload>)>,
     failure: Option<DeliveryFailure>,
-    /// Recycled buffers for the inner context.
+    /// Lower bound on every link's `due`: no retransmit timer fires
+    /// before this physical round.
+    min_due: u64,
+    /// A data frame arrived (an ack is owed) or frames were queued since
+    /// the last send pass.
+    send_pending: bool,
+    /// The inner logic may be able to execute: data arrived or a round
+    /// executed since `can_execute` last said no.
+    maybe_ready: bool,
+    /// Recycled buffers for the inner context and the per-link bundles.
     inner_outbox: Vec<Envelope<L::Payload>>,
     inner_inbox: Vec<Envelope<L::Payload>>,
+    bundles: Vec<Vec<L::Payload>>,
 }
 
 impl<L: NodeLogic> Reliable<L> {
@@ -334,8 +344,12 @@ impl<L: NodeLogic> Reliable<L> {
             inner_halted: false,
             pending_self: Vec::new(),
             failure: None,
+            min_due: u64::MAX,
+            send_pending: false,
+            maybe_ready: true,
             inner_outbox: Vec::new(),
             inner_inbox: Vec::new(),
+            bundles: Vec::new(),
         }
     }
 
@@ -458,6 +472,59 @@ impl<L: NodeLogic> Reliable<L> {
             }
         }
     }
+
+    /// Executes the inner logic's logical round `local_round` (the
+    /// caller checked [`Reliable::can_execute`]) and queues its sends:
+    /// self-deliveries for the next round, and one frame per link
+    /// (delivered empty bundles are the "round executed" beacon).
+    fn execute_round(&mut self, me: NodeId, ctx: &mut Context<'_, FrameMsg<L::Payload>>) {
+        let r = self.local_round;
+        self.build_inbox(me, r);
+        let mut outbox = std::mem::take(&mut self.inner_outbox);
+        let inner_inbox = std::mem::take(&mut self.inner_inbox);
+        outbox.clear();
+        let mut inner_ctx = Context {
+            me,
+            round: r,
+            topo: ctx.topo,
+            rng: &mut *ctx.rng,
+            outbox: &mut outbox,
+            transport: &mut *ctx.transport,
+            tracing: ctx.tracing,
+            trace: &mut *ctx.trace,
+        };
+        let control = self.inner.on_round(&inner_inbox, &mut inner_ctx);
+        self.inner_halted = control == Control::Halt;
+        self.local_round = r + 1;
+        let mut self_msgs: Vec<L::Payload> = Vec::new();
+        self.bundles.resize_with(self.links.len(), Vec::new);
+        let mut cursor = 0;
+        for env in outbox.drain(..) {
+            if env.to == me {
+                self_msgs.push(env.payload);
+            } else {
+                let Some(pos) = link_index(&self.links, env.to, cursor) else {
+                    unreachable!("Context::send only accepts neighbors");
+                };
+                cursor = pos;
+                self.bundles[pos].push(env.payload);
+            }
+        }
+        if !self_msgs.is_empty() {
+            self.pending_self.push((r, self_msgs));
+        }
+        for (link, payloads) in self.links.iter_mut().zip(&mut self.bundles) {
+            debug_assert!(link.unacked.back().is_none_or(|f| f.attempts > 0));
+            link.unacked.push_back(SentFrame {
+                seq: r,
+                halting: self.inner_halted,
+                payloads: std::mem::take(payloads),
+                attempts: 0,
+            });
+        }
+        self.inner_outbox = outbox;
+        self.inner_inbox = inner_inbox;
+    }
 }
 
 impl<L: NodeLogic> NodeLogic for Reliable<L> {
@@ -477,11 +544,13 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
         debug_assert!(self.failure.is_none(), "failed node was scheduled again");
 
         // --- Receive: acks first, then data, per arriving frame. ---
+        let mut cursor = 0;
         for env in inbox {
-            let Ok(pos) = self.links.binary_search_by_key(&env.from, |l| l.peer) else {
+            let Some(pos) = link_index(&self.links, env.from, cursor) else {
                 debug_assert!(false, "frame from non-neighbor {}", env.from);
                 continue;
             };
+            cursor = pos;
             let link = &mut self.links[pos];
             if env.payload.ack > link.acked {
                 link.acked = env.payload.ack;
@@ -495,150 +564,115 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
                 } else {
                     now + link.rto_cur
                 };
+                self.min_due = self.min_due.min(link.due);
             }
             if let Some(data) = &env.payload.data {
-                let duplicate =
-                    data.seq < link.recv_next || link.ooo.iter().any(|(s, _)| *s == data.seq);
-                if duplicate {
+                link.need_ack = true;
+                self.send_pending = true;
+                if data.seq < link.recv_next || link.ooo.iter().any(|(s, _)| *s == data.seq) {
                     ctx.note_duplicate_suppressed();
-                    link.need_ack = true;
-                } else {
-                    if data.halting {
-                        link.peer_halt_seq = data.seq;
-                    }
+                    continue;
+                }
+                if data.halting {
+                    link.peer_halt_seq = data.seq;
+                }
+                self.maybe_ready = true;
+                if data.seq != link.recv_next {
                     link.ooo.push((data.seq, data.payloads.clone()));
-                    // Drain everything now in order into `ready`.
-                    while let Some(i) = link.ooo.iter().position(|(s, _)| *s == link.recv_next) {
-                        let (_, payloads) = link.ooo.swap_remove(i);
-                        link.ready.push_back(payloads);
-                        link.recv_next += 1;
-                    }
-                    link.need_ack = true;
+                    continue;
+                }
+                link.ready.push_back(data.payloads.clone());
+                link.recv_next += 1;
+                // Drain buffered frames the arrival put back in order.
+                while let Some(i) = link.ooo.iter().position(|(s, _)| *s == link.recv_next) {
+                    let (_, payloads) = link.ooo.swap_remove(i);
+                    link.ready.push_back(payloads);
+                    link.recv_next += 1;
                 }
             }
         }
 
         // --- Advance the inner logic by at most one logical round. ---
-        if !self.inner_halted && self.can_execute(self.local_round) {
-            let r = self.local_round;
-            self.build_inbox(me, r);
-            let mut outbox = std::mem::take(&mut self.inner_outbox);
-            let inner_inbox = std::mem::take(&mut self.inner_inbox);
-            outbox.clear();
-            let mut inner_ctx = Context {
-                me,
-                round: r,
-                topo: ctx.topo,
-                rng: &mut *ctx.rng,
-                outbox: &mut outbox,
-                transport: &mut *ctx.transport,
-                tracing: ctx.tracing,
-                trace: &mut *ctx.trace,
-            };
-            let control = self.inner.on_round(&inner_inbox, &mut inner_ctx);
-            self.inner_halted = control == Control::Halt;
-            self.local_round = r + 1;
-            // Split the inner sends into self-deliveries and per-link
-            // bundles; queue one frame per link (delivered empty bundles
-            // are the "round executed" beacon).
-            let mut self_msgs: Vec<L::Payload> = Vec::new();
-            let mut bundles: Vec<Vec<L::Payload>> = self.links.iter().map(|_| Vec::new()).collect();
-            for env in outbox.drain(..) {
-                if env.to == me {
-                    self_msgs.push(env.payload);
-                } else {
-                    let Ok(pos) = self.links.binary_search_by_key(&env.to, |l| l.peer) else {
-                        unreachable!("Context::send only accepts neighbors");
-                    };
-                    bundles[pos].push(env.payload);
-                }
+        if self.maybe_ready && !self.inner_halted {
+            if self.can_execute(self.local_round) {
+                self.execute_round(me, ctx);
+                self.send_pending = true;
+            } else {
+                self.maybe_ready = false;
             }
-            if !self_msgs.is_empty() {
-                self.pending_self.push((r, self_msgs));
-            }
-            for (link, payloads) in self.links.iter_mut().zip(bundles) {
-                debug_assert!(link.unacked.back().is_none_or(|f| f.attempts > 0));
-                link.unacked.push_back(SentFrame {
-                    seq: r,
-                    halting: self.inner_halted,
-                    payloads,
-                    attempts: 0,
-                });
-            }
-            self.inner_outbox = outbox;
-            self.inner_inbox = inner_inbox;
         }
 
-        // --- Send: at most one frame per link per physical round. ---
-        for i in 0..self.links.len() {
-            let link = &mut self.links[i];
-            let ack = link.recv_next;
-            // Priority 1: first transmission of a frame created this
-            // round (always the newest entry).
-            if link.unacked.back().is_some_and(|f| f.attempts == 0) {
-                let front_is_new = link.unacked.len() == 1;
-                let Some(frame) = link.unacked.back_mut() else {
-                    unreachable!("just checked the back is non-empty");
-                };
-                frame.attempts = 1;
-                let msg = FrameMsg {
-                    ack,
-                    data: Some(FrameData {
-                        seq: frame.seq,
-                        halting: frame.halting,
-                        payloads: frame.payloads.clone(),
-                    }),
-                };
-                if front_is_new {
-                    link.rto_cur = self.cfg.rto;
+        // --- Send: at most one frame per link per physical round. With
+        // no frame queued, no ack owed and no timer due, every link would
+        // stay silent, so the pass is skipped. ---
+        if self.send_pending || now >= self.min_due {
+            let mut min_due = u64::MAX;
+            for link in &mut self.links {
+                let ack = link.recv_next;
+                if link.unacked.back().is_some_and(|f| f.attempts == 0) {
+                    // Priority 1: first transmission of a frame created
+                    // this round (always the newest entry).
+                    let front_is_new = link.unacked.len() == 1;
+                    let Some(frame) = link.unacked.back_mut() else {
+                        unreachable!("just checked the back is non-empty");
+                    };
+                    frame.attempts = 1;
+                    let msg = FrameMsg {
+                        ack,
+                        data: Some(FrameData {
+                            seq: frame.seq,
+                            halting: frame.halting,
+                            payloads: frame.payloads.clone(),
+                        }),
+                    };
+                    if front_is_new {
+                        link.rto_cur = self.cfg.rto;
+                        link.due = now + link.rto_cur;
+                    }
+                    link.need_ack = false;
+                    ctx.send(link.peer, msg);
+                } else if link.due <= now {
+                    // Priority 2: retransmit the oldest unacked frame on
+                    // timeout.
+                    let Some(frame) = link.unacked.front_mut() else {
+                        unreachable!("due is only finite with unacked frames");
+                    };
+                    if frame.attempts > self.cfg.max_retransmits {
+                        // Budget exhausted: record the failure and
+                        // withdraw from the network. The runner surfaces
+                        // this as `SimError::DeliveryFailed`.
+                        self.failure = Some(DeliveryFailure {
+                            to: link.peer,
+                            seq: frame.seq,
+                            attempts: frame.attempts,
+                        });
+                        return Control::Halt;
+                    }
+                    frame.attempts += 1;
+                    let msg = FrameMsg {
+                        ack,
+                        data: Some(FrameData {
+                            seq: frame.seq,
+                            halting: frame.halting,
+                            payloads: frame.payloads.clone(),
+                        }),
+                    };
+                    link.rto_cur = (link.rto_cur * 2).min(self.cfg.backoff_cap);
                     link.due = now + link.rto_cur;
+                    link.need_ack = false;
+                    ctx.note_retransmit();
+                    ctx.send(link.peer, msg);
+                } else if link.need_ack {
+                    // Priority 3: a pure ack if data arrived and nothing
+                    // else carried the acknowledgment.
+                    link.need_ack = false;
+                    ctx.note_ack();
+                    ctx.send(link.peer, FrameMsg { ack, data: None });
                 }
-                link.need_ack = false;
-                let peer = link.peer;
-                ctx.send(peer, msg);
-                continue;
+                min_due = min_due.min(link.due);
             }
-            // Priority 2: retransmit the oldest unacked frame on timeout.
-            if link.due <= now {
-                let Some(frame) = link.unacked.front_mut() else {
-                    unreachable!("due is only finite with unacked frames");
-                };
-                if frame.attempts > self.cfg.max_retransmits {
-                    // Budget exhausted: record the failure and withdraw
-                    // from the network. The runner surfaces this as
-                    // `SimError::DeliveryFailed`.
-                    self.failure = Some(DeliveryFailure {
-                        to: link.peer,
-                        seq: frame.seq,
-                        attempts: frame.attempts,
-                    });
-                    return Control::Halt;
-                }
-                frame.attempts += 1;
-                let msg = FrameMsg {
-                    ack,
-                    data: Some(FrameData {
-                        seq: frame.seq,
-                        halting: frame.halting,
-                        payloads: frame.payloads.clone(),
-                    }),
-                };
-                link.rto_cur = (link.rto_cur * 2).min(self.cfg.backoff_cap);
-                link.due = now + link.rto_cur;
-                link.need_ack = false;
-                ctx.note_retransmit();
-                let peer = link.peer;
-                ctx.send(peer, msg);
-                continue;
-            }
-            // Priority 3: a pure ack if data arrived and nothing else
-            // carried the acknowledgment.
-            if link.need_ack {
-                link.need_ack = false;
-                ctx.note_ack();
-                let peer = link.peer;
-                ctx.send(peer, FrameMsg { ack, data: None });
-            }
+            self.min_due = min_due;
+            self.send_pending = false;
         }
 
         // --- Termination (see module docs). Only isolated nodes may
@@ -651,6 +685,19 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
             return Control::Halt;
         }
         Control::Continue
+    }
+}
+
+/// Position of `peer`'s link in the peer-sorted `links`. Inboxes and
+/// outboxes arrive mostly in ascending peer order, so the search scans
+/// forward from `hint` (the previous position) and falls back to a
+/// binary search for the out-of-order rest (jittered envelopes are staged
+/// ahead of the round's sorted traffic).
+fn link_index<P>(links: &[Link<P>], peer: NodeId, hint: usize) -> Option<usize> {
+    let ahead = links.get(hint..).unwrap_or_default();
+    match ahead.iter().position(|l| l.peer >= peer) {
+        Some(i) if ahead[i].peer == peer => Some(hint + i),
+        _ => links.binary_search_by_key(&peer, |l| l.peer).ok(),
     }
 }
 
@@ -782,6 +829,15 @@ mod tests {
         assert_eq!(run.logics, direct);
         assert!(run.metrics.retransmits > 0);
         assert!(run.metrics.dropped_messages > 0);
+        // The only pending work during the outage is the retransmit
+        // timer backing off 3, 6, 12 rounds: pin the physical schedule.
+        assert_eq!(
+            run.metrics.per_round_messages,
+            [
+                2, 2, 2, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 2,
+                2, 2, 2, 2, 0
+            ]
+        );
     }
 
     #[test]

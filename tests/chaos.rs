@@ -7,6 +7,8 @@
 
 use ftclust::core::fractional::protocol::{run_fractional_async_stack, run_fractional_stack};
 use ftclust::core::fractional::FractionalParams;
+use ftclust::core::udg::protocol::run_udg_stack;
+use ftclust::core::udg::UdgAlgorithm;
 use ftclust::core::{Instance, KmdsError};
 use ftclust::graphs::{generators, NodeId};
 use ftclust::netsim::exec::Stack;
@@ -248,4 +250,71 @@ fn adversarial_traced_log_is_byte_identical_across_threads() {
             "event log diverged at {t} threads"
         );
     }
+}
+
+/// FNV-1a over a byte stream, for pinning long outputs by digest.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the *physical* frame schedule of a chaos run, not only its
+/// result. The transport masks timing by design, so a change that moves
+/// one retransmit by one round leaves every inner state intact; it shows
+/// only in the metered counters, the per-round message profile and the
+/// event log, all pinned here against recorded values.
+#[test]
+fn chaos_frame_schedule_is_pinned() {
+    let s = 7u64;
+    let udg = generators::random_udg(300, 12.0, 1.0, s);
+    let config = UdgAlgorithm::new(2).seed(s);
+    let stack = || {
+        Stack::new().lossy(0.1).adversarial(
+            AdversaryPlan::new(s)
+                .jitter(0.05, 3)
+                .duplicate(0.05)
+                .corrupt(0.05),
+        )
+    };
+    let (run, _) = run_udg_stack(&udg, &config, stack()).unwrap();
+    let (traced, log) = run_udg_stack(&udg, &config, stack().traced()).unwrap();
+    assert_eq!(traced.metrics, run.metrics, "tracing changed the schedule");
+    let m = &run.metrics;
+    assert_eq!(
+        [
+            m.messages,
+            m.total_bits,
+            m.max_message_bits,
+            m.retransmits,
+            m.acks
+        ],
+        [111_201, 825_916, 47, 16_132, 44_196]
+    );
+    assert_eq!(
+        [
+            m.duplicates_suppressed,
+            m.dropped_messages,
+            m.corrupted,
+            m.net_duplicated
+        ],
+        [9_685, 10_723, 4_885, 4_574]
+    );
+    assert_eq!([m.delivered_messages, m.rounds], [95_593, 333]);
+    let profile = fnv1a(m.per_round_messages.iter().flat_map(|x| x.to_le_bytes()));
+    assert_eq!(
+        profile, 0x1c63_a91d_88e7_eaa8,
+        "per-round message profile moved"
+    );
+    // Algorithm 3 executes 2 rounds per Part I iteration and a 3-round
+    // cycle per Part II iteration plus the final quiet one.
+    let (part1, part2) = (run.run.part1_rounds, run.run.part2_iterations);
+    assert_eq!((part1, part2), (6, 1));
+    assert_eq!(2 * part1 + 3 * (part2 + 1), 18, "logical rounds");
+    let log = log.expect("traced stack records a log");
+    assert_eq!(
+        fnv1a(log.to_jsonl().into_bytes()),
+        0xa6a6_b0de_0f15_ba75,
+        "event log moved"
+    );
 }
