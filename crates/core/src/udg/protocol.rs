@@ -130,17 +130,13 @@ impl NodeLogic for UdgNode {
                     }
                     let theta = self.schedule[paper_round];
                     let (id, id_bits) = (self.my_id, self.id_bits);
-                    let within: Vec<NodeId> = ctx
-                        .neighbors()
-                        .iter()
-                        .copied()
-                        .filter(|&w| match ctx.distance_to(w) {
-                            Some(d) => d <= theta,
-                            None => unreachable!("UDG topologies sense all neighbor distances"),
-                        })
-                        .collect();
-                    for w in within {
-                        ctx.send(w, UdgMsg::Id { id, id_bits });
+                    for &w in ctx.neighbors() {
+                        let Some(d) = ctx.distance_to(w) else {
+                            unreachable!("UDG topologies sense all neighbor distances");
+                        };
+                        if d <= theta {
+                            ctx.send(w, UdgMsg::Id { id, id_bits });
+                        }
                     }
                 }
             } else if self.active {

@@ -18,8 +18,16 @@
 //! delivered inbox slices are bit-for-bit identical at every
 //! `FTCLUST_THREADS`. All buffers are recycled across rounds; steady-state
 //! rounds allocate nothing beyond what message volume itself demands.
+//!
+//! Broadcasts need not go through the sorter at all. Next to the arena,
+//! each [`InboxArena`] holds one **publication slot** per sender: a node
+//! whose only output in a round was one broadcast leaves its payload
+//! there instead of `deg` envelopes, and [`InboxArena::gather`] rebuilds
+//! a receiver's inbox from its sorted neighbour list and its arena slice
+//! (see `DESIGN.md` §12, "Publication fast path").
 
 use crate::Envelope;
+use ftclust_graphs::NodeId;
 
 /// Recipients per partition block: 2¹³ = 8192 nodes, a 32 KiB counting
 /// array. See the [module docs](self) for why blocking matters.
@@ -29,7 +37,9 @@ const BLOCK_SHIFT: u32 = 13;
 const BLOCK_WIDTH: usize = 1 << BLOCK_SHIFT;
 
 /// One round's deliverable messages, grouped by recipient: node `i`'s
-/// inbox is the contiguous slice `arena[offsets[i]..offsets[i + 1]]`.
+/// envelopes are the contiguous slice `arena[offsets[i]..offsets[i + 1]]`,
+/// and every neighbour `u` with `published[u]` set adds one more message
+/// from `u`.
 ///
 /// The simulator keeps two of these (the round being read and the round
 /// being built) and swaps them, so the backing allocations live for the
@@ -39,6 +49,13 @@ pub(crate) struct InboxArena<P> {
     arena: Vec<Envelope<P>>,
     /// `n + 1` ascending CSR offsets into `arena`.
     offsets: Vec<u32>,
+    /// Per-sender publication slots: `Some(p)` stands for one copy of
+    /// `p` to every neighbour of the sender. Only senders with at least
+    /// one neighbour publish.
+    published: Vec<Option<P>>,
+    /// Messages the publication slots stand for (the publishers'
+    /// degrees summed); 0 exactly when every slot is empty.
+    published_total: u64,
 }
 
 impl<P> InboxArena<P> {
@@ -47,30 +64,124 @@ impl<P> InboxArena<P> {
         InboxArena {
             arena: Vec::new(),
             offsets: vec![0; n + 1],
+            published: std::iter::repeat_with(|| None).take(n).collect(),
+            published_total: 0,
         }
     }
 
-    /// Node `i`'s inbox slice.
+    /// Node `i`'s arena slice: its unicasts, self-sends and materialized
+    /// broadcasts, without publications.
     #[inline]
     pub(crate) fn inbox(&self, i: usize) -> &[Envelope<P>] {
         &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Number of messages queued for node `i`.
+    /// Number of messages queued for node `i`, whose sorted neighbour
+    /// list is `neighbors`.
     #[inline]
-    pub(crate) fn count(&self, i: usize) -> u64 {
-        u64::from(self.offsets[i + 1] - self.offsets[i])
+    pub(crate) fn count(&self, i: usize, neighbors: &[NodeId]) -> u64 {
+        let direct = u64::from(self.offsets[i + 1] - self.offsets[i]);
+        if self.published_total == 0 {
+            return direct;
+        }
+        let published = neighbors
+            .iter()
+            .filter(|u| self.published[u.index()].is_some())
+            .count();
+        direct + published as u64
     }
 
-    /// Total messages held.
+    /// Total messages held, publications included.
     pub(crate) fn total(&self) -> u64 {
-        u64::from(self.offsets.last().copied().unwrap_or(0))
+        u64::from(self.offsets.last().copied().unwrap_or(0)) + self.published_total
+    }
+
+    /// Empties the publication slots left from the last round this arena
+    /// was built in, and hands them to the senders of the round being
+    /// built (each shard takes its own contiguous range). Rounds that
+    /// published nothing leave nothing to clear.
+    pub(crate) fn open_slots(&mut self) -> &mut [Option<P>] {
+        if self.published_total > 0 {
+            self.published.fill_with(|| None);
+            self.published_total = 0;
+        }
+        &mut self.published
+    }
+
+    /// Records how many messages the slots written this round stand for.
+    pub(crate) fn set_published_total(&mut self, total: u64) {
+        self.published_total = total;
     }
 
     /// Retained envelope capacity (white-box recycling tests).
     #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
         self.arena.capacity()
+    }
+
+    /// The publication slots' allocation (white-box recycling tests).
+    #[cfg(test)]
+    pub(crate) fn slots_ptr(&self) -> *const Option<P> {
+        self.published.as_ptr()
+    }
+}
+
+impl<P: Clone> InboxArena<P> {
+    /// Node `i`'s inbox, in the order the envelope path delivers it:
+    /// ascending sender id, each sender's messages in send order.
+    ///
+    /// With no publication pending, or none from `i`'s neighbours, this
+    /// is the arena slice itself. Otherwise the inbox is rebuilt in
+    /// `scratch` by merging the sorted `neighbors` that published with
+    /// the arena slice, which is already sorted by sender (senders run
+    /// in id order, and the sorter is stable). A publisher has no
+    /// envelopes of its own in the arena, so the merge has no ties.
+    pub(crate) fn gather<'s>(
+        &'s self,
+        i: usize,
+        neighbors: &[NodeId],
+        scratch: &'s mut Vec<Envelope<P>>,
+    ) -> &'s [Envelope<P>] {
+        if self.published_total == 0 {
+            return self.inbox(i);
+        }
+        self.gather_published(i, neighbors, scratch)
+    }
+
+    /// The merge behind [`InboxArena::gather`]. Kept out of line so only
+    /// the check above is inlined into the simulator's node loop, which
+    /// envelope-only runs (the transport and the fault layers) execute
+    /// every round without ever merging.
+    #[inline(never)]
+    fn gather_published<'s>(
+        &'s self,
+        i: usize,
+        neighbors: &[NodeId],
+        scratch: &'s mut Vec<Envelope<P>>,
+    ) -> &'s [Envelope<P>] {
+        let direct = self.inbox(i);
+        scratch.clear();
+        let mut rest = direct;
+        let mut merged = false;
+        for &u in neighbors {
+            let Some(payload) = &self.published[u.index()] else {
+                continue;
+            };
+            merged = true;
+            let before = rest.iter().take_while(|e| e.from < u).count();
+            scratch.extend_from_slice(&rest[..before]);
+            rest = &rest[before..];
+            scratch.push(Envelope {
+                from: u,
+                to: NodeId::new(i as u32),
+                payload: payload.clone(),
+            });
+        }
+        if !merged {
+            return direct;
+        }
+        scratch.extend_from_slice(rest);
+        scratch
     }
 }
 
@@ -200,7 +311,7 @@ mod tests {
         for (i, want) in expect.iter().enumerate() {
             let got: Vec<u32> = arena.inbox(i).iter().map(|e| e.payload).collect();
             assert_eq!(&got, want, "inbox of node {i} diverged");
-            assert_eq!(arena.count(i), want.len() as u64);
+            assert_eq!(arena.count(i, &[]), want.len() as u64);
         }
         assert_eq!(
             arena.total(),
@@ -255,6 +366,37 @@ mod tests {
     }
 
     #[test]
+    fn gather_merges_publications_by_sender() {
+        // Node 3 hears unicasts from 1 and 5 and a self-send through the
+        // arena, and publications from its neighbours 2 and 4; 6 and 7
+        // published too, but are not its neighbours.
+        let n = 8;
+        let mut sorter = DeliverySorter::new(n);
+        let mut arena = InboxArena::new(n);
+        for e in [env(1, 3, 10), env(1, 3, 11), env(3, 3, 12), env(5, 3, 13)] {
+            sorter.push(e);
+        }
+        sorter.finish(n, &mut arena);
+        for (u, tag) in [(2, 20), (4, 21), (6, 22), (7, 23)] {
+            arena.open_slots()[u] = Some(tag);
+        }
+        arena.set_published_total(4);
+        let neighbors: Vec<NodeId> = [1, 2, 4, 5].map(NodeId::new).to_vec();
+        let mut scratch = Vec::new();
+        let got: Vec<(u32, u32)> = arena
+            .gather(3, &neighbors, &mut scratch)
+            .iter()
+            .map(|e| (e.from.raw(), e.payload))
+            .collect();
+        assert_eq!(got, [(1, 10), (1, 11), (2, 20), (3, 12), (4, 21), (5, 13)]);
+        assert_eq!(arena.count(3, &neighbors), 6);
+        assert_eq!(arena.total(), 8);
+        // No published neighbour: the arena slice itself is the inbox.
+        let direct = arena.gather(1, &[NodeId::new(5)], &mut scratch);
+        assert!(std::ptr::eq(direct, arena.inbox(1)));
+    }
+
+    #[test]
     fn buffers_recycle_without_reallocation() {
         let n = 6;
         let mut sorter = DeliverySorter::new(n);
@@ -273,6 +415,6 @@ mod tests {
         }
         sorter.finish(n, &mut arena);
         assert_eq!(arena.capacity(), cap, "steady state must not reallocate");
-        assert_eq!(arena.count(0), n as u64);
+        assert_eq!(arena.count(0, &[]), n as u64);
     }
 }

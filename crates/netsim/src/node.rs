@@ -54,6 +54,11 @@ pub struct Context<'a, P> {
     pub(crate) topo: Topology<'a>,
     pub(crate) rng: &'a mut StdRng,
     pub(crate) outbox: &'a mut Vec<Envelope<P>>,
+    /// This node's publication slot for the round (see
+    /// [`Context::broadcast`]); `None` when the simulator keeps every
+    /// message as an envelope this round, and once the node has produced
+    /// any output other than a single broadcast.
+    pub(crate) slot: Option<&'a mut Option<P>>,
     /// Transport-layer event counters for this worker shard, folded into
     /// [`crate::Metrics`] on the sequential merge path.
     pub(crate) transport: &'a mut TransportCounters,
@@ -159,6 +164,7 @@ impl<'a, P: Payload> Context<'a, P> {
             self.me,
             to
         );
+        self.demote();
         self.outbox.push(Envelope {
             from: self.me,
             to,
@@ -167,7 +173,37 @@ impl<'a, P: Payload> Context<'a, P> {
     }
 
     /// Sends a copy of `payload` to every neighbor.
+    ///
+    /// When no per-envelope layer (tracer, churn, loss, link outage,
+    /// adversary) is engaged, a broadcast that is the node's first
+    /// output of the round is *published*: the payload is stored once in
+    /// the node's slot and receivers read it through the adjacency,
+    /// instead of `deg` cloned envelopes being sorted. Any later `send`
+    /// or `broadcast` in the same round first turns the published
+    /// broadcast back into envelopes at its original position, so what
+    /// each receiver sees, in what order, and what is metered are the
+    /// same either way.
     pub fn broadcast(&mut self, payload: P) {
+        if let Some(slot) = self.slot.as_deref_mut() {
+            if slot.is_none() {
+                *slot = Some(payload);
+                return;
+            }
+        }
+        self.demote();
+        self.materialize(payload);
+    }
+
+    /// Closes the publication slot for the rest of the round, turning a
+    /// payload already published back into envelopes.
+    fn demote(&mut self) {
+        if let Some(payload) = self.slot.take().and_then(Option::take) {
+            self.materialize(payload);
+        }
+    }
+
+    /// Appends one envelope of `payload` per neighbor to the outbox.
+    fn materialize(&mut self, payload: P) {
         let neighbors = self.neighbors();
         self.outbox.reserve(neighbors.len());
         for &v in neighbors {
@@ -207,6 +243,7 @@ mod tests {
             topo,
             rng,
             outbox,
+            slot: None,
             transport,
             tracing: false,
             trace,
@@ -253,6 +290,67 @@ mod tests {
         let mut tos: Vec<u32> = outbox.iter().map(|e| e.to.raw()).collect();
         tos.sort_unstable();
         assert_eq!(tos, vec![1, 2, 3]);
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct Tag(u8);
+    impl Payload for Tag {
+        fn bit_size(&self) -> usize {
+            8
+        }
+    }
+
+    /// Runs `act` on node 0 of a 4-star with an open publication slot;
+    /// returns what is left in the slot and the `(to, tag)` outbox.
+    fn publishing(act: impl FnOnce(&mut Context<'_, Tag>)) -> (Option<Tag>, Vec<(u32, u8)>) {
+        let g = generators::star(4);
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut outbox = Vec::new();
+        let mut slot = None;
+        let mut tc = TransportCounters::default();
+        let mut tr = Vec::new();
+        let mut ctx = Context {
+            me: NodeId::new(0),
+            round: 0,
+            topo: Topology::from_graph(&g),
+            rng: &mut rng,
+            outbox: &mut outbox,
+            slot: Some(&mut slot),
+            transport: &mut tc,
+            tracing: false,
+            trace: &mut tr,
+        };
+        act(&mut ctx);
+        let sent = outbox.iter().map(|e| (e.to.raw(), e.payload.0)).collect();
+        (slot, sent)
+    }
+
+    #[test]
+    fn lone_broadcast_is_published_and_later_output_demotes_it() {
+        let b = |t| [(1, t), (2, t), (3, t)];
+        assert_eq!(publishing(|c| c.broadcast(Tag(1))), (Some(Tag(1)), vec![]));
+        // A second broadcast, a send or a self-send after a published
+        // broadcast: the broadcast's envelopes come first.
+        let (slot, sent) = publishing(|c| {
+            c.broadcast(Tag(1));
+            c.broadcast(Tag(2));
+        });
+        assert_eq!(slot, None);
+        assert_eq!(sent, [b(1), b(2)].concat());
+        let (slot, sent) = publishing(|c| {
+            c.broadcast(Tag(1));
+            c.send(NodeId::new(2), Tag(2));
+            c.send(NodeId::new(0), Tag(3));
+        });
+        assert_eq!(slot, None);
+        assert_eq!(sent, [&b(1)[..], &[(2, 2), (0, 3)]].concat());
+        // A send first closes the slot, so the broadcast is materialized.
+        let (slot, sent) = publishing(|c| {
+            c.send(NodeId::new(3), Tag(1));
+            c.broadcast(Tag(2));
+        });
+        assert_eq!(slot, None);
+        assert_eq!(sent, [&[(3, 1)][..], &b(2)].concat());
     }
 
     #[test]

@@ -29,29 +29,67 @@ pub fn node_rng(master_seed: u64, node: NodeId) -> StdRng {
     StdRng::seed_from_u64(splitmix64(master_seed ^ splitmix64(node.raw() as u64 + 1)))
 }
 
+/// One worker's recycled round buffers. The simulator keeps one per
+/// shard for the whole run: the thread count, and with it the shard
+/// partition, is resolved once at construction.
+struct ShardBuf<P> {
+    /// Envelopes this shard's nodes sent this round, in node order.
+    outbox: Vec<Envelope<P>>,
+    /// Transport events noted by this shard's nodes; folded into
+    /// [`Metrics`] sequentially after the parallel phase (sums are
+    /// commutative, so the fold order cannot perturb determinism).
+    counters: TransportCounters,
+    /// Trace events noted by this shard's nodes; drained into the tracer
+    /// sequentially after the parallel phase, in shard index order —
+    /// shards are contiguous ascending node ranges, so the merged stream
+    /// is in node order regardless of the worker count.
+    trace: Vec<TraceEvent>,
+    /// Scratch a receiver's inbox is rebuilt in when neighbours
+    /// published (see [`InboxArena::gather`]).
+    gather: Vec<Envelope<P>>,
+    /// Nodes this shard halted this round; folded into the simulator's
+    /// running total sequentially after the parallel phase.
+    halted: usize,
+    /// This shard's publications this round, metered as `(messages,
+    /// bits, largest message bits)`.
+    published: (u64, u64, u64),
+}
+
+impl<P> ShardBuf<P> {
+    fn new() -> Self {
+        ShardBuf {
+            outbox: Vec::new(),
+            counters: TransportCounters::default(),
+            trace: Vec::new(),
+            gather: Vec::new(),
+            halted: 0,
+            published: (0, 0, 0),
+        }
+    }
+}
+
 /// One worker's contiguous share of a round: the node state it executes
 /// (struct-of-arrays: logic, RNG and liveness live in parallel slices, so
 /// the hot logic scan does not drag the cold 136-byte RNG state through
-/// the cache) and the (recycled) buffer its envelopes accumulate in, in
-/// node order.
+/// the cache), its nodes' publication slots, and its buffers.
 struct StepShard<'t, L: NodeLogic> {
     start: usize,
     logics: &'t mut [L],
     rngs: &'t mut [StdRng],
     running: &'t mut [bool],
-    outbox: &'t mut Vec<Envelope<L::Payload>>,
-    /// Transport events noted by this shard's nodes; folded into
-    /// [`Metrics`] sequentially after the parallel phase (sums are
-    /// commutative, so the fold order cannot perturb determinism).
-    counters: &'t mut TransportCounters,
-    /// Trace events noted by this shard's nodes; drained into the tracer
-    /// sequentially after the parallel phase, in shard index order —
-    /// shards are contiguous ascending node ranges, so the merged stream
-    /// is in node order regardless of the worker count.
-    trace: &'t mut Vec<TraceEvent>,
-    /// Nodes this shard halted this round; folded into the simulator's
-    /// running total sequentially after the parallel phase.
-    halted: usize,
+    slots: &'t mut [Option<L::Payload>],
+    buf: &'t mut ShardBuf<L::Payload>,
+}
+
+/// Empties `v` and hands its allocation back as a vector of `U`. `Vec`'s
+/// in-place `collect` keeps the buffer when `T` and `U` share a layout —
+/// here they are one type at two lifetimes — so the per-round shard views
+/// reuse one allocation for the whole run.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector was emptied"))
+        .collect()
 }
 
 /// Executes a [`NodeLogic`] instance per node over a [`Topology`] in
@@ -64,8 +102,10 @@ struct StepShard<'t, L: NodeLogic> {
 /// # Parallel execution
 ///
 /// Each round, nodes are sharded into contiguous blocks executed on
-/// [`ftclust_par::num_threads`] worker threads (override with the
-/// `FTCLUST_THREADS` environment variable; `1` runs fully inline). Every
+/// [`ftclust_par::num_threads`] worker threads, as resolved when the
+/// simulator is built (override with [`ftclust_par::with_threads`] around
+/// construction or the `FTCLUST_THREADS` environment variable; `1` runs
+/// fully inline). Every
 /// node draws randomness only from its private stream ([`node_rng`]) and
 /// reads only the previous round's frozen inboxes, and envelopes are
 /// merged back **in sender order** before fault injection consumes the
@@ -92,10 +132,14 @@ struct StepShard<'t, L: NodeLogic> {
 /// arena indexed by a CSR-style offset table (see [`crate::arena`]):
 /// the merge phase counting-sorts each round's surviving envelopes by
 /// recipient instead of pushing into per-node `Vec`s, and delivery is
-/// pure slicing. All buffers — the two arenas, the sorter's partition
-/// blocks, and the per-worker outboxes — are recycled across rounds, so
-/// steady-state rounds allocate nothing beyond what message volume
-/// itself demands. See `DESIGN.md` §12.
+/// pure slicing. A broadcast that is its sender's only output of the round
+/// skips the sorter: it is published once per sender and receivers gather
+/// it through the adjacency ([`Context::broadcast`]). All buffers — the
+/// two arenas and their publication slots, the sorter's partition blocks,
+/// the per-worker outboxes and gather scratch, and the shard list — are
+/// recycled across rounds, and the thread count is resolved once per
+/// simulator, so steady-state rounds allocate nothing beyond what message
+/// volume itself demands. See `DESIGN.md` §12.
 pub struct Simulator<'a, L: NodeLogic> {
     topo: Topology<'a>,
     /// Per-node protocol state, indexed by node id (SoA with `rngs` and
@@ -117,12 +161,14 @@ pub struct Simulator<'a, L: NodeLogic> {
     pending: InboxArena<L::Payload>,
     /// Recycled scratch of the sorted scatter that builds `pending`.
     sorter: DeliverySorter<L::Payload>,
-    /// Recycled per-worker outbox buffers.
-    outboxes: Vec<Vec<Envelope<L::Payload>>>,
-    /// Recycled per-worker transport counters (cleared each round).
-    tcounters: Vec<TransportCounters>,
-    /// Recycled per-worker trace event buffers (drained each round).
-    tbufs: Vec<Vec<TraceEvent>>,
+    /// The node range of each worker shard: [`par::split_ranges`] over
+    /// the thread count [`par::num_threads`] gave at construction.
+    shard_ranges: Vec<std::ops::Range<usize>>,
+    /// Recycled per-shard buffers, parallel to `shard_ranges`.
+    bufs: Vec<ShardBuf<L::Payload>>,
+    /// The allocation phase 1 builds its shard views in (empty between
+    /// rounds; see [`recycle`]).
+    shard_views: Vec<StepShard<'a, L>>,
     /// Structured-trace sink; [`NoopTracer`] (reporting disabled) unless
     /// [`Simulator::set_tracer`] attached a recorder.
     tracer: Box<dyn Tracer>,
@@ -183,6 +229,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             .map(|i| node_rng(master_seed, NodeId::new(i as u32)))
             .collect();
         let events = churn.scheduled_events();
+        let shard_ranges = par::split_ranges(n, par::num_threads());
         let mut sim = Simulator {
             topo,
             logics,
@@ -192,9 +239,9 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             inbox: InboxArena::new(n),
             pending: InboxArena::new(n),
             sorter: DeliverySorter::new(n),
-            outboxes: Vec::new(),
-            tcounters: Vec::new(),
-            tbufs: Vec::new(),
+            bufs: shard_ranges.iter().map(|_| ShardBuf::new()).collect(),
+            shard_views: Vec::with_capacity(shard_ranges.len()),
+            shard_ranges,
             tracer: Box::new(NoopTracer),
             metrics: Metrics::default(),
             churn,
@@ -270,10 +317,11 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     }
 
     /// Messages sent but not yet delivered, dropped, dead on arrival, or
-    /// corrupted — both the staged next-round deliveries and envelopes an
-    /// adversary is holding back as delay jitter. Closes the conservation
-    /// law `messages == delivered_messages + dropped_messages +
-    /// dead_on_arrival + corrupted + in_flight_messages`.
+    /// corrupted — the staged next-round deliveries (published broadcasts
+    /// included) and envelopes an adversary is holding back as delay
+    /// jitter. Closes the conservation law `messages ==
+    /// delivered_messages + dropped_messages + dead_on_arrival +
+    /// corrupted + in_flight_messages`.
     pub fn in_flight_messages(&self) -> u64 {
         self.pending.total()
             + self
@@ -362,17 +410,21 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     /// node — and pending deliveries to nodes that are now down are
     /// written off as dead on arrival (on churn-free untraced rounds the
     /// whole accounting collapses to one addition); (1) node logic
-    /// executes on worker threads over contiguous node shards, reading
-    /// inbox slices straight out of the shared arena and appending
-    /// envelopes to its own recycled outbox in node order; (2) a
-    /// sequential merge walks the shard outboxes in node order — on the
-    /// fault-free untraced fast path it batch-meters the envelopes and
-    /// stages them for the sorted scatter; with tracing, loss or outages
-    /// it meters, traces and draws the shared fault stream per envelope,
-    /// exactly in the order the serial engine used, so every thread count
-    /// yields identical state — and (3) the staged survivors are
-    /// counting-sorted into the next round's contiguous inbox arena and
-    /// the quiescence cache is refreshed.
+    /// executes on worker threads over contiguous node shards; each node
+    /// reads its inbox slice straight out of the shared arena, or, when
+    /// neighbours published last round, a copy gathered from their
+    /// publication slots and the slice in sender order; it appends
+    /// envelopes to its shard's recycled outbox in node order, or, when
+    /// no per-envelope layer is engaged and its only output is one
+    /// broadcast, publishes that broadcast in its slot, which the shard
+    /// meters; (2) a sequential merge walks the shard outboxes in node
+    /// order — on the fault-free untraced fast path it batch-meters the
+    /// envelopes and stages them for the sorted scatter; with tracing,
+    /// loss or outages it meters, traces and draws the shared fault
+    /// stream per envelope, exactly in the order the serial engine used,
+    /// so every thread count yields identical state — and (3) the staged
+    /// survivors are counting-sorted into the next round's contiguous
+    /// inbox arena and the quiescence cache is refreshed.
     pub fn step(&mut self) -> bool {
         if self.quiescent {
             return false;
@@ -399,69 +451,53 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             // Everyone is up: every queued message is delivered.
             self.metrics.delivered_messages += self.inbox.total();
         } else {
+            let graph = self.topo.graph();
             for i in 0..n {
-                let count = self.inbox.count(i);
+                let node = NodeId::new(i as u32);
+                let count = self.inbox.count(i, graph.neighbors(node));
                 if count == 0 {
                     continue;
                 }
                 if self.down[i] {
                     // Receiver went down between send and delivery. Its
-                    // inbox slice is never read (down nodes don't run).
+                    // inbox is never read (down nodes don't run).
                     self.metrics.dead_on_arrival += count;
                     if tracing {
-                        self.tracer.record(
-                            round,
-                            TraceEvent::DeadOnArrival {
-                                node: NodeId::new(i as u32),
-                                count,
-                            },
-                        );
+                        self.tracer
+                            .record(round, TraceEvent::DeadOnArrival { node, count });
                     }
                 } else {
                     self.metrics.delivered_messages += count;
                     if tracing {
-                        self.tracer.record(
-                            round,
-                            TraceEvent::Deliver {
-                                node: NodeId::new(i as u32),
-                                count,
-                            },
-                        );
+                        self.tracer
+                            .record(round, TraceEvent::Deliver { node, count });
                     }
                 }
             }
         }
         self.metrics.begin_round();
-        let shard_ranges = par::split_ranges(n, par::num_threads());
-        if self.outboxes.len() < shard_ranges.len() {
-            self.outboxes.resize_with(shard_ranges.len(), Vec::new);
-        }
-        if self.tcounters.len() < shard_ranges.len() {
-            self.tcounters
-                .resize_with(shard_ranges.len(), TransportCounters::default);
-        }
-        if self.tbufs.len() < shard_ranges.len() {
-            self.tbufs.resize_with(shard_ranges.len(), Vec::new);
-        }
-        let shard_count = shard_ranges.len();
+        // Every message stays an envelope while a layer has to see or
+        // decide it one at a time; otherwise lone broadcasts are
+        // published (see `Context::broadcast`).
+        let envelope_free = !tracing
+            && self.churn.drop_prob() == 0.0
+            && !self.churn.has_link_outages()
+            && self.adversary.is_none();
+        let publish = envelope_free && self.events.is_empty() && self.churn.random().is_none();
         {
             // Phase 1: execute node logic, sharded. Shared state is
             // read-only (topology, liveness, the frozen inbox arena);
-            // each shard owns its slices of the SoA node state and its
-            // outbox exclusively.
+            // each shard owns its slices of the SoA node state and of the
+            // publication slots, and its buffers, exclusively.
             let inbox: &InboxArena<L::Payload> = &self.inbox;
             let topo = self.topo;
             let down: &[bool] = &self.down;
-            let mut shards: Vec<StepShard<'_, L>> = Vec::with_capacity(shard_count);
+            let mut shards: Vec<StepShard<'_, L>> = std::mem::take(&mut self.shard_views);
             let mut logics_rest: &mut [L] = &mut self.logics;
             let mut rngs_rest: &mut [StdRng] = &mut self.rngs;
             let mut running_rest: &mut [bool] = &mut self.running;
-            for (((r, outbox), counters), tbuf) in shard_ranges
-                .iter()
-                .zip(self.outboxes.iter_mut())
-                .zip(self.tcounters.iter_mut())
-                .zip(self.tbufs.iter_mut())
-            {
+            let mut slots_rest = self.pending.open_slots();
+            for (r, buf) in self.shard_ranges.iter().zip(self.bufs.iter_mut()) {
                 let len = r.end - r.start;
                 let (logics_head, logics_tail) = logics_rest.split_at_mut(len);
                 logics_rest = logics_tail;
@@ -469,61 +505,91 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                 rngs_rest = rngs_tail;
                 let (running_head, running_tail) = running_rest.split_at_mut(len);
                 running_rest = running_tail;
+                let (slots_head, slots_tail) = slots_rest.split_at_mut(len);
+                slots_rest = slots_tail;
                 shards.push(StepShard {
                     start: r.start,
                     logics: logics_head,
                     rngs: rngs_head,
                     running: running_head,
-                    outbox,
-                    counters,
-                    trace: tbuf,
-                    halted: 0,
+                    slots: slots_head,
+                    buf,
                 });
             }
-            par::par_for_each_mut(&mut shards, |_, shard| {
-                shard.outbox.clear();
-                shard.counters.clear();
-                shard.trace.clear();
+            par::par_each_mut(&mut shards, |_, shard| {
+                let buf = &mut *shard.buf;
+                buf.outbox.clear();
+                buf.counters.clear();
+                buf.trace.clear();
+                buf.halted = 0;
+                buf.published = (0, 0, 0);
                 for j in 0..shard.logics.len() {
                     let i = shard.start + j;
                     if down[i] || !shard.running[j] {
                         continue;
                     }
                     let me = NodeId::new(i as u32);
+                    let neighbors = topo.graph().neighbors(me);
+                    let received = inbox.gather(i, neighbors, &mut buf.gather);
                     let mut ctx = Context {
                         me,
                         round,
                         topo,
                         rng: &mut shard.rngs[j],
-                        outbox: shard.outbox,
-                        transport: shard.counters,
+                        outbox: &mut buf.outbox,
+                        // A degree-0 broadcast sends nothing on either
+                        // path; keeping it out of the slots makes
+                        // `published_total > 0` mean "some slot is set".
+                        slot: (publish && !neighbors.is_empty()).then_some(&mut shard.slots[j]),
+                        transport: &mut buf.counters,
                         tracing,
-                        trace: shard.trace,
+                        trace: &mut buf.trace,
                     };
-                    let control = shard.logics[j].on_round(inbox.inbox(i), &mut ctx);
+                    let control = shard.logics[j].on_round(received, &mut ctx);
+                    let published = if publish {
+                        shard.slots[j].as_ref()
+                    } else {
+                        None
+                    };
+                    if let Some(payload) = published {
+                        // One message per neighbour, exactly as `deg`
+                        // envelopes would have been metered.
+                        let deg = neighbors.len() as u64;
+                        let b = crate::Payload::bit_size(payload) as u64;
+                        let (count, bits, max_bits) = &mut buf.published;
+                        *count += deg;
+                        *bits += deg * b;
+                        *max_bits = (*max_bits).max(b);
+                    }
                     if control == Control::Halt {
                         shard.running[j] = false;
-                        shard.halted += 1;
+                        buf.halted += 1;
                     }
                 }
             });
-            self.running_total -= shards.iter().map(|s| s.halted).sum::<usize>();
+            self.shard_views = recycle(shards);
         }
         // Phase 2: sequential merge in sender order — metrics and the
         // shared fault stream consume envelopes exactly as the serial
         // engine did, and survivors are staged for the sorted scatter.
         // Dead-on-arrival is decided at *delivery* time (phase 0 of the
         // next round), so every sent message is accounted for.
-        for counters in &self.tcounters[..shard_count] {
-            self.metrics.absorb_transport(counters);
+        let mut published = (0u64, 0u64, 0u64);
+        for buf in &self.bufs {
+            self.running_total -= buf.halted;
+            self.metrics.absorb_transport(&buf.counters);
+            published.0 += buf.published.0;
+            published.1 += buf.published.1;
+            published.2 = published.2.max(buf.published.2);
         }
+        self.pending.set_published_total(published.0);
         // Drain the per-shard trace buffers in shard index order: shards
         // are contiguous ascending node ranges, so the merged event
         // stream is in node order for every worker count.
         if tracing {
             let tracer = &mut self.tracer;
-            for buf in &mut self.tbufs[..shard_count] {
-                for ev in buf.drain(..) {
+            for buf in &mut self.bufs {
+                for ev in buf.trace.drain(..) {
                     tracer.record(round, ev);
                 }
             }
@@ -538,17 +604,14 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                 self.sorter.push(env);
             }
         }
-        if !tracing
-            && self.churn.drop_prob() == 0.0
-            && !self.churn.has_link_outages()
-            && self.adversary.is_none()
-        {
+        if envelope_free {
             // Fast path: no tracing and no per-envelope fault decisions —
-            // meter the batch with three integer folds (identical totals
-            // to per-envelope metering) and stage everything.
-            let (mut count, mut bits, mut max_bits) = (0u64, 0u64, 0u64);
-            for outbox in &mut self.outboxes[..shard_count] {
-                for env in outbox.drain(..) {
+            // meter the batch, publications included, with three integer
+            // folds (identical totals to per-envelope metering) and stage
+            // everything.
+            let (mut count, mut bits, mut max_bits) = published;
+            for buf in &mut self.bufs {
+                for env in buf.outbox.drain(..) {
                     let b = crate::Payload::bit_size(&env.payload) as u64;
                     count += 1;
                     bits += b;
@@ -558,8 +621,9 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             }
             self.metrics.record_sends(count, bits, max_bits);
         } else {
-            for outbox in &mut self.outboxes[..shard_count] {
-                for env in outbox.drain(..) {
+            debug_assert_eq!(published.0, 0, "publication outside the fast path");
+            for buf in &mut self.bufs {
+                for env in buf.outbox.drain(..) {
                     let bits = crate::Payload::bit_size(&env.payload);
                     self.metrics.record_send(bits);
                     if tracing {
@@ -1076,22 +1140,45 @@ mod tests {
         }
     }
 
+    /// Sends its id to every neighbour as separate unicasts (which are
+    /// never published) for `rounds` rounds.
+    struct Unicast {
+        rounds: u64,
+    }
+    impl NodeLogic for Unicast {
+        type Payload = Num;
+        fn on_round(&mut self, _: &[Envelope<Num>], ctx: &mut Context<'_, Num>) -> Control {
+            if ctx.round() >= self.rounds {
+                return Control::Halt;
+            }
+            for &w in ctx.neighbors() {
+                ctx.send(w, Num(ctx.me().raw() as u64));
+            }
+            Control::Continue
+        }
+    }
+
     #[test]
     fn buffers_are_recycled_across_rounds() {
         // White-box: after a run the double-buffered inbox arenas exist
-        // with their capacity retained (a complete-graph broadcast filled
-        // the arena every round), and nothing is left staged or in
+        // with their capacity retained (complete-graph unicast gossip
+        // filled the arena every round), and nothing is left staged or in
         // flight — the halting round sends no messages.
         let g = generators::complete(6);
         let topo = Topology::from_graph(&g);
-        let mut sim = Simulator::new(
-            topo,
-            |_| Gossip {
-                heard: vec![],
-                rounds: 4,
-            },
-            0,
-        );
+        let mut sim = Simulator::new(topo, |_| Unicast { rounds: 5 }, 0);
+        sim.step();
+        sim.step();
+        let arena_caps = |sim: &Simulator<'_, Unicast>| {
+            let mut caps = [sim.inbox.capacity(), sim.pending.capacity()];
+            caps.sort_unstable();
+            caps
+        };
+        let caps = arena_caps(&sim);
+        assert!(caps[0] > 0, "both arenas were filled: {caps:?}");
+        sim.step();
+        sim.step();
+        assert_eq!(arena_caps(&sim), caps, "steady state must not reallocate");
         sim.run(100).unwrap();
         assert_eq!(sim.pending.total(), 0);
         assert_eq!(sim.in_flight_messages(), 0);
@@ -1102,6 +1189,42 @@ mod tests {
         assert_eq!(sim.rngs.len(), 6);
         assert_eq!(sim.running.len(), 6);
         assert_eq!(sim.running_total, 0);
+
+        // Broadcast gossip is published: the arenas stay empty, while the
+        // publication slots, the gather scratch and the shard views keep
+        // their allocations from round to round.
+        let mut sim = Simulator::new(
+            topo,
+            |_| Gossip {
+                heard: vec![],
+                rounds: 6,
+            },
+            0,
+        );
+        let buffers = |sim: &Simulator<'_, Gossip>| {
+            let mut slots = [sim.inbox.slots_ptr(), sim.pending.slots_ptr()];
+            slots.sort_unstable();
+            let gather: Vec<_> = sim
+                .bufs
+                .iter()
+                .map(|b| (b.gather.as_ptr(), b.gather.capacity()))
+                .collect();
+            (slots, gather, sim.shard_views.as_ptr().cast::<()>())
+        };
+        sim.step();
+        sim.step();
+        let before = buffers(&sim);
+        assert!(
+            before.1.iter().all(|&(_, cap)| cap > 0),
+            "every shard gathered"
+        );
+        assert!(sim.shard_views.capacity() >= sim.bufs.len());
+        sim.step();
+        sim.step();
+        assert_eq!(buffers(&sim), before, "steady state must not reallocate");
+        assert_eq!(sim.inbox.capacity() + sim.pending.capacity(), 0);
+        sim.run(100).unwrap();
+        assert_eq!(sim.in_flight_messages(), 0);
     }
 
     #[test]
@@ -1188,6 +1311,75 @@ mod tests {
                 + m.dead_on_arrival
                 + sim.in_flight_messages()
         );
+    }
+
+    #[test]
+    fn published_broadcasts_are_conserved() {
+        // Broadcast-only rounds are published, so the arena stays empty,
+        // yet every published copy is sent, in flight and then delivered.
+        let g = generators::complete(5);
+        let topo = Topology::from_graph(&g);
+        let mut sim = Simulator::new(topo, |_| Counter { seen: 0, rounds: 3 }, 0);
+        for sent in [20, 40] {
+            sim.step();
+            let m = sim.metrics();
+            assert_eq!(m.messages, sent);
+            assert_eq!(sim.in_flight_messages(), 20);
+            assert_eq!(m.messages, m.delivered_messages + sim.in_flight_messages());
+            assert_eq!(sim.pending.capacity(), 0, "nothing went through the arena");
+        }
+        sim.run(100).unwrap();
+        let m = sim.metrics();
+        assert_eq!((m.messages, m.delivered_messages), (60, 60));
+        assert_eq!(sim.in_flight_messages(), 0);
+        assert!(sim.logics().all(|l| l.seen == 12));
+    }
+
+    #[test]
+    fn tracer_attached_while_publications_pend_accounts_them() {
+        // Round 0 publishes; the tracer attached before round 1 closes
+        // the fast path, but round 0's publications must still be
+        // delivered, counted and traced as envelopes would have been.
+        let g = generators::gnp(20, 0.3, 5);
+        let run = |attach: bool| {
+            let topo = Topology::from_graph(&g);
+            let mut sim = Simulator::new(topo, |_| Counter { seen: 0, rounds: 5 }, 3);
+            sim.step();
+            let before = sim.metrics().clone();
+            assert_eq!(sim.in_flight_messages(), before.messages);
+            assert_eq!(sim.pending.capacity(), 0, "round 0 was published");
+            if attach {
+                sim.set_tracer(EventLog::new());
+            }
+            sim.run(100).unwrap();
+            let seen: Vec<u64> = sim.logics().map(|l| l.seen).collect();
+            (seen, sim.metrics().clone(), before, sim.take_event_log())
+        };
+        let (seen, m, _, _) = run(false);
+        let (traced_seen, traced_m, before, log) = run(true);
+        assert_eq!(traced_seen, seen);
+        assert_eq!(traced_m, m);
+        let log = log.expect("a recording tracer was attached");
+        let round1_delivered: u64 = log
+            .records
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::Deliver { count, .. } if r.round == 1 => Some(count),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(round1_delivered, before.messages);
+        // The log covers everything after round 0.
+        let mut since = m.clone();
+        since.rounds -= before.rounds;
+        since.messages -= before.messages;
+        since.total_bits -= before.total_bits;
+        since.delivered_messages -= before.delivered_messages;
+        since
+            .per_round_messages
+            .drain(..before.per_round_messages.len());
+        since.per_round_bits.drain(..before.per_round_bits.len());
+        log.reconcile(&since).unwrap();
     }
 
     #[test]

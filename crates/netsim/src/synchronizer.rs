@@ -234,6 +234,7 @@ impl<'a, L: NodeLogic> AsyncExec<'a, L> {
                 topo: self.topo,
                 rng: &mut node.rng,
                 outbox: &mut outbox,
+                slot: None,
                 transport: &mut transport,
                 tracing: false,
                 trace: &mut trace_buf,

@@ -489,6 +489,7 @@ impl<L: NodeLogic> Reliable<L> {
             topo: ctx.topo,
             rng: &mut *ctx.rng,
             outbox: &mut outbox,
+            slot: None,
             transport: &mut *ctx.transport,
             tracing: ctx.tracing,
             trace: &mut *ctx.trace,

@@ -12,6 +12,8 @@
 //! * [`par_chunks_mut`] / [`par_for_each_mut`] — mutate disjoint chunks
 //!   of a slice in place (the caller pre-splits any further state along
 //!   the same boundaries with `split_at_mut`),
+//! * [`par_each_mut`] — one worker per item, for callers that resolved
+//!   their thread count once and pre-split their work to match,
 //! * [`split_ranges`] — the canonical contiguous block partition, shared
 //!   so every layer shards the same way.
 //!
@@ -216,6 +218,37 @@ where
     });
 }
 
+/// Calls `f(index, &mut item)` for every element, each on its own
+/// worker (inline when there is at most one element).
+///
+/// For callers that already cut their work into one item per worker,
+/// using a thread count they resolved once: unlike the primitives above,
+/// this reads no thread-count setting, so a hot loop calling it every
+/// iteration touches neither the environment nor [`num_threads`].
+pub fn par_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    if items.len() <= 1 {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
+        }
+        return;
+    }
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = items
+            .iter_mut()
+            .enumerate()
+            .map(|(i, item)| s.spawn(move || f(i, item)))
+            .collect();
+        for h in handles {
+            join_unwinding(h);
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,6 +353,22 @@ mod tests {
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, i * i);
         }
+    }
+
+    #[test]
+    fn par_each_mut_visits_every_item_once() {
+        for len in [0usize, 1, 2, 5] {
+            let mut data = vec![0usize; len];
+            par_each_mut(&mut data, |i, slot| *slot += i + 1);
+            assert_eq!(data, (1..=len).collect::<Vec<_>>(), "len={len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item worker exploded")]
+    fn par_each_mut_panic_propagates() {
+        let mut data = vec![0u8; 3];
+        par_each_mut(&mut data, |i, _| assert!(i != 1, "item worker exploded"));
     }
 
     #[test]

@@ -7,16 +7,20 @@
 //! protocol forms) serially and at several awkward thread counts —
 //! including 7, which never divides the node counts evenly — across
 //! multiple master seeds, and comparing final states, metrics, and
-//! dominating sets for exact equality.
+//! dominating sets for exact equality. The last property pins the
+//! simulator's publication fast path against its envelope path.
 
 use ftclust::core::fractional::protocol::run_fractional_protocol;
 use ftclust::core::fractional::FractionalSolution;
 use ftclust::core::prelude::*;
 use ftclust::core::rounding::{protocol::run_rounding_protocol, RoundingParams};
 use ftclust::core::udg::protocol::run_udg_protocol;
-use ftclust::graphs::{generators, Graph};
+use ftclust::graphs::{generators, Graph, NodeId};
+use ftclust::netsim::exec::{Executor, Stack};
+use ftclust::netsim::{Context, Control, Envelope, Metrics, NodeLogic, Payload, Topology};
 use ftclust_par::with_threads;
 use proptest::prelude::*;
+use rand::Rng;
 
 /// Thread counts exercised against the serial reference. 2 is the
 /// smallest parallel case; 7 is odd and coprime to the test sizes, so
@@ -192,5 +196,130 @@ proptest! {
         let serial_udg = with_threads(1, || config.run(&udg).expect("udg"));
         let parallel_udg = with_threads(threads, || config.run(&udg).expect("udg"));
         prop_assert_eq!(serial_udg, parallel_udg);
+    }
+}
+
+/// A tagged payload of varying size, so `total_bits` and
+/// `max_message_bits` see more than one size. Degree-0 nodes broadcast
+/// the largest size of the run: such a broadcast sends nothing, and
+/// metering it anyway would show in `max_message_bits`.
+#[derive(Clone, Debug)]
+struct Mix {
+    tag: u64,
+    bits: usize,
+}
+
+impl Payload for Mix {
+    fn bit_size(&self) -> usize {
+        self.bits
+    }
+}
+
+/// Mixed traffic: each round a node picks one sender shape from its
+/// private stream — one broadcast, two broadcasts, broadcast then send,
+/// send then broadcast, broadcast then self-send, or silence — and at
+/// `halt_at` it broadcasts and halts in the same round. It records every
+/// message it receives as `(round, from, payload)`, in inbox order.
+struct Mixed {
+    halt_at: u64,
+    heard: Vec<(u64, u32, u64)>,
+}
+
+impl NodeLogic for Mixed {
+    type Payload = Mix;
+
+    fn on_round(&mut self, inbox: &[Envelope<Mix>], ctx: &mut Context<'_, Mix>) -> Control {
+        let (me, round) = (ctx.me(), ctx.round());
+        for e in inbox {
+            assert_eq!(e.to, me, "envelope delivered to the wrong inbox");
+            self.heard.push((round, e.from.raw(), e.payload.tag));
+        }
+        let neighbors = ctx.neighbors();
+        let base = u64::from(me.raw()) * 1_000 + round * 10;
+        let msg = |k: u64| Mix {
+            tag: base + k,
+            bits: 1 + ((base + k) % 13) as usize,
+        };
+        let wide = |k: u64| Mix {
+            bits: if neighbors.is_empty() {
+                64
+            } else {
+                msg(k).bits
+            },
+            ..msg(k)
+        };
+        if round >= self.halt_at {
+            ctx.broadcast(wide(0));
+            return Control::Halt;
+        }
+        let shape = ctx.rng().random_range(0..6u32);
+        let peer = if neighbors.is_empty() {
+            me
+        } else {
+            neighbors[ctx.rng().random_range(0..neighbors.len())]
+        };
+        match shape {
+            0 => ctx.broadcast(wide(0)),
+            1 => {
+                ctx.broadcast(wide(0));
+                ctx.broadcast(wide(1));
+            }
+            2 => {
+                ctx.broadcast(wide(0));
+                ctx.send(peer, msg(1));
+            }
+            3 => {
+                ctx.send(peer, msg(0));
+                ctx.broadcast(wide(1));
+            }
+            4 => {
+                ctx.broadcast(wide(0));
+                ctx.send(me, msg(1));
+            }
+            _ => {}
+        }
+        Control::Continue
+    }
+}
+
+/// Every node's received sequence and the run's metrics under `stack`.
+fn mixed_run(g: &Graph, seed: u64, stack: Stack) -> (Vec<Vec<(u64, u32, u64)>>, Metrics) {
+    let make = |v: NodeId| Mixed {
+        halt_at: 3 + u64::from(v.raw()) % 5,
+        heard: Vec::new(),
+    };
+    let run = Executor::new(Topology::from_graph(g), make, seed)
+        .stack(stack)
+        .run(50)
+        .expect("mixed traffic halts by round 8");
+    let heard = run.logics.into_iter().map(|l| l.heard).collect();
+    (heard, run.metrics)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Property: published broadcasts reach every receiver exactly as
+    /// envelopes do — the same `(from, payload)` sequence in the same
+    /// order, and identical metrics. The plain stack takes the
+    /// publication path; tracing forces the envelope path. Two isolated
+    /// nodes are appended so degree-0 broadcasters always occur.
+    #[test]
+    fn published_broadcasts_match_envelopes(
+        n in 2u32..60,
+        p in 0.02f64..0.4,
+        seed in 0u64..1_000,
+    ) {
+        let base = generators::gnp(n, p, seed);
+        let edges: Vec<(u32, u32)> = base.edges().map(|(u, v)| (u.raw(), v.raw())).collect();
+        let g = Graph::from_edges(n + 2, &edges).expect("valid edges");
+        let reference = with_threads(1, || mixed_run(&g, seed, Stack::new().traced()));
+        prop_assert!(reference.1.messages > 0);
+        for threads in [1usize, 2] {
+            let published = with_threads(threads, || mixed_run(&g, seed, Stack::new()));
+            prop_assert_eq!(&published, &reference, "publication path, {} threads", threads);
+            let traced = with_threads(threads, || mixed_run(&g, seed, Stack::new().traced()));
+            prop_assert_eq!(&traced, &reference, "envelope path, {} threads", threads);
+        }
     }
 }

@@ -28,9 +28,10 @@
 //!   workspace forbids `unsafe` crate-wide today; this rule is the
 //!   guardrail for any future, explicitly relaxed crate.
 //! * **merge-order** — inside a `par_map_range` / `par_map_indexed` /
-//!   `par_chunks_mut` / `par_for_each_mut` call site, shared-state merge
-//!   primitives (`Mutex`, `RwLock`, atomics' `fetch_*`/`store`, channel
-//!   sends) whose completion order depends on the scheduler. Parallel
+//!   `par_chunks_mut` / `par_for_each_mut` / `par_each_mut` call site,
+//!   shared-state merge primitives (`Mutex`, `RwLock`, atomics'
+//!   `fetch_*`/`store`, channel sends) whose completion order depends
+//!   on the scheduler. Parallel
 //!   regions must return per-shard results that the caller merges in
 //!   shard-index order.
 
@@ -328,6 +329,7 @@ pub(crate) fn check_merge_order(file: &SourceFile, limit: usize, out: &mut Vec<V
         "par_map_indexed(",
         "par_chunks_mut(",
         "par_for_each_mut(",
+        "par_each_mut(",
     ];
     const SHARED_MERGE: &[(&str, &str)] = &[
         (".lock(", "a `Mutex`/`RwLock` lock"),
@@ -548,6 +550,12 @@ mod tests {
         let v = rules(src, check_merge_order);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "merge-order");
+        assert_eq!(v[0].line, 2);
+        let src = "fn g(c: &AtomicUsize, s: &mut [u8]) {\n\
+                   par_each_mut(s, |_, _| c.fetch_add(1, Ordering::Relaxed));\n\
+                   }\n";
+        let v = rules(src, check_merge_order);
+        assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 2);
     }
 
