@@ -34,27 +34,16 @@ fn main() {
         let pack = udg_packing_lower_bound(&udg).max(1);
         let mut out = Vec::new();
         for k in [1u32, 3] {
-            let config = UdgAlgorithm::new(k).seed(5);
-            // Engine for the result; protocol (metered) for the smaller
-            // sizes where simulation overhead is acceptable.
-            let run = config.run(&udg).expect("udg algorithm");
+            let proto = run_udg_protocol(&udg, &UdgAlgorithm::new(k).seed(5)).expect("protocol");
+            let run = proto.run;
             assert!(is_k_dominating(udg.graph(), &run.set, k, Semantics::Strict));
-            let sim_rounds = if n <= 10_000 {
-                run_udg_protocol(&udg, &config)
-                    .expect("protocol")
-                    .metrics
-                    .rounds
-                    .to_string()
-            } else {
-                "-".into()
-            };
             out.push(cells![
                 n,
                 k,
                 run.part1_rounds,
                 theta_schedule(n as usize, 1.0).len(),
                 run.part2_iterations,
-                sim_rounds,
+                proto.metrics.rounds,
                 run.set.len(),
                 pack,
                 f2(run.set.len() as f64 / (k as usize * pack) as f64)

@@ -51,7 +51,7 @@ fn main() {
 
     // The lemma's own per-disk statement: x'_i ≤ δ·√m_i·ln m_i.
     println!("per-disk census of the dense deployment (Lemma 5.2 verbatim):");
-    let census = ftclust_core::udg::analysis::lemma_5_2_census(&dense, 1);
+    let census = ftclust_core::udg::analysis::lemma_5_2_census(&dense, 1).expect("census");
     let mut t = Table::new(&[
         "round",
         "theta",

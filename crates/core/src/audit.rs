@@ -18,7 +18,9 @@
 //!   shrink, every node keeps a leader within the telescoped chain radius
 //!   `Σᵢ θᵢ` (the deterministic core of Lemma 5.1), and leader density
 //!   per radius-`r/2` disk stays `O(1)` (Lemma 5.5, with a generous
-//!   explicit constant).
+//!   explicit constant). Checked at the end of every
+//!   [`crate::udg::protocol::run_udg_stack`], on the active sets rebuilt
+//!   from each node's `passive_after` round.
 //! * **Coverage repair** ([`repair_postconditions`]) — after
 //!   [`crate::repair::repair_coverage`], the healed set strictly
 //!   k-dominates the surviving subgraph, contains no dead node, and —

@@ -193,8 +193,7 @@ impl BitSet {
 }
 
 /// Per-node count of `members` in each closed neighborhood — the
-/// k-coverage scan shared by Algorithm 3 Part II and the coverage-repair
-/// engine. Runs data-parallel over nodes; each count is a pure function
+/// coverage-repair engine's k-coverage scan. Runs data-parallel over nodes; each count is a pure function
 /// of the frozen membership mask, so the result is identical at every
 /// thread count.
 ///

@@ -38,12 +38,14 @@
 //! * [`bitset`] — packed `u64`-word node masks backing the engines' hot
 //!   coverage and needy-set scans (see `DESIGN.md` §12).
 //!
-//! Every randomized component is deterministic given a seed. Each
-//! distributed algorithm exists twice: as a **message-passing protocol** on
-//! [`ftclust_netsim`] (paper-faithful, metering rounds and message bits)
-//! and as an **engine** running the same per-round mathematics in memory
-//! (for large-scale sweeps). Protocols and engines draw per-node randomness
-//! from the same streams, so their outputs are identical seed-for-seed.
+//! Every randomized component is deterministic given a seed. Every
+//! distributed algorithm runs as a **message-passing protocol** on
+//! [`ftclust_netsim`] (paper-faithful, metering rounds and message bits).
+//! Algorithms 1 and 2 and coverage repair also have an **engine** running
+//! the same per-round mathematics in memory; it draws per-node randomness
+//! from the same streams, so both give identical outputs seed-for-seed.
+//! Algorithm 3 has no engine: [`udg::UdgAlgorithm::run`] runs the
+//! protocol, which is the faster of the two.
 //!
 //! # Quickstart
 //!

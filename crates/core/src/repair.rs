@@ -203,8 +203,8 @@ pub struct RepairOutcome {
 
 /// One worker's contiguous block of a re-election iteration: the RNG
 /// streams it owns plus a local list of promotion targets, OR-merged
-/// afterwards (commutative) — same discipline as Algorithm 3 Part II, so
-/// the outcome is identical at every thread count.
+/// afterwards (commutative), so the outcome is identical at every thread
+/// count.
 struct RepairShard<'s> {
     start: usize,
     rngs: &'s mut [StdRng],
@@ -300,7 +300,7 @@ pub fn repair_coverage(
         }
         // Round 2: self-elections and member promotions. Each member
         // draws only from its own stream; targets are OR-merged after the
-        // parallel part (commutative), matching Part II exactly.
+        // parallel part (commutative), so sharding changes nothing.
         let self_elect = BitSet::from_fn_par(n, |i| {
             needy.get(i)
                 && (alive_deg[i] < k

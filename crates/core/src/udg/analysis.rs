@@ -6,9 +6,11 @@
 //! module counts set members per disk over a hexagonal lattice of
 //! radius-`r/2` disks covering the deployment area.
 
-use crate::DominatingSet;
+use super::{protocol, theta_schedule, UdgAlgorithm};
+use crate::{DominatingSet, KmdsError};
 use ftclust_geometry::{hex, SpatialGrid};
 use ftclust_graphs::UnitDiskGraph;
+use ftclust_netsim::exec::Stack;
 
 /// Occupancy statistics of set members per radius-`r/2` lattice disk.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,18 +97,24 @@ pub struct RoundCensus {
 /// active node; only disks with `m_i ≥ 2` enter the statistics (the lemma
 /// concerns populated disks — a singleton trivially survives).
 ///
-/// Runs Part I internally with the given seed.
-pub fn lemma_5_2_census(udg: &UnitDiskGraph, seed: u64) -> Vec<RoundCensus> {
-    use crate::udg::{run_part1, IdMode};
+/// Runs Algorithm 3 (k = 1, fresh identifiers) with the given seed on
+/// the plain simulator and reads Part I's active sets from its nodes.
+///
+/// # Errors
+///
+/// As [`UdgAlgorithm::run`]: [`KmdsError::Sim`] when Part II cannot
+/// finish, even though the census itself only reads Part I.
+pub fn lemma_5_2_census(udg: &UnitDiskGraph, seed: u64) -> Result<Vec<RoundCensus>, KmdsError> {
     if udg.node_count() == 0 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
-    let outcome = run_part1(udg, seed, IdMode::FreshPerRound);
-    let schedule = crate::udg::theta_schedule(udg.node_count(), udg.radius());
+    let run = protocol::execute(udg, &UdgAlgorithm::new(1).seed(seed), Stack::new())?;
+    let schedule = theta_schedule(udg.node_count(), udg.radius());
+    let masks = protocol::active_masks(&run.logics, schedule.len() as u32);
     let mut census = Vec::new();
     for (i, &theta) in schedule.iter().enumerate() {
-        let before = &outcome.active_masks[i];
-        let after = &outcome.active_masks[i + 1];
+        let before = &masks[i];
+        let after = &masks[i + 1];
         let r_half = theta / 2.0;
         // Positions of the round's active nodes (before / after).
         let before_pos: Vec<_> = udg
@@ -183,19 +191,18 @@ pub fn lemma_5_2_census(udg: &UnitDiskGraph, seed: u64) -> Vec<RoundCensus> {
             },
         });
     }
-    census
+    Ok(census)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::udg::UdgAlgorithm;
     use ftclust_graphs::generators;
 
     #[test]
     fn census_shows_bounded_per_disk_decay() {
         let udg = generators::random_udg_in_square(4000, 6.0, 1.0, 7);
-        let census = lemma_5_2_census(&udg, 3);
+        let census = lemma_5_2_census(&udg, 3).unwrap();
         assert!(!census.is_empty());
         for c in &census {
             // Lemma 5.2 with a small constant δ: the survivors per disk
@@ -226,7 +233,7 @@ mod tests {
     #[test]
     fn census_on_empty_deployment() {
         let udg = ftclust_graphs::UnitDiskGraph::build(vec![], 1.0).unwrap();
-        assert!(lemma_5_2_census(&udg, 0).is_empty());
+        assert!(lemma_5_2_census(&udg, 0).unwrap().is_empty());
     }
 
     #[test]

@@ -42,18 +42,71 @@
 //! # Ok::<(), ftclust_core::KmdsError>(())
 //! ```
 
-mod part1;
-mod part2;
-
 pub mod analysis;
 pub mod protocol;
 
-pub(crate) use part1::run_part1;
-pub use part1::theta_schedule;
-pub(crate) use part2::{run_part2, select_promotions, RngSource};
-
 use crate::{DominatingSet, KmdsError};
-use ftclust_graphs::UnitDiskGraph;
+use ftclust_graphs::{NodeId, UnitDiskGraph};
+use rand::rngs::StdRng;
+use rand::Rng;
+
+/// The consideration-radius schedule `θ_1, …, θ_R` in **absolute** units
+/// (multiples of `radius`):
+///
+/// * `ξ = 3/2`, `R = max(1, ⌈log_ξ log₂ n⌉)` rounds,
+/// * `θ_i = min(1/2, 2^{i-1}·(log₂ n)^{-1/log₂ ξ}) · radius`.
+///
+/// The final `θ_R` always equals `radius/2`, so Lemma 5.1's coverage radius
+/// `2·θ_R = radius` holds exactly.
+pub fn theta_schedule(n: usize, radius: f64) -> Vec<f64> {
+    assert!(radius > 0.0, "radius must be positive");
+    let log2n = (n.max(4) as f64).log2(); // clamp so tiny n behave sanely
+    let xi: f64 = 1.5;
+    let rounds = ((log2n.ln() / xi.ln()).ceil() as usize).max(1);
+    let theta1 = log2n.powf(-1.0 / xi.log2());
+    let mut schedule: Vec<f64> = (0..rounds)
+        .map(|i| (2f64.powi(i as i32) * theta1).min(0.5) * radius)
+        .collect();
+    // Guarantee the last round reaches exactly radius/2 (the ceiling can
+    // leave it a shade below otherwise).
+    if let Some(last) = schedule.last_mut() {
+        *last = 0.5 * radius;
+    }
+    schedule
+}
+
+/// Picks up to `k` promotion targets from the (ascending) list of needy
+/// neighbors, per the configured rule. Shared by the protocol's Part II
+/// and by coverage repair, so both promote identically.
+pub(crate) fn select_promotions(
+    needy: &[NodeId],
+    coverage: impl Fn(NodeId) -> u32,
+    k: usize,
+    rule: PromotionRule,
+    rng: &mut StdRng,
+) -> Vec<NodeId> {
+    if needy.len() <= k {
+        return needy.to_vec();
+    }
+    match rule {
+        PromotionRule::LowestId => needy[..k].to_vec(),
+        PromotionRule::MostDeficient => {
+            let mut sorted = needy.to_vec();
+            sorted.sort_by_key(|&v| (coverage(v), v));
+            sorted.truncate(k);
+            sorted
+        }
+        PromotionRule::Random => {
+            let mut pool = needy.to_vec();
+            let mut chosen = Vec::with_capacity(k);
+            for _ in 0..k {
+                let idx = rng.random_range(0..pool.len());
+                chosen.push(pool.swap_remove(idx));
+            }
+            chosen
+        }
+    }
+}
 
 /// How Part I assigns the random identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -148,28 +201,17 @@ impl UdgAlgorithm {
         self.k
     }
 
-    /// Runs the in-memory engine.
+    /// Runs Algorithm 3 as the message-passing protocol on the plain
+    /// simulator ([`protocol::run_udg_protocol`]) and returns its outputs.
     ///
     /// # Errors
     ///
-    /// Returns [`KmdsError::IterationLimit`] if Part II fails to make
-    /// progress (impossible by Lemma 5.1; checked defensively).
+    /// Returns [`KmdsError::Sim`] if the protocol exceeds its round
+    /// budget. This happens when Part I leaves a node with no leader
+    /// neighbour (the θ schedule can sum past the radius), so Part II
+    /// can never promote it.
     pub fn run(&self, udg: &UnitDiskGraph) -> Result<UdgRun, KmdsError> {
-        let p1 = run_part1(udg, self.seed, self.id_mode);
-        let (set, part2_iterations) = run_part2(
-            udg.graph(),
-            &p1.leaders,
-            self.k,
-            RngSource::Streams(p1.rngs),
-            self.promotion,
-        )?;
-        Ok(UdgRun {
-            set,
-            leaders: p1.leaders,
-            part1_rounds: p1.rounds,
-            part2_iterations,
-            active_history: p1.active_history,
-        })
+        protocol::run_udg_protocol(udg, self).map(|r| r.run)
     }
 }
 
@@ -304,5 +346,124 @@ mod tests {
     #[should_panic(expected = "k must be at least 1")]
     fn zero_k_panics() {
         let _ = UdgAlgorithm::new(0);
+    }
+
+    #[test]
+    fn part2_stall_is_an_error() {
+        // Part I leaves a node with no leader neighbour here, so Part II
+        // never finishes and the protocol runs out of rounds. Bounding
+        // the θ schedule so that Σθ ≤ r flips this to `Ok`.
+        let s = 10_749_453_558_406_301_921;
+        let udg = generators::random_udg(300, 12.0, 1.0, s);
+        let out = UdgAlgorithm::new(2).seed(s).run(&udg);
+        assert!(matches!(out, Err(KmdsError::Sim(_))), "{out:?}");
+    }
+
+    #[test]
+    fn schedule_ends_at_half_radius() {
+        for n in [1usize, 2, 10, 100, 10_000, 1_000_000] {
+            for r in [1.0, 2.5] {
+                let s = theta_schedule(n, r);
+                assert!(!s.is_empty());
+                assert!((s.last().unwrap() - 0.5 * r).abs() < 1e-12, "n={n}");
+                // Doubling until the cap.
+                for w in s.windows(2) {
+                    assert!(w[1] >= w[0] - 1e-12);
+                    assert!(w[1] <= 2.0 * w[0] + 1e-12);
+                }
+                assert!(s.iter().all(|&t| t <= 0.5 * r + 1e-12));
+            }
+        }
+    }
+
+    #[test]
+    fn dense_clique_keeps_one_leader() {
+        // All nodes within θ₁ of each other: a single election winner
+        // survives every round.
+        let pts: Vec<_> = (0..50)
+            .map(|i| ftclust_geometry::Point::new(1e-6 * i as f64, 0.0))
+            .collect();
+        let udg = ftclust_graphs::UnitDiskGraph::build(pts, 1.0).unwrap();
+        let run = UdgAlgorithm::new(1).seed(3).run(&udg).unwrap();
+        assert_eq!(run.leaders.len(), 1);
+    }
+
+    #[test]
+    fn isolated_nodes_all_become_leaders() {
+        let pts: Vec<_> = (0..6)
+            .map(|i| ftclust_geometry::Point::new(5.0 * i as f64, 0.0))
+            .collect();
+        let udg = ftclust_graphs::UnitDiskGraph::build(pts, 1.0).unwrap();
+        let run = UdgAlgorithm::new(1).run(&udg).unwrap();
+        assert_eq!(run.leaders.len(), 6);
+    }
+
+    #[test]
+    fn lemma_5_1_leaders_dominate() {
+        for seed in 0..5 {
+            let udg = generators::random_udg(500, 9.0, 1.0, 100 + seed);
+            let run = UdgAlgorithm::new(1).seed(seed).run(&udg).unwrap();
+            assert!(
+                is_k_dominating(udg.graph(), &run.leaders, 1, Semantics::Strict),
+                "Lemma 5.1 violated at seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn sparsification_shrinks_dense_deployments() {
+        // 2000 nodes in a 4×4 area (radius 1): the leader density is
+        // governed by the area (Lemma 5.5: O(1) per radius-1/2 disk ⇒
+        // a few dozen overall), not by n.
+        let udg = generators::random_udg_in_square(2000, 4.0, 1.0, 8);
+        let run = UdgAlgorithm::new(1).seed(1).run(&udg).unwrap();
+        assert!(
+            run.leaders.len() < 200,
+            "no sparsification: {} leaders in a 16-unit² area",
+            run.leaders.len()
+        );
+    }
+
+    #[test]
+    fn fixed_ids_still_dominate() {
+        let udg = generators::random_udg(300, 10.0, 1.0, 12);
+        let run = UdgAlgorithm::new(1)
+            .seed(2)
+            .id_mode(IdMode::FixedAtStart)
+            .run(&udg)
+            .unwrap();
+        assert!(is_k_dominating(
+            udg.graph(),
+            &run.leaders,
+            1,
+            Semantics::Strict
+        ));
+    }
+
+    #[test]
+    fn select_promotions_rules() {
+        let needy: Vec<NodeId> = [1u32, 2, 3, 4].into_iter().map(NodeId::new).collect();
+        let cov = |v: NodeId| match v.raw() {
+            2 => 0u32,
+            4 => 1,
+            _ => 5,
+        };
+        let mut rng = ftclust_netsim::node_rng(0, NodeId::new(0));
+        assert_eq!(
+            select_promotions(&needy, cov, 2, PromotionRule::LowestId, &mut rng),
+            vec![NodeId::new(1), NodeId::new(2)]
+        );
+        assert_eq!(
+            select_promotions(&needy, cov, 2, PromotionRule::MostDeficient, &mut rng),
+            vec![NodeId::new(2), NodeId::new(4)]
+        );
+        let random = select_promotions(&needy, cov, 2, PromotionRule::Random, &mut rng);
+        assert_eq!(random.len(), 2);
+        assert!(random.iter().all(|v| needy.contains(v)));
+        // Fewer needy than k: take all, regardless of rule.
+        assert_eq!(
+            select_promotions(&needy, cov, 9, PromotionRule::Random, &mut rng),
+            needy
+        );
     }
 }

@@ -20,14 +20,13 @@
 //! bit. This is the protocol whose maximum message size scales visibly as
 //! `Θ(log n)` in experiment E8.
 //!
-//! Seed-for-seed identical to the engine ([`super::UdgAlgorithm::run`]).
+//! This is the only implementation of Algorithm 3:
+//! [`super::UdgAlgorithm::run`] runs it on the plain simulator.
 
-use super::part1::{id_cap, theta_schedule};
-use super::part2::select_promotions;
-use super::{IdMode, PromotionRule, UdgAlgorithm, UdgRun};
+use super::{select_promotions, theta_schedule, IdMode, PromotionRule, UdgAlgorithm, UdgRun};
 use crate::{DominatingSet, KmdsError};
 use ftclust_graphs::{NodeId, UnitDiskGraph};
-use ftclust_netsim::exec::{completed_iterations, Executor, Phase, Stack};
+use ftclust_netsim::exec::{completed_iterations, Executor, Phase, Run, Stack};
 use ftclust_netsim::{
     bits_for_ids, Context, Control, Envelope, EventLog, Metrics, NodeLogic, Payload, Topology,
 };
@@ -72,6 +71,11 @@ impl Payload for UdgMsg {
     }
 }
 
+/// The u64 cap for the paper's identifier range `[1, n⁴]`.
+fn id_cap(n: usize) -> u64 {
+    (n.max(2) as u128).pow(4).min(u64::MAX as u128) as u64
+}
+
 /// Per-node protocol state for Algorithm 3.
 #[derive(Debug)]
 pub struct UdgNode {
@@ -96,6 +100,12 @@ pub struct UdgNode {
 impl UdgNode {
     fn part1_rounds(&self) -> u64 {
         self.schedule.len() as u64
+    }
+
+    /// Whether the node was still active after `i` Part I rounds
+    /// (`i = 0` is the start, when every node is active).
+    fn active_after(&self, i: u32) -> bool {
+        self.passive_after.map_or(true, |p| p > i)
     }
 }
 
@@ -232,7 +242,7 @@ impl NodeLogic for UdgNode {
 /// Result of a metered Algorithm 3 execution.
 #[derive(Debug, Clone)]
 pub struct UdgProtocolRun {
-    /// The algorithm outputs (identical to the engine's).
+    /// The algorithm outputs, as [`UdgAlgorithm::run`] returns them.
     pub run: UdgRun,
     /// Rounds, messages and bits used.
     pub metrics: Metrics,
@@ -279,8 +289,8 @@ fn empty_udg_run() -> UdgProtocolRun {
 /// above. When the transport is engaged, drops and outage windows add
 /// metered retransmissions but leave the computed set, leaders and
 /// iteration counts seed-for-seed identical to the lossless run's
-/// (asserted against the engine by the `strict-invariants` feature,
-/// which also reconciles the log's rollups against the metrics); the
+/// (asserted by the `strict-invariants` feature, which also audits
+/// Part I and reconciles the log's rollups against the metrics); the
 /// Part II iteration count is derived from the transport's **logical**
 /// round count, which loss cannot inflate.
 ///
@@ -299,12 +309,50 @@ pub fn run_udg_stack(
         let log = stack.is_traced().then(EventLog::new);
         return Ok((empty_udg_run(), log));
     }
+    let _transported = stack.engages_transport();
+    let run = execute(udg, config, stack)?;
+    let part1_rounds = run.logics[0].part1_rounds() as u32;
+    let assembled = assemble_run(part1_rounds, run.logical_rounds, &run.logics);
+    #[cfg(feature = "strict-invariants")]
+    {
+        let schedule = &run.logics[0].schedule;
+        crate::audit::part1_invariants(
+            udg,
+            &active_masks(&run.logics, part1_rounds),
+            assembled.leaders.as_members(),
+            schedule.iter().sum(),
+        );
+        if _transported {
+            crate::audit::loss_transparent("Algorithm 3", &assembled, &config.run(udg)?);
+        }
+        if let Some(log) = &run.log {
+            if let Err(e) = log.reconcile(&run.metrics) {
+                unreachable!("trace rollups diverged from Metrics: {e}");
+            }
+        }
+    }
+    Ok((
+        UdgProtocolRun {
+            run: assembled,
+            metrics: run.metrics,
+        },
+        run.log,
+    ))
+}
+
+/// Executes the protocol on a non-empty deployment and returns the
+/// executor's [`Run`]: the final node states, metrics and log.
+pub(crate) fn execute(
+    udg: &UnitDiskGraph,
+    config: &UdgAlgorithm,
+    stack: Stack,
+) -> Result<Run<UdgNode>, KmdsError> {
+    let n = udg.node_count();
     let schedule = theta_schedule(n, udg.radius());
     let part1_rounds = schedule.len() as u32;
     let cap = id_cap(n);
     let id_bits = (4 * bits_for_ids(n.max(2))) as u16;
     let budget = 2 * u64::from(part1_rounds) + 3 * (n as u64 + 2) + 8;
-    let _transported = stack.engages_transport();
     let run = Executor::new(
         Topology::from_udg(udg),
         |_: NodeId| UdgNode {
@@ -327,25 +375,16 @@ pub fn run_udg_stack(
     .stack(stack)
     .phases(udg_phases(part1_rounds))
     .run(budget)?;
-    let assembled = assemble_run(part1_rounds, run.logical_rounds, run.logics.iter());
-    #[cfg(feature = "strict-invariants")]
-    {
-        if _transported {
-            crate::audit::loss_transparent("Algorithm 3", &assembled, &config.run(udg)?);
-        }
-        if let Some(log) = &run.log {
-            if let Err(e) = log.reconcile(&run.metrics) {
-                unreachable!("trace rollups diverged from Metrics: {e}");
-            }
-        }
-    }
-    Ok((
-        UdgProtocolRun {
-            run: assembled,
-            metrics: run.metrics,
-        },
-        run.log,
-    ))
+    Ok(run)
+}
+
+/// Part I's active masks from the final node states: entry `i`
+/// (`0 ..= part1_rounds`) marks the nodes still active after `i` rounds,
+/// so entry 0 is every node and the last entry is the leaders.
+pub(crate) fn active_masks(nodes: &[UdgNode], part1_rounds: u32) -> Vec<Vec<bool>> {
+    (0..=part1_rounds)
+        .map(|i| nodes.iter().map(|v| v.active_after(i)).collect())
+        .collect()
 }
 
 /// Runs **Algorithm 3** as a message-passing protocol with distance
@@ -367,23 +406,11 @@ pub fn run_udg_protocol(
 /// nodes* (equal to the simulator rounds in a lossless run, and to the
 /// transport's logical-round count in a lossy one), from which the
 /// Part II iteration count is derived.
-fn assemble_run<'n>(
-    part1_rounds: u32,
-    logical_rounds: u64,
-    nodes: impl Iterator<Item = &'n UdgNode>,
-) -> UdgRun {
-    let mut leaders = Vec::new();
-    let mut members = Vec::new();
-    let mut passive_after = Vec::new();
-    for node in nodes {
-        members.push(node.leader);
-        leaders.push(node.passive_after.is_none());
-        passive_after.push(node.passive_after.unwrap_or(u32::MAX));
-    }
-    // Reconstruct the per-round active counts: a node is active after
-    // paper round i (1-based) iff passive_after > i.
+fn assemble_run(part1_rounds: u32, logical_rounds: u64, nodes: &[UdgNode]) -> UdgRun {
+    let members = nodes.iter().map(|v| v.leader).collect();
+    let leaders = nodes.iter().map(|v| v.passive_after.is_none()).collect();
     let active_history: Vec<usize> = (1..=part1_rounds)
-        .map(|i| passive_after.iter().filter(|&&p| p > i).count())
+        .map(|i| nodes.iter().filter(|v| v.active_after(i)).count())
         .collect();
     // Part I occupies 2·part1_rounds logical rounds, each Part II
     // iteration a 3-round cycle, and the final cycle is the all-quiet one
@@ -406,41 +433,114 @@ mod tests {
     use ftclust_netsim::transport::TransportConfig;
     use ftclust_netsim::ChurnPlan;
 
+    /// FNV-1a over every output of a run: both member masks, both
+    /// counters and the active-count series.
+    fn run_digest(run: &UdgRun) -> u64 {
+        let members = |s: &DominatingSet| -> Vec<u8> {
+            s.as_members().iter().map(|&b| u8::from(b)).collect()
+        };
+        members(&run.set)
+            .into_iter()
+            .chain(members(&run.leaders))
+            .chain(run.part1_rounds.to_le_bytes())
+            .chain(run.part2_iterations.to_le_bytes())
+            .chain(
+                run.active_history
+                    .iter()
+                    .flat_map(|&a| (a as u64).to_le_bytes()),
+            )
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// Outputs recorded from the in-memory engine this protocol replaced
+    /// (the two agreed on every case): `(|set|, |leaders|, part II
+    /// iterations, run_digest)`.
     #[test]
-    fn protocol_equals_engine() {
-        for (k, rule) in [
-            (1u32, PromotionRule::LowestId),
-            (2, PromotionRule::LowestId),
-            (3, PromotionRule::MostDeficient),
-            (2, PromotionRule::Random),
+    fn outputs_match_the_recorded_engine_runs() {
+        use IdMode::{FixedAtStart as Fixed, FreshPerRound as Fresh};
+        use PromotionRule::{LowestId, MostDeficient, Random};
+        let udg = generators::random_udg(200, 9.0, 1.0, 77);
+        for (k, rule, mode, pin) in [
+            (1u32, LowestId, Fresh, (76, 76, 0, 0xf34c_2752_d786_7629)),
+            (1, LowestId, Fixed, (82, 82, 0, 0xbded_2c57_6f4a_1c89)),
+            (2, LowestId, Fresh, (81, 76, 1, 0x2ab5_6caf_b454_6f7b)),
+            (2, LowestId, Fixed, (86, 82, 1, 0xd0e1_e784_0d13_5346)),
+            (3, MostDeficient, Fresh, (104, 76, 1, 0xb0d5_0781_4b1b_13b4)),
+            (3, MostDeficient, Fixed, (100, 82, 1, 0xa2a5_a23f_b32e_e57a)),
+            (2, Random, Fresh, (81, 76, 1, 0x2ab5_6caf_b454_6f7b)),
+            (2, Random, Fixed, (86, 82, 1, 0xd0e1_e784_0d13_5346)),
         ] {
-            for mode in [IdMode::FreshPerRound, IdMode::FixedAtStart] {
-                let udg = generators::random_udg(200, 9.0, 1.0, 77);
-                let config = UdgAlgorithm::new(k).seed(5).promotion(rule).id_mode(mode);
-                let engine = config.run(&udg).unwrap();
-                let proto = run_udg_protocol(&udg, &config).unwrap().run;
-                assert_eq!(engine, proto, "divergence for k={k}, {rule:?}, {mode:?}");
-            }
+            let config = UdgAlgorithm::new(k).seed(5).promotion(rule).id_mode(mode);
+            let run = run_udg_protocol(&udg, &config).unwrap().run;
+            let got = (
+                run.set.len(),
+                run.leaders.len(),
+                run.part2_iterations,
+                run_digest(&run),
+            );
+            assert_eq!(got, pin, "k={k}, {rule:?}, {mode:?}");
+        }
+        for (seed, k, pin) in [
+            (42u64, 1u32, (156, 156, 0, 0xe061_1fe2_1678_f937)),
+            (7, 2, (173, 167, 1, 0xead6_4096_ed55_ce16)),
+            (1234, 3, (190, 146, 1, 0xd822_a800_ee98_6b69)),
+        ] {
+            let udg = generators::random_udg(350, 9.0, 1.0, seed);
+            let config = UdgAlgorithm::new(k).seed(seed ^ 0x5eed);
+            let run = run_udg_protocol(&udg, &config).unwrap().run;
+            let got = (
+                run.set.len(),
+                run.leaders.len(),
+                run.part2_iterations,
+                run_digest(&run),
+            );
+            assert_eq!(got, pin, "seed {seed}, k={k}");
         }
     }
 
     #[test]
-    fn lossy_execution_matches_engine() {
+    fn lossy_execution_matches_lossless() {
         let udg = generators::random_udg(120, 8.0, 1.0, 21);
         let config = UdgAlgorithm::new(2).seed(4);
-        let engine = config.run(&udg).unwrap();
+        let lossless = run_udg_protocol(&udg, &config).unwrap().run;
         for p in [0.0, 0.05, 0.2] {
             let stack = Stack::new()
                 .churned(ChurnPlan::none().drop_probability(p))
                 .transport(TransportConfig::default());
             let (run, _) = run_udg_stack(&udg, &config, stack).unwrap();
-            assert_eq!(engine, run.run, "diverged at p = {p}");
+            assert_eq!(lossless, run.run, "diverged at p = {p}");
             if p == 0.0 {
                 assert_eq!(run.metrics.retransmits, 0);
             } else {
                 assert!(run.metrics.retransmits > 0);
             }
         }
+    }
+
+    #[test]
+    fn active_masks_follow_passive_rounds() {
+        let udg = generators::random_udg(200, 9.0, 1.0, 77);
+        let config = UdgAlgorithm::new(1).seed(5);
+        let nodes = execute(&udg, &config, Stack::new()).unwrap().logics;
+        let run = run_udg_protocol(&udg, &config).unwrap().run;
+        let masks = active_masks(&nodes, run.part1_rounds);
+        assert_eq!(masks.len(), run.part1_rounds as usize + 1);
+        assert!(masks[0].iter().all(|&a| a));
+        let counts: Vec<usize> = masks[1..]
+            .iter()
+            .map(|m| m.iter().filter(|&&a| a).count())
+            .collect();
+        assert_eq!(counts, run.active_history);
+        assert_eq!(masks.last().unwrap(), run.leaders.as_members());
+    }
+
+    #[test]
+    fn id_cap_saturates() {
+        assert_eq!(id_cap(2), 16);
+        assert_eq!(id_cap(10), 10_000);
+        assert_eq!(id_cap(100_000), u64::MAX); // 10²⁰ > u64::MAX
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Property tests for the packed bit-set coverage counter against the
-//! scalar `Vec<bool>` path it replaced, plus fixed-seed engine/protocol
-//! parity regressions guarding the bit-set conversions of the Algorithm 1
-//! and Algorithm 3 engines (PR 7).
+//! scalar `Vec<bool>` path it replaced, plus a fixed-seed engine/protocol
+//! parity regression guarding the bit-set conversion of the repair engine.
 
 use ftclust_core::bitset::{coverage_counts, BitSet};
 use ftclust_core::repair::{repair_coverage, run_repair_protocol, RepairConfig};
-use ftclust_core::udg::protocol::run_udg_protocol;
 use ftclust_core::udg::{PromotionRule, UdgAlgorithm};
 use ftclust_graphs::{generators, Graph, NodeId};
 use proptest::prelude::*;
@@ -72,33 +70,8 @@ fn degree_zero_nodes_count_only_themselves() {
     }
 }
 
-/// Fixed-seed parity regression: the bit-set engines must keep producing
-/// exactly what the (mask-free) message-passing protocols produce.
-#[test]
-fn udg_engine_protocol_parity_fixed_seeds() {
-    for (seed, k) in [(42u64, 1u32), (7, 2), (1234, 3)] {
-        let udg = generators::random_udg(350, 9.0, 1.0, seed);
-        let config = UdgAlgorithm::new(k).seed(seed ^ 0x5eed);
-        let engine = config.run(&udg).unwrap();
-        let proto = run_udg_protocol(&udg, &config).unwrap();
-        assert_eq!(engine.set, proto.run.set, "seed {seed} k {k}: set");
-        assert_eq!(
-            engine.leaders, proto.run.leaders,
-            "seed {seed} k {k}: leaders"
-        );
-        assert_eq!(
-            engine.part2_iterations, proto.run.part2_iterations,
-            "seed {seed} k {k}: iterations"
-        );
-        assert_eq!(
-            engine.active_history, proto.run.active_history,
-            "seed {seed} k {k}: active history"
-        );
-    }
-}
-
-/// Same regression for the repair engine (which now shares
-/// `coverage_counts` with Part II).
+/// Fixed-seed parity regression: the bit-set repair engine must keep
+/// producing exactly what the (mask-free) repair protocol produces.
 #[test]
 fn repair_engine_protocol_parity_fixed_seed() {
     let udg = generators::random_udg(300, 10.0, 1.0, 77);

@@ -4,10 +4,10 @@
 //! performance knob: every algorithm and protocol must produce
 //! **bit-for-bit** the same outputs at any number of worker threads.
 //! These tests pin that contract by running Algorithms 1–3 (engine and
-//! protocol forms) serially and at several awkward thread counts —
-//! including 7, which never divides the node counts evenly — across
-//! multiple master seeds, and comparing final states, metrics, and
-//! dominating sets for exact equality. The last property pins the
+//! protocol forms, where both exist) serially and at several awkward
+//! thread counts — including 7, which never divides the node counts
+//! evenly — across multiple master seeds, and comparing final states,
+//! metrics, and dominating sets for exact equality. The last property pins the
 //! simulator's publication fast path against its envelope path.
 
 use ftclust::core::fractional::protocol::run_fractional_protocol;
@@ -124,23 +124,16 @@ fn rounding_is_thread_invariant() {
     }
 }
 
-/// Algorithm 3 (engine + protocol): leader election and promotion use
-/// per-node RNG streams; the elected sets, dominating sets, and
-/// metrics must be identical at every thread count.
+/// Algorithm 3: leader election and promotion use per-node RNG streams;
+/// the elected sets, dominating sets, and metrics must be identical at
+/// every thread count.
 #[test]
 fn udg_algorithm_is_thread_invariant() {
     for &seed in SEEDS {
         let udg = generators::random_udg_in_square(500, 8.0, 1.0, seed);
         let config = UdgAlgorithm::new(2).seed(seed);
-        let reference = with_threads(1, || config.run(&udg).expect("udg run"));
         let proto_ref = with_threads(1, || run_udg_protocol(&udg, &config).expect("protocol"));
-        assert_eq!(reference, proto_ref.run);
         for &t in THREADS {
-            let parallel = with_threads(t, || config.run(&udg).expect("udg run"));
-            assert_eq!(
-                reference, parallel,
-                "udg engine diverged at seed={seed}, threads={t}"
-            );
             let proto = with_threads(t, || run_udg_protocol(&udg, &config).expect("protocol"));
             assert_eq!(
                 proto_ref.run, proto.run,

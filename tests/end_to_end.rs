@@ -69,13 +69,25 @@ fn three_execution_modes_agree_exactly() {
     assert_eq!(engine, asynchronous);
 }
 
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[test]
 fn udg_protocol_and_engine_agree_on_clustered_deployments() {
     let udg = generators::clustered_udg(250, 5, 10.0, 0.7, 1.0, 31);
     let config = UdgAlgorithm::new(2).seed(12);
-    let engine = config.run(&udg).unwrap();
     let proto = run_udg_protocol(&udg, &config).unwrap();
-    assert_eq!(engine, proto.run);
+    // The in-memory engine, since deleted, computed exactly this run.
+    let run = &proto.run;
+    assert_eq!(run.active_history, [242, 234, 201, 134, 71, 55]);
+    assert_eq!((run.part1_rounds, run.part2_iterations), (6, 0));
+    assert_eq!(run.leaders, run.set);
+    let members = run.set.as_members().iter().map(|&b| u8::from(b));
+    assert_eq!(fnv1a(members), 0x72dd_8c15_5353_969c);
     // Communication stays within the model's budget.
     assert!(proto.metrics.max_message_bits <= 1 + 4 * 16);
 }

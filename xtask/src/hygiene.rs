@@ -1,7 +1,7 @@
 //! Source-hygiene pass: forbidden macros/methods in library code and
 //! float equality in the numeric crates.
 //!
-//! Rules (applied to library sources only — binaries, examples, benches
+//! Rules (applied to library sources only — binaries, examples, tests
 //! and `#[cfg(test)]` modules are exempt):
 //!
 //! * **no-panic-paths** — `.unwrap()`, `.expect(`, `panic!(`, `todo!(`

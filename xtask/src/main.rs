@@ -23,7 +23,7 @@
 //!    grammar for every escape hatch; stale waivers are hard errors.
 //!
 //! The walk covers library sources, binaries (`src/bin`), integration
-//! tests (`tests/`), examples, benches, and this tool's own sources
+//! tests (`tests/`), examples, and this tool's own sources
 //! (self-hosting), with per-scope rule sets: test code may `unwrap`,
 //! nothing may read wall clocks.
 //!
@@ -84,7 +84,7 @@ pub(crate) enum Scope {
     /// Binaries (`src/bin`): may panic on bad CLI input, but stay
     /// deterministic.
     Bin,
-    /// Integration tests and benches: may `unwrap`, but must not read
+    /// Integration tests: may `unwrap`, but must not read
     /// wall clocks, the environment, or ambient entropy.
     Test,
     /// Examples: same contract as tests.
@@ -133,7 +133,6 @@ const SCOPED_TREES: &[(&str, Scope)] = &[
     ("src/bin", Scope::Bin),
     ("crates/bench/src/bin", Scope::Bin),
     ("tests", Scope::Test),
-    ("crates/bench/benches", Scope::Test),
     ("examples", Scope::Example),
     ("xtask/src", Scope::Xtask),
 ];
