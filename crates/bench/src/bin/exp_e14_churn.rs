@@ -30,9 +30,7 @@ use ftclust_core::udg::UdgAlgorithm;
 use ftclust_core::validate::{is_k_dominating, Semantics};
 use ftclust_core::DominatingSet;
 use ftclust_graphs::{Graph, NodeId};
-use ftclust_netsim::{
-    ChurnPlan, Context, Control, Envelope, NodeLogic, Payload, Simulator, Topology,
-};
+use ftclust_netsim::{ChurnPlan, Context, Control, Inbox, NodeLogic, Payload, Simulator, Topology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -57,7 +55,7 @@ struct Heartbeat {
 impl NodeLogic for Heartbeat {
     type Payload = Beacon;
 
-    fn on_round(&mut self, inbox: &[Envelope<Beacon>], ctx: &mut Context<'_, Beacon>) -> Control {
+    fn on_round(&mut self, inbox: Inbox<'_, Beacon>, ctx: &mut Context<'_, Beacon>) -> Control {
         self.heard.clear();
         self.heard.extend(inbox.iter().map(|e| e.from));
         ctx.broadcast(Beacon);

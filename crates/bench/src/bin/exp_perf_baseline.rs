@@ -8,7 +8,15 @@
 //! marked `oversubscribed` — their timing is scheduler noise, and they
 //! are excluded from `speedup_at_largest_n`.
 //!
-//! Emits a machine-readable `BENCH.json` (schema v4; also printed to
+//! A second section, `alg12`, times Algorithms 1+2 both ways on
+//! `gnp(n, 10/n, 42)` with `k = 2`, `t = 3` and one thread, at
+//! `n ∈ {1k, 10k, 100k}`: the in-memory engine (`GeneralPipeline::run`)
+//! beside the message-passing protocols (`run_fractional_stack` then
+//! `run_rounding_stack`). It asserts that both produce the same set and
+//! reports the median wall time of each and their ratio, the figure
+//! that decides when the engine can be deleted.
+//!
+//! Emits a machine-readable `BENCH.json` (schema v5; also printed to
 //! stdout) so perf changes have a trajectory to be measured against.
 //! Graph construction happens once per `n` and is shared by every
 //! thread row, so it is reported in the per-`n` `graph_build` section
@@ -31,17 +39,23 @@
 //! cargo run --release -p ftclust-bench --bin exp_perf_baseline -- --smoke # CI-sized
 //! ```
 //!
-//! `--smoke` shrinks the sweep (n ∈ {1k, 5k}, threads {1, 2}, one trial)
-//! so CI can exercise the whole path in seconds. `--digest <path>` writes
-//! an FNV-1a digest of every final state vector; CI runs the smoke sweep
-//! under different `FTCLUST_THREADS` settings and diffs the digest files
-//! to pin cross-process determinism.
+//! `--smoke` shrinks the sweep (n ∈ {1k, 5k}, threads {1, 2}, one trial;
+//! `alg12` at n = 1k only) so CI can exercise the whole path in seconds.
+//! `--digest <path>` writes an FNV-1a digest of every final state
+//! vector; CI runs the smoke sweep under different `FTCLUST_THREADS`
+//! settings and diffs the digest files to pin cross-process determinism.
 
 use ftclust_bench::families::Family;
 use ftclust_bench::stats::median;
-use ftclust_netsim::{
-    Context, Control, Envelope, EventLog, NodeLogic, Payload, Simulator, Topology,
-};
+use ftclust_core::fractional::protocol::run_fractional_stack;
+use ftclust_core::fractional::FractionalParams;
+use ftclust_core::general::GeneralPipeline;
+use ftclust_core::rounding::protocol::run_rounding_stack;
+use ftclust_core::rounding::RoundingParams;
+use ftclust_core::{DominatingSet, Instance};
+use ftclust_graphs::generators;
+use ftclust_netsim::exec::Stack;
+use ftclust_netsim::{Context, Control, EventLog, Inbox, NodeLogic, Payload, Simulator, Topology};
 use ftclust_par as par;
 use rand::Rng;
 use std::fmt::Write as _;
@@ -69,7 +83,7 @@ struct Gossip {
 impl NodeLogic for Gossip {
     type Payload = Token;
 
-    fn on_round(&mut self, inbox: &[Envelope<Token>], ctx: &mut Context<'_, Token>) -> Control {
+    fn on_round(&mut self, inbox: Inbox<'_, Token>, ctx: &mut Context<'_, Token>) -> Control {
         if ctx.round() == 0 {
             self.best = ctx.rng().random();
         }
@@ -157,6 +171,67 @@ fn json_row(m: &Measurement) -> String {
         m.envelopes_per_sec,
         m.oversubscribed
     )
+}
+
+/// Demand `k` and trade-off parameter `t` of the `alg12` section.
+const ALG12_K: u32 = 2;
+const ALG12_T: u32 = 3;
+
+/// One `alg12` row: median wall times of the Algorithm 1+2 engine and
+/// protocols on one graph.
+struct Alg12Row {
+    n: u32,
+    engine_secs: f64,
+    protocol_secs: f64,
+}
+
+/// Times `GeneralPipeline::run` against `run_fractional_stack` +
+/// `run_rounding_stack` on `gnp(n, 10/n, 42)` at one thread, after
+/// checking that both produce the same set.
+fn alg12_row(n: u32, trials: usize) -> Alg12Row {
+    let g = generators::gnp(n, 10.0 / f64::from(n), 42);
+    let inst = Instance::uniform_clamped(&g, ALG12_K);
+    let params = FractionalParams::new(ALG12_T);
+    let engine = || -> DominatingSet {
+        let run = GeneralPipeline::new(ALG12_T).run(&inst);
+        run.expect("the engine solves gnp inputs").set
+    };
+    let protocol = || -> DominatingSet {
+        let (frac, _) = run_fractional_stack(&inst, &params, Stack::new())
+            .expect("Algorithm 1 runs within its round budget");
+        let (round, _) = run_rounding_stack(
+            &inst,
+            &frac.solution.x,
+            frac.solution.delta,
+            0,
+            &RoundingParams::default(),
+            Stack::new(),
+        )
+        .expect("Algorithm 2 runs within its round budget");
+        round.outcome.set
+    };
+    let median_secs = |f: &dyn Fn() -> DominatingSet| {
+        let walls: Vec<f64> = (0..trials)
+            .map(|_| {
+                let start = Instant::now(); // lint: wall-clock — wall time is this benchmark’s measured output
+                std::hint::black_box(f());
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
+        median(&walls)
+    };
+    par::with_threads(1, || {
+        assert_eq!(
+            engine(),
+            protocol(),
+            "Algorithm 1+2 engine and protocol sets differ at n={n}"
+        );
+        Alg12Row {
+            n,
+            engine_secs: median_secs(&engine),
+            protocol_secs: median_secs(&protocol),
+        }
+    })
 }
 
 /// Re-runs the smallest workload with an [`EventLog`] tracer attached
@@ -303,13 +378,35 @@ fn main() {
              speedup_at_largest_n is null (reason: oversubscribed_host)"
         );
     }
+    let alg12_sizes: &[u32] = if smoke {
+        &[1_000]
+    } else {
+        &[1_000, 10_000, 100_000]
+    };
+    let alg12_trials = if smoke { 1 } else { 7 };
+    let alg12_body = alg12_sizes
+        .iter()
+        .map(|&n| {
+            let row = alg12_row(n, alg12_trials);
+            let ratio = row.protocol_secs / row.engine_secs.max(1e-9);
+            eprintln!(
+                "  alg12 n={n:>7}: engine {:.4}s, protocol {:.4}s, ratio {ratio:.2}",
+                row.engine_secs, row.protocol_secs
+            );
+            format!(
+                "      {{\"n\": {}, \"engine_secs\": {:.6}, \"protocol_secs\": {:.6}, \"ratio\": {ratio:.3}}}",
+                row.n, row.engine_secs, row.protocol_secs
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
     let builds_body = graph_builds
         .iter()
         .map(|&(n, secs)| format!("    {{\"n\": {n}, \"graph_build_secs\": {secs:.6}}}"))
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"schema\": \"ftclust-perf-baseline-v4\",\n  \"workload\": \"gossip-min-flood-rgg\",\n  \"smoke\": {smoke},\n  \"host_logical_cpus\": {host_logical_cpus},\n  \"max_threads\": {max_threads},\n  \"speedup_at_largest_n\": {speedup_json},\n  \"graph_build\": [\n{builds_body}\n  ],\n  \"results\": [\n{body}\n  ]\n}}\n"
+        "{{\n  \"schema\": \"ftclust-perf-baseline-v5\",\n  \"workload\": \"gossip-min-flood-rgg\",\n  \"smoke\": {smoke},\n  \"host_logical_cpus\": {host_logical_cpus},\n  \"max_threads\": {max_threads},\n  \"speedup_at_largest_n\": {speedup_json},\n  \"graph_build\": [\n{builds_body}\n  ],\n  \"results\": [\n{body}\n  ],\n  \"alg12\": {{\n    \"graph\": \"gnp(n, 10/n, 42)\",\n    \"k\": {ALG12_K},\n    \"t\": {ALG12_T},\n    \"threads\": 1,\n    \"trials\": {alg12_trials},\n    \"rows\": [\n{alg12_body}\n    ]\n  }}\n}}\n"
     );
     print!("{json}");
     match std::fs::write("BENCH.json", &json) {

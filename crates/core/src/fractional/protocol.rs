@@ -27,8 +27,9 @@ use crate::{Instance, KmdsError};
 use ftclust_graphs::NodeId;
 use ftclust_netsim::exec::{Executor, Phase, Stack};
 use ftclust_netsim::{
-    bits_for_ids, Context, Control, Envelope, EventLog, Metrics, NodeLogic, Payload, Topology,
+    bits_for_ids, Context, Control, EventLog, Inbox, Metrics, NodeLogic, Payload, Topology,
 };
+use std::sync::Arc;
 
 /// Bits charged per transmitted numeric value (see the module docs).
 pub const VALUE_BITS: usize = 32;
@@ -72,12 +73,26 @@ impl Payload for LpMsg {
     }
 }
 
+/// The powers of `Δ+1` Algorithm 1 raises to: `(Δ+1)^{j/t}` for
+/// `j ∈ 0..t` (thresholds and the Lemma 4.1 bound, which is only checked
+/// after the first outer iteration, so `j = t` never occurs), then
+/// `(Δ+1)^{-j/t}` for `j ∈ 0..t` (the raises) at index `t + j`. Computed
+/// once per run and shared by every node; each entry is the `powf` the
+/// engine evaluates, on the same operands, so results stay bit-identical.
+fn power_table(t: u32, delta: usize) -> Arc<[f64]> {
+    let d1 = (delta + 1) as f64;
+    let up = (0..t).map(|j| d1.powf(j as f64 / t as f64));
+    let down = (0..t).map(|j| d1.powf(-(j as f64) / t as f64));
+    up.chain(down).collect()
+}
+
 /// Per-node protocol state for Algorithm 1.
 #[derive(Debug)]
 pub struct LpNode {
     k: f64,
     t: u32,
-    d1: f64,
+    /// The run's [`power_table`].
+    powers: Arc<[f64]>,
     x: f64,
     xplus: f64,
     cov: f64,
@@ -95,11 +110,11 @@ pub struct LpNode {
 }
 
 impl LpNode {
-    fn new(k: u32, t: u32, delta: usize) -> Self {
+    fn new(k: u32, t: u32, powers: Arc<[f64]>) -> Self {
         LpNode {
             k: k as f64,
             t,
-            d1: (delta + 1) as f64,
+            powers,
             x: 0.0,
             xplus: 0.0,
             cov: 0.0,
@@ -115,10 +130,10 @@ impl LpNode {
         }
     }
 
-    fn update_dyndeg(&mut self, inbox: &[Envelope<LpMsg>]) {
+    fn update_dyndeg(&mut self, inbox: Inbox<'_, LpMsg>) {
         let mut count = u32::from(self.white);
         for env in inbox {
-            match env.payload {
+            match *env.payload {
                 LpMsg::Color { white } => count += u32::from(white),
                 _ => unreachable!("expected Color messages"),
             }
@@ -130,7 +145,7 @@ impl LpNode {
 impl NodeLogic for LpNode {
     type Payload = LpMsg;
 
-    fn on_round(&mut self, inbox: &[Envelope<LpMsg>], ctx: &mut Context<'_, LpMsg>) -> Control {
+    fn on_round(&mut self, inbox: Inbox<'_, LpMsg>, ctx: &mut Context<'_, LpMsg>) -> Control {
         let r = ctx.round();
         let t = self.t as u64;
         let total_iters = t * t;
@@ -143,9 +158,9 @@ impl NodeLogic for LpNode {
         }
         if r <= 2 * total_iters {
             let m = (r - 1) / 2; // inner-loop iteration index
-            let p = (self.t - 1 - (m / t) as u32) as f64;
-            let q = (self.t - 1 - (m % t) as u32) as f64;
-            let threshold = self.d1.powf(p / self.t as f64);
+            let p = (t - 1 - m / t) as usize;
+            let q = (t - 1 - m % t) as usize;
+            let threshold = self.powers[p];
             if (r - 1) % 2 == 0 {
                 // Phase A: refresh δ̃ from the colors just received, then
                 // raise and share.
@@ -153,12 +168,12 @@ impl NodeLogic for LpNode {
                 // Lemma 4.1 measurement at the start of each outer
                 // iteration after the first.
                 if m % t == 0 && m > 0 {
-                    let bound = self.d1.powf((p + 1.0) / self.t as f64);
+                    let bound = self.powers[p + 1];
                     if self.x < 1.0 - 1e-12 && self.dyndeg as f64 > bound + 1e-9 {
                         self.lemma41_violations += 1;
                     }
                 }
-                let inc = self.d1.powf(-q / self.t as f64);
+                let inc = self.powers[t as usize + q];
                 self.xplus = if self.x < 1.0 - 1e-12 && (self.dyndeg as f64) >= threshold - 1e-9 {
                     let xp = inc.min(1.0 - self.x);
                     self.x += xp;
@@ -179,12 +194,12 @@ impl NodeLogic for LpNode {
                 if self.white {
                     let mut cplus = self.xplus;
                     for env in inbox {
-                        match env.payload {
+                        match *env.payload {
                             LpMsg::Share { xplus, .. } => cplus += xplus,
                             _ => unreachable!("expected Share messages"),
                         }
                     }
-                    let neighbor_xplus = inbox.iter().map(|env| match env.payload {
+                    let neighbor_xplus = inbox.iter().map(|env| match *env.payload {
                         LpMsg::Share { xplus, .. } => xplus,
                         _ => unreachable!(),
                     });
@@ -231,7 +246,7 @@ impl NodeLogic for LpNode {
         // ascending sender order, matching the engine's summation order.
         let mut z = self.alpha_self * self.y - self.beta_self;
         for env in inbox {
-            match env.payload {
+            match *env.payload {
                 LpMsg::Dual { alpha, beta, y } => z += alpha * y - beta,
                 _ => unreachable!("expected Dual messages"),
             }
@@ -348,9 +363,10 @@ pub fn run_fractional_stack(
     // The transport scales its physical ceiling from the exact logical
     // round count (2t² + 3); the synchronous budget carries slack.
     let budget = if _transported { 2 * t2 + 3 } else { 2 * t2 + 8 };
+    let powers = power_table(t, delta);
     let run = Executor::new(
         Topology::from_graph(g),
-        |v: NodeId| LpNode::new(inst.demand(v), t, delta),
+        |v: NodeId| LpNode::new(inst.demand(v), t, Arc::clone(&powers)),
         0,
     )
     .stack(stack)
@@ -450,9 +466,10 @@ pub fn run_fractional_async_stack(
     let t = params.t;
     let delta = params.resolve_delta(inst);
     let budget = 2 * (t as u64) * (t as u64) + 8;
+    let powers = power_table(t, delta);
     let (run, _) = Executor::new(
         Topology::from_graph(g),
-        |v: NodeId| LpNode::new(inst.demand(v), t, delta),
+        |v: NodeId| LpNode::new(inst.demand(v), t, Arc::clone(&powers)),
         0,
     )
     .stack(stack)
@@ -480,15 +497,19 @@ mod tests {
 
     #[test]
     fn protocol_equals_engine_bit_for_bit() {
+        // t up to 6 and the high-degree star reach every power-table
+        // entry: thresholds p, Lemma 4.1 bounds p + 1 and raises q, at
+        // both ends of each range.
         for (g, k) in [
             (generators::cycle(10), 2u32),
             (generators::gnp(40, 0.15, 3), 2),
             (generators::star(8), 1),
+            (generators::star(40), 2),
             (generators::grid_2d(5, 4), 3),
             (generators::empty(4), 1),
         ] {
             let inst = Instance::uniform_clamped(&g, k);
-            for t in [1, 2, 3] {
+            for t in 1..=6 {
                 let params = FractionalParams::new(t);
                 let engine = solve_fractional(&inst, &params).unwrap();
                 let proto = run_fractional_protocol(&inst, &params).unwrap().solution;

@@ -15,7 +15,7 @@ use crate::baselines::greedy_kmds;
 use crate::validate::Semantics;
 use crate::{DominatingSet, Instance, KmdsError};
 use ftclust_netsim::exec::{Executor, Phase, Stack};
-use ftclust_netsim::{Context, Control, Envelope, EventLog, NodeLogic, Payload, Topology};
+use ftclust_netsim::{Context, Control, EventLog, Inbox, NodeLogic, Payload, Topology};
 
 use super::PortfolioRun;
 
@@ -46,7 +46,7 @@ impl NodeLogic for GreedyNode {
 
     fn on_round(
         &mut self,
-        inbox: &[Envelope<GreedyMsg>],
+        inbox: Inbox<'_, GreedyMsg>,
         ctx: &mut Context<'_, GreedyMsg>,
     ) -> Control {
         if ctx.round() == 0 {

@@ -36,7 +36,7 @@ use crate::{DominatingSet, Instance, KmdsError};
 use ftclust_graphs::NodeId;
 use ftclust_netsim::exec::{Executor, Phase, Stack};
 use ftclust_netsim::{
-    bits_for_ids, Context, Control, Envelope, EventLog, NodeLogic, Payload, Topology,
+    bits_for_ids, Context, Control, EventLog, Inbox, NodeLogic, Payload, Topology,
 };
 
 use super::PortfolioRun;
@@ -158,11 +158,7 @@ impl CoverNode {
 impl NodeLogic for CoverNode {
     type Payload = CoverMsg;
 
-    fn on_round(
-        &mut self,
-        inbox: &[Envelope<CoverMsg>],
-        ctx: &mut Context<'_, CoverMsg>,
-    ) -> Control {
+    fn on_round(&mut self, inbox: Inbox<'_, CoverMsg>, ctx: &mut Context<'_, CoverMsg>) -> Control {
         match ctx.round() % 3 {
             0 => {
                 // Status round: fold in the joins announced last
@@ -171,7 +167,7 @@ impl NodeLogic for CoverNode {
                     self.nres = vec![u32::MAX; ctx.degree()];
                 } else {
                     for env in inbox {
-                        match env.payload {
+                        match *env.payload {
                             CoverMsg::Joined => self.covered += 1,
                             _ => unreachable!("status round expects Joined"),
                         }
@@ -186,7 +182,7 @@ impl NodeLogic for CoverNode {
                 // Candidacy round: refresh neighbor residuals, halt on
                 // a fully satisfied closed neighborhood, else bid.
                 for env in inbox {
-                    match env.payload {
+                    match *env.payload {
                         CoverMsg::Status { residual } => {
                             let o = match ctx.neighbors().binary_search(&env.from) {
                                 Ok(o) => o,
@@ -223,7 +219,7 @@ impl NodeLogic for CoverNode {
                 // rival candidate in its neighborhood.
                 if self.bidding {
                     let me = ctx.me();
-                    let wins = inbox.iter().all(|env| match env.payload {
+                    let wins = inbox.iter().all(|env| match *env.payload {
                         CoverMsg::Candidate => self.beats(me, env.from, 0),
                         CoverMsg::SpanBid { span } => self.beats(me, env.from, span),
                         _ => unreachable!("election round expects bids"),

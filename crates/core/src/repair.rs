@@ -106,7 +106,7 @@ use ftclust_graphs::{Graph, NodeId};
 use ftclust_netsim::exec::{completed_iterations, Executor, Phase, Stack};
 use ftclust_netsim::monitor::HealthMonitor;
 use ftclust_netsim::{
-    bits_for_ids, node_rng, Context, Control, Envelope, EventLog, Metrics, NodeLogic, Payload,
+    bits_for_ids, node_rng, Context, Control, EventLog, Inbox, Metrics, NodeLogic, Payload,
     Topology,
 };
 use ftclust_par as par;
@@ -452,7 +452,7 @@ impl NodeLogic for RepairNode {
 
     fn on_round(
         &mut self,
-        inbox: &[Envelope<RepairMsg>],
+        inbox: Inbox<'_, RepairMsg>,
         ctx: &mut Context<'_, RepairMsg>,
     ) -> Control {
         let r = ctx.round();
@@ -494,7 +494,7 @@ impl NodeLogic for RepairNode {
                 // themselves; a node with nothing needy in sight is done.
                 let needy: Vec<(NodeId, u32)> = inbox
                     .iter()
-                    .filter_map(|e| match e.payload {
+                    .filter_map(|e| match *e.payload {
                         RepairMsg::Deficit { cov } => Some((e.from, cov)),
                         _ => None,
                     })
@@ -824,7 +824,7 @@ impl NodeLogic for ContinuousRepairNode {
 
     fn on_round(
         &mut self,
-        inbox: &[Envelope<RepairMsg>],
+        inbox: Inbox<'_, RepairMsg>,
         ctx: &mut Context<'_, RepairMsg>,
     ) -> Control {
         let r = ctx.round();
@@ -844,7 +844,7 @@ impl NodeLogic for ContinuousRepairNode {
                 // duplicated beacon must not count as two dominators.
                 let mut members: Vec<NodeId> = inbox
                     .iter()
-                    .filter_map(|e| match e.payload {
+                    .filter_map(|e| match *e.payload {
                         RepairMsg::Beacon { member: true } => Some(e.from),
                         _ => None,
                     })
@@ -868,7 +868,7 @@ impl NodeLogic for ContinuousRepairNode {
             2 => {
                 let mut needy: Vec<(NodeId, u32)> = inbox
                     .iter()
-                    .filter_map(|e| match e.payload {
+                    .filter_map(|e| match *e.payload {
                         RepairMsg::Deficit { cov } => Some((e.from, cov)),
                         _ => None,
                     })

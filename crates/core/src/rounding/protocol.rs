@@ -15,7 +15,7 @@ use super::{select_repair_targets, RepairSelection, RoundingOutcome, RoundingPar
 use crate::{DominatingSet, Instance, KmdsError};
 use ftclust_graphs::NodeId;
 use ftclust_netsim::exec::{Executor, Phase, Stack};
-use ftclust_netsim::{Context, Control, Envelope, EventLog, Metrics, NodeLogic, Payload, Topology};
+use ftclust_netsim::{Context, Control, EventLog, Inbox, Metrics, NodeLogic, Payload, Topology};
 use rand::Rng;
 
 /// Wire messages of the rounding protocol.
@@ -55,7 +55,7 @@ impl NodeLogic for RoundingNode {
 
     fn on_round(
         &mut self,
-        inbox: &[Envelope<RoundingMsg>],
+        inbox: Inbox<'_, RoundingMsg>,
         ctx: &mut Context<'_, RoundingMsg>,
     ) -> Control {
         match ctx.round() {
@@ -78,7 +78,7 @@ impl NodeLogic for RoundingNode {
                     zeros.push(ctx.me());
                 }
                 for env in inbox {
-                    match env.payload {
+                    match *env.payload {
                         RoundingMsg::Flag { selected } => {
                             if selected {
                                 covered += 1;

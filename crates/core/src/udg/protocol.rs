@@ -28,7 +28,7 @@ use crate::{DominatingSet, KmdsError};
 use ftclust_graphs::{NodeId, UnitDiskGraph};
 use ftclust_netsim::exec::{completed_iterations, Executor, Phase, Run, Stack};
 use ftclust_netsim::{
-    bits_for_ids, Context, Control, Envelope, EventLog, Metrics, NodeLogic, Payload, Topology,
+    bits_for_ids, Context, Control, EventLog, Inbox, Metrics, NodeLogic, Payload, Topology,
 };
 use rand::Rng;
 
@@ -112,7 +112,7 @@ impl UdgNode {
 impl NodeLogic for UdgNode {
     type Payload = UdgMsg;
 
-    fn on_round(&mut self, inbox: &[Envelope<UdgMsg>], ctx: &mut Context<'_, UdgMsg>) -> Control {
+    fn on_round(&mut self, inbox: Inbox<'_, UdgMsg>, ctx: &mut Context<'_, UdgMsg>) -> Control {
         let r = ctx.round();
         let base = 2 * self.part1_rounds();
         if r < base {
@@ -153,7 +153,7 @@ impl NodeLogic for UdgNode {
                 // Phase 1: elect the maximum (id, node) among A_v ∪ {me}.
                 let mut best = (self.my_id, ctx.me());
                 for e in inbox {
-                    if let UdgMsg::Id { id, .. } = e.payload {
+                    if let UdgMsg::Id { id, .. } = *e.payload {
                         if (id, e.from) > best {
                             best = (id, e.from);
                         }
@@ -193,7 +193,7 @@ impl NodeLogic for UdgNode {
                 // Refresh cached neighbor statuses; halted neighbors sent
                 // nothing and their cached status is final.
                 for e in inbox {
-                    if let UdgMsg::Status { leader } = e.payload {
+                    if let UdgMsg::Status { leader } = *e.payload {
                         let Ok(pos) = ctx.neighbors().binary_search(&e.from) else {
                             unreachable!("inbox messages arrive only from neighbors");
                         };
@@ -212,7 +212,7 @@ impl NodeLogic for UdgNode {
                 // Collect needy neighbors (ascending by construction).
                 let needy: Vec<(NodeId, u32)> = inbox
                     .iter()
-                    .filter_map(|e| match e.payload {
+                    .filter_map(|e| match *e.payload {
                         UdgMsg::Needy { cov } => Some((e.from, cov)),
                         _ => None,
                     })

@@ -22,11 +22,12 @@
 //! Broadcasts need not go through the sorter at all. Next to the arena,
 //! each [`InboxArena`] holds one **publication slot** per sender: a node
 //! whose only output in a round was one broadcast leaves its payload
-//! there instead of `deg` envelopes, and [`InboxArena::gather`] rebuilds
-//! a receiver's inbox from its sorted neighbour list and its arena slice
-//! (see `DESIGN.md` §12, "Publication fast path").
+//! there instead of `deg` envelopes, and [`InboxArena::view`] hands a
+//! receiver an [`Inbox`] that merges its arena slice with the slots of
+//! its sorted neighbour list in place (see `DESIGN.md` §12, "Publication
+//! fast path").
 
-use crate::Envelope;
+use crate::{Envelope, Inbox};
 use ftclust_graphs::NodeId;
 
 /// Recipients per partition block: 2¹³ = 8192 nodes, a 32 KiB counting
@@ -76,19 +77,29 @@ impl<P> InboxArena<P> {
         &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
+    /// Node `i`'s inbox, in the order the envelope path delivers it:
+    /// ascending sender id, each sender's messages in send order.
+    ///
+    /// With no publication pending this is the arena slice itself.
+    /// Otherwise the view merges the slots of the sorted `neighbors` that
+    /// published with the arena slice, which is then sorted by sender
+    /// (senders run in id order, the sorter is stable, and only the
+    /// adversary's held envelopes, which disable publishing, are staged
+    /// out of order).
+    #[inline]
+    pub(crate) fn view<'s>(&'s self, i: usize, neighbors: &'s [NodeId]) -> Inbox<'s, P> {
+        if self.published_total == 0 {
+            Inbox::from_slice(self.inbox(i))
+        } else {
+            Inbox::merged(self.inbox(i), neighbors, &self.published)
+        }
+    }
+
     /// Number of messages queued for node `i`, whose sorted neighbour
     /// list is `neighbors`.
     #[inline]
     pub(crate) fn count(&self, i: usize, neighbors: &[NodeId]) -> u64 {
-        let direct = u64::from(self.offsets[i + 1] - self.offsets[i]);
-        if self.published_total == 0 {
-            return direct;
-        }
-        let published = neighbors
-            .iter()
-            .filter(|u| self.published[u.index()].is_some())
-            .count();
-        direct + published as u64
+        self.view(i, neighbors).len() as u64
     }
 
     /// Total messages held, publications included.
@@ -123,65 +134,6 @@ impl<P> InboxArena<P> {
     #[cfg(test)]
     pub(crate) fn slots_ptr(&self) -> *const Option<P> {
         self.published.as_ptr()
-    }
-}
-
-impl<P: Clone> InboxArena<P> {
-    /// Node `i`'s inbox, in the order the envelope path delivers it:
-    /// ascending sender id, each sender's messages in send order.
-    ///
-    /// With no publication pending, or none from `i`'s neighbours, this
-    /// is the arena slice itself. Otherwise the inbox is rebuilt in
-    /// `scratch` by merging the sorted `neighbors` that published with
-    /// the arena slice, which is already sorted by sender (senders run
-    /// in id order, and the sorter is stable). A publisher has no
-    /// envelopes of its own in the arena, so the merge has no ties.
-    pub(crate) fn gather<'s>(
-        &'s self,
-        i: usize,
-        neighbors: &[NodeId],
-        scratch: &'s mut Vec<Envelope<P>>,
-    ) -> &'s [Envelope<P>] {
-        if self.published_total == 0 {
-            return self.inbox(i);
-        }
-        self.gather_published(i, neighbors, scratch)
-    }
-
-    /// The merge behind [`InboxArena::gather`]. Kept out of line so only
-    /// the check above is inlined into the simulator's node loop, which
-    /// envelope-only runs (the transport and the fault layers) execute
-    /// every round without ever merging.
-    #[inline(never)]
-    fn gather_published<'s>(
-        &'s self,
-        i: usize,
-        neighbors: &[NodeId],
-        scratch: &'s mut Vec<Envelope<P>>,
-    ) -> &'s [Envelope<P>] {
-        let direct = self.inbox(i);
-        scratch.clear();
-        let mut rest = direct;
-        let mut merged = false;
-        for &u in neighbors {
-            let Some(payload) = &self.published[u.index()] else {
-                continue;
-            };
-            merged = true;
-            let before = rest.iter().take_while(|e| e.from < u).count();
-            scratch.extend_from_slice(&rest[..before]);
-            rest = &rest[before..];
-            scratch.push(Envelope {
-                from: u,
-                to: NodeId::new(i as u32),
-                payload: payload.clone(),
-            });
-        }
-        if !merged {
-            return direct;
-        }
-        scratch.extend_from_slice(rest);
-        scratch
     }
 }
 
@@ -282,6 +234,7 @@ impl<P> DeliverySorter<P> {
 mod tests {
     use super::*;
     use ftclust_graphs::NodeId;
+    use proptest::prelude::*;
 
     fn env(from: u32, to: u32, tag: u32) -> Envelope<u32> {
         Envelope {
@@ -365,8 +318,17 @@ mod tests {
         assert_eq!(arena.total(), 0);
     }
 
+    /// `(sender, tag)` of every message the view yields.
+    fn viewed(arena: &InboxArena<u32>, i: usize, neighbors: &[NodeId]) -> Vec<(u32, u32)> {
+        arena
+            .view(i, neighbors)
+            .iter()
+            .map(|m| (m.from.raw(), *m.payload))
+            .collect()
+    }
+
     #[test]
-    fn gather_merges_publications_by_sender() {
+    fn view_merges_publications_by_sender() {
         // Node 3 hears unicasts from 1 and 5 and a self-send through the
         // arena, and publications from its neighbours 2 and 4; 6 and 7
         // published too, but are not its neighbours.
@@ -382,18 +344,90 @@ mod tests {
         }
         arena.set_published_total(4);
         let neighbors: Vec<NodeId> = [1, 2, 4, 5].map(NodeId::new).to_vec();
-        let mut scratch = Vec::new();
-        let got: Vec<(u32, u32)> = arena
-            .gather(3, &neighbors, &mut scratch)
-            .iter()
-            .map(|e| (e.from.raw(), e.payload))
-            .collect();
-        assert_eq!(got, [(1, 10), (1, 11), (2, 20), (3, 12), (4, 21), (5, 13)]);
+        assert_eq!(
+            viewed(&arena, 3, &neighbors),
+            [(1, 10), (1, 11), (2, 20), (3, 12), (4, 21), (5, 13)]
+        );
+        assert_eq!(arena.view(3, &neighbors).len(), 6);
         assert_eq!(arena.count(3, &neighbors), 6);
         assert_eq!(arena.total(), 8);
-        // No published neighbour: the arena slice itself is the inbox.
-        let direct = arena.gather(1, &[NodeId::new(5)], &mut scratch);
-        assert!(std::ptr::eq(direct, arena.inbox(1)));
+        // The payloads are read in place, not copied.
+        let first_published = arena.view(3, &neighbors).iter().nth(2).unwrap();
+        assert!(std::ptr::eq(
+            first_published.payload,
+            arena.published[2].as_ref().unwrap()
+        ));
+        // No published neighbour: just the arena slice.
+        assert_eq!(viewed(&arena, 1, &[NodeId::new(5)]), []);
+        assert!(arena.view(1, &[NodeId::new(5)]).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// The view yields exactly the reference inbox: each publication
+        /// from a neighbour materialized as an envelope, then everything
+        /// stable-sorted by sender. `len` agrees with it.
+        #[test]
+        fn view_equals_stable_sorted_materialization(
+            n in 1usize..=64,
+            adjacency in proptest::collection::vec(0u64..u64::MAX, 64),
+            publishers in 0u64..u64::MAX,
+            sends in proptest::collection::vec((0usize..64, 0usize..64), 0..256),
+        ) {
+            let publishes = |u: usize| (publishers >> u) & 1 == 1;
+            let neighbors: Vec<Vec<NodeId>> = (0..n)
+                .map(|i| {
+                    (0..n)
+                        .filter(|&u| u != i && (adjacency[i] >> u) & 1 == 1)
+                        .map(|u| NodeId::new(u as u32))
+                        .collect()
+                })
+                .collect();
+            // Arena traffic from non-publishers, staged in sender order
+            // as the merge stages the shard outboxes.
+            let mut staged: Vec<Envelope<u32>> = sends
+                .iter()
+                .enumerate()
+                .filter(|&(_, &(from, to))| from < n && to < n && !publishes(from))
+                .map(|(tag, &(from, to))| env(from as u32, to as u32, tag as u32))
+                .collect();
+            staged.sort_by_key(|e| e.from);
+            let mut sorter = DeliverySorter::new(n);
+            let mut arena = InboxArena::new(n);
+            for e in &staged {
+                sorter.push(e.clone());
+            }
+            sorter.finish(n, &mut arena);
+            let slots = arena.open_slots();
+            for (u, slot) in slots.iter_mut().enumerate() {
+                if publishes(u) {
+                    *slot = Some(1000 + u as u32);
+                }
+            }
+            let published: u64 = neighbors
+                .iter()
+                .map(|nb| nb.iter().filter(|u| publishes(u.index())).count() as u64)
+                .sum();
+            arena.set_published_total(published);
+            for (i, nb) in neighbors.iter().enumerate() {
+                let mut want: Vec<(u32, u32)> = nb
+                    .iter()
+                    .filter(|u| publishes(u.index()))
+                    .map(|u| (u.raw(), 1000 + u.raw()))
+                    .chain(
+                        staged
+                            .iter()
+                            .filter(|e| e.to.index() == i)
+                            .map(|e| (e.from.raw(), e.payload)),
+                    )
+                    .collect();
+                want.sort_by_key(|&(from, _)| from);
+                prop_assert_eq!(viewed(&arena, i, nb), want.clone());
+                prop_assert_eq!(arena.view(i, nb).len(), want.len());
+                prop_assert_eq!(arena.view(i, nb).is_empty(), want.is_empty());
+            }
+            prop_assert_eq!(arena.total(), staged.len() as u64 + published);
+        }
     }
 
     #[test]

@@ -265,7 +265,7 @@ pub struct Run<L> {
 ///
 /// ```
 /// use ftclust_netsim::exec::{Executor, Phase, Stack};
-/// # use ftclust_netsim::{Context, Control, Envelope, NodeLogic, Payload, Topology};
+/// # use ftclust_netsim::{Context, Control, Inbox, NodeLogic, Payload, Topology};
 /// # use ftclust_graphs::generators;
 /// # #[derive(Clone, Debug)]
 /// # struct Ping(u8);
@@ -274,7 +274,7 @@ pub struct Run<L> {
 /// # struct Node;
 /// # impl NodeLogic for Node {
 /// #     type Payload = Ping;
-/// #     fn on_round(&mut self, _: &[Envelope<Ping>], ctx: &mut Context<'_, Ping>) -> Control {
+/// #     fn on_round(&mut self, _: Inbox<'_, Ping>, ctx: &mut Context<'_, Ping>) -> Control {
 /// #         if ctx.round() >= 2 { return Control::Halt; }
 /// #         ctx.broadcast(Ping(1));
 /// #         Control::Continue
@@ -708,7 +708,7 @@ pub fn completed_iterations(logical_rounds: u64, prelude: u64, period: u64, trai
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bits_for_ids, Context, Control, Envelope, Payload};
+    use crate::{bits_for_ids, Context, Control, Inbox, Payload};
     use ftclust_graphs::generators;
     use rand::Rng;
 
@@ -730,7 +730,7 @@ mod tests {
 
     impl NodeLogic for Flood {
         type Payload = Num;
-        fn on_round(&mut self, inbox: &[Envelope<Num>], ctx: &mut Context<'_, Num>) -> Control {
+        fn on_round(&mut self, inbox: Inbox<'_, Num>, ctx: &mut Context<'_, Num>) -> Control {
             for e in inbox {
                 self.best = self.best.min(e.payload.0);
             }

@@ -42,7 +42,7 @@
 //!
 //! ```
 //! use ftclust_graphs::generators;
-//! use ftclust_netsim::{Context, Control, Envelope, NodeLogic, Payload, Simulator, Topology};
+//! use ftclust_netsim::{Context, Control, Inbox, NodeLogic, Payload, Simulator, Topology};
 //!
 //! #[derive(Clone, Debug)]
 //! struct IdMsg(u32);
@@ -55,7 +55,7 @@
 //! struct MaxId { best: u32, rounds: u64 }
 //! impl NodeLogic for MaxId {
 //!     type Payload = IdMsg;
-//!     fn on_round(&mut self, inbox: &[Envelope<IdMsg>], ctx: &mut Context<'_, IdMsg>) -> Control {
+//!     fn on_round(&mut self, inbox: Inbox<'_, IdMsg>, ctx: &mut Context<'_, IdMsg>) -> Control {
 //!         for env in inbox {
 //!             self.best = self.best.max(env.payload.0);
 //!         }
@@ -99,7 +99,7 @@ pub use churn::{ChurnEvent, ChurnPlan, RandomChurn};
 pub use error::SimError;
 pub use message::{bits_for_ids, Envelope, Payload};
 pub use metrics::Metrics;
-pub use node::{Context, Control, NodeLogic};
+pub use node::{Context, Control, Inbox, InboxIter, Msg, NodeLogic};
 pub use sim::{node_rng, Simulator};
 pub use topology::Topology;
 pub use trace::{EventLog, NoopTracer, PhaseRollup, TraceEvent, TraceRecord, Tracer};

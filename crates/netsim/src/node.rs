@@ -17,9 +17,12 @@ pub enum Control {
 /// The per-node protocol state machine.
 ///
 /// One instance runs at every node. Each simulator round calls
-/// [`NodeLogic::on_round`] with the messages delivered this round (those
-/// sent by neighbors in the *previous* round; empty in round 0) and a
-/// [`Context`] for sending, randomness and local knowledge.
+/// [`NodeLogic::on_round`] with an [`Inbox`] of the messages delivered
+/// this round (those sent by neighbors in the *previous* round; empty in
+/// round 0) and a [`Context`] for sending, randomness and local
+/// knowledge. The inbox is a view: it reads the payloads where the
+/// simulator stored them, so a logic that needs a message beyond the
+/// round clones it.
 ///
 /// A pseudocode step of the form *"send X to neighbors; use the received
 /// X's"* therefore spans **two** simulator rounds — exactly the accounting
@@ -37,9 +40,172 @@ pub trait NodeLogic: Send {
     /// Executes one synchronous round at this node.
     fn on_round(
         &mut self,
-        inbox: &[Envelope<Self::Payload>],
+        inbox: Inbox<'_, Self::Payload>,
         ctx: &mut Context<'_, Self::Payload>,
     ) -> Control;
+}
+
+/// One delivered message, read in place: the sender and a borrow of the
+/// payload.
+#[derive(Debug)]
+pub struct Msg<'a, P> {
+    /// The sending node.
+    pub from: NodeId,
+    /// The message content.
+    pub payload: &'a P,
+}
+
+impl<P> Clone for Msg<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P> Copy for Msg<'_, P> {}
+
+/// The messages delivered to one node in one round, in ascending sender
+/// order and, per sender, in send order.
+///
+/// The view copies nothing. It reads the receiver's envelopes (unicasts,
+/// self-sends and materialized broadcasts) from the simulator's inbox
+/// arena and merges in the neighbours' published broadcasts (see
+/// [`Context::broadcast`]) from their slots, walking the sorted
+/// neighbour list. Layers that assemble an inbox themselves wrap it with
+/// [`Inbox::from_slice`].
+#[derive(Debug)]
+pub struct Inbox<'a, P> {
+    /// Envelopes addressed to the receiver, sorted by sender whenever
+    /// `neighbors` is non-empty.
+    direct: &'a [Envelope<P>],
+    /// The receiver's sorted neighbours when some sender published this
+    /// round; empty otherwise.
+    neighbors: &'a [NodeId],
+    /// Publication slots indexed by sender id (see
+    /// [`Context::broadcast`]). A publisher has no envelopes in `direct`.
+    published: &'a [Option<P>],
+}
+
+impl<P> Clone for Inbox<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P> Copy for Inbox<'_, P> {}
+
+impl<'a, P> Inbox<'a, P> {
+    /// An inbox holding exactly `envelopes`, in slice order.
+    pub fn from_slice(envelopes: &'a [Envelope<P>]) -> Self {
+        Inbox {
+            direct: envelopes,
+            neighbors: &[],
+            published: &[],
+        }
+    }
+
+    /// The arena slice `direct` merged with the slots of the `neighbors`
+    /// that published.
+    pub(crate) fn merged(
+        direct: &'a [Envelope<P>],
+        neighbors: &'a [NodeId],
+        published: &'a [Option<P>],
+    ) -> Self {
+        Inbox {
+            direct,
+            neighbors,
+            published,
+        }
+    }
+
+    /// The messages in delivery order.
+    #[inline]
+    pub fn iter(&self) -> InboxIter<'a, P> {
+        let mut it = InboxIter {
+            direct: self.direct,
+            neighbors: self.neighbors.iter(),
+            published: self.published,
+            next_published: None,
+        };
+        it.next_published = it.find_published();
+        it
+    }
+
+    /// Number of messages. Costs O(degree) when neighbours published.
+    pub fn len(&self) -> usize {
+        let published = self
+            .neighbors
+            .iter()
+            .filter(|u| self.published[u.index()].is_some())
+            .count();
+        self.direct.len() + published
+    }
+
+    /// Whether no message was delivered.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+}
+
+impl<'a, P> IntoIterator for Inbox<'a, P> {
+    type Item = Msg<'a, P>;
+    type IntoIter = InboxIter<'a, P>;
+
+    #[inline]
+    fn into_iter(self) -> InboxIter<'a, P> {
+        self.iter()
+    }
+}
+
+/// Iterator over an [`Inbox`]: a two-way merge of the envelope slice and
+/// the published neighbours, both ascending by sender.
+#[derive(Debug)]
+pub struct InboxIter<'a, P> {
+    direct: &'a [Envelope<P>],
+    neighbors: std::slice::Iter<'a, NodeId>,
+    published: &'a [Option<P>],
+    /// The next publication not yet yielded.
+    next_published: Option<Msg<'a, P>>,
+}
+
+impl<'a, P> InboxIter<'a, P> {
+    /// Advances the neighbour cursor to the next publisher.
+    #[inline]
+    fn find_published(&mut self) -> Option<Msg<'a, P>> {
+        let published = self.published;
+        self.neighbors.find_map(|&u| {
+            published[u.index()]
+                .as_ref()
+                .map(|payload| Msg { from: u, payload })
+        })
+    }
+}
+
+impl<'a, P> Iterator for InboxIter<'a, P> {
+    type Item = Msg<'a, P>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Msg<'a, P>> {
+        let (env, rest) = match self.next_published {
+            None => self.direct.split_first()?,
+            Some(published) => match self.direct.split_first() {
+                Some((env, rest)) if env.from < published.from => (env, rest),
+                _ => {
+                    self.next_published = self.find_published();
+                    return Some(published);
+                }
+            },
+        };
+        self.direct = rest;
+        Some(Msg {
+            from: env.from,
+            payload: &env.payload,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let pending = self.direct.len() + usize::from(self.next_published.is_some());
+        (pending, Some(pending + self.neighbors.len()))
+    }
 }
 
 /// Local knowledge and actions available to a node during a round.

@@ -44,9 +44,6 @@ struct ShardBuf<P> {
     /// shards are contiguous ascending node ranges, so the merged stream
     /// is in node order regardless of the worker count.
     trace: Vec<TraceEvent>,
-    /// Scratch a receiver's inbox is rebuilt in when neighbours
-    /// published (see [`InboxArena::gather`]).
-    gather: Vec<Envelope<P>>,
     /// Nodes this shard halted this round; folded into the simulator's
     /// running total sequentially after the parallel phase.
     halted: usize,
@@ -61,7 +58,6 @@ impl<P> ShardBuf<P> {
             outbox: Vec::new(),
             counters: TransportCounters::default(),
             trace: Vec::new(),
-            gather: Vec::new(),
             halted: 0,
             published: (0, 0, 0),
         }
@@ -133,10 +129,11 @@ fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
 /// the merge phase counting-sorts each round's surviving envelopes by
 /// recipient instead of pushing into per-node `Vec`s, and delivery is
 /// pure slicing. A broadcast that is its sender's only output of the round
-/// skips the sorter: it is published once per sender and receivers gather
-/// it through the adjacency ([`Context::broadcast`]). All buffers — the
-/// two arenas and their publication slots, the sorter's partition blocks,
-/// the per-worker outboxes and gather scratch, and the shard list — are
+/// skips the sorter: it is published once per sender and receivers read
+/// it in place through the adjacency ([`Context::broadcast`],
+/// [`crate::Inbox`]). All buffers — the two arenas and their publication
+/// slots, the sorter's partition blocks, the per-worker outboxes, and the
+/// shard list — are
 /// recycled across rounds, and the thread count is resolved once per
 /// simulator, so steady-state rounds allocate nothing beyond what message
 /// volume itself demands. See `DESIGN.md` §12.
@@ -411,9 +408,9 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     /// written off as dead on arrival (on churn-free untraced rounds the
     /// whole accounting collapses to one addition); (1) node logic
     /// executes on worker threads over contiguous node shards; each node
-    /// reads its inbox slice straight out of the shared arena, or, when
-    /// neighbours published last round, a copy gathered from their
-    /// publication slots and the slice in sender order; it appends
+    /// reads its inbox in place through a view of the shared arena slice,
+    /// merged, when neighbours published last round, with their
+    /// publication slots in sender order; it appends
     /// envelopes to its shard's recycled outbox in node order, or, when
     /// no per-envelope layer is engaged and its only output is one
     /// broadcast, publishes that broadcast in its slot, which the shard
@@ -530,7 +527,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                     }
                     let me = NodeId::new(i as u32);
                     let neighbors = topo.graph().neighbors(me);
-                    let received = inbox.gather(i, neighbors, &mut buf.gather);
+                    let received = inbox.view(i, neighbors);
                     let mut ctx = Context {
                         me,
                         round,
@@ -881,7 +878,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bits_for_ids, Payload};
+    use crate::{bits_for_ids, Inbox, Payload};
     use ftclust_graphs::generators;
     use proptest::prelude::*;
 
@@ -901,7 +898,7 @@ mod tests {
     }
     impl NodeLogic for Gossip {
         type Payload = Num;
-        fn on_round(&mut self, inbox: &[Envelope<Num>], ctx: &mut Context<'_, Num>) -> Control {
+        fn on_round(&mut self, inbox: Inbox<'_, Num>, ctx: &mut Context<'_, Num>) -> Control {
             for e in inbox {
                 if !self.heard.contains(&e.payload.0) {
                     self.heard.push(e.payload.0);
@@ -967,7 +964,7 @@ mod tests {
         struct Forever;
         impl NodeLogic for Forever {
             type Payload = Num;
-            fn on_round(&mut self, _: &[Envelope<Num>], _: &mut Context<'_, Num>) -> Control {
+            fn on_round(&mut self, _: Inbox<'_, Num>, _: &mut Context<'_, Num>) -> Control {
                 Control::Continue
             }
         }
@@ -1084,7 +1081,7 @@ mod tests {
         }
         impl NodeLogic for RandomPick {
             type Payload = Num;
-            fn on_round(&mut self, _: &[Envelope<Num>], ctx: &mut Context<'_, Num>) -> Control {
+            fn on_round(&mut self, _: Inbox<'_, Num>, ctx: &mut Context<'_, Num>) -> Control {
                 if ctx.round() >= 3 {
                     return Control::Halt;
                 }
@@ -1147,7 +1144,7 @@ mod tests {
     }
     impl NodeLogic for Unicast {
         type Payload = Num;
-        fn on_round(&mut self, _: &[Envelope<Num>], ctx: &mut Context<'_, Num>) -> Control {
+        fn on_round(&mut self, _: Inbox<'_, Num>, ctx: &mut Context<'_, Num>) -> Control {
             if ctx.round() >= self.rounds {
                 return Control::Halt;
             }
@@ -1191,8 +1188,8 @@ mod tests {
         assert_eq!(sim.running_total, 0);
 
         // Broadcast gossip is published: the arenas stay empty, while the
-        // publication slots, the gather scratch and the shard views keep
-        // their allocations from round to round.
+        // publication slots and the shard views keep their allocations
+        // from round to round.
         let mut sim = Simulator::new(
             topo,
             |_| Gossip {
@@ -1204,20 +1201,11 @@ mod tests {
         let buffers = |sim: &Simulator<'_, Gossip>| {
             let mut slots = [sim.inbox.slots_ptr(), sim.pending.slots_ptr()];
             slots.sort_unstable();
-            let gather: Vec<_> = sim
-                .bufs
-                .iter()
-                .map(|b| (b.gather.as_ptr(), b.gather.capacity()))
-                .collect();
-            (slots, gather, sim.shard_views.as_ptr().cast::<()>())
+            (slots, sim.shard_views.as_ptr().cast::<()>())
         };
         sim.step();
         sim.step();
         let before = buffers(&sim);
-        assert!(
-            before.1.iter().all(|&(_, cap)| cap > 0),
-            "every shard gathered"
-        );
         assert!(sim.shard_views.capacity() >= sim.bufs.len());
         sim.step();
         sim.step();
@@ -1278,7 +1266,7 @@ mod tests {
     }
     impl NodeLogic for Counter {
         type Payload = Num;
-        fn on_round(&mut self, inbox: &[Envelope<Num>], ctx: &mut Context<'_, Num>) -> Control {
+        fn on_round(&mut self, inbox: Inbox<'_, Num>, ctx: &mut Context<'_, Num>) -> Control {
             self.seen += inbox.len() as u64;
             if ctx.round() >= self.rounds {
                 return Control::Halt;

@@ -57,7 +57,7 @@ use crate::metrics::TransportCounters;
 use crate::node::Context;
 use crate::sim::node_rng;
 use crate::trace::{EventLog, TraceEvent, Tracer};
-use crate::{Control, Envelope, NodeLogic, SimError, Topology};
+use crate::{Control, Envelope, Inbox, NodeLogic, SimError, Topology};
 use ftclust_graphs::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -239,7 +239,7 @@ impl<'a, L: NodeLogic> AsyncExec<'a, L> {
                 tracing: false,
                 trace: &mut trace_buf,
             };
-            let control = node.logic.on_round(&inbox, &mut ctx);
+            let control = node.logic.on_round(Inbox::from_slice(&inbox), &mut ctx);
             let halting = control == Control::Halt;
             node.halted = halting;
             node.local_round = r + 1;
@@ -453,7 +453,7 @@ mod tests {
     }
     impl NodeLogic for Flood {
         type Payload = Num;
-        fn on_round(&mut self, inbox: &[Envelope<Num>], ctx: &mut Context<'_, Num>) -> Control {
+        fn on_round(&mut self, inbox: Inbox<'_, Num>, ctx: &mut Context<'_, Num>) -> Control {
             for e in inbox {
                 self.best = self.best.max(e.payload.0);
             }
@@ -559,7 +559,7 @@ mod tests {
         struct Forever;
         impl NodeLogic for Forever {
             type Payload = Num;
-            fn on_round(&mut self, _: &[Envelope<Num>], ctx: &mut Context<'_, Num>) -> Control {
+            fn on_round(&mut self, _: Inbox<'_, Num>, ctx: &mut Context<'_, Num>) -> Control {
                 ctx.broadcast(Num(0));
                 Control::Continue
             }

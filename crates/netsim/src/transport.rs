@@ -100,7 +100,7 @@
 //! a [`Reliable`] one without loss) behaves exactly as before — the
 //! transport is pure opt-in.
 
-use crate::{bits_for_ids, Context, Control, Envelope, NodeLogic, Payload, SimError};
+use crate::{bits_for_ids, Context, Control, Envelope, Inbox, NodeLogic, Payload, SimError};
 use ftclust_graphs::NodeId;
 use std::collections::VecDeque;
 
@@ -494,7 +494,9 @@ impl<L: NodeLogic> Reliable<L> {
             tracing: ctx.tracing,
             trace: &mut *ctx.trace,
         };
-        let control = self.inner.on_round(&inner_inbox, &mut inner_ctx);
+        let control = self
+            .inner
+            .on_round(Inbox::from_slice(&inner_inbox), &mut inner_ctx);
         self.inner_halted = control == Control::Halt;
         self.local_round = r + 1;
         let mut self_msgs: Vec<L::Payload> = Vec::new();
@@ -533,7 +535,7 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
 
     fn on_round(
         &mut self,
-        inbox: &[Envelope<FrameMsg<L::Payload>>],
+        inbox: Inbox<'_, FrameMsg<L::Payload>>,
         ctx: &mut Context<'_, FrameMsg<L::Payload>>,
     ) -> Control {
         let now = ctx.round();
@@ -742,7 +744,7 @@ mod tests {
 
     impl NodeLogic for Recorder {
         type Payload = Num;
-        fn on_round(&mut self, inbox: &[Envelope<Num>], ctx: &mut Context<'_, Num>) -> Control {
+        fn on_round(&mut self, inbox: Inbox<'_, Num>, ctx: &mut Context<'_, Num>) -> Control {
             let seen: Vec<(u32, u64)> = inbox.iter().map(|e| (e.from.raw(), e.payload.0)).collect();
             for &(_, x) in &seen {
                 self.best = self.best.max(x);

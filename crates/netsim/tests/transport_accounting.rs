@@ -10,7 +10,7 @@
 
 use ftclust_graphs::{generators, NodeId};
 use ftclust_netsim::transport::{Reliable, TransportConfig};
-use ftclust_netsim::{ChurnPlan, Context, Control, Envelope, NodeLogic, Payload, Simulator};
+use ftclust_netsim::{ChurnPlan, Context, Control, Inbox, NodeLogic, Payload, Simulator};
 use ftclust_netsim::{Metrics, Topology};
 use rand::Rng;
 
@@ -31,7 +31,7 @@ struct Recorder {
 
 impl NodeLogic for Recorder {
     type Payload = Num;
-    fn on_round(&mut self, inbox: &[Envelope<Num>], ctx: &mut Context<'_, Num>) -> Control {
+    fn on_round(&mut self, inbox: Inbox<'_, Num>, ctx: &mut Context<'_, Num>) -> Control {
         for e in inbox {
             self.best = self.best.max(e.payload.0);
         }

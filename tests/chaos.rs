@@ -14,7 +14,7 @@ use ftclust::graphs::{generators, NodeId};
 use ftclust::netsim::exec::Stack;
 use ftclust::netsim::transport::TransportConfig;
 use ftclust::netsim::{
-    AdversaryPlan, ChurnPlan, Context, Control, Envelope, NodeLogic, Payload, SimError, Simulator,
+    AdversaryPlan, ChurnPlan, Context, Control, Inbox, NodeLogic, Payload, SimError, Simulator,
     Topology,
 };
 use ftclust_par::with_threads;
@@ -38,7 +38,7 @@ struct Chatter {
 impl NodeLogic for Chatter {
     type Payload = Ping;
 
-    fn on_round(&mut self, _inbox: &[Envelope<Ping>], ctx: &mut Context<'_, Ping>) -> Control {
+    fn on_round(&mut self, _inbox: Inbox<'_, Ping>, ctx: &mut Context<'_, Ping>) -> Control {
         ctx.broadcast(Ping);
         if ctx.round() + 1 >= self.ttl {
             Control::Halt

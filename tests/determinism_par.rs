@@ -17,7 +17,7 @@ use ftclust::core::rounding::{protocol::run_rounding_protocol, RoundingParams};
 use ftclust::core::udg::protocol::run_udg_protocol;
 use ftclust::graphs::{generators, Graph, NodeId};
 use ftclust::netsim::exec::{Executor, Stack};
-use ftclust::netsim::{Context, Control, Envelope, Metrics, NodeLogic, Payload, Topology};
+use ftclust::netsim::{Context, Control, Inbox, Metrics, NodeLogic, Payload, Topology};
 use ftclust_par::with_threads;
 use proptest::prelude::*;
 use rand::Rng;
@@ -221,13 +221,16 @@ struct Mixed {
 impl NodeLogic for Mixed {
     type Payload = Mix;
 
-    fn on_round(&mut self, inbox: &[Envelope<Mix>], ctx: &mut Context<'_, Mix>) -> Control {
+    fn on_round(&mut self, inbox: Inbox<'_, Mix>, ctx: &mut Context<'_, Mix>) -> Control {
         let (me, round) = (ctx.me(), ctx.round());
+        let neighbors = ctx.neighbors();
         for e in inbox {
-            assert_eq!(e.to, me, "envelope delivered to the wrong inbox");
+            assert!(
+                e.from == me || neighbors.binary_search(&e.from).is_ok(),
+                "message delivered from a non-neighbour"
+            );
             self.heard.push((round, e.from.raw(), e.payload.tag));
         }
-        let neighbors = ctx.neighbors();
         let base = u64::from(me.raw()) * 1_000 + round * 10;
         let msg = |k: u64| Mix {
             tag: base + k,

@@ -7,7 +7,7 @@ use ftclust::core::prelude::*;
 use ftclust::core::udg::UdgAlgorithm;
 use ftclust::graphs::{generators, NodeId};
 use ftclust::netsim::{
-    ChurnPlan, Context, Control, Envelope, NodeLogic, Payload, Simulator, Topology,
+    ChurnPlan, Context, Control, Inbox, NodeLogic, Payload, Simulator, Topology,
 };
 
 #[test]
@@ -92,7 +92,7 @@ fn netsim_crash_injection_with_backbone_gossip() {
     }
     impl NodeLogic for Relay {
         type Payload = Token;
-        fn on_round(&mut self, inbox: &[Envelope<Token>], ctx: &mut Context<'_, Token>) -> Control {
+        fn on_round(&mut self, inbox: Inbox<'_, Token>, ctx: &mut Context<'_, Token>) -> Control {
             if ctx.round() == 0 && ctx.me() == NodeId::new(0) {
                 self.heard = true; // the source
             }
@@ -173,11 +173,7 @@ fn message_loss_degrades_gracefully_not_catastrophically() {
     }
     impl NodeLogic for Head {
         type Payload = Beacon;
-        fn on_round(
-            &mut self,
-            inbox: &[Envelope<Beacon>],
-            ctx: &mut Context<'_, Beacon>,
-        ) -> Control {
+        fn on_round(&mut self, inbox: Inbox<'_, Beacon>, ctx: &mut Context<'_, Beacon>) -> Control {
             self.heard += inbox.len() as u32;
             if ctx.round() >= 4 {
                 return Control::Halt;

@@ -12,7 +12,7 @@ use ftclust::lp::solve as lp_solve;
 use ftclust::netsim::exec::{Executor, Stack};
 use ftclust::netsim::transport::TransportConfig;
 use ftclust::netsim::{
-    ChurnPlan, Context, Control, Envelope, Metrics, NodeLogic, Payload, Simulator, Topology,
+    ChurnPlan, Context, Control, Inbox, Metrics, NodeLogic, Payload, Simulator, Topology,
 };
 use proptest::prelude::*;
 
@@ -34,7 +34,7 @@ struct Chatter {
 impl NodeLogic for Chatter {
     type Payload = Ping;
 
-    fn on_round(&mut self, _inbox: &[Envelope<Ping>], ctx: &mut Context<'_, Ping>) -> Control {
+    fn on_round(&mut self, _inbox: Inbox<'_, Ping>, ctx: &mut Context<'_, Ping>) -> Control {
         ctx.broadcast(Ping);
         if ctx.round() + 1 >= self.ttl {
             Control::Halt
