@@ -48,8 +48,10 @@ pub struct JrsOutcome {
     pub rounds: u64,
 }
 
-/// Runs the JRS-style local randomized greedy baseline. See the
-/// [module docs](self) for the exact variant implemented.
+/// Runs the JRS-style local randomized greedy baseline: each round,
+/// nodes whose span (still-deficient closed neighbours) is at least half
+/// the 2-hop maximum become candidates, and each candidate joins with a
+/// probability balanced against its neighbours' residual demands.
 ///
 /// Deterministic given `seed` (per-node random streams).
 pub fn jrs_kmds(inst: &Instance<'_>, semantics: Semantics, seed: u64) -> JrsOutcome {

@@ -266,9 +266,7 @@ pub struct FractionalProtocolRun {
     pub metrics: Metrics,
 }
 
-/// Assembles the [`FractionalSolution`] from the final per-node states —
-/// shared by the synchronous, asynchronous and lossy runners, which must
-/// all produce the identical solution.
+/// Assembles the [`FractionalSolution`] from the final per-node states.
 fn assemble_solution<'n>(
     inst: &Instance<'_>,
     t: u32,
@@ -425,58 +423,6 @@ pub fn run_fractional_protocol(
     run_fractional_stack(inst, params, Stack::new()).map(|(run, _)| run)
 }
 
-/// Runs Algorithm 1 on an **asynchronous** network with random message
-/// delays up to `max_delay` ticks, using the α-synchronizer of
-/// [`ftclust_netsim::synchronizer`] — the reduction the paper invokes in
-/// Section 3 ("every synchronous message-passing algorithm can be turned
-/// into an asynchronous algorithm with the same time complexity").
-///
-/// The stack composes partially with asynchrony (see
-/// [`ftclust_netsim::exec`]): the loss layer and an adversary's
-/// corruption fold into the synchronizer's bundle-loss rate, jitter and
-/// duplication are subsumed by its delay and exactly-once semantics, and
-/// the transport, churn and partition layers are rejected.
-///
-/// On a fault-free stack the returned solution is identical to the
-/// synchronous protocol's and to the engine's.
-///
-/// # Errors
-///
-/// Returns [`KmdsError::Sim`] if the local-round budget is exceeded, or
-/// wrapping [`ftclust_netsim::SimError::AsyncStalled`] when injected
-/// bundle loss starves a node of a neighbor's round bundle — the
-/// synchronizer fails fast instead of computing from a partial inbox.
-///
-/// # Panics
-///
-/// As [`Executor::run_async`]: panics if `max_delay == 0` or the stack
-/// engages the transport, churn, or partition layers.
-pub fn run_fractional_async_stack(
-    inst: &Instance<'_>,
-    params: &FractionalParams,
-    max_delay: u64,
-    stack: Stack,
-) -> Result<FractionalSolution, KmdsError> {
-    assert_eq!(
-        params.knowledge,
-        super::DeltaKnowledge::Global,
-        "the metered protocol implements global-Δ knowledge; use the engine for TwoHopMax"
-    );
-    let g = inst.graph();
-    let t = params.t;
-    let delta = params.resolve_delta(inst);
-    let budget = 2 * (t as u64) * (t as u64) + 8;
-    let powers = power_table(t, delta);
-    let (run, _) = Executor::new(
-        Topology::from_graph(g),
-        |v: NodeId| LpNode::new(inst.demand(v), t, Arc::clone(&powers)),
-        0,
-    )
-    .stack(stack)
-    .run_async(max_delay, budget)?;
-    Ok(assemble_solution(inst, t, delta, run.logics.iter()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,16 +430,6 @@ mod tests {
     use ftclust_graphs::generators;
     use ftclust_netsim::transport::TransportConfig;
     use ftclust_netsim::ChurnPlan;
-
-    #[test]
-    fn asynchronous_execution_matches_engine() {
-        let g = generators::gnp(30, 0.2, 6);
-        let inst = Instance::uniform_clamped(&g, 2);
-        let params = FractionalParams::new(2);
-        let engine = solve_fractional(&inst, &params).unwrap();
-        let asynced = run_fractional_async_stack(&inst, &params, 5, Stack::new()).unwrap();
-        assert_eq!(engine, asynced);
-    }
 
     #[test]
     fn protocol_equals_engine_bit_for_bit() {

@@ -5,14 +5,9 @@
 //! `O(t Δ^{2/t} log Δ)`-approximate k-fold dominating set computed in
 //! `O(t²)` rounds — the paper's headline result for general graphs.
 
-use crate::fractional::{
-    protocol::run_fractional_protocol, solve_fractional, FractionalParams, FractionalSolution,
-};
-use crate::rounding::{
-    protocol::run_rounding_protocol, round_fractional, RoundingOutcome, RoundingParams,
-};
+use crate::fractional::{solve_fractional, FractionalParams, FractionalSolution};
+use crate::rounding::{round_fractional, RoundingOutcome, RoundingParams};
 use crate::{DominatingSet, Instance, KmdsError};
-use ftclust_netsim::Metrics;
 
 /// Configuration of the combined pipeline.
 ///
@@ -35,7 +30,6 @@ pub struct GeneralPipeline {
     params: FractionalParams,
     rounding: RoundingParams,
     seed: u64,
-    metered: bool,
 }
 
 /// Result of a pipeline run.
@@ -47,9 +41,6 @@ pub struct GeneralRun {
     pub fractional: FractionalSolution,
     /// Rounding statistics.
     pub rounding: RoundingOutcome,
-    /// Communication metrics when run in metered (protocol) mode:
-    /// `(algorithm 1, algorithm 2)`.
-    pub metrics: Option<(Metrics, Metrics)>,
 }
 
 impl GeneralRun {
@@ -63,8 +54,10 @@ impl GeneralRun {
 }
 
 impl GeneralPipeline {
-    /// A pipeline with trade-off parameter `t`, seed 0, default rounding
-    /// and the fast engine execution.
+    /// A pipeline with trade-off parameter `t`, seed 0 and default
+    /// rounding. It runs the in-memory engines; the message-passing
+    /// protocols compute the identical result and report metrics
+    /// (`run_fractional_stack`, `run_rounding_stack`).
     ///
     /// # Panics
     ///
@@ -74,7 +67,6 @@ impl GeneralPipeline {
             params: FractionalParams::new(t),
             rounding: RoundingParams::default(),
             seed: 0,
-            metered: false,
         }
     }
 
@@ -97,75 +89,63 @@ impl GeneralPipeline {
         self
     }
 
-    /// Runs both stages as message-passing protocols, collecting round and
-    /// bit metrics (slower; identical results).
-    pub fn metered(mut self, metered: bool) -> Self {
-        self.metered = metered;
-        self
-    }
-
     /// Executes the pipeline.
     ///
     /// # Errors
     ///
-    /// Propagates simulation errors from metered mode (round budgets are
-    /// generous; errors indicate bugs, not inputs).
+    /// Propagates [`solve_fractional`]'s errors (internal-limit breaches
+    /// only; validated instances do not produce them).
     pub fn run(&self, inst: &Instance<'_>) -> Result<GeneralRun, KmdsError> {
-        if self.metered {
-            let frac = run_fractional_protocol(inst, &self.params)?;
-            let round = run_rounding_protocol(
-                inst,
-                &frac.solution.x,
-                frac.solution.delta,
-                self.seed,
-                &self.rounding,
-            )?;
-            Ok(GeneralRun {
-                set: round.outcome.set.clone(),
-                fractional: frac.solution,
-                rounding: round.outcome,
-                metrics: Some((frac.metrics, round.metrics)),
-            })
-        } else {
-            let fractional = solve_fractional(inst, &self.params)?;
-            let rounding = round_fractional(
-                inst,
-                &fractional.x,
-                fractional.delta,
-                self.seed,
-                &self.rounding,
-            );
-            Ok(GeneralRun {
-                set: rounding.set.clone(),
-                fractional,
-                rounding,
-                metrics: None,
-            })
-        }
+        let fractional = solve_fractional(inst, &self.params)?;
+        let rounding = round_fractional(
+            inst,
+            &fractional.x,
+            fractional.delta,
+            self.seed,
+            &self.rounding,
+        );
+        Ok(GeneralRun {
+            set: rounding.set.clone(),
+            fractional,
+            rounding,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fractional::protocol::run_fractional_protocol;
+    use crate::rounding::protocol::run_rounding_protocol;
     use crate::validate::{is_k_dominating_instance, Semantics};
     use ftclust_graphs::generators;
 
+    /// Runs Algorithms 1 and 2 as message-passing protocols and asserts
+    /// the pipeline's engine result equals theirs.
+    fn assert_matches_protocols(inst: &Instance<'_>, t: u32, seed: u64) -> GeneralRun {
+        let run = GeneralPipeline::new(t).seed(seed).run(inst).unwrap();
+        let frac = run_fractional_protocol(inst, &FractionalParams::new(t)).unwrap();
+        let round = run_rounding_protocol(
+            inst,
+            &frac.solution.x,
+            frac.solution.delta,
+            seed,
+            &RoundingParams::default(),
+        )
+        .unwrap();
+        assert_eq!(run.fractional, frac.solution);
+        assert_eq!(run.set, round.outcome.set);
+        assert_eq!(run.rounding, round.outcome);
+        assert_eq!(frac.metrics.rounds, 2 * u64::from(t * t) + 3);
+        assert!(round.metrics.rounds <= 3);
+        run
+    }
+
     #[test]
-    fn engine_and_metered_agree() {
+    fn engine_and_protocols_agree() {
         let g = generators::gnp(40, 0.15, 8);
         let inst = Instance::uniform_clamped(&g, 2);
-        let fast = GeneralPipeline::new(2).seed(5).run(&inst).unwrap();
-        let metered = GeneralPipeline::new(2)
-            .seed(5)
-            .metered(true)
-            .run(&inst)
-            .unwrap();
-        assert_eq!(fast.set, metered.set);
-        assert_eq!(fast.fractional, metered.fractional);
-        let (m1, m2) = metered.metrics.unwrap();
-        assert_eq!(m1.rounds, 2 * 4 + 3);
-        assert!(m2.rounds <= 3);
+        assert_matches_protocols(&inst, 2, 5);
     }
 
     #[test]
@@ -187,24 +167,17 @@ mod tests {
     }
 
     #[test]
-    fn metered_agrees_on_per_node_demands() {
+    fn protocols_agree_on_per_node_demands() {
         let g = generators::gnp(35, 0.2, 12);
         let demands: Vec<u32> = g
             .nodes()
             .map(|v| (v.raw() % 3).min(g.degree(v) as u32 + 1))
             .collect();
         let inst = Instance::with_demands(&g, demands).unwrap();
-        let fast = GeneralPipeline::new(2).seed(9).run(&inst).unwrap();
-        let metered = GeneralPipeline::new(2)
-            .seed(9)
-            .metered(true)
-            .run(&inst)
-            .unwrap();
-        assert_eq!(fast.set, metered.set);
-        assert_eq!(fast.fractional, metered.fractional);
+        let run = assert_matches_protocols(&inst, 2, 9);
         assert!(is_k_dominating_instance(
             &inst,
-            &fast.set,
+            &run.set,
             Semantics::CoverSelf
         ));
     }

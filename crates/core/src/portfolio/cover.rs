@@ -60,12 +60,12 @@ pub enum CoverMsg {
         /// How many more closed-neighborhood members the sender needs.
         residual: u32,
     },
-    /// Presence-only candidacy declaration ([`Election::LayeredId`]:
+    /// Presence-only candidacy declaration (`Election::LayeredId`:
     /// the election key is the hashed sender id, which the receiver
     /// derives from the envelope).
     Candidate,
     /// Candidacy bid carrying the sender's span
-    /// ([`Election::GreedySpan`]).
+    /// (`Election::GreedySpan`).
     SpanBid {
         /// Still-needy closed neighbors the sender would newly cover.
         span: u32,

@@ -7,7 +7,8 @@
 //! recover — see [`ftclust_netsim::ChurnPlan`]), [`repair_coverage`]
 //! re-establishes the invariant that every surviving non-member has at
 //! least `k` surviving members among its neighbors
-//! ([`Semantics::Strict`] on the surviving subgraph).
+//! ([`Semantics::Strict`](crate::validate::Semantics::Strict) on the
+//! surviving subgraph).
 //!
 //! # Protocol
 //!

@@ -169,25 +169,6 @@ impl AdversaryPlan {
         self
     }
 
-    /// The plan's RNG seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The corruption probability (destructive: corrupted frames are
-    /// erased). The α-synchronizer folds this into its bundle-loss rate.
-    #[must_use]
-    pub fn corrupt_prob(&self) -> f64 {
-        self.corrupt_prob
-    }
-
-    /// Whether any scheduled partition window exists.
-    #[must_use]
-    pub fn has_partitions(&self) -> bool {
-        !self.partitions.is_empty()
-    }
-
     /// Whether this plan can inject any fault at all. A plan that cannot
     /// lets the simulator keep its fault-free fast paths.
     #[must_use]
@@ -340,7 +321,6 @@ mod tests {
     fn default_plan_is_inert() {
         let plan = AdversaryPlan::new(7);
         assert!(!plan.is_active());
-        assert!(!plan.has_partitions());
         let mut state: AdversaryState<()> = AdversaryState::new(plan);
         for r in 0..20 {
             assert_eq!(
@@ -358,7 +338,6 @@ mod tests {
     fn partitions_cut_exactly_the_crossing_links_in_window() {
         let plan = AdversaryPlan::new(0).partition(&[n(0), n(1)], 3..6);
         assert!(plan.is_active());
-        assert!(plan.has_partitions());
         for r in 3..6 {
             assert!(plan.cuts(n(0), n(2), r), "crossing link at round {r}");
             assert!(plan.cuts(n(2), n(1), r), "cut is symmetric in sides");

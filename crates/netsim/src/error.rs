@@ -36,20 +36,6 @@ pub enum SimError {
         /// Total transmission attempts made for the frame.
         attempts: u32,
     },
-    /// An asynchronous execution ran out of events with nodes still
-    /// waiting for input: message loss (or a synchronizer bug) starved
-    /// them of the bundles they need to advance. Raised by
-    /// [`crate::synchronizer::run_asynchronously`] instead of
-    /// livelocking — see the module docs for why the event-driven
-    /// synchronizer cannot retransmit on its own.
-    AsyncStalled {
-        /// Nodes that had not halted when the event queue drained.
-        stalled: usize,
-        /// Bundles lost to injected drops during the run.
-        dropped_bundles: u64,
-        /// The global tick at which the last event was processed.
-        ticks: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -75,16 +61,6 @@ impl fmt::Display for SimError {
                 f,
                 "transport gave up on frame {seq} from {from} to {to} \
                  after {attempts} attempts (retransmit budget exhausted)"
-            ),
-            SimError::AsyncStalled {
-                stalled,
-                dropped_bundles,
-                ticks,
-            } => write!(
-                f,
-                "asynchronous execution stalled at tick {ticks}: \
-                 {stalled} nodes still waiting for input \
-                 ({dropped_bundles} bundles were lost)"
             ),
         }
     }
@@ -120,16 +96,5 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("v4") && s.contains("v9"));
         assert!(s.contains("12") && s.contains("17"));
-    }
-
-    #[test]
-    fn display_async_stalled_counts_losses() {
-        let e = SimError::AsyncStalled {
-            stalled: 5,
-            dropped_bundles: 3,
-            ticks: 88,
-        };
-        let s = e.to_string();
-        assert!(s.contains('5') && s.contains('3') && s.contains("88"));
     }
 }

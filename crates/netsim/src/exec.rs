@@ -16,24 +16,16 @@
 //! * **tracing** — record an [`EventLog`] with per-phase spans driven by
 //!   a declarative [`Phase`] plan ([`Stack::traced`]);
 //! * **adversary** — an [`AdversaryPlan`] of delay jitter, duplication,
-//!   corruption and scheduled partitions ([`Stack::adversarial`]);
-//! * **asynchrony** — the α-synchronizer ([`Executor::run_async`]).
+//!   corruption and scheduled partitions ([`Stack::adversarial`]).
 //!
 //! # Layer-composition rules
 //!
-//! * Transport, churn, adversary and tracing compose freely: all 2⁴
-//!   combinations run through [`Executor::run`].
-//! * The α-synchronizer composes with i.i.d. bundle loss and tracing
-//!   but **not** with the transport layer (it has no timers to drive
-//!   retransmission — see the [`crate::synchronizer`] module docs) and
-//!   not with scheduled churn plans. [`Executor::run_async`] asserts
-//!   both restrictions. An adversary plan composes partially: its
-//!   corruption probability folds into the synchronizer's bundle-loss
-//!   rate (a corrupted bundle is checksum-erased, i.e. lost), jitter is
-//!   subsumed by the synchronizer's own delays and duplicates by its
-//!   exactly-once bundle delivery, while scheduled partitions are
-//!   rejected (the synchronizer has no global round clock to schedule
-//!   against).
+//! Transport, churn, adversary and tracing compose freely: all 2⁴
+//! combinations run through [`Executor::run`]. An asynchronous network
+//! is one of them — the transport (the α-synchronizer, see
+//! [`crate::transport`]) with every frame delayed by
+//! [`AdversaryPlan::jitter`]`(1.0, max_delay)` — so loss, churn,
+//! corruption, partitions and tracing compose with asynchrony too.
 //!
 //! # Parity
 //!
@@ -55,7 +47,6 @@ use crate::error::SimError;
 use crate::metrics::Metrics;
 use crate::node::NodeLogic;
 use crate::sim::Simulator;
-use crate::synchronizer::{self, AsyncRun};
 use crate::topology::Topology;
 use crate::trace::{EventLog, REGISTERED_SPANS};
 use crate::transport::{Reliable, TransportConfig};
@@ -147,13 +138,11 @@ impl Stack {
         Stack::default()
     }
 
-    /// Engages i.i.d. message loss with probability `p`. For
-    /// [`Executor::run`] a positive `p` implies the reliable-transport
-    /// layer (with [`TransportConfig::default`] unless
-    /// [`Stack::transport`] picked a policy); for
-    /// [`Executor::run_async`] it selects synchronizer bundle loss. An
-    /// explicit `p` overrides the drop rate of a [`Stack::churned`] plan,
-    /// whichever of the two calls comes first.
+    /// Engages i.i.d. message loss with probability `p`. A positive `p`
+    /// implies the reliable-transport layer (with
+    /// [`TransportConfig::default`] unless [`Stack::transport`] picked a
+    /// policy). An explicit `p` overrides the drop rate of a
+    /// [`Stack::churned`] plan, whichever of the two calls comes first.
     ///
     /// # Panics
     ///
@@ -261,7 +250,7 @@ pub struct Run<L> {
 /// The composable protocol executor. Construct with a topology, a
 /// node-logic factory and a master seed, select layers with a [`Stack`],
 /// attach a span plan with [`Executor::phases`], and execute with
-/// [`Executor::run`] or [`Executor::run_async`].
+/// [`Executor::run`].
 ///
 /// ```
 /// use ftclust_netsim::exec::{Executor, Phase, Stack};
@@ -356,57 +345,6 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         } else {
             self.run_sync(logical_budget)
         }
-    }
-
-    /// Executes the run on an **asynchronous** network through the
-    /// α-synchronizer, with message delays up to `max_delay` ticks. The
-    /// loss layer maps to i.i.d. bundle loss and the tracing layer to a
-    /// `SynchronizerPulse` event stream; see the module docs for why
-    /// the transport and churn layers cannot compose with asynchrony.
-    ///
-    /// # Errors
-    ///
-    /// As [`synchronizer::run_asynchronously`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_delay == 0`, or if the stack engages the
-    /// transport layer or a churn plan.
-    pub fn run_async(
-        self,
-        max_delay: u64,
-        max_rounds: u64,
-    ) -> Result<(AsyncRun<L>, Option<EventLog>), SimError> {
-        assert!(
-            self.stack.transport.is_none(),
-            "the α-synchronizer cannot host the transport layer (no timers drive retransmission)"
-        );
-        assert!(
-            self.stack.churn.is_none(),
-            "the α-synchronizer supports i.i.d. bundle loss only, not churn plans"
-        );
-        // An adversary folds partially into the synchronizer (see the
-        // module docs): corruption is checksum-erased bundle loss, so it
-        // combines with the configured drop rate into the probability of
-        // *either* fate; jitter and duplication are subsumed by the
-        // synchronizer's own delay and exactly-once semantics.
-        let mut drop_probability = self.stack.loss.unwrap_or(0.0);
-        if let Some(plan) = &self.stack.adversary {
-            assert!(
-                !plan.has_partitions(),
-                "the α-synchronizer cannot schedule partitions (no global round clock)"
-            );
-            drop_probability = 1.0 - (1.0 - drop_probability) * (1.0 - plan.corrupt_prob());
-        }
-        synchronizer::run_asynchronously(
-            self.topo,
-            self.make,
-            self.seed,
-            max_delay,
-            max_rounds,
-            drop_probability,
-            self.stack.traced,
-        )
     }
 
     /// Synchronous path. Untraced, this is exactly `Simulator::run`;
@@ -884,26 +822,33 @@ mod tests {
     }
 
     #[test]
-    fn async_layer_produces_synchronous_states() {
+    fn jittered_transport_produces_synchronous_states() {
+        // The asynchronous stack: every frame delayed by 1..=4 rounds,
+        // the timeout sized to the delay bound.
         let g = generators::gnp(16, 0.25, 8);
         let sync = Executor::new(Topology::from_graph(&g), flood, 4)
             .run(10)
             .unwrap();
-        let (asynced, log) = Executor::new(Topology::from_graph(&g), flood, 4)
-            .stack(Stack::new().traced())
-            .run_async(4, 10)
+        let rto = 2 * (4 + 1) + 1;
+        let cfg = TransportConfig {
+            rto,
+            backoff_cap: rto.max(16),
+            max_retransmits: 20,
+        };
+        let asynced = Executor::new(Topology::from_graph(&g), flood, 4)
+            .stack(
+                Stack::new()
+                    .transport(cfg)
+                    .adversarial(AdversaryPlan::new(4).jitter(1.0, 4))
+                    .traced(),
+            )
+            .run(10)
             .unwrap();
         assert_eq!(asynced.logics, sync.logics);
-        assert!(log.is_some_and(|l| !l.records.is_empty()));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot host the transport layer")]
-    fn async_rejects_transport() {
-        let g = generators::cycle(4);
-        let _ = Executor::new(Topology::from_graph(&g), flood, 0)
-            .stack(Stack::new().transport(TransportConfig::default()))
-            .run_async(2, 10);
+        assert_eq!(asynced.logical_rounds, sync.logical_rounds);
+        assert_eq!(asynced.metrics.retransmits, 0, "timeout undersized");
+        let log = asynced.log.expect("traced stack records a log");
+        log.reconcile(&asynced.metrics).expect("rollups reconcile");
     }
 
     #[test]

@@ -30,8 +30,20 @@
 //!
 //! Protocols run through one driver, [`exec::Executor`], whose
 //! [`exec::Stack`] engages the reliable transport, loss, churn,
-//! adversary and tracing layers; [`exec::Executor::run_async`] runs the
-//! same protocol on an asynchronous network through the α-synchronizer.
+//! adversary and tracing layers.
+//!
+//! Asynchrony is one such stack, not a separate executor. Section 3 of
+//! the paper reduces asynchronous networks to synchronous rounds with
+//! Awerbuch's α-synchronizer, and [`transport::Reliable`] is that
+//! synchronizer: it advances its inner logic to round `r` only once
+//! every live neighbour's round-`(r − 1)` frame has arrived. Delaying
+//! every frame by a random `1..=d` rounds with
+//! [`AdversaryPlan::jitter`]`(1.0, d)` under the transport gives an
+//! asynchronous network with delay bound `d`, and the run's result is
+//! that of the synchronous run with the same seed. Loss, corruption,
+//! duplication, partitions and tracing compose with it like with any
+//! other transport run. See [`transport`] for how to size the
+//! retransmission timeout to `d`.
 //!
 //! Determinism: all randomness derives from a master seed via per-node
 //! streams ([`node_rng`]), so every execution is exactly reproducible and
@@ -90,7 +102,6 @@ mod topology;
 pub mod adversary;
 pub mod exec;
 pub mod monitor;
-pub mod synchronizer;
 pub mod trace;
 pub mod transport;
 

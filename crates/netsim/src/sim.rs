@@ -125,7 +125,7 @@ fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
 ///
 /// Node state is struct-of-arrays (`logics` / `rngs` / `running` in
 /// parallel vectors) and inboxes live in a double-buffered contiguous
-/// arena indexed by a CSR-style offset table (see [`crate::arena`]):
+/// arena indexed by a CSR-style offset table (the private `arena` module):
 /// the merge phase counting-sorts each round's surviving envelopes by
 /// recipient instead of pushing into per-node `Vec`s, and delivery is
 /// pure slicing. A broadcast that is its sender's only output of the round

@@ -1,6 +1,6 @@
 //! Deterministic structured tracing: typed events, phase spans, exporters.
 //!
-//! The simulator's aggregate [`Metrics`](crate::Metrics) answer *how much*
+//! The simulator's aggregate [`Metrics`] answer *how much*
 //! a run cost; this module answers *where* the cost went. A [`Tracer`]
 //! attached to a [`Simulator`](crate::Simulator) receives a stream of
 //! typed [`TraceEvent`]s stamped with **logical time only** (the CONGEST
@@ -192,21 +192,12 @@ pub enum TraceEvent {
         /// The node that recovered.
         node: NodeId,
     },
-    /// The α-synchronizer executed one local round at a node
-    /// (`round` carries the global event tick).
-    SynchronizerPulse {
-        /// The pulsed node.
-        node: NodeId,
-        /// The node's local round number after the pulse.
-        local_round: u64,
-    },
 }
 
 /// A [`TraceEvent`] stamped with the logical round it occurred in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
-    /// Logical time stamp: the simulator round (or the synchronizer's
-    /// global tick for pulse events).
+    /// Logical time stamp: the simulator round.
     pub round: u64,
     /// The event payload.
     pub event: TraceEvent,
@@ -411,9 +402,7 @@ impl EventLog {
                 TraceEvent::DuplicateSuppressed { .. } => dups += 1,
                 TraceEvent::Corrupted { .. } => corrupted += 1,
                 TraceEvent::NetDuplicated { .. } => net_duplicated += 1,
-                TraceEvent::Crash { .. }
-                | TraceEvent::Recover { .. }
-                | TraceEvent::SynchronizerPulse { .. } => {}
+                TraceEvent::Crash { .. } | TraceEvent::Recover { .. } => {}
             }
         }
         if let Some(open) = stack.last() {
@@ -553,13 +542,6 @@ impl EventLog {
                 }
                 TraceEvent::Recover { node } => {
                     let _ = write!(out, "\"recover\",\"node\":{}", node.raw());
-                }
-                TraceEvent::SynchronizerPulse { node, local_round } => {
-                    let _ = write!(
-                        out,
-                        "\"synchronizer_pulse\",\"node\":{},\"local_round\":{local_round}",
-                        node.raw()
-                    );
                 }
             }
             out.push_str("}\n");

@@ -47,6 +47,35 @@
 //! setting. Loss only stretches physical time and adds metered overhead
 //! frames.
 //!
+//! # Asynchronous networks
+//!
+//! [`Reliable`] is the repository's one α-synchronizer (Awerbuch's
+//! reduction, which Section 3 of the paper invokes to carry synchronous
+//! algorithms to asynchronous networks). An asynchronous network with
+//! delay bound `d` is the transport with every frame delayed by a
+//! random `1..=d` rounds:
+//!
+//! ```text
+//! Stack::new()
+//!     .transport(cfg)
+//!     .adversarial(AdversaryPlan::new(seed).jitter(1.0, d))
+//! ```
+//!
+//! The inner execution is that of the synchronous run, whatever the
+//! delays. Only the timeout needs sizing: a frame and its ack each take
+//! up to `d + 1` rounds, so a timeout of `2·(d + 1) + 1` rounds never
+//! fires on a frame that is merely late:
+//!
+//! ```text
+//! let rto = 2 * (d + 1) + 1;
+//! let cfg = TransportConfig { rto, backoff_cap: rto.max(16), max_retransmits: 20 };
+//! ```
+//!
+//! A smaller `rto` (the default is 3) still gives the same result, but
+//! resends late frames spuriously. Loss, corruption, duplication,
+//! partitions and tracing compose with the jitter as with any other
+//! transport run.
+//!
 //! # Termination
 //!
 //! Reliable *distributed* termination over lossy links is the
@@ -150,7 +179,9 @@ impl<P: Payload> Payload for FrameMsg<P> {
 pub struct TransportConfig {
     /// Initial retransmission timeout, in physical rounds (the lossless
     /// ack round-trip is 2 rounds, so values below 3 retransmit
-    /// spuriously). Must be at least 1.
+    /// spuriously; under delay jitter up to `d` rounds it is
+    /// `2·(d + 1)`, see the [module docs](self#asynchronous-networks)).
+    /// Must be at least 1.
     pub rto: u64,
     /// Ceiling for the exponentially backed-off timeout. Must be at
     /// least `rto`.

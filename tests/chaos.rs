@@ -1,11 +1,11 @@
 //! Adversarial-delivery integration tests: the conservation law extended
 //! with the adversary's fault counters under random churn × loss ×
-//! adversary mixes, fail-fast guarantees (a permanent partition surfaces
-//! `DeliveryFailed` naming the cut link, and the α-synchronizer surfaces
-//! `AsyncStalled` under corruption — never a hang), and byte-identical
+//! adversary mixes, the fail-fast guarantee (a permanent partition
+//! surfaces `DeliveryFailed` naming the cut link — never a hang),
+//! corruption masked on an asynchronous network, and byte-identical
 //! event logs across `FTCLUST_THREADS` for an adversarial traced run.
 
-use ftclust::core::fractional::protocol::{run_fractional_async_stack, run_fractional_stack};
+use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_stack};
 use ftclust::core::fractional::FractionalParams;
 use ftclust::core::udg::protocol::run_udg_stack;
 use ftclust::core::udg::UdgAlgorithm;
@@ -184,29 +184,35 @@ fn permanent_partition_fails_fast_naming_the_cut_link() {
     }
 }
 
-/// The α-synchronizer under a corrupting adversary: corrupted bundles
-/// are checksum-erased, a starved node can never advance, and the run
-/// surfaces `AsyncStalled` when its event queue drains — never a hang.
+/// Corruption on an asynchronous network is masked: with every frame
+/// delayed by 1..=4 rounds and 40% of them checksum-erased, the
+/// transport retransmits until each round's frames are through, and
+/// Algorithm 1 computes exactly its synchronous solution.
 #[test]
-fn async_with_corruption_stalls_fast() {
+fn async_with_corruption_is_masked() {
     let g = generators::gnp(80, 0.06, 7);
     let inst = Instance::uniform_clamped(&g, 2);
-    let stack = Stack::new().adversarial(AdversaryPlan::new(3).corrupt(0.4));
-    match run_fractional_async_stack(&inst, &FractionalParams::new(2), 4, stack) {
-        Err(KmdsError::Sim(SimError::AsyncStalled {
-            stalled,
-            dropped_bundles,
-            ..
-        })) => {
-            assert!(stalled > 0, "a stall must strand at least one node");
-            assert!(
-                dropped_bundles > 0,
-                "the stall must be attributable to erased bundles"
-            );
-        }
-        Ok(_) => panic!("40% corruption cannot leave every bundle intact"),
-        Err(e) => panic!("expected AsyncStalled, got: {e}"),
-    }
+    let params = FractionalParams::new(2);
+    let rto = 2 * (4 + 1) + 1;
+    let cfg = TransportConfig {
+        rto,
+        backoff_cap: rto.max(16),
+        max_retransmits: 20,
+    };
+    let stack = Stack::new()
+        .transport(cfg)
+        .adversarial(AdversaryPlan::new(3).jitter(1.0, 4).corrupt(0.4));
+    let (run, _) = run_fractional_stack(&inst, &params, stack).unwrap();
+    let sync = run_fractional_protocol(&inst, &params).unwrap();
+    assert_eq!(
+        run.solution, sync.solution,
+        "corruption leaked into the result"
+    );
+    assert!(run.metrics.corrupted > 0, "no frame was corrupted");
+    assert!(
+        run.metrics.retransmits > 0,
+        "corruption was not retransmitted"
+    );
 }
 
 /// An adversarial traced transport run is deterministic to the byte:

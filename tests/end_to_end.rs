@@ -1,13 +1,15 @@
 //! Cross-crate integration tests: full pipelines over generated networks,
-//! engines vs. protocols vs. the asynchronous synchronizer.
+//! engines vs. protocols vs. asynchronous (jittered-transport) runs.
 
-use ftclust::core::fractional::protocol::{run_fractional_async_stack, run_fractional_protocol};
+use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_stack};
 use ftclust::core::fractional::{solve_fractional, FractionalParams};
 use ftclust::core::prelude::*;
 use ftclust::core::udg::protocol::run_udg_protocol;
 use ftclust::core::udg::UdgAlgorithm;
 use ftclust::graphs::generators;
 use ftclust::netsim::exec::Stack;
+use ftclust::netsim::transport::TransportConfig;
+use ftclust::netsim::AdversaryPlan;
 
 #[test]
 fn pipeline_feasible_on_every_graph_family() {
@@ -57,16 +59,26 @@ fn udg_algorithm_feasible_across_densities() {
 
 #[test]
 fn three_execution_modes_agree_exactly() {
-    // Engine, synchronous protocol and asynchronous (synchronizer)
-    // protocol must produce bit-identical fractional solutions.
+    // Engine, synchronous protocol and asynchronous protocol (the
+    // transport with every frame delayed by 1..=4 rounds) must produce
+    // bit-identical fractional solutions.
     let g = generators::gnp(50, 0.12, 9);
     let inst = Instance::uniform_clamped(&g, 2);
     let params = FractionalParams::new(3);
     let engine = solve_fractional(&inst, &params).unwrap();
     let synchronous = run_fractional_protocol(&inst, &params).unwrap().solution;
-    let asynchronous = run_fractional_async_stack(&inst, &params, 4, Stack::new()).unwrap();
+    let rto = 2 * (4 + 1) + 1;
+    let cfg = TransportConfig {
+        rto,
+        backoff_cap: rto.max(16),
+        max_retransmits: 20,
+    };
+    let stack = Stack::new()
+        .transport(cfg)
+        .adversarial(AdversaryPlan::new(9).jitter(1.0, 4));
+    let (asynchronous, _) = run_fractional_stack(&inst, &params, stack).unwrap();
     assert_eq!(engine, synchronous);
-    assert_eq!(engine, asynchronous);
+    assert_eq!(engine, asynchronous.solution);
 }
 
 /// FNV-1a over a byte stream.

@@ -8,15 +8,20 @@
 //! law. The portfolio protocols (`pb`, `dkm`, `cgreedy`) go through the
 //! same layers at the bottom of this file: fixed-seed thread
 //! invariance, lossy parity up to p = 0.2, and a churned+adversarial
-//! smoke per algorithm.
+//! smoke per algorithm. Asynchrony is one more combination — the
+//! transport under full delay jitter — and Algorithms 1, 2, 3 and the
+//! repair compute their synchronous results on it, also under loss.
 
 use ftclust::core::fractional::protocol::run_fractional_stack;
-use ftclust::core::fractional::FractionalParams;
+use ftclust::core::fractional::{FractionalParams, FractionalSolution};
 use ftclust::core::portfolio::{run_cgreedy_stack, run_dkm_stack, run_pb_stack, PortfolioRun};
 use ftclust::core::repair::{run_repair_stack, RepairConfig};
-use ftclust::core::udg::UdgAlgorithm;
+use ftclust::core::rounding::protocol::run_rounding_stack;
+use ftclust::core::rounding::{RoundingOutcome, RoundingParams};
+use ftclust::core::udg::protocol::run_udg_stack;
+use ftclust::core::udg::{UdgAlgorithm, UdgRun};
 use ftclust::core::validate::{is_k_dominating_instance, Semantics};
-use ftclust::core::Instance;
+use ftclust::core::{DominatingSet, Instance};
 use ftclust::graphs::generators;
 use ftclust::graphs::NodeId;
 use ftclust::netsim::exec::Stack;
@@ -358,5 +363,103 @@ fn portfolio_protocols_survive_churn_and_adversary() {
             is_k_dominating_instance(&inst, &run.set, Semantics::CoverSelf),
             "{name}: invalid set under chaos"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Asynchrony: the transport with every frame delayed.
+// ---------------------------------------------------------------------
+
+/// An asynchronous network with delay bound `max_delay`: every frame is
+/// delayed by `1..=max_delay` rounds, the transport's timeout covers a
+/// full delayed round trip, and i.i.d. loss `p` comes on top.
+fn asynchronous(max_delay: u64, p: f64) -> Stack {
+    let rto = 2 * (max_delay + 1) + 1;
+    let cfg = TransportConfig {
+        rto,
+        backoff_cap: rto.max(16),
+        max_retransmits: 20,
+    };
+    Stack::new()
+        .transport(cfg)
+        .adversarial(AdversaryPlan::new(0xA5).jitter(1.0, max_delay))
+        .lossy(p)
+}
+
+/// The results of Algorithms 1, 2 and 3 and of the repair (healed set,
+/// added nodes, iterations).
+type Results = (
+    FractionalSolution,
+    RoundingOutcome,
+    UdgRun,
+    (DominatingSet, Vec<NodeId>, u32),
+);
+
+/// Algorithms 1, 2 and 3 and the repair on one stack: their results
+/// and, separately, their metrics.
+fn run_all(stack: impl Fn() -> Stack) -> (Results, Vec<Metrics>) {
+    let g = generators::gnp(60, 0.1, 17);
+    let inst = Instance::uniform_clamped(&g, 2);
+    let (alg1, _) = run_fractional_stack(&inst, &FractionalParams::new(2), stack()).expect("alg 1");
+    let x = &alg1.solution.x;
+    let params = RoundingParams::default();
+    let (alg2, _) =
+        run_rounding_stack(&inst, x, alg1.solution.delta, 4, &params, stack()).expect("alg 2");
+    let udg = generators::random_udg(100, 8.0, 1.0, 12);
+    let (alg3, _) = run_udg_stack(&udg, &UdgAlgorithm::new(2).seed(7), stack()).expect("alg 3");
+    let mut alive = vec![true; udg.node_count()];
+    for v in alg3.run.set.ids().take(8) {
+        alive[v.index()] = false;
+    }
+    let (repair, _) = run_repair_stack(
+        udg.graph(),
+        &alg3.run.set,
+        &alive,
+        2,
+        &RepairConfig::new(3),
+        stack(),
+    )
+    .expect("repair");
+    let metrics = vec![alg1.metrics, alg2.metrics, alg3.metrics, repair.metrics];
+    let results = (
+        alg1.solution,
+        alg2.outcome,
+        alg3.run,
+        (repair.set, repair.added, repair.iterations),
+    );
+    (results, metrics)
+}
+
+/// Every algorithm computes its synchronous result on an asynchronous
+/// network, with delay bounds 1, 4 and 8, with and without 10% loss,
+/// identically at 1 and 2 worker threads.
+#[test]
+fn asynchronous_runs_equal_synchronous_runs() {
+    let (sync, _) = run_all(Stack::new);
+    assert!(!sync.3 .1.is_empty(), "the repair fixture repairs nothing");
+    for max_delay in [1u64, 4, 8] {
+        for p in [0.0, 0.1] {
+            let (ref_results, ref_metrics) =
+                with_threads(1, || run_all(|| asynchronous(max_delay, p)));
+            assert_eq!(
+                ref_results, sync,
+                "asynchrony changed a result at max_delay={max_delay} p={p}"
+            );
+            // The timeout covers every delayed round trip, so only loss
+            // causes retransmissions.
+            assert!(
+                ref_metrics.iter().all(|m| (m.retransmits > 0) == (p > 0.0)),
+                "retransmits do not track loss at max_delay={max_delay} p={p}"
+            );
+            let (results, metrics) = with_threads(2, || run_all(|| asynchronous(max_delay, p)));
+            assert_eq!(
+                results, ref_results,
+                "results diverged at 2 threads, max_delay={max_delay} p={p}"
+            );
+            assert_eq!(
+                metrics, ref_metrics,
+                "max_delay={max_delay} p={p}: metrics diverged at 2 threads"
+            );
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's algorithms run in the CONGEST model: every message carries
 //! `O(log n)` bits (Theorems 4.5, 4.6, 5.7). The simulator meters message
-//! sizes through [`Payload::bit_size`], so the model guarantee holds only
+//! sizes through `Payload::bit_size`, so the model guarantee holds only
 //! if every `bit_size` implementation charges a genuinely bounded cost.
 //! This pass statically audits those implementations:
 //!
@@ -22,7 +22,7 @@
 //!   its `bit_size` must charge a named `*_BITS` quantization constant
 //!   (or `bits_for_ids`), and the defining module must document the
 //!   quantization (the word "quantiz…" or "fixed-point" in its docs), as
-//!   `fractional::protocol` does for [`VALUE_BITS`]. A float charged at
+//!   `fractional::protocol` does for `VALUE_BITS`. A float charged at
 //!   full hardware width with no note is an unbounded encoding.
 
 use crate::source::SourceFile;

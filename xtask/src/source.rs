@@ -2,7 +2,7 @@
 //!
 //! The checkers in this tool are textual: they look for forbidden tokens
 //! (`.unwrap()`, float `==`, …) in *code*, not in comments, doc comments,
-//! or string literals. [`scrub`] produces a same-length copy of the source
+//! or string literals. `scrub` produces a same-length copy of the source
 //! in which every comment and literal body is blanked out with spaces, so
 //! byte offsets (and therefore line numbers) in the scrubbed text map 1:1
 //! onto the original file.
