@@ -128,10 +128,6 @@ fn run_epoch(
         seed ^ 0xE14,
         plan,
     );
-    // Churn soaks run for many epochs; bound the per-round history so
-    // memory stays O(cap) regardless of horizon. Folding preserves the
-    // series sums, so the conservation checks below are unaffected.
-    sim.set_per_round_cap(4);
     for _ in 0..=DETECT_ROUNDS {
         sim.step();
     }

@@ -37,7 +37,7 @@ use ftclust_core::udg::UdgAlgorithm;
 use ftclust_core::Instance;
 use ftclust_netsim::exec::Stack;
 use ftclust_netsim::transport::TransportConfig;
-use ftclust_netsim::{ChurnPlan, EventLog, Metrics};
+use ftclust_netsim::{EventLog, Metrics};
 
 const DROPS: [f64; 4] = [0.0, 0.01, 0.05, 0.2];
 
@@ -154,9 +154,7 @@ fn main() {
 
     let udg = udg_workload(n, 12.0, 77);
     let g = udg.graph();
-    let transport = TransportConfig::default();
-    let plan = |p: f64| ChurnPlan::none().drop_probability(p);
-    let lossy = |p: f64| Stack::new().churned(plan(p)).transport(transport);
+    let lossy = |p: f64| Stack::new().lossy(p).transport(TransportConfig::default());
     let mut inflation: Vec<(&str, f64, f64)> = Vec::new();
 
     // --- Algorithms 1 + 2: fractional LP then randomized rounding. ------

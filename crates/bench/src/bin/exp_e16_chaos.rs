@@ -34,6 +34,7 @@
 //! setting (CI diffs 1 vs 2 threads and uploads the JSON report).
 
 use ftclust_bench::families::udg_workload;
+use ftclust_bench::json_escape;
 use ftclust_bench::table::Table;
 use ftclust_core::fractional::protocol::run_fractional_stack;
 use ftclust_core::fractional::FractionalParams;
@@ -186,10 +187,6 @@ struct Cell {
     bits_x: f64,
     corrupted: u64,
     net_duplicated: u64,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

@@ -22,6 +22,7 @@
 //! setting (CI diffs 1 vs 2 threads and uploads the JSON report).
 
 use ftclust_bench::families::Family;
+use ftclust_bench::json_escape;
 use ftclust_bench::table::Table;
 use ftclust_core::fractional::{solve_fractional, FractionalParams};
 use ftclust_core::portfolio::{
@@ -31,7 +32,6 @@ use ftclust_core::validate::{certified_ratio, is_k_dominating_instance, Semantic
 use ftclust_core::{Instance, KmdsError};
 use ftclust_graphs::NodeId;
 use ftclust_netsim::exec::Stack;
-use ftclust_netsim::transport::TransportConfig;
 use ftclust_netsim::{AdversaryPlan, ChurnPlan, EventLog, Metrics};
 
 /// The three contenders, in presentation order.
@@ -59,24 +59,19 @@ const REGIMES: [Regime; 3] = [
     },
     Regime {
         name: "lossy",
-        build: || {
-            Stack::new()
-                .churned(ChurnPlan::none().drop_probability(0.1))
-                .transport(TransportConfig::default())
-        },
+        build: || Stack::new().lossy(0.1),
     },
     Regime {
         name: "chaos",
         build: || {
             Stack::new()
+                .lossy(0.05)
                 .churned(
                     ChurnPlan::none()
-                        .drop_probability(0.05)
                         .crash(NodeId::new(3), 2)
                         .recover(NodeId::new(3), 8),
                 )
                 .adversarial(AdversaryPlan::new(0xE17).duplicate(0.05).corrupt(0.05))
-                .transport(TransportConfig::default())
         },
     },
 ];
@@ -131,10 +126,6 @@ struct Aggregate {
     rounds_sum: u64,
     bits_sum: u64,
     survived: usize,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

@@ -108,9 +108,7 @@ pub fn survivability(
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let members: Vec<NodeId> = set.ids().collect();
-    let mut covered_fraction = Vec::with_capacity(trials as usize);
-    let mut fully_fraction = Vec::with_capacity(trials as usize);
-    let mut residual = Vec::with_capacity(trials as usize);
+    let mut tally = Tally::default();
     for _ in 0..trials {
         let mut dead = vec![false; g.node_count()];
         match model {
@@ -130,51 +128,9 @@ pub fn survivability(
                 unreachable!("Region was rejected before the trial loop");
             }
         }
-        let mut clients = 0usize;
-        let mut covered = 0usize;
-        let mut fully = 0usize;
-        let mut cov_sum = 0usize;
-        for v in g.nodes() {
-            if set.contains(v) || dead[v.index()] {
-                continue; // only surviving non-set nodes are "clients"
-            }
-            clients += 1;
-            let alive_doms = g
-                .neighbors(v)
-                .iter()
-                .filter(|&&w| set.contains(w) && !dead[w.index()])
-                .count();
-            cov_sum += alive_doms;
-            if alive_doms >= 1 {
-                covered += 1;
-            }
-            if alive_doms as u32 >= inst.demand(v) {
-                fully += 1;
-            }
-        }
-        if clients == 0 {
-            covered_fraction.push(1.0);
-            fully_fraction.push(1.0);
-            residual.push(0.0);
-        } else {
-            covered_fraction.push(covered as f64 / clients as f64);
-            fully_fraction.push(fully as f64 / clients as f64);
-            residual.push(cov_sum as f64 / clients as f64);
-        }
+        tally.trial(inst, set, &dead, |_, _| {});
     }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    Ok(SurvivabilityReport {
-        model,
-        trials,
-        mean_covered_fraction: mean(&covered_fraction),
-        min_covered_fraction: covered_fraction
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min),
-        mean_fully_covered_fraction: mean(&fully_fraction),
-        mean_residual_coverage: mean(&residual),
-        mean_at_risk_covered_fraction: None,
-    })
+    Ok(tally.report(model, trials, None))
 }
 
 /// Correlated **regional** failure for geometric deployments: all nodes
@@ -211,7 +167,6 @@ pub fn regional_survivability(
             what: "regional_survivability",
         });
     }
-    let g = inst.graph();
     assert_eq!(set.universe(), udg.node_count(), "set universe mismatch");
     assert!(
         disaster_radius.is_finite() && disaster_radius >= 0.0,
@@ -222,9 +177,7 @@ pub fn regional_survivability(
         ftclust_geometry::Point::ORIGIN,
         ftclust_geometry::Point::ORIGIN,
     ));
-    let mut covered_fraction = Vec::with_capacity(trials as usize);
-    let mut fully_fraction = Vec::with_capacity(trials as usize);
-    let mut residual = Vec::with_capacity(trials as usize);
+    let mut tally = Tally::default();
     let mut at_risk_fraction = Vec::with_capacity(trials as usize);
     for _ in 0..trials {
         let center = ftclust_geometry::Point::new(
@@ -237,13 +190,62 @@ pub fn regional_survivability(
             .iter()
             .map(|p| p.dist_sq(center) <= r_sq)
             .collect();
+        let mut at_risk = 0usize;
+        let mut at_risk_covered = 0usize;
+        let risk_band = disaster_radius + udg.radius();
+        tally.trial(inst, set, &dead, |v, alive| {
+            // Survivors close enough to the disaster that part of their
+            // neighborhood may have burned.
+            if udg.position(v).dist(center) <= risk_band {
+                at_risk += 1;
+                if alive >= 1 {
+                    at_risk_covered += 1;
+                }
+            }
+        });
+        at_risk_fraction.push(if at_risk == 0 {
+            1.0
+        } else {
+            at_risk_covered as f64 / at_risk as f64
+        });
+    }
+    let model = FailureModel::Region {
+        radius: disaster_radius,
+    };
+    Ok(tally.report(model, trials, Some(mean(&at_risk_fraction))))
+}
+
+fn mean(v: &[f64]) -> f64 {
+    v.iter().sum::<f64>() / v.len() as f64
+}
+
+/// The per-trial client statistics shared by [`survivability`] and
+/// [`regional_survivability`]. A *client* is a surviving non-set node;
+/// each trial records the fraction of clients with ≥ 1 alive dominator,
+/// the fraction fully covered to their demand, and their mean number of
+/// alive dominators.
+#[derive(Default)]
+struct Tally {
+    covered: Vec<f64>,
+    fully: Vec<f64>,
+    residual: Vec<f64>,
+}
+
+impl Tally {
+    /// Records one trial in which the nodes marked in `dead` failed;
+    /// `on_client` sees every client with its alive-dominator count.
+    fn trial(
+        &mut self,
+        inst: &Instance<'_>,
+        set: &DominatingSet,
+        dead: &[bool],
+        mut on_client: impl FnMut(NodeId, usize),
+    ) {
+        let g = inst.graph();
         let mut clients = 0usize;
         let mut covered = 0usize;
         let mut fully = 0usize;
         let mut cov_sum = 0usize;
-        let mut at_risk = 0usize;
-        let mut at_risk_covered = 0usize;
-        let risk_band = disaster_radius + udg.radius();
         for v in g.nodes() {
             if set.contains(v) || dead[v.index()] {
                 continue;
@@ -261,45 +263,35 @@ pub fn regional_survivability(
             if alive as u32 >= inst.demand(v) {
                 fully += 1;
             }
-            // Survivors close enough to the disaster that part of their
-            // neighborhood may have burned.
-            if udg.position(v).dist(center) <= risk_band {
-                at_risk += 1;
-                if alive >= 1 {
-                    at_risk_covered += 1;
-                }
-            }
+            on_client(v, alive);
         }
         if clients == 0 {
-            covered_fraction.push(1.0);
-            fully_fraction.push(1.0);
-            residual.push(0.0);
+            self.covered.push(1.0);
+            self.fully.push(1.0);
+            self.residual.push(0.0);
         } else {
-            covered_fraction.push(covered as f64 / clients as f64);
-            fully_fraction.push(fully as f64 / clients as f64);
-            residual.push(cov_sum as f64 / clients as f64);
+            self.covered.push(covered as f64 / clients as f64);
+            self.fully.push(fully as f64 / clients as f64);
+            self.residual.push(cov_sum as f64 / clients as f64);
         }
-        at_risk_fraction.push(if at_risk == 0 {
-            1.0
-        } else {
-            at_risk_covered as f64 / at_risk as f64
-        });
     }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    Ok(SurvivabilityReport {
-        model: FailureModel::Region {
-            radius: disaster_radius,
-        },
-        trials,
-        mean_covered_fraction: mean(&covered_fraction),
-        min_covered_fraction: covered_fraction
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min),
-        mean_fully_covered_fraction: mean(&fully_fraction),
-        mean_residual_coverage: mean(&residual),
-        mean_at_risk_covered_fraction: Some(mean(&at_risk_fraction)),
-    })
+
+    fn report(
+        self,
+        model: FailureModel,
+        trials: u32,
+        mean_at_risk_covered_fraction: Option<f64>,
+    ) -> SurvivabilityReport {
+        SurvivabilityReport {
+            model,
+            trials,
+            mean_covered_fraction: mean(&self.covered),
+            min_covered_fraction: self.covered.iter().copied().fold(f64::INFINITY, f64::min),
+            mean_fully_covered_fraction: mean(&self.fully),
+            mean_residual_coverage: mean(&self.residual),
+            mean_at_risk_covered_fraction,
+        }
+    }
 }
 
 /// The deterministic guarantee: for a strict k-fold dominating set, after

@@ -327,7 +327,7 @@ fn lp_phases(t2: u64) -> Vec<Phase> {
 /// round, message and bit of Theorem 4.5's `O(t²)` schedule to its phase
 /// via the plan above; tracing does not perturb the run, so solution and
 /// metrics are identical to the untraced stack's. When the stack engages
-/// the transport, drops and link outages stretch physical time and add
+/// the transport, drops and partitions stretch physical time and add
 /// metered retransmissions but leave the solution bit-for-bit identical
 /// (asserted against the engine by the `strict-invariants` feature, which
 /// also reconciles the log's rollups against the metrics).
@@ -429,7 +429,6 @@ mod tests {
     use crate::fractional::solve_fractional;
     use ftclust_graphs::generators;
     use ftclust_netsim::transport::TransportConfig;
-    use ftclust_netsim::ChurnPlan;
 
     #[test]
     fn protocol_equals_engine_bit_for_bit() {
@@ -481,9 +480,7 @@ mod tests {
         let params = FractionalParams::new(2);
         let engine = solve_fractional(&inst, &params).unwrap();
         for p in [0.0, 0.05, 0.2] {
-            let stack = Stack::new()
-                .churned(ChurnPlan::none().drop_probability(p))
-                .transport(TransportConfig::default());
+            let stack = Stack::new().lossy(p).transport(TransportConfig::default());
             let (run, _) = run_fractional_stack(&inst, &params, stack).unwrap();
             assert_eq!(engine, run.solution, "diverged at p = {p}");
             if p == 0.0 {

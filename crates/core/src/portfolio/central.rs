@@ -159,8 +159,6 @@ pub fn run_cgreedy_protocol(inst: &Instance<'_>) -> Result<PortfolioRun, KmdsErr
 mod tests {
     use super::*;
     use ftclust_graphs::generators;
-    use ftclust_netsim::transport::TransportConfig;
-    use ftclust_netsim::ChurnPlan;
 
     #[test]
     fn protocol_distributes_the_engine_set_in_two_rounds() {
@@ -192,13 +190,7 @@ mod tests {
         let g = generators::gnp(40, 0.15, 11);
         let inst = Instance::uniform_clamped(&g, 2);
         let (lossless, _) = run_cgreedy_stack(&inst, Stack::new()).unwrap();
-        let (lossy, _) = run_cgreedy_stack(
-            &inst,
-            Stack::new()
-                .churned(ChurnPlan::none().drop_probability(0.2))
-                .transport(TransportConfig::default()),
-        )
-        .unwrap();
+        let (lossy, _) = run_cgreedy_stack(&inst, Stack::new().lossy(0.2)).unwrap();
         assert_eq!(lossy.set, lossless.set, "loss changed the set");
         assert!(lossy.metrics.retransmits > 0, "no loss exercised");
     }

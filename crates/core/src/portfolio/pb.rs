@@ -79,8 +79,6 @@ mod tests {
     use super::*;
     use crate::validate::{is_k_dominating_instance, Semantics};
     use ftclust_graphs::generators;
-    use ftclust_netsim::transport::TransportConfig;
-    use ftclust_netsim::ChurnPlan;
 
     #[test]
     fn produces_valid_cover_self_sets() {
@@ -139,13 +137,7 @@ mod tests {
         let inst = Instance::uniform_clamped(&g, 2);
         let (lossless, _) = run_pb_stack(&inst, Stack::new()).unwrap();
         for p in [0.05, 0.2] {
-            let (lossy, _) = run_pb_stack(
-                &inst,
-                Stack::new()
-                    .churned(ChurnPlan::none().drop_probability(p))
-                    .transport(TransportConfig::default()),
-            )
-            .unwrap();
+            let (lossy, _) = run_pb_stack(&inst, Stack::new().lossy(p)).unwrap();
             assert_eq!(lossy.set, lossless.set, "loss changed the set at p={p}");
             assert!(lossy.metrics.retransmits > 0, "no loss exercised at p={p}");
         }

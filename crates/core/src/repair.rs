@@ -663,7 +663,7 @@ fn repair_phases() -> Vec<Phase> {
 ///
 /// When the stack is traced, [`EventLog::rollups`] shows how the repair
 /// cost is spread over iterations versus detection via the plan above.
-/// When the transport is engaged, drops and outage windows add metered
+/// When the transport is engaged, drops and partition windows add metered
 /// retransmissions but leave the healed set, additions and iteration
 /// count seed-for-seed identical to [`repair_coverage`]'s (asserted by
 /// the `strict-invariants` feature, which also reconciles the log's
@@ -1272,7 +1272,6 @@ mod tests {
 
     #[test]
     fn lossy_protocol_matches_engine() {
-        use ftclust_netsim::ChurnPlan;
         let udg = generators::random_udg(200, 9.0, 1.0, 51);
         let g = udg.graph();
         let run = UdgAlgorithm::new(2).seed(6).run(&udg).unwrap();
@@ -1280,9 +1279,7 @@ mod tests {
         let cfg = RepairConfig::new(13).rule(PromotionRule::Random);
         let engine = repair_coverage(g, &run.set, &alive, 2, &cfg).unwrap();
         for p in [0.0, 0.05, 0.2] {
-            let stack = Stack::new()
-                .churned(ChurnPlan::none().drop_probability(p))
-                .transport(TransportConfig::default());
+            let stack = Stack::new().lossy(p).transport(TransportConfig::default());
             let (proto, _) = run_repair_stack(g, &run.set, &alive, 2, &cfg, stack).unwrap();
             assert_protocol_matches(&proto, &engine, &format!("p = {p}"));
             if p == 0.0 {

@@ -245,7 +245,6 @@ mod tests {
     use crate::validate::{is_k_dominating_instance, Semantics};
     use ftclust_graphs::generators;
     use ftclust_netsim::transport::TransportConfig;
-    use ftclust_netsim::ChurnPlan;
 
     #[test]
     fn protocol_equals_engine_for_both_selection_rules() {
@@ -291,9 +290,7 @@ mod tests {
         for seed in [0u64, 9] {
             let engine = round_fractional(&inst, &frac.x, frac.delta, seed, &params);
             for p in [0.0, 0.05, 0.2] {
-                let stack = Stack::new()
-                    .churned(ChurnPlan::none().drop_probability(p))
-                    .transport(TransportConfig::default());
+                let stack = Stack::new().lossy(p).transport(TransportConfig::default());
                 let (run, _) =
                     run_rounding_stack(&inst, &frac.x, frac.delta, seed, &params, stack).unwrap();
                 assert_eq!(engine, run.outcome, "diverged at seed {seed}, p = {p}");

@@ -286,7 +286,7 @@ fn empty_udg_run() -> UdgProtocolRun {
 ///
 /// When the stack is traced, [`EventLog::rollups`] splits the run's cost
 /// between Part I sparsification and Part II promotion via the plan
-/// above. When the transport is engaged, drops and outage windows add
+/// above. When the transport is engaged, drops and partition windows add
 /// metered retransmissions but leave the computed set, leaders and
 /// iteration counts seed-for-seed identical to the lossless run's
 /// (asserted by the `strict-invariants` feature, which also audits
@@ -431,7 +431,6 @@ mod tests {
     use crate::validate::{is_k_dominating, Semantics};
     use ftclust_graphs::generators;
     use ftclust_netsim::transport::TransportConfig;
-    use ftclust_netsim::ChurnPlan;
 
     /// FNV-1a over every output of a run: both member masks, both
     /// counters and the active-count series.
@@ -506,9 +505,7 @@ mod tests {
         let config = UdgAlgorithm::new(2).seed(4);
         let lossless = run_udg_protocol(&udg, &config).unwrap().run;
         for p in [0.0, 0.05, 0.2] {
-            let stack = Stack::new()
-                .churned(ChurnPlan::none().drop_probability(p))
-                .transport(TransportConfig::default());
+            let stack = Stack::new().lossy(p).transport(TransportConfig::default());
             let (run, _) = run_udg_stack(&udg, &config, stack).unwrap();
             assert_eq!(lossless, run.run, "diverged at p = {p}");
             if p == 0.0 {

@@ -34,8 +34,8 @@
 //!   corrupted + in_flight`.
 //! * **Partitions** ([`AdversaryPlan::partition`]): during a half-open
 //!   round window, *every* link between a node group and its complement
-//!   is cut — the cut-set generalization of `ChurnPlan`'s single-link
-//!   outages. Cut messages count as dropped. A partition outliving the
+//!   is cut; this is the simulator's one link-cut schedule. Cut
+//!   messages count as dropped. A partition outliving the
 //!   transport's retransmit budget surfaces
 //!   [`SimError::DeliveryFailed`](crate::SimError::DeliveryFailed)
 //!   naming the cut link — never a hang.

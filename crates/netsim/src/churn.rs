@@ -1,19 +1,20 @@
 //! Live churn: crash **and recovery** events, random membership churn,
-//! and per-link outage windows.
+//! and i.i.d. message loss.
 //!
-//! A [`ChurnPlan`] is the simulator's one fault schedule for nodes and
-//! links. It covers both halves of the paper's motivation: crash-stop
+//! A [`ChurnPlan`] is the simulator's fault schedule for nodes and the
+//! raw channel. It covers both halves of the paper's motivation: crash-stop
 //! failures (crashes with no recovery), and the dynamic case where nodes
 //! die *and come back* while the protocol is running (the
 //! mobile/churning networks of Gao et al.'s *Discrete Mobile Centers*,
-//! the basis of Algorithm 3 Part I). Links suffer transient outages and
-//! i.i.d. message loss, and failures can arrive at seeded-random rounds
-//! rather than a fixed schedule.
+//! the basis of Algorithm 3 Part I). Messages suffer i.i.d. loss, and
+//! failures can arrive at seeded-random rounds rather than a fixed
+//! schedule. Links cut for a window of rounds are
+//! [`AdversaryPlan::partition`](crate::AdversaryPlan::partition)s.
 //!
 //! All churn decisions are made **on the simulator's sequential merge
 //! path** (see `DESIGN.md` §8): scheduled events are applied in plan
 //! order, random churn draws one uniform per node per round from the
-//! shared fault stream, and link/drop losses are drawn in sender order —
+//! shared fault stream, and message losses are drawn in sender order —
 //! so every execution is bit-for-bit identical at every thread count.
 //!
 //! # Semantics
@@ -22,11 +23,8 @@
 //!   receives from the start of round `r` on; messages already in flight
 //!   to it are counted as [`crate::Metrics::dead_on_arrival`].
 //! * A node **recovered** at round `r` executes again from round `r`.
-//!   Its protocol state persists across the outage (fail-recover with
+//!   Its protocol state persists while it is down (fail-recover with
 //!   persistent memory); messages sent to it while it was down are lost.
-//! * A **link outage** over `rounds` kills every message *sent* across
-//!   that link (either direction) during those rounds; the losses count
-//!   as [`crate::Metrics::dropped_messages`].
 //! * **Random churn** flips each node independently per round: an up
 //!   node crashes with probability `crash_prob`, a down node recovers
 //!   with probability `recover_prob`.
@@ -40,15 +38,12 @@
 //! let plan = ChurnPlan::none()
 //!     .crash(NodeId::new(3), 5)       // node 3 dies at round 5...
 //!     .recover(NodeId::new(3), 9)     // ...and returns at round 9
-//!     .link_outage(NodeId::new(0), NodeId::new(1), 2..4)
 //!     .drop_probability(0.01);
 //! assert_eq!(plan.scheduled_events().len(), 2);
-//! assert!(plan.link_down(NodeId::new(1), NodeId::new(0), 3));
-//! assert!(!plan.link_down(NodeId::new(1), NodeId::new(0), 4));
+//! assert!(plan.can_wake(NodeId::new(3), 6));
 //! ```
 
 use ftclust_graphs::NodeId;
-use std::ops::Range;
 
 /// One scheduled churn event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,16 +63,8 @@ pub struct RandomChurn {
     pub recover_prob: f64,
 }
 
-/// A transient outage of one link.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct LinkOutage {
-    u: NodeId,
-    v: NodeId,
-    rounds: Range<u64>,
-}
-
 /// A live-churn plan: scheduled crash/recovery events, seeded-random
-/// churn, per-link outage windows, and i.i.d. message loss.
+/// churn, and i.i.d. message loss.
 ///
 /// Pass it to [`crate::Simulator::with_churn`], or to the executor
 /// through [`crate::exec::Stack::churned`]. A crash-stop schedule is a
@@ -90,7 +77,6 @@ pub struct ChurnPlan {
     events: Vec<(u64, NodeId, ChurnEvent)>,
     random: Option<RandomChurn>,
     drop_probability: f64,
-    outages: Vec<LinkOutage>,
 }
 
 impl ChurnPlan {
@@ -131,13 +117,6 @@ impl ChurnPlan {
         self
     }
 
-    /// Declares the link `{u, v}` out for every message **sent** during
-    /// `rounds` (half-open), in either direction.
-    pub fn link_outage(mut self, u: NodeId, v: NodeId, rounds: Range<u64>) -> Self {
-        self.outages.push(LinkOutage { u, v, rounds });
-        self
-    }
-
     /// Sets the independent per-message loss probability.
     ///
     /// # Panics
@@ -170,26 +149,6 @@ impl ChurnPlan {
         sorted
     }
 
-    /// Number of scheduled events.
-    pub fn event_count(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether any link outage window is configured at all. The simulator
-    /// skips the per-envelope [`ChurnPlan::link_down`] scan on plans
-    /// without outages.
-    pub fn has_link_outages(&self) -> bool {
-        !self.outages.is_empty()
-    }
-
-    /// Returns `true` if a message sent from `from` to `to` in `round`
-    /// crosses a link that is out.
-    pub fn link_down(&self, from: NodeId, to: NodeId, round: u64) -> bool {
-        self.outages.iter().any(|o| {
-            ((o.u == from && o.v == to) || (o.u == to && o.v == from)) && o.rounds.contains(&round)
-        })
-    }
-
     /// Returns `true` if `node`, down at `round`, could still come back:
     /// a recovery is scheduled at `round` or later, or random recovery is
     /// possible. Drives the simulator's quiescence check — a down node
@@ -212,9 +171,8 @@ mod tests {
     fn none_has_no_churn() {
         let p = ChurnPlan::none();
         assert_eq!(p.drop_prob(), 0.0);
-        assert_eq!(p.event_count(), 0);
+        assert!(p.scheduled_events().is_empty());
         assert!(p.random().is_none());
-        assert!(!p.link_down(NodeId::new(0), NodeId::new(1), 5));
         assert!(!p.can_wake(NodeId::new(0), 0));
     }
 
@@ -229,18 +187,6 @@ mod tests {
         // Same-round events keep plan order: crash first, recover second.
         assert_eq!(ev[1], (7, NodeId::new(5), ChurnEvent::Crash));
         assert_eq!(ev[2], (7, NodeId::new(5), ChurnEvent::Recover));
-    }
-
-    #[test]
-    fn link_outage_is_symmetric_and_half_open() {
-        let p = ChurnPlan::none().link_outage(NodeId::new(2), NodeId::new(4), 3..6);
-        for r in 3..6 {
-            assert!(p.link_down(NodeId::new(2), NodeId::new(4), r));
-            assert!(p.link_down(NodeId::new(4), NodeId::new(2), r));
-        }
-        assert!(!p.link_down(NodeId::new(2), NodeId::new(4), 2));
-        assert!(!p.link_down(NodeId::new(2), NodeId::new(4), 6));
-        assert!(!p.link_down(NodeId::new(2), NodeId::new(5), 4));
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub enum SimError {
     /// A reliable-transport link exhausted its retransmission budget: the
     /// frame `seq` from `from` to `to` was sent `attempts` times (the
     /// original send plus the retransmissions) without an acknowledgment.
-    /// Raised by [`crate::transport`] when loss or an outage outlasts the
+    /// Raised by [`crate::transport`] when loss or a partition outlasts the
     /// configured [`crate::transport::TransportConfig::max_retransmits`].
     DeliveryFailed {
         /// The sender whose budget ran out.

@@ -9,10 +9,10 @@
 //! driver composed from orthogonal layers, selected by a [`Stack`]:
 //!
 //! * **transport** — wrap every node in [`Reliable`] so message loss and
-//!   outage windows are masked by retransmission ([`Stack::lossy`],
+//!   partition windows are masked by retransmission ([`Stack::lossy`],
 //!   [`Stack::transport`]);
 //! * **churn** — a [`ChurnPlan`] of crashes, recoveries, random churn
-//!   and link loss ([`Stack::churned`]);
+//!   and message loss ([`Stack::churned`]);
 //! * **tracing** — record an [`EventLog`] with per-phase spans driven by
 //!   a declarative [`Phase`] plan ([`Stack::traced`]);
 //! * **adversary** — an [`AdversaryPlan`] of delay jitter, duplication,
@@ -157,8 +157,9 @@ impl Stack {
     }
 
     /// Engages the churn layer with `plan` (crashes, recoveries, random
-    /// churn, outage windows, and the plan's own drop rate unless
-    /// [`Stack::lossy`] sets one).
+    /// churn, and the plan's own drop rate unless [`Stack::lossy`] sets
+    /// one). Links cut for a window of rounds are an
+    /// [`AdversaryPlan::partition`] on [`Stack::adversarial`].
     pub fn churned(mut self, plan: ChurnPlan) -> Self {
         self.churn = Some(plan);
         self

@@ -20,11 +20,11 @@
 //! [`ChurnPlan`]: crash-stop failures and random message loss — the
 //! paper's *motivation* is that k-fold dominating sets tolerate exactly
 //! such faults — as well as live churn (crash **and recovery** events,
-//! seeded-random membership churn, link outage windows), which drives the
-//! self-healing repair protocol in `ftclust-core`. Beyond loss, an
-//! [`AdversaryPlan`] injects the faults real radios produce — reordering
-//! delay jitter, frame duplication, payload corruption, scheduled group
-//! partitions — and the [`monitor`] module measures detection latency and
+//! seeded-random membership churn), which drives the self-healing repair
+//! protocol in `ftclust-core`. Beyond loss, an [`AdversaryPlan`] injects
+//! the faults real radios produce — reordering delay jitter, frame
+//! duplication, payload corruption, scheduled group partitions (the one
+//! way to cut links for a window of rounds) — and the [`monitor`] module measures detection latency and
 //! time-to-repair when the repair protocol runs continuously under that
 //! chaos.
 //!

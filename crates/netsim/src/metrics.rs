@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 /// These are the quantities the paper's theorems bound: round complexity
 /// (Theorems 4.5 and 5.7) and message size in bits (the `O(log n)` model
 /// restriction, Section 3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Metrics {
     /// Rounds executed until quiescence (or until the simulation stopped).
     pub rounds: u64,
@@ -16,16 +16,14 @@ pub struct Metrics {
     /// Largest single message, in bits. `u64` like every sibling counter,
     /// so serialized `Metrics` agree across 32- and 64-bit targets.
     pub max_message_bits: u64,
-    /// Messages sent per round, for time-series experiments. With a
-    /// series cap set (see [`Metrics::set_per_round_cap`]) each entry is
-    /// a *bucket* of [`Metrics::per_round_resolution`] consecutive
-    /// rounds; by default the resolution is 1 and the series is exact.
+    /// Messages sent per round, for time-series experiments: one entry
+    /// per round.
     pub per_round_messages: Vec<u64>,
-    /// Bits sent per round (the communication-volume time series); same
-    /// bucketing as [`Metrics::per_round_messages`].
+    /// Bits sent per round (the communication-volume time series).
     pub per_round_bits: Vec<u64>,
-    /// Number of messages lost to fault injection (random loss or a link
-    /// outage window).
+    /// Number of messages lost to fault injection (random loss or an
+    /// [`AdversaryPlan::partition`](crate::AdversaryPlan::partition)
+    /// cut).
     pub dropped_messages: u64,
     /// Messages handed to a live recipient's inbox. A message is counted
     /// when its delivery round starts, whether or not the recipient's
@@ -68,38 +66,6 @@ pub struct Metrics {
     /// the duplicate bound relaxes to `duplicates_suppressed <=
     /// retransmits + net_duplicated`.
     pub net_duplicated: u64,
-    /// Rounds folded into each `per_round_*` bucket (1 = exact series).
-    /// Doubles every time the capped series is compacted.
-    per_round_resolution: u64,
-    /// Optional bound on `per_round_*` length; `None` (the default)
-    /// keeps the exact one-entry-per-round behavior.
-    per_round_cap: Option<usize>,
-    /// Rounds accumulated into the last (open) bucket so far.
-    rounds_in_last: u64,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            rounds: 0,
-            messages: 0,
-            total_bits: 0,
-            max_message_bits: 0,
-            per_round_messages: Vec::new(),
-            per_round_bits: Vec::new(),
-            dropped_messages: 0,
-            delivered_messages: 0,
-            dead_on_arrival: 0,
-            retransmits: 0,
-            acks: 0,
-            duplicates_suppressed: 0,
-            corrupted: 0,
-            net_duplicated: 0,
-            per_round_resolution: 1,
-            per_round_cap: None,
-            rounds_in_last: 0,
-        }
-    }
 }
 
 impl Metrics {
@@ -138,22 +104,6 @@ impl Metrics {
             self.delivered_messages
         );
         self.delivered_messages - self.duplicates_suppressed
-    }
-
-    /// Rounds folded into each `per_round_*` entry. 1 unless a series
-    /// cap (see [`Metrics::set_per_round_cap`]) forced compaction.
-    pub fn per_round_resolution(&self) -> u64 {
-        self.per_round_resolution
-    }
-
-    /// Caps the `per_round_*` series at `cap` entries (minimum 2) for
-    /// long-horizon runs. When a new round would exceed the cap, the
-    /// series is compacted by summing adjacent pairs of buckets and the
-    /// resolution doubles — aggregate sums are preserved exactly, only
-    /// granularity is lost. Off by default: without a cap the series
-    /// stays exact, one entry per round.
-    pub fn set_per_round_cap(&mut self, cap: usize) {
-        self.per_round_cap = Some(cap.max(2));
     }
 
     /// Folds one shard's transport counters into the totals. Sums are
@@ -209,50 +159,8 @@ impl Metrics {
 
     pub(crate) fn begin_round(&mut self) {
         self.rounds += 1;
-        // Accumulate into the open bucket while it has capacity (only
-        // possible once compaction has raised the resolution above 1).
-        if self.rounds_in_last < self.per_round_resolution && !self.per_round_messages.is_empty() {
-            self.rounds_in_last += 1;
-            return;
-        }
-        if let Some(cap) = self.per_round_cap {
-            while self.per_round_messages.len() >= cap {
-                self.fold_pairs();
-            }
-        }
         self.per_round_messages.push(0);
         self.per_round_bits.push(0);
-        self.rounds_in_last = 1;
-    }
-
-    /// Halves the `per_round_*` series by summing adjacent bucket pairs
-    /// (a lone trailing bucket is kept as-is) and doubles the
-    /// resolution. Sum-preserving by construction.
-    fn fold_pairs(&mut self) {
-        let old_len = self.per_round_messages.len();
-        if old_len < 2 {
-            return;
-        }
-        for series in [&mut self.per_round_messages, &mut self.per_round_bits] {
-            let mut w = 0;
-            let mut r = 0;
-            while r < old_len {
-                series[w] = if r + 1 < old_len {
-                    series[r] + series[r + 1]
-                } else {
-                    series[r]
-                };
-                w += 1;
-                r += 2;
-            }
-            series.truncate(w);
-        }
-        // The open bucket absorbed its (full) left neighbor iff the old
-        // length was even.
-        if old_len % 2 == 0 {
-            self.rounds_in_last += self.per_round_resolution;
-        }
-        self.per_round_resolution *= 2;
     }
 }
 
@@ -314,7 +222,6 @@ mod tests {
         m.record_send(1);
         m.begin_round();
         assert_eq!(m.rounds, 2);
-        assert_eq!(m.per_round_resolution(), 1);
         assert_eq!(m.per_round_messages, vec![1, 0]);
         assert_eq!(m.per_round_bits, vec![1, 0]);
     }
@@ -360,55 +267,6 @@ mod tests {
             ..Metrics::default()
         };
         let _ = m.unique_delivered();
-    }
-
-    #[test]
-    fn per_round_cap_folds_pairs_and_preserves_sums() {
-        let mut m = Metrics::default();
-        m.set_per_round_cap(4);
-        // 9 rounds sending `round_index + 1` unit messages each.
-        for i in 0..9u64 {
-            m.begin_round();
-            for _ in 0..=i {
-                m.record_send(1);
-            }
-        }
-        assert_eq!(m.rounds, 9);
-        // Sums survive every compaction exactly.
-        assert_eq!(m.per_round_messages.iter().sum::<u64>(), m.messages);
-        assert_eq!(m.per_round_bits.iter().sum::<u64>(), m.total_bits);
-        assert_eq!(m.messages, 45);
-        assert!(m.per_round_messages.len() <= 4, "cap respected");
-        assert_eq!(m.per_round_messages.len(), m.per_round_bits.len());
-        // Two compactions: resolution 1 -> 2 -> 4.
-        assert_eq!(m.per_round_resolution(), 4);
-        // Buckets: rounds 1-4, 5-8, 9(open) with 1-indexed loads.
-        assert_eq!(m.per_round_messages, vec![10, 26, 9]);
-    }
-
-    #[test]
-    fn per_round_cap_is_exact_until_exceeded() {
-        let mut m = Metrics::default();
-        m.set_per_round_cap(8);
-        for _ in 0..8 {
-            m.begin_round();
-            m.record_send(2);
-        }
-        assert_eq!(m.per_round_resolution(), 1);
-        assert_eq!(m.per_round_messages, vec![1; 8]);
-        m.begin_round();
-        assert_eq!(m.per_round_resolution(), 2);
-        assert_eq!(m.per_round_messages, vec![2, 2, 2, 2, 0]);
-    }
-
-    #[test]
-    fn uncapped_series_behavior_is_unchanged() {
-        let mut m = Metrics::default();
-        for _ in 0..100 {
-            m.begin_round();
-        }
-        assert_eq!(m.per_round_messages.len(), 100);
-        assert_eq!(m.per_round_resolution(), 1);
     }
 
     #[cfg(debug_assertions)]

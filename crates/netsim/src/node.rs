@@ -340,10 +340,10 @@ impl<'a, P: Payload> Context<'a, P> {
 
     /// Sends a copy of `payload` to every neighbor.
     ///
-    /// When no per-envelope layer (tracer, churn, loss, link outage,
-    /// adversary) is engaged, a broadcast that is the node's first
-    /// output of the round is *published*: the payload is stored once in
-    /// the node's slot and receivers read it through the adjacency,
+    /// When no per-envelope layer (tracer, churn, loss, adversary) is
+    /// engaged, a broadcast that is the node's first output of the round
+    /// is *published*: the payload is stored once in the node's slot and
+    /// receivers read it through the adjacency,
     /// instead of `deg` cloned envelopes being sorted. Any later `send`
     /// or `broadcast` in the same round first turns the published
     /// broadcast back into envelopes at its original position, so what

@@ -113,10 +113,11 @@ fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
 ///
 /// A [`ChurnPlan`] drives live failures: scheduled crash/recovery events
 /// and seeded-random churn are applied **at the start of each round** on
-/// the sequential path (before node logic runs), and per-link outage
-/// windows plus random message loss are applied on the sequential merge
-/// path — so churn never perturbs cross-thread determinism. A down node
-/// neither executes nor receives; messages that arrive while it is down
+/// the sequential path (before node logic runs), and random message loss
+/// is applied on the sequential merge path — so churn never perturbs
+/// cross-thread determinism. Links cut for a window of rounds are an
+/// [`AdversaryPlan::partition`](crate::AdversaryPlan::partition). A down
+/// node neither executes nor receives; messages that arrive while it is down
 /// are counted in [`Metrics::dead_on_arrival`]. A node that recovers
 /// resumes with its protocol state intact (fail-recover with persistent
 /// memory); a node that *halted* stays halted even if later "recovered".
@@ -212,8 +213,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     }
 
     /// Creates a simulator with live churn injection: scheduled and
-    /// seeded-random crash/**recovery** events, link outage windows, and
-    /// random message loss.
+    /// seeded-random crash/**recovery** events and random message loss.
     pub fn with_churn(
         topo: Topology<'a>,
         mut make_logic: impl FnMut(NodeId) -> L,
@@ -294,16 +294,6 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             .zip(&self.down)
             .filter(|(&running, &down)| running && !down)
             .count()
-    }
-
-    /// Returns `true` if `v` is currently down (crashed and not yet
-    /// recovered).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn is_down(&self, v: NodeId) -> bool {
-        self.down[v.index()]
     }
 
     /// Current liveness of every node, indexed by node id: `true` means
@@ -417,7 +407,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     /// meters; (2) a sequential merge walks the shard outboxes in node
     /// order — on the fault-free untraced fast path it batch-meters the
     /// envelopes and stages them for the sorted scatter; with tracing,
-    /// loss or outages it meters, traces and draws the shared fault
+    /// loss or an adversary it meters, traces and draws the shared fault
     /// stream per envelope, exactly in the order the serial engine used,
     /// so every thread count yields identical state — and (3) the staged
     /// survivors are counting-sorted into the next round's contiguous
@@ -476,10 +466,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         // Every message stays an envelope while a layer has to see or
         // decide it one at a time; otherwise lone broadcasts are
         // published (see `Context::broadcast`).
-        let envelope_free = !tracing
-            && self.churn.drop_prob() == 0.0
-            && !self.churn.has_link_outages()
-            && self.adversary.is_none();
+        let envelope_free = !tracing && self.churn.drop_prob() == 0.0 && self.adversary.is_none();
         let publish = envelope_free && self.events.is_empty() && self.churn.random().is_none();
         {
             // Phase 1: execute node logic, sharded. Shared state is
@@ -632,19 +619,6 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                                 bits: bits as u64,
                             },
                         );
-                    }
-                    if self.churn.link_down(env.from, env.to, round) {
-                        self.metrics.dropped_messages += 1;
-                        if tracing {
-                            self.tracer.record(
-                                round,
-                                TraceEvent::Drop {
-                                    from: env.from,
-                                    to: env.to,
-                                },
-                            );
-                        }
-                        continue;
                     }
                     if self.churn.drop_prob() > 0.0
                         && self.fault_rng.random::<f64>() < self.churn.drop_prob()
@@ -861,12 +835,6 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             self.tracer
                 .record(self.round, TraceEvent::SpanExit { name, arg });
         }
-    }
-
-    /// Caps the length of the per-round metric series for long-horizon
-    /// runs; see [`Metrics::set_per_round_cap`].
-    pub fn set_per_round_cap(&mut self, cap: usize) {
-        self.metrics.set_per_round_cap(cap);
     }
 
     /// The topology the simulation runs on.
@@ -1392,7 +1360,7 @@ mod tests {
         assert_eq!(sim.in_flight_messages(), 0);
         assert_eq!(sim.logic(NodeId::new(0)).seen, 4);
         assert_eq!(sim.logic(NodeId::new(1)).seen, 4);
-        assert!(!sim.is_down(NodeId::new(1)));
+        assert!(!sim.down_mask()[1]);
     }
 
     #[test]
@@ -1412,33 +1380,6 @@ mod tests {
         // its own halt round.
         assert!(sim.metrics().rounds >= 7);
         assert!(sim.is_quiescent());
-    }
-
-    #[test]
-    fn link_outage_drops_messages_both_ways() {
-        let g = generators::path(3);
-        let topo = Topology::from_graph(&g);
-        // Link 0-1 is out for sends of rounds 0 and 1; link 1-2 is fine.
-        let churn = ChurnPlan::none().link_outage(NodeId::new(0), NodeId::new(1), 0..2);
-        let mut sim = Simulator::with_churn(topo, |_| Counter { seen: 0, rounds: 3 }, 0, churn);
-        sim.run(100).unwrap();
-        let m = sim.metrics().clone();
-        // Rounds 0..=2 broadcast: 4 messages cross each link per... node 1
-        // has two neighbors. Sends per round: 0→1, 1→0, 1→2, 2→1 = 4; over
-        // 3 rounds = 12. Outage kills 0→1 and 1→0 in rounds 0 and 1.
-        assert_eq!(m.messages, 12);
-        assert_eq!(m.dropped_messages, 4);
-        assert_eq!(
-            m.messages,
-            m.delivered_messages
-                + m.dropped_messages
-                + m.dead_on_arrival
-                + sim.in_flight_messages()
-        );
-        // Node 0 only hears node 1's round-2 send.
-        assert_eq!(sim.logic(NodeId::new(0)).seen, 1);
-        // Node 2 hears all three of node 1's sends.
-        assert_eq!(sim.logic(NodeId::new(2)).seen, 3);
     }
 
     #[test]
@@ -1581,27 +1522,6 @@ mod tests {
         assert_eq!(rollups[0].messages, 6); // complete(3): 3 nodes * 2 neighbors
         let total_rounds: u64 = rollups.iter().map(|r| r.rounds).sum();
         assert_eq!(total_rounds, sim.metrics().rounds);
-    }
-
-    #[test]
-    fn per_round_cap_preserves_sums_in_simulation() {
-        let g = generators::complete(4);
-        let topo = Topology::from_graph(&g);
-        let mut sim = Simulator::new(
-            topo,
-            |_| Gossip {
-                heard: vec![],
-                rounds: 20,
-            },
-            0,
-        );
-        sim.set_per_round_cap(4);
-        sim.run(100).unwrap();
-        let m = sim.metrics().clone();
-        assert!(m.per_round_messages.len() <= 4);
-        assert!(m.per_round_resolution() > 1);
-        assert_eq!(m.per_round_messages.iter().sum::<u64>(), m.messages);
-        assert_eq!(m.per_round_bits.iter().sum::<u64>(), m.total_bits);
     }
 
     proptest! {

@@ -2,10 +2,11 @@
 //! links.
 //!
 //! The paper's model (and [`crate::Simulator`]) assumes reliable
-//! synchronous delivery, but [`crate::ChurnPlan`] injects exactly the
-//! faults real sensor links exhibit — i.i.d. message loss and transient
-//! outages — under which a bare protocol run silently computes a wrong
-//! (possibly infeasible) result. This module closes that gap with a
+//! synchronous delivery, but [`crate::ChurnPlan`] and
+//! [`crate::AdversaryPlan`] inject exactly the faults real sensor links
+//! exhibit — i.i.d. message loss and transient partitions — under which
+//! a bare protocol run silently computes a wrong (possibly infeasible)
+//! result. This module closes that gap with a
 //! classic ARQ layer, [`Reliable`], that wraps any [`NodeLogic`] and
 //! executes it **bit-for-bit identically to a lossless run** as long as
 //! every frame eventually gets through:
@@ -98,8 +99,8 @@
 //!
 //! # What the transport masks
 //!
-//! The transport masks **message** loss (drops, outage windows); it does
-//! not mask *node* crashes — a frame addressed to a crashed node that
+//! The transport masks **message** loss (drops, partition windows); it
+//! does not mask *node* crashes — a frame addressed to a crashed node that
 //! never recovers exhausts its budget and fails. Run crash-tolerant
 //! protocols on the surviving topology instead (see
 //! `ftclust_core::repair`).
@@ -402,11 +403,6 @@ impl<L: NodeLogic> Reliable<L> {
     /// The delivery failure that aborted this node, if any.
     pub fn failure(&self) -> Option<DeliveryFailure> {
         self.failure
-    }
-
-    /// True once the inner logic has executed its halting round.
-    pub fn inner_halted(&self) -> bool {
-        self.inner_halted
     }
 
     /// True once this node needs nothing more from the network: its
@@ -739,7 +735,7 @@ fn link_index<P>(links: &[Link<P>], peer: NodeId, hint: usize) -> Option<usize> 
 mod tests {
     use super::*;
     use crate::exec::{Executor, Run, Stack};
-    use crate::{ChurnPlan, Simulator, Topology};
+    use crate::{AdversaryPlan, ChurnPlan, Simulator, Topology};
     use ftclust_graphs::generators;
     use rand::Rng;
 
@@ -800,16 +796,16 @@ mod tests {
     }
 
     /// Runs `Recorder`s for `rounds` rounds through the executor's
-    /// transport layer under `churn`.
+    /// transport layer under i.i.d. loss `p`.
     fn reliable_run(
         g: &ftclust_graphs::Graph,
         seed: u64,
         rounds: u64,
-        churn: ChurnPlan,
+        p: f64,
         cfg: TransportConfig,
     ) -> Result<Run<Recorder>, SimError> {
         Executor::new(Topology::from_graph(g), |v| Recorder::new(v, rounds), seed)
-            .stack(Stack::new().churned(churn).transport(cfg))
+            .stack(Stack::new().lossy(p).transport(cfg))
             .run(rounds + 1)
     }
 
@@ -821,8 +817,7 @@ mod tests {
             (generators::star(6), 5),
         ] {
             let direct = direct_run(&g, seed, 6);
-            let run =
-                reliable_run(&g, seed, 6, ChurnPlan::none(), TransportConfig::default()).unwrap();
+            let run = reliable_run(&g, seed, 6, 0.0, TransportConfig::default()).unwrap();
             assert_eq!(run.logics, direct, "lossless transport diverged");
             assert_eq!(run.logical_rounds, 7); // rounds 0..=6 executed
             assert_eq!(run.metrics.retransmits, 0, "spurious retransmit at p = 0");
@@ -835,14 +830,8 @@ mod tests {
         let g = generators::gnp(20, 0.25, 11);
         let direct = direct_run(&g, 13, 8);
         for p in [0.05, 0.2, 0.35] {
-            let run = reliable_run(
-                &g,
-                13,
-                8,
-                ChurnPlan::none().drop_probability(p),
-                TransportConfig::default(),
-            )
-            .unwrap_or_else(|e| panic!("run at p = {p} failed: {e}"));
+            let run = reliable_run(&g, 13, 8, p, TransportConfig::default())
+                .unwrap_or_else(|e| panic!("run at p = {p} failed: {e}"));
             assert_eq!(run.logics, direct, "execution diverged at p = {p}");
             assert!(
                 run.metrics.retransmits > 0,
@@ -852,18 +841,25 @@ mod tests {
     }
 
     #[test]
-    fn transient_link_outage_is_masked() {
-        // The only edge of a path(2) is down for 12 physical rounds —
+    fn transient_partition_is_masked() {
+        // The only edge of a path(2) is cut for 12 physical rounds —
         // shorter than the retransmit horizon, so the protocol stalls,
         // recovers, and finishes with the lossless result.
         let g = generators::path(2);
         let direct = direct_run(&g, 3, 5);
-        let churn = ChurnPlan::none().link_outage(NodeId::new(0), NodeId::new(1), 2..14);
-        let run = reliable_run(&g, 3, 5, churn, TransportConfig::default()).unwrap();
+        let cut = AdversaryPlan::new(0).partition(&[NodeId::new(0)], 2..14);
+        let run = Executor::new(Topology::from_graph(&g), |v| Recorder::new(v, 5), 3)
+            .stack(
+                Stack::new()
+                    .transport(TransportConfig::default())
+                    .adversarial(cut),
+            )
+            .run(6)
+            .unwrap();
         assert_eq!(run.logics, direct);
         assert!(run.metrics.retransmits > 0);
         assert!(run.metrics.dropped_messages > 0);
-        // The only pending work during the outage is the retransmit
+        // The only pending work during the cut is the retransmit
         // timer backing off 3, 6, 12 rounds: pin the physical schedule.
         assert_eq!(
             run.metrics.per_round_messages,
@@ -882,7 +878,7 @@ mod tests {
             backoff_cap: 4,
             max_retransmits: 3,
         };
-        let err = reliable_run(&g, 0, 5, ChurnPlan::none().drop_probability(1.0), cfg).unwrap_err();
+        let err = reliable_run(&g, 0, 5, 1.0, cfg).unwrap_err();
         match err {
             SimError::DeliveryFailed { attempts, .. } => {
                 assert_eq!(attempts, cfg.max_retransmits + 1);
@@ -927,14 +923,7 @@ mod tests {
         let g = generators::gnp(30, 0.2, 17);
         let run = |threads: usize| {
             ftclust_par::with_threads(threads, || {
-                let out = reliable_run(
-                    &g,
-                    23,
-                    7,
-                    ChurnPlan::none().drop_probability(0.15),
-                    TransportConfig::default(),
-                )
-                .unwrap();
+                let out = reliable_run(&g, 23, 7, 0.15, TransportConfig::default()).unwrap();
                 (out.logics, out.metrics, out.logical_rounds)
             })
         };
@@ -964,7 +953,7 @@ mod tests {
     #[test]
     fn isolated_nodes_need_no_handshake() {
         let g = generators::empty(3);
-        let run = reliable_run(&g, 0, 2, ChurnPlan::none(), TransportConfig::default()).unwrap();
+        let run = reliable_run(&g, 0, 2, 0.0, TransportConfig::default()).unwrap();
         // Degree-0 nodes execute one logical round per physical round and
         // halt immediately: rounds 0..=2 and out.
         assert_eq!(run.metrics.rounds, 3);

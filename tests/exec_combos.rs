@@ -66,23 +66,19 @@ fn check_conservation(m: &Metrics, what: &str) {
 
 /// Transport + i.i.d. loss + tracing: the lossy+traced combination.
 fn lossy_traced(p: f64) -> Stack {
-    Stack::new()
-        .churned(ChurnPlan::none().drop_probability(p))
-        .transport(TransportConfig::default())
-        .traced()
+    Stack::new().lossy(p).traced()
 }
 
 /// Transport + i.i.d. loss + a scheduled crash/recovery window +
 /// tracing: the churned+lossy combination (all three layers composed).
 fn churned_lossy_traced(p: f64, victim: u32, down: u64, up: u64) -> Stack {
     Stack::new()
+        .lossy(p)
         .churned(
             ChurnPlan::none()
-                .drop_probability(p)
                 .crash(NodeId::new(victim), down)
                 .recover(NodeId::new(victim), up),
         )
-        .transport(TransportConfig::default())
         .traced()
 }
 
@@ -135,7 +131,7 @@ fn alg1_churned_lossy_is_thread_invariant_and_reconciles() {
         let params = FractionalParams::new(2);
         let (lossless, _) = run_fractional_stack(&inst, &params, Stack::new()).expect("lossless");
         // Node 3 goes down for physical rounds 2..7; the ARQ retransmits
-        // across the outage, so the solution cannot change.
+        // until it is back, so the solution cannot change.
         let stack = || churned_lossy_traced(0.05, 3, 2, 7);
         let (ref_run, ref_log) = with_threads(1, || {
             let (run, log) = run_fractional_stack(&inst, &params, stack()).expect("churned+lossy");
@@ -342,14 +338,13 @@ fn portfolio_protocols_survive_churn_and_adversary() {
     let inst = Instance::uniform_clamped(&g, 2);
     let chaos = || {
         Stack::new()
+            .lossy(0.05)
             .churned(
                 ChurnPlan::none()
-                    .drop_probability(0.05)
                     .crash(NodeId::new(3), 2)
                     .recover(NodeId::new(3), 8),
             )
             .adversarial(AdversaryPlan::new(0xC0).duplicate(0.05).corrupt(0.05))
-            .transport(TransportConfig::default())
             .traced()
     };
     for name in PORTFOLIO {

@@ -12,7 +12,8 @@ use ftclust::lp::solve as lp_solve;
 use ftclust::netsim::exec::{Executor, Stack};
 use ftclust::netsim::transport::TransportConfig;
 use ftclust::netsim::{
-    ChurnPlan, Context, Control, Inbox, Metrics, NodeLogic, Payload, Simulator, Topology,
+    AdversaryPlan, ChurnPlan, Context, Control, Inbox, Metrics, NodeLogic, Payload, Simulator,
+    Topology,
 };
 use proptest::prelude::*;
 
@@ -222,7 +223,7 @@ proptest! {
     }
 
     /// The conservation law extends to the reliable transport's counters
-    /// under random loss and a link outage: retransmissions and pure acks
+    /// under random loss and a partition: retransmissions and pure acks
     /// are metered messages, duplicates only arise from retransmissions,
     /// and the logical execution always completes its fixed round count.
     #[test]
@@ -231,12 +232,16 @@ proptest! {
         p in 0.0f64..0.4,
         seed in 0u64..1000,
     ) {
-        let mut plan = ChurnPlan::none().drop_probability(p);
-        if let Some((u, v)) = g.edges().next() {
-            plan = plan.link_outage(u, v, 2..8);
+        let mut cut = AdversaryPlan::new(0);
+        if let Some((u, _)) = g.edges().next() {
+            cut = cut.partition(&[u], 2..8);
         }
+        let stack = Stack::new()
+            .lossy(p)
+            .transport(TransportConfig::default())
+            .adversarial(cut);
         let run = Executor::new(Topology::from_graph(&g), |_| Chatter { ttl: 4 }, seed)
-            .stack(Stack::new().churned(plan).transport(TransportConfig::default()))
+            .stack(stack)
             .run(4)
             .unwrap();
         prop_assert_eq!(run.logical_rounds, 4);

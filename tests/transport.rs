@@ -5,7 +5,7 @@
 //! identical at every `FTCLUST_THREADS` setting.
 //!
 //! All tests drive the composable executor stack directly
-//! (`run_*_stack` with `.churned(..).transport(..)`).
+//! (`run_*_stack` with `.lossy(p)`).
 
 use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_stack};
 use ftclust::core::fractional::FractionalParams;
@@ -17,21 +17,14 @@ use ftclust::core::udg::UdgAlgorithm;
 use ftclust::core::Instance;
 use ftclust::graphs::generators;
 use ftclust::netsim::exec::Stack;
-use ftclust::netsim::transport::TransportConfig;
-use ftclust::netsim::{ChurnPlan, Metrics};
+use ftclust::netsim::Metrics;
 use ftclust_par::with_threads;
 
 const DROPS: [f64; 3] = [0.01, 0.05, 0.2];
 
-fn lossy(p: f64) -> ChurnPlan {
-    ChurnPlan::none().drop_probability(p)
-}
-
 /// Transport over i.i.d. loss: the canonical lossy stack.
 fn lossy_stack(p: f64) -> Stack {
-    Stack::new()
-        .churned(lossy(p))
-        .transport(TransportConfig::default())
+    Stack::new().lossy(p)
 }
 
 /// The fields of [`Metrics`] that must agree bit-for-bit across thread
