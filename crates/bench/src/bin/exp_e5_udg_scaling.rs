@@ -54,6 +54,6 @@ fn main() {
     table.push_rows(rows.into_iter().flatten());
     table.print();
     println!();
-    println!("expected shape: p1_rounds grows like ⌈log_1.5 log2 n⌉ (5→8 over the");
+    println!("expected shape: p1_rounds grows like ⌈log_1.5 log2 n⌉ (5→7 over the");
     println!("sweep); p2_iters stays O(1); ratio flat in n (constant approximation).");
 }

@@ -16,7 +16,16 @@
 //! reports the median wall time of each and their ratio, the figure
 //! that decides when the engine can be deleted.
 //!
-//! Emits a machine-readable `BENCH.json` (schema v5; also printed to
+//! A third section, `transport`, times Algorithm 3 (`k = 2`, one thread)
+//! on `random_udg(n, 12, 1, 1)` at `n ∈ {300, 2000}` under four executor
+//! stacks: plain, the lossless reliable transport, 10% loss, and 10% loss
+//! plus the chaos adversary (jitter, duplication and corruption at 5%
+//! each). It asserts that every stack produces the plain run's set and
+//! reports the median wall time, the frames sent, the physical rounds and
+//! the nanoseconds per frame, so each fault layer's cost can be read per
+//! frame it adds.
+//!
+//! Emits a machine-readable `BENCH.json` (schema v6; also printed to
 //! stdout) so perf changes have a trajectory to be measured against.
 //! Graph construction happens once per `n` and is shared by every
 //! thread row, so it is reported in the per-`n` `graph_build` section
@@ -40,9 +49,10 @@
 //! ```
 //!
 //! `--smoke` shrinks the sweep (n ∈ {1k, 5k}, threads {1, 2}, one trial;
-//! `alg12` at n = 1k only) so CI can exercise the whole path in seconds.
+//! `alg12` at n = 1k only; `transport` at n = 300, one trial) so CI can
+//! exercise the whole path in seconds.
 //! `--digest <path>` writes an FNV-1a digest of every final state
-//! vector; CI runs the smoke sweep under different `FTCLUST_THREADS`
+//! vector (and of each `transport` stack's set and frame schedule); CI runs the smoke sweep under different `FTCLUST_THREADS`
 //! settings and diffs the digest files to pin cross-process determinism.
 
 use ftclust_bench::families::Family;
@@ -52,10 +62,15 @@ use ftclust_core::fractional::FractionalParams;
 use ftclust_core::general::GeneralPipeline;
 use ftclust_core::rounding::protocol::run_rounding_stack;
 use ftclust_core::rounding::RoundingParams;
+use ftclust_core::udg::protocol::run_udg_stack;
+use ftclust_core::udg::UdgAlgorithm;
 use ftclust_core::{DominatingSet, Instance};
 use ftclust_graphs::generators;
 use ftclust_netsim::exec::Stack;
-use ftclust_netsim::{Context, Control, EventLog, Inbox, NodeLogic, Payload, Simulator, Topology};
+use ftclust_netsim::transport::TransportConfig;
+use ftclust_netsim::{
+    AdversaryPlan, Context, Control, EventLog, Inbox, NodeLogic, Payload, Simulator, Topology,
+};
 use ftclust_par as par;
 use rand::Rng;
 use std::fmt::Write as _;
@@ -234,6 +249,84 @@ fn alg12_row(n: u32, trials: usize) -> Alg12Row {
     })
 }
 
+/// Demand `k` and input seed of the `transport` section.
+const TRANSPORT_K: u32 = 2;
+const TRANSPORT_SEED: u64 = 1;
+
+/// The `transport` section's executor stacks, by name.
+fn transport_stacks() -> [(&'static str, Stack); 4] {
+    let chaos = AdversaryPlan::new(TRANSPORT_SEED)
+        .jitter(0.05, 3)
+        .duplicate(0.05)
+        .corrupt(0.05);
+    [
+        ("plain", Stack::new()),
+        (
+            "transport",
+            Stack::new().transport(TransportConfig::default()),
+        ),
+        ("lossy", Stack::new().lossy(0.1)),
+        ("lossy_chaos", Stack::new().lossy(0.1).adversarial(chaos)),
+    ]
+}
+
+/// One `transport` row: one stack's median solve time and its
+/// (deterministic) frame schedule.
+struct TransportRow {
+    n: u32,
+    stack: &'static str,
+    median_secs: f64,
+    frames: u64,
+    rounds: u64,
+}
+
+/// Times Algorithm 3 on `random_udg(n, 12, 1, TRANSPORT_SEED)` under each
+/// of [`transport_stacks`] at one thread, after checking that every stack
+/// reproduces the plain run's set. Appends one digest line per stack.
+fn transport_rows(n: u32, trials: usize, digests: &mut String) -> Vec<TransportRow> {
+    let udg = generators::random_udg(n, 12.0, 1.0, TRANSPORT_SEED);
+    let config = UdgAlgorithm::new(TRANSPORT_K).seed(TRANSPORT_SEED);
+    par::with_threads(1, || {
+        let mut plain_set: Option<DominatingSet> = None;
+        transport_stacks()
+            .into_iter()
+            .map(|(name, stack)| {
+                let mut walls = Vec::with_capacity(trials);
+                let mut last = None;
+                for _ in 0..trials {
+                    let start = Instant::now(); // lint: wall-clock — wall time is this benchmark’s measured output
+                    let (run, _) = run_udg_stack(&udg, &config, stack.clone())
+                        .expect("Algorithm 3 solves the transport section's input");
+                    walls.push(start.elapsed().as_secs_f64());
+                    last = Some(run);
+                }
+                let run = last.expect("at least one trial");
+                let reference = plain_set.get_or_insert_with(|| run.run.set.clone());
+                assert_eq!(
+                    &run.run.set, reference,
+                    "stack {name} changed Algorithm 3's set at n={n}"
+                );
+                let m = &run.metrics;
+                let ids: Vec<u64> = run.run.set.ids().map(|v| u64::from(v.raw())).collect();
+                let schedule = [m.messages, m.rounds, m.retransmits, m.acks];
+                writeln!(
+                    digests,
+                    "transport n={n} stack={name} fnv1a={:016x}",
+                    fnv1a(&[fnv1a(&ids), fnv1a(&schedule), fnv1a(&m.per_round_messages)])
+                )
+                .expect("string write");
+                TransportRow {
+                    n,
+                    stack: name,
+                    median_secs: median(&walls),
+                    frames: m.messages,
+                    rounds: m.rounds,
+                }
+            })
+            .collect()
+    })
+}
+
 /// Re-runs the smallest workload with an [`EventLog`] tracer attached
 /// and writes the JSONL export to `path`. The traced run is *separate*
 /// from the timed sweep so tracing overhead never pollutes
@@ -400,13 +493,39 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n");
+    let transport_sizes: &[u32] = if smoke { &[300] } else { &[300, 2_000] };
+    let transport_trials = if smoke { 1 } else { 7 };
+    let transport_body = transport_sizes
+        .iter()
+        .flat_map(|&n| transport_rows(n, transport_trials, &mut digests))
+        .map(|row| {
+            let ns_per_frame = row.median_secs * 1e9 / row.frames.max(1) as f64;
+            eprintln!(
+                "  transport n={:>5} {:<11}: median {:.3} ms, {} frames, {} rounds, {ns_per_frame:.0} ns/frame",
+                row.n,
+                row.stack,
+                row.median_secs * 1e3,
+                row.frames,
+                row.rounds
+            );
+            format!(
+                "      {{\"n\": {}, \"stack\": \"{}\", \"median_ms\": {:.4}, \"frames\": {}, \"rounds\": {}, \"ns_per_frame\": {ns_per_frame:.1}}}",
+                row.n,
+                row.stack,
+                row.median_secs * 1e3,
+                row.frames,
+                row.rounds
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
     let builds_body = graph_builds
         .iter()
         .map(|&(n, secs)| format!("    {{\"n\": {n}, \"graph_build_secs\": {secs:.6}}}"))
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"schema\": \"ftclust-perf-baseline-v5\",\n  \"workload\": \"gossip-min-flood-rgg\",\n  \"smoke\": {smoke},\n  \"host_logical_cpus\": {host_logical_cpus},\n  \"max_threads\": {max_threads},\n  \"speedup_at_largest_n\": {speedup_json},\n  \"graph_build\": [\n{builds_body}\n  ],\n  \"results\": [\n{body}\n  ],\n  \"alg12\": {{\n    \"graph\": \"gnp(n, 10/n, 42)\",\n    \"k\": {ALG12_K},\n    \"t\": {ALG12_T},\n    \"threads\": 1,\n    \"trials\": {alg12_trials},\n    \"rows\": [\n{alg12_body}\n    ]\n  }}\n}}\n"
+        "{{\n  \"schema\": \"ftclust-perf-baseline-v6\",\n  \"workload\": \"gossip-min-flood-rgg\",\n  \"smoke\": {smoke},\n  \"host_logical_cpus\": {host_logical_cpus},\n  \"max_threads\": {max_threads},\n  \"speedup_at_largest_n\": {speedup_json},\n  \"graph_build\": [\n{builds_body}\n  ],\n  \"results\": [\n{body}\n  ],\n  \"alg12\": {{\n    \"graph\": \"gnp(n, 10/n, 42)\",\n    \"k\": {ALG12_K},\n    \"t\": {ALG12_T},\n    \"threads\": 1,\n    \"trials\": {alg12_trials},\n    \"rows\": [\n{alg12_body}\n    ]\n  }},\n  \"transport\": {{\n    \"graph\": \"random_udg(n, 12, 1, {TRANSPORT_SEED})\",\n    \"algorithm\": \"Algorithm 3\",\n    \"k\": {TRANSPORT_K},\n    \"threads\": 1,\n    \"trials\": {transport_trials},\n    \"rows\": [\n{transport_body}\n    ]\n  }}\n}}\n"
     );
     print!("{json}");
     match std::fs::write("BENCH.json", &json) {

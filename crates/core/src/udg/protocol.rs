@@ -229,6 +229,12 @@ impl NodeLogic for UdgNode {
                         ctx.send(w, UdgMsg::Promote);
                     }
                 }
+                // Stall rule (a deviation from the paper, DESIGN §5): a
+                // needy node with no leader neighbour and no needy
+                // neighbour can never be promoted by anyone, so it leads.
+                if self.my_needy && needy.is_empty() && !self.neighbor_leader.contains(&true) {
+                    self.leader = true;
+                }
                 if !self.my_needy && needy.is_empty() {
                     Control::Halt
                 } else {

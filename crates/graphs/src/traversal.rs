@@ -58,8 +58,7 @@ impl Components {
             .iter()
             .enumerate()
             .max_by_key(|&(i, s)| (*s, std::cmp::Reverse(i)))
-            .map(|(i, _)| i as u32)
-            .unwrap_or(0);
+            .map_or(0, |(i, _)| i as u32);
         self.labels
             .iter()
             .enumerate()

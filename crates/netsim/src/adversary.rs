@@ -362,7 +362,7 @@ mod tests {
         let verdicts_b: Vec<Verdict> = (0..200).map(|r| b.decide(n(2), n(5), r)).collect();
         assert_eq!(verdicts_a, verdicts_b);
         // Mixed fates at these probabilities over 200 draws.
-        assert!(verdicts_a.iter().any(|v| *v == Verdict::Corrupt));
+        assert!(verdicts_a.contains(&Verdict::Corrupt));
         assert!(verdicts_a.iter().any(|v| matches!(
             v,
             Verdict::Deliver {

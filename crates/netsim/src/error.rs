@@ -36,6 +36,16 @@ pub enum SimError {
         /// Total transmission attempts made for the frame.
         attempts: u32,
     },
+    /// A transport stack was given a
+    /// [`crate::transport::TransportConfig`] that no transport can run:
+    /// `rto == 0` or `backoff_cap < rto`. Raised by
+    /// [`crate::exec::Executor::run`] before any node is built.
+    InvalidTransportConfig {
+        /// The configured initial retransmission timeout.
+        rto: u64,
+        /// The configured backoff ceiling.
+        backoff_cap: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -61,6 +71,11 @@ impl fmt::Display for SimError {
                 f,
                 "transport gave up on frame {seq} from {from} to {to} \
                  after {attempts} attempts (retransmit budget exhausted)"
+            ),
+            SimError::InvalidTransportConfig { rto, backoff_cap } => write!(
+                f,
+                "invalid transport config: rto {rto} (must be at least 1 round), \
+                 backoff_cap {backoff_cap} (must be at least rto)"
             ),
         }
     }

@@ -331,7 +331,8 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
     ///
     /// [`SimError::RoundLimitExceeded`] past the budget;
     /// [`SimError::DeliveryFailed`] when the transport layer exhausts a
-    /// retransmit budget.
+    /// retransmit budget; [`SimError::InvalidTransportConfig`] when the
+    /// stack's transport policy is invalid.
     ///
     /// # Panics
     ///
@@ -342,6 +343,7 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         validate_phases(&self.phases);
         if self.stack.engages_transport() {
             let cfg = self.stack.transport.unwrap_or_default();
+            cfg.validate()?;
             self.run_transport(cfg, logical_budget)
         } else {
             self.run_sync(logical_budget)
@@ -638,7 +640,7 @@ pub fn completed_iterations(logical_rounds: u64, prelude: u64, period: u64, trai
     );
     let body = logical_rounds.saturating_sub(prelude + trailing);
     debug_assert!(
-        logical_rounds == 0 || body % period == 0,
+        logical_rounds == 0 || body.is_multiple_of(period),
         "iteration body of {body} rounds is not a multiple of the {period}-round period"
     );
     u32::try_from(body / period).unwrap_or(u32::MAX)
@@ -850,6 +852,26 @@ mod tests {
         assert_eq!(asynced.metrics.retransmits, 0, "timeout undersized");
         let log = asynced.log.expect("traced stack records a log");
         log.reconcile(&asynced.metrics).expect("rollups reconcile");
+    }
+
+    #[test]
+    fn invalid_transport_config_is_a_typed_error() {
+        let g = generators::cycle(4);
+        for (rto, backoff_cap) in [(0, 16), (8, 2)] {
+            let bad = TransportConfig {
+                rto,
+                backoff_cap,
+                max_retransmits: 20,
+            };
+            let never_built = |_| -> Flood { unreachable!("a node was built") };
+            let Err(err) = Executor::new(Topology::from_graph(&g), never_built, 0)
+                .stack(Stack::new().transport(bad))
+                .run(10)
+            else {
+                panic!("rto {rto}, backoff_cap {backoff_cap} was accepted");
+            };
+            assert_eq!(err, SimError::InvalidTransportConfig { rto, backoff_cap });
+        }
     }
 
     #[test]

@@ -80,12 +80,13 @@ impl Metrics {
 
     /// Delivered messages that were *new* to their recipient: delivered
     /// minus transport duplicates. With a reliable transport in play the
-    /// conservation law refines to `messages == unique_delivered() +
-    /// duplicates_suppressed + dropped_messages + dead_on_arrival +
-    /// corrupted + in-flight`, with `duplicates_suppressed <= retransmits
-    /// + net_duplicated` (only a retransmission or an adversary-injected
-    /// clone can produce a duplicate) and `retransmits + acks <=
-    /// messages` (both kinds of overhead frame are ordinary sends).
+    /// conservation law refines to
+    /// `messages == unique_delivered() + duplicates_suppressed +
+    /// dropped_messages + dead_on_arrival + corrupted + in-flight`,
+    /// with `duplicates_suppressed <= retransmits + net_duplicated`
+    /// (only a retransmission or an adversary-injected clone can produce
+    /// a duplicate) and `retransmits + acks <= messages` (both kinds of
+    /// overhead frame are ordinary sends).
     ///
     /// Every duplicate is counted as delivered in the same round it is
     /// suppressed ([`crate::Context`]'s `note_duplicate_suppressed` is

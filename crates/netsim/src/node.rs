@@ -330,6 +330,20 @@ impl<'a, P: Payload> Context<'a, P> {
             self.me,
             to
         );
+        self.push(to, payload);
+    }
+
+    /// Sends `payload` to neighbor number `pos` of [`Context::neighbors`]:
+    /// [`Context::send`] for a caller that already holds the position, so
+    /// the peer is a neighbor by construction and needs no edge lookup.
+    pub(crate) fn send_to_neighbor(&mut self, pos: usize, payload: P) {
+        let to = self.neighbors()[pos];
+        self.push(to, payload);
+    }
+
+    /// Appends one envelope after closing the publication slot.
+    #[inline]
+    fn push(&mut self, to: NodeId, payload: P) {
         self.demote();
         self.outbox.push(Envelope {
             from: self.me,

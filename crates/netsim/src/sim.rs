@@ -9,7 +9,7 @@ use ftclust_par as par;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// SplitMix64 finalizer — mixes a master seed with a node id into an
+/// `SplitMix64` finalizer — mixes a master seed with a node id into an
 /// independent stream seed (also the mixing primitive behind the
 /// adversary's per-link streams, see [`crate::adversary`]).
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
@@ -140,8 +140,8 @@ fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
 /// volume itself demands. See `DESIGN.md` §12.
 pub struct Simulator<'a, L: NodeLogic> {
     topo: Topology<'a>,
-    /// Per-node protocol state, indexed by node id (SoA with `rngs` and
-    /// `running`).
+    /// Per-node protocol state, indexed by node id (a structure of
+    /// arrays with `rngs` and `running`).
     logics: Vec<L>,
     /// Per-node private random streams ([`node_rng`]).
     rngs: Vec<StdRng>,

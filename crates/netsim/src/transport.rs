@@ -126,6 +126,22 @@
 //! [`crate::Metrics::duplicates_suppressed`], refining the conservation
 //! law (see [`crate::Metrics::unique_delivered`]).
 //!
+//! # What a frame costs
+//!
+//! A frame's bookkeeping is sized to what it carries:
+//!
+//! * its payloads travel as a [`Bundle`], which stores zero or one
+//!   payload in place and allocates only for two or more, so cloning a
+//!   frame on send, retransmit and receipt is usually a payload copy;
+//! * a round in which the only frames due are pure acks visits just the
+//!   links owed one, in ascending link order (the order the loss and
+//!   adversary layers draw their fault streams in), not every link;
+//! * frames are addressed by neighbor position, so no edge lookup is
+//!   repeated per frame.
+//!
+//! None of this moves a frame: the schedule, every RNG draw and every
+//! metric are those of a pass over all links with `Vec` bundles.
+//!
 //! The lossless path is untouched: a simulation without [`Reliable`] (and
 //! a [`Reliable`] one without loss) behaves exactly as before — the
 //! transport is pure opt-in.
@@ -133,6 +149,69 @@
 use crate::{bits_for_ids, Context, Control, Envelope, Inbox, NodeLogic, Payload, SimError};
 use ftclust_graphs::NodeId;
 use std::collections::VecDeque;
+use std::iter::Chain;
+use std::{option, vec};
+
+/// The inner protocol messages one logical round sends over one link.
+///
+/// Almost every bundle of a broadcast protocol holds zero or one
+/// payload, so those are stored in place; only a bundle of two or more
+/// allocates. A frame is cloned on every send, receive and retransmit,
+/// and for the common shapes that clone is the payload's own.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Bundle<P>(Slots<P>);
+
+#[derive(Debug, Clone, PartialEq)]
+enum Slots<P> {
+    Empty,
+    One(P),
+    /// Two or more payloads, in push order.
+    Many(Vec<P>),
+}
+
+impl<P> Default for Bundle<P> {
+    fn default() -> Self {
+        Bundle(Slots::Empty)
+    }
+}
+
+impl<P> Bundle<P> {
+    /// Appends `payload` after the ones already in the bundle.
+    pub fn push(&mut self, payload: P) {
+        self.0 = match std::mem::replace(&mut self.0, Slots::Empty) {
+            Slots::Empty => Slots::One(payload),
+            Slots::One(first) => Slots::Many(vec![first, payload]),
+            Slots::Many(mut all) => {
+                all.push(payload);
+                Slots::Many(all)
+            }
+        };
+    }
+
+    /// The payloads in push order.
+    pub fn as_slice(&self) -> &[P] {
+        match &self.0 {
+            Slots::Empty => &[],
+            Slots::One(p) => std::slice::from_ref(p),
+            Slots::Many(all) => all,
+        }
+    }
+}
+
+impl<P> IntoIterator for Bundle<P> {
+    type Item = P;
+    type IntoIter = Chain<option::IntoIter<P>, vec::IntoIter<P>>;
+
+    /// The payloads by value, in push order.
+    fn into_iter(self) -> Self::IntoIter {
+        let (first, rest) = match self.0 {
+            Slots::Empty => (None, Vec::new()),
+            Slots::One(p) => (Some(p), Vec::new()),
+            Slots::Many(all) => (None, all),
+        };
+        first.into_iter().chain(rest)
+    }
+}
 
 /// Data half of a [`FrameMsg`]: one logical round's bundle on one link.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,7 +223,7 @@ pub struct FrameData<P> {
     pub halting: bool,
     /// The inner protocol messages for this link and round (possibly
     /// empty — an empty bundle is still the "round executed" beacon).
-    pub payloads: Vec<P>,
+    pub payloads: Bundle<P>,
 }
 
 /// One transport frame: a cumulative acknowledgment, optionally carrying
@@ -169,7 +248,8 @@ impl<P: Payload> Payload for FrameMsg<P> {
         let mut bits = 1 + bits_for_ids(self.ack as usize + 2);
         if let Some(d) = &self.data {
             bits += 1 + bits_for_ids(d.seq as usize + 2);
-            bits += d.payloads.iter().map(Payload::bit_size).sum::<usize>();
+            let payloads = d.payloads.as_slice();
+            bits += payloads.iter().map(Payload::bit_size).sum::<usize>();
         }
         bits
     }
@@ -219,14 +299,17 @@ impl TransportConfig {
             .saturating_add(self.rto + 8)
     }
 
-    fn validate(&self) {
-        assert!(self.rto >= 1, "rto must be at least 1 round");
-        assert!(
-            self.backoff_cap >= self.rto,
-            "backoff_cap {} below rto {}",
-            self.backoff_cap,
-            self.rto
-        );
+    /// Rejects a policy no transport can run: `rto == 0` or
+    /// `backoff_cap < rto`.
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
+        if self.rto >= 1 && self.backoff_cap >= self.rto {
+            Ok(())
+        } else {
+            Err(SimError::InvalidTransportConfig {
+                rto: self.rto,
+                backoff_cap: self.backoff_cap,
+            })
+        }
     }
 }
 
@@ -258,9 +341,23 @@ impl DeliveryFailure {
 struct SentFrame<P> {
     seq: u64,
     halting: bool,
-    payloads: Vec<P>,
+    payloads: Bundle<P>,
     /// Transmissions so far; 0 = created this round, not yet on the wire.
     attempts: u32,
+}
+
+impl<P: Clone> SentFrame<P> {
+    /// The frame on the wire, piggybacking cumulative ack `ack`.
+    fn carrying(&self, ack: u64) -> FrameMsg<P> {
+        FrameMsg {
+            ack,
+            data: Some(FrameData {
+                seq: self.seq,
+                halting: self.halting,
+                payloads: self.payloads.clone(),
+            }),
+        }
+    }
 }
 
 /// Per-neighbor ARQ state.
@@ -281,9 +378,9 @@ struct Link<P> {
     // --- receive side ---
     /// In-order bundles not yet consumed by the inner logic; the front
     /// is sequence `consumed`.
-    ready: VecDeque<Vec<P>>,
+    ready: VecDeque<Bundle<P>>,
     /// Out-of-order bundles with `seq > recv_next`.
-    ooo: Vec<(u64, Vec<P>)>,
+    ooo: Vec<(u64, Bundle<P>)>,
     /// Next in-order sequence expected — also the cumulative ack we send.
     recv_next: u64,
     /// Next sequence the inner logic will consume.
@@ -291,7 +388,7 @@ struct Link<P> {
     /// Sequence of the peer's halting frame (`u64::MAX` = still active).
     peer_halt_seq: u64,
     /// A data frame (new or duplicate) arrived and deserves an ack this
-    /// round.
+    /// round; the link is then listed in [`Reliable`]'s `owed`.
     need_ack: bool,
 }
 
@@ -321,6 +418,65 @@ impl<P> Link<P> {
     }
 }
 
+impl<P: Payload> Link<P> {
+    /// This link's share of a send pass at physical round `now`, the
+    /// link being neighbor number `pos`: at most one frame, by priority
+    /// a frame's first transmission, a timed-out retransmission, or a
+    /// pure ack owed for arrived data. Errors when the oldest frame's
+    /// retransmit budget is exhausted.
+    fn send(
+        &mut self,
+        pos: usize,
+        cfg: &TransportConfig,
+        now: u64,
+        ctx: &mut Context<'_, FrameMsg<P>>,
+    ) -> Result<(), DeliveryFailure> {
+        let ack = self.recv_next;
+        if self.unacked.back().is_some_and(|f| f.attempts == 0) {
+            // Priority 1: first transmission of a frame created this
+            // round (always the newest entry).
+            let front_is_new = self.unacked.len() == 1;
+            let Some(frame) = self.unacked.back_mut() else {
+                unreachable!("just checked the back is non-empty");
+            };
+            frame.attempts = 1;
+            let msg = frame.carrying(ack);
+            if front_is_new {
+                self.rto_cur = cfg.rto;
+                self.due = now + self.rto_cur;
+            }
+            self.need_ack = false;
+            ctx.send_to_neighbor(pos, msg);
+        } else if self.due <= now {
+            // Priority 2: retransmit the oldest unacked frame on timeout.
+            let Some(frame) = self.unacked.front_mut() else {
+                unreachable!("due is only finite with unacked frames");
+            };
+            if frame.attempts > cfg.max_retransmits {
+                return Err(DeliveryFailure {
+                    to: self.peer,
+                    seq: frame.seq,
+                    attempts: frame.attempts,
+                });
+            }
+            frame.attempts += 1;
+            let msg = frame.carrying(ack);
+            self.rto_cur = (self.rto_cur * 2).min(cfg.backoff_cap);
+            self.due = now + self.rto_cur;
+            self.need_ack = false;
+            ctx.note_retransmit();
+            ctx.send_to_neighbor(pos, msg);
+        } else if self.need_ack {
+            // Priority 3: a pure ack if data arrived and nothing else
+            // carried the acknowledgment.
+            self.need_ack = false;
+            ctx.note_ack();
+            ctx.send_to_neighbor(pos, FrameMsg { ack, data: None });
+        }
+        Ok(())
+    }
+}
+
 /// Wraps a [`NodeLogic`] in the reliable transport described in the
 /// [module docs](self). `Reliable<L>` is itself a `NodeLogic` over
 /// [`FrameMsg`] frames, so it runs on the ordinary [`crate::Simulator`]
@@ -341,21 +497,24 @@ pub struct Reliable<L: NodeLogic> {
     local_round: u64,
     inner_halted: bool,
     /// Self-addressed inner messages, keyed by sending logical round.
-    pending_self: Vec<(u64, Vec<L::Payload>)>,
+    pending_self: Vec<(u64, Bundle<L::Payload>)>,
     failure: Option<DeliveryFailure>,
     /// Lower bound on every link's `due`: no retransmit timer fires
     /// before this physical round.
     min_due: u64,
-    /// A data frame arrived (an ack is owed) or frames were queued since
+    /// The inner logic executed a round, so frames were queued, since
     /// the last send pass.
-    send_pending: bool,
+    queued: bool,
+    /// Positions of the links owed an ack since the last send pass
+    /// (each listed once: exactly the links with `need_ack` set).
+    owed: Vec<usize>,
     /// The inner logic may be able to execute: data arrived or a round
     /// executed since `can_execute` last said no.
     maybe_ready: bool,
     /// Recycled buffers for the inner context and the per-link bundles.
     inner_outbox: Vec<Envelope<L::Payload>>,
     inner_inbox: Vec<Envelope<L::Payload>>,
-    bundles: Vec<Vec<L::Payload>>,
+    bundles: Vec<Bundle<L::Payload>>,
 }
 
 impl<L: NodeLogic> Reliable<L> {
@@ -366,7 +525,7 @@ impl<L: NodeLogic> Reliable<L> {
     /// Panics if the configuration is invalid (`rto == 0` or
     /// `backoff_cap < rto`).
     pub fn new(inner: L, cfg: TransportConfig) -> Self {
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()), "invalid transport config");
         Reliable {
             inner,
             cfg,
@@ -377,7 +536,8 @@ impl<L: NodeLogic> Reliable<L> {
             pending_self: Vec::new(),
             failure: None,
             min_due: u64::MAX,
-            send_pending: false,
+            queued: false,
+            owed: Vec::new(),
             maybe_ready: true,
             inner_outbox: Vec::new(),
             inner_inbox: Vec::new(),
@@ -526,8 +686,8 @@ impl<L: NodeLogic> Reliable<L> {
             .on_round(Inbox::from_slice(&inner_inbox), &mut inner_ctx);
         self.inner_halted = control == Control::Halt;
         self.local_round = r + 1;
-        let mut self_msgs: Vec<L::Payload> = Vec::new();
-        self.bundles.resize_with(self.links.len(), Vec::new);
+        let mut self_msgs = Bundle::default();
+        self.bundles.resize_with(self.links.len(), Bundle::default);
         let mut cursor = 0;
         for env in outbox.drain(..) {
             if env.to == me {
@@ -540,7 +700,7 @@ impl<L: NodeLogic> Reliable<L> {
                 self.bundles[pos].push(env.payload);
             }
         }
-        if !self_msgs.is_empty() {
+        if !self_msgs.as_slice().is_empty() {
             self.pending_self.push((r, self_msgs));
         }
         for (link, payloads) in self.links.iter_mut().zip(&mut self.bundles) {
@@ -597,8 +757,10 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
                 self.min_due = self.min_due.min(link.due);
             }
             if let Some(data) = &env.payload.data {
-                link.need_ack = true;
-                self.send_pending = true;
+                if !link.need_ack {
+                    link.need_ack = true;
+                    self.owed.push(pos);
+                }
                 if data.seq < link.recv_next || link.ooo.iter().any(|(s, _)| *s == data.seq) {
                     ctx.note_duplicate_suppressed();
                     continue;
@@ -626,83 +788,39 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
         if self.maybe_ready && !self.inner_halted {
             if self.can_execute(self.local_round) {
                 self.execute_round(me, ctx);
-                self.send_pending = true;
+                self.queued = true;
             } else {
                 self.maybe_ready = false;
             }
         }
 
-        // --- Send: at most one frame per link per physical round. With
-        // no frame queued, no ack owed and no timer due, every link would
-        // stay silent, so the pass is skipped. ---
-        if self.send_pending || now >= self.min_due {
+        // --- Send: at most one frame per link per physical round, links
+        // in ascending order. With no frame queued and no timer due, the
+        // only frames are pure acks on the owed links, so only those are
+        // visited; with no ack owed either, every link stays silent. ---
+        if self.queued || now >= self.min_due {
             let mut min_due = u64::MAX;
-            for link in &mut self.links {
-                let ack = link.recv_next;
-                if link.unacked.back().is_some_and(|f| f.attempts == 0) {
-                    // Priority 1: first transmission of a frame created
-                    // this round (always the newest entry).
-                    let front_is_new = link.unacked.len() == 1;
-                    let Some(frame) = link.unacked.back_mut() else {
-                        unreachable!("just checked the back is non-empty");
-                    };
-                    frame.attempts = 1;
-                    let msg = FrameMsg {
-                        ack,
-                        data: Some(FrameData {
-                            seq: frame.seq,
-                            halting: frame.halting,
-                            payloads: frame.payloads.clone(),
-                        }),
-                    };
-                    if front_is_new {
-                        link.rto_cur = self.cfg.rto;
-                        link.due = now + link.rto_cur;
-                    }
-                    link.need_ack = false;
-                    ctx.send(link.peer, msg);
-                } else if link.due <= now {
-                    // Priority 2: retransmit the oldest unacked frame on
-                    // timeout.
-                    let Some(frame) = link.unacked.front_mut() else {
-                        unreachable!("due is only finite with unacked frames");
-                    };
-                    if frame.attempts > self.cfg.max_retransmits {
-                        // Budget exhausted: record the failure and
-                        // withdraw from the network. The runner surfaces
-                        // this as `SimError::DeliveryFailed`.
-                        self.failure = Some(DeliveryFailure {
-                            to: link.peer,
-                            seq: frame.seq,
-                            attempts: frame.attempts,
-                        });
-                        return Control::Halt;
-                    }
-                    frame.attempts += 1;
-                    let msg = FrameMsg {
-                        ack,
-                        data: Some(FrameData {
-                            seq: frame.seq,
-                            halting: frame.halting,
-                            payloads: frame.payloads.clone(),
-                        }),
-                    };
-                    link.rto_cur = (link.rto_cur * 2).min(self.cfg.backoff_cap);
-                    link.due = now + link.rto_cur;
-                    link.need_ack = false;
-                    ctx.note_retransmit();
-                    ctx.send(link.peer, msg);
-                } else if link.need_ack {
-                    // Priority 3: a pure ack if data arrived and nothing
-                    // else carried the acknowledgment.
-                    link.need_ack = false;
-                    ctx.note_ack();
-                    ctx.send(link.peer, FrameMsg { ack, data: None });
+            for (pos, link) in self.links.iter_mut().enumerate() {
+                if let Err(failure) = link.send(pos, &self.cfg, now, ctx) {
+                    // Budget exhausted: withdraw from the network. The
+                    // runner surfaces this as `SimError::DeliveryFailed`.
+                    self.failure = Some(failure);
+                    return Control::Halt;
                 }
                 min_due = min_due.min(link.due);
             }
             self.min_due = min_due;
-            self.send_pending = false;
+            self.queued = false;
+            self.owed.clear();
+        } else if !self.owed.is_empty() {
+            // The loss layer draws its fault stream in outbox order, so
+            // the acks leave in the full pass's (ascending link) order.
+            self.owed.sort_unstable();
+            for &pos in &self.owed {
+                let sent = self.links[pos].send(pos, &self.cfg, now, ctx);
+                debug_assert!(sent.is_ok(), "no timer is due before min_due");
+            }
+            self.owed.clear();
         }
 
         // --- Termination (see module docs). Only isolated nodes may
@@ -934,6 +1052,14 @@ mod tests {
         }
     }
 
+    fn bundle(payloads: impl IntoIterator<Item = u64>) -> Bundle<Num> {
+        let mut b = Bundle::default();
+        for x in payloads {
+            b.push(Num(x));
+        }
+        b
+    }
+
     #[test]
     fn frame_bit_size_is_logarithmic() {
         let pure_ack: FrameMsg<Num> = FrameMsg { ack: 0, data: None };
@@ -943,11 +1069,74 @@ mod tests {
             data: Some(FrameData {
                 seq: 1000,
                 halting: true,
-                payloads: vec![Num(3), Num(4)],
+                payloads: bundle([3, 4]),
             }),
         };
         // 1 + ceil(log2 1002) + 1 + ceil(log2 1002) + 2 * 16.
         assert_eq!(frame.bit_size(), 1 + 10 + 1 + 10 + 32);
+        // Every bundle shape is metered as the header plus its payloads.
+        for len in [0u64, 1, 3] {
+            let frame = FrameMsg {
+                ack: 5,
+                data: Some(FrameData {
+                    seq: 6,
+                    halting: false,
+                    payloads: bundle(0..len),
+                }),
+            };
+            let header = 1 + bits_for_ids(7) + 1 + bits_for_ids(8);
+            assert_eq!(frame.bit_size(), header + len as usize * 16, "len {len}");
+        }
+    }
+
+    #[test]
+    fn bundles_keep_push_order_in_every_shape() {
+        for len in [0u64, 1, 3] {
+            let b = bundle(10..10 + len);
+            let expected: Vec<Num> = (10..10 + len).map(Num).collect();
+            assert_eq!(b.as_slice(), &expected[..], "as_slice, len {len}");
+            assert_eq!(b.clone(), b);
+            let drained: Vec<Num> = b.into_iter().collect();
+            assert_eq!(drained, expected, "iteration, len {len}");
+        }
+        // Pushing onto an emptied (taken) bundle starts over.
+        let mut b = bundle([1, 2]);
+        let taken = std::mem::take(&mut b);
+        b.push(Num(9));
+        assert_eq!(taken.as_slice(), [Num(1), Num(2)]);
+        assert_eq!(b.as_slice(), [Num(9)]);
+    }
+
+    #[test]
+    fn halted_receiver_keeps_acking() {
+        // Node 0 halts after logical round 1 while node 1 runs on to
+        // round 6: node 0 must keep acknowledging node 1's frames (so
+        // node 1 finishes) and reach `done` itself.
+        let g = generators::path(2);
+        let mut sim = Simulator::new(
+            Topology::from_graph(&g),
+            |v| {
+                let rounds = if v.raw() == 0 { 1 } else { 6 };
+                Reliable::new(Recorder::new(v, rounds), TransportConfig::default())
+            },
+            5,
+        );
+        while sim.step() {
+            if sim.logics().all(Reliable::done) {
+                break;
+            }
+            assert!(sim.round() < 1_000, "run failed to converge");
+        }
+        let m = sim.metrics().clone();
+        let nodes: Vec<&Reliable<Recorder>> = sim.logics().collect();
+        let (halted, runner) = (nodes[0], nodes[1]);
+        assert!(halted.done() && runner.done());
+        assert_eq!((halted.logical_rounds(), runner.logical_rounds()), (2, 7));
+        let link = &halted.links[0];
+        assert_eq!(link.recv_next, 7, "every frame of the peer was received");
+        assert_eq!(link.peer_halt_seq, 6);
+        assert!(m.acks > 0, "the halted node answered with pure acks");
+        assert_eq!(m.retransmits, 0);
     }
 
     #[test]

@@ -324,3 +324,28 @@ fn chaos_frame_schedule_is_pinned() {
         "event log moved"
     );
 }
+
+/// Pins the frame schedule of a heavily jittered lossy run: delays of up
+/// to 4 rounds on half the frames reorder data and acks, so acks are
+/// often owed on links out of arrival order, and peers run several
+/// rounds past neighbours whose inner logic has already halted.
+#[test]
+fn jittered_frame_schedule_is_pinned() {
+    let s = 11u64;
+    let udg = generators::random_udg(200, 12.0, 1.0, s);
+    let config = UdgAlgorithm::new(2).seed(s);
+    let stack = Stack::new()
+        .lossy(0.2)
+        .adversarial(AdversaryPlan::new(s).jitter(0.5, 4));
+    let (run, _) = run_udg_stack(&udg, &config, stack).unwrap();
+    let m = &run.metrics;
+    assert_eq!(
+        [m.messages, m.acks, m.retransmits, m.duplicates_suppressed],
+        [93_600, 36_963, 26_484, 15_065]
+    );
+    let profile = fnv1a(m.per_round_messages.iter().flat_map(|x| x.to_le_bytes()));
+    assert_eq!(
+        profile, 0xe9f3_5be9_9eab_32b7,
+        "per-round message profile moved"
+    );
+}
