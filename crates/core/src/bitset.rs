@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn from_fn_par_matches_serial_at_any_thread_count() {
-        let pred = |i: usize| i % 7 == 0 || i % 11 == 3;
+        let pred = |i: usize| i.is_multiple_of(7) || i % 11 == 3;
         for n in [0usize, 1, 64, 65, 1000] {
             let expect: Vec<bool> = (0..n).map(pred).collect();
             for threads in [1usize, 2, 7] {
@@ -288,12 +288,12 @@ mod tests {
         let g = generators::gnp(150, 0.08, 9);
         let members = BitSet::from_fn_par(g.node_count(), |i| i % 4 == 1);
         let got = coverage_counts(&g, &members);
-        for i in 0..g.node_count() {
+        for (i, &got) in got.iter().enumerate() {
             let want = g
                 .closed_neighbors(NodeId::new(i as u32))
                 .filter(|w| w.index() % 4 == 1)
                 .count() as u32;
-            assert_eq!(got[i], want, "node {i}");
+            assert_eq!(got, want, "node {i}");
         }
     }
 }

@@ -25,6 +25,12 @@ pub enum KmdsError {
         /// Nodes in the graph.
         nodes: usize,
     },
+    /// A public entry point was called with inputs that do not fit
+    /// together (e.g. a liveness mask of the wrong length, or `k = 0`).
+    InvalidInput {
+        /// Which input was rejected, and why.
+        what: &'static str,
+    },
     /// A message-passing execution failed (e.g. round limit).
     Sim(SimError),
     /// An LP solve failed.
@@ -74,6 +80,7 @@ impl fmt::Display for KmdsError {
             KmdsError::DemandLengthMismatch { demands, nodes } => {
                 write!(f, "got {demands} demands for {nodes} nodes")
             }
+            KmdsError::InvalidInput { what } => write!(f, "invalid input: {what}"),
             KmdsError::Sim(e) => write!(f, "simulation failed: {e}"),
             KmdsError::Lp(e) => write!(f, "lp solve failed: {e}"),
             KmdsError::IterationLimit { stage, limit } => {
@@ -147,6 +154,8 @@ mod tests {
         };
         assert!(e.to_string().contains("degenerate lower bound"));
         assert!(e.source().is_none());
+        let e = KmdsError::InvalidInput { what: "k is 0" };
+        assert_eq!(e.to_string(), "invalid input: k is 0");
     }
 
     #[test]

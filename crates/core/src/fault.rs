@@ -120,7 +120,7 @@ pub fn survivability(
                 }
             }
             FailureModel::IidNodeFailure { prob } => {
-                for d in dead.iter_mut() {
+                for d in &mut dead {
                     *d = rng.random::<f64>() < prob;
                 }
             }

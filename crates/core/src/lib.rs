@@ -19,6 +19,8 @@
 //!   Part I sparsifies *active* nodes over radius-doubling rounds into an
 //!   `O(1)`-dense leader set; Part II extends it to a k-fold dominating
 //!   set.
+//! * [`promotion`] — the promotion loop that Algorithm 3's Part II and
+//!   coverage repair share.
 //! * [`baselines`] — comparison algorithms: the centralized greedy
 //!   multi-cover (`H(Δ+1)`-approximation), an exact branch-and-bound
 //!   optimum for small instances, a JRS-style randomized distributed
@@ -27,7 +29,7 @@
 //!   dominating sets, the virtual-backbone use case of Section 1.
 //! * [`repair`] — extension: distributed coverage repair after live
 //!   churn, restoring strict k-domination among the survivors via local
-//!   re-election (reusing the Part II promotion machinery).
+//!   re-election (the Part II promotion loop, seeded with the survivors).
 //! * [`validate`] — k-domination checking under both the paper's
 //!   Section 1 semantics and the LP `(PP)` semantics.
 //! * [`fault`] — survivability analysis under node failures (the paper's
@@ -83,6 +85,7 @@ pub mod fault;
 pub mod fractional;
 pub mod general;
 pub mod portfolio;
+pub mod promotion;
 pub mod repair;
 pub mod rounding;
 pub mod udg;

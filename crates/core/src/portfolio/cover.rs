@@ -85,7 +85,7 @@ impl Payload for CoverMsg {
     }
 }
 
-/// SplitMix64 finalizer used as the election priority. Raw node ids are
+/// `SplitMix64` finalizer used as the election priority. Raw node ids are
 /// adversarial on grid-like families (row-major ids make the layered
 /// election degenerate into a Θ(n) sequential sweep); hashing restores
 /// the expected wide independent layers on every family, and keeps the
@@ -184,10 +184,9 @@ impl NodeLogic for CoverNode {
                 for env in inbox {
                     match *env.payload {
                         CoverMsg::Status { residual } => {
-                            let o = match ctx.neighbors().binary_search(&env.from) {
-                                Ok(o) => o,
-                                // The simulator only delivers along topology edges.
-                                Err(_) => unreachable!("status from a non-neighbor"),
+                            // The simulator only delivers along topology edges.
+                            let Ok(o) = ctx.neighbors().binary_search(&env.from) else {
+                                unreachable!("status from a non-neighbor");
                             };
                             self.nres[o] = residual;
                         }

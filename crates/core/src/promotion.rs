@@ -1,0 +1,322 @@
+//! The promotion loop: the epoch state machine that grows a seed set until
+//! every non-member has `k` members among its neighbours.
+//!
+//! Algorithm 3's Part II ("extend the leader set to a k-fold dominating
+//! set") and the coverage repair of [`crate::repair`] are this one loop
+//! with different seeds: Part II starts from Part I's leaders, repair from
+//! the surviving members. Loop round 0 is a [`PromotionMsg::Status`]
+//! broadcast from every node, from which each node counts the members in
+//! its closed neighbourhood (`cov`). Then iterations of three rounds
+//! repeat:
+//!
+//! 1. *Needy* — a non-member with `cov < k` broadcasts
+//!    [`PromotionMsg::Needy`] carrying its `cov`.
+//! 2. *Re-election* — every member promotes up to `k` of the needy
+//!    neighbours it heard, per the [`PromotionRule`]; a needy node with
+//!    degree `< k` or with no member neighbour (`cov = 0`) marks itself to
+//!    join. A node that is not needy and heard no needy neighbour halts:
+//!    membership only grows, so nothing around it can change again.
+//! 3. *Join* — promoted and self-marked nodes become members and
+//!    broadcast [`PromotionMsg::Join`]; the next needy round counts it.
+//!
+//! Only new members announce themselves after round 0, so a quiet
+//! neighbourhood costs nothing. The loop ends: a needy node either has no
+//! member neighbour (it joins itself) or has one, and a member that hears
+//! a needy neighbour promotes at least one, so every iteration with a
+//! needy node adds a member.
+//!
+//! The join-itself rule is not in the paper's Part II, which assumes that
+//! Part I's leaders dominate (Lemma 5.1). With the θ schedule they need
+//! not: a node can end Part I with no leader within one hop, and no
+//! leader could ever promote it or a connected cluster of such nodes
+//! (DESIGN §5).
+//!
+//! Message sizes: `Status`, `Promote` and `Join` are 1 bit, `Needy` is
+//! `1 + ⌈log₂(cov + 2)⌉` bits. The protocols wrap these messages in their
+//! own payload without a tag bit. The continuous repair service reuses
+//! the re-election and join steps inside its 4-round beacon cycle.
+
+use crate::udg::PromotionRule;
+use ftclust_graphs::NodeId;
+use ftclust_netsim::{bits_for_ids, Context, Control, Inbox, Payload};
+use rand::rngs::StdRng;
+use rand::Rng;
+
+/// Wire messages of the promotion loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PromotionMsg {
+    /// Round-0 announcement of the sender's membership.
+    Status {
+        /// Whether the sender is in the set.
+        member: bool,
+    },
+    /// "I am needy", with the sender's current coverage (`< k`; the
+    /// `MostDeficient` promotion rule reads it).
+    Needy {
+        /// Members in the sender's closed neighbourhood.
+        cov: u32,
+    },
+    /// Promotion order from a member to a needy neighbour.
+    Promote,
+    /// New-member announcement (promoted or self-elected).
+    Join,
+}
+
+impl Payload for PromotionMsg {
+    fn bit_size(&self) -> usize {
+        match self {
+            PromotionMsg::Status { .. } | PromotionMsg::Promote | PromotionMsg::Join => 1,
+            PromotionMsg::Needy { cov } => 1 + bits_for_ids(*cov as usize + 2),
+        }
+    }
+}
+
+/// A protocol payload that carries the loop's messages.
+pub(crate) trait CarriesPromotion: Payload + From<PromotionMsg> {
+    /// The loop message inside this payload, if it is one.
+    fn promotion(&self) -> Option<PromotionMsg>;
+}
+
+/// Picks up to `k` promotion targets from the (ascending) list of needy
+/// neighbours, per the configured rule.
+pub(crate) fn select_promotions(
+    needy: &[NodeId],
+    coverage: impl Fn(NodeId) -> u32,
+    k: usize,
+    rule: PromotionRule,
+    rng: &mut StdRng,
+) -> Vec<NodeId> {
+    if needy.len() <= k {
+        return needy.to_vec();
+    }
+    match rule {
+        PromotionRule::LowestId => needy[..k].to_vec(),
+        PromotionRule::MostDeficient => {
+            let mut sorted = needy.to_vec();
+            sorted.sort_by_key(|&v| (coverage(v), v));
+            sorted.truncate(k);
+            sorted
+        }
+        PromotionRule::Random => {
+            let mut pool = needy.to_vec();
+            let mut chosen = Vec::with_capacity(k);
+            for _ in 0..k {
+                let idx = rng.random_range(0..pool.len());
+                chosen.push(pool.swap_remove(idx));
+            }
+            chosen
+        }
+    }
+}
+
+/// One node's state in the promotion loop.
+#[derive(Debug)]
+pub(crate) struct PromotionLoop {
+    k: u32,
+    rule: PromotionRule,
+    /// Whether this node is in the set.
+    pub(crate) member: bool,
+    /// Members in the closed neighbourhood.
+    pub(crate) cov: u32,
+    /// Whether this node announced itself needy in the last needy round.
+    needy: bool,
+    /// Set by the join-itself rule, consumed by the next join step.
+    join: bool,
+    /// Whether this node joined the set during the loop.
+    pub(crate) joined: bool,
+}
+
+impl PromotionLoop {
+    /// A node of a loop computing a `k`-fold dominating set, seeded with
+    /// `member`.
+    pub(crate) fn new(k: u32, rule: PromotionRule, member: bool) -> Self {
+        PromotionLoop {
+            k,
+            rule,
+            member,
+            cov: 0,
+            needy: false,
+            join: false,
+            joined: false,
+        }
+    }
+
+    /// Runs loop round `t` (0 is the status round). `rng` is the node's
+    /// promotion stream; `None` draws from [`Context::rng`].
+    pub(crate) fn on_round<P: CarriesPromotion>(
+        &mut self,
+        t: u64,
+        inbox: Inbox<'_, P>,
+        ctx: &mut Context<'_, P>,
+        rng: Option<&mut StdRng>,
+    ) -> Control {
+        if t == 0 {
+            self.cov = u32::from(self.member);
+            let member = self.member;
+            ctx.broadcast(PromotionMsg::Status { member }.into());
+            return Control::Continue;
+        }
+        match t % 3 {
+            1 => {
+                self.cov += inbox
+                    .iter()
+                    .filter(|e| {
+                        matches!(
+                            e.payload.promotion(),
+                            Some(PromotionMsg::Status { member: true } | PromotionMsg::Join)
+                        )
+                    })
+                    .count() as u32;
+                self.announce_need(ctx);
+                Control::Continue
+            }
+            2 => {
+                let heard_needy = self.reelect(inbox, ctx, rng);
+                if self.needy || heard_needy {
+                    Control::Continue
+                } else {
+                    Control::Halt
+                }
+            }
+            _ => {
+                if self.join(inbox) {
+                    ctx.broadcast(PromotionMsg::Join.into());
+                }
+                Control::Continue
+            }
+        }
+    }
+
+    /// The needy step, once `cov` is current: a non-member short of `k`
+    /// members announces its coverage.
+    pub(crate) fn announce_need<P: CarriesPromotion>(&mut self, ctx: &mut Context<'_, P>) {
+        self.needy = !self.member && self.cov < self.k;
+        if self.needy {
+            ctx.broadcast(PromotionMsg::Needy { cov: self.cov }.into());
+        }
+    }
+
+    /// This node's coverage deficit `k − cov` as of the last needy step
+    /// (0 unless needy).
+    pub(crate) fn deficit(&self) -> u32 {
+        if self.needy {
+            self.k - self.cov
+        } else {
+            0
+        }
+    }
+
+    /// The re-election step: a member promotes up to `k` of the needy
+    /// neighbours in `inbox` (duplicates count once); a needy node with
+    /// degree `< k` or no member neighbour marks itself to join. `rng` is
+    /// as in [`PromotionLoop::on_round`]. Returns whether any needy
+    /// neighbour was heard.
+    pub(crate) fn reelect<P: CarriesPromotion>(
+        &mut self,
+        inbox: Inbox<'_, P>,
+        ctx: &mut Context<'_, P>,
+        rng: Option<&mut StdRng>,
+    ) -> bool {
+        let mut needy: Vec<(NodeId, u32)> = inbox
+            .iter()
+            .filter_map(|e| match e.payload.promotion() {
+                Some(PromotionMsg::Needy { cov }) => Some((e.from, cov)),
+                _ => None,
+            })
+            .collect();
+        needy.sort_unstable_by_key(|&(v, _)| v);
+        needy.dedup_by_key(|&mut (v, _)| v);
+        if self.member && !needy.is_empty() {
+            let ids: Vec<NodeId> = needy.iter().map(|&(v, _)| v).collect();
+            let cov_of = |v: NodeId| match needy.binary_search_by_key(&v, |&(w, _)| w) {
+                Ok(i) => needy[i].1,
+                Err(_) => unreachable!("promotion candidates come from `needy`"),
+            };
+            let rng = match rng {
+                Some(rng) => rng,
+                None => ctx.rng(),
+            };
+            let chosen = select_promotions(&ids, cov_of, self.k as usize, self.rule, rng);
+            for w in chosen {
+                ctx.send(w, PromotionMsg::Promote.into());
+            }
+        }
+        // A non-member's `cov` counts only its member neighbours.
+        if self.needy && (ctx.degree() < self.k as usize || self.cov == 0) {
+            self.join = true;
+        }
+        !needy.is_empty()
+    }
+
+    /// The join step: a node promoted in `inbox` or marked by the
+    /// join-itself rule enters the set. Returns whether it joined now.
+    pub(crate) fn join<P: CarriesPromotion>(&mut self, inbox: Inbox<'_, P>) -> bool {
+        let promoted = inbox
+            .iter()
+            .any(|e| e.payload.promotion() == Some(PromotionMsg::Promote));
+        let joins = (self.join || promoted) && !self.member;
+        self.join = false;
+        if joins {
+            self.member = true;
+            self.joined = true;
+            self.cov += 1;
+        }
+        joins
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn messages_have_their_metered_sizes() {
+        use PromotionMsg::{Join, Needy, Promote, Status};
+        for msg in [
+            Status { member: false },
+            Status { member: true },
+            Promote,
+            Join,
+        ] {
+            assert_eq!(msg.bit_size(), 1, "{msg:?}");
+        }
+        for (cov, bits) in [(0u32, 2usize), (1, 3), (2, 3), (3, 4), (6, 4), (7, 5)] {
+            assert_eq!(Needy { cov }.bit_size(), bits, "cov {cov}");
+            assert_eq!(Needy { cov }.bit_size(), 1 + bits_for_ids(cov as usize + 2));
+        }
+        // The protocols wrap the loop's messages without a tag bit.
+        for msg in [Status { member: true }, Needy { cov: 5 }, Promote, Join] {
+            let udg = crate::udg::protocol::UdgMsg::Loop(msg);
+            let repair = crate::repair::RepairMsg::Loop(msg);
+            assert_eq!(udg.bit_size(), msg.bit_size(), "{msg:?}");
+            assert_eq!(repair.bit_size(), msg.bit_size(), "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn select_promotions_rules() {
+        let needy: Vec<NodeId> = [1u32, 2, 3, 4].into_iter().map(NodeId::new).collect();
+        let cov = |v: NodeId| match v.raw() {
+            2 => 0u32,
+            4 => 1,
+            _ => 5,
+        };
+        let mut rng = ftclust_netsim::node_rng(0, NodeId::new(0));
+        assert_eq!(
+            select_promotions(&needy, cov, 2, PromotionRule::LowestId, &mut rng),
+            vec![NodeId::new(1), NodeId::new(2)]
+        );
+        assert_eq!(
+            select_promotions(&needy, cov, 2, PromotionRule::MostDeficient, &mut rng),
+            vec![NodeId::new(2), NodeId::new(4)]
+        );
+        let random = select_promotions(&needy, cov, 2, PromotionRule::Random, &mut rng);
+        assert_eq!(random.len(), 2);
+        assert!(random.iter().all(|v| needy.contains(v)));
+        // Fewer needy than k: take all, regardless of rule.
+        assert_eq!(
+            select_promotions(&needy, cov, 9, PromotionRule::Random, &mut rng),
+            needy
+        );
+    }
+}

@@ -12,25 +12,24 @@
 //!
 //! # Protocol
 //!
-//! The repair is purely local, structured as one **detection round**
-//! followed by bounded **re-election iterations** of three rounds each,
-//! reusing the promotion machinery of Algorithm 3 Part II
-//! (`select_promotions`, so the healed set inherits the same promotion
-//! rules and randomness discipline):
+//! The repair is Algorithm 3's Part II run on the survivors: the
+//! promotion loop of [`crate::promotion`], seeded with the surviving
+//! members, so the healed set inherits Part II's promotion rules and
+//! randomness discipline.
 //!
-//! 1. *Detection* — every survivor broadcasts a heartbeat; a node whose
-//!    dominator count among responders falls below `k` becomes **needy**
-//!    with deficit `k − c(v)`.
-//! 2. *Deficit broadcast* — needy nodes announce their deficit to their
+//! 1. *Detection* — every survivor broadcasts its membership status; a
+//!    non-member whose count of surviving dominators `c(v)` is below `k`
+//!    becomes **needy** with deficit `k − c(v)`.
+//! 2. *Deficit broadcast* — needy nodes announce their coverage to their
 //!    surviving neighbors.
 //! 3. *Re-election* — a needy node with fewer than `k` surviving
 //!    neighbors, or with no surviving member neighbor at all, promotes
 //!    **itself** (members are exempt under strict semantics, and no
 //!    neighborhood subset could ever supply its `k` dominators);
 //!    meanwhile every surviving member promotes up to `k` of its needy
-//!    neighbors, exactly as in Part II.
+//!    neighbors.
 //! 4. *Announcement* — new members announce themselves; coverage counts
-//!    update and the loop repeats while anyone is still needy.
+//!    update and the loop repeats steps 2–4 while anyone is still needy.
 //!
 //! # Engine and protocol
 //!
@@ -101,14 +100,14 @@
 //! ```
 
 use crate::bitset::{coverage_counts, BitSet};
+use crate::promotion::{select_promotions, CarriesPromotion, PromotionLoop, PromotionMsg};
 use crate::udg::PromotionRule;
 use crate::{DominatingSet, KmdsError};
 use ftclust_graphs::{Graph, NodeId};
 use ftclust_netsim::exec::{completed_iterations, Executor, Phase, Stack};
 use ftclust_netsim::monitor::HealthMonitor;
 use ftclust_netsim::{
-    bits_for_ids, node_rng, Context, Control, EventLog, Inbox, Metrics, NodeLogic, Payload,
-    Topology,
+    node_rng, Context, Control, EventLog, Inbox, Metrics, NodeLogic, Payload, Topology,
 };
 use ftclust_par as par;
 use rand::rngs::StdRng;
@@ -117,8 +116,6 @@ use rand::rngs::StdRng;
 /// repair stays inside the paper's small-message model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairMsg {
-    /// Detection-round liveness beacon.
-    Heartbeat,
     /// Continuous-mode probe beacon: liveness plus current membership,
     /// so receivers can measure their live coverage every cycle (see
     /// [`run_repair_continuous`]).
@@ -126,24 +123,31 @@ pub enum RepairMsg {
         /// Whether the sender is currently in the dominating set.
         member: bool,
     },
-    /// "I am needy": the sender's current surviving-dominator count
-    /// (`< k`; needed by the `MostDeficient` promotion rule).
-    Deficit {
-        /// Surviving members currently covering the sender.
-        cov: u32,
-    },
-    /// Promotion order from a member to a needy neighbor.
-    Promote,
-    /// New-member announcement (self-elected or promoted).
-    Join,
+    /// A promotion-loop message: all of the epoch repair's traffic, and
+    /// the continuous service's needy and promotion messages.
+    Loop(PromotionMsg),
 }
 
 impl Payload for RepairMsg {
     fn bit_size(&self) -> usize {
         match self {
-            RepairMsg::Heartbeat | RepairMsg::Promote | RepairMsg::Join => 1,
             RepairMsg::Beacon { .. } => 2,
-            RepairMsg::Deficit { cov } => 1 + bits_for_ids(*cov as usize + 2),
+            RepairMsg::Loop(m) => m.bit_size(),
+        }
+    }
+}
+
+impl From<PromotionMsg> for RepairMsg {
+    fn from(m: PromotionMsg) -> Self {
+        RepairMsg::Loop(m)
+    }
+}
+
+impl CarriesPromotion for RepairMsg {
+    fn promotion(&self) -> Option<PromotionMsg> {
+        match self {
+            RepairMsg::Loop(m) => Some(*m),
+            RepairMsg::Beacon { .. } => None,
         }
     }
 }
@@ -191,8 +195,8 @@ pub struct RepairOutcome {
     pub iterations: u32,
     /// Protocol rounds: 1 detection round + 3 per iteration.
     pub rounds: u64,
-    /// Messages the protocol would send (heartbeats, deficit broadcasts,
-    /// promotions, join announcements).
+    /// Messages the protocol would send (status broadcasts, deficit
+    /// broadcasts, promotions, join announcements).
     pub messages: u64,
     /// Total bits across those messages ([`RepairMsg`] sizes).
     pub message_bits: u64,
@@ -225,14 +229,11 @@ struct RepairShard<'s> {
 ///
 /// # Errors
 ///
-/// Returns [`KmdsError::IterationLimit`] if an iteration makes no
-/// progress or `max_iterations` is exhausted — impossible by the progress
-/// argument in the module docs; checked defensively.
-///
-/// # Panics
-///
-/// Panics if `alive.len()` or the set universe mismatch the graph, or if
-/// `k == 0`.
+/// Returns [`KmdsError::InvalidInput`] if `alive.len()` or the set
+/// universe mismatch the graph, or if `k == 0`, and
+/// [`KmdsError::IterationLimit`] if an iteration makes no progress or
+/// `max_iterations` is exhausted — impossible by the progress argument in
+/// the module docs; checked defensively.
 pub fn repair_coverage(
     g: &Graph,
     set: &DominatingSet,
@@ -241,9 +242,7 @@ pub fn repair_coverage(
     cfg: &RepairConfig,
 ) -> Result<RepairOutcome, KmdsError> {
     let n = g.node_count();
-    assert_eq!(alive.len(), n, "liveness mask length mismatch");
-    assert_eq!(set.universe(), n, "set universe mismatch");
-    assert!(k >= 1, "k must be at least 1");
+    check_inputs(n, set, Some(alive), k)?;
 
     // Surviving membership: dead members are gone.
     let mut member = BitSet::from_fn_par(n, |i| alive[i] && set.contains(NodeId::new(i as u32)));
@@ -256,15 +255,13 @@ pub fn repair_coverage(
 
     let mut messages = 0u64;
     let mut message_bits = 0u64;
-    // Detection round: every survivor beacons to all its graph neighbors
-    // (it cannot yet know which of them are alive).
-    let heartbeat = RepairMsg::Heartbeat.bit_size() as u64;
-    for i in 0..n {
-        if alive[i] {
-            let deg = g.degree(NodeId::new(i as u32)) as u64;
-            messages += deg;
-            message_bits += deg * heartbeat;
-        }
+    // Detection round: every survivor sends its status to all its graph
+    // neighbors (it cannot yet know which of them are alive).
+    let status = PromotionMsg::Status { member: true }.bit_size() as u64;
+    for v in g.nodes().filter(|v| alive[v.index()]) {
+        let deg = g.degree(v) as u64;
+        messages += deg;
+        message_bits += deg * status;
     }
     let mut rounds = 1u64;
 
@@ -297,7 +294,7 @@ pub fn repair_coverage(
         for i in needy.iter_ones() {
             let deg = u64::from(alive_deg[i]);
             messages += deg;
-            message_bits += deg * RepairMsg::Deficit { cov: cov[i] }.bit_size() as u64;
+            message_bits += deg * PromotionMsg::Needy { cov: cov[i] }.bit_size() as u64;
         }
         // Round 2: self-elections and member promotions. Each member
         // draws only from its own stream; targets are OR-merged after the
@@ -339,7 +336,7 @@ pub fn repair_coverage(
                 if s.scratch.is_empty() {
                     continue;
                 }
-                let picks = crate::udg::select_promotions(
+                let picks = select_promotions(
                     &s.scratch,
                     |w| cov[w.index()],
                     k as usize,
@@ -358,7 +355,7 @@ pub fn repair_coverage(
             }
         }
         messages += promote_msgs;
-        message_bits += promote_msgs * RepairMsg::Promote.bit_size() as u64;
+        message_bits += promote_msgs * PromotionMsg::Promote.bit_size() as u64;
         if !joins.any_outside(&member) {
             return Err(KmdsError::IterationLimit {
                 stage: "coverage repair",
@@ -372,7 +369,7 @@ pub fn repair_coverage(
                 added.push(NodeId::new(i as u32));
                 let deg = u64::from(alive_deg[i]);
                 messages += deg;
-                message_bits += deg * RepairMsg::Join.bit_size() as u64;
+                message_bits += deg * PromotionMsg::Join.bit_size() as u64;
             }
         }
     }
@@ -415,37 +412,42 @@ pub fn surviving_instance(
     (sub, DominatingSet::from_members(members))
 }
 
+/// Rejects repair inputs that do not fit a graph of `n` nodes.
+fn check_inputs(
+    n: usize,
+    set: &DominatingSet,
+    alive: Option<&[bool]>,
+    k: u32,
+) -> Result<(), KmdsError> {
+    let what = if alive.is_some_and(|a| a.len() != n) {
+        "liveness mask length differs from the node count"
+    } else if set.universe() != n {
+        "set universe differs from the node count"
+    } else if k == 0 {
+        "k must be at least 1"
+    } else {
+        return Ok(());
+    };
+    Err(KmdsError::InvalidInput { what })
+}
+
 /// Per-node state of the repair protocol on the **surviving subgraph** —
 /// the message-passing twin of [`repair_coverage`], seed-for-seed
 /// identical in its healed set, additions and iteration count (message
-/// counts differ: the engine also accounts heartbeats addressed to dead
-/// neighbors, which the induced subgraph has no edges for).
+/// counts differ: the engine also accounts status messages addressed to
+/// dead neighbors, which the induced subgraph has no edges for).
 ///
-/// Nodes know, from before the churn epoch, which of their neighbors were
-/// members (`neighbor_member`) — set membership is established knowledge
-/// by the time repair runs — and observe survival through the detection
-/// round. Each node draws promotions from its own stream keyed by its
+/// Each node runs the promotion loop from round 0, seeded with its own
+/// pre-churn membership; it learns its neighbors' membership from their
+/// round-0 status. It draws promotions from its own stream keyed by its
 /// **original** (pre-churn) identifier, exactly like the engine.
 #[derive(Debug)]
 pub struct RepairNode {
-    k: u32,
-    rule: PromotionRule,
     /// This node's private stream, `node_rng(seed, original_id)`.
     rng: StdRng,
-    member: bool,
-    /// Membership of each surviving neighbor, aligned with the sorted
-    /// subgraph neighbor list; updated by `Join` announcements.
-    neighbor_member: Vec<bool>,
-    /// Members in the closed neighborhood (the engine's `cov`).
-    cov: u32,
-    my_needy: bool,
-    pending_join: bool,
-    /// Whether this node was added by the repair.
-    pub joined: bool,
-    /// Coverage at detection time (for the deficit statistics).
-    pub initial_cov: u32,
-    /// Whether this node was needy at detection time.
-    pub initial_needy: bool,
+    promotion: PromotionLoop,
+    /// Coverage deficit `k − c(v)` at detection time (0 unless needy).
+    pub initial_deficit: u32,
 }
 
 impl NodeLogic for RepairNode {
@@ -457,98 +459,11 @@ impl NodeLogic for RepairNode {
         ctx: &mut Context<'_, RepairMsg>,
     ) -> Control {
         let r = ctx.round();
-        if r == 0 {
-            // Detection round: every survivor beacons. On the induced
-            // surviving subgraph every neighbor responds, so the beacon's
-            // role is to confirm survival (and meter the detection cost).
-            self.cov =
-                u32::from(self.member) + self.neighbor_member.iter().filter(|&&m| m).count() as u32;
-            ctx.broadcast(RepairMsg::Heartbeat);
-            return Control::Continue;
+        let control = self.promotion.on_round(r, inbox, ctx, Some(&mut self.rng));
+        if r == 1 {
+            self.initial_deficit = self.promotion.deficit();
         }
-        match (r - 1) % 3 {
-            0 => {
-                // Deficit round: absorb the joins announced last
-                // iteration, then announce the (updated) deficit.
-                for e in inbox {
-                    if let RepairMsg::Join = e.payload {
-                        let Ok(pos) = ctx.neighbors().binary_search(&e.from) else {
-                            unreachable!("inbox messages arrive only from neighbors");
-                        };
-                        self.neighbor_member[pos] = true;
-                        self.cov += 1;
-                    }
-                }
-                self.my_needy = !self.member && self.cov < self.k;
-                if r == 1 {
-                    self.initial_cov = self.cov;
-                    self.initial_needy = self.my_needy;
-                }
-                if self.my_needy {
-                    ctx.broadcast(RepairMsg::Deficit { cov: self.cov });
-                }
-                Control::Continue
-            }
-            1 => {
-                // Re-election round: members promote needy neighbors;
-                // structurally under-covered needy nodes promote
-                // themselves; a node with nothing needy in sight is done.
-                let needy: Vec<(NodeId, u32)> = inbox
-                    .iter()
-                    .filter_map(|e| match *e.payload {
-                        RepairMsg::Deficit { cov } => Some((e.from, cov)),
-                        _ => None,
-                    })
-                    .collect();
-                if self.member && !needy.is_empty() {
-                    let ids: Vec<NodeId> = needy.iter().map(|&(v, _)| v).collect();
-                    let cov_of = |v: NodeId| match needy.iter().find(|&&(w, _)| w == v) {
-                        Some(&(_, c)) => c,
-                        None => unreachable!("promotion candidates come from `needy`"),
-                    };
-                    let chosen = crate::udg::select_promotions(
-                        &ids,
-                        cov_of,
-                        self.k as usize,
-                        self.rule,
-                        &mut self.rng,
-                    );
-                    for w in chosen {
-                        ctx.send(w, RepairMsg::Promote);
-                    }
-                }
-                if self.my_needy
-                    && (ctx.degree() < self.k as usize || !self.neighbor_member.iter().any(|&m| m))
-                {
-                    self.pending_join = true;
-                }
-                if !self.my_needy && needy.is_empty() {
-                    // Neediness only shrinks, so nothing around this node
-                    // can ever change again.
-                    Control::Halt
-                } else {
-                    Control::Continue
-                }
-            }
-            _ => {
-                // Join round: promoted and self-elected nodes enter the
-                // set and announce it.
-                if inbox
-                    .iter()
-                    .any(|e| matches!(e.payload, RepairMsg::Promote))
-                {
-                    self.pending_join = true;
-                }
-                if self.pending_join && !self.member {
-                    self.member = true;
-                    self.joined = true;
-                    self.cov += 1;
-                    ctx.broadcast(RepairMsg::Join);
-                }
-                self.pending_join = false;
-                Control::Continue
-            }
-        }
+        control
     }
 }
 
@@ -574,41 +489,11 @@ pub struct RepairProtocolRun {
     pub metrics: Metrics,
 }
 
-/// Builds one node's protocol state for the surviving subgraph.
-fn repair_node(
-    sub: &Graph,
-    old_of_new: &[NodeId],
-    set: &DominatingSet,
-    k: u32,
-    cfg: &RepairConfig,
-    v: NodeId,
-) -> RepairNode {
-    let old = old_of_new[v.index()];
-    RepairNode {
-        k,
-        rule: cfg.rule,
-        rng: node_rng(cfg.seed, old),
-        member: set.contains(old),
-        neighbor_member: sub
-            .neighbors(v)
-            .iter()
-            .map(|&w| set.contains(old_of_new[w.index()]))
-            .collect(),
-        cov: 0,
-        my_needy: false,
-        pending_join: false,
-        joined: false,
-        initial_cov: 0,
-        initial_needy: false,
-    }
-}
-
 /// Maps the final per-node states back to the full universe.
 fn assemble_repair(
     n_full: usize,
     old_of_new: &[NodeId],
     nodes: &[RepairNode],
-    k: u32,
     logical_rounds: u64,
     metrics: Metrics,
 ) -> RepairProtocolRun {
@@ -617,13 +502,13 @@ fn assemble_repair(
     let mut peak_deficit = 0u32;
     let mut deficit_nodes = 0usize;
     for (node, &old) in nodes.iter().zip(old_of_new) {
-        members[old.index()] = node.member;
-        if node.joined {
+        members[old.index()] = node.promotion.member;
+        if node.promotion.joined {
             added.push(old);
         }
-        if node.initial_needy {
+        if node.initial_deficit > 0 {
             deficit_nodes += 1;
-            peak_deficit = peak_deficit.max(k - node.initial_cov);
+            peak_deficit = peak_deficit.max(node.initial_deficit);
         }
     }
     added.sort_unstable();
@@ -641,7 +526,7 @@ fn assemble_repair(
     }
 }
 
-/// The coverage repair's declarative span plan: the round-0 heartbeat
+/// The coverage repair's declarative span plan: the round-0 status
 /// exchange runs under a `repair_heartbeat` span and every 3-round
 /// repair iteration (deficit announcement, re-election, join) under
 /// `repair_iter(j)`. Nodes halt in the re-election round (the second
@@ -671,14 +556,11 @@ fn repair_phases() -> Vec<Phase> {
 ///
 /// # Errors
 ///
-/// Returns [`KmdsError::Sim`] if the round budget is exceeded —
-/// impossible by the progress argument in the [module docs](self) — or,
-/// with the transport engaged, if loss exhausts a retransmit budget.
-///
-/// # Panics
-///
-/// Panics if `alive.len()` or the set universe mismatch the graph, or if
-/// `k == 0`.
+/// Returns [`KmdsError::InvalidInput`] if `alive.len()` or the set
+/// universe mismatch the graph, or if `k == 0`, and [`KmdsError::Sim`]
+/// if the round budget is exceeded — impossible by the progress argument
+/// in the [module docs](self) — or, with the transport engaged, if loss
+/// exhausts a retransmit budget.
 pub fn run_repair_stack(
     g: &Graph,
     set: &DominatingSet,
@@ -688,32 +570,30 @@ pub fn run_repair_stack(
     stack: Stack,
 ) -> Result<(RepairProtocolRun, Option<EventLog>), KmdsError> {
     let n = g.node_count();
-    assert_eq!(alive.len(), n, "liveness mask length mismatch");
-    assert_eq!(set.universe(), n, "set universe mismatch");
-    assert!(k >= 1, "k must be at least 1");
+    check_inputs(n, set, Some(alive), k)?;
     let keep: Vec<NodeId> = g.nodes().filter(|v| alive[v.index()]).collect();
     let (sub, old_of_new) = g.induced_subgraph(&keep);
     if sub.node_count() == 0 {
         let log = stack.is_traced().then(EventLog::new);
-        return Ok((assemble_repair(n, &[], &[], k, 0, Metrics::default()), log));
+        return Ok((assemble_repair(n, &[], &[], 0, Metrics::default()), log));
     }
     let _transported = stack.engages_transport();
     let run = Executor::new(
         Topology::from_graph(&sub),
-        |v| repair_node(&sub, &old_of_new, set, k, cfg, v),
+        |v| {
+            let old = old_of_new[v.index()];
+            RepairNode {
+                rng: node_rng(cfg.seed, old),
+                promotion: PromotionLoop::new(k, cfg.rule, set.contains(old)),
+                initial_deficit: 0,
+            }
+        },
         cfg.seed,
     )
     .stack(stack)
     .phases(repair_phases())
     .run(repair_round_budget(sub.node_count()))?;
-    let out = assemble_repair(
-        n,
-        &old_of_new,
-        &run.logics,
-        k,
-        run.logical_rounds,
-        run.metrics,
-    );
+    let out = assemble_repair(n, &old_of_new, &run.logics, run.logical_rounds, run.metrics);
     #[cfg(feature = "strict-invariants")]
     {
         if _transported {
@@ -753,13 +633,7 @@ pub fn run_repair_stack(
 ///
 /// # Errors
 ///
-/// Returns [`KmdsError::Sim`] if the round budget is exceeded —
-/// impossible by the progress argument in the [module docs](self).
-///
-/// # Panics
-///
-/// Panics if `alive.len()` or the set universe mismatch the graph, or if
-/// `k == 0`.
+/// As [`run_repair_stack`].
 pub fn run_repair_protocol(
     g: &Graph,
     set: &DominatingSet,
@@ -787,12 +661,14 @@ fn repair_round_budget(n_sub: usize) -> u64 {
 /// 2. *Deficit* (round `4c + 1`) — each node counts the **distinct**
 ///    member beacon senders it heard (network duplicates must not
 ///    double-count coverage), records its observed deficit for the
-///    monitor, and broadcasts [`RepairMsg::Deficit`] if under-covered.
-/// 3. *Re-election* (round `4c + 2`) — members promote up to `k` needy
-///    neighbors; a needy node that heard no member beacon at all (or
-///    whose degree is below `k`) marks itself for self-election.
-/// 4. *Join* (round `4c + 3`) — promoted and self-elected nodes enter
-///    the set; the next cycle's beacon announces it.
+///    monitor, and broadcasts [`PromotionMsg::Needy`] if under-covered.
+/// 3. *Re-election* (round `4c + 2`) — the promotion loop's re-election
+///    step: members promote up to `k` needy neighbors; a needy node that
+///    heard no member beacon at all (or whose degree is below `k`) marks
+///    itself for self-election.
+/// 4. *Join* (round `4c + 3`) — the loop's join step: promoted and
+///    self-elected nodes enter the set; the next cycle's beacon
+///    announces it.
 ///
 /// Loss, corruption and partitions make beacons *undercount* coverage,
 /// which can only trigger spurious extra promotions — the deficit probe
@@ -801,19 +677,11 @@ fn repair_round_budget(n_sub: usize) -> u64 {
 /// reads only its own message variant), i.e. treated as loss.
 #[derive(Debug)]
 pub struct ContinuousRepairNode {
-    k: u32,
-    rule: PromotionRule,
     rng: StdRng,
-    member: bool,
+    promotion: PromotionLoop,
     /// Rounds this node participates in: it halts at round
     /// `4 * cycles`.
     horizon_rounds: u64,
-    /// Did the last probe deliver any member beacon?
-    heard_member_beacon: bool,
-    my_needy: bool,
-    pending_join: bool,
-    /// Whether this node joined the set during the run.
-    pub joined: bool,
     /// Observed `(cycle, deficit)` pairs, one per deficit round this
     /// node was alive for (a down node skips cycles, so the cycle index
     /// is recorded explicitly).
@@ -832,13 +700,9 @@ impl NodeLogic for ContinuousRepairNode {
         if r >= self.horizon_rounds {
             return Control::Halt;
         }
+        let p = &mut self.promotion;
         match r % 4 {
-            0 => {
-                ctx.broadcast(RepairMsg::Beacon {
-                    member: self.member,
-                });
-                Control::Continue
-            }
+            0 => ctx.broadcast(RepairMsg::Beacon { member: p.member }),
             1 => {
                 // Coverage probe readout: distinct member beacon senders
                 // only — the adversary may deliver duplicates, and a
@@ -852,67 +716,18 @@ impl NodeLogic for ContinuousRepairNode {
                     .collect();
                 members.sort_unstable();
                 members.dedup();
-                self.heard_member_beacon = !members.is_empty();
-                let cov = u32::from(self.member) + members.len() as u32;
-                let deficit = if self.member {
-                    0
-                } else {
-                    self.k.saturating_sub(members.len() as u32)
-                };
-                self.deficits.push((r / 4, deficit));
-                self.my_needy = deficit > 0;
-                if self.my_needy {
-                    ctx.broadcast(RepairMsg::Deficit { cov });
-                }
-                Control::Continue
+                p.cov = u32::from(p.member) + members.len() as u32;
+                p.announce_need(ctx);
+                self.deficits.push((r / 4, p.deficit()));
             }
             2 => {
-                let mut needy: Vec<(NodeId, u32)> = inbox
-                    .iter()
-                    .filter_map(|e| match *e.payload {
-                        RepairMsg::Deficit { cov } => Some((e.from, cov)),
-                        _ => None,
-                    })
-                    .collect();
-                needy.sort_unstable_by_key(|&(v, _)| v);
-                needy.dedup_by_key(|&mut (v, _)| v);
-                if self.member && !needy.is_empty() {
-                    let ids: Vec<NodeId> = needy.iter().map(|&(v, _)| v).collect();
-                    let cov_of = |v: NodeId| match needy.iter().find(|&&(w, _)| w == v) {
-                        Some(&(_, c)) => c,
-                        None => unreachable!("promotion candidates come from `needy`"),
-                    };
-                    let chosen = crate::udg::select_promotions(
-                        &ids,
-                        cov_of,
-                        self.k as usize,
-                        self.rule,
-                        &mut self.rng,
-                    );
-                    for w in chosen {
-                        ctx.send(w, RepairMsg::Promote);
-                    }
-                }
-                if self.my_needy && (ctx.degree() < self.k as usize || !self.heard_member_beacon) {
-                    self.pending_join = true;
-                }
-                Control::Continue
+                p.reelect(inbox, ctx, Some(&mut self.rng));
             }
             _ => {
-                if inbox
-                    .iter()
-                    .any(|e| matches!(e.payload, RepairMsg::Promote))
-                {
-                    self.pending_join = true;
-                }
-                if self.pending_join && !self.member {
-                    self.member = true;
-                    self.joined = true;
-                }
-                self.pending_join = false;
-                Control::Continue
+                p.join(inbox);
             }
         }
+        Control::Continue
     }
 }
 
@@ -946,17 +761,15 @@ pub struct ContinuousRepairRun {
 ///
 /// # Errors
 ///
-/// Returns [`KmdsError::Sim`] if the physical-round budget (the horizon
-/// plus recovery slack) is exceeded — only possible if the churn plan
-/// keeps nodes down-but-wakeable long past the horizon.
-///
-/// # Panics
-///
-/// Panics if the set universe mismatches the graph, `k == 0`, or the
-/// stack engages the reliable transport: continuous repair runs bare —
-/// ARQ cannot mask crash churn (frames to crashed nodes exhaust their
-/// retransmit budget), and the protocol is loss-tolerant by design (a
-/// lost beacon undercounts coverage, which only over-promotes).
+/// Returns [`KmdsError::InvalidInput`] if the set universe mismatches the
+/// graph, `k == 0`, or the stack engages the reliable transport:
+/// continuous repair runs bare — ARQ cannot mask crash churn (frames to
+/// crashed nodes exhaust their retransmit budget), and the protocol is
+/// loss-tolerant by design (a lost beacon undercounts coverage, which
+/// only over-promotes). Returns [`KmdsError::Sim`] if the physical-round
+/// budget (the horizon plus recovery slack) is exceeded — only possible
+/// if the churn plan keeps nodes down-but-wakeable long past the
+/// horizon.
 pub fn run_repair_continuous(
     g: &Graph,
     set: &DominatingSet,
@@ -966,26 +779,20 @@ pub fn run_repair_continuous(
     stack: Stack,
 ) -> Result<(ContinuousRepairRun, Option<EventLog>), KmdsError> {
     let n = g.node_count();
-    assert_eq!(set.universe(), n, "set universe mismatch");
-    assert!(k >= 1, "k must be at least 1");
-    assert!(
-        !stack.engages_transport(),
-        "continuous repair runs without the transport layer (ARQ cannot mask crash churn); \
-         inject loss via the churn plan instead"
-    );
+    check_inputs(n, set, None, k)?;
+    if stack.engages_transport() {
+        return Err(KmdsError::InvalidInput {
+            what: "continuous repair runs without the transport layer (ARQ cannot mask \
+                   crash churn); inject loss via the churn plan instead",
+        });
+    }
     let horizon = 4 * cycles;
     let run = Executor::new(
         Topology::from_graph(g),
         |v| ContinuousRepairNode {
-            k,
-            rule: cfg.rule,
             rng: node_rng(cfg.seed, v),
-            member: set.contains(v),
+            promotion: PromotionLoop::new(k, cfg.rule, set.contains(v)),
             horizon_rounds: horizon,
-            heard_member_beacon: false,
-            my_needy: false,
-            pending_join: false,
-            joined: false,
             deficits: Vec::new(),
         },
         cfg.seed,
@@ -1002,8 +809,8 @@ pub fn run_repair_continuous(
     let mut added = Vec::new();
     let mut sums = vec![0u64; cycles as usize];
     for (i, node) in run.logics.iter().enumerate() {
-        members[i] = node.member;
-        if node.joined {
+        members[i] = node.promotion.member;
+        if node.promotion.joined {
             added.push(NodeId::new(i as u32));
         }
         for &(c, d) in &node.deficits {
@@ -1471,18 +1278,85 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "without the transport layer")]
     fn continuous_repair_rejects_transport() {
         let udg = generators::random_udg(50, 5.0, 1.0, 1);
         let g = udg.graph();
         let run = UdgAlgorithm::new(1).seed(1).run(&udg).unwrap();
-        let _ = run_repair_continuous(
+        let err = run_repair_continuous(
             g,
             &run.set,
             1,
             &RepairConfig::new(1),
             2,
             Stack::new().transport(TransportConfig::default()),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, KmdsError::InvalidInput { what } if what.contains("without the transport layer")),
+            "{err}"
         );
+    }
+
+    /// Runs every repair entry point on `(g, set, alive, k)` and returns
+    /// the error each reports; the continuous service takes no mask.
+    fn entry_point_errors(
+        g: &Graph,
+        set: &DominatingSet,
+        alive: &[bool],
+        k: u32,
+    ) -> Vec<Option<KmdsError>> {
+        let cfg = RepairConfig::new(0);
+        vec![
+            repair_coverage(g, set, alive, k, &cfg).err(),
+            run_repair_stack(g, set, alive, k, &cfg, Stack::new()).err(),
+            run_repair_continuous(g, set, k, &cfg, 2, Stack::new()).err(),
+        ]
+    }
+
+    #[test]
+    fn rejects_a_liveness_mask_of_the_wrong_length() {
+        let g = generators::path(4);
+        let set = DominatingSet::full(4);
+        let errs = entry_point_errors(&g, &set, &[true; 3], 1);
+        let expected = KmdsError::InvalidInput {
+            what: "liveness mask length differs from the node count",
+        };
+        assert_eq!(errs[..2], [Some(expected.clone()), Some(expected)]);
+        assert_eq!(errs[2], None, "the continuous service takes no mask");
+    }
+
+    #[test]
+    fn rejects_a_set_over_another_universe() {
+        let g = generators::path(4);
+        let errs = entry_point_errors(&g, &DominatingSet::full(5), &[true; 4], 1);
+        let expected = KmdsError::InvalidInput {
+            what: "set universe differs from the node count",
+        };
+        assert_eq!(errs, vec![Some(expected); 3]);
+    }
+
+    #[test]
+    fn rejects_zero_k() {
+        let g = generators::path(4);
+        let errs = entry_point_errors(&g, &DominatingSet::full(4), &[true; 4], 0);
+        let expected = KmdsError::InvalidInput {
+            what: "k must be at least 1",
+        };
+        assert_eq!(errs, vec![Some(expected); 3]);
+    }
+
+    #[test]
+    fn connected_orphan_cluster_joins_itself() {
+        // Path 0-1-2-3 with only node 0 in the set: nodes 2 and 3 are
+        // adjacent and needy, and neither has a member neighbour, so no
+        // member can ever promote them; the join-itself rule must.
+        let g = generators::path(4);
+        let set = DominatingSet::from_ids(4, [NodeId::new(0)]);
+        let (out, _) =
+            run_repair_stack(&g, &set, &[true; 4], 1, &RepairConfig::new(0), Stack::new()).unwrap();
+        assert!(is_k_dominating(&g, &out.set, 1, Semantics::Strict));
+        assert!(out.set.contains(NodeId::new(3)));
+        let engine = repair_coverage(&g, &set, &[true; 4], 1, &RepairConfig::new(0)).unwrap();
+        assert_protocol_matches(&out, &engine, "orphan cluster");
     }
 }

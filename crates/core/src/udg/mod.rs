@@ -18,7 +18,8 @@
 //! **Part II**: leaders repeatedly promote up to `k` of their
 //! not-yet-`k`-covered neighbors until every non-leader has at least `k`
 //! leader neighbors. The result is a k-fold dominating set with `O(1)`
-//! expected approximation ratio (Theorem 5.7).
+//! expected approximation ratio (Theorem 5.7). It runs as the promotion
+//! loop of [`crate::promotion`], which coverage repair shares.
 //!
 //! Our `θ` schedule fixes a factor-2 inconsistency in the paper (line 3 of
 //! the pseudocode initializes `θ = ½(log n)^{-1/log ξ}` while the analysis
@@ -46,9 +47,7 @@ pub mod analysis;
 pub mod protocol;
 
 use crate::{DominatingSet, KmdsError};
-use ftclust_graphs::{NodeId, UnitDiskGraph};
-use rand::rngs::StdRng;
-use rand::Rng;
+use ftclust_graphs::UnitDiskGraph;
 
 /// The consideration-radius schedule `θ_1, …, θ_R` in **absolute** units
 /// (multiples of `radius`):
@@ -73,39 +72,6 @@ pub fn theta_schedule(n: usize, radius: f64) -> Vec<f64> {
         *last = 0.5 * radius;
     }
     schedule
-}
-
-/// Picks up to `k` promotion targets from the (ascending) list of needy
-/// neighbors, per the configured rule. Shared by the protocol's Part II
-/// and by coverage repair, so both promote identically.
-pub(crate) fn select_promotions(
-    needy: &[NodeId],
-    coverage: impl Fn(NodeId) -> u32,
-    k: usize,
-    rule: PromotionRule,
-    rng: &mut StdRng,
-) -> Vec<NodeId> {
-    if needy.len() <= k {
-        return needy.to_vec();
-    }
-    match rule {
-        PromotionRule::LowestId => needy[..k].to_vec(),
-        PromotionRule::MostDeficient => {
-            let mut sorted = needy.to_vec();
-            sorted.sort_by_key(|&v| (coverage(v), v));
-            sorted.truncate(k);
-            sorted
-        }
-        PromotionRule::Random => {
-            let mut pool = needy.to_vec();
-            let mut chosen = Vec::with_capacity(k);
-            for _ in 0..k {
-                let idx = rng.random_range(0..pool.len());
-                chosen.push(pool.swap_remove(idx));
-            }
-            chosen
-        }
-    }
 }
 
 /// How Part I assigns the random identifiers.
@@ -207,9 +173,8 @@ impl UdgAlgorithm {
     /// # Errors
     ///
     /// Returns [`KmdsError::Sim`] if the protocol exceeds its round
-    /// budget. This happens when Part I leaves a node with no leader
-    /// neighbour (the θ schedule can sum past the radius), so Part II
-    /// can never promote it.
+    /// budget — impossible, since every Part II iteration with a needy
+    /// node adds a member ([`crate::promotion`]).
     pub fn run(&self, udg: &UnitDiskGraph) -> Result<UdgRun, KmdsError> {
         protocol::run_udg_protocol(udg, self).map(|r| r.run)
     }
@@ -352,7 +317,8 @@ mod tests {
     fn part2_stall_seeds_end_valid() {
         // On these inputs Part I leaves a needy node whose neighbours are
         // all non-needy non-leaders, so no leader can ever promote it.
-        // Without Part II's stall rule the protocol ran out of rounds.
+        // Without the promotion loop's join-itself rule the protocol ran
+        // out of rounds.
         const STALLS: [u64; 6] = [
             10_749_453_558_406_301_921,
             17_047_879_759_299_074_604,
@@ -464,32 +430,5 @@ mod tests {
             1,
             Semantics::Strict
         ));
-    }
-
-    #[test]
-    fn select_promotions_rules() {
-        let needy: Vec<NodeId> = [1u32, 2, 3, 4].into_iter().map(NodeId::new).collect();
-        let cov = |v: NodeId| match v.raw() {
-            2 => 0u32,
-            4 => 1,
-            _ => 5,
-        };
-        let mut rng = ftclust_netsim::node_rng(0, NodeId::new(0));
-        assert_eq!(
-            select_promotions(&needy, cov, 2, PromotionRule::LowestId, &mut rng),
-            vec![NodeId::new(1), NodeId::new(2)]
-        );
-        assert_eq!(
-            select_promotions(&needy, cov, 2, PromotionRule::MostDeficient, &mut rng),
-            vec![NodeId::new(2), NodeId::new(4)]
-        );
-        let random = select_promotions(&needy, cov, 2, PromotionRule::Random, &mut rng);
-        assert_eq!(random.len(), 2);
-        assert!(random.iter().all(|v| needy.contains(v)));
-        // Fewer needy than k: take all, regardless of rule.
-        assert_eq!(
-            select_promotions(&needy, cov, 9, PromotionRule::Random, &mut rng),
-            needy
-        );
     }
 }

@@ -9,11 +9,11 @@
 //!   ones and their own, and send `M` to the winner — possibly themselves
 //!   (lines 8–9); a node that receives no `M` turns passive (lines 10–12).
 //!
-//! **Part II** runs iterations of three rounds: leader-status broadcast,
-//! needy announcements (`c(v) < k`), and promotions. A node halts once
-//! neither it nor any neighbor is needy; leader statuses are cached so
-//! halted neighbors (whose status can no longer change) stay correctly
-//! known.
+//! **Part II** is the promotion loop of [`crate::promotion`], seeded with
+//! Part I's leaders at round `2·part1`: a status broadcast, then
+//! iterations of three rounds (needy announcements, re-election, joins)
+//! until no node is needy. Its join-itself rule covers the nodes that
+//! Part I leaves with no leader within one hop.
 //!
 //! Identifier messages are metered at `4·⌈log₂ n⌉` bits — the paper's
 //! `[1, n⁴]` range — plus a bit; everything else is `O(log k)` or a single
@@ -23,7 +23,8 @@
 //! This is the only implementation of Algorithm 3:
 //! [`super::UdgAlgorithm::run`] runs it on the plain simulator.
 
-use super::{select_promotions, theta_schedule, IdMode, PromotionRule, UdgAlgorithm, UdgRun};
+use super::{theta_schedule, IdMode, UdgAlgorithm, UdgRun};
+use crate::promotion::{CarriesPromotion, PromotionLoop, PromotionMsg};
 use crate::{DominatingSet, KmdsError};
 use ftclust_graphs::{NodeId, UnitDiskGraph};
 use ftclust_netsim::exec::{completed_iterations, Executor, Phase, Run, Stack};
@@ -45,28 +46,31 @@ pub enum UdgMsg {
     },
     /// Part I election message `M`.
     Elect,
-    /// Part II leader-status broadcast.
-    Status {
-        /// Whether the sender is currently a leader.
-        leader: bool,
-    },
-    /// Part II "I am needy" announcement with the sender's current
-    /// coverage (needed by the `MostDeficient` promotion rule).
-    Needy {
-        /// Leaders currently covering the sender (`< k`).
-        cov: u32,
-    },
-    /// Part II promotion order.
-    Promote,
+    /// A Part II promotion-loop message.
+    Loop(PromotionMsg),
 }
 
 impl Payload for UdgMsg {
     fn bit_size(&self) -> usize {
         match self {
             UdgMsg::Id { id_bits, .. } => 1 + *id_bits as usize,
-            UdgMsg::Elect | UdgMsg::Promote => 1,
-            UdgMsg::Status { .. } => 1,
-            UdgMsg::Needy { cov } => 1 + bits_for_ids(*cov as usize + 2),
+            UdgMsg::Elect => 1,
+            UdgMsg::Loop(m) => m.bit_size(),
+        }
+    }
+}
+
+impl From<PromotionMsg> for UdgMsg {
+    fn from(m: PromotionMsg) -> Self {
+        UdgMsg::Loop(m)
+    }
+}
+
+impl CarriesPromotion for UdgMsg {
+    fn promotion(&self) -> Option<PromotionMsg> {
+        match self {
+            UdgMsg::Loop(m) => Some(*m),
+            _ => None,
         }
     }
 }
@@ -79,9 +83,7 @@ fn id_cap(n: usize) -> u64 {
 /// Per-node protocol state for Algorithm 3.
 #[derive(Debug)]
 pub struct UdgNode {
-    k: u32,
     id_mode: IdMode,
-    promotion: PromotionRule,
     /// Part I: consideration radii (absolute).
     schedule: Vec<f64>,
     id_cap: u64,
@@ -91,10 +93,8 @@ pub struct UdgNode {
     fixed_drawn: bool,
     /// Paper round after which this node turned passive (None = leader).
     pub passive_after: Option<u32>,
-    /// Part II state.
-    pub leader: bool,
-    neighbor_leader: Vec<bool>,
-    my_needy: bool,
+    /// Part II: the promotion loop, seeded with the leaders.
+    part2: PromotionLoop,
 }
 
 impl UdgNode {
@@ -105,7 +105,7 @@ impl UdgNode {
     /// Whether the node was still active after `i` Part I rounds
     /// (`i = 0` is the start, when every node is active).
     fn active_after(&self, i: u32) -> bool {
-        self.passive_after.map_or(true, |p| p > i)
+        self.passive_after.is_none_or(|p| p > i)
     }
 }
 
@@ -163,85 +163,17 @@ impl NodeLogic for UdgNode {
             }
             return Control::Continue;
         }
-        // Part II.
-        let phase = (r - base) % 3;
-        match phase {
-            0 => {
-                if r == base {
-                    // Final Part I election processing: survivors lead.
-                    if self.active {
-                        let got_m = inbox.iter().any(|e| matches!(e.payload, UdgMsg::Elect));
-                        if !got_m {
-                            self.active = false;
-                            self.passive_after = Some(self.part1_rounds() as u32);
-                        }
-                    }
-                    self.leader = self.active;
-                    self.neighbor_leader = vec![false; ctx.degree()];
-                } else {
-                    // Accept promotions from the previous iteration.
-                    if inbox.iter().any(|e| matches!(e.payload, UdgMsg::Promote)) {
-                        self.leader = true;
-                    }
-                }
-                ctx.broadcast(UdgMsg::Status {
-                    leader: self.leader,
-                });
-                Control::Continue
+        // Part II: the promotion loop, seeded with the leaders.
+        let t = r - base;
+        if t == 0 && self.active {
+            // Final Part I election processing: survivors lead.
+            if !inbox.iter().any(|e| matches!(e.payload, UdgMsg::Elect)) {
+                self.active = false;
+                self.passive_after = Some(self.part1_rounds() as u32);
             }
-            1 => {
-                // Refresh cached neighbor statuses; halted neighbors sent
-                // nothing and their cached status is final.
-                for e in inbox {
-                    if let UdgMsg::Status { leader } = *e.payload {
-                        let Ok(pos) = ctx.neighbors().binary_search(&e.from) else {
-                            unreachable!("inbox messages arrive only from neighbors");
-                        };
-                        self.neighbor_leader[pos] = leader;
-                    }
-                }
-                let cov = u32::from(self.leader)
-                    + self.neighbor_leader.iter().filter(|&&b| b).count() as u32;
-                self.my_needy = !self.leader && cov < self.k;
-                if self.my_needy {
-                    ctx.broadcast(UdgMsg::Needy { cov });
-                }
-                Control::Continue
-            }
-            _ => {
-                // Collect needy neighbors (ascending by construction).
-                let needy: Vec<(NodeId, u32)> = inbox
-                    .iter()
-                    .filter_map(|e| match *e.payload {
-                        UdgMsg::Needy { cov } => Some((e.from, cov)),
-                        _ => None,
-                    })
-                    .collect();
-                if self.leader && !needy.is_empty() {
-                    let ids: Vec<NodeId> = needy.iter().map(|&(v, _)| v).collect();
-                    let cov_of = |v: NodeId| match needy.iter().find(|&&(w, _)| w == v) {
-                        Some(&(_, c)) => c,
-                        None => unreachable!("promotion candidates come from `needy`"),
-                    };
-                    let chosen =
-                        select_promotions(&ids, cov_of, self.k as usize, self.promotion, ctx.rng());
-                    for w in chosen {
-                        ctx.send(w, UdgMsg::Promote);
-                    }
-                }
-                // Stall rule (a deviation from the paper, DESIGN §5): a
-                // needy node with no leader neighbour and no needy
-                // neighbour can never be promoted by anyone, so it leads.
-                if self.my_needy && needy.is_empty() && !self.neighbor_leader.contains(&true) {
-                    self.leader = true;
-                }
-                if !self.my_needy && needy.is_empty() {
-                    Control::Halt
-                } else {
-                    Control::Continue
-                }
-            }
+            self.part2.member = self.active;
         }
+        self.part2.on_round(t, inbox, ctx, None)
     }
 }
 
@@ -258,9 +190,8 @@ pub struct UdgProtocolRun {
 /// iteration runs under `part1_round(i)` (`i` indexes the θ schedule;
 /// every iteration spans the two simulator rounds of its broadcast/decide
 /// pair, Theorem 5.7's `O(log log n)` loop) and each Part II greedy step
-/// under `part2_promotion(j)` (the 3-round status/needy/promote cycle;
-/// nodes only halt at the end of a cycle, so quiescence is always
-/// observed on a cycle boundary).
+/// under `part2_promotion(j)` (the status round, then the loop's 3-round
+/// needy/re-elect/join cycles; nodes halt in a re-election round).
 fn udg_phases(part1_rounds: u32) -> Vec<Phase> {
     let mut plan = Vec::with_capacity(part1_rounds as usize + 1);
     for i in 0..u64::from(part1_rounds) {
@@ -362,9 +293,7 @@ pub(crate) fn execute(
     let run = Executor::new(
         Topology::from_udg(udg),
         |_: NodeId| UdgNode {
-            k: config.k,
             id_mode: config.id_mode,
-            promotion: config.promotion,
             schedule: schedule.clone(),
             id_cap: cap,
             id_bits,
@@ -372,9 +301,7 @@ pub(crate) fn execute(
             my_id: 0,
             fixed_drawn: false,
             passive_after: None,
-            leader: false,
-            neighbor_leader: Vec::new(),
-            my_needy: false,
+            part2: PromotionLoop::new(config.k, config.promotion, false),
         },
         config.seed,
     )
@@ -413,14 +340,14 @@ pub fn run_udg_protocol(
 /// transport's logical-round count in a lossy one), from which the
 /// Part II iteration count is derived.
 fn assemble_run(part1_rounds: u32, logical_rounds: u64, nodes: &[UdgNode]) -> UdgRun {
-    let members = nodes.iter().map(|v| v.leader).collect();
+    let members = nodes.iter().map(|v| v.part2.member).collect();
     let leaders = nodes.iter().map(|v| v.passive_after.is_none()).collect();
     let active_history: Vec<usize> = (1..=part1_rounds)
         .map(|i| nodes.iter().filter(|v| v.active_after(i)).count())
         .collect();
-    // Part I occupies 2·part1_rounds logical rounds, each Part II
-    // iteration a 3-round cycle, and the final cycle is the all-quiet one
-    // that merely detects termination.
+    // Part I occupies 2·part1_rounds logical rounds; Part II is the status
+    // round, a 3-round cycle per iteration and a final all-quiet needy and
+    // re-election round pair that merely detects termination.
     let part2_iterations = completed_iterations(logical_rounds, 2 * u64::from(part1_rounds), 3, 3);
     UdgRun {
         set: DominatingSet::from_members(members),
@@ -434,6 +361,7 @@ fn assemble_run(part1_rounds: u32, logical_rounds: u64, nodes: &[UdgNode]) -> Ud
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::udg::PromotionRule;
     use crate::validate::{is_k_dominating, Semantics};
     use ftclust_graphs::generators;
     use ftclust_netsim::transport::TransportConfig;

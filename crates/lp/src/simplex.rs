@@ -44,7 +44,7 @@ impl Tableau {
         let piv = self.t[pr][pc];
         debug_assert!(piv.abs() > PIVOT_TOL, "pivot too small: {piv}");
         let inv = 1.0 / piv;
-        for v in self.t[pr].iter_mut() {
+        for v in &mut self.t[pr] {
             *v *= inv;
         }
         let pivot_row = self.t[pr].clone();

@@ -133,9 +133,8 @@
 //! * its payloads travel as a [`Bundle`], which stores zero or one
 //!   payload in place and allocates only for two or more, so cloning a
 //!   frame on send, retransmit and receipt is usually a payload copy;
-//! * a round in which the only frames due are pure acks visits just the
-//!   links owed one, in ascending link order (the order the loss and
-//!   adversary layers draw their fault streams in), not every link;
+//! * a round with no frame queued, no timer due and no data arrived
+//!   visits no link at all;
 //! * frames are addressed by neighbor position, so no edge lookup is
 //!   repeated per frame.
 //!
@@ -388,7 +387,7 @@ struct Link<P> {
     /// Sequence of the peer's halting frame (`u64::MAX` = still active).
     peer_halt_seq: u64,
     /// A data frame (new or duplicate) arrived and deserves an ack this
-    /// round; the link is then listed in [`Reliable`]'s `owed`.
+    /// round.
     need_ack: bool,
 }
 
@@ -505,9 +504,6 @@ pub struct Reliable<L: NodeLogic> {
     /// The inner logic executed a round, so frames were queued, since
     /// the last send pass.
     queued: bool,
-    /// Positions of the links owed an ack since the last send pass
-    /// (each listed once: exactly the links with `need_ack` set).
-    owed: Vec<usize>,
     /// The inner logic may be able to execute: data arrived or a round
     /// executed since `can_execute` last said no.
     maybe_ready: bool,
@@ -537,7 +533,6 @@ impl<L: NodeLogic> Reliable<L> {
             failure: None,
             min_due: u64::MAX,
             queued: false,
-            owed: Vec::new(),
             maybe_ready: true,
             inner_outbox: Vec::new(),
             inner_inbox: Vec::new(),
@@ -735,6 +730,7 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
 
         // --- Receive: acks first, then data, per arriving frame. ---
         let mut cursor = 0;
+        let mut acks_owed = false;
         for env in inbox {
             let Some(pos) = link_index(&self.links, env.from, cursor) else {
                 debug_assert!(false, "frame from non-neighbor {}", env.from);
@@ -757,10 +753,8 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
                 self.min_due = self.min_due.min(link.due);
             }
             if let Some(data) = &env.payload.data {
-                if !link.need_ack {
-                    link.need_ack = true;
-                    self.owed.push(pos);
-                }
+                link.need_ack = true;
+                acks_owed = true;
                 if data.seq < link.recv_next || link.ooo.iter().any(|(s, _)| *s == data.seq) {
                     ctx.note_duplicate_suppressed();
                     continue;
@@ -795,10 +789,9 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
         }
 
         // --- Send: at most one frame per link per physical round, links
-        // in ascending order. With no frame queued and no timer due, the
-        // only frames are pure acks on the owed links, so only those are
-        // visited; with no ack owed either, every link stays silent. ---
-        if self.queued || now >= self.min_due {
+        // in ascending order. With no frame queued, no timer due and no
+        // ack owed, every link stays silent, so none is visited. ---
+        if self.queued || acks_owed || now >= self.min_due {
             let mut min_due = u64::MAX;
             for (pos, link) in self.links.iter_mut().enumerate() {
                 if let Err(failure) = link.send(pos, &self.cfg, now, ctx) {
@@ -811,16 +804,6 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
             }
             self.min_due = min_due;
             self.queued = false;
-            self.owed.clear();
-        } else if !self.owed.is_empty() {
-            // The loss layer draws its fault stream in outbox order, so
-            // the acks leave in the full pass's (ascending link) order.
-            self.owed.sort_unstable();
-            for &pos in &self.owed {
-                let sent = self.links[pos].send(pos, &self.cfg, now, ctx);
-                debug_assert!(sent.is_ok(), "no timer is due before min_due");
-            }
-            self.owed.clear();
         }
 
         // --- Termination (see module docs). Only isolated nodes may

@@ -295,7 +295,7 @@ fn chaos_frame_schedule_is_pinned() {
             m.retransmits,
             m.acks
         ],
-        [111_201, 825_916, 47, 16_132, 44_196]
+        [111_201, 825_683, 47, 16_132, 44_196]
     );
     assert_eq!(
         [
@@ -320,7 +320,7 @@ fn chaos_frame_schedule_is_pinned() {
     let log = log.expect("traced stack records a log");
     assert_eq!(
         fnv1a(log.to_jsonl().into_bytes()),
-        0xa6a6_b0de_0f15_ba75,
+        0x4bf4_81be_350f_4e71,
         "event log moved"
     );
 }

@@ -163,6 +163,7 @@ const CONGEST_SCOPES: &[(&str, bool)] = &[
     ("crates/core/src/fractional/protocol.rs", true),
     ("crates/core/src/rounding/protocol.rs", true),
     ("crates/core/src/udg/protocol.rs", true),
+    ("crates/core/src/promotion.rs", true),
     ("crates/core/src/repair.rs", true),
     ("crates/core/src/portfolio", true),
 ];
