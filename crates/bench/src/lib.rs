@@ -3,16 +3,17 @@
 //! The paper (ICDCS 2006) is theory-only — it has no evaluation tables.
 //! The harness therefore regenerates **one experiment per theorem, lemma
 //! and modeling claim**; the mapping is documented in `DESIGN.md` §4 and
-//! the measured results in `EXPERIMENTS.md`. Each experiment is a binary
-//! under `src/bin/exp_*.rs`:
+//! the measured results in `EXPERIMENTS.md`. The 17 experiments (E1–E17)
+//! and the perf baseline are modules of one binary, `src/bin/exp/`:
 //!
 //! ```text
-//! cargo run -p ftclust-bench --release --bin exp_e1_fractional_ratio
+//! cargo run -p ftclust-bench --release --bin exp -- e1          # one experiment
+//! cargo run -p ftclust-bench --release --bin exp -- all --smoke # all 17, in order
 //! ```
 //!
-//! This library provides the pieces the binaries share: fixed-width table
-//! printing, JSON string escaping for the `--json` reports, the standard
-//! graph-family workloads, and small statistics helpers.
+//! This library provides the pieces the experiments share: fixed-width
+//! table printing, JSON string escaping for the `--json` reports, the
+//! standard graph-family workloads, and small statistics helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

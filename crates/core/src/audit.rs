@@ -209,9 +209,10 @@ pub(crate) fn repair_postconditions(
         repaired.ids().all(|v| alive[v.index()]),
         "strict-invariants: a dead node is a member of the repaired set"
     );
-    let (sub, survivors) = crate::repair::surviving_instance(g, repaired, alive);
+    let healed = crate::repair::surviving_instance(g, repaired, alive)
+        .is_ok_and(|(sub, survivors)| is_k_dominating(&sub, &survivors, k, Semantics::Strict));
     debug_assert!(
-        is_k_dominating(&sub, &survivors, k, Semantics::Strict),
+        healed,
         "strict-invariants: repaired set does not strictly {k}-dominate the surviving subgraph"
     );
     // The locality bound is only promised when repair started from a set

@@ -30,7 +30,7 @@
 //! [`crate::validate::Semantics::CoverSelf`], the LP `(PP)` semantics,
 //! so their sizes are directly comparable to the fractional program's
 //! dual lower bound via [`crate::validate::certified_ratio`]
-//! (`CoverSelf` implies `Strict`). The `exp_portfolio` benchmark sweeps
+//! (`CoverSelf` implies `Strict`). The E17 experiment (`exp e17`) sweeps
 //! them against the paper's pipeline across graph families × demands ×
 //! fault regimes, and [`recommend`] condenses the measured leaderboard
 //! into a workload → algorithm heuristic.

@@ -242,7 +242,7 @@ pub fn repair_coverage(
     cfg: &RepairConfig,
 ) -> Result<RepairOutcome, KmdsError> {
     let n = g.node_count();
-    check_inputs(n, set, Some(alive), k)?;
+    check_inputs(n, set, Some(alive), Some(k))?;
 
     // Surviving membership: dead members are gone.
     let mut member = BitSet::from_fn_par(n, |i| alive[i] && set.contains(NodeId::new(i as u32)));
@@ -395,35 +395,35 @@ pub fn repair_coverage(
 /// Returns the surviving subgraph and the corresponding set in its id
 /// space.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `alive.len()` or the set universe mismatch the graph.
+/// [`KmdsError::InvalidInput`] if `alive.len()` or the set universe
+/// differs from the node count.
 pub fn surviving_instance(
     g: &Graph,
     set: &DominatingSet,
     alive: &[bool],
-) -> (Graph, DominatingSet) {
-    let n = g.node_count();
-    assert_eq!(alive.len(), n, "liveness mask length mismatch");
-    assert_eq!(set.universe(), n, "set universe mismatch");
+) -> Result<(Graph, DominatingSet), KmdsError> {
+    check_inputs(g.node_count(), set, Some(alive), None)?;
     let keep: Vec<NodeId> = g.nodes().filter(|v| alive[v.index()]).collect();
     let (sub, old_of_new) = g.induced_subgraph(&keep);
     let members = old_of_new.iter().map(|&old| set.contains(old)).collect();
-    (sub, DominatingSet::from_members(members))
+    Ok((sub, DominatingSet::from_members(members)))
 }
 
-/// Rejects repair inputs that do not fit a graph of `n` nodes.
+/// Rejects repair inputs that do not fit a graph of `n` nodes, and a
+/// coverage demand `k` of 0 where the entry point takes one.
 fn check_inputs(
     n: usize,
     set: &DominatingSet,
     alive: Option<&[bool]>,
-    k: u32,
+    k: Option<u32>,
 ) -> Result<(), KmdsError> {
     let what = if alive.is_some_and(|a| a.len() != n) {
         "liveness mask length differs from the node count"
     } else if set.universe() != n {
         "set universe differs from the node count"
-    } else if k == 0 {
+    } else if k == Some(0) {
         "k must be at least 1"
     } else {
         return Ok(());
@@ -570,7 +570,7 @@ pub fn run_repair_stack(
     stack: Stack,
 ) -> Result<(RepairProtocolRun, Option<EventLog>), KmdsError> {
     let n = g.node_count();
-    check_inputs(n, set, Some(alive), k)?;
+    check_inputs(n, set, Some(alive), Some(k))?;
     let keep: Vec<NodeId> = g.nodes().filter(|v| alive[v.index()]).collect();
     let (sub, old_of_new) = g.induced_subgraph(&keep);
     if sub.node_count() == 0 {
@@ -779,7 +779,7 @@ pub fn run_repair_continuous(
     stack: Stack,
 ) -> Result<(ContinuousRepairRun, Option<EventLog>), KmdsError> {
     let n = g.node_count();
-    check_inputs(n, set, None, k)?;
+    check_inputs(n, set, None, Some(k))?;
     if stack.engages_transport() {
         return Err(KmdsError::InvalidInput {
             what: "continuous repair runs without the transport layer (ARQ cannot mask \
@@ -877,7 +877,7 @@ mod tests {
             let run = UdgAlgorithm::new(k).seed(3).run(&udg).unwrap();
             let alive = churn_mask(g, &run.set, 8, u64::from(k));
             let out = repair_coverage(g, &run.set, &alive, k, &RepairConfig::new(5)).unwrap();
-            let (sub, survivors) = surviving_instance(g, &out.set, &alive);
+            let (sub, survivors) = surviving_instance(g, &out.set, &alive).unwrap();
             assert!(
                 is_k_dominating(&sub, &survivors, k, Semantics::Strict),
                 "not healed for k={k}"
@@ -933,7 +933,7 @@ mod tests {
         alive[0] = false;
         alive[1] = false;
         let out = repair_coverage(&g, &set, &alive, 2, &RepairConfig::new(0)).unwrap();
-        let (sub, survivors) = surviving_instance(&g, &out.set, &alive);
+        let (sub, survivors) = surviving_instance(&g, &out.set, &alive).unwrap();
         assert!(is_k_dominating(&sub, &survivors, 2, Semantics::Strict));
         assert!(!out.set.is_empty());
     }
@@ -968,7 +968,7 @@ mod tests {
             let a = repair_coverage(g, &run.set, &alive, 3, &cfg).unwrap();
             let b = repair_coverage(g, &run.set, &alive, 3, &cfg).unwrap();
             assert_eq!(a, b, "{rule:?} not deterministic");
-            let (sub, survivors) = surviving_instance(g, &a.set, &alive);
+            let (sub, survivors) = surviving_instance(g, &a.set, &alive).unwrap();
             assert!(
                 is_k_dominating(&sub, &survivors, 3, Semantics::Strict),
                 "{rule:?} failed to heal"
@@ -1175,7 +1175,7 @@ mod tests {
         assert!(!out.added.is_empty(), "healing must add replacements");
         // The healed set strictly k-dominates the survivors.
         let alive = alive_after(g.node_count(), &churn);
-        let (sub, survivors) = surviving_instance(g, &out.set, &alive);
+        let (sub, survivors) = surviving_instance(g, &out.set, &alive).unwrap();
         assert!(is_k_dominating(&sub, &survivors, 2, Semantics::Strict));
     }
 
@@ -1221,7 +1221,7 @@ mod tests {
             out.monitor.deficits()
         );
         let alive = alive_after(g.node_count(), &churn);
-        let (sub, survivors) = surviving_instance(g, &out.set, &alive);
+        let (sub, survivors) = surviving_instance(g, &out.set, &alive).unwrap();
         assert!(is_k_dominating(&sub, &survivors, 2, Semantics::Strict));
     }
 
@@ -1298,7 +1298,8 @@ mod tests {
     }
 
     /// Runs every repair entry point on `(g, set, alive, k)` and returns
-    /// the error each reports; the continuous service takes no mask.
+    /// the error each reports; the continuous service takes no mask and
+    /// `surviving_instance` (last) takes no `k`.
     fn entry_point_errors(
         g: &Graph,
         set: &DominatingSet,
@@ -1310,6 +1311,7 @@ mod tests {
             repair_coverage(g, set, alive, k, &cfg).err(),
             run_repair_stack(g, set, alive, k, &cfg, Stack::new()).err(),
             run_repair_continuous(g, set, k, &cfg, 2, Stack::new()).err(),
+            surviving_instance(g, set, alive).err(),
         ]
     }
 
@@ -1321,8 +1323,9 @@ mod tests {
         let expected = KmdsError::InvalidInput {
             what: "liveness mask length differs from the node count",
         };
-        assert_eq!(errs[..2], [Some(expected.clone()), Some(expected)]);
+        assert_eq!(errs[..2], [Some(expected.clone()), Some(expected.clone())]);
         assert_eq!(errs[2], None, "the continuous service takes no mask");
+        assert_eq!(errs[3], Some(expected));
     }
 
     #[test]
@@ -1332,7 +1335,7 @@ mod tests {
         let expected = KmdsError::InvalidInput {
             what: "set universe differs from the node count",
         };
-        assert_eq!(errs, vec![Some(expected); 3]);
+        assert_eq!(errs, vec![Some(expected); 4]);
     }
 
     #[test]
@@ -1342,7 +1345,8 @@ mod tests {
         let expected = KmdsError::InvalidInput {
             what: "k must be at least 1",
         };
-        assert_eq!(errs, vec![Some(expected); 3]);
+        assert_eq!(errs[..3], vec![Some(expected); 3]);
+        assert_eq!(errs[3], None, "surviving_instance takes no k");
     }
 
     #[test]

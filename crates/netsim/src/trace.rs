@@ -24,7 +24,7 @@
 //! The default [`NoopTracer`] reports `enabled() == false`; every
 //! emission site checks that single boolean (hoisted once per round on
 //! the hot paths), so a simulator without an attached recorder does no
-//! per-message work. The perf baseline (`exp_perf_baseline`) runs with
+//! per-message work. The perf baseline (`exp perf`) runs with
 //! the no-op tracer and guards against regressions.
 //!
 //! # Exporters
@@ -42,9 +42,7 @@
 use crate::metrics::Metrics;
 use ftclust_graphs::NodeId;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::mem;
-use std::path::Path;
 
 /// Phase-span names that protocol drivers are allowed to emit.
 ///
@@ -612,26 +610,6 @@ impl EventLog {
         }
         out.push_str("\n]}\n");
         out
-    }
-
-    /// Writes [`EventLog::to_jsonl`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from creating or writing the file.
-    pub fn write_jsonl(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_jsonl().as_bytes())
-    }
-
-    /// Writes [`EventLog::to_chrome_trace`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from creating or writing the file.
-    pub fn write_chrome_trace(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_chrome_trace().as_bytes())
     }
 }
 

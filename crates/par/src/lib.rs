@@ -6,9 +6,9 @@
 //! simulator and engines need, built entirely on [`std::thread::scope`]
 //! (no `unsafe`, no dependencies):
 //!
-//! * [`par_map_range`] / [`par_map_indexed`] — map over an index range or
-//!   a slice, with the results **always merged in index order**, so a
-//!   parallel run returns exactly what the serial run returns,
+//! * [`par_map_range`] — map over an index range, with the results
+//!   **always merged in index order**, so a parallel run returns exactly
+//!   what the serial run returns,
 //! * [`par_chunks_mut`] / [`par_for_each_mut`] — mutate disjoint chunks
 //!   of a slice in place (the caller pre-splits any further state along
 //!   the same boundaries with `split_at_mut`),
@@ -148,18 +148,6 @@ where
         }
         out
     })
-}
-
-/// Maps `f` over a slice in parallel, returning results in index order.
-///
-/// Equivalent to `items.iter().enumerate().map(..).collect()`.
-pub fn par_map_indexed<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_range(items.len(), |i| f(i, &items[i]))
 }
 
 /// Calls `f(chunk_start_index, chunk)` for every `chunk_size`-sized chunk
@@ -311,8 +299,6 @@ mod tests {
             .map(|(i, x)| x * 3 + i as u64)
             .collect();
         for threads in [1usize, 2, 3, 7, 64] {
-            let par = with_threads(threads, || par_map_indexed(&items, |i, x| x * 3 + i as u64));
-            assert_eq!(par, serial, "threads={threads}");
             let ranged = with_threads(threads, || {
                 par_map_range(items.len(), |i| items[i] * 3 + i as u64)
             });
@@ -324,8 +310,6 @@ mod tests {
     fn par_map_handles_tiny_inputs() {
         assert_eq!(par_map_range(0, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_range(1, |i| i + 41), vec![41]);
-        let empty: [u8; 0] = [];
-        assert_eq!(par_map_indexed(&empty, |_, &b| b), Vec::<u8>::new());
     }
 
     #[test]
