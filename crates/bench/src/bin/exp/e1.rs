@@ -70,8 +70,8 @@ pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
                 t,
                 sol.delta,
                 f2(sol.value),
-                lp_opt.map(f2).unwrap_or_else(|| "-".into()),
-                ratio_lp.map(f3).unwrap_or_else(|| "-".into()),
+                lp_opt.map_or_else(|| "-".into(), f2),
+                ratio_lp.map_or_else(|| "-".into(), f3),
                 f3(ratio_cert),
                 f3(ratio_tight),
                 f2(bound)

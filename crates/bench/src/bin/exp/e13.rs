@@ -61,10 +61,7 @@ pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
     let sol = solve_fractional(&inst, &FractionalParams::new(2)).unwrap();
     let mut t2 = Table::new(&["repair", "feasible%", "mean_size"]);
     for repair in [true, false] {
-        let params = RoundingParams {
-            repair,
-            ..Default::default()
-        };
+        let params = RoundingParams { repair };
         let trials = run_trials_par(0..50u64, |seed| {
             let out = round_fractional(&inst, &sol.x, sol.delta, seed, &params);
             let feasible = is_k_dominating_instance(&inst, &out.set, Semantics::CoverSelf);

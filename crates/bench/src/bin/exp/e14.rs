@@ -19,7 +19,7 @@
 
 use ftclust_bench::families::udg_workload;
 use ftclust_bench::table::Table;
-use ftclust_core::repair::{repair_coverage, surviving_instance, RepairConfig};
+use ftclust_core::repair::{repair_coverage, surviving_instance};
 use ftclust_core::udg::UdgAlgorithm;
 use ftclust_core::validate::{is_k_dominating, Semantics};
 use ftclust_core::DominatingSet;
@@ -160,14 +160,7 @@ fn run_epoch(
     let doa = m.dead_on_arrival;
 
     let before_len = set.ids().filter(|v| alive_now[v.index()]).count();
-    let out = repair_coverage(
-        g,
-        set,
-        &alive_now,
-        k,
-        &RepairConfig::new(seed.rotate_left(17)),
-    )
-    .expect("repair converges");
+    let out = repair_coverage(g, set, &alive_now, k).expect("repair converges");
     let (sub, survivors) =
         surviving_instance(g, &out.set, &alive_now).expect("mask and set fit the graph");
     assert!(

@@ -26,7 +26,7 @@ use ftclust_bench::families::udg_workload;
 use ftclust_bench::table::Table;
 use ftclust_core::fractional::protocol::run_fractional_stack;
 use ftclust_core::fractional::FractionalParams;
-use ftclust_core::repair::{run_repair_stack, RepairConfig};
+use ftclust_core::repair::run_repair_stack;
 use ftclust_core::rounding::protocol::run_rounding_stack;
 use ftclust_core::rounding::RoundingParams;
 use ftclust_core::udg::protocol::run_udg_stack;
@@ -194,9 +194,8 @@ pub(crate) fn run(opts: &crate::Opts) -> std::io::Result<()> {
     for v in direct3.run.set.ids().take(kills) {
         alive[v.index()] = false;
     }
-    let rcfg = RepairConfig::new(9);
     let (directr, repair_log) =
-        run_repair_stack(g, &direct3.run.set, &alive, 2, &rcfg, Stack::new().traced())
+        run_repair_stack(g, &direct3.run.set, &alive, 2, Stack::new().traced())
             .expect("repair protocol");
     let repair_log = repair_log.expect("traced stack records a log");
     let baser = Cost::default().add(&directr.metrics);
@@ -209,8 +208,8 @@ pub(crate) fn run(opts: &crate::Opts) -> std::io::Result<()> {
     let mut tr = Table::new(&HEADERS);
     tr.push_row(row("direct", &baser, &baser, true));
     for p in DROPS {
-        let (r, _) = run_repair_stack(g, &direct3.run.set, &alive, 2, &rcfg, lossy(p))
-            .expect("lossy repair");
+        let (r, _) =
+            run_repair_stack(g, &direct3.run.set, &alive, 2, lossy(p)).expect("lossy repair");
         check_conservation(&r.metrics, "repair");
         let c = Cost::default().add(&r.metrics);
         let identical =
@@ -267,7 +266,7 @@ pub(crate) fn run(opts: &crate::Opts) -> std::io::Result<()> {
     }
     rollup_rows(&mut tc, "Alg 1 p=0.20", &lt_frac_log);
     let (lt_rep, lt_rep_log) =
-        run_repair_stack(g, &direct3.run.set, &alive, 2, &rcfg, lossy(0.2).traced())
+        run_repair_stack(g, &direct3.run.set, &alive, 2, lossy(0.2).traced())
             .expect("lossy+traced repair");
     let lt_rep_log = lt_rep_log.expect("traced stack records a log");
     assert_eq!(

@@ -33,7 +33,7 @@ use ftclust_bench::json_escape;
 use ftclust_bench::table::Table;
 use ftclust_core::fractional::protocol::run_fractional_stack;
 use ftclust_core::fractional::FractionalParams;
-use ftclust_core::repair::{run_repair_continuous, RepairConfig};
+use ftclust_core::repair::run_repair_continuous;
 use ftclust_core::rounding::protocol::run_rounding_stack;
 use ftclust_core::rounding::RoundingParams;
 use ftclust_core::udg::protocol::run_udg_stack;
@@ -42,7 +42,7 @@ use ftclust_core::validate::{is_k_dominating, Semantics};
 use ftclust_core::{repair, Instance, KmdsError};
 use ftclust_graphs::NodeId;
 use ftclust_netsim::exec::Stack;
-use ftclust_netsim::monitor::HealthMonitor;
+use ftclust_netsim::monitor::{BurstReport, HealthMonitor};
 use ftclust_netsim::transport::TransportConfig;
 use ftclust_netsim::{AdversaryPlan, ChurnPlan, SimError};
 
@@ -316,20 +316,13 @@ pub(crate) fn run(opts: &crate::Opts) -> std::io::Result<()> {
     println!("continuous repair (k=2, {kills} members crashed in bursts at cycles {bursts:?},");
     println!("{cycles} cycles): detection latency and time-to-repair per burst, per mix:");
     let mut tm = Table::new(&["fault mix", "burst", "detect", "ttr", "mttr", "healed"]);
-    let rcfg = RepairConfig::new(9);
-    let mut mttr_rows: Vec<(
-        String,
-        Vec<(u64, Option<u64>, Option<u64>)>,
-        Option<f64>,
-        bool,
-    )> = Vec::new();
+    let mut mttr_rows: Vec<(&str, Vec<BurstReport>, Option<f64>, bool)> = Vec::new();
     for mix in &MIXES {
         let plan = (mix.build)(0xC4A05, 0.05, &side);
         let (out, _) = run_repair_continuous(
             g,
             &direct3.run.set,
             2,
-            &rcfg,
             cycles,
             Stack::new().churned(churn.clone()).adversarial(plan),
         )
@@ -356,15 +349,7 @@ pub(crate) fn run(opts: &crate::Opts) -> std::io::Result<()> {
                 if healed { "yes" } else { "NO" }.to_string(),
             ]);
         }
-        mttr_rows.push((
-            mix.name.to_string(),
-            reports
-                .iter()
-                .map(|r| (r.burst_cycle, r.detection_latency(), r.time_to_repair()))
-                .collect(),
-            mttr,
-            healed,
-        ));
+        mttr_rows.push((mix.name, reports, mttr, healed));
     }
     tm.print();
     println!();
@@ -402,11 +387,14 @@ pub(crate) fn run(opts: &crate::Opts) -> std::io::Result<()> {
         for (i, (mixname, reports, mttr, healed)) in mttr_rows.iter().enumerate() {
             let bursts_json: Vec<String> = reports
                 .iter()
-                .map(|(b, d, t)| {
+                .map(|r| {
                     format!(
-                        "{{\"burst_cycle\": {b}, \"detection_latency\": {}, \"time_to_repair\": {}}}",
-                        d.map_or_else(|| "null".into(), |v| v.to_string()),
-                        t.map_or_else(|| "null".into(), |v| v.to_string())
+                        "{{\"burst_cycle\": {}, \"detection_latency\": {}, \"time_to_repair\": {}}}",
+                        r.burst_cycle,
+                        r.detection_latency()
+                            .map_or_else(|| "null".into(), |v| v.to_string()),
+                        r.time_to_repair()
+                            .map_or_else(|| "null".into(), |v| v.to_string())
                     )
                 })
                 .collect();

@@ -9,7 +9,7 @@
 //! instead of printing `inf`/`NaN`), logical rounds, messages, bits,
 //! retransmissions, and **survivability** — whether the faulted run
 //! reproduced the fault-free set bit-for-bit while staying a valid
-//! CoverSelf cover. The closing section condenses the table into the
+//! `CoverSelf` cover. The closing section condenses the table into the
 //! `recommend(workload)` heuristic and prints its decision corners.
 //!
 //! `--smoke` is the CI-sized run; `--json <p>` writes the leaderboard

@@ -25,8 +25,10 @@
 //! the nanoseconds per frame, so each fault layer's cost can be read per
 //! frame it adds.
 //!
-//! Emits a machine-readable `BENCH.json` (schema v6; also printed to
-//! stdout) so perf changes have a trajectory to be measured against.
+//! Prints a machine-readable report (schema v6) to stdout, so perf
+//! changes have a trajectory to be measured against; progress goes to
+//! stderr. The tracked `BENCH.json` is this report at full size:
+//! regenerate it with `exp perf > BENCH.json`.
 //! Graph construction happens once per `n` and is shared by every
 //! thread row, so it is reported in the per-`n` `graph_build` section
 //! (schema v3 repeated the thread-1 value in every row);
@@ -326,8 +328,8 @@ fn transport_rows(n: u32, trials: usize, digests: &mut String) -> Vec<TransportR
 
 /// Re-runs the smallest workload with an [`EventLog`] tracer attached
 /// and writes the JSONL export to `path`. The traced run is *separate*
-/// from the timed sweep so tracing overhead never pollutes
-/// `BENCH.json`; CI diffs this file across thread counts to pin the
+/// from the timed sweep so tracing overhead never pollutes the
+/// report; CI diffs this file across thread counts to pin the
 /// trace-determinism contract on the hot gossip path.
 fn write_trace(path: &Path, n: u32, rounds: u32) -> std::io::Result<()> {
     let g = Family::Rgg.build(n, u64::from(n));
@@ -357,7 +359,7 @@ pub(crate) fn run(opts: &crate::Opts) -> std::io::Result<()> {
     let thread_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
     let trials = if smoke { 1 } else { 3 };
     let max_threads = *thread_counts.last().expect("non-empty sweep");
-    let host_logical_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let host_logical_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     eprintln!(
         "perf baseline: gossip flood, sizes {:?}, threads {thread_counts:?}, {trials} trial(s){}",
         sizes.iter().map(|&(n, _)| n).collect::<Vec<_>>(),
@@ -513,7 +515,6 @@ pub(crate) fn run(opts: &crate::Opts) -> std::io::Result<()> {
         "{{\n  \"schema\": \"ftclust-perf-baseline-v6\",\n  \"workload\": \"gossip-min-flood-rgg\",\n  \"smoke\": {smoke},\n  \"host_logical_cpus\": {host_logical_cpus},\n  \"max_threads\": {max_threads},\n  \"speedup_at_largest_n\": {speedup_json},\n  \"graph_build\": [\n{builds_body}\n  ],\n  \"results\": [\n{body}\n  ],\n  \"alg12\": {{\n    \"graph\": \"gnp(n, 10/n, 42)\",\n    \"k\": {ALG12_K},\n    \"t\": {ALG12_T},\n    \"threads\": 1,\n    \"trials\": {alg12_trials},\n    \"rows\": [\n{alg12_body}\n    ]\n  }},\n  \"transport\": {{\n    \"graph\": \"random_udg(n, 12, 1, {TRANSPORT_SEED})\",\n    \"algorithm\": \"Algorithm 3\",\n    \"k\": {TRANSPORT_K},\n    \"threads\": 1,\n    \"trials\": {transport_trials},\n    \"rows\": [\n{transport_body}\n    ]\n  }}\n}}\n"
     );
     print!("{json}");
-    write_output(Path::new("BENCH.json"), "baseline", &json)?;
     if let Some(path) = &opts.digest {
         write_output(path, "state digests", &digests)?;
     }

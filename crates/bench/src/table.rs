@@ -26,7 +26,7 @@ impl Table {
     /// Creates a table with the given column headers.
     pub fn new(headers: &[&str]) -> Self {
         Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.iter().map(ToString::to_string).collect(),
             rows: Vec::new(),
         }
     }
@@ -66,7 +66,7 @@ impl Table {
 
     /// Renders the table as a string.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
                 *w = (*w).max(cell.chars().count());
@@ -77,7 +77,7 @@ impl Table {
             cells
                 .iter()
                 .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}", w = w))
+                .map(|(c, w)| format!("{c:>w$}"))
                 .collect::<Vec<_>>()
                 .join("  ")
         };

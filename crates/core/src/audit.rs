@@ -270,10 +270,7 @@ mod tests {
             ));
         }
         // The repair-off ablation path is audited for monotonicity only.
-        let no_repair = RoundingParams {
-            repair: false,
-            ..Default::default()
-        };
+        let no_repair = RoundingParams { repair: false };
         let _ = round_fractional(&inst, &sol.x, sol.delta, 0, &no_repair);
     }
 
@@ -327,14 +324,7 @@ mod tests {
         for v in run.set.ids().take(4) {
             alive[v.index()] = false;
         }
-        let out = crate::repair::repair_coverage(
-            udg.graph(),
-            &run.set,
-            &alive,
-            2,
-            &crate::repair::RepairConfig::new(7),
-        )
-        .unwrap();
+        let out = crate::repair::repair_coverage(udg.graph(), &run.set, &alive, 2).unwrap();
         assert!(out.set.ids().all(|v| alive[v.index()]));
     }
 

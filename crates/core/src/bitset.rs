@@ -118,30 +118,6 @@ impl BitSet {
         self.words.iter().any(|&w| w != 0)
     }
 
-    /// `self |= other`, word-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn or_assign(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "bit set length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// `self &= other`, word-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn and_assign(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "bit set length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
     /// `true` if `self` has any index that `other` lacks (`self & !other
     /// ≠ ∅`) — the engines' progress test, without materializing the
     /// difference.
@@ -260,12 +236,7 @@ mod tests {
     fn word_ops() {
         let a = BitSet::from_bools(&[true, false, true, false]);
         let b = BitSet::from_bools(&[true, true, false, false]);
-        let mut or = a.clone();
-        or.or_assign(&b);
-        assert_eq!(or.to_bools(), vec![true, true, true, false]);
-        let mut and = a.clone();
-        and.and_assign(&b);
-        assert_eq!(and.to_bools(), vec![true, false, false, false]);
+        let and = BitSet::from_bools(&[true, false, false, false]);
         assert!(a.any_outside(&b)); // index 2
         assert!(!and.any_outside(&a));
         assert!(!BitSet::new(9).any_outside(&BitSet::new(9)));

@@ -1,7 +1,6 @@
 //! Closed-form bounds from the paper's theorems, used by the experiment
 //! harness to print measured-vs-predicted tables.
 
-use crate::Instance;
 use ftclust_geometry::{Point, SpatialGrid};
 use ftclust_graphs::UnitDiskGraph;
 
@@ -38,14 +37,6 @@ pub fn theorem_4_6_bound(rho: f64, delta: usize) -> f64 {
 pub fn kmw_lower_bound(t: u32, delta: usize) -> f64 {
     assert!(t >= 1, "t must be at least 1");
     ((delta as f64).max(1.0)).powf(1.0 / t as f64) / t as f64
-}
-
-/// The trivial covering bound: under `(PP)` semantics each selected node
-/// supplies one unit of coverage to at most `Δ + 1` closed neighborhoods,
-/// so `OPT ≥ Σ_i k_i / (Δ + 1)`.
-pub fn degree_lower_bound(inst: &Instance<'_>) -> f64 {
-    let delta = inst.graph().max_degree();
-    inst.total_demand() as f64 / (delta + 1) as f64
 }
 
 /// A packing lower bound for unit disk graphs, valid under **both**
@@ -110,14 +101,6 @@ mod tests {
         assert_eq!(kmw_lower_bound(1, 16), 16.0);
         assert!((kmw_lower_bound(2, 16) - 2.0).abs() < 1e-12);
         assert!(kmw_lower_bound(4, 16) < kmw_lower_bound(2, 16));
-    }
-
-    #[test]
-    fn degree_bound_on_known_graphs() {
-        let g = generators::complete(5);
-        let inst = Instance::uniform(&g, 2).unwrap();
-        // Σk = 10, Δ+1 = 5 → bound 2 (= OPT).
-        assert_eq!(degree_lower_bound(&inst), 2.0);
     }
 
     #[test]

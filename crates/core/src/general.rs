@@ -4,6 +4,11 @@
 //! By Theorems 4.5 and 4.6 the result is an expected
 //! `O(t Δ^{2/t} log Δ)`-approximate k-fold dominating set computed in
 //! `O(t²)` rounds — the paper's headline result for general graphs.
+//!
+//! The pipeline has two settings, `t` and the rounding seed; it always
+//! rounds with repair on ([`RoundingParams::default`]). Callers that need
+//! other parameters (the E13 repair ablation) call [`solve_fractional`]
+//! and [`round_fractional`] directly.
 
 use crate::fractional::{solve_fractional, FractionalParams, FractionalSolution};
 use crate::rounding::{round_fractional, RoundingOutcome, RoundingParams};
@@ -28,7 +33,6 @@ use crate::{DominatingSet, Instance, KmdsError};
 #[derive(Debug, Clone)]
 pub struct GeneralPipeline {
     params: FractionalParams,
-    rounding: RoundingParams,
     seed: u64,
 }
 
@@ -65,7 +69,6 @@ impl GeneralPipeline {
     pub fn new(t: u32) -> Self {
         GeneralPipeline {
             params: FractionalParams::new(t),
-            rounding: RoundingParams::default(),
             seed: 0,
         }
     }
@@ -74,18 +77,6 @@ impl GeneralPipeline {
     /// is deterministic).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the rounding parameters.
-    pub fn rounding(mut self, params: RoundingParams) -> Self {
-        self.rounding = params;
-        self
-    }
-
-    /// Overrides the fractional parameters (e.g. a `Δ` hint).
-    pub fn fractional(mut self, params: FractionalParams) -> Self {
-        self.params = params;
         self
     }
 
@@ -102,7 +93,7 @@ impl GeneralPipeline {
             &fractional.x,
             fractional.delta,
             self.seed,
-            &self.rounding,
+            &RoundingParams::default(),
         );
         Ok(GeneralRun {
             set: rounding.set.clone(),

@@ -103,7 +103,7 @@ pub mod prelude {
     pub use crate::fractional::{solve_fractional, FractionalParams};
     pub use crate::general::GeneralPipeline;
     pub use crate::portfolio::{recommend, Algorithm, PortfolioRun, Workload};
-    pub use crate::repair::{repair_coverage, surviving_instance, RepairConfig};
+    pub use crate::repair::{repair_coverage, surviving_instance};
     pub use crate::rounding::round_fractional;
     pub use crate::udg::UdgAlgorithm;
     pub use crate::validate::{

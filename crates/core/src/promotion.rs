@@ -11,19 +11,20 @@
 //!
 //! 1. *Needy* — a non-member with `cov < k` broadcasts
 //!    [`PromotionMsg::Needy`] carrying its `cov`.
-//! 2. *Re-election* — every member promotes up to `k` of the needy
-//!    neighbours it heard, per the [`PromotionRule`]; a needy node with
-//!    degree `< k` or with no member neighbour (`cov = 0`) marks itself to
-//!    join. A node that is not needy and heard no needy neighbour halts:
-//!    membership only grows, so nothing around it can change again.
+//! 2. *Re-election* — every member promotes the `k` lowest-id needy
+//!    neighbours it heard (all of them if fewer; the paper's line 20
+//!    leaves the choice open); a needy node with degree `< k` or with no
+//!    member neighbour (`cov = 0`) marks itself to join. A node that is
+//!    not needy and heard no needy neighbour halts: membership only
+//!    grows, so nothing around it can change again.
 //! 3. *Join* — promoted and self-marked nodes become members and
 //!    broadcast [`PromotionMsg::Join`]; the next needy round counts it.
 //!
 //! Only new members announce themselves after round 0, so a quiet
-//! neighbourhood costs nothing. The loop ends: a needy node either has no
-//! member neighbour (it joins itself) or has one, and a member that hears
-//! a needy neighbour promotes at least one, so every iteration with a
-//! needy node adds a member.
+//! neighbourhood costs nothing, and the loop draws no randomness. The
+//! loop ends: a needy node either has no member neighbour (it joins
+//! itself) or has one, and a member that hears a needy neighbour promotes
+//! at least one, so every iteration with a needy node adds a member.
 //!
 //! The join-itself rule is not in the paper's Part II, which assumes that
 //! Part I's leaders dominate (Lemma 5.1). With the θ schedule they need
@@ -36,11 +37,8 @@
 //! own payload without a tag bit. The continuous repair service reuses
 //! the re-election and join steps inside its 4-round beacon cycle.
 
-use crate::udg::PromotionRule;
 use ftclust_graphs::NodeId;
 use ftclust_netsim::{bits_for_ids, Context, Control, Inbox, Payload};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Wire messages of the promotion loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +48,9 @@ pub enum PromotionMsg {
         /// Whether the sender is in the set.
         member: bool,
     },
-    /// "I am needy", with the sender's current coverage (`< k`; the
-    /// `MostDeficient` promotion rule reads it).
+    /// "I am needy", with the sender's current coverage (`< k`).
+    /// Nothing reads `cov`; it stays on the wire so the metered sizes
+    /// stay as recorded.
     Needy {
         /// Members in the sender's closed neighbourhood.
         cov: u32,
@@ -77,43 +76,16 @@ pub(crate) trait CarriesPromotion: Payload + From<PromotionMsg> {
     fn promotion(&self) -> Option<PromotionMsg>;
 }
 
-/// Picks up to `k` promotion targets from the (ascending) list of needy
-/// neighbours, per the configured rule.
-pub(crate) fn select_promotions(
-    needy: &[NodeId],
-    coverage: impl Fn(NodeId) -> u32,
-    k: usize,
-    rule: PromotionRule,
-    rng: &mut StdRng,
-) -> Vec<NodeId> {
-    if needy.len() <= k {
-        return needy.to_vec();
-    }
-    match rule {
-        PromotionRule::LowestId => needy[..k].to_vec(),
-        PromotionRule::MostDeficient => {
-            let mut sorted = needy.to_vec();
-            sorted.sort_by_key(|&v| (coverage(v), v));
-            sorted.truncate(k);
-            sorted
-        }
-        PromotionRule::Random => {
-            let mut pool = needy.to_vec();
-            let mut chosen = Vec::with_capacity(k);
-            for _ in 0..k {
-                let idx = rng.random_range(0..pool.len());
-                chosen.push(pool.swap_remove(idx));
-            }
-            chosen
-        }
-    }
+/// The promotion targets among the (ascending) needy neighbours: the `k`
+/// lowest ids, or all of them if fewer.
+pub(crate) fn select_promotions(needy: &[NodeId], k: usize) -> &[NodeId] {
+    &needy[..needy.len().min(k)]
 }
 
 /// One node's state in the promotion loop.
 #[derive(Debug)]
 pub(crate) struct PromotionLoop {
     k: u32,
-    rule: PromotionRule,
     /// Whether this node is in the set.
     pub(crate) member: bool,
     /// Members in the closed neighbourhood.
@@ -129,10 +101,9 @@ pub(crate) struct PromotionLoop {
 impl PromotionLoop {
     /// A node of a loop computing a `k`-fold dominating set, seeded with
     /// `member`.
-    pub(crate) fn new(k: u32, rule: PromotionRule, member: bool) -> Self {
+    pub(crate) fn new(k: u32, member: bool) -> Self {
         PromotionLoop {
             k,
-            rule,
             member,
             cov: 0,
             needy: false,
@@ -141,14 +112,12 @@ impl PromotionLoop {
         }
     }
 
-    /// Runs loop round `t` (0 is the status round). `rng` is the node's
-    /// promotion stream; `None` draws from [`Context::rng`].
+    /// Runs loop round `t` (0 is the status round).
     pub(crate) fn on_round<P: CarriesPromotion>(
         &mut self,
         t: u64,
         inbox: Inbox<'_, P>,
         ctx: &mut Context<'_, P>,
-        rng: Option<&mut StdRng>,
     ) -> Control {
         if t == 0 {
             self.cov = u32::from(self.member);
@@ -171,7 +140,7 @@ impl PromotionLoop {
                 Control::Continue
             }
             2 => {
-                let heard_needy = self.reelect(inbox, ctx, rng);
+                let heard_needy = self.reelect(inbox, ctx);
                 if self.needy || heard_needy {
                     Control::Continue
                 } else {
@@ -208,36 +177,22 @@ impl PromotionLoop {
 
     /// The re-election step: a member promotes up to `k` of the needy
     /// neighbours in `inbox` (duplicates count once); a needy node with
-    /// degree `< k` or no member neighbour marks itself to join. `rng` is
-    /// as in [`PromotionLoop::on_round`]. Returns whether any needy
-    /// neighbour was heard.
+    /// degree `< k` or no member neighbour marks itself to join. Returns
+    /// whether any needy neighbour was heard.
     pub(crate) fn reelect<P: CarriesPromotion>(
         &mut self,
         inbox: Inbox<'_, P>,
         ctx: &mut Context<'_, P>,
-        rng: Option<&mut StdRng>,
     ) -> bool {
-        let mut needy: Vec<(NodeId, u32)> = inbox
+        let mut needy: Vec<NodeId> = inbox
             .iter()
-            .filter_map(|e| match e.payload.promotion() {
-                Some(PromotionMsg::Needy { cov }) => Some((e.from, cov)),
-                _ => None,
-            })
+            .filter(|e| matches!(e.payload.promotion(), Some(PromotionMsg::Needy { .. })))
+            .map(|e| e.from)
             .collect();
-        needy.sort_unstable_by_key(|&(v, _)| v);
-        needy.dedup_by_key(|&mut (v, _)| v);
-        if self.member && !needy.is_empty() {
-            let ids: Vec<NodeId> = needy.iter().map(|&(v, _)| v).collect();
-            let cov_of = |v: NodeId| match needy.binary_search_by_key(&v, |&(w, _)| w) {
-                Ok(i) => needy[i].1,
-                Err(_) => unreachable!("promotion candidates come from `needy`"),
-            };
-            let rng = match rng {
-                Some(rng) => rng,
-                None => ctx.rng(),
-            };
-            let chosen = select_promotions(&ids, cov_of, self.k as usize, self.rule, rng);
-            for w in chosen {
+        needy.sort_unstable();
+        needy.dedup();
+        if self.member {
+            for &w in select_promotions(&needy, self.k as usize) {
                 ctx.send(w, PromotionMsg::Promote.into());
             }
         }
@@ -294,29 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn select_promotions_rules() {
+    fn select_promotions_takes_the_lowest_ids() {
         let needy: Vec<NodeId> = [1u32, 2, 3, 4].into_iter().map(NodeId::new).collect();
-        let cov = |v: NodeId| match v.raw() {
-            2 => 0u32,
-            4 => 1,
-            _ => 5,
-        };
-        let mut rng = ftclust_netsim::node_rng(0, NodeId::new(0));
-        assert_eq!(
-            select_promotions(&needy, cov, 2, PromotionRule::LowestId, &mut rng),
-            vec![NodeId::new(1), NodeId::new(2)]
-        );
-        assert_eq!(
-            select_promotions(&needy, cov, 2, PromotionRule::MostDeficient, &mut rng),
-            vec![NodeId::new(2), NodeId::new(4)]
-        );
-        let random = select_promotions(&needy, cov, 2, PromotionRule::Random, &mut rng);
-        assert_eq!(random.len(), 2);
-        assert!(random.iter().all(|v| needy.contains(v)));
-        // Fewer needy than k: take all, regardless of rule.
-        assert_eq!(
-            select_promotions(&needy, cov, 9, PromotionRule::Random, &mut rng),
-            needy
-        );
+        assert_eq!(select_promotions(&needy, 2), &needy[..2]);
+        // Fewer needy than k: take all.
+        assert_eq!(select_promotions(&needy, 9), &needy[..]);
     }
 }

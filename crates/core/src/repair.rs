@@ -14,8 +14,8 @@
 //!
 //! The repair is Algorithm 3's Part II run on the survivors: the
 //! promotion loop of [`crate::promotion`], seeded with the surviving
-//! members, so the healed set inherits Part II's promotion rules and
-//! randomness discipline.
+//! members, so the healed set follows Part II's promotion rule. It draws
+//! no randomness.
 //!
 //! 1. *Detection* — every survivor broadcasts its membership status; a
 //!    non-member whose count of surviving dominators `c(v)` is below `k`
@@ -26,8 +26,8 @@
 //!    neighbors, or with no surviving member neighbor at all, promotes
 //!    **itself** (members are exempt under strict semantics, and no
 //!    neighborhood subset could ever supply its `k` dominators);
-//!    meanwhile every surviving member promotes up to `k` of its needy
-//!    neighbors.
+//!    meanwhile every surviving member promotes the `k` lowest-id needy
+//!    neighbors (all of them if fewer).
 //! 4. *Announcement* — new members announce themselves; coverage counts
 //!    update and the loop repeats steps 2–4 while anyone is still needy.
 //!
@@ -40,7 +40,8 @@
 //! any executor stack, including **lossy links** behind the reliable
 //! transport of [`ftclust_netsim::transport`]. All three produce the
 //! identical healed set, additions and iteration count for the same
-//! [`RepairConfig`].
+//! inputs; the stack drivers seed the stack's own loss and churn draws
+//! with a fixed constant.
 //!
 //! # Continuous mode
 //!
@@ -75,7 +76,7 @@
 //! # Example
 //!
 //! ```
-//! use ftclust_core::repair::{repair_coverage, RepairConfig};
+//! use ftclust_core::repair::repair_coverage;
 //! use ftclust_core::udg::UdgAlgorithm;
 //! use ftclust_core::validate::{is_k_dominating, Semantics};
 //! use ftclust_graphs::generators;
@@ -87,7 +88,7 @@
 //! for v in run.set.ids().take(3) {
 //!     alive[v.index()] = false;
 //! }
-//! let out = repair_coverage(udg.graph(), &run.set, &alive, 2, &RepairConfig::new(9))?;
+//! let out = repair_coverage(udg.graph(), &run.set, &alive, 2)?;
 //! let keep: Vec<_> = udg.graph().nodes().filter(|v| alive[v.index()]).collect();
 //! let (sub, old_ids) = udg.graph().induced_subgraph(&keep);
 //! let survivors = ftclust_core::DominatingSet::from_ids(
@@ -101,16 +102,18 @@
 
 use crate::bitset::{coverage_counts, BitSet};
 use crate::promotion::{select_promotions, CarriesPromotion, PromotionLoop, PromotionMsg};
-use crate::udg::PromotionRule;
 use crate::{DominatingSet, KmdsError};
 use ftclust_graphs::{Graph, NodeId};
 use ftclust_netsim::exec::{completed_iterations, Executor, Phase, Stack};
 use ftclust_netsim::monitor::HealthMonitor;
-use ftclust_netsim::{
-    node_rng, Context, Control, EventLog, Inbox, Metrics, NodeLogic, Payload, Topology,
-};
+use ftclust_netsim::{Context, Control, EventLog, Inbox, Metrics, NodeLogic, Payload, Topology};
 use ftclust_par as par;
-use rand::rngs::StdRng;
+use std::ops::Range;
+
+/// Master seed of the stack drivers' loss and churn draws. The repair
+/// draws nothing itself, so the seed only picks which frames the lossy
+/// layers drop; it is fixed because no caller needs another.
+const STACK_SEED: u64 = 9;
 
 /// Wire messages of the repair protocol. All `O(log k)` bits or smaller —
 /// repair stays inside the paper's small-message model.
@@ -152,37 +155,6 @@ impl CarriesPromotion for RepairMsg {
     }
 }
 
-/// Configuration of a repair run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepairConfig {
-    /// Master seed for the per-node random streams (only consumed by
-    /// [`PromotionRule::Random`]).
-    pub seed: u64,
-    /// How members pick which needy neighbors to promote.
-    pub rule: PromotionRule,
-    /// Defensive cap on re-election iterations; the progress argument in
-    /// the [module docs](self) bounds the true count by the number of
-    /// initially needy nodes.
-    pub max_iterations: u64,
-}
-
-impl RepairConfig {
-    /// A default-rule configuration with the given seed.
-    pub fn new(seed: u64) -> Self {
-        RepairConfig {
-            seed,
-            rule: PromotionRule::default(),
-            max_iterations: 10_000,
-        }
-    }
-
-    /// Sets the promotion rule.
-    pub fn rule(mut self, rule: PromotionRule) -> Self {
-        self.rule = rule;
-        self
-    }
-}
-
 /// Result of a coverage repair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairOutcome {
@@ -206,13 +178,11 @@ pub struct RepairOutcome {
     pub deficit_nodes: usize,
 }
 
-/// One worker's contiguous block of a re-election iteration: the RNG
-/// streams it owns plus a local list of promotion targets, OR-merged
-/// afterwards (commutative), so the outcome is identical at every thread
-/// count.
-struct RepairShard<'s> {
-    start: usize,
-    rngs: &'s mut [StdRng],
+/// One worker's contiguous block of a re-election iteration: its node
+/// range plus a local list of promotion targets, OR-merged afterwards
+/// (commutative), so the outcome is identical at every thread count.
+struct RepairShard {
+    range: Range<usize>,
     targets: Vec<NodeId>,
     /// Per-member needy-neighbor list, reused across the shard's members
     /// so an iteration allocates at most one list per worker.
@@ -231,15 +201,15 @@ struct RepairShard<'s> {
 ///
 /// Returns [`KmdsError::InvalidInput`] if `alive.len()` or the set
 /// universe mismatch the graph, or if `k == 0`, and
-/// [`KmdsError::IterationLimit`] if an iteration makes no progress or
-/// `max_iterations` is exhausted — impossible by the progress argument in
-/// the module docs; checked defensively.
+/// [`KmdsError::IterationLimit`] if an iteration makes no progress —
+/// impossible by the progress argument in the module docs; checked
+/// defensively. Since every iteration adds a member, this check also
+/// bounds the loop by `n` iterations.
 pub fn repair_coverage(
     g: &Graph,
     set: &DominatingSet,
     alive: &[bool],
     k: u32,
-    cfg: &RepairConfig,
 ) -> Result<RepairOutcome, KmdsError> {
     let n = g.node_count();
     check_inputs(n, set, Some(alive), Some(k))?;
@@ -265,8 +235,6 @@ pub fn repair_coverage(
     }
     let mut rounds = 1u64;
 
-    let mut rngs: Vec<StdRng> =
-        par::par_map_range(n, |i| node_rng(cfg.seed, NodeId::new(i as u32)));
     let mut added: Vec<NodeId> = Vec::new();
     let mut peak_deficit = 0u32;
     let mut deficit_nodes = 0usize;
@@ -281,12 +249,6 @@ pub fn repair_coverage(
         if !needy.any() {
             break;
         }
-        if u64::from(iterations) >= cfg.max_iterations {
-            return Err(KmdsError::IterationLimit {
-                stage: "coverage repair",
-                limit: cfg.max_iterations,
-            });
-        }
         iterations += 1;
         rounds += 3;
         // Round 1 of the iteration: deficit broadcasts to surviving
@@ -296,9 +258,9 @@ pub fn repair_coverage(
             messages += deg;
             message_bits += deg * PromotionMsg::Needy { cov: cov[i] }.bit_size() as u64;
         }
-        // Round 2: self-elections and member promotions. Each member
-        // draws only from its own stream; targets are OR-merged after the
-        // parallel part (commutative), so sharding changes nothing.
+        // Round 2: self-elections and member promotions. Targets are
+        // OR-merged after the parallel part (commutative), so sharding
+        // changes nothing.
         let self_elect = BitSet::from_fn_par(n, |i| {
             needy.get(i)
                 && (alive_deg[i] < k
@@ -307,21 +269,16 @@ pub fn repair_coverage(
                         .iter()
                         .any(|w| member.get(w.index())))
         });
-        let mut shards: Vec<RepairShard<'_>> = Vec::new();
-        let mut rngs_rest = &mut rngs[..];
-        for r in par::split_ranges(n, par::num_threads()) {
-            let (rngs_here, rngs_next) = rngs_rest.split_at_mut(r.len());
-            rngs_rest = rngs_next;
-            shards.push(RepairShard {
-                start: r.start,
-                rngs: rngs_here,
+        let mut shards: Vec<RepairShard> = par::split_ranges(n, par::num_threads())
+            .into_iter()
+            .map(|range| RepairShard {
+                range,
                 targets: Vec::new(),
                 scratch: Vec::new(),
-            });
-        }
+            })
+            .collect();
         par::par_for_each_mut(&mut shards, |_, s| {
-            for j in 0..s.rngs.len() {
-                let i = s.start + j;
+            for i in s.range.clone() {
                 if !member.get(i) {
                     continue;
                 }
@@ -333,17 +290,8 @@ pub fn repair_coverage(
                         .copied()
                         .filter(|w| needy.get(w.index())),
                 );
-                if s.scratch.is_empty() {
-                    continue;
-                }
-                let picks = select_promotions(
-                    &s.scratch,
-                    |w| cov[w.index()],
-                    k as usize,
-                    cfg.rule,
-                    &mut s.rngs[j],
-                );
-                s.targets.extend(picks);
+                s.targets
+                    .extend_from_slice(select_promotions(&s.scratch, k as usize));
             }
         });
         let mut joins = self_elect;
@@ -432,19 +380,16 @@ fn check_inputs(
 }
 
 /// Per-node state of the repair protocol on the **surviving subgraph** —
-/// the message-passing twin of [`repair_coverage`], seed-for-seed
-/// identical in its healed set, additions and iteration count (message
+/// the message-passing twin of [`repair_coverage`], identical for the
+/// same inputs in its healed set, additions and iteration count (message
 /// counts differ: the engine also accounts status messages addressed to
 /// dead neighbors, which the induced subgraph has no edges for).
 ///
 /// Each node runs the promotion loop from round 0, seeded with its own
 /// pre-churn membership; it learns its neighbors' membership from their
-/// round-0 status. It draws promotions from its own stream keyed by its
-/// **original** (pre-churn) identifier, exactly like the engine.
+/// round-0 status.
 #[derive(Debug)]
 pub struct RepairNode {
-    /// This node's private stream, `node_rng(seed, original_id)`.
-    rng: StdRng,
     promotion: PromotionLoop,
     /// Coverage deficit `k − c(v)` at detection time (0 unless needy).
     pub initial_deficit: u32,
@@ -459,7 +404,7 @@ impl NodeLogic for RepairNode {
         ctx: &mut Context<'_, RepairMsg>,
     ) -> Control {
         let r = ctx.round();
-        let control = self.promotion.on_round(r, inbox, ctx, Some(&mut self.rng));
+        let control = self.promotion.on_round(r, inbox, ctx);
         if r == 1 {
             self.initial_deficit = self.promotion.deficit();
         }
@@ -545,12 +490,14 @@ fn repair_phases() -> Vec<Phase> {
 /// transport (loss masking), churn and tracing layers selected by
 /// `stack` compose freely. This is the canonical driver —
 /// [`run_repair_protocol`] is a thin wrapper over it on the empty stack.
+/// The repair itself draws nothing; the stack's loss and churn draws use
+/// a fixed master seed.
 ///
 /// When the stack is traced, [`EventLog::rollups`] shows how the repair
 /// cost is spread over iterations versus detection via the plan above.
 /// When the transport is engaged, drops and partition windows add metered
 /// retransmissions but leave the healed set, additions and iteration
-/// count seed-for-seed identical to [`repair_coverage`]'s (asserted by
+/// count identical to [`repair_coverage`]'s for the same inputs (asserted by
 /// the `strict-invariants` feature, which also reconciles the log's
 /// rollups against the metrics).
 ///
@@ -566,7 +513,6 @@ pub fn run_repair_stack(
     set: &DominatingSet,
     alive: &[bool],
     k: u32,
-    cfg: &RepairConfig,
     stack: Stack,
 ) -> Result<(RepairProtocolRun, Option<EventLog>), KmdsError> {
     let n = g.node_count();
@@ -583,12 +529,11 @@ pub fn run_repair_stack(
         |v| {
             let old = old_of_new[v.index()];
             RepairNode {
-                rng: node_rng(cfg.seed, old),
-                promotion: PromotionLoop::new(k, cfg.rule, set.contains(old)),
+                promotion: PromotionLoop::new(k, set.contains(old)),
                 initial_deficit: 0,
             }
         },
-        cfg.seed,
+        STACK_SEED,
     )
     .stack(stack)
     .phases(repair_phases())
@@ -597,7 +542,7 @@ pub fn run_repair_stack(
     #[cfg(feature = "strict-invariants")]
     {
         if _transported {
-            let engine = repair_coverage(g, set, alive, k, cfg)?;
+            let engine = repair_coverage(g, set, alive, k)?;
             crate::audit::loss_transparent(
                 "coverage repair",
                 &(
@@ -627,9 +572,9 @@ pub fn run_repair_stack(
 
 /// Runs the coverage repair as a **message-passing protocol** on the
 /// surviving subgraph, metering real rounds, messages and bits. The
-/// healed set, additions and iteration count are seed-for-seed identical
-/// to [`repair_coverage`] with the same configuration (asserted in the
-/// tests; the engine remains the fast path for sweeps).
+/// healed set, additions and iteration count are identical to
+/// [`repair_coverage`]'s for the same inputs (asserted in the tests; the
+/// engine remains the fast path for sweeps).
 ///
 /// # Errors
 ///
@@ -639,9 +584,8 @@ pub fn run_repair_protocol(
     set: &DominatingSet,
     alive: &[bool],
     k: u32,
-    cfg: &RepairConfig,
 ) -> Result<RepairProtocolRun, KmdsError> {
-    run_repair_stack(g, set, alive, k, cfg, Stack::new()).map(|(run, _)| run)
+    run_repair_stack(g, set, alive, k, Stack::new()).map(|(run, _)| run)
 }
 
 /// Logical-round budget of a repair run: detection + one three-round
@@ -677,7 +621,6 @@ fn repair_round_budget(n_sub: usize) -> u64 {
 /// reads only its own message variant), i.e. treated as loss.
 #[derive(Debug)]
 pub struct ContinuousRepairNode {
-    rng: StdRng,
     promotion: PromotionLoop,
     /// Rounds this node participates in: it halts at round
     /// `4 * cycles`.
@@ -721,7 +664,7 @@ impl NodeLogic for ContinuousRepairNode {
                 self.deficits.push((r / 4, p.deficit()));
             }
             2 => {
-                p.reelect(inbox, ctx, Some(&mut self.rng));
+                p.reelect(inbox, ctx);
             }
             _ => {
                 p.join(inbox);
@@ -754,7 +697,8 @@ pub struct ContinuousRepairRun {
 /// inject faults live — no epochs, no global pause. Per-cycle observed
 /// deficits are summed into a [`HealthMonitor`]; pair its series with
 /// the burst schedule of the churn plan to get detection latency and
-/// MTTR per burst.
+/// MTTR per burst. The service itself draws nothing; the stack's loss
+/// and churn draws use a fixed master seed.
 ///
 /// The tracing layer brackets the run into a `monitor` span (the
 /// round-0 probe) and one `repair_continuous` span per cycle.
@@ -774,7 +718,6 @@ pub fn run_repair_continuous(
     g: &Graph,
     set: &DominatingSet,
     k: u32,
-    cfg: &RepairConfig,
     cycles: u64,
     stack: Stack,
 ) -> Result<(ContinuousRepairRun, Option<EventLog>), KmdsError> {
@@ -790,12 +733,11 @@ pub fn run_repair_continuous(
     let run = Executor::new(
         Topology::from_graph(g),
         |v| ContinuousRepairNode {
-            rng: node_rng(cfg.seed, v),
-            promotion: PromotionLoop::new(k, cfg.rule, set.contains(v)),
+            promotion: PromotionLoop::new(k, set.contains(v)),
             horizon_rounds: horizon,
             deficits: Vec::new(),
         },
-        cfg.seed,
+        STACK_SEED,
     )
     .stack(stack)
     .phases(vec![
@@ -876,7 +818,7 @@ mod tests {
             let g = udg.graph();
             let run = UdgAlgorithm::new(k).seed(3).run(&udg).unwrap();
             let alive = churn_mask(g, &run.set, 8, u64::from(k));
-            let out = repair_coverage(g, &run.set, &alive, k, &RepairConfig::new(5)).unwrap();
+            let out = repair_coverage(g, &run.set, &alive, k).unwrap();
             let (sub, survivors) = surviving_instance(g, &out.set, &alive).unwrap();
             assert!(
                 is_k_dominating(&sub, &survivors, k, Semantics::Strict),
@@ -895,7 +837,7 @@ mod tests {
         let g = udg.graph();
         let run = UdgAlgorithm::new(2).seed(1).run(&udg).unwrap();
         let alive = vec![true; g.node_count()];
-        let out = repair_coverage(g, &run.set, &alive, 2, &RepairConfig::new(0)).unwrap();
+        let out = repair_coverage(g, &run.set, &alive, 2).unwrap();
         assert_eq!(out.iterations, 0);
         assert_eq!(out.rounds, 1);
         assert_eq!(out.added, vec![]);
@@ -913,7 +855,7 @@ mod tests {
         let g = udg.graph();
         let run = UdgAlgorithm::new(2).seed(2).run(&udg).unwrap();
         let alive = churn_mask(g, &run.set, 10, 17);
-        let out = repair_coverage(g, &run.set, &alive, 2, &RepairConfig::new(3)).unwrap();
+        let out = repair_coverage(g, &run.set, &alive, 2).unwrap();
         for &v in &out.added {
             let near_failure = g
                 .closed_neighbors(v)
@@ -932,7 +874,7 @@ mod tests {
         let mut alive = vec![true; 6];
         alive[0] = false;
         alive[1] = false;
-        let out = repair_coverage(&g, &set, &alive, 2, &RepairConfig::new(0)).unwrap();
+        let out = repair_coverage(&g, &set, &alive, 2).unwrap();
         let (sub, survivors) = surviving_instance(&g, &out.set, &alive).unwrap();
         assert!(is_k_dominating(&sub, &survivors, 2, Semantics::Strict));
         assert!(!out.set.is_empty());
@@ -946,7 +888,7 @@ mod tests {
         let g = generators::path(3);
         let set = DominatingSet::from_ids(3, [NodeId::new(1)]);
         let alive = vec![true, false, true];
-        let out = repair_coverage(&g, &set, &alive, 1, &RepairConfig::new(0)).unwrap();
+        let out = repair_coverage(&g, &set, &alive, 1).unwrap();
         assert!(out.set.contains(NodeId::new(0)));
         assert!(out.set.contains(NodeId::new(2)));
         assert_eq!(out.peak_deficit, 1);
@@ -954,24 +896,19 @@ mod tests {
     }
 
     #[test]
-    fn all_rules_heal_and_are_deterministic() {
+    fn heals_and_is_deterministic_across_seeds() {
         let udg = generators::random_udg(300, 10.0, 1.0, 33);
         let g = udg.graph();
         let run = UdgAlgorithm::new(3).seed(8).run(&udg).unwrap();
-        let alive = churn_mask(g, &run.set, 6, 2);
-        for rule in [
-            PromotionRule::LowestId,
-            PromotionRule::MostDeficient,
-            PromotionRule::Random,
-        ] {
-            let cfg = RepairConfig::new(11).rule(rule);
-            let a = repair_coverage(g, &run.set, &alive, 3, &cfg).unwrap();
-            let b = repair_coverage(g, &run.set, &alive, 3, &cfg).unwrap();
-            assert_eq!(a, b, "{rule:?} not deterministic");
+        for seed in [2u64, 3, 4] {
+            let alive = churn_mask(g, &run.set, 6, seed);
+            let a = repair_coverage(g, &run.set, &alive, 3).unwrap();
+            let b = repair_coverage(g, &run.set, &alive, 3).unwrap();
+            assert_eq!(a, b, "seed {seed} not deterministic");
             let (sub, survivors) = surviving_instance(g, &a.set, &alive).unwrap();
             assert!(
                 is_k_dominating(&sub, &survivors, 3, Semantics::Strict),
-                "{rule:?} failed to heal"
+                "seed {seed} failed to heal"
             );
         }
     }
@@ -982,12 +919,11 @@ mod tests {
         let g = udg.graph();
         let run = UdgAlgorithm::new(2).seed(5).run(&udg).unwrap();
         let alive = churn_mask(g, &run.set, 12, 7);
-        let cfg = RepairConfig::new(21).rule(PromotionRule::Random);
         let baseline =
-            ftclust_par::with_threads(1, || repair_coverage(g, &run.set, &alive, 2, &cfg).unwrap());
+            ftclust_par::with_threads(1, || repair_coverage(g, &run.set, &alive, 2).unwrap());
         for threads in [2usize, 7] {
             let out = ftclust_par::with_threads(threads, || {
-                repair_coverage(g, &run.set, &alive, 2, &cfg).unwrap()
+                repair_coverage(g, &run.set, &alive, 2).unwrap()
             });
             assert_eq!(out, baseline, "diverged at {threads} threads");
         }
@@ -998,7 +934,7 @@ mod tests {
         let g = generators::cycle(5);
         let set = DominatingSet::full(5);
         let alive = vec![false; 5];
-        let out = repair_coverage(&g, &set, &alive, 2, &RepairConfig::new(0)).unwrap();
+        let out = repair_coverage(&g, &set, &alive, 2).unwrap();
         assert!(out.set.is_empty());
         assert_eq!(out.iterations, 0);
         assert_eq!(out.messages, 0);
@@ -1024,29 +960,22 @@ mod tests {
     }
 
     #[test]
-    fn protocol_matches_engine_across_rules() {
+    fn protocol_matches_engine_across_seeds() {
         let udg = generators::random_udg(300, 10.0, 1.0, 33);
         let g = udg.graph();
         let run = UdgAlgorithm::new(3).seed(8).run(&udg).unwrap();
-        let alive = churn_mask(g, &run.set, 6, 2);
-        for rule in [
-            PromotionRule::LowestId,
-            PromotionRule::MostDeficient,
-            PromotionRule::Random,
-        ] {
-            for seed in [0u64, 11] {
-                let cfg = RepairConfig::new(seed).rule(rule);
-                let engine = repair_coverage(g, &run.set, &alive, 3, &cfg).unwrap();
-                let proto = run_repair_protocol(g, &run.set, &alive, 3, &cfg).unwrap();
-                assert_protocol_matches(&proto, &engine, &format!("{rule:?} seed {seed}"));
-                // Detection + 3 rounds per iteration + the trailing no-op
-                // iteration in which everyone observes silence and halts.
-                assert_eq!(
-                    proto.metrics.rounds,
-                    3 * (u64::from(engine.iterations) + 1),
-                    "{rule:?} seed {seed}: round count"
-                );
-            }
+        for seed in 2u64..8 {
+            let alive = churn_mask(g, &run.set, 6, seed);
+            let engine = repair_coverage(g, &run.set, &alive, 3).unwrap();
+            let proto = run_repair_protocol(g, &run.set, &alive, 3).unwrap();
+            assert_protocol_matches(&proto, &engine, &format!("seed {seed}"));
+            // Detection + 3 rounds per iteration + the trailing no-op
+            // iteration in which everyone observes silence and halts.
+            assert_eq!(
+                proto.metrics.rounds,
+                3 * (u64::from(engine.iterations) + 1),
+                "seed {seed}: round count"
+            );
         }
     }
 
@@ -1054,14 +983,7 @@ mod tests {
     fn protocol_handles_trivial_and_islanded_cases() {
         // Nobody alive: nothing to simulate.
         let g = generators::cycle(5);
-        let out = run_repair_protocol(
-            &g,
-            &DominatingSet::full(5),
-            &[false; 5],
-            2,
-            &RepairConfig::new(0),
-        )
-        .unwrap();
+        let out = run_repair_protocol(&g, &DominatingSet::full(5), &[false; 5], 2).unwrap();
         assert!(out.set.is_empty());
         assert_eq!(out.iterations, 0);
         assert_eq!(out.metrics.messages, 0);
@@ -1070,8 +992,8 @@ mod tests {
         let g = generators::path(3);
         let set = DominatingSet::from_ids(3, [NodeId::new(1)]);
         let alive = vec![true, false, true];
-        let engine = repair_coverage(&g, &set, &alive, 1, &RepairConfig::new(0)).unwrap();
-        let proto = run_repair_protocol(&g, &set, &alive, 1, &RepairConfig::new(0)).unwrap();
+        let engine = repair_coverage(&g, &set, &alive, 1).unwrap();
+        let proto = run_repair_protocol(&g, &set, &alive, 1).unwrap();
         assert_protocol_matches(&proto, &engine, "severed path");
         assert!(proto.set.contains(NodeId::new(0)));
         assert!(proto.set.contains(NodeId::new(2)));
@@ -1083,11 +1005,10 @@ mod tests {
         let g = udg.graph();
         let run = UdgAlgorithm::new(2).seed(6).run(&udg).unwrap();
         let alive = churn_mask(g, &run.set, 6, 9);
-        let cfg = RepairConfig::new(13).rule(PromotionRule::Random);
-        let engine = repair_coverage(g, &run.set, &alive, 2, &cfg).unwrap();
+        let engine = repair_coverage(g, &run.set, &alive, 2).unwrap();
         for p in [0.0, 0.05, 0.2] {
             let stack = Stack::new().lossy(p).transport(TransportConfig::default());
-            let (proto, _) = run_repair_stack(g, &run.set, &alive, 2, &cfg, stack).unwrap();
+            let (proto, _) = run_repair_stack(g, &run.set, &alive, 2, stack).unwrap();
             assert_protocol_matches(&proto, &engine, &format!("p = {p}"));
             if p == 0.0 {
                 assert_eq!(proto.metrics.retransmits, 0, "lossless run retransmitted");
@@ -1107,10 +1028,9 @@ mod tests {
         let g = udg.graph();
         let run = UdgAlgorithm::new(2).seed(3).run(&udg).unwrap();
         let alive = churn_mask(g, &run.set, 6, 2);
-        let cfg = RepairConfig::new(5);
-        let base = run_repair_protocol(g, &run.set, &alive, 2, &cfg).unwrap();
+        let base = run_repair_protocol(g, &run.set, &alive, 2).unwrap();
         let (traced, log) =
-            run_repair_stack(g, &run.set, &alive, 2, &cfg, Stack::new().traced()).unwrap();
+            run_repair_stack(g, &run.set, &alive, 2, Stack::new().traced()).unwrap();
         let log = log.expect("traced stack records a log");
         assert_eq!(base, traced);
         log.reconcile(&traced.metrics).unwrap();
@@ -1152,16 +1072,8 @@ mod tests {
         for &m in members.iter().step_by(3).take(8) {
             churn = churn.crash(m, 8);
         }
-        let cfg = RepairConfig::new(7);
-        let (out, _) = run_repair_continuous(
-            g,
-            &run.set,
-            2,
-            &cfg,
-            10,
-            Stack::new().churned(churn.clone()),
-        )
-        .unwrap();
+        let (out, _) =
+            run_repair_continuous(g, &run.set, 2, 10, Stack::new().churned(churn.clone())).unwrap();
         assert_eq!(out.cycles, 10);
         assert_eq!(out.monitor.cycles(), 10);
         // Quiet before the burst: the initial set strictly 2-dominates.
@@ -1198,12 +1110,10 @@ mod tests {
             .jitter(0.15, 3)
             .duplicate(0.1)
             .corrupt(0.1);
-        let cfg = RepairConfig::new(7);
         let (out, _) = run_repair_continuous(
             g,
             &run.set,
             2,
-            &cfg,
             16,
             Stack::new().churned(churn.clone()).adversarial(plan),
         )
@@ -1248,12 +1158,11 @@ mod tests {
                 )
                 .traced()
         };
-        let cfg = RepairConfig::new(9);
         let runs: Vec<_> = [1usize, 2, 7]
             .into_iter()
             .map(|t| {
                 par::with_threads(t, || {
-                    run_repair_continuous(g, &run.set, 2, &cfg, 8, stack()).unwrap()
+                    run_repair_continuous(g, &run.set, 2, 8, stack()).unwrap()
                 })
             })
             .collect();
@@ -1286,7 +1195,6 @@ mod tests {
             g,
             &run.set,
             1,
-            &RepairConfig::new(1),
             2,
             Stack::new().transport(TransportConfig::default()),
         )
@@ -1306,11 +1214,10 @@ mod tests {
         alive: &[bool],
         k: u32,
     ) -> Vec<Option<KmdsError>> {
-        let cfg = RepairConfig::new(0);
         vec![
-            repair_coverage(g, set, alive, k, &cfg).err(),
-            run_repair_stack(g, set, alive, k, &cfg, Stack::new()).err(),
-            run_repair_continuous(g, set, k, &cfg, 2, Stack::new()).err(),
+            repair_coverage(g, set, alive, k).err(),
+            run_repair_stack(g, set, alive, k, Stack::new()).err(),
+            run_repair_continuous(g, set, k, 2, Stack::new()).err(),
             surviving_instance(g, set, alive).err(),
         ]
     }
@@ -1356,11 +1263,10 @@ mod tests {
         // member can ever promote them; the join-itself rule must.
         let g = generators::path(4);
         let set = DominatingSet::from_ids(4, [NodeId::new(0)]);
-        let (out, _) =
-            run_repair_stack(&g, &set, &[true; 4], 1, &RepairConfig::new(0), Stack::new()).unwrap();
+        let (out, _) = run_repair_stack(&g, &set, &[true; 4], 1, Stack::new()).unwrap();
         assert!(is_k_dominating(&g, &out.set, 1, Semantics::Strict));
         assert!(out.set.contains(NodeId::new(3)));
-        let engine = repair_coverage(&g, &set, &[true; 4], 1, &RepairConfig::new(0)).unwrap();
+        let engine = repair_coverage(&g, &set, &[true; 4], 1).unwrap();
         assert_protocol_matches(&out, &engine, "orphan cluster");
     }
 }

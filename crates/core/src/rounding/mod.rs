@@ -6,7 +6,8 @@
 //! 1. every node joins independently with probability
 //!    `p_i = min(1, x_i · ln(Δ+1))` (line 2),
 //! 2. nodes still lacking coverage request exactly their deficit from
-//!    non-selected closed neighbors (`REQ`, lines 4–6),
+//!    non-selected closed neighbors, the lowest ids first (`REQ`, lines
+//!    4–6; the paper leaves the choice open),
 //! 3. requested nodes join (line 7).
 //!
 //! The repair step makes the output **deterministically feasible** (the
@@ -40,18 +41,6 @@ use ftclust_graphs::NodeId;
 use ftclust_netsim::node_rng;
 use rand::Rng;
 
-/// How a deficient node picks the neighbors it sends `REQ` to (the paper
-/// leaves the choice arbitrary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RepairSelection {
-    /// The non-selected closed neighbors with the lowest ids
-    /// (deterministic; the default).
-    #[default]
-    LowestId,
-    /// A uniform random subset of the non-selected closed neighbors.
-    Random,
-}
-
 /// Parameters of Algorithm 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundingParams {
@@ -59,16 +48,11 @@ pub struct RoundingParams {
     /// E13 ablation: without repair the output is only feasible with
     /// probability `1 − O(1/Δ)` per node.
     pub repair: bool,
-    /// The repair-selection rule.
-    pub selection: RepairSelection,
 }
 
 impl Default for RoundingParams {
     fn default() -> Self {
-        RoundingParams {
-            repair: true,
-            selection: RepairSelection::LowestId,
-        }
+        RoundingParams { repair: true }
     }
 }
 
@@ -105,13 +89,12 @@ pub fn round_fractional(
     let n = g.node_count();
     assert_eq!(x.len(), n, "fractional solution length mismatch");
     let ln_d1 = ((delta + 1) as f64).ln();
-    // Line 2: independent random picks from each node's private stream.
-    let mut rngs: Vec<_> = g.nodes().map(|v| node_rng(seed, v)).collect();
-    let mut selected = vec![false; n];
-    for i in 0..n {
-        let p = (x[i] * ln_d1).min(1.0);
-        selected[i] = rngs[i].random::<f64>() < p;
-    }
+    // Line 2: independent random picks, one draw from each node's private
+    // stream.
+    let mut selected: Vec<bool> = g
+        .nodes()
+        .map(|v| node_rng(seed, v).random::<f64>() < (x[v.index()] * ln_d1).min(1.0))
+        .collect();
     let initial_picks = selected.iter().filter(|&&b| b).count();
     #[cfg(feature = "strict-invariants")]
     let coverage_before = crate::audit::closed_coverage(inst, &selected);
@@ -120,7 +103,6 @@ pub fn round_fractional(
         // Lines 4–6: all deficits are computed against the same snapshot
         // and all REQs are sent simultaneously.
         for v in g.nodes() {
-            let i = v.index();
             let covered = g
                 .closed_neighbors(v)
                 .filter(|w| selected[w.index()])
@@ -134,8 +116,7 @@ pub fn round_fractional(
                 .closed_neighbors(v)
                 .filter(|w| !selected[w.index()])
                 .collect();
-            let chosen = select_repair_targets(&zeros, deficit, params.selection, &mut rngs[i]);
-            for w in chosen {
+            for w in select_repair_targets(zeros, deficit) {
                 requested[w.index()] = true;
             }
         }
@@ -157,38 +138,18 @@ pub fn round_fractional(
     }
 }
 
-/// Picks `deficit` repair targets from `zeros` (sorted-by-id candidates,
-/// self included at its id position). Shared by engine and protocol.
-pub(crate) fn select_repair_targets(
-    zeros: &[NodeId],
-    deficit: usize,
-    selection: RepairSelection,
-    rng: &mut impl Rng,
-) -> Vec<NodeId> {
+/// Picks the `deficit` lowest-id repair targets from `zeros` (the
+/// non-selected closed neighbors, self included, in any order). Shared by
+/// engine and protocol.
+pub(crate) fn select_repair_targets(mut zeros: Vec<NodeId>, deficit: usize) -> Vec<NodeId> {
     debug_assert!(
         zeros.len() >= deficit,
         "repair impossible: {} zeros for deficit {deficit} — instance was not validated",
         zeros.len()
     );
-    match selection {
-        RepairSelection::LowestId => {
-            let mut sorted: Vec<NodeId> = zeros.to_vec();
-            sorted.sort_unstable();
-            sorted.truncate(deficit);
-            sorted
-        }
-        RepairSelection::Random => {
-            // Partial Fisher–Yates over a copy, drawing in a fixed order.
-            let mut pool: Vec<NodeId> = zeros.to_vec();
-            pool.sort_unstable();
-            let mut chosen = Vec::with_capacity(deficit);
-            for _ in 0..deficit.min(pool.len()) {
-                let idx = rng.random_range(0..pool.len());
-                chosen.push(pool.swap_remove(idx));
-            }
-            chosen
-        }
-    }
+    zeros.sort_unstable();
+    zeros.truncate(deficit);
+    zeros
 }
 
 #[cfg(test)]
@@ -227,10 +188,7 @@ mod tests {
         let g = generators::cycle(30);
         let inst = Instance::uniform(&g, 1).unwrap();
         let x = vec![0.34; 30];
-        let no_repair = RoundingParams {
-            repair: false,
-            ..Default::default()
-        };
+        let no_repair = RoundingParams { repair: false };
         let mut any_infeasible = false;
         for seed in 0..30 {
             let out = round_fractional(&inst, &x, 2, seed, &no_repair);
@@ -281,25 +239,13 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_per_seed_and_selection_rules_differ() {
+    fn deterministic_per_seed() {
         let g = generators::gnp(50, 0.1, 1);
         let inst = Instance::uniform_clamped(&g, 2);
         let (x, delta) = fractional_for(&inst, 2);
         let a = round_fractional(&inst, &x, delta, 3, &RoundingParams::default());
         let b = round_fractional(&inst, &x, delta, 3, &RoundingParams::default());
         assert_eq!(a, b);
-        let rand_sel = RoundingParams {
-            selection: RepairSelection::Random,
-            ..Default::default()
-        };
-        let c = round_fractional(&inst, &x, delta, 3, &rand_sel);
-        // Same initial picks (same seed), possibly different repairs.
-        assert_eq!(a.initial_picks, c.initial_picks);
-        assert!(is_k_dominating_instance(
-            &inst,
-            &c.set,
-            Semantics::CoverSelf
-        ));
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! 1. draw `x'_i` with probability `min(1, x_i ln(Δ+1))`, broadcast the
 //!    flag (line 3),
 //! 2. compute the coverage deficit from the received flags, send `REQ` to
-//!    exactly that many non-selected closed neighbors (lines 4–6),
+//!    exactly that many non-selected closed neighbors, the lowest ids
+//!    first (lines 4–6),
 //! 3. nodes receiving a `REQ` join (line 7); everyone halts.
 //!
 //! Flags cost 1 bit, `REQ`s 1 bit — far below the `O(log n)` budget.
 //! Seed-for-seed identical to [`super::round_fractional`].
 
-use super::{select_repair_targets, RepairSelection, RoundingOutcome, RoundingParams};
+use super::{select_repair_targets, RoundingOutcome, RoundingParams};
 use crate::{DominatingSet, Instance, KmdsError};
 use ftclust_graphs::NodeId;
 use ftclust_netsim::exec::{Executor, Phase, Stack};
@@ -42,7 +43,6 @@ pub struct RoundingNode {
     k: u32,
     x: f64,
     ln_d1: f64,
-    selection: RepairSelection,
     repair: bool,
     /// Final membership `x'_i`.
     pub selected: bool,
@@ -91,7 +91,7 @@ impl NodeLogic for RoundingNode {
                 }
                 if covered < self.k {
                     let deficit = (self.k - covered) as usize;
-                    for w in select_repair_targets(&zeros, deficit, self.selection, ctx.rng()) {
+                    for w in select_repair_targets(zeros, deficit) {
                         ctx.send(w, RoundingMsg::Req);
                     }
                 }
@@ -165,7 +165,6 @@ pub fn run_rounding_stack(
             k: inst.demand(v),
             x: x[v.index()],
             ln_d1,
-            selection: params.selection,
             repair: params.repair,
             selected: false,
             initial: false,
@@ -247,21 +246,15 @@ mod tests {
     use ftclust_netsim::transport::TransportConfig;
 
     #[test]
-    fn protocol_equals_engine_for_both_selection_rules() {
+    fn protocol_equals_engine_across_seeds() {
         let g = generators::gnp(50, 0.12, 4);
         let inst = Instance::uniform_clamped(&g, 2);
         let frac = solve_fractional(&inst, &FractionalParams::new(2)).unwrap();
-        for selection in [RepairSelection::LowestId, RepairSelection::Random] {
-            for seed in [0u64, 1, 7, 42] {
-                let params = RoundingParams {
-                    repair: true,
-                    selection,
-                };
-                let engine = round_fractional(&inst, &frac.x, frac.delta, seed, &params);
-                let proto =
-                    run_rounding_protocol(&inst, &frac.x, frac.delta, seed, &params).unwrap();
-                assert_eq!(engine, proto.outcome, "divergence at seed {seed}");
-            }
+        let params = RoundingParams::default();
+        for seed in [0u64, 1, 2, 3, 7, 9, 42, 99] {
+            let engine = round_fractional(&inst, &frac.x, frac.delta, seed, &params);
+            let proto = run_rounding_protocol(&inst, &frac.x, frac.delta, seed, &params).unwrap();
+            assert_eq!(engine, proto.outcome, "divergence at seed {seed}");
         }
     }
 
@@ -305,17 +298,8 @@ mod tests {
     fn repair_off_halts_after_two_rounds() {
         let g = generators::cycle(10);
         let inst = Instance::uniform(&g, 1).unwrap();
-        let run = run_rounding_protocol(
-            &inst,
-            &[0.0; 10],
-            2,
-            0,
-            &RoundingParams {
-                repair: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let run = run_rounding_protocol(&inst, &[0.0; 10], 2, 0, &RoundingParams { repair: false })
+            .unwrap();
         assert!(run.metrics.rounds <= 2);
         assert_eq!(run.outcome.set.len(), 0);
     }

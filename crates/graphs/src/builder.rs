@@ -39,11 +39,6 @@ impl GraphBuilder {
         self.node_count
     }
 
-    /// Number of edges added so far (duplicates included).
-    pub fn pending_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}`.
     ///
     /// # Errors
@@ -113,7 +108,6 @@ mod tests {
     fn chaining_works() {
         let mut b = GraphBuilder::new(4);
         b.add_edge(0, 1).unwrap().add_edge(1, 2).unwrap();
-        assert_eq!(b.pending_edge_count(), 2);
         assert_eq!(b.node_count(), 4);
         let g = b.build();
         assert_eq!(g.edge_count(), 2);
@@ -125,7 +119,7 @@ mod tests {
         assert!(b.add_edge(0, 0).is_err());
         assert!(b.add_edge(0, 5).is_err());
         assert!(b.add_edge(9, 1).is_err());
-        assert_eq!(b.pending_edge_count(), 0);
+        assert_eq!(b.build().edge_count(), 0);
     }
 
     #[test]

@@ -47,25 +47,6 @@ impl Components {
     pub fn component_count(&self) -> usize {
         self.count
     }
-
-    /// The nodes of the largest component (ties broken by lowest label).
-    pub fn largest_component(&self) -> Vec<NodeId> {
-        let mut sizes = vec![0usize; self.count];
-        for &l in &self.labels {
-            sizes[l as usize] += 1;
-        }
-        let best = sizes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, s)| (*s, std::cmp::Reverse(i)))
-            .map_or(0, |(i, _)| i as u32);
-        self.labels
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l == best)
-            .map(|(v, _)| NodeId::new(v as u32))
-            .collect()
-    }
 }
 
 /// Computes connected components by repeated BFS.
@@ -214,9 +195,6 @@ mod tests {
         assert_eq!(c.component_count(), 3);
         assert_eq!(c.label(NodeId::new(0)), c.label(NodeId::new(2)));
         assert_ne!(c.label(NodeId::new(0)), c.label(NodeId::new(3)));
-        let largest = c.largest_component();
-        assert_eq!(largest.len(), 3);
-        assert_eq!(largest[0], NodeId::new(0));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use ftclust::core::fractional::protocol::run_fractional_stack;
 use ftclust::core::fractional::{FractionalParams, FractionalSolution};
 use ftclust::core::portfolio::{run_cgreedy_stack, run_dkm_stack, run_pb_stack, PortfolioRun};
-use ftclust::core::repair::{run_repair_stack, RepairConfig};
+use ftclust::core::repair::run_repair_stack;
 use ftclust::core::rounding::protocol::run_rounding_stack;
 use ftclust::core::rounding::{RoundingOutcome, RoundingParams};
 use ftclust::core::udg::protocol::run_udg_stack;
@@ -180,12 +180,11 @@ fn repair_fixture() -> (
 fn repair_lossy_traced_is_thread_invariant_and_reconciles() {
     let (udg, set, alive) = repair_fixture();
     let g = udg.graph();
-    let cfg = RepairConfig::new(3);
-    let (lossless, _) = run_repair_stack(g, &set, &alive, 2, &cfg, Stack::new()).expect("lossless");
+    let (lossless, _) = run_repair_stack(g, &set, &alive, 2, Stack::new()).expect("lossless");
     assert!(!lossless.added.is_empty(), "fixture repairs nothing");
     let (ref_run, ref_log) = with_threads(1, || {
         let (run, log) =
-            run_repair_stack(g, &set, &alive, 2, &cfg, lossy_traced(0.1)).expect("lossy+traced");
+            run_repair_stack(g, &set, &alive, 2, lossy_traced(0.1)).expect("lossy+traced");
         let log = log.expect("traced stack records a log");
         check_log(&log, &run.metrics, "repair lossy+traced");
         check_conservation(&run.metrics, "repair lossy+traced");
@@ -197,8 +196,8 @@ fn repair_lossy_traced_is_thread_invariant_and_reconciles() {
     assert!(ref_run.metrics.retransmits > 0, "no loss was exercised");
     for &t in THREADS {
         let (run, log) = with_threads(t, || {
-            let (run, log) = run_repair_stack(g, &set, &alive, 2, &cfg, lossy_traced(0.1))
-                .expect("lossy+traced");
+            let (run, log) =
+                run_repair_stack(g, &set, &alive, 2, lossy_traced(0.1)).expect("lossy+traced");
             (run, log.expect("traced stack records a log"))
         });
         assert_eq!(ref_run.set, run.set, "t={t}");
@@ -212,13 +211,11 @@ fn repair_lossy_traced_is_thread_invariant_and_reconciles() {
 fn repair_churned_lossy_is_thread_invariant_and_reconciles() {
     let (udg, set, alive) = repair_fixture();
     let g = udg.graph();
-    let cfg = RepairConfig::new(3);
-    let (lossless, _) = run_repair_stack(g, &set, &alive, 2, &cfg, Stack::new()).expect("lossless");
+    let (lossless, _) = run_repair_stack(g, &set, &alive, 2, Stack::new()).expect("lossless");
     // Subgraph node 5 goes down for physical rounds 2..8.
     let stack = || churned_lossy_traced(0.05, 5, 2, 8);
     let (ref_run, ref_log) = with_threads(1, || {
-        let (run, log) =
-            run_repair_stack(g, &set, &alive, 2, &cfg, stack()).expect("churned+lossy");
+        let (run, log) = run_repair_stack(g, &set, &alive, 2, stack()).expect("churned+lossy");
         let log = log.expect("traced stack records a log");
         check_log(&log, &run.metrics, "repair churned+lossy");
         check_conservation(&run.metrics, "repair churned+lossy");
@@ -232,8 +229,7 @@ fn repair_churned_lossy_is_thread_invariant_and_reconciles() {
     assert_eq!(ref_run.iterations, lossless.iterations);
     for &t in THREADS {
         let (run, log) = with_threads(t, || {
-            let (run, log) =
-                run_repair_stack(g, &set, &alive, 2, &cfg, stack()).expect("churned+lossy");
+            let (run, log) = run_repair_stack(g, &set, &alive, 2, stack()).expect("churned+lossy");
             (run, log.expect("traced stack records a log"))
         });
         assert_eq!(ref_run.set, run.set, "t={t}");
@@ -406,15 +402,8 @@ fn run_all(stack: impl Fn() -> Stack) -> (Results, Vec<Metrics>) {
     for v in alg3.run.set.ids().take(8) {
         alive[v.index()] = false;
     }
-    let (repair, _) = run_repair_stack(
-        udg.graph(),
-        &alg3.run.set,
-        &alive,
-        2,
-        &RepairConfig::new(3),
-        stack(),
-    )
-    .expect("repair");
+    let (repair, _) =
+        run_repair_stack(udg.graph(), &alg3.run.set, &alive, 2, stack()).expect("repair");
     let metrics = vec![alg1.metrics, alg2.metrics, alg3.metrics, repair.metrics];
     let results = (
         alg1.solution,

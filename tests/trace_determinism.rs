@@ -15,7 +15,7 @@
 
 use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_stack};
 use ftclust::core::fractional::FractionalParams;
-use ftclust::core::repair::{run_repair_stack, RepairConfig};
+use ftclust::core::repair::run_repair_stack;
 use ftclust::core::rounding::protocol::run_rounding_stack;
 use ftclust::core::rounding::RoundingParams;
 use ftclust::core::udg::protocol::run_udg_stack;
@@ -146,19 +146,17 @@ fn repair_traces_are_thread_invariant() {
                 alive[v.index()] = false;
             }
         }
-        let cfg = RepairConfig::new(5);
         let (ref_run, ref_log) = with_threads(1, || {
-            let (run, log) = run_repair_stack(g, &base.set, &alive, 2, &cfg, Stack::new().traced())
-                .expect("repair");
+            let (run, log) =
+                run_repair_stack(g, &base.set, &alive, 2, Stack::new().traced()).expect("repair");
             let log = log.expect("traced stack must produce a log");
             check_log(&log, &run.metrics, "repair");
             (run, log)
         });
         for &t in THREADS {
             let (run, log) = with_threads(t, || {
-                let (run, log) =
-                    run_repair_stack(g, &base.set, &alive, 2, &cfg, Stack::new().traced())
-                        .expect("repair");
+                let (run, log) = run_repair_stack(g, &base.set, &alive, 2, Stack::new().traced())
+                    .expect("repair");
                 (run, log.unwrap())
             });
             assert_eq!(ref_run, run, "seed={seed} t={t}");

@@ -9,7 +9,7 @@
 
 use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_stack};
 use ftclust::core::fractional::FractionalParams;
-use ftclust::core::repair::{run_repair_protocol, run_repair_stack, RepairConfig};
+use ftclust::core::repair::{run_repair_protocol, run_repair_stack};
 use ftclust::core::rounding::protocol::{run_rounding_protocol, run_rounding_stack};
 use ftclust::core::rounding::RoundingParams;
 use ftclust::core::udg::protocol::{run_udg_protocol, run_udg_stack};
@@ -95,11 +95,10 @@ fn repair_survives_loss_unchanged() {
     for v in base.set.ids().take(10) {
         alive[v.index()] = false;
     }
-    let cfg = RepairConfig::new(3);
-    let direct = run_repair_protocol(g, &base.set, &alive, 2, &cfg).unwrap();
+    let direct = run_repair_protocol(g, &base.set, &alive, 2).unwrap();
     assert!(!direct.added.is_empty(), "fixture repairs nothing");
     for p in DROPS {
-        let (r, _) = run_repair_stack(g, &base.set, &alive, 2, &cfg, lossy_stack(p)).unwrap();
+        let (r, _) = run_repair_stack(g, &base.set, &alive, 2, lossy_stack(p)).unwrap();
         assert_eq!(r.set, direct.set, "repair set diverged at p = {p}");
         assert_eq!(
             r.added, direct.added,
@@ -123,15 +122,7 @@ fn lossy_executions_are_thread_invariant() {
         for v in u.run.set.ids().take(8) {
             alive[v.index()] = false;
         }
-        let (r, _) = run_repair_stack(
-            g,
-            &u.run.set,
-            &alive,
-            2,
-            &RepairConfig::new(1),
-            lossy_stack(0.1),
-        )
-        .unwrap();
+        let (r, _) = run_repair_stack(g, &u.run.set, &alive, 2, lossy_stack(0.1)).unwrap();
         (
             f.solution,
             fingerprint(&f.metrics),
