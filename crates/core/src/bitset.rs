@@ -3,20 +3,12 @@
 //! The in-memory engines spend most of their time scanning boolean node
 //! masks: *is this neighbor a leader / white / needy?* As `Vec<bool>`,
 //! those masks cost one byte per node; packed into `u64` words they are
-//! 8× denser, whole-mask operations (`any`, `count`, `|=`, `&=`) run 64
-//! nodes per instruction, and the hot coverage scans touch an eighth of
-//! the cache lines.
-//!
-//! Determinism discipline: a [`BitSet`] is plain data — building one in
-//! parallel is safe exactly when every worker owns whole *words*
-//! ([`BitSet::words_mut`] with word-aligned chunking), because two nodes
-//! in one word alias one memory cell. Engines that flip bits from a
-//! parallel phase therefore collect per-shard index lists and apply them
-//! serially in shard order, exactly like every other merge in this
-//! workspace (see `DESIGN.md` §8 and §12).
+//! 8× denser, whole-mask operations (`any`, `count`) run 64 nodes per
+//! instruction, and the hot coverage scans touch an eighth of the cache
+//! lines. The engines are serial, so a set is plain data with no
+//! sharing discipline.
 
-use ftclust_graphs::{Graph, NodeId};
-use ftclust_par as par;
+use ftclust_graphs::Graph;
 
 /// Bits per storage word.
 const WORD_BITS: usize = 64;
@@ -52,28 +44,16 @@ impl BitSet {
         set
     }
 
-    /// Builds a set of `len` indices from a predicate, filling whole
-    /// words **in parallel** (each worker owns a word-aligned chunk, so
-    /// no two workers share a word and the result is identical at every
-    /// thread count). The predicate must be a pure function of state
-    /// frozen for the call.
-    pub fn from_fn_par(len: usize, pred: impl Fn(usize) -> bool + Sync) -> Self {
+    /// Builds a set of `len` indices from a predicate, one word at a
+    /// time.
+    pub fn from_fn(len: usize, pred: impl Fn(usize) -> bool) -> Self {
         let mut set = BitSet::new(len);
-        let nwords = set.words.len();
-        par::par_chunks_mut(
-            &mut set.words,
-            par::default_chunk(nwords),
-            |word_start, words| {
-                for (j, w) in words.iter_mut().enumerate() {
-                    let base = (word_start + j) * WORD_BITS;
-                    let mut bits = 0u64;
-                    for b in 0..WORD_BITS.min(len - base) {
-                        bits |= u64::from(pred(base + b)) << b;
-                    }
-                    *w = bits;
-                }
-            },
-        );
+        for (wi, w) in set.words.iter_mut().enumerate() {
+            let base = wi * WORD_BITS;
+            for b in 0..WORD_BITS.min(len - base) {
+                *w |= u64::from(pred(base + b)) << b;
+            }
+        }
         set
     }
 
@@ -154,14 +134,6 @@ impl BitSet {
         (0..self.len).map(|i| self.get(i)).collect()
     }
 
-    /// The backing words, for word-aligned parallel construction.
-    ///
-    /// Writers must keep the tail invariant: bits at positions `≥ len`
-    /// in the last word stay zero.
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
     /// The backing words, read-only.
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -169,26 +141,26 @@ impl BitSet {
 }
 
 /// Per-node count of `members` in each closed neighborhood — the
-/// coverage-repair engine's k-coverage scan. Runs data-parallel over nodes; each count is a pure function
-/// of the frozen membership mask, so the result is identical at every
-/// thread count.
+/// coverage-repair engine's k-coverage scan.
 ///
 /// # Panics
 ///
 /// Panics if the mask length mismatches the graph.
 pub fn coverage_counts(g: &Graph, members: &BitSet) -> Vec<u32> {
     assert_eq!(members.len(), g.node_count(), "membership mask mismatch");
-    par::par_map_range(g.node_count(), |i| {
-        g.closed_neighbors(NodeId::new(i as u32))
-            .filter(|w| members.get(w.index()))
-            .count() as u32
-    })
+    g.nodes()
+        .map(|v| {
+            g.closed_neighbors(v)
+                .filter(|w| members.get(w.index()))
+                .count() as u32
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftclust_graphs::generators;
+    use ftclust_graphs::{generators, NodeId};
 
     #[test]
     fn insert_get_remove_roundtrip() {
@@ -221,14 +193,15 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_par_matches_serial_at_any_thread_count() {
+    fn from_fn_matches_from_bools_across_word_boundaries() {
         let pred = |i: usize| i.is_multiple_of(7) || i % 11 == 3;
-        for n in [0usize, 1, 64, 65, 1000] {
-            let expect: Vec<bool> = (0..n).map(pred).collect();
-            for threads in [1usize, 2, 7] {
-                let s = ftclust_par::with_threads(threads, || BitSet::from_fn_par(n, pred));
-                assert_eq!(s.to_bools(), expect, "n={n} threads={threads}");
-            }
+        for n in [0usize, 1, 63, 64, 65, 128, 129, 1000] {
+            let bools: Vec<bool> = (0..n).map(pred).collect();
+            assert_eq!(
+                BitSet::from_fn(n, pred),
+                BitSet::from_bools(&bools),
+                "n={n}"
+            );
         }
     }
 
@@ -250,14 +223,14 @@ mod tests {
         }
         assert_eq!(s.count(), 70);
         assert_eq!(s.words()[1], (1u64 << 6) - 1);
-        let t = BitSet::from_fn_par(70, |_| true);
+        let t = BitSet::from_fn(70, |_| true);
         assert_eq!(t.words()[1], (1u64 << 6) - 1);
     }
 
     #[test]
     fn coverage_counts_matches_scalar_scan() {
         let g = generators::gnp(150, 0.08, 9);
-        let members = BitSet::from_fn_par(g.node_count(), |i| i % 4 == 1);
+        let members = BitSet::from_fn(g.node_count(), |i| i % 4 == 1);
         let got = coverage_counts(&g, &members);
         for (i, &got) in got.iter().enumerate() {
             let want = g

@@ -5,19 +5,14 @@
 //! implementation in [`super::protocol`] performs the same floating-point
 //! operations in the same order, so both produce bit-identical results.
 //!
-//! The per-node loops (threshold powers, raises, dual accounting, dynamic
-//! degrees, dual assembly) run data-parallel over contiguous node shards
-//! via `ftclust_par`: every node writes only its own slots (`x_i`,
-//! `cov_i`, the `α`/`β` slots of its out-edges, …) and reads only state
-//! frozen for the phase, so the arithmetic — per node, in program order —
-//! is **identical for every thread count**, including the serial fallback.
+//! The engine is a serial reference: tests compare the protocol against
+//! it and the benchmark computes its reference set with it, outside any
+//! timed part. Each phase is one plain loop over the nodes in id order.
 
 use super::{DeltaKnowledge, FractionalParams, FractionalSolution};
 use crate::bitset::BitSet;
 use crate::{Instance, KmdsError};
 use ftclust_graphs::NodeId;
-use ftclust_par as par;
-use par::default_chunk as par_chunk;
 
 /// Tolerance for "x has reached its cap of 1".
 const X_EPS: f64 = 1e-12;
@@ -27,32 +22,30 @@ const THRESH_EPS: f64 = 1e-9;
 /// Tolerance for the coverage test `c_i ≥ k_i`.
 const COV_EPS: f64 = 1e-9;
 
-/// Mutable per-run state of Algorithm 1, shared between the engine and the
-/// protocol implementation (each protocol node owns the slice of this state
-/// belonging to it; the engine owns all of it).
-#[derive(Debug, Clone)]
-pub(crate) struct AlgoState {
-    pub x: Vec<f64>,
-    pub xplus: Vec<f64>,
-    pub cov: Vec<f64>,
-    pub white: BitSet,
-    pub dyndeg: Vec<u32>,
+/// Mutable per-run state of Algorithm 1.
+#[derive(Debug)]
+struct AlgoState {
+    x: Vec<f64>,
+    xplus: Vec<f64>,
+    cov: Vec<f64>,
+    white: BitSet,
+    dyndeg: Vec<u32>,
     /// `α_{j,i}` stored at observing node `i` in slot `(i → j)`.
-    pub alpha: Vec<f64>,
-    pub alpha_self: Vec<f64>,
+    alpha: Vec<f64>,
+    alpha_self: Vec<f64>,
     /// `β_{j,i}`, same layout.
-    pub beta: Vec<f64>,
-    pub beta_self: Vec<f64>,
-    pub y: Vec<f64>,
+    beta: Vec<f64>,
+    beta_self: Vec<f64>,
+    y: Vec<f64>,
 }
 
 impl AlgoState {
-    pub(crate) fn new(inst: &Instance<'_>) -> Self {
+    fn new(inst: &Instance<'_>) -> Self {
         let g = inst.graph();
         let n = g.node_count();
         // Nodes with zero demand are covered from the start: they are gray
         // immediately ("colored gray as soon as completely covered").
-        let white = BitSet::from_fn_par(n, |i| inst.demands()[i] > 0);
+        let white = BitSet::from_fn(n, |i| inst.demands()[i] > 0);
         let mut state = AlgoState {
             x: vec![0.0; n],
             xplus: vec![0.0; n],
@@ -69,56 +62,81 @@ impl AlgoState {
         state
     }
 
-    pub(crate) fn recompute_dyndeg(&mut self, inst: &Instance<'_>) {
-        let g = inst.graph();
-        let n = g.node_count();
-        let AlgoState { white, dyndeg, .. } = self;
-        let white = &*white;
-        par::par_chunks_mut(dyndeg, par_chunk(n), |start, chunk| {
-            for (j, d) in chunk.iter_mut().enumerate() {
-                let v = NodeId::new((start + j) as u32);
-                *d = g
-                    .closed_neighbors(v)
-                    .filter(|w| white.get(w.index()))
-                    .count() as u32;
-            }
-        });
+    /// Lines 5–9 of inner iteration `q`: simultaneous raises against the
+    /// dynamic degrees of the previous exchange.
+    fn raise(&mut self, d1: &[f64], threshold: &[f64], q: u32, t: u32) {
+        for (i, (x, xp)) in self.x.iter_mut().zip(&mut self.xplus).enumerate() {
+            let inc = d1[i].powf(-(q as f64) / t as f64);
+            *xp = raise_at(x, self.dyndeg[i], threshold[i], inc);
+        }
     }
-}
 
-/// One worker's contiguous block of the raise phase: it owns `x` and
-/// `xplus` for nodes `start..start + x.len()`.
-struct RaiseShard<'s> {
-    start: usize,
-    x: &'s mut [f64],
-    xplus: &'s mut [f64],
-}
+    /// Lines 10–22: dual accounting at white nodes, using the raises just
+    /// exchanged. A node reads only its own white bit here, so it may turn
+    /// gray in place.
+    fn account_white(&mut self, inst: &Instance<'_>, threshold: &[f64]) {
+        let g = inst.graph();
+        let AlgoState {
+            xplus,
+            cov,
+            white,
+            alpha,
+            alpha_self,
+            beta,
+            beta_self,
+            y,
+            ..
+        } = self;
+        let xplus = &xplus[..];
+        let (alpha, beta) = (&mut alpha[..], &mut beta[..]);
+        for v in g.nodes() {
+            let i = v.index();
+            if !white.get(i) {
+                continue;
+            }
+            let mut cplus = xplus[i];
+            for &w in g.neighbors(v) {
+                cplus += xplus[w.index()];
+            }
+            let slot_start = g.slot_range(v).start;
+            let turned_gray = account(
+                inst.demand(v) as f64,
+                threshold[i],
+                &mut cov[i],
+                cplus,
+                xplus[i],
+                &mut alpha_self[i],
+                &mut beta_self[i],
+                g.neighbors(v).iter().map(|&w| xplus[w.index()]),
+                |o, da, db| {
+                    alpha[slot_start + o] += da;
+                    beta[slot_start + o] += db;
+                },
+            );
+            if let Some(yv) = turned_gray {
+                white.remove(i);
+                y[i] = yv;
+            }
+        }
+    }
 
-/// One worker's contiguous block of the accounting phase: per-node state
-/// for `nodes`, plus the `α`/`β` slot sub-slices covering exactly those
-/// nodes' out-edges (slot indices shifted down by `slot_base`).
-struct AccountShard<'s> {
-    nodes: std::ops::Range<usize>,
-    slot_base: usize,
-    cov: &'s mut [f64],
-    alpha: &'s mut [f64],
-    alpha_self: &'s mut [f64],
-    beta: &'s mut [f64],
-    beta_self: &'s mut [f64],
-    y: &'s mut [f64],
-    /// Nodes of this shard that turned gray during the phase. The white
-    /// bit set is packed (two nodes share a word), so shards read it
-    /// frozen and the flips are applied serially in shard order after the
-    /// parallel part — each node reads only its own bit, which no other
-    /// node writes, so the staging changes nothing.
-    gray: Vec<u32>,
+    /// Lines 23–24: exchange colors, recompute dynamic degrees.
+    fn recompute_dyndeg(&mut self, inst: &Instance<'_>) {
+        let g = inst.graph();
+        let white = &self.white;
+        for (i, d) in self.dyndeg.iter_mut().enumerate() {
+            *d = g
+                .closed_neighbors(NodeId::new(i as u32))
+                .filter(|w| white.get(w.index()))
+                .count() as u32;
+        }
+    }
 }
 
 /// The raise step of inner iteration `(p, q)` at a single node
 /// (lines 5–8 of the pseudocode), operating on the node's own `x` cell.
-/// Returns `x_i^+`. A free function so the engine's sharded parallel loop
-/// touches nothing but the cells the shard owns.
-pub(crate) fn raise_at(x: &mut f64, dyndeg: u32, threshold: f64, inc: f64) -> f64 {
+/// Returns `x_i^+`.
+fn raise_at(x: &mut f64, dyndeg: u32, threshold: f64, inc: f64) -> f64 {
     if *x < 1.0 - X_EPS && (dyndeg as f64) >= threshold - THRESH_EPS {
         let xp = inc.min(1.0 - *x);
         *x += xp;
@@ -195,21 +213,19 @@ pub fn solve_fractional(
     let d1: Vec<f64> = match params.knowledge {
         DeltaKnowledge::Global => vec![(delta + 1) as f64; n],
         DeltaKnowledge::TwoHopMax => {
-            let deg: Vec<usize> = par::par_map_range(n, |i| g.degree(NodeId::new(i as u32)));
-            let hop1: Vec<usize> = par::par_map_range(n, |i| {
-                g.closed_neighbors(NodeId::new(i as u32))
-                    .map(|w| deg[w.index()])
-                    .max()
-                    .unwrap_or(0)
-            });
-            par::par_map_range(n, |i| {
-                let m = g
-                    .closed_neighbors(NodeId::new(i as u32))
-                    .map(|w| hop1[w.index()])
-                    .max()
-                    .unwrap_or(0);
-                (m + 1) as f64
-            })
+            let closed_max = |of: &[usize]| -> Vec<usize> {
+                g.nodes()
+                    .map(|v| {
+                        g.closed_neighbors(v)
+                            .map(|w| of[w.index()])
+                            .max()
+                            .unwrap_or(0)
+                    })
+                    .collect()
+            };
+            let deg: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
+            let hop2 = closed_max(&closed_max(&deg));
+            hop2.into_iter().map(|m| (m + 1) as f64).collect()
         }
     };
     let mut st = AlgoState::new(inst);
@@ -217,11 +233,9 @@ pub fn solve_fractional(
     let mut threshold = vec![0.0f64; n];
 
     for p in (0..t).rev() {
-        par::par_chunks_mut(&mut threshold, par_chunk(n), |start, chunk| {
-            for (j, th) in chunk.iter_mut().enumerate() {
-                *th = d1[start + j].powf(p as f64 / t as f64);
-            }
-        });
+        for (th, d) in threshold.iter_mut().zip(&d1) {
+            *th = d.powf(p as f64 / t as f64);
+        }
         // Lemma 4.1, measured: entering outer iteration p (for p < t−1),
         // every node with x_i < 1 has δ̃_i ≤ (Δ_i+1)^{(p+1)/t}. (Stated by
         // the paper for global Δ; measured for whichever knowledge model
@@ -235,133 +249,8 @@ pub fn solve_fractional(
             }
         }
         for q in (0..t).rev() {
-            // Lines 5–9: simultaneous raises. Each shard owns a contiguous
-            // block of `x`/`xplus`; `dyndeg` is frozen for the phase.
-            {
-                let AlgoState {
-                    x, xplus, dyndeg, ..
-                } = &mut st;
-                let dyndeg = &dyndeg[..];
-                let mut shards: Vec<RaiseShard<'_>> = Vec::new();
-                let (mut x_rest, mut xp_rest) = (&mut x[..], &mut xplus[..]);
-                for r in par::split_ranges(n, par::num_threads()) {
-                    let (x_here, x_next) = x_rest.split_at_mut(r.len());
-                    let (xp_here, xp_next) = xp_rest.split_at_mut(r.len());
-                    x_rest = x_next;
-                    xp_rest = xp_next;
-                    shards.push(RaiseShard {
-                        start: r.start,
-                        x: x_here,
-                        xplus: xp_here,
-                    });
-                }
-                par::par_for_each_mut(&mut shards, |_, s| {
-                    for (j, xj) in s.x.iter_mut().enumerate() {
-                        let i = s.start + j;
-                        let inc = d1[i].powf(-(q as f64) / t as f64);
-                        s.xplus[j] = raise_at(xj, dyndeg[i], threshold[i], inc);
-                    }
-                });
-            }
-            // Lines 10–22: dual accounting at white nodes, using the
-            // raises just exchanged. A white node writes only its own
-            // `cov`/`white`/`y`/dual cells and the `α, β` slots of its own
-            // out-edges, and reads only the frozen `xplus` — so contiguous
-            // node shards (with `α`/`β` cut at the matching slot
-            // boundaries) never touch each other's cells.
-            {
-                let AlgoState {
-                    xplus,
-                    cov,
-                    white,
-                    alpha,
-                    alpha_self,
-                    beta,
-                    beta_self,
-                    y,
-                    ..
-                } = &mut st;
-                let xplus = &xplus[..];
-                let white_ro = &*white;
-                let mut shards: Vec<AccountShard<'_>> = Vec::new();
-                let mut cov_r = &mut cov[..];
-                let (mut as_r, mut bs_r, mut y_r) =
-                    (&mut alpha_self[..], &mut beta_self[..], &mut y[..]);
-                let (mut alpha_r, mut beta_r) = (&mut alpha[..], &mut beta[..]);
-                let mut slot_base = 0usize;
-                for r in par::split_ranges(n, par::num_threads()) {
-                    let slot_end = if r.end == n {
-                        g.slot_count()
-                    } else {
-                        g.slot_range(NodeId::new(r.end as u32)).start
-                    };
-                    let len = r.len();
-                    let slots = slot_end - slot_base;
-                    let (cov_h, cov_n) = cov_r.split_at_mut(len);
-                    let (as_h, as_n) = as_r.split_at_mut(len);
-                    let (bs_h, bs_n) = bs_r.split_at_mut(len);
-                    let (y_h, y_n) = y_r.split_at_mut(len);
-                    let (alpha_h, alpha_n) = alpha_r.split_at_mut(slots);
-                    let (beta_h, beta_n) = beta_r.split_at_mut(slots);
-                    cov_r = cov_n;
-                    as_r = as_n;
-                    bs_r = bs_n;
-                    y_r = y_n;
-                    alpha_r = alpha_n;
-                    beta_r = beta_n;
-                    shards.push(AccountShard {
-                        nodes: r,
-                        slot_base,
-                        cov: cov_h,
-                        alpha: alpha_h,
-                        alpha_self: as_h,
-                        beta: beta_h,
-                        beta_self: bs_h,
-                        y: y_h,
-                        gray: Vec::new(),
-                    });
-                    slot_base = slot_end;
-                }
-                par::par_for_each_mut(&mut shards, |_, s| {
-                    for i in s.nodes.clone() {
-                        let li = i - s.nodes.start;
-                        if !white_ro.get(i) {
-                            continue;
-                        }
-                        let v = NodeId::new(i as u32);
-                        let mut cplus = xplus[i];
-                        for &w in g.neighbors(v) {
-                            cplus += xplus[w.index()];
-                        }
-                        let slot_start = g.slot_range(v).start - s.slot_base;
-                        let (alpha, beta) = (&mut *s.alpha, &mut *s.beta);
-                        let turned_gray = account(
-                            inst.demand(v) as f64,
-                            threshold[i],
-                            &mut s.cov[li],
-                            cplus,
-                            xplus[i],
-                            &mut s.alpha_self[li],
-                            &mut s.beta_self[li],
-                            g.neighbors(v).iter().map(|&w| xplus[w.index()]),
-                            |o, da, db| {
-                                alpha[slot_start + o] += da;
-                                beta[slot_start + o] += db;
-                            },
-                        );
-                        if let Some(yv) = turned_gray {
-                            s.gray.push(i as u32);
-                            s.y[li] = yv;
-                        }
-                    }
-                });
-                for s in &shards {
-                    for &i in &s.gray {
-                        white.remove(i as usize);
-                    }
-                }
-            }
-            // Lines 23–24: exchange colors, recompute dynamic degrees.
+            st.raise(&d1, &threshold, q, t);
+            st.account_white(inst, &threshold);
             st.recompute_dyndeg(inst);
             #[cfg(feature = "strict-invariants")]
             crate::audit::fractional_state(&st.x, &st.xplus, &st.cov);
@@ -371,19 +260,18 @@ pub fn solve_fractional(
     // Line 27: z_i = Σ_{j ∈ N[i]} (α_{i,j} y_j − β_{i,j}), where α_{i,j}
     // lives at node j in the reverse slot of (i → j).
     let rev = g.reverse_slots();
-    let mut z = vec![0.0f64; n];
-    par::par_chunks_mut(&mut z, par_chunk(n), |start, chunk| {
-        for (j, zj) in chunk.iter_mut().enumerate() {
-            let i = start + j;
-            let v = NodeId::new(i as u32);
+    let z: Vec<f64> = g
+        .nodes()
+        .map(|v| {
+            let i = v.index();
             let mut zi = st.alpha_self[i] * st.y[i] - st.beta_self[i];
             for (o, &w) in g.neighbors(v).iter().enumerate() {
                 let rs = rev[g.slot_range(v).start + o] as usize;
                 zi += st.alpha[rs] * st.y[w.index()] - st.beta[rs];
             }
-            *zj = zi;
-        }
-    });
+            zi
+        })
+        .collect();
 
     // Dual scaling: Lemma 4.4's κ under global knowledge; the measured
     // violation factor under the unknown-Δ variant (where the lemma's
@@ -391,18 +279,13 @@ pub fn solve_fractional(
     // still certifies a valid lower bound).
     let kappa = match params.knowledge {
         DeltaKnowledge::Global => t as f64 * ((delta + 1) as f64).powf(1.0 / t as f64),
-        DeltaKnowledge::TwoHopMax => {
-            // Per-node slacks in parallel; the max-fold stays in index
-            // order (not that `max` cares, but the habit is free).
-            let slack: Vec<f64> = par::par_map_range(n, |i| {
-                let colsum: f64 = g
-                    .closed_neighbors(NodeId::new(i as u32))
-                    .map(|w| st.y[w.index()])
-                    .sum();
-                colsum - z[i]
-            });
-            slack.into_iter().fold(1.0f64, f64::max)
-        }
+        DeltaKnowledge::TwoHopMax => g
+            .nodes()
+            .map(|v| {
+                let colsum: f64 = g.closed_neighbors(v).map(|w| st.y[w.index()]).sum();
+                colsum - z[v.index()]
+            })
+            .fold(1.0f64, f64::max),
     };
     let dual_raw: f64 = (0..n)
         .map(|i| inst.demands()[i] as f64 * st.y[i] - z[i])

@@ -33,8 +33,9 @@
 //!
 //! # Engine and protocol
 //!
-//! [`repair_coverage`] is the analytic engine: it evaluates the rounds
-//! directly on shared state (the fast path for sweeps).
+//! [`repair_coverage`] is the analytic engine: a serial reference that
+//! evaluates the rounds directly on shared state, one loop over the
+//! nodes per round.
 //! [`run_repair_protocol`] executes the same rounds as real message
 //! passing on [`ftclust_netsim`], and [`run_repair_stack`] does so under
 //! any executor stack, including **lossy links** behind the reliable
@@ -107,8 +108,6 @@ use ftclust_graphs::{Graph, NodeId};
 use ftclust_netsim::exec::{completed_iterations, Executor, Phase, Stack};
 use ftclust_netsim::monitor::HealthMonitor;
 use ftclust_netsim::{Context, Control, EventLog, Inbox, Metrics, NodeLogic, Payload, Topology};
-use ftclust_par as par;
-use std::ops::Range;
 
 /// Master seed of the stack drivers' loss and churn draws. The repair
 /// draws nothing itself, so the seed only picks which frames the lossy
@@ -178,17 +177,6 @@ pub struct RepairOutcome {
     pub deficit_nodes: usize,
 }
 
-/// One worker's contiguous block of a re-election iteration: its node
-/// range plus a local list of promotion targets, OR-merged afterwards
-/// (commutative), so the outcome is identical at every thread count.
-struct RepairShard {
-    range: Range<usize>,
-    targets: Vec<NodeId>,
-    /// Per-member needy-neighbor list, reused across the shard's members
-    /// so an iteration allocates at most one list per worker.
-    scratch: Vec<NodeId>,
-}
-
 /// Repairs `set` after failures so that the survivors again form a strict
 /// k-fold dominating set of the surviving subgraph.
 ///
@@ -215,13 +203,11 @@ pub fn repair_coverage(
     check_inputs(n, set, Some(alive), Some(k))?;
 
     // Surviving membership: dead members are gone.
-    let mut member = BitSet::from_fn_par(n, |i| alive[i] && set.contains(NodeId::new(i as u32)));
-    let alive_deg: Vec<u32> = par::par_map_range(n, |i| {
-        g.neighbors(NodeId::new(i as u32))
-            .iter()
-            .filter(|w| alive[w.index()])
-            .count() as u32
-    });
+    let mut member = BitSet::from_fn(n, |i| alive[i] && set.contains(NodeId::new(i as u32)));
+    let alive_deg: Vec<u32> = g
+        .nodes()
+        .map(|v| g.neighbors(v).iter().filter(|w| alive[w.index()]).count() as u32)
+        .collect();
 
     let mut messages = 0u64;
     let mut message_bits = 0u64;
@@ -241,7 +227,7 @@ pub fn repair_coverage(
     let mut iterations = 0u32;
     loop {
         let cov = coverage_counts(g, &member);
-        let needy = BitSet::from_fn_par(n, |i| alive[i] && !member.get(i) && cov[i] < k);
+        let needy = BitSet::from_fn(n, |i| alive[i] && !member.get(i) && cov[i] < k);
         if iterations == 0 {
             deficit_nodes = needy.count();
             peak_deficit = needy.iter_ones().map(|i| k - cov[i]).max().unwrap_or(0);
@@ -258,10 +244,8 @@ pub fn repair_coverage(
             messages += deg;
             message_bits += deg * PromotionMsg::Needy { cov: cov[i] }.bit_size() as u64;
         }
-        // Round 2: self-elections and member promotions. Targets are
-        // OR-merged after the parallel part (commutative), so sharding
-        // changes nothing.
-        let self_elect = BitSet::from_fn_par(n, |i| {
+        // Round 2: self-elections and member promotions.
+        let mut joins = BitSet::from_fn(n, |i| {
             needy.get(i)
                 && (alive_deg[i] < k
                     || !g
@@ -269,36 +253,18 @@ pub fn repair_coverage(
                         .iter()
                         .any(|w| member.get(w.index())))
         });
-        let mut shards: Vec<RepairShard> = par::split_ranges(n, par::num_threads())
-            .into_iter()
-            .map(|range| RepairShard {
-                range,
-                targets: Vec::new(),
-                scratch: Vec::new(),
-            })
-            .collect();
-        par::par_for_each_mut(&mut shards, |_, s| {
-            for i in s.range.clone() {
-                if !member.get(i) {
-                    continue;
-                }
-                let v = NodeId::new(i as u32);
-                s.scratch.clear();
-                s.scratch.extend(
-                    g.neighbors(v)
-                        .iter()
-                        .copied()
-                        .filter(|w| needy.get(w.index())),
-                );
-                s.targets
-                    .extend_from_slice(select_promotions(&s.scratch, k as usize));
-            }
-        });
-        let mut joins = self_elect;
         let mut promote_msgs = 0u64;
-        for s in &shards {
-            promote_msgs += s.targets.len() as u64;
-            for w in &s.targets {
+        let mut needy_nbrs: Vec<NodeId> = Vec::new();
+        for i in member.iter_ones() {
+            needy_nbrs.clear();
+            needy_nbrs.extend(
+                g.neighbors(NodeId::new(i as u32))
+                    .iter()
+                    .copied()
+                    .filter(|w| needy.get(w.index())),
+            );
+            for w in select_promotions(&needy_nbrs, k as usize) {
+                promote_msgs += 1;
                 joins.insert(w.index());
             }
         }
@@ -1161,7 +1127,7 @@ mod tests {
         let runs: Vec<_> = [1usize, 2, 7]
             .into_iter()
             .map(|t| {
-                par::with_threads(t, || {
+                ftclust_par::with_threads(t, || {
                     run_repair_continuous(g, &run.set, 2, 8, stack()).unwrap()
                 })
             })

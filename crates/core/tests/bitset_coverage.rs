@@ -63,7 +63,7 @@ proptest! {
 fn degree_zero_nodes_count_only_themselves() {
     // An empty graph: closed neighborhood = the node alone.
     let g = generators::empty(70); // crosses a word boundary
-    let members = BitSet::from_fn_par(70, |i| i % 2 == 0);
+    let members = BitSet::from_fn(70, |i| i % 2 == 0);
     let cov = coverage_counts(&g, &members);
     for (i, &c) in cov.iter().enumerate() {
         assert_eq!(c, u32::from(i % 2 == 0), "isolated node {i}");

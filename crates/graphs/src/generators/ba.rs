@@ -29,7 +29,7 @@ pub fn barabasi_albert(n: u32, m_attach: u32, seed: u64) -> Graph {
     assert!(
         n > m_attach,
         "need at least m_attach + 1 = {} nodes, got {n}",
-        m_attach + 1
+        u64::from(m_attach) + 1
     );
     let mut rng = rng_from_seed(seed);
     let mut b = GraphBuilder::new(n);
@@ -104,5 +104,11 @@ mod tests {
     #[should_panic(expected = "at least m_attach + 1")]
     fn too_few_nodes_panics() {
         let _ = barabasi_albert(2, 2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least m_attach + 1 = 4294967296 nodes")]
+    fn largest_attachment_count_panics_with_its_true_node_count() {
+        let _ = barabasi_albert(u32::MAX, u32::MAX, 0);
     }
 }

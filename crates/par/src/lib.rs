@@ -2,18 +2,16 @@
 //! workspace.
 //!
 //! The build environment has no registry access, so instead of `rayon`
-//! this crate provides the small subset of fork-join parallelism the
-//! simulator and engines need, built entirely on [`std::thread::scope`]
-//! (no `unsafe`, no dependencies):
+//! this crate provides the two fork-join primitives the workspace uses,
+//! built entirely on [`std::thread::scope`] (no `unsafe`, no
+//! dependencies):
 //!
 //! * [`par_map_range`] — map over an index range, with the results
 //!   **always merged in index order**, so a parallel run returns exactly
-//!   what the serial run returns,
-//! * [`par_chunks_mut`] / [`par_for_each_mut`] — mutate disjoint chunks
-//!   of a slice in place (the caller pre-splits any further state along
-//!   the same boundaries with `split_at_mut`),
+//!   what the serial run returns (the experiments' trial fan-out),
 //! * [`par_each_mut`] — one worker per item, for callers that resolved
-//!   their thread count once and pre-split their work to match,
+//!   their thread count once and pre-split their work to match (the
+//!   simulator's sharded node round),
 //! * [`split_ranges`] — the canonical contiguous block partition, shared
 //!   so every layer shards the same way.
 //!
@@ -32,7 +30,7 @@
 //! ([`with_threads`], used by tests and the perf baseline), the
 //! `FTCLUST_THREADS` environment variable (a positive integer; anything
 //! else is ignored), and finally [`std::thread::available_parallelism`].
-//! At one thread every primitive runs inline without spawning.
+//! At one thread [`par_map_range`] runs inline without spawning.
 //!
 //! Worker panics are re-raised on the calling thread with their original
 //! payload once the scope has joined.
@@ -88,9 +86,8 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// Splits `0..len` into at most `parts` contiguous, non-empty ranges of
 /// near-equal size, in index order. Returns no ranges for `len == 0`.
 ///
-/// This is the partition every parallel primitive here uses; engines that
-/// shard additional state with `split_at_mut` use it too, so all layers
-/// agree on the block boundaries.
+/// This is the partition [`par_map_range`] uses; the simulator cuts its
+/// node shards with it too, so all layers agree on the block boundaries.
 pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
@@ -106,12 +103,6 @@ pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
         start += size;
     }
     out
-}
-
-/// The chunk length that gives every worker one contiguous block of `len`
-/// items — the canonical `chunk_size` argument for [`par_chunks_mut`].
-pub fn default_chunk(len: usize) -> usize {
-    len.div_ceil(num_threads()).max(1)
 }
 
 /// Joins a worker, re-raising its panic payload on the calling thread.
@@ -150,67 +141,11 @@ where
     })
 }
 
-/// Calls `f(chunk_start_index, chunk)` for every `chunk_size`-sized chunk
-/// of `data` (the last chunk may be shorter), distributing whole chunks
-/// over the workers as contiguous batches.
-///
-/// The chunk decomposition — and therefore each invocation `f` sees — is
-/// independent of the thread count; only the worker executing it varies.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_size: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let chunk = chunk_size.max(1);
-    let n_chunks = data.len().div_ceil(chunk);
-    let threads = num_threads();
-    if threads <= 1 || n_chunks <= 1 {
-        for (ci, c) in data.chunks_mut(chunk).enumerate() {
-            f(ci * chunk, c);
-        }
-        return;
-    }
-    let batches = split_ranges(n_chunks, threads);
-    std::thread::scope(|s| {
-        let f = &f;
-        let mut handles = Vec::with_capacity(batches.len());
-        let mut rest = data;
-        for b in batches {
-            let elems = ((b.end - b.start) * chunk).min(rest.len());
-            let (head, tail) = rest.split_at_mut(elems);
-            rest = tail;
-            let base = b.start * chunk;
-            handles.push(s.spawn(move || {
-                for (j, c) in head.chunks_mut(chunk).enumerate() {
-                    f(base + j * chunk, c);
-                }
-            }));
-        }
-        for h in handles {
-            join_unwinding(h);
-        }
-    });
-}
-
-/// Calls `f(index, &mut item)` for every element, one contiguous block
-/// per worker. Convenience wrapper over [`par_chunks_mut`].
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    par_chunks_mut(items, default_chunk(items.len()), |start, chunk| {
-        for (j, item) in chunk.iter_mut().enumerate() {
-            f(start + j, item);
-        }
-    });
-}
-
 /// Calls `f(index, &mut item)` for every element, each on its own
 /// worker (inline when there is at most one element).
 ///
 /// For callers that already cut their work into one item per worker,
-/// using a thread count they resolved once: unlike the primitives above,
+/// using a thread count they resolved once: unlike [`par_map_range`],
 /// this reads no thread-count setting, so a hot loop calling it every
 /// iteration touches neither the environment nor [`num_threads`].
 pub fn par_each_mut<T, F>(items: &mut [T], f: F)
@@ -313,33 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_visits_every_chunk_once_with_correct_base() {
-        for threads in [1usize, 2, 5] {
-            for chunk in [1usize, 3, 64, 1000] {
-                let mut data = vec![0usize; 100];
-                with_threads(threads, || {
-                    par_chunks_mut(&mut data, chunk, |start, c| {
-                        for (j, slot) in c.iter_mut().enumerate() {
-                            *slot += start + j + 1;
-                        }
-                    });
-                });
-                let expect: Vec<usize> = (1..=100).collect();
-                assert_eq!(data, expect, "threads={threads} chunk={chunk}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_for_each_mut_passes_global_indices() {
-        let mut data = vec![0usize; 97];
-        with_threads(4, || par_for_each_mut(&mut data, |i, slot| *slot = i * i));
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i * i);
-        }
-    }
-
-    #[test]
     fn par_each_mut_visits_every_item_once() {
         for len in [0usize, 1, 2, 5] {
             let mut data = vec![0usize; len];
@@ -374,17 +282,6 @@ mod tests {
                 assert!(i != 17, "worker exploded");
                 i
             })
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "mutating worker exploded")]
-    fn chunks_mut_panic_propagates() {
-        let mut data = vec![0u8; 64];
-        with_threads(3, || {
-            par_chunks_mut(&mut data, 4, |start, _| {
-                assert!(start != 16, "mutating worker exploded");
-            });
         });
     }
 }

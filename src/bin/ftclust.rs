@@ -126,13 +126,25 @@ fn cmd_generate(opts: &Options) -> Result<(), String> {
     }
     let seed: u64 = opts.parse_num("seed", 0)?;
     let avg: f64 = opts.parse_num("avg-degree", 10.0)?;
+    // The geometric families spread the nodes over an area of n·π/avg.
+    let area = n as f64 * std::f64::consts::PI / avg;
+    if !(avg.is_finite() && avg > 0.0 && area.is_finite()) {
+        return Err(format!(
+            "--avg-degree must be positive and finite, got {avg}"
+        ));
+    }
     let out = opts.require("out")?;
     let (graph, positions): (Graph, Option<Vec<ftclust::geometry::Point>>) = match family {
         "gnp" => (generators::gnp(n, (avg / n as f64).min(1.0), seed), None),
-        "ba" => (
-            generators::barabasi_albert(n, ((avg / 2.0) as u32).max(1), seed),
-            None,
-        ),
+        "ba" => {
+            let attach = ((avg / 2.0) as u32).max(1);
+            if attach >= n {
+                return Err(format!(
+                    "family `ba` attaches {attach} edges per node, which needs more than {n} --nodes"
+                ));
+            }
+            (generators::barabasi_albert(n, attach, seed), None)
+        }
         "grid" => {
             let side = (n as f64).sqrt().round().max(2.0) as u32;
             (generators::grid_2d(side, side), None)
@@ -143,7 +155,7 @@ fn cmd_generate(opts: &Options) -> Result<(), String> {
             (udg.graph().clone(), Some(udg.positions().to_vec()))
         }
         "clustered" => {
-            let side = (n as f64 * std::f64::consts::PI / avg).sqrt();
+            let side = area.sqrt();
             let udg = generators::clustered_udg(n, (n / 100).max(2), side, side / 20.0, 1.0, seed);
             (udg.graph().clone(), Some(udg.positions().to_vec()))
         }
@@ -286,7 +298,7 @@ mod tests {
     use super::*;
 
     fn strs(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
+        parts.iter().map(ToString::to_string).collect()
     }
 
     #[test]
@@ -311,6 +323,39 @@ mod tests {
     fn unknown_command_fails() {
         assert!(run(&strs(&["frobnicate"])).is_err());
         assert!(run(&[]).is_err());
+    }
+
+    #[test]
+    fn generate_rejects_bad_degrees() {
+        let out = std::env::temp_dir().join("ftclust_cli_bad_degree.txt");
+        let _ = std::fs::remove_file(&out);
+        for (family, avg) in [
+            ("gnp", "-1"),
+            ("gnp", "nan"),
+            ("gnp", "0"),
+            ("rgg", "-1"),
+            ("rgg", "0"),
+            ("rgg", "NaN"),
+            ("rgg", "1e-320"),
+            ("clustered", "-1"),
+            ("clustered", "inf"),
+            ("ba", "inf"),
+            ("ba", "100"),
+        ] {
+            let args = [
+                "generate",
+                "--family",
+                family,
+                "--nodes",
+                "50",
+                "--avg-degree",
+                avg,
+                "--out",
+                out.to_str().unwrap(),
+            ];
+            assert!(run(&strs(&args)).is_err(), "{family} --avg-degree {avg}");
+            assert!(!out.exists(), "{family} --avg-degree {avg} wrote a graph");
+        }
     }
 
     #[test]

@@ -215,8 +215,11 @@ impl Payload for Mix {
 /// message it receives as `(round, from, payload)`, in inbox order.
 struct Mixed {
     halt_at: u64,
-    heard: Vec<(u64, u32, u64)>,
+    heard: Heard,
 }
+
+/// One node's received messages as `(round, sender, tag)`, in order.
+type Heard = Vec<(u64, u32, u64)>;
 
 impl NodeLogic for Mixed {
     type Payload = Mix;
@@ -279,7 +282,7 @@ impl NodeLogic for Mixed {
 }
 
 /// Every node's received sequence and the run's metrics under `stack`.
-fn mixed_run(g: &Graph, seed: u64, stack: Stack) -> (Vec<Vec<(u64, u32, u64)>>, Metrics) {
+fn mixed_run(g: &Graph, seed: u64, stack: Stack) -> (Vec<Heard>, Metrics) {
     let make = |v: NodeId| Mixed {
         halt_at: 3 + u64::from(v.raw()) % 5,
         heard: Vec::new(),

@@ -210,7 +210,7 @@ fn is_float_literal(token: &str) -> bool {
         }
         prev = c;
     }
-    seen_dot_or_exp && !t.ends_with('.') || (seen_dot_or_exp && t.ends_with(".0"))
+    seen_dot_or_exp && !t.ends_with('.')
 }
 
 #[cfg(test)]

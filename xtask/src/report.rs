@@ -34,7 +34,7 @@ pub(crate) fn counts(violations: &[Violation]) -> BTreeMap<&'static str, u64> {
 }
 
 /// Violations in the canonical report order: (path, line, rule).
-pub(crate) fn sorted<'v>(violations: &'v [Violation]) -> Vec<&'v Violation> {
+pub(crate) fn sorted(violations: &[Violation]) -> Vec<&Violation> {
     let mut out: Vec<&Violation> = violations.iter().collect();
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     out

@@ -222,7 +222,7 @@ fn starts_raw_or_byte_literal(bytes: &[u8], i: usize) -> bool {
     if bytes[i] == b'b' && bytes.get(j) == Some(&b'r') {
         j += 1;
     }
-    matches!(bytes.get(j), Some(&b'"') | Some(&b'#') | Some(&b'\'')) && {
+    matches!(bytes.get(j), Some(&(b'"' | b'#' | b'\''))) && {
         // `r#ident` (raw identifier) is not a string: require `#` runs to
         // end at a quote.
         let mut k = j;
