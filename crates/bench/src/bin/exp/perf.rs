@@ -326,7 +326,7 @@ fn transport_rows(n: u32, trials: usize, digests: &mut String) -> Vec<TransportR
     })
 }
 
-/// Re-runs the smallest workload with an [`EventLog`] tracer attached
+/// Re-runs the smallest workload with an [`EventLog`] attached
 /// and writes the JSONL export to `path`. The traced run is *separate*
 /// from the timed sweep so tracing overhead never pollutes the
 /// report; CI diffs this file across thread counts to pin the
@@ -341,7 +341,7 @@ fn write_trace(path: &Path, n: u32, rounds: u32) -> std::io::Result<()> {
         },
         42,
     );
-    sim.set_tracer(EventLog::new());
+    sim.set_event_log(EventLog::new());
     sim.run(u64::from(rounds) + 2).expect("gossip quiesces");
     let log = sim.take_event_log().unwrap_or_default();
     write_output(path, "gossip trace", &log.to_jsonl())

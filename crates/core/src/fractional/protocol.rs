@@ -329,8 +329,7 @@ fn lp_phases(t2: u64) -> Vec<Phase> {
 /// metrics are identical to the untraced stack's. When the stack engages
 /// the transport, drops and partitions stretch physical time and add
 /// metered retransmissions but leave the solution bit-for-bit identical
-/// (asserted against the engine by the `strict-invariants` feature, which
-/// also reconciles the log's rollups against the metrics).
+/// (asserted against the engine by the `strict-invariants` feature).
 ///
 /// # Errors
 ///
@@ -379,11 +378,6 @@ pub fn run_fractional_stack(
                 &solution,
                 &super::solve_fractional(inst, params)?,
             );
-        }
-        if let Some(log) = &run.log {
-            if let Err(e) = log.reconcile(&run.metrics) {
-                unreachable!("trace rollups diverged from Metrics: {e}");
-            }
         }
     }
     Ok((

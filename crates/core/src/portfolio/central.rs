@@ -114,11 +114,6 @@ pub fn run_cgreedy_stack(
         if _transported {
             crate::audit::loss_transparent("centralized greedy", &set, &engine_set);
         }
-        if let Some(log) = &run.log {
-            if let Err(e) = log.reconcile(&run.metrics) {
-                unreachable!("centralized greedy: trace rollups diverged from Metrics: {e}");
-            }
-        }
     }
     Ok((
         PortfolioRun {

@@ -277,11 +277,6 @@ pub(crate) fn run_cover_stack(
             let (lossless, _) = run_cover_stack(inst, election, span_name, what, Stack::new())?;
             crate::audit::loss_transparent(what, &set, &lossless.set);
         }
-        if let Some(log) = &run.log {
-            if let Err(e) = log.reconcile(&run.metrics) {
-                unreachable!("{what}: trace rollups diverged from Metrics: {e}");
-            }
-        }
     }
     Ok((
         PortfolioRun {

@@ -464,8 +464,7 @@ fn repair_phases() -> Vec<Phase> {
 /// When the transport is engaged, drops and partition windows add metered
 /// retransmissions but leave the healed set, additions and iteration
 /// count identical to [`repair_coverage`]'s for the same inputs (asserted by
-/// the `strict-invariants` feature, which also reconciles the log's
-/// rollups against the metrics).
+/// the `strict-invariants` feature).
 ///
 /// # Errors
 ///
@@ -526,11 +525,6 @@ pub fn run_repair_stack(
                     engine.deficit_nodes,
                 ),
             );
-        }
-        if let Some(log) = &run.log {
-            if let Err(e) = log.reconcile(&out.metrics) {
-                unreachable!("trace rollups diverged from Metrics: {e}");
-            }
         }
     }
     Ok((out, run.log))
@@ -728,12 +722,6 @@ pub fn run_repair_continuous(
     let mut monitor = HealthMonitor::new();
     for s in sums {
         monitor.observe(s);
-    }
-    #[cfg(feature = "strict-invariants")]
-    if let Some(log) = &run.log {
-        if let Err(e) = log.reconcile(&run.metrics) {
-            unreachable!("trace rollups diverged from Metrics: {e}");
-        }
     }
     Ok((
         ContinuousRepairRun {

@@ -128,8 +128,7 @@ pub struct RoundingProtocolRun {
 /// attributes the rounding tail separately from the LP phases. Tracing
 /// does not perturb the run; when the transport is engaged, the rounded
 /// set stays seed-for-seed identical to the lossless run's (asserted
-/// against the engine by the `strict-invariants` feature, which also
-/// reconciles the log's rollups against the metrics).
+/// against the engine by the `strict-invariants` feature).
 ///
 /// # Errors
 ///
@@ -183,11 +182,6 @@ pub fn run_rounding_stack(
                 &outcome,
                 &super::round_fractional(inst, x, delta, seed, params),
             );
-        }
-        if let Some(log) = &run.log {
-            if let Err(e) = log.reconcile(&run.metrics) {
-                unreachable!("trace rollups diverged from Metrics: {e}");
-            }
         }
     }
     Ok((

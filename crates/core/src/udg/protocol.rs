@@ -227,9 +227,8 @@ fn empty_udg_run() -> UdgProtocolRun {
 /// metered retransmissions but leave the computed set, leaders and
 /// iteration counts seed-for-seed identical to the lossless run's
 /// (asserted by the `strict-invariants` feature, which also audits
-/// Part I and reconciles the log's rollups against the metrics); the
-/// Part II iteration count is derived from the transport's **logical**
-/// round count, which loss cannot inflate.
+/// Part I); the Part II iteration count is derived from the transport's
+/// **logical** round count, which loss cannot inflate.
 ///
 /// # Errors
 ///
@@ -261,11 +260,6 @@ pub fn run_udg_stack(
         );
         if _transported {
             crate::audit::loss_transparent("Algorithm 3", &assembled, &config.run(udg)?);
-        }
-        if let Some(log) = &run.log {
-            if let Err(e) = log.reconcile(&run.metrics) {
-                unreachable!("trace rollups diverged from Metrics: {e}");
-            }
         }
     }
     Ok((

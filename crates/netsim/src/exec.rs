@@ -27,19 +27,23 @@
 //! [`AdversaryPlan::jitter`]`(1.0, max_delay)` — so loss, churn,
 //! corruption, partitions and tracing compose with asynchrony too.
 //!
-//! # Parity
+//! # Spans
 //!
-//! A lossless untraced run executes exactly like [`Simulator::run`]; a
-//! traced lossless run replays the [`Phase`] plan precisely the way the
-//! historical hand-written traced drivers bracketed their steps. A
-//! transport run steps the simulator until every [`Reliable`] node is
-//! done; traced, it brackets spans by the transport's **logical-round
-//! frontier** (the largest logical round any node has completed), so
-//! per-phase rollups stay meaningful even though loss stretches
-//! physical time; physical rounds after the last logical boundary (ack
-//! drains, retransmission tails of the final phase) are attributed to
-//! the still-open final span, and a plan-less traced run records an
-//! unspanned log.
+//! The executor is the only code that opens and closes trace spans. One
+//! walker, the span cursor, takes a traced run through its [`Phase`]
+//! plan. A lossless run executes exactly like [`Simulator::run`], and
+//! traced, the cursor advances before each step to the round about to
+//! run, so tracing changes neither states nor metrics. A transport run
+//! steps the simulator until every [`Reliable`] node is done; traced,
+//! the cursor advances after each step to the transport's
+//! **logical-round frontier** (the largest logical round any node has
+//! completed), so per-phase rollups stay meaningful even though loss
+//! stretches physical time; physical rounds after the last logical
+//! boundary (ack drains, retransmission tails of the final phase) are
+//! attributed to the still-open final span. A plan-less traced run
+//! records an unspanned log. In debug builds every traced run checks
+//! its log against its [`Metrics`] ([`EventLog::reconcile`]) before
+//! returning it.
 
 use crate::adversary::AdversaryPlan;
 use crate::churn::ChurnPlan;
@@ -223,7 +227,7 @@ impl Stack {
             sim.set_adversary(plan);
         }
         if self.traced {
-            sim.set_tracer(EventLog::new());
+            sim.set_event_log(EventLog::new());
         }
         sim
     }
@@ -314,8 +318,10 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
         self
     }
 
-    /// Attaches the declarative span plan used by traced runs (ignored
-    /// when tracing is off; an empty plan records an unspanned log).
+    /// Attaches the declarative span plan that traced runs bracket
+    /// their rounds with (an empty plan records an unspanned log).
+    /// [`Executor::run`] validates the plan on every run, traced or not,
+    /// so a malformed plan panics even when tracing is off.
     pub fn phases(mut self, plan: Vec<Phase>) -> Self {
         self.phases = plan;
         self
@@ -338,57 +344,47 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
     ///
     /// Panics if the phase plan is malformed: an unregistered span
     /// name, a zero-round phase, or a [`Phase::Loop`] / [`Phase::Tail`]
-    /// that is not the final entry.
+    /// that is not the final entry. In debug builds, also panics if a
+    /// traced run's log does not reconcile with its metrics.
     pub fn run(self, logical_budget: u64) -> Result<Run<L>, SimError> {
         validate_phases(&self.phases);
-        if self.stack.engages_transport() {
+        let run = if self.stack.engages_transport() {
             let cfg = self.stack.transport.unwrap_or_default();
             cfg.validate()?;
-            self.run_transport(cfg, logical_budget)
+            self.run_transport(cfg, logical_budget)?
         } else {
-            self.run_sync(logical_budget)
-        }
+            self.run_sync(logical_budget)?
+        };
+        debug_assert_eq!(
+            run.log
+                .as_ref()
+                .map_or(Ok(()), |log| log.reconcile(&run.metrics)),
+            Ok(()),
+            "trace rollups diverged from Metrics"
+        );
+        Ok(run)
     }
 
-    /// Synchronous path. Untraced, this is exactly `Simulator::run`;
-    /// traced, it first replays the phase plan the way the historical
-    /// hand-written traced drivers bracketed their steps, so the run
-    /// (states *and* metrics) is identical to the untraced one.
+    /// Synchronous path: `Simulator::run` with the span cursor advanced
+    /// before each step to the round about to run.
     fn run_sync(mut self, budget: u64) -> Result<Run<L>, SimError> {
         let mut sim = self.stack.simulator(self.topo, self.make, self.seed);
-        let phases: &[Phase] = if self.stack.traced { &self.phases } else { &[] };
-        for phase in phases {
-            match *phase {
-                Phase::Span { name, arg, rounds } => {
-                    enter(&mut sim, name, arg);
-                    for _ in 0..rounds {
-                        sim.step();
-                    }
-                    exit(&mut sim, name, arg);
-                }
-                Phase::Loop { name, rounds } => {
-                    let mut iter = 0u64;
-                    while !sim.is_quiescent() {
-                        check_budget(&sim, budget)?;
-                        enter(&mut sim, name, Some(iter));
-                        for _ in 0..rounds {
-                            sim.step();
-                        }
-                        exit(&mut sim, name, Some(iter));
-                        iter += 1;
-                    }
-                }
-                Phase::Tail { name } => {
-                    enter(&mut sim, name, None);
-                    sim.run(budget)?;
-                    exit(&mut sim, name, None);
-                }
+        let mut cursor = self
+            .stack
+            .traced
+            .then(|| SpanCursor::start(&self.phases, &mut sim));
+        while !sim.is_quiescent() {
+            if sim.round() >= budget {
+                return Err(sim.round_limit_exceeded(budget));
             }
+            if let Some(cursor) = &mut cursor {
+                cursor.advance_to(sim.round() + 1, &mut sim);
+            }
+            sim.step();
         }
-        // Rounds the plan does not cover (an untraced run, an empty or
-        // partial plan) run to quiescence unspanned; a no-op after a
-        // Loop/Tail plan.
-        sim.run(budget)?;
+        if let Some(cursor) = &mut cursor {
+            cursor.close(&mut sim);
+        }
         let metrics = sim.metrics().clone();
         let logical_rounds = metrics.rounds;
         let log = sim.take_event_log();
@@ -402,17 +398,17 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
 
     /// Transport path: every node wrapped in [`Reliable`], the simulator
     /// stepped until every node is [`Reliable::done`]. Traced, the span
-    /// plan advances whenever the logical-round frontier crosses a phase
-    /// boundary; the frontier is only computed when tracing is engaged.
+    /// cursor advances after each step to the logical-round frontier,
+    /// which is only computed when tracing is engaged.
     fn run_transport(mut self, cfg: TransportConfig, logical: u64) -> Result<Run<L>, SimError> {
         let make = &mut self.make;
         let mut sim = self
             .stack
             .simulator(self.topo, |v| Reliable::new(make(v), cfg), self.seed);
-        let mut cursor = self.stack.traced.then(|| SpanCursor::new(&self.phases));
-        if let Some(cursor) = &mut cursor {
-            cursor.open_current(&mut sim, 0);
-        }
+        let mut cursor = self
+            .stack
+            .traced
+            .then(|| SpanCursor::start(&self.phases, &mut sim));
         let max_rounds = cfg.round_budget(logical);
         while sim.step() {
             // Surface a delivery failure immediately: the victim's
@@ -441,12 +437,7 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
                 break;
             }
             if sim.round() >= max_rounds && !sim.is_quiescent() {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: max_rounds,
-                    round: sim.round(),
-                    still_running: sim.running_count(),
-                    in_flight: sim.in_flight_messages(),
-                });
+                return Err(sim.round_limit_exceeded(max_rounds));
             }
         }
         if let Some(cursor) = &mut cursor {
@@ -470,31 +461,6 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
             log,
         })
     }
-}
-
-/// Opens a span; the name comes from a [`Phase`] plan already validated
-/// against the registry by [`validate_phases`].
-fn enter<M: NodeLogic>(sim: &mut Simulator<'_, M>, name: &'static str, arg: Option<u64>) {
-    sim.span_enter(name, arg); // lint: span-name-not-literal — plan names are asserted against REGISTERED_SPANS in validate_phases
-}
-
-/// Closes a span opened by [`enter`].
-fn exit<M: NodeLogic>(sim: &mut Simulator<'_, M>, name: &'static str, arg: Option<u64>) {
-    sim.span_exit(name, arg); // lint: span-name-not-literal — plan names are asserted against REGISTERED_SPANS in validate_phases
-}
-
-/// The round-limit check of the traced synchronous path's loop phases,
-/// identical to the historical drivers' inline checks.
-fn check_budget<M: NodeLogic>(sim: &Simulator<'_, M>, limit: u64) -> Result<(), SimError> {
-    if sim.round() >= limit && !sim.is_quiescent() {
-        return Err(SimError::RoundLimitExceeded {
-            limit,
-            round: sim.round(),
-            still_running: sim.running_count(),
-            in_flight: sim.in_flight_messages(),
-        });
-    }
-    Ok(())
 }
 
 /// Rejects malformed phase plans: unregistered span names, zero-round
@@ -527,17 +493,18 @@ fn validate_phases(phases: &[Phase]) {
     }
 }
 
-/// Walks a [`Phase`] plan along the transport's logical-round frontier
-/// (the traced transport path): each phase owns a contiguous range of
-/// logical rounds, and the cursor exits/enters spans when the frontier
-/// **passes** a boundary — i.e. once some node has executed a logical
-/// round beyond it — so the final span is never followed by a spurious
-/// empty one when the run ends exactly on a boundary.
+/// Walks a [`Phase`] plan along a run's rounds, opening and closing
+/// every span the executor records. Each phase owns a contiguous range
+/// of logical rounds; [`SpanCursor::advance_to`] exits and enters spans
+/// once the round count it is given **passes** a boundary, so the final
+/// span is never followed by a spurious empty one when the run ends
+/// exactly on a boundary.
 struct SpanCursor<'p> {
     phases: &'p [Phase],
-    /// Index of the phase owning the current segment.
-    idx: usize,
-    /// Iteration counter while `idx` points at a [`Phase::Loop`].
+    /// Index of the next plan entry to open; a [`Phase::Loop`] stays
+    /// next while it repeats.
+    next: usize,
+    /// Iterations of the [`Phase::Loop`] opened so far.
     loop_iter: u64,
     /// The currently open span, if any.
     open: Option<(&'static str, Option<u64>)>,
@@ -547,64 +514,52 @@ struct SpanCursor<'p> {
 }
 
 impl<'p> SpanCursor<'p> {
-    fn new(phases: &'p [Phase]) -> Self {
-        SpanCursor {
+    /// A cursor with the plan's first phase open at round 0.
+    fn start<M: NodeLogic>(phases: &'p [Phase], sim: &mut Simulator<'_, M>) -> Self {
+        let mut cursor = SpanCursor {
             phases,
-            idx: 0,
+            next: 0,
             loop_iter: 0,
             open: None,
-            end: u64::MAX,
+            end: 0,
+        };
+        cursor.advance_to(1, sim);
+        cursor
+    }
+
+    /// Advances past every segment that `rounds` logical rounds have
+    /// fully left behind (strictly passed), closing and opening spans.
+    fn advance_to<M: NodeLogic>(&mut self, rounds: u64, sim: &mut Simulator<'_, M>) {
+        while rounds > self.end {
+            self.close(sim);
+            let (name, arg, len) = match self.phases.get(self.next) {
+                None => {
+                    self.end = u64::MAX;
+                    return;
+                }
+                Some(&Phase::Span { name, arg, rounds }) => {
+                    self.next += 1;
+                    (name, arg, rounds)
+                }
+                Some(&Phase::Loop { name, rounds }) => {
+                    self.loop_iter += 1;
+                    (name, Some(self.loop_iter - 1), rounds)
+                }
+                Some(&Phase::Tail { name }) => {
+                    self.next += 1;
+                    (name, None, u64::MAX)
+                }
+            };
+            sim.span_enter(name, arg);
+            self.open = Some((name, arg));
+            self.end = self.end.saturating_add(len);
         }
     }
 
-    /// Opens the span of the phase at `idx`, whose segment begins at
-    /// logical round `start`. No-op past the end of the plan.
-    fn open_current<M: NodeLogic>(&mut self, sim: &mut Simulator<'_, M>, start: u64) {
-        match self.phases.get(self.idx) {
-            None => {
-                self.open = None;
-                self.end = u64::MAX;
-            }
-            Some(&Phase::Span { name, arg, rounds }) => {
-                enter(sim, name, arg);
-                self.open = Some((name, arg));
-                self.end = start.saturating_add(rounds);
-            }
-            Some(&Phase::Loop { name, rounds }) => {
-                let arg = Some(self.loop_iter);
-                enter(sim, name, arg);
-                self.open = Some((name, arg));
-                self.end = start.saturating_add(rounds);
-            }
-            Some(&Phase::Tail { name }) => {
-                enter(sim, name, None);
-                self.open = Some((name, None));
-                self.end = u64::MAX;
-            }
-        }
-    }
-
-    /// Advances past every segment whose rounds the frontier has fully
-    /// left behind (strictly passed), closing and opening spans.
-    fn advance_to<M: NodeLogic>(&mut self, frontier: u64, sim: &mut Simulator<'_, M>) {
-        while frontier > self.end {
-            let boundary = self.end;
-            if let Some((name, arg)) = self.open.take() {
-                exit(sim, name, arg);
-            }
-            if let Some(Phase::Loop { .. }) = self.phases.get(self.idx) {
-                self.loop_iter += 1;
-            } else {
-                self.idx += 1;
-            }
-            self.open_current(sim, boundary);
-        }
-    }
-
-    /// Closes the span left open when the run ended.
+    /// Closes the open span, if any.
     fn close<M: NodeLogic>(&mut self, sim: &mut Simulator<'_, M>) {
         if let Some((name, arg)) = self.open.take() {
-            exit(sim, name, arg);
+            sim.span_exit(name, arg);
         }
     }
 }
@@ -822,6 +777,24 @@ mod tests {
         let _ = Executor::new(Topology::from_graph(&g), flood, 0)
             .phases(vec![Phase::repeat("repair_iter", 3), Phase::tail("dyndeg")])
             .run(10);
+    }
+
+    #[test]
+    fn traced_and_untraced_runs_hit_the_round_limit_alike() {
+        let g = generators::cycle(6);
+        let plain = Executor::new(Topology::from_graph(&g), flood, 1)
+            .run(3)
+            .unwrap_err();
+        let traced = Executor::new(Topology::from_graph(&g), flood, 1)
+            .stack(Stack::new().traced())
+            .phases(vec![Phase::repeat("repair_iter", 4)])
+            .run(3)
+            .unwrap_err();
+        assert_eq!(traced, plain);
+        assert!(matches!(
+            plain,
+            SimError::RoundLimitExceeded { round: 3, .. }
+        ));
     }
 
     #[test]

@@ -113,4 +113,4 @@ pub use metrics::Metrics;
 pub use node::{Context, Control, Inbox, InboxIter, Msg, NodeLogic};
 pub use sim::{node_rng, Simulator};
 pub use topology::Topology;
-pub use trace::{EventLog, NoopTracer, PhaseRollup, TraceEvent, TraceRecord, Tracer};
+pub use trace::{EventLog, PhaseRollup, TraceEvent, TraceRecord};

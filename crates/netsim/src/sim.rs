@@ -2,7 +2,7 @@ use crate::adversary::{AdversaryPlan, AdversaryState, Verdict};
 use crate::arena::{DeliverySorter, InboxArena};
 use crate::metrics::TransportCounters;
 use crate::node::Context;
-use crate::trace::{EventLog, NoopTracer, TraceEvent, Tracer};
+use crate::trace::{EventLog, TraceEvent};
 use crate::{ChurnEvent, ChurnPlan, Control, Envelope, Metrics, NodeLogic, SimError, Topology};
 use ftclust_graphs::NodeId;
 use ftclust_par as par;
@@ -39,7 +39,7 @@ struct ShardBuf<P> {
     /// [`Metrics`] sequentially after the parallel phase (sums are
     /// commutative, so the fold order cannot perturb determinism).
     counters: TransportCounters,
-    /// Trace events noted by this shard's nodes; drained into the tracer
+    /// Trace events noted by this shard's nodes; drained into the event log
     /// sequentially after the parallel phase, in shard index order —
     /// shards are contiguous ascending node ranges, so the merged stream
     /// is in node order regardless of the worker count.
@@ -167,9 +167,9 @@ pub struct Simulator<'a, L: NodeLogic> {
     /// The allocation phase 1 builds its shard views in (empty between
     /// rounds; see [`recycle`]).
     shard_views: Vec<StepShard<'a, L>>,
-    /// Structured-trace sink; [`NoopTracer`] (reporting disabled) unless
-    /// [`Simulator::set_tracer`] attached a recorder.
-    tracer: Box<dyn Tracer>,
+    /// The structured trace being recorded; `None` (tracing disabled)
+    /// unless [`Simulator::set_event_log`] attached one.
+    trace: Option<EventLog>,
     metrics: Metrics,
     churn: ChurnPlan,
     /// `churn`'s scheduled events, sorted by round; `next_event` is the
@@ -239,7 +239,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             bufs: shard_ranges.iter().map(|_| ShardBuf::new()).collect(),
             shard_views: Vec::with_capacity(shard_ranges.len()),
             shard_ranges,
-            tracer: Box::new(NoopTracer),
+            trace: None,
             metrics: Metrics::default(),
             churn,
             events,
@@ -321,7 +321,6 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     /// Same-round events apply in plan order (later entries win). Events
     /// naming out-of-range nodes are ignored.
     fn apply_scheduled_churn(&mut self) {
-        let tracing = self.tracer.enabled();
         while let Some(&(r, v, ev)) = self.events.get(self.next_event) {
             if r > self.round {
                 break;
@@ -330,8 +329,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             if v.index() < self.down.len() {
                 let now_down = ev == ChurnEvent::Crash;
                 if self.down[v.index()] != now_down {
-                    if tracing {
-                        self.tracer.record(
+                    if let Some(log) = &mut self.trace {
+                        log.record(
                             self.round,
                             if now_down {
                                 TraceEvent::Crash { node: v }
@@ -359,7 +358,6 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         let Some(rc) = self.churn.random() else {
             return;
         };
-        let tracing = self.tracer.enabled();
         for (i, down) in self.down.iter_mut().enumerate() {
             let draw = self.fault_rng.random::<f64>();
             let was = *down;
@@ -374,9 +372,9 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                 } else {
                     self.down_count -= 1;
                 }
-                if tracing {
+                if let Some(log) = &mut self.trace {
                     let node = NodeId::new(i as u32);
-                    self.tracer.record(
+                    log.record(
                         self.round,
                         if *down {
                             TraceEvent::Crash { node }
@@ -419,12 +417,12 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         let round = self.round;
         let n = self.logics.len();
         // Hoisted once per round: every trace emission below is behind
-        // this single boolean, so the no-op tracer costs one branch per
-        // event site and constructs no events.
-        let tracing = self.tracer.enabled();
+        // this boolean or the log's `Option`, so an untraced round costs
+        // one branch per event site and constructs no events.
+        let tracing = self.trace.is_some();
         let (msgs_before, bits_before) = (self.metrics.messages, self.metrics.total_bits);
-        if tracing {
-            self.tracer.record(round, TraceEvent::RoundBegin);
+        if let Some(log) = &mut self.trace {
+            log.record(round, TraceEvent::RoundBegin);
         }
         // Phase 0: churn. Strictly sequential and ahead of node logic, so
         // every thread sees the same frozen liveness for this round.
@@ -449,15 +447,13 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                     // Receiver went down between send and delivery. Its
                     // inbox is never read (down nodes don't run).
                     self.metrics.dead_on_arrival += count;
-                    if tracing {
-                        self.tracer
-                            .record(round, TraceEvent::DeadOnArrival { node, count });
+                    if let Some(log) = &mut self.trace {
+                        log.record(round, TraceEvent::DeadOnArrival { node, count });
                     }
                 } else {
                     self.metrics.delivered_messages += count;
-                    if tracing {
-                        self.tracer
-                            .record(round, TraceEvent::Deliver { node, count });
+                    if let Some(log) = &mut self.trace {
+                        log.record(round, TraceEvent::Deliver { node, count });
                     }
                 }
             }
@@ -570,11 +566,10 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         // Drain the per-shard trace buffers in shard index order: shards
         // are contiguous ascending node ranges, so the merged event
         // stream is in node order for every worker count.
-        if tracing {
-            let tracer = &mut self.tracer;
+        if let Some(log) = &mut self.trace {
             for buf in &mut self.bufs {
                 for ev in buf.trace.drain(..) {
-                    tracer.record(round, ev);
+                    log.record(round, ev);
                 }
             }
         }
@@ -610,8 +605,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                 for env in buf.outbox.drain(..) {
                     let bits = crate::Payload::bit_size(&env.payload);
                     self.metrics.record_send(bits);
-                    if tracing {
-                        self.tracer.record(
+                    if let Some(log) = &mut self.trace {
+                        log.record(
                             round,
                             TraceEvent::Send {
                                 from: env.from,
@@ -624,8 +619,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                         && self.fault_rng.random::<f64>() < self.churn.drop_prob()
                     {
                         self.metrics.dropped_messages += 1;
-                        if tracing {
-                            self.tracer.record(
+                        if let Some(log) = &mut self.trace {
+                            log.record(
                                 round,
                                 TraceEvent::Drop {
                                     from: env.from,
@@ -642,8 +637,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                         match adv.decide(env.from, env.to, round) {
                             Verdict::Cut => {
                                 self.metrics.dropped_messages += 1;
-                                if tracing {
-                                    self.tracer.record(
+                                if let Some(log) = &mut self.trace {
+                                    log.record(
                                         round,
                                         TraceEvent::Drop {
                                             from: env.from,
@@ -658,8 +653,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                                 // the flipped bits and erases the frame:
                                 // loss-shaped, but accounted separately.
                                 self.metrics.corrupted += 1;
-                                if tracing {
-                                    self.tracer.record(
+                                if let Some(log) = &mut self.trace {
+                                    log.record(
                                         round,
                                         TraceEvent::Corrupted {
                                             from: env.from,
@@ -677,8 +672,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                                     let copy = env.clone();
                                     self.metrics.record_send(bits);
                                     self.metrics.net_duplicated += 1;
-                                    if tracing {
-                                        self.tracer.record(
+                                    if let Some(log) = &mut self.trace {
+                                        log.record(
                                             round,
                                             TraceEvent::Send {
                                                 from: copy.from,
@@ -686,7 +681,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                                                 bits: bits as u64,
                                             },
                                         );
-                                        self.tracer.record(
+                                        log.record(
                                             round,
                                             TraceEvent::NetDuplicated {
                                                 from: copy.from,
@@ -710,8 +705,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         // Phase 3: counting-sort the staged survivors by recipient into
         // the next round's contiguous arena and refresh caches.
         self.sorter.finish(n, &mut self.pending);
-        if tracing {
-            self.tracer.record(
+        if let Some(log) = &mut self.trace {
+            log.record(
                 round,
                 TraceEvent::RoundEnd {
                     messages: self.metrics.messages - msgs_before,
@@ -733,15 +728,20 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     pub fn run(&mut self, max_rounds: u64) -> Result<&Metrics, SimError> {
         while self.step() {
             if self.round >= max_rounds && !self.is_quiescent() {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: max_rounds,
-                    round: self.round,
-                    still_running: self.running_count(),
-                    in_flight: self.in_flight_messages(),
-                });
+                return Err(self.round_limit_exceeded(max_rounds));
             }
         }
         Ok(&self.metrics)
+    }
+
+    /// The error of a run still going at round `limit`.
+    pub(crate) fn round_limit_exceeded(&self, limit: u64) -> SimError {
+        SimError::RoundLimitExceeded {
+            limit,
+            round: self.round,
+            still_running: self.running_count(),
+            in_flight: self.in_flight_messages(),
+        }
     }
 
     /// The protocol state of node `v` (e.g. to read out the result after a
@@ -770,34 +770,30 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         &self.metrics
     }
 
-    /// Attaches a tracer (normally a recording
-    /// [`EventLog`](crate::trace::EventLog)), replacing the default
-    /// no-op tracer.
+    /// Starts recording into `log`, replacing any log being recorded.
     ///
     /// Round-0 scheduled churn is applied at construction, before any
-    /// tracer can observe it, so if the attached tracer is enabled a
-    /// baseline [`TraceEvent::Crash`] is emitted for every node that is
-    /// already down — the recorded trace is self-contained.
-    pub fn set_tracer<T: Tracer + 'static>(&mut self, tracer: T) {
-        self.tracer = Box::new(tracer);
-        if self.tracer.enabled() {
-            for (i, &down) in self.down.iter().enumerate() {
-                if down {
-                    self.tracer.record(
-                        self.round,
-                        TraceEvent::Crash {
-                            node: NodeId::new(i as u32),
-                        },
-                    );
-                }
+    /// log can observe it, so a baseline [`TraceEvent::Crash`] is
+    /// recorded for every node that is already down — the recorded
+    /// trace is self-contained.
+    pub fn set_event_log(&mut self, mut log: EventLog) {
+        for (i, &down) in self.down.iter().enumerate() {
+            if down {
+                log.record(
+                    self.round,
+                    TraceEvent::Crash {
+                        node: NodeId::new(i as u32),
+                    },
+                );
             }
         }
+        self.trace = Some(log);
     }
 
-    /// Takes the recorded event log out of the attached tracer, if it
-    /// keeps one (`None` for the default no-op tracer).
+    /// Takes the recorded event log out, ending the recording (`None`
+    /// when nothing was being recorded).
     pub fn take_event_log(&mut self) -> Option<EventLog> {
-        self.tracer.take_log()
+        self.trace.take()
     }
 
     /// Attaches an adversarial delivery layer (see [`crate::adversary`]):
@@ -814,26 +810,22 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         }
     }
 
-    /// Opens a named protocol phase span at the current round. Protocol
-    /// drivers bracket groups of [`Simulator::step`] calls with
-    /// `span_enter`/`span_exit` so per-phase rollups can attribute
-    /// rounds, messages and bits; span names must come from
-    /// [`crate::trace::REGISTERED_SPANS`] (enforced by `cargo xtask
-    /// lint`). No-op when no recording tracer is attached.
-    pub fn span_enter(&mut self, name: &'static str, arg: Option<u64>) {
-        if self.tracer.enabled() {
-            self.tracer
-                .record(self.round, TraceEvent::SpanEnter { name, arg });
+    /// Opens a named protocol phase span at the current round. Only the
+    /// executor's span walker calls this, with names from a phase plan
+    /// it checked against [`crate::trace::REGISTERED_SPANS`]. No-op when
+    /// no log is being recorded.
+    pub(crate) fn span_enter(&mut self, name: &'static str, arg: Option<u64>) {
+        if let Some(log) = &mut self.trace {
+            log.record(self.round, TraceEvent::SpanEnter { name, arg });
         }
     }
 
     /// Closes the innermost open phase span (see
     /// [`Simulator::span_enter`]); `name`/`arg` must mirror the matching
     /// enter.
-    pub fn span_exit(&mut self, name: &'static str, arg: Option<u64>) {
-        if self.tracer.enabled() {
-            self.tracer
-                .record(self.round, TraceEvent::SpanExit { name, arg });
+    pub(crate) fn span_exit(&mut self, name: &'static str, arg: Option<u64>) {
+        if let Some(log) = &mut self.trace {
+            log.record(self.round, TraceEvent::SpanExit { name, arg });
         }
     }
 
@@ -1293,7 +1285,7 @@ mod tests {
 
     #[test]
     fn tracer_attached_while_publications_pend_accounts_them() {
-        // Round 0 publishes; the tracer attached before round 1 closes
+        // Round 0 publishes; the log attached before round 1 closes
         // the fast path, but round 0's publications must still be
         // delivered, counted and traced as envelopes would have been.
         let g = generators::gnp(20, 0.3, 5);
@@ -1305,7 +1297,7 @@ mod tests {
             assert_eq!(sim.in_flight_messages(), before.messages);
             assert_eq!(sim.pending.capacity(), 0, "round 0 was published");
             if attach {
-                sim.set_tracer(EventLog::new());
+                sim.set_event_log(EventLog::new());
             }
             sim.run(100).unwrap();
             let seen: Vec<u64> = sim.logics().map(|l| l.seen).collect();
@@ -1315,7 +1307,7 @@ mod tests {
         let (traced_seen, traced_m, before, log) = run(true);
         assert_eq!(traced_seen, seen);
         assert_eq!(traced_m, m);
-        let log = log.expect("a recording tracer was attached");
+        let log = log.expect("a log was attached");
         let round1_delivered: u64 = log
             .records
             .iter()
@@ -1420,7 +1412,7 @@ mod tests {
                     .drop_probability(0.1);
                 let mut sim =
                     Simulator::with_churn(topo, |_| Counter { seen: 0, rounds: 8 }, 13, churn);
-                sim.set_tracer(EventLog::new());
+                sim.set_event_log(EventLog::new());
                 let _ = sim.run(200);
                 let m = sim.metrics().clone();
                 let log = sim.take_event_log().unwrap();
@@ -1451,7 +1443,7 @@ mod tests {
                 .drop_probability(0.2);
             let mut sim = Simulator::with_churn(topo, |_| Counter { seen: 0, rounds: 5 }, 4, churn);
             if traced {
-                sim.set_tracer(EventLog::new());
+                sim.set_event_log(EventLog::new());
             }
             sim.run(100).unwrap();
             let seen: Vec<u64> = sim.logics().map(|l| l.seen).collect();
@@ -1462,7 +1454,7 @@ mod tests {
 
     #[test]
     fn trace_records_churn_transitions_and_baseline() {
-        // Node 0 is down from construction (round-0 crash): the tracer
+        // Node 0 is down from construction (round-0 crash): the log
         // attaches afterwards, so it must see a synthesized baseline
         // crash. Node 1 crashes at round 1 and recovers at round 3: both
         // transitions must be recorded, each exactly once.
@@ -1473,7 +1465,7 @@ mod tests {
             .crash(NodeId::new(1), 1)
             .recover(NodeId::new(1), 3);
         let mut sim = Simulator::with_churn(topo, |_| Counter { seen: 0, rounds: 5 }, 0, churn);
-        sim.set_tracer(EventLog::new());
+        sim.set_event_log(EventLog::new());
         sim.run(100).unwrap();
         let log = sim.take_event_log().unwrap();
         log.reconcile(sim.metrics()).unwrap();
@@ -1509,7 +1501,7 @@ mod tests {
             },
             0,
         );
-        sim.set_tracer(EventLog::new());
+        sim.set_event_log(EventLog::new());
         sim.span_enter("raise", Some(0));
         sim.step();
         sim.span_exit("raise", Some(0));

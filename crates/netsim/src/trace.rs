@@ -1,12 +1,19 @@
 //! Deterministic structured tracing: typed events, phase spans, exporters.
 //!
 //! The simulator's aggregate [`Metrics`] answer *how much*
-//! a run cost; this module answers *where* the cost went. A [`Tracer`]
-//! attached to a [`Simulator`](crate::Simulator) receives a stream of
-//! typed [`TraceEvent`]s stamped with **logical time only** (the CONGEST
-//! round number — never a wall clock), so a recorded [`EventLog`] is a
-//! pure function of `(topology, logic, seed, schedule)` and is
-//! byte-identical across `FTCLUST_THREADS` settings.
+//! a run cost; this module answers *where* the cost went. A
+//! [`Simulator`](crate::Simulator) with an [`EventLog`] attached records a
+//! stream of typed [`TraceEvent`]s stamped with **logical time only**
+//! (the CONGEST round number — never a wall clock), so a recorded log is
+//! a pure function of `(topology, logic, seed, schedule)` and is
+//! byte-identical across `FTCLUST_THREADS` settings. Wall-clock
+//! profiling must never write here.
+//!
+//! Phase spans come from one place: [`crate::exec::Executor`] walks its
+//! [`Phase`](crate::exec::Phase) plan, whose names it checks against
+//! [`REGISTERED_SPANS`] on every run, and checks every log it returns
+//! against the run's `Metrics` with [`EventLog::reconcile`] in debug
+//! builds.
 //!
 //! # Determinism discipline
 //!
@@ -17,15 +24,14 @@
 //! [`Context`](crate::Context)) go to per-worker buffers that the
 //! simulator drains in shard index order after the parallel phase — the
 //! same merge discipline `TransportCounters` uses — so the interleaving
-//! observed by the tracer never depends on the worker count.
+//! observed by the log never depends on the worker count.
 //!
 //! # Overhead when disabled
 //!
-//! The default [`NoopTracer`] reports `enabled() == false`; every
-//! emission site checks that single boolean (hoisted once per round on
-//! the hot paths), so a simulator without an attached recorder does no
-//! per-message work. The perf baseline (`exp perf`) runs with
-//! the no-op tracer and guards against regressions.
+//! Without a log attached, every emission site checks one boolean
+//! (hoisted once per round on the hot paths), so an untraced simulator
+//! does no per-message work. The perf baseline (`exp perf`) runs
+//! untraced and guards against regressions.
 //!
 //! # Exporters
 //!
@@ -42,13 +48,13 @@
 use crate::metrics::Metrics;
 use ftclust_graphs::NodeId;
 use std::fmt::Write as _;
-use std::mem;
 
 /// Phase-span names that protocol drivers are allowed to emit.
 ///
-/// `cargo xtask lint` extracts this list and checks every
-/// `span_enter`/`span_exit` call site in the protocol modules against
-/// it, so a renamed phase cannot silently fork the trace vocabulary.
+/// Every [`Executor::run`](crate::exec::Executor::run) asserts each name
+/// of its phase plan against this list, traced or not, and the executor
+/// is the only code that opens spans, so a renamed phase cannot silently
+/// fork the trace vocabulary.
 pub const REGISTERED_SPANS: &[&str] = &[
     // Algorithm 1 (fractional LP): round 0 dynamic-degree seeding, then
     // per-iteration raise (phase A) and threshold/dual accounting
@@ -201,54 +207,12 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Sink for trace events. Implementations must be deterministic
-/// functions of the event stream — no wall-clock reads, no I/O on the
-/// recording path.
-pub trait Tracer: Send {
-    /// Whether events should be produced at all. Emission sites check
-    /// this once per round and skip all event construction when false.
-    fn enabled(&self) -> bool;
-
-    /// Records one event at logical time `round`.
-    fn record(&mut self, round: u64, event: TraceEvent);
-
-    /// Takes the recorded log out of the tracer, if it keeps one.
-    fn take_log(&mut self) -> Option<EventLog> {
-        None
-    }
-}
-
-/// The default tracer: discards everything, reports disabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _round: u64, _event: TraceEvent) {}
-}
-
-/// A recording tracer: an append-only, ordered log of trace records.
+/// An append-only, ordered log of trace records: what a traced
+/// [`Simulator`](crate::Simulator) records.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventLog {
     /// The recorded events, in emission order.
     pub records: Vec<TraceRecord>,
-}
-
-impl Tracer for EventLog {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, round: u64, event: TraceEvent) {
-        self.records.push(TraceRecord { round, event });
-    }
-
-    fn take_log(&mut self) -> Option<EventLog> {
-        Some(mem::take(self))
-    }
 }
 
 /// Per-phase aggregate derived from an [`EventLog`]: everything that
@@ -276,6 +240,11 @@ impl EventLog {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Records one event at logical time `round`.
+    pub fn record(&mut self, round: u64, event: TraceEvent) {
+        self.records.push(TraceRecord { round, event });
     }
 
     /// Number of recorded events.
@@ -363,7 +332,9 @@ impl EventLog {
         let mut dups = 0u64;
         let mut corrupted = 0u64;
         let mut net_duplicated = 0u64;
-        let mut stack: Vec<&'static str> = Vec::new();
+        // Open spans as (name, arg): an exit must mirror its enter in
+        // both, so `raise(1)` cannot close an open `raise(0)`.
+        let mut stack: Vec<(&'static str, Option<u64>)> = Vec::new();
         for rec in &self.records {
             match rec.event {
                 TraceEvent::RoundBegin => rounds += 1,
@@ -371,12 +342,13 @@ impl EventLog {
                     end_messages += messages;
                     end_bits += bits;
                 }
-                TraceEvent::SpanEnter { name, .. } => stack.push(name),
-                TraceEvent::SpanExit { name, .. } => match stack.pop() {
-                    Some(open) if open == name => {}
-                    Some(open) => {
+                TraceEvent::SpanEnter { name, arg } => stack.push((name, arg)),
+                TraceEvent::SpanExit { name, arg } => match stack.pop() {
+                    Some(open) if open == (name, arg) => {}
+                    Some((open, open_arg)) => {
                         return Err(format!(
-                            "span exit `{name}` at round {} closes open span `{open}`",
+                            "span exit `{name}` (arg {arg:?}) at round {} closes open span \
+                             `{open}` (arg {open_arg:?})",
                             rec.round
                         ));
                     }
@@ -403,7 +375,7 @@ impl EventLog {
                 TraceEvent::Crash { .. } | TraceEvent::Recover { .. } => {}
             }
         }
-        if let Some(open) = stack.last() {
+        if let Some((open, _)) = stack.last() {
             return Err(format!("span `{open}` never exited"));
         }
         let checks: &[(&str, u64, u64)] = &[
@@ -740,6 +712,27 @@ mod tests {
     }
 
     #[test]
+    fn reconcile_rejects_an_exit_with_another_arg() {
+        let mut log = EventLog::new();
+        log.record(
+            0,
+            TraceEvent::SpanEnter {
+                name: "raise",
+                arg: Some(0),
+            },
+        );
+        log.record(
+            0,
+            TraceEvent::SpanExit {
+                name: "raise",
+                arg: Some(1),
+            },
+        );
+        let err = log.reconcile(&Metrics::default()).unwrap_err();
+        assert!(err.contains("closes open span"), "unexpected error: {err}");
+    }
+
+    #[test]
     fn jsonl_round_trips_stable_bytes() {
         let a = sample_log().to_jsonl();
         let b = sample_log().to_jsonl();
@@ -759,22 +752,6 @@ mod tests {
         assert_eq!(s.matches("\"ph\":\"C\"").count(), 2);
         assert!(s.starts_with("{\"traceEvents\":["));
         assert!(s.trim_end().ends_with("]}"));
-    }
-
-    #[test]
-    fn noop_tracer_is_disabled_and_keeps_no_log() {
-        let mut t = NoopTracer;
-        assert!(!t.enabled());
-        t.record(0, TraceEvent::RoundBegin);
-        assert!(t.take_log().is_none());
-    }
-
-    #[test]
-    fn event_log_take_log_drains() {
-        let mut log = sample_log();
-        let taken = log.take_log().unwrap();
-        assert_eq!(taken.len(), 8);
-        assert!(log.is_empty());
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_stack};
 use ftclust::core::fractional::FractionalParams;
+use ftclust::core::portfolio::run_cgreedy_stack;
 use ftclust::core::repair::run_repair_stack;
 use ftclust::core::rounding::protocol::run_rounding_stack;
 use ftclust::core::rounding::RoundingParams;
@@ -183,4 +184,65 @@ fn traced_runs_equal_untraced_runs() {
     assert!(log.is_some());
     assert_eq!(untraced.solution, traced.solution);
     assert_eq!(untraced.metrics, traced.metrics);
+}
+
+/// FNV-1a over a byte stream, for pinning long outputs by digest.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the synchronous traced logs byte for byte: the JSONL digests of
+/// plain `.traced()` runs of Algorithms 1, 2 and 3, the repair, and the
+/// centralized greedy (whose plan, like Algorithm 1's, ends in a
+/// quiescence tail after fixed-length spans). The thread-count tests
+/// above only compare runs with each other; these values were recorded
+/// once and must not move when the executor's span walker changes.
+#[test]
+fn synchronous_traced_logs_are_pinned() {
+    let digest = |log: Option<EventLog>| fnv1a(log.expect("traced").to_jsonl().into_bytes());
+    let traced = || Stack::new().traced();
+
+    let g = generators::gnp(40, 0.15, 5);
+    let inst = Instance::uniform_clamped(&g, 2);
+    let (lp, lp_log) = run_fractional_stack(&inst, &FractionalParams::new(2), traced()).unwrap();
+    let (_, round_log) = run_rounding_stack(
+        &inst,
+        &lp.solution.x,
+        lp.solution.delta,
+        5,
+        &RoundingParams::default(),
+        traced(),
+    )
+    .unwrap();
+    let (_, greedy_log) = run_cgreedy_stack(&inst, traced()).unwrap();
+
+    let udg = generators::random_udg(120, 8.0, 1.0, 29);
+    let config = UdgAlgorithm::new(2).seed(29);
+    let (base, udg_log) = run_udg_stack(&udg, &config, traced()).unwrap();
+    let mut alive = vec![true; udg.node_count()];
+    for v in base.run.set.ids().step_by(3) {
+        alive[v.index()] = false;
+    }
+    let (_, repair_log) =
+        run_repair_stack(udg.graph(), &base.run.set, &alive, 2, traced()).unwrap();
+
+    assert_eq!(
+        [
+            digest(lp_log),
+            digest(round_log),
+            digest(udg_log),
+            digest(repair_log),
+            digest(greedy_log),
+        ],
+        [
+            0xd6c8_e7a9_00a0_36fb,
+            0xfcf6_7d29_d727_b375,
+            0x87e0_bb27_19db_ba72,
+            0x4dbe_2e0b_0d34_0da9,
+            0x2103_45d3_0f78_b11a,
+        ],
+        "a synchronous traced log moved"
+    );
 }

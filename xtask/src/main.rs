@@ -17,9 +17,7 @@
 //!    parallel regions,
 //! 5. CONGEST conformance ([`congest`]) — every protocol message charges
 //!    an `O(log n)`-bounded `bit_size`,
-//! 6. span-name registration ([`spans`]) — every trace span used by an
-//!    instrumented driver is a literal from `REGISTERED_SPANS`,
-//! 7. waiver audit ([`waivers`]) — one `// lint: <rule> — <reason>`
+//! 6. waiver audit ([`waivers`]) — one `// lint: <rule> — <reason>`
 //!    grammar for every escape hatch; stale waivers are hard errors.
 //!
 //! The walk covers library sources, binaries (`src/bin`), integration
@@ -45,7 +43,6 @@ mod hygiene;
 mod report;
 mod selftest;
 mod source;
-mod spans;
 mod waivers;
 
 use source::SourceFile;
@@ -300,26 +297,6 @@ fn run_lint(root: &Path, format: Format, ratchet: bool, write_baseline: bool) ->
         for file in load_tree(root, scope) {
             congest::check(&file, protocol_module, &mut violations);
         }
-    }
-    match load_tree(root, spans::TRACE_FILE)
-        .first()
-        .and_then(spans::registry)
-    {
-        Some(registered) => {
-            for scope in spans::SPAN_SCOPES {
-                for file in load_tree(root, scope) {
-                    spans::check(&file, &registered, &mut violations);
-                }
-            }
-        }
-        None => violations.push(Violation {
-            rule: "span-registry-missing",
-            path: spans::TRACE_FILE.to_owned(),
-            line: 1,
-            message: "could not parse REGISTERED_SPANS; the span-name \
-                      registration check cannot run"
-                .to_owned(),
-        }),
     }
     let violations = waivers::apply(violations, &mut waiver_map);
     let counts = report::counts(&violations);

@@ -48,8 +48,6 @@ pub(crate) const WAIVABLE_RULES: &[&str] = &[
     "no-width-of-type",
     "no-flat-blob",
     "quantized-floats",
-    "span-name-unregistered",
-    "span-name-not-literal",
     "driver-drift",
 ];
 
