@@ -1,10 +1,10 @@
-//! Runtime invariant audits — the `strict-invariants` feature.
+//! Runtime invariant audits, live in every debug build.
 //!
-//! Every check here is `debug_assert!`-backed and wired into an
-//! algorithm's hot path behind `#[cfg(feature = "strict-invariants")]`,
-//! so default builds pay nothing and release builds with the feature pay
-//! only the cost of evaluating the conditions. The audited invariants are
-//! the load-bearing claims of the paper:
+//! Every check here is a `debug_assert!`, and every call site is
+//! guarded by `cfg!(debug_assertions)`, so debug builds (every `cargo
+//! test`) run the audits and their reference computations, while
+//! release builds still type-check them and compile them out. The
+//! audited invariants are the load-bearing claims of the paper:
 //!
 //! * **Algorithm 1** ([`fractional_state`], [`fractional_certificate`]) —
 //!   the primal iterate stays in `[0, 1]ⁿ` with monotone coverage, and
@@ -53,15 +53,12 @@ pub(crate) fn fractional_state(x: &[f64], xplus: &[f64], cov: &[f64]) {
     debug_assert!(
         x.iter()
             .all(|&v| (-RANGE_TOL..=1.0 + RANGE_TOL).contains(&v)),
-        "strict-invariants: primal iterate left [0, 1]"
+        "primal iterate left [0, 1]"
     );
-    debug_assert!(
-        xplus.iter().all(|&v| v >= -RANGE_TOL),
-        "strict-invariants: negative raise x⁺"
-    );
+    debug_assert!(xplus.iter().all(|&v| v >= -RANGE_TOL), "negative raise x⁺");
     debug_assert!(
         cov.iter().all(|&c| c >= -RANGE_TOL),
-        "strict-invariants: negative coverage counter"
+        "negative coverage counter"
     );
 }
 
@@ -73,19 +70,19 @@ pub(crate) fn fractional_certificate(inst: &Instance<'_>, sol: &FractionalSoluti
         sol.y
             .iter()
             .all(|&v| (-RANGE_TOL..=1.0 + RANGE_TOL).contains(&v)),
-        "strict-invariants: dual y outside [0, 1] — y is fixed to (Δ+1)^(-p/t)"
+        "dual y outside [0, 1] — y is fixed to (Δ+1)^(-p/t)"
     );
     debug_assert!(
         sol.is_primal_feasible(inst, CERT_TOL),
-        "strict-invariants: Algorithm 1 returned a primal-infeasible x"
+        "Algorithm 1 returned a primal-infeasible x"
     );
     debug_assert!(
         sol.is_scaled_dual_feasible(inst, CERT_TOL),
-        "strict-invariants: (y/κ, z/κ) is not dual feasible — Lemma 4.4 violated"
+        "(y/κ, z/κ) is not dual feasible — Lemma 4.4 violated"
     );
     debug_assert!(
         sol.lower_bound <= sol.value + CERT_TOL,
-        "strict-invariants: certified lower bound {} exceeds primal value {} — weak duality violated",
+        "certified lower bound {} exceeds primal value {} — weak duality violated",
         sol.lower_bound,
         sol.value
     );
@@ -115,15 +112,12 @@ pub(crate) fn rounding_monotone(
 ) {
     let after = closed_coverage(inst, selected);
     for (i, (&b, &a)) in before.iter().zip(&after).enumerate() {
-        debug_assert!(
-            a >= b,
-            "strict-invariants: repair decreased node {i}'s coverage ({b} → {a})"
-        );
+        debug_assert!(a >= b, "repair decreased node {i}'s coverage ({b} → {a})");
         if repaired {
             let k = inst.demand(NodeId::new(i as u32));
             debug_assert!(
                 a >= k,
-                "strict-invariants: node {i} left with coverage {a} < demand {k} after repair"
+                "node {i} left with coverage {a} < demand {k} after repair"
             );
         }
     }
@@ -149,7 +143,7 @@ pub(crate) fn part1_invariants(
     for pair in masks.windows(2) {
         debug_assert!(
             pair[0].iter().zip(&pair[1]).all(|(&was, &is)| was || !is),
-            "strict-invariants: a deactivated node became active again"
+            "a deactivated node became active again"
         );
     }
     let g = udg.graph();
@@ -163,7 +157,7 @@ pub(crate) fn part1_invariants(
         let grid = SpatialGrid::build(&leader_pos, reach);
         debug_assert!(
             g.nodes().all(|v| grid.count_within(udg.position(v), reach + 1e-9) > 0),
-            "strict-invariants: a node has no leader within Σθ = {coverage_radius} — Lemma 5.1's chain argument violated"
+            "a node has no leader within Σθ = {coverage_radius} — Lemma 5.1's chain argument violated"
         );
     }
     if !leader_pos.is_empty() {
@@ -171,7 +165,7 @@ pub(crate) fn part1_invariants(
         let grid = SpatialGrid::build(&leader_pos, r_half);
         debug_assert!(
             leader_pos.iter().all(|&p| grid.count_within(p, r_half) <= LEADER_DENSITY_CAP),
-            "strict-invariants: more than {LEADER_DENSITY_CAP} leaders in one radius-r/2 disk — Lemma 5.5 sparsification failed"
+            "more than {LEADER_DENSITY_CAP} leaders in one radius-r/2 disk — Lemma 5.5 sparsification failed"
         );
     }
 }
@@ -179,8 +173,9 @@ pub(crate) fn part1_invariants(
 /// Audits the transport-transparency guarantee: executing a protocol
 /// over lossy links (`ftclust_netsim::transport`) must produce the exact
 /// output of the lossless execution — loss may stretch physical time and
-/// add retransmissions, never change a result. Called by the `*_lossy`
-/// runners with the lossless reference result.
+/// add retransmissions, never change a result. Called by the `run_*_stack`
+/// drivers whose stack engages the transport, with the lossless
+/// reference result.
 pub(crate) fn loss_transparent<T: PartialEq + std::fmt::Debug>(
     what: &str,
     lossy: &T,
@@ -188,7 +183,7 @@ pub(crate) fn loss_transparent<T: PartialEq + std::fmt::Debug>(
 ) {
     debug_assert!(
         lossy == lossless,
-        "strict-invariants: {what} diverged under message loss\n lossy:    {lossy:?}\n lossless: {lossless:?}"
+        "{what} diverged under message loss\n lossy:    {lossy:?}\n lossless: {lossless:?}"
     );
 }
 
@@ -207,13 +202,13 @@ pub(crate) fn repair_postconditions(
 ) {
     debug_assert!(
         repaired.ids().all(|v| alive[v.index()]),
-        "strict-invariants: a dead node is a member of the repaired set"
+        "a dead node is a member of the repaired set"
     );
     let healed = crate::repair::surviving_instance(g, repaired, alive)
         .is_ok_and(|(sub, survivors)| is_k_dominating(&sub, &survivors, k, Semantics::Strict));
     debug_assert!(
         healed,
-        "strict-invariants: repaired set does not strictly {k}-dominate the surviving subgraph"
+        "repaired set does not strictly {k}-dominate the surviving subgraph"
     );
     // The locality bound is only promised when repair started from a set
     // that strictly k-dominated the *full* graph (pre-failure validity).
@@ -224,7 +219,7 @@ pub(crate) fn repair_postconditions(
         };
         debug_assert!(
             added.iter().all(|&v| near_failure(v)),
-            "strict-invariants: repair added a node farther than 2 hops from any failure"
+            "repair added a node farther than 2 hops from any failure"
         );
     }
 }
@@ -238,8 +233,8 @@ mod tests {
     use crate::validate::{is_k_dominating_instance, Semantics};
     use ftclust_graphs::generators;
 
-    // With the feature on, the hooks inside the algorithms run on every
-    // call — these tests exercise all three audited paths end to end.
+    // In debug builds the hooks inside the algorithms run on every call;
+    // these tests exercise all three audited paths end to end.
 
     #[test]
     fn algorithm_1_passes_audits() {
@@ -316,8 +311,8 @@ mod tests {
 
     #[test]
     fn repair_passes_audits() {
-        // With the feature on, repair_coverage runs repair_postconditions
-        // on every call — exercise the full hook end to end.
+        // In debug builds repair_coverage runs repair_postconditions on
+        // every call; exercise the full hook end to end.
         let udg = generators::random_udg(300, 10.0, 1.0, 5);
         let run = UdgAlgorithm::new(2).seed(1).run(&udg).unwrap();
         let mut alive = vec![true; udg.node_count()];

@@ -252,8 +252,9 @@ pub fn solve_fractional(
             st.raise(&d1, &threshold, q, t);
             st.account_white(inst, &threshold);
             st.recompute_dyndeg(inst);
-            #[cfg(feature = "strict-invariants")]
-            crate::audit::fractional_state(&st.x, &st.xplus, &st.cov);
+            if cfg!(debug_assertions) {
+                crate::audit::fractional_state(&st.x, &st.xplus, &st.cov);
+            }
         }
     }
 
@@ -302,8 +303,9 @@ pub fn solve_fractional(
         delta,
         lemma41_violations,
     };
-    #[cfg(feature = "strict-invariants")]
-    crate::audit::fractional_certificate(inst, &sol);
+    if cfg!(debug_assertions) {
+        crate::audit::fractional_certificate(inst, &sol);
+    }
     Ok(sol)
 }
 

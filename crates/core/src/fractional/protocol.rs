@@ -329,7 +329,7 @@ fn lp_phases(t2: u64) -> Vec<Phase> {
 /// metrics are identical to the untraced stack's. When the stack engages
 /// the transport, drops and partitions stretch physical time and add
 /// metered retransmissions but leave the solution bit-for-bit identical
-/// (asserted against the engine by the `strict-invariants` feature).
+/// (asserted against the engine in debug builds).
 ///
 /// # Errors
 ///
@@ -356,10 +356,10 @@ pub fn run_fractional_stack(
     let t = params.t;
     let delta = params.resolve_delta(inst);
     let t2 = (t as u64) * (t as u64);
-    let _transported = stack.engages_transport();
+    let transported = stack.engages_transport();
     // The transport scales its physical ceiling from the exact logical
     // round count (2t² + 3); the synchronous budget carries slack.
-    let budget = if _transported { 2 * t2 + 3 } else { 2 * t2 + 8 };
+    let budget = if transported { 2 * t2 + 3 } else { 2 * t2 + 8 };
     let powers = power_table(t, delta);
     let run = Executor::new(
         Topology::from_graph(g),
@@ -370,15 +370,12 @@ pub fn run_fractional_stack(
     .phases(lp_phases(t2))
     .run(budget)?;
     let solution = assemble_solution(inst, t, delta, run.logics.iter());
-    #[cfg(feature = "strict-invariants")]
-    {
-        if _transported {
-            crate::audit::loss_transparent(
-                "Algorithm 1",
-                &solution,
-                &super::solve_fractional(inst, params)?,
-            );
-        }
+    if cfg!(debug_assertions) && transported {
+        crate::audit::loss_transparent(
+            "Algorithm 1",
+            &solution,
+            &super::solve_fractional(inst, params)?,
+        );
     }
     Ok((
         FractionalProtocolRun {

@@ -71,7 +71,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "strict-invariants")]
 mod audit;
 mod error;
 mod instance;

@@ -75,14 +75,13 @@ impl NodeLogic for GreedyNode {
 /// happen), or — with the transport engaged — wrapping
 /// [`ftclust_netsim::SimError::DeliveryFailed`] if loss exceeds a
 /// retransmit budget.
-#[cfg_attr(not(feature = "strict-invariants"), allow(unused_variables))]
 pub fn run_cgreedy_stack(
     inst: &Instance<'_>,
     stack: Stack,
 ) -> Result<(PortfolioRun, Option<EventLog>), KmdsError> {
     let g = inst.graph();
     let engine_set = greedy_kmds(inst, Semantics::CoverSelf);
-    let _transported = stack.engages_transport();
+    let transported = stack.engages_transport();
     let run = Executor::new(
         Topology::from_graph(g),
         |v| GreedyNode {
@@ -99,8 +98,7 @@ pub fn run_cgreedy_stack(
     ])
     .run(4)?;
     let set = DominatingSet::from_members(run.logics.iter().map(|l| l.member).collect());
-    #[cfg(feature = "strict-invariants")]
-    {
+    if cfg!(debug_assertions) {
         assert_eq!(
             set, engine_set,
             "centralized greedy: distribution changed the set"
@@ -111,7 +109,7 @@ pub fn run_cgreedy_stack(
                 "centralized greedy: node {i} failed coverage verification"
             );
         }
-        if _transported {
+        if transported {
             crate::audit::loss_transparent("centralized greedy", &set, &engine_set);
         }
     }

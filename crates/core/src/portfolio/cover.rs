@@ -240,7 +240,6 @@ impl NodeLogic for CoverNode {
 /// [`super::run_dkm_stack`]: builds the skeleton with the given
 /// election rule, runs it through the composable executor, and
 /// assembles the set from the final member flags.
-#[cfg_attr(not(feature = "strict-invariants"), allow(unused_variables))]
 pub(crate) fn run_cover_stack(
     inst: &Instance<'_>,
     election: Election,
@@ -250,7 +249,7 @@ pub(crate) fn run_cover_stack(
 ) -> Result<(PortfolioRun, Option<EventLog>), KmdsError> {
     let g = inst.graph();
     let n = g.node_count() as u64;
-    let _transported = stack.engages_transport();
+    let transported = stack.engages_transport();
     // At least one join per 3-round iteration until every demand is
     // met (at most n joins), plus the all-quiet detection iteration.
     let budget = 3 * (n + 2) + 3;
@@ -263,8 +262,7 @@ pub(crate) fn run_cover_stack(
     .phases(vec![Phase::repeat(span_name, 3)])
     .run(budget)?;
     let set = DominatingSet::from_members(run.logics.iter().map(|l| l.member).collect());
-    #[cfg(feature = "strict-invariants")]
-    {
+    if cfg!(debug_assertions) {
         assert!(
             crate::validate::is_k_dominating_instance(
                 inst,
@@ -273,7 +271,7 @@ pub(crate) fn run_cover_stack(
             ),
             "{what}: assembled set violates CoverSelf demands"
         );
-        if _transported {
+        if transported {
             let (lossless, _) = run_cover_stack(inst, election, span_name, what, Stack::new())?;
             crate::audit::loss_transparent(what, &set, &lossless.set);
         }

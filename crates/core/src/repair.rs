@@ -70,9 +70,8 @@
 //! constant. If the pre-failure set strictly k-dominated the *full*
 //! graph, every needy node lost a dominator and is therefore a graph
 //! neighbor of a failed node, and every added node is needy — so repair
-//! **never touches a node farther than 2 hops from a failure** (the
-//! `strict-invariants` feature audits both this and the re-validation of
-//! the healed set).
+//! **never touches a node farther than 2 hops from a failure** (debug
+//! builds audit both this and the re-validation of the healed set).
 //!
 //! # Example
 //!
@@ -298,8 +297,9 @@ pub fn repair_coverage(
         peak_deficit,
         deficit_nodes,
     };
-    #[cfg(feature = "strict-invariants")]
-    crate::audit::repair_postconditions(g, set, alive, k, &outcome.set, &outcome.added);
+    if cfg!(debug_assertions) {
+        crate::audit::repair_postconditions(g, set, alive, k, &outcome.set, &outcome.added);
+    }
     Ok(outcome)
 }
 
@@ -463,8 +463,8 @@ fn repair_phases() -> Vec<Phase> {
 /// cost is spread over iterations versus detection via the plan above.
 /// When the transport is engaged, drops and partition windows add metered
 /// retransmissions but leave the healed set, additions and iteration
-/// count identical to [`repair_coverage`]'s for the same inputs (asserted by
-/// the `strict-invariants` feature).
+/// count identical to [`repair_coverage`]'s for the same inputs (asserted in
+/// debug builds).
 ///
 /// # Errors
 ///
@@ -488,7 +488,7 @@ pub fn run_repair_stack(
         let log = stack.is_traced().then(EventLog::new);
         return Ok((assemble_repair(n, &[], &[], 0, Metrics::default()), log));
     }
-    let _transported = stack.engages_transport();
+    let transported = stack.engages_transport();
     let run = Executor::new(
         Topology::from_graph(&sub),
         |v| {
@@ -504,28 +504,25 @@ pub fn run_repair_stack(
     .phases(repair_phases())
     .run(repair_round_budget(sub.node_count()))?;
     let out = assemble_repair(n, &old_of_new, &run.logics, run.logical_rounds, run.metrics);
-    #[cfg(feature = "strict-invariants")]
-    {
-        if _transported {
-            let engine = repair_coverage(g, set, alive, k)?;
-            crate::audit::loss_transparent(
-                "coverage repair",
-                &(
-                    out.set.clone(),
-                    out.added.clone(),
-                    out.iterations,
-                    out.peak_deficit,
-                    out.deficit_nodes,
-                ),
-                &(
-                    engine.set,
-                    engine.added,
-                    engine.iterations,
-                    engine.peak_deficit,
-                    engine.deficit_nodes,
-                ),
-            );
-        }
+    if cfg!(debug_assertions) && transported {
+        let engine = repair_coverage(g, set, alive, k)?;
+        crate::audit::loss_transparent(
+            "coverage repair",
+            &(
+                out.set.clone(),
+                out.added.clone(),
+                out.iterations,
+                out.peak_deficit,
+                out.deficit_nodes,
+            ),
+            &(
+                engine.set,
+                engine.added,
+                engine.iterations,
+                engine.peak_deficit,
+                engine.deficit_nodes,
+            ),
+        );
     }
     Ok((out, run.log))
 }
@@ -804,7 +801,7 @@ mod tests {
     fn additions_stay_local_to_failures() {
         // With a valid pre-failure set, every added node must be within 2
         // hops of some dead node (the module-docs locality argument; the
-        // strict-invariants audit re-checks this on every call).
+        // debug-build audit re-checks this on every call).
         let udg = generators::random_udg(500, 12.0, 1.0, 9);
         let g = udg.graph();
         let run = UdgAlgorithm::new(2).seed(2).run(&udg).unwrap();

@@ -96,8 +96,8 @@ pub fn round_fractional(
         .map(|v| node_rng(seed, v).random::<f64>() < (x[v.index()] * ln_d1).min(1.0))
         .collect();
     let initial_picks = selected.iter().filter(|&&b| b).count();
-    #[cfg(feature = "strict-invariants")]
-    let coverage_before = crate::audit::closed_coverage(inst, &selected);
+    let coverage_before =
+        cfg!(debug_assertions).then(|| crate::audit::closed_coverage(inst, &selected));
     let mut requested = vec![false; n];
     if params.repair {
         // Lines 4–6: all deficits are computed against the same snapshot
@@ -129,8 +129,9 @@ pub fn round_fractional(
             repair_picks += 1;
         }
     }
-    #[cfg(feature = "strict-invariants")]
-    crate::audit::rounding_monotone(inst, &coverage_before, &selected, params.repair);
+    if let Some(before) = &coverage_before {
+        crate::audit::rounding_monotone(inst, before, &selected, params.repair);
+    }
     RoundingOutcome {
         set: DominatingSet::from_members(selected),
         initial_picks,

@@ -128,7 +128,7 @@ pub struct RoundingProtocolRun {
 /// attributes the rounding tail separately from the LP phases. Tracing
 /// does not perturb the run; when the transport is engaged, the rounded
 /// set stays seed-for-seed identical to the lossless run's (asserted
-/// against the engine by the `strict-invariants` feature).
+/// against the engine in debug builds).
 ///
 /// # Errors
 ///
@@ -154,10 +154,10 @@ pub fn run_rounding_stack(
         "fractional solution length mismatch"
     );
     let ln_d1 = ((delta + 1) as f64).ln();
-    let _transported = stack.engages_transport();
+    let transported = stack.engages_transport();
     // The transport scales its physical ceiling from the exact logical
     // round count (3); the synchronous budget carries slack.
-    let budget = if _transported { 3 } else { 8 };
+    let budget = if transported { 3 } else { 8 };
     let run = Executor::new(
         Topology::from_graph(g),
         |v: NodeId| RoundingNode {
@@ -174,15 +174,12 @@ pub fn run_rounding_stack(
     .phases(vec![Phase::repeat("rounding_round", 1)])
     .run(budget)?;
     let outcome = assemble_outcome(run.logics.iter());
-    #[cfg(feature = "strict-invariants")]
-    {
-        if _transported {
-            crate::audit::loss_transparent(
-                "Algorithm 2",
-                &outcome,
-                &super::round_fractional(inst, x, delta, seed, params),
-            );
-        }
+    if cfg!(debug_assertions) && transported {
+        crate::audit::loss_transparent(
+            "Algorithm 2",
+            &outcome,
+            &super::round_fractional(inst, x, delta, seed, params),
+        );
     }
     Ok((
         RoundingProtocolRun {

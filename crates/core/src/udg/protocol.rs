@@ -226,9 +226,9 @@ fn empty_udg_run() -> UdgProtocolRun {
 /// above. When the transport is engaged, drops and partition windows add
 /// metered retransmissions but leave the computed set, leaders and
 /// iteration counts seed-for-seed identical to the lossless run's
-/// (asserted by the `strict-invariants` feature, which also audits
-/// Part I); the Part II iteration count is derived from the transport's
-/// **logical** round count, which loss cannot inflate.
+/// (asserted in debug builds, which also audit Part I); the Part II
+/// iteration count is derived from the transport's **logical** round
+/// count, which loss cannot inflate.
 ///
 /// # Errors
 ///
@@ -245,20 +245,18 @@ pub fn run_udg_stack(
         let log = stack.is_traced().then(EventLog::new);
         return Ok((empty_udg_run(), log));
     }
-    let _transported = stack.engages_transport();
+    let transported = stack.engages_transport();
     let run = execute(udg, config, stack)?;
     let part1_rounds = run.logics[0].part1_rounds() as u32;
     let assembled = assemble_run(part1_rounds, run.logical_rounds, &run.logics);
-    #[cfg(feature = "strict-invariants")]
-    {
-        let schedule = &run.logics[0].schedule;
+    if cfg!(debug_assertions) {
         crate::audit::part1_invariants(
             udg,
             &active_masks(&run.logics, part1_rounds),
             assembled.leaders.as_members(),
-            schedule.iter().sum(),
+            run.logics[0].schedule.iter().sum(),
         );
-        if _transported {
+        if transported {
             crate::audit::loss_transparent("Algorithm 3", &assembled, &config.run(udg)?);
         }
     }

@@ -214,6 +214,9 @@ fn cmd_solve(opts: &Options) -> Result<(), String> {
     let g = load_graph(opts)?;
     let k: u32 = opts.parse_num("k", 1)?;
     let t: u32 = opts.parse_num("t", 4)?;
+    if t == 0 {
+        return Err("--t must be at least 1".into());
+    }
     let seed: u64 = opts.parse_num("seed", 0)?;
     let inst = Instance::uniform_clamped(&g, k);
     let algorithm = opts.get("algorithm").unwrap_or("pipeline");
@@ -259,6 +262,11 @@ fn cmd_udg(opts: &Options) -> Result<(), String> {
     let pos_path = opts.require("positions")?;
     let pts = io::read_positions(&read_file(pos_path)?).map_err(|e| format!("{pos_path}: {e}"))?;
     let radius: f64 = opts.parse_num("radius", 1.0)?;
+    if !(radius.is_finite() && radius > 0.0) {
+        return Err(format!(
+            "--radius must be positive and finite, got {radius}"
+        ));
+    }
     let k: u32 = opts.parse_num("k", 1)?;
     let seed: u64 = opts.parse_num("seed", 0)?;
     let udg = UnitDiskGraph::build(pts, radius).map_err(|e| e.to_string())?;
@@ -266,6 +274,9 @@ fn cmd_udg(opts: &Options) -> Result<(), String> {
     let algorithm = opts.get("algorithm").unwrap_or("udg");
     let set = match algorithm {
         "udg" => {
+            if k == 0 {
+                return Err("--k must be at least 1 for Algorithm 3".into());
+            }
             let run = UdgAlgorithm::new(k)
                 .seed(seed)
                 .run(&udg)
@@ -356,6 +367,48 @@ mod tests {
             assert!(run(&strs(&args)).is_err(), "{family} --avg-degree {avg}");
             assert!(!out.exists(), "{family} --avg-degree {avg} wrote a graph");
         }
+    }
+
+    #[test]
+    fn solve_and_udg_reject_bad_parameters() {
+        let dir = std::env::temp_dir().join("ftclust_cli_bad_params");
+        std::fs::create_dir_all(&dir).unwrap();
+        let g_path = dir.join("g.txt");
+        let p_path = dir.join("p.txt");
+        let (g, p) = (g_path.to_str().unwrap(), p_path.to_str().unwrap());
+        let generate = [
+            "generate",
+            "--family",
+            "rgg",
+            "--nodes",
+            "40",
+            "--out",
+            g,
+            "--positions",
+            p,
+        ];
+        run(&strs(&generate)).unwrap();
+        let solve = |extra: &[&str]| run(&strs(&[&["solve", "--graph", g], extra].concat()));
+        assert!(solve(&["--t", "0"]).is_err(), "solve --t 0");
+        assert!(solve(&["--k", "0"]).is_ok(), "solve --k 0 is the empty set");
+        for radius in ["0", "-1", "nan", "inf"] {
+            let args = ["udg", "--positions", p, "--radius", radius];
+            assert!(run(&strs(&args)).is_err(), "udg --radius {radius}");
+        }
+        let udg_k0 = |algorithm| {
+            run(&strs(&[
+                "udg",
+                "--positions",
+                p,
+                "--k",
+                "0",
+                "--algorithm",
+                algorithm,
+            ]))
+        };
+        assert!(udg_k0("udg").is_err(), "udg --k 0");
+        assert!(udg_k0("grid").is_ok(), "grid --k 0 is the empty set");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! shared mutable state. The real arena (`crates/netsim/src/arena.rs`)
 //! merges per-shard outboxes **sequentially** in shard-index order; any
 //! of these "optimizations" would make delivery order depend on the
-//! scheduler. `cargo xtask lint --self-test` fails if either seed goes
+//! scheduler. `cargo xtask lint` fails if either seed goes
 //! undetected.
 
 /// Seeded: `merge-order` — allocating arena offsets with an atomic
@@ -23,7 +23,7 @@ pub fn seeded_arena_offset_fetch_add(
 /// from inside a parallel call site interleaves shards in completion
 /// order instead of shard-index order.
 pub fn seeded_arena_locked_merge(shards: &mut [Vec<Envelope<P>>], arena: &Mutex<Vec<Envelope<P>>>) {
-    par_for_each_mut(shards, |shard| {
+    par_each_mut(shards, |shard| {
         arena.lock().expect("arena lock").append(shard);
     });
 }

@@ -1,5 +1,5 @@
 //! NOT COMPILED — lint self-test fixture seeding one violation of every
-//! determinism-auditor rule. `cargo xtask lint --self-test` fails if any
+//! determinism-auditor rule. `cargo xtask lint` fails if any
 //! of these goes undetected.
 
 /// Seeded: `hashmap-iteration` — order-sensitive drain of a hash map

@@ -1,5 +1,5 @@
 //! NOT COMPILED — lint self-test fixture with deliberately seeded
-//! violations. `cargo xtask lint --self-test` verifies the gate catches
+//! violations. `cargo xtask lint` verifies the gate catches
 //! every one of them; if a checker regresses, the self-test fails.
 
 /// Seeded: `no-panic-paths` (unwrap).

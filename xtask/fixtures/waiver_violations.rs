@@ -1,5 +1,5 @@
 //! NOT COMPILED — lint self-test fixture seeding one violation of every
-//! waiver-audit rule. `cargo xtask lint --self-test` fails if any of
+//! waiver-audit rule. `cargo xtask lint` fails if any of
 //! these goes undetected.
 
 /// Seeded: `stale-waiver` — a well-formed waiver with nothing on or

@@ -27,9 +27,8 @@
 //!   `// SAFETY:` justification in the preceding three lines. The
 //!   workspace forbids `unsafe` crate-wide today; this rule is the
 //!   guardrail for any future, explicitly relaxed crate.
-//! * **merge-order** — inside a `par_map_range` / `par_map_indexed` /
-//!   `par_chunks_mut` / `par_for_each_mut` / `par_each_mut` call site,
-//!   shared-state merge primitives (`Mutex`, `RwLock`, atomics'
+//! * **merge-order** — inside a `par_map_range` / `par_each_mut` call
+//!   site, shared-state merge primitives (`Mutex`, `RwLock`, atomics'
 //!   `fetch_*`/`store`, channel sends) whose completion order depends
 //!   on the scheduler. Parallel
 //!   regions must return per-shard results that the caller merges in
@@ -61,16 +60,18 @@ fn ident_after(code: &str, pos: usize) -> bool {
         .is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_')
 }
 
-/// Yields the start offset of every word-bounded occurrence of `needle`
-/// in `code` (boundary checked on the leading side only when the needle
-/// ends in a non-identifier char like `(`).
+/// Yields the start offset of every occurrence of `needle` in `code`
+/// that starts a word. Only the leading side is checked, and not at all
+/// for a method-call needle like `.lock(`, whose receiver always ends in
+/// an identifier byte.
 fn occurrences<'c>(code: &'c str, needle: &'c str) -> impl Iterator<Item = usize> + 'c {
+    let method = needle.starts_with('.');
     let mut from = 0;
     std::iter::from_fn(move || {
         while let Some(pos) = code[from..].find(needle) {
             let at = from + pos;
             from = at + needle.len();
-            if !ident_before(code, at) {
+            if method || !ident_before(code, at) {
                 return Some(at);
             }
         }
@@ -324,13 +325,7 @@ fn hash_collection_idents(code: &str) -> Vec<String> {
 /// call sites.
 pub(crate) fn check_merge_order(file: &SourceFile, limit: usize, out: &mut Vec<Violation>) {
     let code = &file.scrubbed[..limit];
-    const PAR_CALLS: &[&str] = &[
-        "par_map_range(",
-        "par_map_indexed(",
-        "par_chunks_mut(",
-        "par_for_each_mut(",
-        "par_each_mut(",
-    ];
+    const PAR_CALLS: &[&str] = &["par_map_range(", "par_each_mut("];
     const SHARED_MERGE: &[(&str, &str)] = &[
         (".lock(", "a `Mutex`/`RwLock` lock"),
         ("Mutex", "a `Mutex`"),

@@ -25,22 +25,20 @@
 //! (self-hosting), with per-scope rule sets: test code may `unwrap`,
 //! nothing may read wall clocks.
 //!
-//! Reporting: `--format json` emits a byte-stable machine-readable
-//! report; `--ratchet` compares per-rule counts against the checked-in
-//! `xtask/lint-baseline.json` and fails only when a count grows;
-//! `--write-baseline` records the current counts as the new baseline.
+//! `cargo xtask lint` takes no options. It first runs the checkers
+//! against the seeded-violation fixtures in `xtask/fixtures/` and fails
+//! if any seeded violation goes undetected (guarding the gate itself
+//! against silent regressions), then walks the workspace. A
+//! `// lint: <rule> — <reason>` waiver is the one way to accept a
+//! violation.
 //!
-//! Exit status: 0 when clean (or within the ratchet budget), 1 when the
-//! gate fails, 2 on usage errors. `cargo xtask lint --self-test`
-//! additionally runs the checkers against the seeded-violation fixtures
-//! in `xtask/fixtures/` and fails if any seeded violation goes
-//! undetected (guarding the gate itself against silent regressions).
+//! Exit status: 0 when clean, 1 on any violation or a failed self-test,
+//! 2 on any argument after `lint`.
 
 mod congest;
 mod determinism;
 mod headers;
 mod hygiene;
-mod report;
 mod selftest;
 mod source;
 mod waivers;
@@ -51,7 +49,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// One finding of one lint rule.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Violation {
     /// Stable rule identifier (kebab-case).
     pub(crate) rule: &'static str,
@@ -167,65 +165,24 @@ const CONGEST_SCOPES: &[(&str, bool)] = &[
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let root = workspace_root();
-    match args.first().map(String::as_str) {
-        Some("lint") => {
-            let mut self_test = false;
-            let mut format = Format::Text;
-            let mut ratchet = false;
-            let mut write_baseline = false;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--self-test" => self_test = true,
-                    "--ratchet" => ratchet = true,
-                    "--write-baseline" => write_baseline = true,
-                    "--format" => match it.next().map(String::as_str) {
-                        Some("json") => format = Format::Json,
-                        Some("text") => format = Format::Text,
-                        other => {
-                            eprintln!(
-                                "--format takes `text` or `json`, got {}",
-                                other.unwrap_or("nothing")
-                            );
-                            return ExitCode::from(2);
-                        }
-                    },
-                    bad => {
-                        eprintln!(
-                            "unknown option `{bad}`; usage: cargo xtask lint \
-                             [--self-test] [--format text|json] [--ratchet] \
-                             [--write-baseline]"
-                        );
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            if self_test {
-                if let Err(msg) = selftest::run(&root) {
-                    eprintln!("self-test FAILED: {msg}");
-                    return ExitCode::from(1);
-                }
-                println!("self-test passed: seeded violations detected, clean fixture clean");
-            }
-            run_lint(&root, format, ratchet, write_baseline)
+    match args.as_slice() {
+        [task] if task == "lint" => {}
+        [task, extra, ..] if task == "lint" => {
+            eprintln!("`cargo xtask lint` takes no options, got `{extra}`");
+            return ExitCode::from(2);
         }
-        Some(other) => {
-            eprintln!("unknown task `{other}`; available: lint [--self-test]");
-            ExitCode::from(2)
-        }
-        None => {
-            eprintln!("usage: cargo xtask lint [--self-test] [--format text|json] [--ratchet] [--write-baseline]");
-            ExitCode::from(2)
+        _ => {
+            eprintln!("usage: cargo xtask lint");
+            return ExitCode::from(2);
         }
     }
-}
-
-/// Output format for the final report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
+    let root = workspace_root();
+    if let Err(msg) = selftest::run(&root) {
+        eprintln!("self-test FAILED: {msg}");
+        return ExitCode::from(1);
+    }
+    println!("self-test passed: seeded violations detected, clean fixture clean");
+    run_lint(&root)
 }
 
 /// The workspace root: the parent of this crate's manifest directory.
@@ -275,7 +232,7 @@ pub(crate) fn run_scoped_passes(file: &SourceFile, scope: Scope, out: &mut Vec<V
 }
 
 /// Runs every pass and reports. Exit 0 iff the gate passes.
-fn run_lint(root: &Path, format: Format, ratchet: bool, write_baseline: bool) -> ExitCode {
+fn run_lint(root: &Path) -> ExitCode {
     let mut violations = Vec::new();
     headers::check_manifests(root, MEMBERS, &mut violations);
     for lib in CRATE_ROOTS {
@@ -298,75 +255,17 @@ fn run_lint(root: &Path, format: Format, ratchet: bool, write_baseline: bool) ->
             congest::check(&file, protocol_module, &mut violations);
         }
     }
-    let violations = waivers::apply(violations, &mut waiver_map);
-    let counts = report::counts(&violations);
-
-    if write_baseline {
-        let rendered = report::render_baseline(&counts);
-        if let Err(e) = std::fs::write(root.join(report::BASELINE_PATH), rendered) {
-            eprintln!("cannot write {}: {e}", report::BASELINE_PATH);
-            return ExitCode::from(1);
-        }
-        println!(
-            "baseline written to {} ({} rule(s), {} violation(s))",
-            report::BASELINE_PATH,
-            counts.len(),
-            violations.len()
-        );
+    let mut violations = waivers::apply(violations, &mut waiver_map);
+    if violations.is_empty() {
+        println!("lint clean: {files_checked} files, 0 violations");
         return ExitCode::SUCCESS;
     }
-
-    if format == Format::Json {
-        print!("{}", report::render_json(&violations));
+    violations.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    for v in &violations {
+        eprintln!("{v}");
     }
-
-    if ratchet {
-        let baseline = match report::load_baseline(root) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("ratchet error: {e}");
-                return ExitCode::from(1);
-            }
-        };
-        let (failures, improvements) = report::ratchet(&counts, &baseline);
-        for v in report::sorted(&violations) {
-            eprintln!("{v}");
-        }
-        for note in &improvements {
-            eprintln!("note: {note}");
-        }
-        return if failures.is_empty() {
-            if format == Format::Text {
-                println!(
-                    "ratchet OK: {files_checked} files, {} violation(s) within baseline",
-                    violations.len()
-                );
-            }
-            ExitCode::SUCCESS
-        } else {
-            for f in &failures {
-                eprintln!("ratchet FAILED: {f}");
-            }
-            ExitCode::from(1)
-        };
-    }
-
-    report_text(&violations, files_checked, format)
-}
-
-fn report_text(violations: &[Violation], files_checked: usize, format: Format) -> ExitCode {
-    if violations.is_empty() {
-        if format == Format::Text {
-            println!("lint clean: {files_checked} files, 0 violations");
-        }
-        ExitCode::SUCCESS
-    } else {
-        for v in report::sorted(violations) {
-            eprintln!("{v}");
-        }
-        eprintln!("lint FAILED: {} violation(s)", violations.len());
-        ExitCode::from(1)
-    }
+    eprintln!("lint FAILED: {} violation(s)", violations.len());
+    ExitCode::from(1)
 }
 
 /// Loads and scrubs every `.rs` file under `root/rel` (a directory or a

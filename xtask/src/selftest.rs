@@ -24,14 +24,15 @@
 //!
 //! Every fixture runs through the *full* per-file pipeline (all passes
 //! plus waiver collection and application), so the self-test also
-//! exercises the suppression path end to end. It additionally pins the
-//! reporting layer: the checked-in baseline must parse, the ratchet
-//! must fail exactly on growth, and the JSON rendering must not depend
-//! on discovery order.
+//! exercises the suppression path end to end. Each `/// Seeded:` doc
+//! marker in a fixture names its rules in backticks, and each of them
+//! must fire between that marker and the next one, so one seed cannot
+//! stand in for another seed of the same rule that has stopped firing.
 
 use crate::source::SourceFile;
-use crate::{congest, determinism, hygiene, report, waivers, Violation};
+use crate::{congest, determinism, hygiene, waivers, Violation};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::Path;
 
 /// Each fixture with the rules that must each fire at least once on it.
@@ -104,6 +105,25 @@ fn check_fixture(root: &Path, rel: &str) -> Result<Vec<Violation>, String> {
     Ok(waivers::apply(v, &mut waiver_map))
 }
 
+/// The `/// Seeded:` markers in `source`: the backticked rules each names
+/// before its `—` explanation, and the 1-indexed lines it covers (up to
+/// the next marker).
+fn seed_markers(source: &str) -> Vec<(Vec<&str>, Range<usize>)> {
+    let mut markers: Vec<(Vec<&str>, Range<usize>)> = Vec::new();
+    for (i, line) in source.lines().enumerate() {
+        let Some(rest) = line.trim_start().strip_prefix("/// Seeded: ") else {
+            continue;
+        };
+        let head = rest.split(" — ").next().unwrap_or(rest);
+        let rules = head.split('`').skip(1).step_by(2).collect();
+        if let Some(last) = markers.last_mut() {
+            last.1.end = i + 1;
+        }
+        markers.push((rules, i + 1..usize::MAX));
+    }
+    markers
+}
+
 /// Runs the self-test; `Err` describes the first failure.
 pub(crate) fn run(root: &Path) -> Result<(), String> {
     let mut all_seeded = Vec::new();
@@ -119,6 +139,21 @@ pub(crate) fn run(root: &Path) -> Result<(), String> {
                      the checker has regressed (detected: {:?})",
                     found.iter().map(|v| v.rule).collect::<Vec<_>>()
                 ));
+            }
+        }
+        let source = std::fs::read_to_string(root.join(rel)).map_err(|e| e.to_string())?;
+        for (rules, lines) in seed_markers(&source) {
+            for rule in rules {
+                if !found
+                    .iter()
+                    .any(|v| v.rule == rule && lines.contains(&v.line))
+                {
+                    return Err(format!(
+                        "the `{rule}` seed at {rel}:{} was NOT detected — \
+                         the checker has regressed",
+                        lines.start
+                    ));
+                }
             }
         }
         all_seeded.extend(found);
@@ -144,33 +179,5 @@ pub(crate) fn run(root: &Path) -> Result<(), String> {
         return Err(format!("false positive on the clean fixture: {v}"));
     }
 
-    // The reporting layer: checked-in baseline parses, JSON is
-    // discovery-order independent, and the ratchet fails exactly on
-    // growth.
-    report::load_baseline(root).map_err(|e| format!("baseline self-check: {e}"))?;
-    let mut reversed = all_seeded.clone();
-    reversed.reverse();
-    if report::render_json(&all_seeded) != report::render_json(&reversed) {
-        return Err("JSON report depends on discovery order".to_owned());
-    }
-    let current = report::counts(&all_seeded);
-    let matching: BTreeMap<String, u64> = current
-        .iter()
-        .map(|(rule, n)| ((*rule).to_owned(), *n))
-        .collect();
-    let (failures, _) = report::ratchet(&current, &matching);
-    if !failures.is_empty() {
-        return Err(format!(
-            "ratchet failed although counts match the baseline: {failures:?}"
-        ));
-    }
-    let mut tightened = matching.clone();
-    if let Some(v) = tightened.values_mut().next() {
-        *v -= 1;
-    }
-    let (failures, _) = report::ratchet(&current, &tightened);
-    if failures.is_empty() {
-        return Err("ratchet did not fail when a rule count grew past the baseline".to_owned());
-    }
     Ok(())
 }
