@@ -29,9 +29,10 @@
 //! changes have a trajectory to be measured against; progress goes to
 //! stderr. The tracked `BENCH.json` is this report at full size:
 //! regenerate it with `exp perf > BENCH.json`.
-//! Graph construction happens once per `n` and is shared by every
-//! thread row, so it is reported in the per-`n` `graph_build` section
-//! (schema v3 repeated the thread-1 value in every row);
+//! One graph per `n` is shared by every thread row, so its construction
+//! is reported in the per-`n` `graph_build` section (schema v3 repeated
+//! the thread-1 value in every row), as the median of `trials` builds
+//! (the first one before the `n`'s rows, the rest after every section);
 //! `speedup_at_largest_n` is a `{value, reason}` pair whose value is
 //! `null` with reason `"oversubscribed_host"` when no honest
 //! multithreaded row exists. Before timing, the
@@ -157,6 +158,13 @@ fn run_trial(
         let states: Vec<u64> = sim.logics().map(|l| l.best).collect();
         (states, executed, messages, setup, wall)
     })
+}
+
+/// Builds the sweep's `n`-node graph and times the build.
+fn timed_rgg(n: u32) -> (ftclust_graphs::Graph, f64) {
+    let start = Instant::now(); // lint: wall-clock — wall time is this benchmark’s measured output
+    let g = Family::Rgg.build(n, u64::from(n));
+    (g, start.elapsed().as_secs_f64())
 }
 
 /// FNV-1a over a state vector, for cross-process determinism diffs.
@@ -369,16 +377,16 @@ pub(crate) fn run(opts: &crate::Opts) -> std::io::Result<()> {
     let mut results = Vec::new();
     let mut digests = String::new();
     let mut speedup_at_largest: Option<f64> = None;
-    // Graph construction happens once per n and is shared by every
-    // thread row, so it is recorded per n — schema v3 repeated the
-    // thread-1 value verbatim into every row, inviting misreads as a
-    // per-row measurement.
-    let mut graph_builds: Vec<(u32, f64)> = Vec::new();
+    // One graph per n is shared by every thread row, so its construction
+    // is recorded per n — schema v3 repeated the thread-1 value verbatim
+    // into every row, inviting misreads as a per-row measurement. This
+    // build is its first timing; the other `trials − 1` run after every
+    // section (below): building and freeing extra 10⁶-node graphs here
+    // slowed the next single-thread round phase by 25–40% on a 2-vCPU host.
+    let mut graph_builds: Vec<(u32, Vec<f64>)> = Vec::new();
     for &(n, rounds) in sizes {
-        let build_start = Instant::now(); // lint: wall-clock — wall time is this benchmark’s measured output
-        let g = Family::Rgg.build(n, u64::from(n));
-        let graph_build_secs = build_start.elapsed().as_secs_f64();
-        graph_builds.push((n, graph_build_secs));
+        let (g, build_secs) = timed_rgg(n);
+        graph_builds.push((n, vec![build_secs]));
         let mut serial_states: Option<Vec<u64>> = None;
         let mut serial_nrps = 0.0f64;
         for &threads in thread_counts {
@@ -506,9 +514,16 @@ pub(crate) fn run(opts: &crate::Opts) -> std::io::Result<()> {
         })
         .collect::<Vec<_>>()
         .join(",\n");
+    // The remaining graph-build trials, after every timed section.
+    for (n, secs) in &mut graph_builds {
+        secs.extend((1..trials).map(|_| timed_rgg(*n).1));
+    }
     let builds_body = graph_builds
         .iter()
-        .map(|&(n, secs)| format!("    {{\"n\": {n}, \"graph_build_secs\": {secs:.6}}}"))
+        .map(|(n, secs)| {
+            let secs = median(secs);
+            format!("    {{\"n\": {n}, \"graph_build_secs\": {secs:.6}}}")
+        })
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(

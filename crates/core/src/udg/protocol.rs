@@ -91,6 +91,10 @@ pub struct UdgNode {
     active: bool,
     my_id: u64,
     fixed_drawn: bool,
+    /// Part I: the sensed distance to each neighbor, in `ctx.neighbors()`
+    /// order, read on the first announcement and compared with each
+    /// round's `θ` after that.
+    neighbor_dist: Vec<f64>,
     /// Paper round after which this node turned passive (None = leader).
     pub passive_after: Option<u32>,
     /// Part II: the promotion loop, seeded with the leaders.
@@ -138,12 +142,21 @@ impl NodeLogic for UdgNode {
                             }
                         }
                     }
+                    let neighbors = ctx.neighbors();
+                    if self.neighbor_dist.len() != neighbors.len() {
+                        self.neighbor_dist = neighbors
+                            .iter()
+                            .map(|&w| {
+                                let Some(d) = ctx.distance_to(w) else {
+                                    unreachable!("UDG topologies sense all neighbor distances");
+                                };
+                                d
+                            })
+                            .collect();
+                    }
                     let theta = self.schedule[paper_round];
                     let (id, id_bits) = (self.my_id, self.id_bits);
-                    for &w in ctx.neighbors() {
-                        let Some(d) = ctx.distance_to(w) else {
-                            unreachable!("UDG topologies sense all neighbor distances");
-                        };
+                    for (&w, &d) in neighbors.iter().zip(&self.neighbor_dist) {
                         if d <= theta {
                             ctx.send(w, UdgMsg::Id { id, id_bits });
                         }
@@ -292,6 +305,7 @@ pub(crate) fn execute(
             active: true,
             my_id: 0,
             fixed_drawn: false,
+            neighbor_dist: Vec::new(),
             passive_after: None,
             part2: PromotionLoop::new(config.k, false),
         },

@@ -5,10 +5,11 @@
 //!
 //! * [`Point`] — points in the Euclidean plane with distance queries,
 //! * [`Disk`] — closed disks, containment and intersection tests,
-//! * [`SpatialGrid`] — a uniform hash grid answering *range queries*
-//!   ("all points within distance `r` of `q`") in expected `O(1)` time per
-//!   reported point, used to build unit disk graphs with 100 000+ nodes and
-//!   to run the radius-doubling rounds of the UDG algorithm,
+//! * [`SpatialGrid`] — a uniform cell grid stored as one flat table
+//!   (per-cell offsets and one index array, `O(n)` memory for any input),
+//!   answering *range queries* ("all points within distance `r` of `q`")
+//!   in expected `O(1)` time per reported point, used to build unit disk
+//!   graphs with 100 000+ nodes and by the Section 5 analysis and audits,
 //! * [`hex`] — hexagonal lattice coverings of the plane by disks
 //!   (the paper's Figure 1), and
 //! * [`cover`] — disk-covering counts `α(i)` from Lemma 5.3 together with

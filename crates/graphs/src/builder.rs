@@ -66,37 +66,38 @@ impl GraphBuilder {
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();
         self.edges.dedup();
-        let n = self.node_count as usize;
-        let mut degree = vec![0usize; n];
-        for &(u, v) in &self.edges {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut running = 0usize;
-        offsets.push(0usize);
-        for d in &degree {
-            running += d;
-            offsets.push(running);
-        }
-        let mut cursor = offsets.clone();
-        let mut targets = vec![NodeId::new(0); 2 * self.edges.len()];
-        for &(u, v) in &self.edges {
-            targets[cursor[u as usize]] = NodeId::new(v);
-            cursor[u as usize] += 1;
-            targets[cursor[v as usize]] = NodeId::new(u);
-            cursor[v as usize] += 1;
-        }
-        // Edges were iterated in sorted (u, v) order, so each list of
-        // higher-numbered neighbors is already sorted; lower-numbered
-        // neighbors arrive in sorted order too because the outer sort is by
-        // (min, max). A final per-node sort keeps the invariant simple and
-        // robust.
-        for v in 0..n {
-            targets[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
-        Graph::from_csr(offsets, targets)
+        csr_from_pairs(self.node_count as usize, &self.edges)
     }
+}
+
+/// Assembles the CSR [`Graph`] on `n` nodes from undirected pairs
+/// `(u, v)` with `u < v < n`, each listed once and grouped by ascending
+/// `u`: a degree count, a fill, then a per-node sort.
+///
+/// The grouping puts every node's lower-numbered neighbors first and in
+/// ascending order, so the sort only has to order each node's own pairs
+/// (and is a linear pass when they are sorted already).
+pub(crate) fn csr_from_pairs(n: usize, pairs: &[(u32, u32)]) -> Graph {
+    let mut offsets = vec![0usize; n + 1];
+    for &(u, v) in pairs {
+        offsets[u as usize + 1] += 1;
+        offsets[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut cursor = offsets[..n].to_vec();
+    let mut targets = vec![NodeId::new(0); 2 * pairs.len()];
+    for &(u, v) in pairs {
+        targets[cursor[u as usize]] = NodeId::new(v);
+        cursor[u as usize] += 1;
+        targets[cursor[v as usize]] = NodeId::new(u);
+        cursor[v as usize] += 1;
+    }
+    for v in 0..n {
+        targets[offsets[v]..offsets[v + 1]].sort_unstable();
+    }
+    Graph::from_csr(offsets, targets)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Errors produced when constructing or parsing graphs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum GraphError {
     /// An edge endpoint referenced a node `>= node_count`.
@@ -26,6 +26,17 @@ pub enum GraphError {
         /// Number of nodes expected.
         nodes: usize,
     },
+    /// A unit disk graph was requested with a connection radius that is
+    /// not strictly positive and finite.
+    InvalidRadius {
+        /// The rejected radius.
+        radius: f64,
+    },
+    /// A node position of a geometric graph has a non-finite coordinate.
+    NonFinitePosition {
+        /// The node whose position is not finite.
+        node: usize,
+    },
     /// A textual graph representation could not be parsed.
     Parse {
         /// 1-based line number of the offending input line.
@@ -47,6 +58,12 @@ impl fmt::Display for GraphError {
             GraphError::SelfLoop { node } => write!(f, "self-loop at node {node}"),
             GraphError::PositionCountMismatch { positions, nodes } => {
                 write!(f, "got {positions} positions for {nodes} nodes")
+            }
+            GraphError::InvalidRadius { radius } => {
+                write!(f, "radius must be positive and finite, got {radius}")
+            }
+            GraphError::NonFinitePosition { node } => {
+                write!(f, "node {node} has a non-finite position")
             }
             GraphError::Parse { line, reason } => {
                 write!(f, "parse error at line {line}: {reason}")
@@ -76,6 +93,10 @@ mod tests {
             reason: "bad token".into(),
         };
         assert!(e.to_string().contains("line 2"));
+        let e = GraphError::InvalidRadius { radius: -1.0 };
+        assert!(e.to_string().contains("-1"));
+        let e = GraphError::NonFinitePosition { node: 4 };
+        assert!(e.to_string().contains("node 4"));
     }
 
     #[test]

@@ -146,6 +146,38 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the node count and every sorted adjacency list.
+    fn fold_adjacency(hash: &mut u64, udg: &UnitDiskGraph) {
+        let g = udg.graph();
+        let words = std::iter::once(g.node_count() as u64).chain(g.nodes().flat_map(|v| {
+            std::iter::once(g.degree(v) as u64)
+                .chain(g.neighbors(v).iter().map(|w| u64::from(w.raw())))
+        }));
+        for word in words {
+            for byte in word.to_le_bytes() {
+                *hash ^= u64::from(byte);
+                *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Pins the generated graphs edge for edge: a change to the spatial
+    /// grid or the CSR assembly that moves one edge moves this digest.
+    #[test]
+    fn generated_adjacency_is_pinned() {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for seed in 0..4 {
+            for &(n, degree) in &[(1, 6.0), (60, 3.0), (400, 12.0), (2_500, 8.0)] {
+                fold_adjacency(&mut hash, &random_udg(n, degree, 1.0, seed));
+            }
+            fold_adjacency(&mut hash, &random_udg_in_square(300, 4.0, 0.7, seed));
+            fold_adjacency(&mut hash, &random_udg_in_square(300, 40.0, 2.5, seed));
+            fold_adjacency(&mut hash, &clustered_udg(500, 5, 20.0, 1.0, 1.0, seed));
+            fold_adjacency(&mut hash, &clustered_udg(800, 3, 8.0, 0.3, 0.5, seed));
+        }
+        assert_eq!(hash, 0xa0e4_1e05_d244_1b37, "adjacency digest {hash:#018x}");
+    }
+
     #[test]
     fn single_node_udg() {
         let udg = random_udg(1, 5.0, 1.0, 0);

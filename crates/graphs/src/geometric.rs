@@ -1,4 +1,5 @@
-use crate::{Graph, GraphBuilder, GraphError, NodeId};
+use crate::builder::csr_from_pairs;
+use crate::{Graph, GraphError, NodeId};
 use ftclust_geometry::{Point, SpatialGrid};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -12,7 +13,7 @@ use std::fmt;
 /// restrict attention to neighbors within its per-round range `θ`
 /// ([`UnitDiskGraph::neighbors_within`]).
 ///
-/// Construction uses a spatial hash grid, so building a UDG over `n` points
+/// Construction uses a flat spatial grid, so building a UDG over `n` points
 /// costs `O(n + m)` expected time rather than `O(n²)`.
 ///
 /// # Example
@@ -37,44 +38,43 @@ pub struct UnitDiskGraph {
 
 impl UnitDiskGraph {
     /// Builds the unit disk graph over `positions` with connection radius
-    /// `radius`.
+    /// `radius`. Coincident points are fine: they become mutually adjacent
+    /// distinct nodes.
+    ///
+    /// Each node `i` queries a [`SpatialGrid`] with cells of side `radius`
+    /// once and emits each edge `(i, j)` with `j > i`, so every edge is
+    /// found once, in ascending order of `i`, and goes straight into the
+    /// CSR arrays without a global sort.
     ///
     /// # Errors
     ///
-    /// Never fails for valid inputs; returns a [`GraphError`] only if two
-    /// coincident points would create a self-loop-like degenerate edge
-    /// (coincident points are fine — they become mutually adjacent distinct
-    /// nodes).
+    /// Returns [`GraphError::InvalidRadius`] if `radius` is not strictly
+    /// positive and finite, and [`GraphError::NonFinitePosition`] if a
+    /// position has a non-finite coordinate.
     ///
     /// # Panics
     ///
-    /// Panics if `radius` is not strictly positive and finite, or if any
-    /// position is non-finite.
+    /// Panics if there are more than `u32::MAX` positions.
     pub fn build(positions: Vec<Point>, radius: f64) -> Result<UnitDiskGraph, GraphError> {
-        assert!(
-            radius.is_finite() && radius > 0.0,
-            "UDG radius must be positive and finite, got {radius}"
-        );
+        if !(radius.is_finite() && radius > 0.0) {
+            return Err(GraphError::InvalidRadius { radius });
+        }
+        if let Some(node) = positions.iter().position(|p| !p.is_finite()) {
+            return Err(GraphError::NonFinitePosition { node });
+        }
         let n = positions.len();
         assert!(n <= u32::MAX as usize, "too many nodes");
         let grid = SpatialGrid::build(&positions, radius);
-        let mut b = GraphBuilder::new(n as u32);
-        for (i, &p) in positions.iter().enumerate() {
-            let i = i as u32;
-            let mut err = None;
+        let mut pairs = Vec::new();
+        for (i, &p) in (0u32..).zip(&positions) {
             grid.for_each_within(p, radius, |j| {
-                if j > i && err.is_none() {
-                    if let Err(e) = b.add_edge(i, j) {
-                        err = Some(e);
-                    }
+                if j > i {
+                    pairs.push((i, j));
                 }
             });
-            if let Some(e) = err {
-                return Err(e);
-            }
         }
         Ok(UnitDiskGraph {
-            graph: b.build(),
+            graph: csr_from_pairs(n, &pairs),
             positions,
             radius,
         })
@@ -186,6 +186,7 @@ impl fmt::Display for UnitDiskGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
     use proptest::prelude::*;
 
     #[test]
@@ -245,24 +246,62 @@ mod tests {
         assert!(empty.bounding_box().is_none());
     }
 
+    #[test]
+    fn rejects_bad_radii() {
+        for radius in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = UnitDiskGraph::build(vec![Point::ORIGIN], radius).unwrap_err();
+            assert!(
+                matches!(err, GraphError::InvalidRadius { radius: r } if r.to_bits() == radius.to_bits()),
+                "radius {radius}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_positions() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let pts = vec![Point::ORIGIN, Point::new(1.0, 1.0), Point::new(0.5, bad)];
+            assert_eq!(
+                UnitDiskGraph::build(pts, 1.0).unwrap_err(),
+                GraphError::NonFinitePosition { node: 2 }
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
         fn udg_matches_brute_force(
-            coords in proptest::collection::vec((0.0f64..5.0, 0.0f64..5.0), 0..60),
+            coords in proptest::collection::vec((-2.5f64..2.5, -2.5f64..2.5), 0..60),
+            dups in proptest::collection::vec(0usize..1000, 0..10),
+            wide in 0u8..2,
             radius in 0.2f64..2.0,
         ) {
-            let pts: Vec<Point> = coords.into_iter().map(|(x, y)| Point::new(x, y)).collect();
-            let udg = UnitDiskGraph::build(pts.clone(), radius).unwrap();
-            for i in 0..pts.len() {
-                for j in (i + 1)..pts.len() {
-                    let expect = pts[i].dist_sq(pts[j]) <= radius * radius;
-                    prop_assert_eq!(
-                        udg.graph().has_edge(NodeId::new(i as u32), NodeId::new(j as u32)),
-                        expect
-                    );
+            // `wide` spreads the points over ±10⁹ with a radius of 10⁻⁶,
+            // so only the copies below are close enough to be adjacent.
+            let (scale, radius) = if wide == 1 { (4e8, 1e-6) } else { (1.0, radius) };
+            let mut pts: Vec<Point> =
+                coords.into_iter().map(|(x, y)| Point::new(x * scale, y * scale)).collect();
+            if !pts.is_empty() {
+                for d in dups {
+                    // An exact copy and one a fraction of the radius away.
+                    let p = pts[d % pts.len()];
+                    pts.push(p);
+                    pts.push(Point::new(p.x - 0.3 * radius, p.y + 0.3 * radius));
                 }
             }
+            let udg = UnitDiskGraph::build(pts.clone(), radius).unwrap();
+            // The brute-force edge set, fed to `GraphBuilder` backwards:
+            // both assemblies must return the same `Graph`.
+            let mut b = GraphBuilder::new(pts.len() as u32);
+            for i in (0..pts.len()).rev() {
+                for j in 0..i {
+                    if pts[i].dist_sq(pts[j]) <= radius * radius {
+                        b.add_edge(i as u32, j as u32).unwrap();
+                    }
+                }
+            }
+            prop_assert_eq!(udg.graph(), &b.build());
         }
     }
 }

@@ -113,8 +113,8 @@ impl RandomWaypoint {
     ///
     /// # Errors
     ///
-    /// Propagates [`GraphError`]s from graph construction (none occur for
-    /// valid radii).
+    /// Returns [`GraphError::InvalidRadius`] if `radius` is not strictly
+    /// positive and finite (the waypoint positions are always finite).
     pub fn udg(&self, radius: f64) -> Result<UnitDiskGraph, GraphError> {
         UnitDiskGraph::build(self.positions.clone(), radius)
     }

@@ -262,11 +262,6 @@ fn cmd_udg(opts: &Options) -> Result<(), String> {
     let pos_path = opts.require("positions")?;
     let pts = io::read_positions(&read_file(pos_path)?).map_err(|e| format!("{pos_path}: {e}"))?;
     let radius: f64 = opts.parse_num("radius", 1.0)?;
-    if !(radius.is_finite() && radius > 0.0) {
-        return Err(format!(
-            "--radius must be positive and finite, got {radius}"
-        ));
-    }
     let k: u32 = opts.parse_num("k", 1)?;
     let seed: u64 = opts.parse_num("seed", 0)?;
     let udg = UnitDiskGraph::build(pts, radius).map_err(|e| e.to_string())?;
