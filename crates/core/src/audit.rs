@@ -10,7 +10,7 @@
 //!   the primal iterate stays in `[0, 1]ⁿ` with monotone coverage, and
 //!   the returned `(y, z)` certificate is dual feasible after the
 //!   Lemma 4.4 scaling (the premise of every reported lower bound).
-//! * **Algorithm 2** ([`closed_coverage`], [`rounding_monotone`]) — the
+//! * **Algorithm 2** ([`rounding_monotone`]) — the
 //!   repair step never *decreases* any node's closed-neighborhood
 //!   coverage, and with repair enabled the final set meets every demand
 //!   (the deterministic-feasibility half of Theorem 4.6).
@@ -32,7 +32,7 @@
 //! precondition the algorithms themselves document.
 
 use crate::fractional::FractionalSolution;
-use crate::validate::{is_k_dominating, Semantics};
+use crate::validate::{is_k_dominating, mask_coverage, Semantics};
 use crate::{DominatingSet, Instance};
 use ftclust_geometry::SpatialGrid;
 use ftclust_graphs::{Graph, NodeId, UnitDiskGraph};
@@ -88,29 +88,17 @@ pub(crate) fn fractional_certificate(inst: &Instance<'_>, sol: &FractionalSoluti
     );
 }
 
-/// Closed-neighborhood coverage of each node under `selected` — the
-/// snapshot [`rounding_monotone`] compares against.
-pub(crate) fn closed_coverage(inst: &Instance<'_>, selected: &[bool]) -> Vec<u32> {
-    let g = inst.graph();
-    g.nodes()
-        .map(|v| {
-            g.closed_neighbors(v)
-                .filter(|w| selected[w.index()])
-                .count() as u32
-        })
-        .collect()
-}
-
 /// Audits Algorithm 2's repair step: per-node coverage is monotone
 /// (repair only ever *adds* nodes), and with repair enabled the final
 /// set meets every demand — the deterministic-feasibility guarantee.
+/// `before` is the closed-neighborhood coverage of the random picks.
 pub(crate) fn rounding_monotone(
     inst: &Instance<'_>,
     before: &[u32],
     selected: &[bool],
     repaired: bool,
 ) {
-    let after = closed_coverage(inst, selected);
+    let after = mask_coverage(inst.graph(), selected);
     for (i, (&b, &a)) in before.iter().zip(&after).enumerate() {
         debug_assert!(a >= b, "repair decreased node {i}'s coverage ({b} → {a})");
         if repaired {

@@ -71,12 +71,9 @@ pub struct SurvivabilityReport {
 /// [`FailureModel::Region`], which needs node positions — use
 /// [`regional_survivability`] instead. Returns [`KmdsError::ZeroTrials`]
 /// when `trials == 0`: the aggregates would be empty folds (pre-fix code
-/// reported `min_covered_fraction = +∞`).
-///
-/// # Panics
-///
-/// Panics if the set universe mismatches the graph, if
-/// `KillDominators.count` exceeds the set size, or if `prob ∉ [0, 1]`.
+/// reported `min_covered_fraction = +∞`). Returns
+/// [`KmdsError::InvalidInput`] if the set universe mismatches the graph,
+/// if `KillDominators.count` exceeds the set size, or if `prob ∉ [0, 1]`.
 pub fn survivability(
     inst: &Instance<'_>,
     set: &DominatingSet,
@@ -95,16 +92,18 @@ pub fn survivability(
         });
     }
     let g = inst.graph();
-    assert_eq!(set.universe(), g.node_count(), "set universe mismatch");
-    if let FailureModel::KillDominators { count } = model {
-        assert!(
-            count <= set.len(),
-            "cannot kill {count} of {} dominators",
-            set.len()
-        );
-    }
-    if let FailureModel::IidNodeFailure { prob } = model {
-        assert!((0.0..=1.0).contains(&prob), "prob must be in [0, 1]");
+    let invalid = match model {
+        _ if set.universe() != g.node_count() => Some("set universe differs from the node count"),
+        FailureModel::KillDominators { count } if count > set.len() => {
+            Some("cannot kill more dominators than the set holds")
+        }
+        FailureModel::IidNodeFailure { prob } if !(0.0..=1.0).contains(&prob) => {
+            Some("failure probability must lie in [0, 1]")
+        }
+        _ => None,
+    };
+    if let Some(what) = invalid {
+        return Err(KmdsError::InvalidInput { what });
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let members: Vec<NodeId> = set.ids().collect();
@@ -148,12 +147,9 @@ pub fn survivability(
 /// # Errors
 ///
 /// Returns [`KmdsError::ZeroTrials`] when `trials == 0` — the aggregates
-/// would be empty folds.
-///
-/// # Panics
-///
-/// Panics if the set universe mismatches the UDG or `disaster_radius` is
-/// negative/non-finite.
+/// would be empty folds — and [`KmdsError::InvalidInput`] if the set
+/// universe mismatches the UDG or `disaster_radius` is negative or
+/// non-finite.
 pub fn regional_survivability(
     udg: &ftclust_graphs::UnitDiskGraph,
     inst: &Instance<'_>,
@@ -167,11 +163,16 @@ pub fn regional_survivability(
             what: "regional_survivability",
         });
     }
-    assert_eq!(set.universe(), udg.node_count(), "set universe mismatch");
-    assert!(
-        disaster_radius.is_finite() && disaster_radius >= 0.0,
-        "disaster radius must be non-negative"
-    );
+    if set.universe() != udg.node_count() {
+        return Err(KmdsError::InvalidInput {
+            what: "set universe differs from the node count",
+        });
+    }
+    if !(disaster_radius.is_finite() && disaster_radius >= 0.0) {
+        return Err(KmdsError::InvalidInput {
+            what: "disaster radius must be finite and non-negative",
+        });
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     let (lo, hi) = udg.bounding_box().unwrap_or((
         ftclust_geometry::Point::ORIGIN,
@@ -511,6 +512,65 @@ mod tests {
             "unexpected error: {err}"
         );
         assert!(err.to_string().contains("regional_survivability"));
+    }
+
+    /// A small instance with a greedy set, for the malformed-input tests.
+    fn greedy_on(g: &ftclust_graphs::Graph) -> (Instance<'_>, DominatingSet) {
+        let inst = Instance::uniform_clamped(g, 1);
+        let set = crate::baselines::greedy_kmds(&inst, Semantics::CoverSelf);
+        (inst, set)
+    }
+
+    fn is_invalid_input(r: Result<SurvivabilityReport, KmdsError>) -> bool {
+        matches!(r, Err(KmdsError::InvalidInput { .. }))
+    }
+
+    #[test]
+    fn survivability_rejects_a_foreign_set() {
+        let g = generators::gnp(12, 0.5, 1);
+        let (inst, _) = greedy_on(&g);
+        let model = FailureModel::IidNodeFailure { prob: 0.1 };
+        let r = survivability(&inst, &DominatingSet::empty(11), model, 3, 0);
+        assert!(is_invalid_input(r));
+    }
+
+    #[test]
+    fn survivability_rejects_killing_more_dominators_than_exist() {
+        let g = generators::gnp(12, 0.5, 1);
+        let (inst, set) = greedy_on(&g);
+        let model = FailureModel::KillDominators {
+            count: set.len() + 1,
+        };
+        assert!(is_invalid_input(survivability(&inst, &set, model, 3, 0)));
+    }
+
+    #[test]
+    fn survivability_rejects_a_probability_outside_the_unit_interval() {
+        let g = generators::gnp(12, 0.5, 1);
+        let (inst, set) = greedy_on(&g);
+        for prob in [-0.1, 1.5, f64::NAN] {
+            let model = FailureModel::IidNodeFailure { prob };
+            let r = survivability(&inst, &set, model, 3, 0);
+            assert!(is_invalid_input(r), "prob {prob}");
+        }
+    }
+
+    #[test]
+    fn regional_survivability_rejects_a_foreign_set() {
+        let udg = generators::random_udg_in_square(40, 5.0, 1.0, 2);
+        let (inst, _) = greedy_on(udg.graph());
+        let r = regional_survivability(&udg, &inst, &DominatingSet::empty(39), 1.0, 3, 0);
+        assert!(is_invalid_input(r));
+    }
+
+    #[test]
+    fn regional_survivability_rejects_a_bad_radius() {
+        let udg = generators::random_udg_in_square(40, 5.0, 1.0, 2);
+        let (inst, set) = greedy_on(udg.graph());
+        for radius in [-1.0, f64::NAN, f64::INFINITY] {
+            let r = regional_survivability(&udg, &inst, &set, radius, 3, 0);
+            assert!(is_invalid_input(r), "radius {radius}");
+        }
     }
 
     #[test]

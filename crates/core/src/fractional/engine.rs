@@ -10,9 +10,8 @@
 //! timed part. Each phase is one plain loop over the nodes in id order.
 
 use super::{DeltaKnowledge, FractionalParams, FractionalSolution};
-use crate::bitset::BitSet;
+use crate::validate::mask_coverage;
 use crate::{Instance, KmdsError};
-use ftclust_graphs::NodeId;
 
 /// Tolerance for "x has reached its cap of 1".
 const X_EPS: f64 = 1e-12;
@@ -28,7 +27,7 @@ struct AlgoState {
     x: Vec<f64>,
     xplus: Vec<f64>,
     cov: Vec<f64>,
-    white: BitSet,
+    white: Vec<bool>,
     dyndeg: Vec<u32>,
     /// `α_{j,i}` stored at observing node `i` in slot `(i → j)`.
     alpha: Vec<f64>,
@@ -45,7 +44,7 @@ impl AlgoState {
         let n = g.node_count();
         // Nodes with zero demand are covered from the start: they are gray
         // immediately ("colored gray as soon as completely covered").
-        let white = BitSet::from_fn(n, |i| inst.demands()[i] > 0);
+        let white = inst.demands().iter().map(|&d| d > 0).collect();
         let mut state = AlgoState {
             x: vec![0.0; n],
             xplus: vec![0.0; n],
@@ -91,7 +90,7 @@ impl AlgoState {
         let (alpha, beta) = (&mut alpha[..], &mut beta[..]);
         for v in g.nodes() {
             let i = v.index();
-            if !white.get(i) {
+            if !white[i] {
                 continue;
             }
             let mut cplus = xplus[i];
@@ -114,7 +113,7 @@ impl AlgoState {
                 },
             );
             if let Some(yv) = turned_gray {
-                white.remove(i);
+                white[i] = false;
                 y[i] = yv;
             }
         }
@@ -122,14 +121,7 @@ impl AlgoState {
 
     /// Lines 23–24: exchange colors, recompute dynamic degrees.
     fn recompute_dyndeg(&mut self, inst: &Instance<'_>) {
-        let g = inst.graph();
-        let white = &self.white;
-        for (i, d) in self.dyndeg.iter_mut().enumerate() {
-            *d = g
-                .closed_neighbors(NodeId::new(i as u32))
-                .filter(|w| white.get(w.index()))
-                .count() as u32;
-        }
+        self.dyndeg = mask_coverage(inst.graph(), &self.white);
     }
 }
 

@@ -36,9 +36,6 @@
 //!   motivation for `k > 1`).
 //! * [`bounds`] — the closed-form bounds of the theorems, for
 //!   measured-vs-predicted experiment tables.
-//! * [`weighted`] — the weighted extension mentioned in Section 4.1.
-//! * [`bitset`] — packed `u64`-word node masks backing the engines' hot
-//!   coverage and needy-set scans (see `DESIGN.md` §12).
 //!
 //! Every randomized component is deterministic given a seed. Every
 //! distributed algorithm runs as a **message-passing protocol** on
@@ -77,7 +74,6 @@ mod instance;
 mod set;
 
 pub mod baselines;
-pub mod bitset;
 pub mod bounds;
 pub mod connect;
 pub mod fault;
@@ -89,7 +85,6 @@ pub mod repair;
 pub mod rounding;
 pub mod udg;
 pub mod validate;
-pub mod weighted;
 
 pub use error::KmdsError;
 pub use instance::Instance;

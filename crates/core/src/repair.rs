@@ -100,8 +100,8 @@
 //! # Ok::<(), ftclust_core::KmdsError>(())
 //! ```
 
-use crate::bitset::{coverage_counts, BitSet};
 use crate::promotion::{select_promotions, CarriesPromotion, PromotionLoop, PromotionMsg};
+use crate::validate::mask_coverage;
 use crate::{DominatingSet, KmdsError};
 use ftclust_graphs::{Graph, NodeId};
 use ftclust_netsim::exec::{completed_iterations, Executor, Phase, Stack};
@@ -202,7 +202,11 @@ pub fn repair_coverage(
     check_inputs(n, set, Some(alive), Some(k))?;
 
     // Surviving membership: dead members are gone.
-    let mut member = BitSet::from_fn(n, |i| alive[i] && set.contains(NodeId::new(i as u32)));
+    let mut member: Vec<bool> = alive
+        .iter()
+        .zip(set.as_members())
+        .map(|(&a, &m)| a && m)
+        .collect();
     let alive_deg: Vec<u32> = g
         .nodes()
         .map(|v| g.neighbors(v).iter().filter(|w| alive[w.index()]).count() as u32)
@@ -224,71 +228,82 @@ pub fn repair_coverage(
     let mut peak_deficit = 0u32;
     let mut deficit_nodes = 0usize;
     let mut iterations = 0u32;
+    // Each member's join adds one to the coverage of its closed
+    // neighborhood, so one count up front is kept current below.
+    let mut cov = mask_coverage(g, &member);
     loop {
-        let cov = coverage_counts(g, &member);
-        let needy = BitSet::from_fn(n, |i| alive[i] && !member.get(i) && cov[i] < k);
+        let needy: Vec<bool> = (0..n)
+            .map(|i| alive[i] && !member[i] && cov[i] < k)
+            .collect();
+        let needy_ids = || (0..n).filter(|&i| needy[i]);
         if iterations == 0 {
-            deficit_nodes = needy.count();
-            peak_deficit = needy.iter_ones().map(|i| k - cov[i]).max().unwrap_or(0);
+            deficit_nodes = needy_ids().count();
+            peak_deficit = needy_ids().map(|i| k - cov[i]).max().unwrap_or(0);
         }
-        if !needy.any() {
+        if !needy.contains(&true) {
             break;
         }
         iterations += 1;
         rounds += 3;
         // Round 1 of the iteration: deficit broadcasts to surviving
         // neighbors.
-        for i in needy.iter_ones() {
+        for i in needy_ids() {
             let deg = u64::from(alive_deg[i]);
             messages += deg;
             message_bits += deg * PromotionMsg::Needy { cov: cov[i] }.bit_size() as u64;
         }
         // Round 2: self-elections and member promotions.
-        let mut joins = BitSet::from_fn(n, |i| {
-            needy.get(i)
-                && (alive_deg[i] < k
-                    || !g
-                        .neighbors(NodeId::new(i as u32))
-                        .iter()
-                        .any(|w| member.get(w.index())))
-        });
+        let mut joins: Vec<bool> = (0..n)
+            .map(|i| {
+                needy[i]
+                    && (alive_deg[i] < k
+                        || !g
+                            .neighbors(NodeId::new(i as u32))
+                            .iter()
+                            .any(|w| member[w.index()]))
+            })
+            .collect();
         let mut promote_msgs = 0u64;
         let mut needy_nbrs: Vec<NodeId> = Vec::new();
-        for i in member.iter_ones() {
+        for i in (0..n).filter(|&i| member[i]) {
             needy_nbrs.clear();
             needy_nbrs.extend(
                 g.neighbors(NodeId::new(i as u32))
                     .iter()
                     .copied()
-                    .filter(|w| needy.get(w.index())),
+                    .filter(|w| needy[w.index()]),
             );
             for w in select_promotions(&needy_nbrs, k as usize) {
                 promote_msgs += 1;
-                joins.insert(w.index());
+                joins[w.index()] = true;
             }
         }
         messages += promote_msgs;
         message_bits += promote_msgs * PromotionMsg::Promote.bit_size() as u64;
-        if !joins.any_outside(&member) {
-            return Err(KmdsError::IterationLimit {
-                stage: "coverage repair",
-                limit: u64::from(iterations),
-            });
-        }
         // Round 3: join announcements from the new members.
-        for i in joins.iter_ones() {
-            if !member.get(i) {
-                member.insert(i);
+        let before = added.len();
+        for i in 0..n {
+            if joins[i] && !member[i] {
+                member[i] = true;
                 added.push(NodeId::new(i as u32));
+                for w in g.closed_neighbors(NodeId::new(i as u32)) {
+                    cov[w.index()] += 1;
+                }
                 let deg = u64::from(alive_deg[i]);
                 messages += deg;
                 message_bits += deg * PromotionMsg::Join.bit_size() as u64;
             }
         }
+        if added.len() == before {
+            return Err(KmdsError::IterationLimit {
+                stage: "coverage repair",
+                limit: u64::from(iterations),
+            });
+        }
     }
     added.sort_unstable();
     let outcome = RepairOutcome {
-        set: DominatingSet::from_members(member.to_bools()),
+        set: DominatingSet::from_members(member),
         added,
         iterations,
         rounds,
@@ -880,6 +895,56 @@ mod tests {
         }
     }
 
+    /// Pins every field of the engine's outcome, the analytic round,
+    /// message and bit counts included (the protocol parity tests skip
+    /// those): a change to the engine's masks or coverage scans that moves
+    /// one count moves this digest.
+    #[test]
+    fn repair_outcomes_are_pinned() {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for seed in 0..4u64 {
+            let udg = generators::random_udg(300, 12.0, 1.0, seed);
+            let g = udg.graph();
+            for k in [1u32, 2, 3] {
+                let run = UdgAlgorithm::new(k).seed(seed).run(&udg).unwrap();
+                let mut alive = vec![true; g.node_count()];
+                for v in run.set.ids().step_by(5) {
+                    alive[v.index()] = false;
+                }
+                let RepairOutcome {
+                    set,
+                    added,
+                    iterations,
+                    rounds,
+                    messages,
+                    message_bits,
+                    peak_deficit,
+                    deficit_nodes,
+                } = repair_coverage(g, &run.set, &alive, k).unwrap();
+                fold(set.universe() as u64);
+                set.ids().for_each(|v| fold(u64::from(v.raw())));
+                fold(added.len() as u64);
+                added.iter().for_each(|v| fold(u64::from(v.raw())));
+                fold(u64::from(iterations));
+                fold(rounds);
+                fold(messages);
+                fold(message_bits);
+                fold(u64::from(peak_deficit));
+                fold(deficit_nodes as u64);
+            }
+        }
+        assert_eq!(
+            hash, 0x903c_a053_b926_c28e,
+            "repair outcome digest {hash:#018x}"
+        );
+    }
+
     #[test]
     fn everyone_dead_is_a_trivial_heal() {
         let g = generators::cycle(5);
@@ -927,6 +992,20 @@ mod tests {
                 3 * (u64::from(engine.iterations) + 1),
                 "seed {seed}: round count"
             );
+        }
+        // k = 2 sets of another deployment, each losing its five
+        // lowest-id members.
+        let udg = generators::random_udg(300, 10.0, 1.0, 77);
+        let g = udg.graph();
+        for seed in [9u64, 10, 11] {
+            let run = UdgAlgorithm::new(2).seed(seed).run(&udg).unwrap();
+            let mut alive = vec![true; g.node_count()];
+            for v in run.set.ids().take(5) {
+                alive[v.index()] = false;
+            }
+            let engine = repair_coverage(g, &run.set, &alive, 2).unwrap();
+            let proto = run_repair_protocol(g, &run.set, &alive, 2).unwrap();
+            assert_protocol_matches(&proto, &engine, &format!("k=2 seed {seed}"));
         }
     }
 

@@ -36,6 +36,7 @@
 
 pub mod protocol;
 
+use crate::validate::mask_coverage;
 use crate::{DominatingSet, Instance};
 use ftclust_graphs::NodeId;
 use ftclust_netsim::node_rng;
@@ -96,17 +97,15 @@ pub fn round_fractional(
         .map(|v| node_rng(seed, v).random::<f64>() < (x[v.index()] * ln_d1).min(1.0))
         .collect();
     let initial_picks = selected.iter().filter(|&&b| b).count();
-    let coverage_before =
-        cfg!(debug_assertions).then(|| crate::audit::closed_coverage(inst, &selected));
+    // Coverage of the random picks: the deficits below, and the audit's
+    // before-snapshot.
+    let coverage = mask_coverage(g, &selected);
     let mut requested = vec![false; n];
     if params.repair {
         // Lines 4–6: all deficits are computed against the same snapshot
         // and all REQs are sent simultaneously.
         for v in g.nodes() {
-            let covered = g
-                .closed_neighbors(v)
-                .filter(|w| selected[w.index()])
-                .count() as u32;
+            let covered = coverage[v.index()];
             let k = inst.demand(v);
             if covered >= k {
                 continue;
@@ -129,8 +128,8 @@ pub fn round_fractional(
             repair_picks += 1;
         }
     }
-    if let Some(before) = &coverage_before {
-        crate::audit::rounding_monotone(inst, before, &selected, params.repair);
+    if cfg!(debug_assertions) {
+        crate::audit::rounding_monotone(inst, &coverage, &selected, params.repair);
     }
     RoundingOutcome {
         set: DominatingSet::from_members(selected),

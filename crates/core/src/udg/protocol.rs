@@ -32,6 +32,7 @@ use ftclust_netsim::{
     bits_for_ids, Context, Control, EventLog, Inbox, Metrics, NodeLogic, Payload, Topology,
 };
 use rand::Rng;
+use std::sync::Arc;
 
 /// Wire messages of the UDG protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,8 +85,9 @@ fn id_cap(n: usize) -> u64 {
 #[derive(Debug)]
 pub struct UdgNode {
     id_mode: IdMode,
-    /// Part I: consideration radii (absolute).
-    schedule: Vec<f64>,
+    /// Part I: consideration radii (absolute), one table shared by every
+    /// node of the run.
+    schedule: Arc<[f64]>,
     id_cap: u64,
     id_bits: u16,
     active: bool,
@@ -290,7 +292,7 @@ pub(crate) fn execute(
     stack: Stack,
 ) -> Result<Run<UdgNode>, KmdsError> {
     let n = udg.node_count();
-    let schedule = theta_schedule(n, udg.radius());
+    let schedule: Arc<[f64]> = theta_schedule(n, udg.radius()).into();
     let part1_rounds = schedule.len() as u32;
     let cap = id_cap(n);
     let id_bits = (4 * bits_for_ids(n.max(2))) as u16;
@@ -299,7 +301,7 @@ pub(crate) fn execute(
         Topology::from_udg(udg),
         |_: NodeId| UdgNode {
             id_mode: config.id_mode,
-            schedule: schedule.clone(),
+            schedule: Arc::clone(&schedule),
             id_cap: cap,
             id_bits,
             active: true,

@@ -33,12 +33,21 @@ pub enum Semantics {
 /// Panics if the set's universe does not match the graph.
 pub fn coverage(graph: &Graph, set: &DominatingSet) -> Vec<u32> {
     assert_eq!(set.universe(), graph.node_count(), "set universe mismatch");
+    mask_coverage(graph, set.as_members())
+}
+
+/// Number of `mask` nodes in the closed neighborhood `N[v]` of every
+/// node: the one per-node count behind [`coverage`], Algorithm 1's
+/// dynamic degree δ̃ (white neighbors), Algorithm 2's deficits before
+/// `REQ`, and coverage repair's `c(v)`.
+pub(crate) fn mask_coverage(graph: &Graph, mask: &[bool]) -> Vec<u32> {
+    debug_assert_eq!(mask.len(), graph.node_count(), "mask length mismatch");
     graph
         .nodes()
         .map(|v| {
             graph
                 .closed_neighbors(v)
-                .filter(|&w| set.contains(w))
+                .filter(|w| mask[w.index()])
                 .count() as u32
         })
         .collect()
@@ -176,6 +185,15 @@ mod tests {
         assert_eq!(coverage(&g, &s), vec![1, 1, 1]);
         let s = DominatingSet::from_ids(3, [NodeId::new(0), NodeId::new(1)]);
         assert_eq!(coverage(&g, &s), vec![2, 2, 1]);
+    }
+
+    #[test]
+    fn degree_zero_nodes_count_only_themselves() {
+        let g = generators::empty(70);
+        let s = DominatingSet::from_ids(70, (0..70).step_by(2).map(NodeId::new));
+        for (i, &c) in coverage(&g, &s).iter().enumerate() {
+            assert_eq!(c, u32::from(i % 2 == 0), "isolated node {i}");
+        }
     }
 
     #[test]
