@@ -234,15 +234,18 @@ impl Graph {
     /// Used by the distributed LP algorithm: node `i` computes
     /// `z_i = Σ_{j∈N_i} (α_{i,j} y_j − β_{i,j})` where `α_{i,j}` is stored
     /// at node `j` in the slot `(j → i)` — the reverse of `(i → j)`.
+    ///
+    /// O(n + m): senders are visited in ascending id order, so the slots
+    /// `(v → u)` of each receiver `v` are met in its sorted row order, and
+    /// one cursor per node hands them out without a search.
     pub fn reverse_slots(&self) -> Vec<u32> {
         let mut rev = vec![0u32; self.slot_count()];
+        let mut cursor: Vec<usize> = self.offsets[..self.node_count()].to_vec();
         for u in self.nodes() {
-            let range = self.slot_range(u);
-            for (i, &v) in self.neighbors(u).iter().enumerate() {
-                let forward = range.start + i;
-                let Some(backward) = self.slot_of(v, u) else {
-                    unreachable!("CSR adjacency is symmetric by construction");
-                };
+            for (forward, &v) in self.slot_range(u).zip(self.neighbors(u)) {
+                let backward = cursor[v.index()];
+                debug_assert_eq!(self.targets[backward], u, "CSR adjacency is symmetric");
+                cursor[v.index()] += 1;
                 rev[forward] = backward as u32;
             }
         }
@@ -394,6 +397,45 @@ mod tests {
         let s01 = g.slot_of(NodeId::new(0), NodeId::new(1)).unwrap();
         let s10 = g.slot_of(NodeId::new(1), NodeId::new(0)).unwrap();
         assert_eq!(rev[s01] as usize, s10);
+    }
+
+    /// `reverse_slots` against its definition: the slot of `(u → v)` maps
+    /// to `slot_of(v, u)`.
+    fn assert_reverse_slots_match_slot_of(g: &Graph) {
+        let rev = g.reverse_slots();
+        assert_eq!(rev.len(), g.slot_count());
+        for u in g.nodes() {
+            for (s, &v) in g.slot_range(u).zip(g.neighbors(u)) {
+                assert_eq!(
+                    Some(rev[s] as usize),
+                    g.slot_of(v, u),
+                    "slot {s} = ({u} → {v})"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn reverse_slots_match_slot_of_on_generator_graphs(
+            n in 0u32..120,
+            p in 0.0f64..0.3,
+            seed in 0u64..1_000,
+        ) {
+            use crate::generators;
+            assert_reverse_slots_match_slot_of(&generators::gnp(n, p, seed));
+            assert_reverse_slots_match_slot_of(&generators::barabasi_albert(n.max(3), 2, seed));
+            assert_reverse_slots_match_slot_of(&generators::random_tree(n, seed));
+            assert_reverse_slots_match_slot_of(&generators::watts_strogatz(n.max(5), 2, p, seed));
+            assert_reverse_slots_match_slot_of(
+                generators::random_udg(n.max(1), 8.0, 1.0, seed).graph(),
+            );
+            assert_reverse_slots_match_slot_of(&generators::grid_2d(n % 11 + 1, n % 7 + 1));
+            assert_reverse_slots_match_slot_of(&generators::complete(n % 13));
+            assert_reverse_slots_match_slot_of(&generators::empty(n));
+        }
     }
 
     #[test]

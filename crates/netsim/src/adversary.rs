@@ -43,16 +43,27 @@
 //! # Determinism
 //!
 //! Every probabilistic decision draws from a **per-link RNG stream**,
-//! lazily seeded from the plan seed and the directed link endpoints
+//! seeded from the plan seed and the directed link endpoints
 //! (`splitmix64` mixing, same construction as
-//! [`node_rng`](crate::node_rng)). Streams are consumed on the
-//! simulator's sequential merge path in global sender order, so a run is
-//! byte-identical at every `FTCLUST_THREADS` setting, and faults on one
-//! link never perturb the draws of another.
+//! [`node_rng`](crate::node_rng)). The streams live in one flat table
+//! addressed like the graph's CSR adjacency: one entry per directed slot
+//! `u → v` (see [`Graph::slot_range`]), then one self-link entry per
+//! node. An entry is seeded on its link's first draw, so a stream depends
+//! on its endpoints alone, never on the order links were first used.
+//!
+//! Streams are consumed on the simulator's sequential merge path in
+//! global sender order, so a run is byte-identical at every
+//! `FTCLUST_THREADS` setting, and faults on one link never perturb the
+//! draws of another. The merge finds each envelope's slot with a cursor
+//! over the current sender's sorted neighbour row: senders emit mostly in
+//! ascending receiver order, so the cursor first tries the entry after
+//! its previous hit, and binary-searches only a receiver it skipped to or
+//! went back to.
 
 use crate::message::Envelope;
 use crate::sim::splitmix64;
-use ftclust_graphs::NodeId;
+use crate::topology::seek;
+use ftclust_graphs::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -212,11 +223,12 @@ pub(crate) enum Verdict {
 #[derive(Debug)]
 pub(crate) struct AdversaryState<P> {
     plan: AdversaryPlan,
-    /// Lazily-created per-directed-link streams, indexed by sender:
-    /// `streams[from]` holds `(to, stream)` pairs sorted by receiver
-    /// (self-links included). A stream is found by its endpoints alone,
-    /// so draws never depend on the order links were first used.
-    streams: Vec<Vec<(u32, StdRng)>>,
+    /// Per-directed-link streams, one entry per CSR slot `u → v` and then
+    /// one self-link entry per node (`slot_count + u`); `None` until the
+    /// link's first draw seeds it.
+    streams: Vec<Option<StdRng>>,
+    /// The merge's place in its current sender's neighbour row.
+    cursor: SlotCursor,
     /// Jittered envelopes keyed by the physical round at whose merge
     /// they are staged for (next-round) delivery.
     delayed: BTreeMap<u64, Vec<Envelope<P>>>,
@@ -224,36 +236,37 @@ pub(crate) struct AdversaryState<P> {
 }
 
 impl<P> AdversaryState<P> {
-    pub(crate) fn new(plan: AdversaryPlan) -> Self {
+    /// The state of a run of `plan` over `graph`.
+    pub(crate) fn new(plan: AdversaryPlan, graph: &Graph) -> Self {
+        let mut streams = Vec::new();
+        streams.resize_with(graph.slot_count() + graph.node_count(), || None);
         AdversaryState {
             plan,
-            streams: Vec::new(),
+            streams,
+            cursor: SlotCursor::default(),
             delayed: BTreeMap::new(),
             delayed_total: 0,
         }
     }
 
-    /// Decides the fate of one message on the merge path. Partition cuts
-    /// are schedule lookups (no randomness); the probabilistic draws all
-    /// come from the `from → to` link stream, in merge order.
-    pub(crate) fn decide(&mut self, from: NodeId, to: NodeId, round: u64) -> Verdict {
+    /// Decides the fate of one message `from → to` on the merge path of
+    /// a run over `graph` (the state's own). Partition cuts are schedule
+    /// lookups (no randomness); the probabilistic draws all come from the
+    /// link's stream, in merge order.
+    pub(crate) fn decide(
+        &mut self,
+        graph: &Graph,
+        from: NodeId,
+        to: NodeId,
+        round: u64,
+    ) -> Verdict {
         if self.plan.cuts(from, to, round) {
             return Verdict::Cut;
         }
-        let sender = from.raw() as usize;
-        if sender >= self.streams.len() {
-            self.streams.resize_with(sender + 1, Vec::new);
-        }
-        let row = &mut self.streams[sender];
-        let slot = match row.binary_search_by_key(&to.raw(), |&(w, _)| w) {
-            Ok(slot) => slot,
-            Err(slot) => {
-                let seed = link_stream_seed(self.plan.seed, from, to);
-                row.insert(slot, (to.raw(), StdRng::seed_from_u64(seed)));
-                slot
-            }
-        };
-        let rng = &mut row[slot].1;
+        let slot = self.cursor.slot(graph, from, to);
+        let seed = self.plan.seed;
+        let rng = self.streams[slot]
+            .get_or_insert_with(|| StdRng::seed_from_u64(link_stream_seed(seed, from, to)));
         if self.plan.corrupt_prob > 0.0 && rng.random::<f64>() < self.plan.corrupt_prob {
             return Verdict::Corrupt;
         }
@@ -301,6 +314,35 @@ impl<P> AdversaryState<P> {
     }
 }
 
+/// The merge's position in the neighbour row of the sender it last
+/// resolved a link for. A sender's envelopes mostly arrive in ascending
+/// receiver order (broadcasts, per-link transport frames), so each lookup
+/// starts where the previous one ended.
+#[derive(Debug, Default)]
+struct SlotCursor {
+    sender: NodeId,
+    pos: usize,
+}
+
+impl SlotCursor {
+    /// The stream-table index of the link `from → to`: its CSR slot, or
+    /// `slot_count + from` for a self-send.
+    fn slot(&mut self, graph: &Graph, from: NodeId, to: NodeId) -> usize {
+        if to == from {
+            return graph.slot_count() + from.index();
+        }
+        if from != self.sender {
+            self.sender = from;
+            self.pos = 0;
+        }
+        let Some(pos) = seek(graph.neighbors(from), to, self.pos) else {
+            unreachable!("Context::send only accepts neighbors");
+        };
+        self.pos = pos;
+        graph.slot_range(from).start + pos
+    }
+}
+
 /// Seed of the per-link stream for the directed link `from → to`:
 /// `splitmix64` finalization over the plan seed and both endpoints, so
 /// adjacent links get uncorrelated streams.
@@ -312,19 +354,26 @@ fn link_stream_seed(plan_seed: u64, from: NodeId, to: NodeId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftclust_graphs::generators;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// Every test link, self-links included, exists in this graph.
+    fn k10() -> Graph {
+        generators::complete(10)
     }
 
     #[test]
     fn default_plan_is_inert() {
         let plan = AdversaryPlan::new(7);
         assert!(!plan.is_active());
-        let mut state: AdversaryState<()> = AdversaryState::new(plan);
+        let g = k10();
+        let mut state: AdversaryState<()> = AdversaryState::new(plan, &g);
         for r in 0..20 {
             assert_eq!(
-                state.decide(n(0), n(1), r),
+                state.decide(&g, n(0), n(1), r),
                 Verdict::Deliver {
                     duplicate: false,
                     delay: 0
@@ -349,17 +398,19 @@ mod tests {
 
     #[test]
     fn decisions_replay_identically_per_link() {
+        let g = k10();
         let make = || {
             AdversaryState::<()>::new(
                 AdversaryPlan::new(11)
                     .jitter(0.4, 5)
                     .duplicate(0.3)
                     .corrupt(0.2),
+                &g,
             )
         };
         let (mut a, mut b) = (make(), make());
-        let verdicts_a: Vec<Verdict> = (0..200).map(|r| a.decide(n(2), n(5), r)).collect();
-        let verdicts_b: Vec<Verdict> = (0..200).map(|r| b.decide(n(2), n(5), r)).collect();
+        let verdicts_a: Vec<Verdict> = (0..200).map(|r| a.decide(&g, n(2), n(5), r)).collect();
+        let verdicts_b: Vec<Verdict> = (0..200).map(|r| b.decide(&g, n(2), n(5), r)).collect();
         assert_eq!(verdicts_a, verdicts_b);
         // Mixed fates at these probabilities over 200 draws.
         assert!(verdicts_a.contains(&Verdict::Corrupt));
@@ -379,13 +430,14 @@ mod tests {
     fn link_streams_are_independent() {
         // Interleaving draws on another link must not perturb this one.
         let plan = AdversaryPlan::new(3).corrupt(0.5);
-        let mut solo: AdversaryState<()> = AdversaryState::new(plan.clone());
-        let mut mixed: AdversaryState<()> = AdversaryState::new(plan);
-        let solo_run: Vec<Verdict> = (0..64).map(|r| solo.decide(n(1), n(2), r)).collect();
+        let g = k10();
+        let mut solo: AdversaryState<()> = AdversaryState::new(plan.clone(), &g);
+        let mut mixed: AdversaryState<()> = AdversaryState::new(plan, &g);
+        let solo_run: Vec<Verdict> = (0..64).map(|r| solo.decide(&g, n(1), n(2), r)).collect();
         let mixed_run: Vec<Verdict> = (0..64)
             .map(|r| {
-                let _ = mixed.decide(n(2), n(1), r); // reverse direction interleaved
-                mixed.decide(n(1), n(2), r)
+                let _ = mixed.decide(&g, n(2), n(1), r); // reverse direction interleaved
+                mixed.decide(&g, n(1), n(2), r)
             })
             .collect();
         assert_eq!(solo_run, mixed_run);
@@ -401,12 +453,13 @@ mod tests {
             .jitter(0.3, 4)
             .duplicate(0.3)
             .corrupt(0.3);
+        let g = k10();
         let verdicts = |order: &[usize], round_robin: bool| {
-            let mut state: AdversaryState<()> = AdversaryState::new(plan.clone());
+            let mut state: AdversaryState<()> = AdversaryState::new(plan.clone(), &g);
             let mut seen = vec![Vec::new(); links.len()];
             let mut draw = |i: usize, r: u64| {
                 let (from, to) = links[i];
-                seen[i].push(state.decide(n(from), n(to), r));
+                seen[i].push(state.decide(&g, n(from), n(to), r));
             };
             if round_robin {
                 for r in 0..40 {
@@ -433,8 +486,75 @@ mod tests {
     }
 
     #[test]
+    fn slot_cursor_resolves_every_send_order() {
+        // Ascending, descending, repeated, skipping and self-sends, with
+        // senders revisited: each lookup lands on the link's CSR slot,
+        // self-links after the last slot.
+        let g = generators::gnp(40, 0.4, 5);
+        let mut cursor = SlotCursor::default();
+        for u in (0..40).chain((0..40).rev()).map(n) {
+            let row = g.neighbors(u);
+            let sends = row
+                .iter()
+                .chain(row.iter().rev())
+                .chain(row.first())
+                .chain(row.first())
+                .chain([&u])
+                .chain(row.iter().step_by(3))
+                .chain(row.last());
+            for &v in sends {
+                let expected = if v == u {
+                    g.slot_count() + u.index()
+                } else {
+                    g.slot_of(u, v).unwrap()
+                };
+                assert_eq!(cursor.slot(&g, u, v), expected, "{u} → {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn lazily_seeded_streams_replay_their_link_seed() {
+        // A link's verdicts are those of a fresh stream seeded from its
+        // endpoints, whatever other links drew before it.
+        let plan = AdversaryPlan::new(5)
+            .jitter(0.5, 3)
+            .duplicate(0.4)
+            .corrupt(0.3);
+        let g = k10();
+        let mut state: AdversaryState<()> = AdversaryState::new(plan.clone(), &g);
+        for r in 0..30 {
+            let _ = state.decide(&g, n(7), n(2), r);
+            let _ = state.decide(&g, n(6), n(5), r);
+        }
+        let replay = |from: u32, to: u32| {
+            let mut rng = StdRng::seed_from_u64(link_stream_seed(plan.seed, n(from), n(to)));
+            (0..30)
+                .map(|_| {
+                    if rng.random::<f64>() < plan.corrupt_prob {
+                        return Verdict::Corrupt;
+                    }
+                    let duplicate = rng.random::<f64>() < plan.duplicate_prob;
+                    let delay = if rng.random::<f64>() < plan.delay_prob {
+                        rng.random_range(1..=plan.max_delay)
+                    } else {
+                        0
+                    };
+                    Verdict::Deliver { duplicate, delay }
+                })
+                .collect::<Vec<_>>()
+        };
+        for (from, to) in [(2, 7), (6, 6), (0, 9)] {
+            let drawn: Vec<Verdict> = (0..30)
+                .map(|r| state.decide(&g, n(from), n(to), r))
+                .collect();
+            assert_eq!(drawn, replay(from, to), "link {from} → {to}");
+        }
+    }
+
+    #[test]
     fn delay_queue_orders_by_due_round_and_insertion() {
-        let mut state: AdversaryState<u32> = AdversaryState::new(AdversaryPlan::new(0));
+        let mut state: AdversaryState<u32> = AdversaryState::new(AdversaryPlan::new(0), &k10());
         let env = |p: u32| Envelope {
             from: n(0),
             to: n(1),

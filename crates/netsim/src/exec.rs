@@ -400,6 +400,12 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
     /// stepped until every node is [`Reliable::done`]. Traced, the span
     /// cursor advances after each step to the logical-round frontier,
     /// which is only computed when tracing is engaged.
+    ///
+    /// Neither check scans every node per round. A failing node halts,
+    /// so failures are looked for only after a step that halted some
+    /// node. `done` never turns false again, so the run counts the done
+    /// prefix of the node ids: each round asks only the first node past
+    /// it, and the run ends when the prefix covers every node.
     fn run_transport(mut self, cfg: TransportConfig, logical: u64) -> Result<Run<L>, SimError> {
         let make = &mut self.make;
         let mut sim = self
@@ -410,16 +416,22 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
             .traced
             .then(|| SpanCursor::start(&self.phases, &mut sim));
         let max_rounds = cfg.round_budget(logical);
+        let mut unhalted = sim.unhalted_count();
+        let n = sim.topology().graph().node_count();
+        let mut done = 0;
         while sim.step() {
             // Surface a delivery failure immediately: the victim's
             // neighbors would otherwise wait for its frames until the
-            // round limit and mask the root cause.
-            if let Some((v, failure)) = sim
-                .logics()
-                .enumerate()
-                .find_map(|(i, l)| l.failure().map(|f| (i, f)))
-            {
-                return Err(failure.into_error(NodeId::new(v as u32)));
+            // round limit and mask the root cause. Report the lowest id.
+            if sim.unhalted_count() < unhalted {
+                unhalted = sim.unhalted_count();
+                if let Some((v, failure)) = sim
+                    .logics()
+                    .enumerate()
+                    .find_map(|(i, l)| l.failure().map(|f| (i, f)))
+                {
+                    return Err(failure.into_error(NodeId::new(v as u32)));
+                }
             }
             if let Some(cursor) = &mut cursor {
                 let frontier = sim
@@ -433,7 +445,10 @@ impl<'a, L: NodeLogic, F: FnMut(NodeId) -> L> Executor<'a, L, F> {
             // and halting frames) that it needs nothing more from the
             // network. Transport nodes stay responsive rather than
             // halting on their own, so this observation ends the run.
-            if sim.logics().all(Reliable::done) {
+            while done < n && sim.logic(NodeId::new(done as u32)).done() {
+                done += 1;
+            }
+            if done == n {
                 break;
             }
             if sim.round() >= max_rounds && !sim.is_quiescent() {
@@ -845,6 +860,32 @@ mod tests {
             };
             assert_eq!(err, SimError::InvalidTransportConfig { rto, backoff_cap });
         }
+    }
+
+    #[test]
+    fn delivery_failure_names_the_lowest_failing_node() {
+        // Total loss: every linked node exhausts its budget in the same
+        // round. Nodes 0, 1 and 6 are isolated and halt rounds earlier,
+        // so the failure scan runs after a halt that is no failure too.
+        let g = ftclust_graphs::Graph::from_edges(7, &[(2, 3), (3, 4), (5, 4)]).unwrap();
+        let cfg = TransportConfig {
+            rto: 2,
+            backoff_cap: 4,
+            max_retransmits: 3,
+        };
+        let err = Executor::new(Topology::from_graph(&g), flood, 4)
+            .stack(Stack::new().lossy(1.0).transport(cfg))
+            .run(10)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::DeliveryFailed {
+                from: NodeId::new(2),
+                to: NodeId::new(3),
+                seq: 0,
+                attempts: cfg.max_retransmits + 1,
+            }
+        );
     }
 
     #[test]

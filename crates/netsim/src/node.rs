@@ -1,4 +1,5 @@
 use crate::metrics::TransportCounters;
+use crate::topology::seek;
 use crate::trace::TraceEvent;
 use crate::{Envelope, Payload, Topology};
 use ftclust_graphs::NodeId;
@@ -235,6 +236,9 @@ pub struct Context<'a, P> {
     /// buffers in shard index order on the sequential merge path, so
     /// recorded traces are independent of the worker count.
     pub(crate) trace: &'a mut Vec<TraceEvent>,
+    /// Position in [`Context::neighbors`] of the last [`Context::send`]
+    /// peer, where the next send's neighbour check starts.
+    pub(crate) send_hint: usize,
 }
 
 impl<'a, P: Payload> Context<'a, P> {
@@ -324,12 +328,18 @@ impl<'a, P: Payload> Context<'a, P> {
     /// beyond the communication graph is a protocol bug, not a runtime
     /// condition.
     pub fn send(&mut self, to: NodeId, payload: P) {
-        assert!(
-            to == self.me || self.topo.graph().has_edge(self.me, to),
-            "{} attempted to send to non-neighbor {}",
-            self.me,
-            to
-        );
+        if to != self.me {
+            // Protocols mostly unicast in ascending neighbour order, so the
+            // check first tries the neighbour after the previous send's.
+            let found = seek(self.neighbors(), to, self.send_hint);
+            assert!(
+                found.is_some(),
+                "{} attempted to send to non-neighbor {}",
+                self.me,
+                to
+            );
+            self.send_hint = found.unwrap_or_default();
+        }
         self.push(to, payload);
     }
 
@@ -427,6 +437,7 @@ mod tests {
             transport,
             tracing: false,
             trace,
+            send_hint: 0,
         }
     }
 
@@ -499,6 +510,7 @@ mod tests {
             transport: &mut tc,
             tracing: false,
             trace: &mut tr,
+            send_hint: 0,
         };
         act(&mut ctx);
         let sent = outbox.iter().map(|e| (e.to.raw(), e.payload.0)).collect();
@@ -612,9 +624,62 @@ mod tests {
         );
     }
 
+    /// Node 0 of `g` sends to `earlier` in order, then to `stray`;
+    /// returns whether the last send panicked.
+    fn stray_send_panics(g: &ftclust_graphs::Graph, earlier: &[u32], stray: u32) -> bool {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut outbox = Vec::new();
+        let mut tc = TransportCounters::default();
+        let mut tr = Vec::new();
+        let mut ctx = ctx_fixture(
+            Topology::from_graph(g),
+            &mut rng,
+            &mut outbox,
+            &mut tc,
+            &mut tr,
+        );
+        for &v in earlier {
+            ctx.send(NodeId::new(v), Ping);
+        }
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.send(NodeId::new(stray), Ping);
+        }))
+        .is_err()
+    }
+
     #[test]
     #[should_panic(expected = "non-neighbor")]
     fn send_to_non_neighbor_panics() {
+        // Node 0's neighbours are the even ids 2..=40, with gaps between
+        // them for a stray id to fall into.
+        let edges: Vec<(u32, u32)> = (1..=20).map(|i| (0, 2 * i)).collect();
+        let g = ftclust_graphs::Graph::from_edges(42, &edges).unwrap();
+        let evens: Vec<u32> = (1..=20).map(|i| 2 * i).collect();
+        // A stray id between, before and after earlier in-order sends,
+        // near the last send and far past it.
+        for (earlier, stray) in [
+            (&evens[..3], 5),
+            (&evens[..3], 7),
+            (&evens[..3], 1),
+            (&evens[..3], 33),
+            (&evens[..3], 41),
+            (&evens[..], 41),
+            (&evens[..], 21),
+            (&evens[..], 1),
+            (&evens[10..12], 23),
+            (&evens[10..12], 39),
+        ] {
+            assert!(
+                stray_send_panics(&g, earlier, stray),
+                "send to {stray} after {earlier:?} passed"
+            );
+        }
+        // The same checks accept every neighbour from any position.
+        for &last in &evens {
+            for &next in &evens {
+                assert!(!stray_send_panics(&g, &[last], next), "{last} then {next}");
+            }
+        }
         let g = generators::path(3); // 0-1-2: 0 and 2 not adjacent
         let mut rng = StdRng::seed_from_u64(0);
         let mut outbox = Vec::new();

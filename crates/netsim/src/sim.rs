@@ -287,6 +287,12 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         })
     }
 
+    /// Number of nodes that have not halted, down ones included. O(1),
+    /// and it only ever falls: a step that lowers it halted some node.
+    pub(crate) fn unhalted_count(&self) -> usize {
+        self.running_total
+    }
+
     /// Number of nodes still running (not halted, not down).
     pub fn running_count(&self) -> usize {
         self.running
@@ -524,6 +530,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                         transport: &mut buf.counters,
                         tracing,
                         trace: &mut buf.trace,
+                        send_hint: 0,
                     };
                     let control = shard.logics[j].on_round(received, &mut ctx);
                     let published = if publish {
@@ -634,7 +641,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                     // that survived churn, drawn per-link in the same
                     // global sender order.
                     if let Some(adv) = &mut self.adversary {
-                        match adv.decide(env.from, env.to, round) {
+                        match adv.decide(self.topo.graph(), env.from, env.to, round) {
                             Verdict::Cut => {
                                 self.metrics.dropped_messages += 1;
                                 if let Some(log) = &mut self.trace {
@@ -806,7 +813,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     /// installed at all, keeping the fault-free merge fast path.
     pub fn set_adversary(&mut self, plan: AdversaryPlan) {
         if plan.is_active() {
-            self.adversary = Some(AdversaryState::new(plan));
+            self.adversary = Some(AdversaryState::new(plan, self.topo.graph()));
         }
     }
 
@@ -870,6 +877,122 @@ mod tests {
             ctx.broadcast(Num(ctx.me().raw() as u64));
             Control::Continue
         }
+    }
+
+    /// A message tag: sender, send round and emission index.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Tag(u32, u64, u32);
+    impl Payload for Tag {
+        fn bit_size(&self) -> usize {
+            1
+        }
+    }
+
+    /// Sends awkwardly ordered unicasts for `send_rounds` rounds, then
+    /// listens until delayed copies are in; records both sides.
+    struct Scatter {
+        send_rounds: u64,
+        halt_round: u64,
+        /// `(to, round)` of every send, in emission order.
+        sent: Vec<(NodeId, u64)>,
+        /// `(tag, arrival round)` of every message received.
+        received: Vec<(Tag, u64)>,
+    }
+    impl NodeLogic for Scatter {
+        type Payload = Tag;
+        fn on_round(&mut self, inbox: Inbox<'_, Tag>, ctx: &mut Context<'_, Tag>) -> Control {
+            let round = ctx.round();
+            for e in inbox {
+                self.received.push((e.payload.clone(), round));
+            }
+            if round >= self.halt_round {
+                return Control::Halt;
+            }
+            if round < self.send_rounds {
+                let me = ctx.me();
+                let row = ctx.neighbors();
+                // Descending order, a repeated unicast to the lowest
+                // neighbour, a self-send, then the highest again.
+                let order = row
+                    .iter()
+                    .rev()
+                    .chain(row.first())
+                    .chain(row.first())
+                    .chain([&me])
+                    .chain(row.last());
+                for &to in order {
+                    let k = self.sent.len() as u32;
+                    ctx.send(to, Tag(me.raw(), round, k));
+                    self.sent.push((to, round));
+                }
+            }
+            Control::Continue
+        }
+    }
+
+    #[test]
+    fn chaos_verdicts_replay_each_link_stream_in_isolation() {
+        let g = generators::gnp(24, 0.3, 8);
+        let max_delay = 3;
+        let plan = AdversaryPlan::new(17)
+            .jitter(0.3, max_delay)
+            .duplicate(0.3)
+            .corrupt(0.2);
+        let (send_rounds, halt_round) = (6, 6 + max_delay + 1);
+        let mut sim = Simulator::new(
+            Topology::from_graph(&g),
+            |_| Scatter {
+                send_rounds,
+                halt_round,
+                sent: Vec::new(),
+                received: Vec::new(),
+            },
+            3,
+        );
+        sim.set_adversary(plan.clone());
+        sim.run(halt_round + 2).unwrap();
+        let m = sim.metrics();
+        assert!(
+            m.corrupted > 0 && m.net_duplicated > 0,
+            "chaos too mild: {m:?}"
+        );
+        let mut delayed = false;
+        for u in g.nodes() {
+            let sender = sim.logic(u);
+            let mut links: Vec<NodeId> = sender.sent.iter().map(|&(to, _)| to).collect();
+            links.sort_unstable();
+            links.dedup();
+            for to in links {
+                // The verdicts this link's sends met, read off what the
+                // receiver got: nothing (corrupted), one or two copies,
+                // the last one late by the delay.
+                let inbox = &sim.logic(to).received;
+                let mut seen = Vec::new();
+                let mut replay: AdversaryState<Tag> = AdversaryState::new(plan.clone(), &g);
+                let mut expected = Vec::new();
+                for (k, &(_, round)) in sender.sent.iter().enumerate().filter(|(_, s)| s.0 == to) {
+                    let tag = Tag(u.raw(), round, k as u32);
+                    let arrivals: Vec<u64> = inbox
+                        .iter()
+                        .filter(|(t, _)| *t == tag)
+                        .map(|&(_, at)| at)
+                        .collect();
+                    seen.push(match arrivals.last() {
+                        None => Verdict::Corrupt,
+                        Some(&at) => Verdict::Deliver {
+                            duplicate: arrivals.len() == 2,
+                            delay: at - round - 1,
+                        },
+                    });
+                    expected.push(replay.decide(&g, u, to, round));
+                }
+                delayed |= seen
+                    .iter()
+                    .any(|v| matches!(v, Verdict::Deliver { delay, .. } if *delay > 0));
+                assert_eq!(seen, expected, "link {u} → {to}");
+            }
+        }
+        assert!(delayed, "no send was delayed");
     }
 
     #[test]

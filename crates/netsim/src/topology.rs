@@ -54,6 +54,25 @@ impl<'a> Topology<'a> {
     }
 }
 
+/// Position of `peer` in the sorted, duplicate-free neighbour `row`, or
+/// `None` when it is not there. Senders and receivers mostly walk a row in
+/// ascending order, one neighbour after the other, so the search first
+/// reads the entry after `hint` (the previous position) and `hint` itself
+/// (a repeated peer); any other peer is binary-searched. Reading further
+/// ahead does not pay: where a walk skips neighbours, the skips vary, and
+/// a mispredicted scan costs more than the branch-free binary search.
+#[inline]
+pub(crate) fn seek(row: &[NodeId], peer: NodeId, hint: usize) -> Option<usize> {
+    let next = hint.saturating_add(1);
+    if row.get(next) == Some(&peer) {
+        return Some(next);
+    }
+    if row.get(hint) == Some(&peer) {
+        return Some(hint);
+    }
+    row.binary_search(&peer).ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,5 +94,24 @@ mod tests {
         let d = t.distance(NodeId::new(0), NodeId::new(1)).unwrap();
         assert_eq!(d, udg.distance(NodeId::new(0), NodeId::new(1)));
         assert!(t.positions().is_some());
+    }
+
+    #[test]
+    fn seek_agrees_with_binary_search_from_every_hint() {
+        // Empty, short and long rows, gaps included, hints past the end.
+        for len in [0usize, 1, 2, 7, 8, 9, 30] {
+            let row: Vec<NodeId> = (0..len as u32).map(|i| NodeId::new(3 * i + 1)).collect();
+            for peer in 0..3 * len as u32 + 3 {
+                let peer = NodeId::new(peer);
+                let expected = row.binary_search(&peer).ok();
+                for hint in 0..=len + 1 {
+                    assert_eq!(
+                        seek(&row, peer, hint),
+                        expected,
+                        "len {len} {peer} hint {hint}"
+                    );
+                }
+            }
+        }
     }
 }

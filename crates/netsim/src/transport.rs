@@ -133,10 +133,17 @@
 //! * its payloads travel as a [`Bundle`], which stores zero or one
 //!   payload in place and allocates only for two or more, so cloning a
 //!   frame on send, retransmit and receipt is usually a payload copy;
-//! * a round with no frame queued, no timer due and no data arrived
-//!   visits no link at all;
-//! * frames are addressed by neighbor position, so no edge lookup is
-//!   repeated per frame.
+//! * whether a pass sends fresh frames is one node-level flag (the inner
+//!   logic executed a round since the last pass), not a per-link queue
+//!   check;
+//! * only a fresh frame or a due retransmit timer takes a pass over every
+//!   link. A round that owes nothing but pure acks visits just the links
+//!   that received data, in ascending link order, and a round that owes
+//!   nothing visits no link at all;
+//! * frames are addressed by neighbor position. An arriving frame's
+//!   position is looked up in the node's sorted neighbor ids, trying the
+//!   one after the previous frame's first, so no edge lookup is repeated
+//!   per frame.
 //!
 //! None of this moves a frame: the schedule, every RNG draw and every
 //! metric are those of a pass over all links with `Vec` bundles.
@@ -145,6 +152,7 @@
 //! a [`Reliable`] one without loss) behaves exactly as before — the
 //! transport is pure opt-in.
 
+use crate::topology::seek;
 use crate::{bits_for_ids, Context, Control, Envelope, Inbox, NodeLogic, Payload, SimError};
 use ftclust_graphs::NodeId;
 use std::collections::VecDeque;
@@ -420,23 +428,31 @@ impl<P> Link<P> {
 impl<P: Payload> Link<P> {
     /// This link's share of a send pass at physical round `now`, the
     /// link being neighbor number `pos`: at most one frame, by priority
-    /// a frame's first transmission, a timed-out retransmission, or a
-    /// pure ack owed for arrived data. Errors when the oldest frame's
-    /// retransmit budget is exhausted.
+    /// a frame's first transmission (`fresh`: the inner logic executed a
+    /// round since the last pass, so every link holds a frame not yet on
+    /// the wire), a timed-out retransmission, or a pure ack owed for
+    /// arrived data. Errors when the oldest frame's retransmit budget is
+    /// exhausted.
     fn send(
         &mut self,
         pos: usize,
+        fresh: bool,
         cfg: &TransportConfig,
         now: u64,
         ctx: &mut Context<'_, FrameMsg<P>>,
     ) -> Result<(), DeliveryFailure> {
+        debug_assert_eq!(
+            fresh,
+            self.unacked.back().is_some_and(|f| f.attempts == 0),
+            "the node's queued flag disagrees with link {pos}"
+        );
         let ack = self.recv_next;
-        if self.unacked.back().is_some_and(|f| f.attempts == 0) {
+        if fresh {
             // Priority 1: first transmission of a frame created this
             // round (always the newest entry).
             let front_is_new = self.unacked.len() == 1;
             let Some(frame) = self.unacked.back_mut() else {
-                unreachable!("just checked the back is non-empty");
+                unreachable!("a fresh frame was queued on every link");
             };
             frame.attempts = 1;
             let msg = frame.carrying(ack);
@@ -468,11 +484,22 @@ impl<P: Payload> Link<P> {
         } else if self.need_ack {
             // Priority 3: a pure ack if data arrived and nothing else
             // carried the acknowledgment.
-            self.need_ack = false;
-            ctx.note_ack();
-            ctx.send_to_neighbor(pos, FrameMsg { ack, data: None });
+            self.ack(pos, ctx);
         }
         Ok(())
+    }
+
+    /// Sends the pure ack owed for data that arrived this round.
+    fn ack(&mut self, pos: usize, ctx: &mut Context<'_, FrameMsg<P>>) {
+        self.need_ack = false;
+        ctx.note_ack();
+        ctx.send_to_neighbor(
+            pos,
+            FrameMsg {
+                ack: self.recv_next,
+                data: None,
+            },
+        );
     }
 }
 
@@ -504,6 +531,9 @@ pub struct Reliable<L: NodeLogic> {
     /// The inner logic executed a round, so frames were queued, since
     /// the last send pass.
     queued: bool,
+    /// Positions of the links that received a data frame this round and
+    /// so owe an ack, in arrival order.
+    owed: Vec<usize>,
     /// The inner logic may be able to execute: data arrived or a round
     /// executed since `can_execute` last said no.
     maybe_ready: bool,
@@ -533,6 +563,7 @@ impl<L: NodeLogic> Reliable<L> {
             failure: None,
             min_due: u64::MAX,
             queued: false,
+            owed: Vec::new(),
             maybe_ready: true,
             inner_outbox: Vec::new(),
             inner_inbox: Vec::new(),
@@ -675,6 +706,7 @@ impl<L: NodeLogic> Reliable<L> {
             transport: &mut *ctx.transport,
             tracing: ctx.tracing,
             trace: &mut *ctx.trace,
+            send_hint: 0,
         };
         let control = self
             .inner
@@ -683,12 +715,13 @@ impl<L: NodeLogic> Reliable<L> {
         self.local_round = r + 1;
         let mut self_msgs = Bundle::default();
         self.bundles.resize_with(self.links.len(), Bundle::default);
+        let neighbors = ctx.neighbors();
         let mut cursor = 0;
         for env in outbox.drain(..) {
             if env.to == me {
                 self_msgs.push(env.payload);
             } else {
-                let Some(pos) = link_index(&self.links, env.to, cursor) else {
+                let Some(pos) = seek(neighbors, env.to, cursor) else {
                     unreachable!("Context::send only accepts neighbors");
                 };
                 cursor = pos;
@@ -729,10 +762,12 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
         debug_assert!(self.failure.is_none(), "failed node was scheduled again");
 
         // --- Receive: acks first, then data, per arriving frame. ---
+        let neighbors = ctx.neighbors();
         let mut cursor = 0;
-        let mut acks_owed = false;
+        self.owed.clear();
+        let mut owed_in_order = true;
         for env in inbox {
-            let Some(pos) = link_index(&self.links, env.from, cursor) else {
+            let Some(pos) = seek(neighbors, env.from, cursor) else {
                 debug_assert!(false, "frame from non-neighbor {}", env.from);
                 continue;
             };
@@ -753,8 +788,11 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
                 self.min_due = self.min_due.min(link.due);
             }
             if let Some(data) = &env.payload.data {
-                link.need_ack = true;
-                acks_owed = true;
+                if !link.need_ack {
+                    link.need_ack = true;
+                    owed_in_order &= self.owed.last().is_none_or(|&last| last < pos);
+                    self.owed.push(pos);
+                }
                 if data.seq < link.recv_next || link.ooo.iter().any(|(s, _)| *s == data.seq) {
                     ctx.note_duplicate_suppressed();
                     continue;
@@ -789,12 +827,14 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
         }
 
         // --- Send: at most one frame per link per physical round, links
-        // in ascending order. With no frame queued, no timer due and no
-        // ack owed, every link stays silent, so none is visited. ---
-        if self.queued || acks_owed || now >= self.min_due {
+        // in ascending order. A queued frame or a due timer takes a pass
+        // over every link. Otherwise only pure acks can be owed, and only
+        // by the links that received data, so only those are visited; a
+        // round with no ack owed either visits no link at all. ---
+        if self.queued || now >= self.min_due {
             let mut min_due = u64::MAX;
             for (pos, link) in self.links.iter_mut().enumerate() {
-                if let Err(failure) = link.send(pos, &self.cfg, now, ctx) {
+                if let Err(failure) = link.send(pos, self.queued, &self.cfg, now, ctx) {
                     // Budget exhausted: withdraw from the network. The
                     // runner surfaces this as `SimError::DeliveryFailed`.
                     self.failure = Some(failure);
@@ -804,7 +844,19 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
             }
             self.min_due = min_due;
             self.queued = false;
+        } else if !self.owed.is_empty() {
+            // Jittered frames arrive ahead of the round's sorted traffic.
+            if !owed_in_order {
+                self.owed.sort_unstable();
+            }
+            for &pos in &self.owed {
+                self.links[pos].ack(pos, ctx);
+            }
         }
+        debug_assert!(
+            self.links.iter().all(|l| !l.need_ack),
+            "a send pass left an ack unsent"
+        );
 
         // --- Termination (see module docs). Only isolated nodes may
         // withdraw on their own: any node with neighbors must stay
@@ -816,19 +868,6 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
             return Control::Halt;
         }
         Control::Continue
-    }
-}
-
-/// Position of `peer`'s link in the peer-sorted `links`. Inboxes and
-/// outboxes arrive mostly in ascending peer order, so the search scans
-/// forward from `hint` (the previous position) and falls back to a
-/// binary search for the out-of-order rest (jittered envelopes are staged
-/// ahead of the round's sorted traffic).
-fn link_index<P>(links: &[Link<P>], peer: NodeId, hint: usize) -> Option<usize> {
-    let ahead = links.get(hint..).unwrap_or_default();
-    match ahead.iter().position(|l| l.peer >= peer) {
-        Some(i) if ahead[i].peer == peer => Some(hint + i),
-        _ => links.binary_search_by_key(&peer, |l| l.peer).ok(),
     }
 }
 
