@@ -14,6 +14,13 @@
 //! Exit status: 1 when an output file cannot be written, 2 on a usage
 //! error, 101 when an experiment's check fails.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "an experiment binary: a failed check or an impossible state aborts the run with its message"
+)]
+
 use ftclust_netsim::Metrics;
 use std::io;
 use std::path::{Path, PathBuf};

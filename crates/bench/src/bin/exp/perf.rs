@@ -140,7 +140,11 @@ fn run_trial(
     threads: usize,
 ) -> (Vec<u64>, u64, u64, f64, f64) {
     par::with_threads(threads, || {
-        let setup_start = Instant::now(); // lint: wall-clock — wall time is this benchmark’s measured output
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall time is this benchmark's measured output"
+        )]
+        let setup_start = Instant::now();
         let mut sim = Simulator::new(
             Topology::from_graph(g),
             |_| Gossip {
@@ -150,7 +154,11 @@ fn run_trial(
             42,
         );
         let setup = setup_start.elapsed().as_secs_f64();
-        let start = Instant::now(); // lint: wall-clock — wall time is this benchmark’s measured output
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall time is this benchmark's measured output"
+        )]
+        let start = Instant::now();
         sim.run(u64::from(rounds) + 2).expect("gossip quiesces");
         let wall = start.elapsed().as_secs_f64();
         let m = sim.metrics();
@@ -162,7 +170,11 @@ fn run_trial(
 
 /// Builds the sweep's `n`-node graph and times the build.
 fn timed_rgg(n: u32) -> (ftclust_graphs::Graph, f64) {
-    let start = Instant::now(); // lint: wall-clock — wall time is this benchmark’s measured output
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time is this benchmark's measured output"
+    )]
+    let start = Instant::now();
     let g = Family::Rgg.build(n, u64::from(n));
     (g, start.elapsed().as_secs_f64())
 }
@@ -235,7 +247,11 @@ fn alg12_row(n: u32, trials: usize) -> Alg12Row {
     let median_secs = |f: &dyn Fn() -> DominatingSet| {
         let walls: Vec<f64> = (0..trials)
             .map(|_| {
-                let start = Instant::now(); // lint: wall-clock — wall time is this benchmark’s measured output
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall time is this benchmark's measured output"
+                )]
+                let start = Instant::now();
                 std::hint::black_box(f());
                 start.elapsed().as_secs_f64()
             })
@@ -301,7 +317,11 @@ fn transport_rows(n: u32, trials: usize, digests: &mut String) -> Vec<TransportR
                 let mut walls = Vec::with_capacity(trials);
                 let mut last = None;
                 for _ in 0..trials {
-                    let start = Instant::now(); // lint: wall-clock — wall time is this benchmark’s measured output
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "wall time is this benchmark's measured output"
+                    )]
+                    let start = Instant::now();
                     let (run, _) = run_udg_stack(&udg, &config, stack.clone())
                         .expect("Algorithm 3 solves the transport section's input");
                     walls.push(start.elapsed().as_secs_f64());

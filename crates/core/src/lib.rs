@@ -65,9 +65,6 @@
 //! # Ok::<(), ftclust_core::KmdsError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod audit;
 mod error;
 mod instance;

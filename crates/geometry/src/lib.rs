@@ -26,9 +26,6 @@
 //! assert_eq!(near_origin.len(), 2); // the origin itself and (0.5, 0)
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod disk;
 mod grid;
 mod point;

@@ -81,6 +81,10 @@ pub fn gnm(n: u32, m: usize, seed: u64) -> Graph {
         "m = {m} exceeds the {possible} possible edges of an {n}-node simple graph"
     );
     let mut rng = rng_from_seed(seed);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership test only; the set is never iterated, edges are added in draw order"
+    )]
     let mut chosen = std::collections::HashSet::with_capacity(m);
     let mut b = GraphBuilder::new(n);
     while chosen.len() < m {

@@ -116,6 +116,10 @@ pub fn watts_strogatz(n: u32, k_ring: u32, beta: f64, seed: u64) -> Graph {
     );
     let mut rng = rng_from_seed(seed);
     // Edge set as canonical pairs for O(1) duplicate checks.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed membership tests; the one drain below is sorted before use"
+    )]
     let mut edges: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
     let canon = |u: u32, v: u32| (u.min(v), u.max(v));
     for u in 0..n {

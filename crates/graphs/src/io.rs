@@ -150,6 +150,125 @@ pub fn read_positions(text: &str) -> Result<Vec<ftclust_geometry::Point>, GraphE
 mod tests {
     use super::*;
     use crate::generators;
+    use ftclust_geometry::Point;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Edge-list tokens for the parser fuzz. Every number is at most 64,
+    /// so no header asks for a large graph.
+    const EDGE_TOKENS: [&str; 12] = [
+        "n", "#", "0", "1", "5", "17", "64", "-1", "x", "1.5", "n3", "+2",
+    ];
+    /// Position tokens: finite, non-finite, out-of-range and junk numbers.
+    const POSITION_TOKENS: [&str; 13] = [
+        "0", "1.5", "-2e3", "nan", "inf", "-inf", "1e400", "x", "#", "0x1", "+3", ".5", "1_0",
+    ];
+    const SEPARATORS: [&str; 3] = [" ", "\t", "  "];
+
+    /// One input line: mostly edges, sometimes a header or a run of
+    /// random tokens.
+    fn edge_line() -> impl Strategy<Value = String> {
+        (
+            0..6usize,
+            0..=64u32,
+            0..=64u32,
+            vec((0..EDGE_TOKENS.len(), 0..3usize), 0..4),
+        )
+            .prop_map(|(kind, a, b, tokens)| match kind {
+                0 => format!("n {a}"),
+                1..=3 => format!("{a} {b}"),
+                _ => tokens
+                    .iter()
+                    .map(|&(t, sep)| format!("{}{}", EDGE_TOKENS[t], SEPARATORS[sep]))
+                    .collect(),
+            })
+    }
+
+    /// One input line: mostly a finite `x y` pair, sometimes a run of
+    /// random tokens.
+    fn position_line() -> impl Strategy<Value = String> {
+        (
+            0..4usize,
+            coordinate(),
+            coordinate(),
+            vec((0..POSITION_TOKENS.len(), 0..3usize), 0..5),
+        )
+            .prop_map(|(kind, x, y, tokens)| match kind {
+                0..=2 => format!("{x} {y}"),
+                _ => tokens
+                    .iter()
+                    .map(|&(t, sep)| format!("{}{}", POSITION_TOKENS[t], SEPARATORS[sep]))
+                    .collect(),
+            })
+    }
+
+    /// A finite coordinate: uniform, or one of the extreme finite values.
+    fn coordinate() -> impl Strategy<Value = f64> {
+        (0..6usize, -1e9..1e9f64).prop_map(|(kind, x)| match kind {
+            0 => f64::MAX,
+            1 => f64::MIN_POSITIVE,
+            2 => -0.0,
+            3 => 5e-324,
+            _ => x,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn edge_list_parser_never_panics(header in 0..=65u32, lines in vec(edge_line(), 0..8)) {
+            // 65 stands for no leading header.
+            let text = if header > 64 { String::new() } else { format!("n {header}\n") } + &lines.join("\n");
+            let lines = text.lines().collect::<Vec<_>>();
+            match read_edge_list(&text) {
+                Ok(g) => {
+                    prop_assert!(g.node_count() <= 64);
+                    prop_assert!(g.edge_count() <= lines.len());
+                }
+                Err(GraphError::Parse { line, .. }) => prop_assert!(line <= lines.len()),
+                Err(e) => prop_assert!(
+                    matches!(e, GraphError::NodeOutOfRange { .. } | GraphError::SelfLoop { .. }),
+                    "{e:?}"
+                ),
+            }
+        }
+
+        #[test]
+        fn positions_parser_never_panics(lines in vec(position_line(), 0..8)) {
+            let text = lines.join("\n");
+            match read_positions(&text) {
+                Ok(points) => {
+                    prop_assert!(points.len() <= lines.len());
+                    prop_assert!(points.iter().all(|p| p.x.is_finite() && p.y.is_finite()));
+                }
+                Err(e) => prop_assert!(
+                    matches!(e, GraphError::Parse { line, .. } if line >= 1 && line <= lines.len()),
+                    "{e:?}"
+                ),
+            }
+        }
+
+        #[test]
+        fn edge_lists_roundtrip_generator_graphs(family in 0..4usize, n in 1..60u32, seed in 0..1000u64) {
+            let g = match family {
+                0 => generators::gnp(n, 0.15, seed),
+                1 => generators::random_tree(n, seed),
+                2 => generators::grid_2d(n % 8 + 1, n / 8 + 1),
+                _ => generators::star(n),
+            };
+            prop_assert_eq!(read_edge_list(&write_edge_list(&g)).unwrap(), g);
+        }
+
+        #[test]
+        fn positions_roundtrip_finite_points(coords in vec((coordinate(), coordinate()), 0..20)) {
+            let points: Vec<Point> = coords.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            let back = read_positions(&write_positions(&points)).unwrap();
+            prop_assert_eq!(back.len(), points.len());
+            for (a, b) in back.iter().zip(&points) {
+                prop_assert_eq!((a.x.to_bits(), a.y.to_bits()), (b.x.to_bits(), b.y.to_bits()));
+            }
+        }
+    }
 
     #[test]
     fn positions_roundtrip() {

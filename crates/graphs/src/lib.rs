@@ -34,9 +34,6 @@
 //! # Ok::<(), ftclust_graphs::GraphError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod builder;
 mod error;
 mod geometric;

@@ -35,9 +35,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod covering;
 mod error;
 mod simplex;

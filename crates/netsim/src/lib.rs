@@ -87,9 +87,6 @@
 //! # Ok::<(), ftclust_netsim::SimError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod arena;
 mod churn;
 mod error;

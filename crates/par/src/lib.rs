@@ -35,9 +35,6 @@
 //! Worker panics are re-raised on the calling thread with their original
 //! payload once the scope has joined.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::cell::Cell;
 use std::ops::Range;
 
@@ -52,6 +49,10 @@ thread_local! {
 /// `FTCLUST_THREADS` environment variable (positive integers only —
 /// malformed or zero values are ignored), then the machine's available
 /// parallelism (1 if unknown).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "FTCLUST_THREADS is the workspace's one sanctioned environment read; the thread count never changes a result"
+)]
 pub fn num_threads() -> usize {
     let forced = OVERRIDE.with(Cell::get);
     if forced > 0 {

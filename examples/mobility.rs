@@ -10,6 +10,13 @@
 //!
 //! Run with: `cargo run --release --example mobility`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "an example asserts its own results and aborts when one fails"
+)]
+
 use ftclust::core::prelude::*;
 use ftclust::core::udg::UdgAlgorithm;
 use ftclust::core::validate::covered_fraction;

@@ -18,7 +18,7 @@ use ftclust::core::prelude::*;
 use ftclust::core::udg::UdgAlgorithm;
 use ftclust::graphs::{generators, io, stats, Graph, UnitDiskGraph};
 use ftclust::render::{render_svg, SvgOptions};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -47,20 +47,20 @@ const USAGE: &str = "usage:
                    [--svg <out.svg>] [--out <set.txt>]";
 
 /// Parsed `--key value` options (plus bare flags mapped to "true").
-struct Options(HashMap<String, String>);
+struct Options(BTreeMap<String, String>);
 
 impl Options {
     fn parse(args: &[String]) -> Result<Options, String> {
-        let mut map = HashMap::new();
+        let mut map = BTreeMap::new();
         let mut it = args.iter().peekable();
         while let Some(arg) = it.next() {
             let key = arg
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected an option, got `{arg}`"))?;
-            let value = match it.peek() {
-                Some(next) if !next.starts_with("--") => it.next().expect("peeked").clone(),
-                _ => "true".to_string(), // bare flag
-            };
+            let value = it
+                .next_if(|next| !next.starts_with("--"))
+                .cloned()
+                .unwrap_or_else(|| "true".to_string()); // bare flag
             if map.insert(key.to_string(), value).is_some() {
                 return Err(format!("duplicate option --{key}"));
             }
@@ -323,6 +323,68 @@ mod tests {
         assert!(Options::parse(&strs(&["--a", "1", "--a", "2"])).is_err());
         let o = Options::parse(&strs(&["--n", "abc"])).unwrap();
         assert!(o.parse_num::<u32>("n", 0).is_err());
+    }
+
+    /// Argument tokens for the parser fuzz: options, an empty key,
+    /// values, a lone dash, and tokens that only look like options.
+    const TOKENS: [&str; 9] = ["--k", "--t", "--", "-", "3", "", "--seed=1", "é", "-5"];
+    const KEYS: [&str; 4] = ["k", "t", "seed", "connect"];
+    const VALUES: [&str; 5] = ["3", "true", "-1", "x y", ""];
+
+    proptest::proptest! {
+        #[test]
+        fn options_parse_never_panics(picks in proptest::collection::vec(0..TOKENS.len(), 0..10)) {
+            let args = strs(&picks.iter().map(|&i| TOKENS[i]).collect::<Vec<_>>());
+            let keys = args.iter().filter(|a| a.starts_with("--")).count();
+            match Options::parse(&args) {
+                Ok(o) => {
+                    proptest::prop_assert_eq!(o.0.len(), keys);
+                    for (i, arg) in args.iter().enumerate() {
+                        if let Some(key) = arg.strip_prefix("--") {
+                            let want = match args.get(i + 1) {
+                                Some(v) if !v.starts_with("--") => v.as_str(),
+                                _ => "true",
+                            };
+                            proptest::prop_assert_eq!(o.get(key), Some(want));
+                        }
+                    }
+                }
+                Err(e) => proptest::prop_assert!(
+                    e.starts_with("expected an option") || e.starts_with("duplicate option"),
+                    "{e}"
+                ),
+            }
+        }
+
+        /// `--key value` pairs and bare flags (value index `VALUES.len()`)
+        /// parse to their values and `"true"`; a repeated key is an error.
+        #[test]
+        fn options_map_flags_and_reject_duplicates(
+            spec in proptest::collection::vec((0..KEYS.len(), 0..=VALUES.len()), 0..6)
+        ) {
+            let mut args = Vec::new();
+            for &(k, v) in &spec {
+                args.push(format!("--{}", KEYS[k]));
+                args.extend(VALUES.get(v).map(ToString::to_string));
+            }
+            let mut keys: Vec<usize> = spec.iter().map(|&(k, _)| k).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            match Options::parse(&args) {
+                Ok(o) => {
+                    proptest::prop_assert_eq!(keys.len(), spec.len());
+                    proptest::prop_assert_eq!(o.0.len(), spec.len());
+                    for &(k, v) in &spec {
+                        let want = VALUES.get(v).copied().unwrap_or("true");
+                        proptest::prop_assert_eq!(o.get(KEYS[k]), Some(want));
+                    }
+                }
+                Err(e) => {
+                    proptest::prop_assert!(keys.len() < spec.len(), "{e}");
+                    proptest::prop_assert!(e.starts_with("duplicate option"), "{e}");
+                }
+            }
+        }
     }
 
     #[test]

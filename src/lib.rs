@@ -32,9 +32,6 @@
 //! assert!(is_k_dominating(udg.graph(), &result.set, 2, Semantics::Strict));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use ftclust_core as core;
 pub use ftclust_geometry as geometry;
 pub use ftclust_graphs as graphs;

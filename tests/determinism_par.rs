@@ -10,6 +10,13 @@
 //! metrics, and dominating sets for exact equality. The last property pins the
 //! simulator's publication fast path against its envelope path.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration-test helpers outside `#[test]` abort the test on failure"
+)]
+
 use ftclust::core::fractional::protocol::run_fractional_protocol;
 use ftclust::core::fractional::FractionalSolution;
 use ftclust::core::prelude::*;

@@ -12,6 +12,13 @@
 //! transport under full delay jitter — and Algorithms 1, 2, 3 and the
 //! repair compute their synchronous results on it, also under loss.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration-test helpers outside `#[test]` abort the test on failure"
+)]
+
 use ftclust::core::fractional::protocol::run_fractional_stack;
 use ftclust::core::fractional::{FractionalParams, FractionalSolution};
 use ftclust::core::portfolio::{run_cgreedy_stack, run_dkm_stack, run_pb_stack, PortfolioRun};

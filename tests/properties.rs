@@ -1,6 +1,13 @@
 //! Property-based integration tests: random instances through every
 //! algorithm, with the invariants the paper proves.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration-test helpers outside `#[test]` abort the test on failure"
+)]
+
 use ftclust::core::baselines::{exact_kmds, greedy_kmds, jrs_kmds};
 use ftclust::core::fractional::{solve_fractional, FractionalParams};
 use ftclust::core::prelude::*;

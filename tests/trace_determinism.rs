@@ -13,6 +13,13 @@
 //! (`run_*_stack` with `.traced()`). The layer-composition combinations the old drivers never offered
 //! (lossy+traced, churned+lossy) are covered in `tests/exec_combos.rs`.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "integration-test helpers outside `#[test]` abort the test on failure"
+)]
+
 use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_stack};
 use ftclust::core::fractional::FractionalParams;
 use ftclust::core::portfolio::run_cgreedy_stack;

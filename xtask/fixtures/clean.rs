@@ -1,7 +1,7 @@
 //! NOT COMPILED — lint self-test fixture that must produce zero
-//! violations: panic paths only in comments, strings and tests; floats
-//! compared through tolerances or waived; payloads quantized; hash
-//! drains sorted; ambient reads either absent or waived with a reason.
+//! violations: floats compared through tolerances or waived; payloads
+//! quantized; parallel regions returning per-shard results; the
+//! checkers' tokens only in comments, strings and tests.
 //!
 //! Message values are quantized to `FIXTURE_BITS` fixed-point bits.
 
@@ -30,45 +30,15 @@ pub fn close(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-9
 }
 
-/// Exact zero skip, waived with the unified grammar below.
+/// Exact zero skip, waived with the waiver grammar below.
 pub fn is_exact_zero(x: f64) -> bool {
     x == 0.0 // lint: float-eq — sparse skip of exact zeros
 }
 
-/// Mentioning unwrap() in a doc comment or "a panic!(…) string" is not a
-/// violation.
+/// Mentioning `x == 0.5` in a doc comment or "a par_map_range(|i| m.lock())
+/// string" is not a violation.
 pub fn documented() -> &'static str {
-    "call .unwrap() and panic!(now)"
-}
-
-/// Keyed hash-map access plus a visibly sorted drain is deterministic.
-pub fn sorted_histogram(xs: &[u32]) -> Vec<(u32, u32)> {
-    let mut hist: HashMap<u32, u32> = HashMap::new();
-    for &x in xs {
-        *hist.entry(x).or_insert(0) += 1;
-    }
-    let mut pairs: Vec<(u32, u32)> = hist.into_iter().collect();
-    pairs.sort_unstable();
-    pairs
-}
-
-/// A seeded stream is the sanctioned way to get randomness.
-pub fn seeded_stream(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-
-/// An `unsafe` block with its justification adjacent is accepted.
-pub fn first_unchecked(xs: &[u32]) -> u32 {
-    debug_assert!(!xs.is_empty());
-    // SAFETY: callers guarantee a non-empty slice; asserted above.
-    unsafe { *xs.as_ptr() }
-}
-
-/// Timing the run is this helper's entire purpose, so the ambient read
-/// carries a waiver.
-pub fn elapsed_nanos() -> u128 {
-    let start = Instant::now(); // lint: wall-clock — timing is the measured output here
-    start.elapsed().as_nanos()
+    "x == 0.5 inside par_map_range(n, |i| total.fetch_add(i))"
 }
 
 /// Per-shard results merged by the caller in shard-index order.
@@ -79,7 +49,7 @@ pub fn doubled(n: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn tests_may_unwrap() {
-        assert_eq!(Some(1).unwrap(), 1);
+    fn tests_may_compare_floats_exactly() {
+        assert!(super::close(0.5, 0.5) == true && 0.5 == 0.5);
     }
 }

@@ -2,23 +2,6 @@
 //! violations. `cargo xtask lint` verifies the gate catches
 //! every one of them; if a checker regresses, the self-test fails.
 
-/// Seeded: `no-panic-paths` (unwrap).
-pub fn seeded_unwrap(x: Option<u32>) -> u32 {
-    x.unwrap()
-}
-
-/// Seeded: `no-panic-paths` (expect).
-pub fn seeded_expect(x: Option<u32>) -> u32 {
-    x.expect("seeded violation")
-}
-
-/// Seeded: `no-panic-paths` (panic!).
-pub fn seeded_panic(flag: bool) {
-    if flag {
-        panic!("seeded violation");
-    }
-}
-
 /// Seeded: `no-float-eq` (exact float comparison without waiver).
 pub fn seeded_float_eq(x: f64) -> bool {
     x == 0.3
@@ -55,10 +38,10 @@ impl Payload for BlobMsg {
 
 #[cfg(test)]
 mod tests {
-    // Panic paths inside test modules are fine; the gate must NOT flag
-    // this one.
+    // Exact float comparisons inside test modules are fine; the gate
+    // must NOT flag this one.
     #[test]
-    fn unwrap_in_tests_is_allowed() {
-        assert_eq!(Some(3).unwrap(), 3);
+    fn float_eq_in_tests_is_allowed() {
+        assert!(0.5 * 2.0 == 1.0);
     }
 }

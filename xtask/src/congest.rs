@@ -9,9 +9,6 @@
 //! * **payload-impl-required** — every protocol message type (`*Msg`) in a
 //!   protocol module must implement `Payload`; a message without bit
 //!   accounting silently escapes the CONGEST meter.
-//! * **bit-size-required** — a `Payload` impl must define `bit_size`
-//!   itself (not lean on a future default) so the cost is visible at the
-//!   message definition site.
 //! * **no-width-of-type** — `bit_size` must not derive costs from machine
 //!   type widths (`size_of`, `::BITS`): charging the in-memory width of a
 //!   `u64`/`f64` meters the *representation*, not an `O(log n)` encoding.
@@ -69,17 +66,9 @@ pub(crate) fn check(file: &SourceFile, protocol_module: bool, out: &mut Vec<Viol
     }
 
     for imp in &impls {
+        // `Payload::bit_size` has no default, so the compiler already
+        // requires every impl to define it.
         let Some(body) = &imp.bit_size_body else {
-            out.push(Violation {
-                rule: "bit-size-required",
-                path: file.rel_path.clone(),
-                line: imp.line,
-                message: format!(
-                    "`impl Payload for {}` does not define `bit_size`; the message \
-                     cost must be stated at the definition site",
-                    imp.type_name
-                ),
-            });
             continue;
         };
         if body.contains("size_of") || body.contains("::BITS") {

@@ -1,44 +1,40 @@
 //! Workspace automation tasks (`cargo xtask <task>`).
 //!
-//! The only task so far is `lint`: the static-analysis gate described in
-//! `DESIGN.md` §6 and §11. It is self-contained (no external
-//! dependencies, no network) and runs these passes over the workspace:
+//! The only task so far is `lint`: the part of the static-analysis gate
+//! that `rustc` and `clippy` cannot express (`DESIGN.md` §6 and §11).
+//! Panic hygiene, wall-clock and environment reads, hash-collection
+//! types and the `unsafe` ban are compiler lints, configured in the root
+//! `Cargo.toml`'s `[workspace.lints]` and in `clippy.toml`. This tool is
+//! self-contained (no external dependencies, no network) and runs these
+//! passes:
 //!
-//! 1. manifest audit ([`headers::check_manifests`]) — shared
-//!    `[workspace.lints]` policy and per-crate inheritance,
-//! 2. crate-header audit ([`headers::check_crate_header`]) —
-//!    `#![forbid(unsafe_code)]` / `#![warn(missing_docs)]`, with an
-//!    explicit allowlist for any crate that relaxes the forbid,
-//! 3. source hygiene ([`hygiene`]) — no panic paths in library code, no
-//!    float `==` in the numeric crates,
-//! 4. determinism audit ([`determinism`]) — no order-sensitive hash
-//!    iteration, wall-clock/environment reads, unseeded RNGs,
-//!    unjustified `unsafe`, or scheduler-order shared-state merges in
-//!    parallel regions,
-//! 5. CONGEST conformance ([`congest`]) — every protocol message charges
+//! 1. manifest audit ([`manifest`]): every workspace member inherits
+//!    `[workspace.lints]`, and the lint keys and `clippy.toml` paths
+//!    that carry the toolchain-enforced rules are all present,
+//! 2. float equality ([`float_eq`]): no float `==` in the numeric
+//!    crates,
+//! 3. merge order ([`merge_order`]): no scheduler-order shared-state
+//!    merge inside a parallel call site,
+//! 4. CONGEST conformance ([`congest`]): every protocol message charges
 //!    an `O(log n)`-bounded `bit_size`,
-//! 6. waiver audit ([`waivers`]) — one `// lint: <rule> — <reason>`
+//! 5. waiver audit ([`waivers`]): one `// lint: <rule> — <reason>`
 //!    grammar for every escape hatch; stale waivers are hard errors.
 //!
-//! The walk covers library sources, binaries (`src/bin`), integration
-//! tests (`tests/`), examples, and this tool's own sources
-//! (self-hosting), with per-scope rule sets: test code may `unwrap`,
-//! nothing may read wall clocks.
+//! The source passes walk the `src/` tree of every workspace member
+//! (binaries included) and stop at each file's `#[cfg(test)]` region.
 //!
 //! `cargo xtask lint` takes no options. It first runs the checkers
 //! against the seeded-violation fixtures in `xtask/fixtures/` and fails
 //! if any seeded violation goes undetected (guarding the gate itself
-//! against silent regressions), then walks the workspace. A
-//! `// lint: <rule> — <reason>` waiver is the one way to accept a
-//! violation.
+//! against silent regressions), then walks the workspace.
 //!
 //! Exit status: 0 when clean, 1 on any violation or a failed self-test,
 //! 2 on any argument after `lint`.
 
 mod congest;
-mod determinism;
-mod headers;
-mod hygiene;
+mod float_eq;
+mod manifest;
+mod merge_order;
 mod selftest;
 mod source;
 mod waivers;
@@ -71,81 +67,8 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// What kind of code a walked file is; decides which rules apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Scope {
-    /// Shipping library code: the full rule set.
-    Lib,
-    /// Binaries (`src/bin`): may panic on bad CLI input, but stay
-    /// deterministic.
-    Bin,
-    /// Integration tests: may `unwrap`, but must not read
-    /// wall clocks, the environment, or ambient entropy.
-    Test,
-    /// Examples: same contract as tests.
-    Example,
-    /// This tool's own sources (self-hosting): library rules.
-    Xtask,
-}
-
-/// Workspace members whose manifests must inherit `[workspace.lints]`.
-/// `""` is the root package.
-const MEMBERS: &[&str] = &[
-    "",
-    "crates/bench",
-    "crates/core",
-    "crates/geometry",
-    "crates/graphs",
-    "crates/lp",
-    "crates/netsim",
-    "crates/par",
-    "xtask",
-];
-
-/// Crate roots audited for the required header attributes.
-const CRATE_ROOTS: &[&str] = &[
-    "src/lib.rs",
-    "crates/bench/src/lib.rs",
-    "crates/core/src/lib.rs",
-    "crates/geometry/src/lib.rs",
-    "crates/graphs/src/lib.rs",
-    "crates/lp/src/lib.rs",
-    "crates/netsim/src/lib.rs",
-    "crates/par/src/lib.rs",
-];
-
-/// Every source tree the gate walks, with its scope. Library trees skip
-/// their `bin/` subtrees (walked separately under [`Scope::Bin`]).
-const SCOPED_TREES: &[(&str, Scope)] = &[
-    ("src", Scope::Lib),
-    ("crates/bench/src", Scope::Lib),
-    ("crates/core/src", Scope::Lib),
-    ("crates/geometry/src", Scope::Lib),
-    ("crates/graphs/src", Scope::Lib),
-    ("crates/lp/src", Scope::Lib),
-    ("crates/netsim/src", Scope::Lib),
-    ("crates/par/src", Scope::Lib),
-    ("src/bin", Scope::Bin),
-    ("crates/bench/src/bin", Scope::Bin),
-    ("tests", Scope::Test),
-    ("examples", Scope::Example),
-    ("xtask/src", Scope::Xtask),
-];
-
 /// Numeric crates where float `==` is checked.
 const FLOAT_EQ_TREES: &[&str] = &["crates/lp/src", "crates/geometry/src"];
-
-/// Trees whose code feeds the deterministic simulation: order-sensitive
-/// hash iteration and scheduler-order merges are forbidden here.
-const DETERMINISM_TREES: &[&str] = &[
-    "src/",
-    "crates/netsim/src",
-    "crates/core/src",
-    "crates/par/src",
-    "crates/graphs/src",
-    "crates/bench/src",
-    "xtask/src",
-];
 
 /// Files subject to the CONGEST pass: the whole simulator crate plus the
 /// core protocol modules. The `bool` marks protocol modules, where every
@@ -193,56 +116,23 @@ fn workspace_root() -> PathBuf {
         .map_or(manifest.clone(), Path::to_path_buf)
 }
 
-/// Is this file inside a determinism-scoped tree?
-fn in_determinism_tree(rel_path: &str) -> bool {
-    DETERMINISM_TREES.iter().any(|t| rel_path.starts_with(t))
-}
-
-/// Runs the per-file passes appropriate for `scope`.
-pub(crate) fn run_scoped_passes(file: &SourceFile, scope: Scope, out: &mut Vec<Violation>) {
-    let full = file.raw.len();
-    let lib_limit = file.test_code_start();
-    // Panic hygiene: shipping library code and the self-hosted tool.
-    if matches!(scope, Scope::Lib | Scope::Xtask) {
-        hygiene::check_panic_paths(file, out);
-    }
-    if scope == Scope::Lib && FLOAT_EQ_TREES.iter().any(|t| file.rel_path.starts_with(t)) {
-        hygiene::check_float_eq(file, out);
-    }
-    // Driver drift: library crates must not re-grow the per-combination
-    // runner matrix the executor stack replaced.
-    if scope == Scope::Lib {
-        hygiene::check_driver_drift(file, out);
-    }
-    // Ambient-nondeterminism rules hold everywhere, *including* inline
-    // test modules: a wall-clock read in a test breaks replayability
-    // just as surely as one in the engine.
-    determinism::check_wall_clock(file, full, out);
-    determinism::check_env_read(file, full, out);
-    determinism::check_unseeded_rng(file, full, out);
-    determinism::check_unsafe_safety(file, full, out);
-    // Order-discipline rules guard simulation state; test modules may
-    // iterate hash maps over their own assertions.
-    if matches!(scope, Scope::Lib | Scope::Bin | Scope::Xtask)
-        && in_determinism_tree(&file.rel_path)
-    {
-        determinism::check_hashmap_iteration(file, lib_limit, out);
-        determinism::check_merge_order(file, lib_limit, out);
-    }
-}
-
 /// Runs every pass and reports. Exit 0 iff the gate passes.
 fn run_lint(root: &Path) -> ExitCode {
     let mut violations = Vec::new();
-    headers::check_manifests(root, MEMBERS, &mut violations);
-    for lib in CRATE_ROOTS {
-        headers::check_crate_header(root, lib, &mut violations);
-    }
+    let members = manifest::check(root, &mut violations);
     let mut waiver_map: BTreeMap<String, Vec<waivers::Waiver>> = BTreeMap::new();
     let mut files_checked = 0usize;
-    for &(tree, scope) in SCOPED_TREES {
-        for file in load_tree(root, tree) {
-            run_scoped_passes(&file, scope, &mut violations);
+    for member in &members {
+        let tree = if member.is_empty() {
+            "src".to_owned()
+        } else {
+            format!("{member}/src")
+        };
+        for file in load_tree(root, &tree) {
+            if FLOAT_EQ_TREES.iter().any(|t| file.rel_path.starts_with(t)) {
+                float_eq::check(&file, &mut violations);
+            }
+            merge_order::check(&file, &mut violations);
             let ws = waivers::collect(&file, &mut violations);
             if !ws.is_empty() {
                 waiver_map.insert(file.rel_path.clone(), ws);
@@ -269,9 +159,8 @@ fn run_lint(root: &Path) -> ExitCode {
 }
 
 /// Loads and scrubs every `.rs` file under `root/rel` (a directory or a
-/// single file), excluding `bin/` subtrees (walked separately with
-/// [`Scope::Bin`]).
-pub(crate) fn load_tree(root: &Path, rel: &str) -> Vec<SourceFile> {
+/// single file), sorted by path.
+fn load_tree(root: &Path, rel: &str) -> Vec<SourceFile> {
     let mut out = Vec::new();
     let base = root.join(rel);
     if base.is_file() {
@@ -288,9 +177,6 @@ pub(crate) fn load_tree(root: &Path, rel: &str) -> Vec<SourceFile> {
         for entry in entries.flatten() {
             let path = entry.path();
             if path.is_dir() {
-                if path.file_name().is_some_and(|n| n == "bin") {
-                    continue; // bins are walked under their own scope
-                }
                 stack.push(path);
             } else if path.extension().is_some_and(|e| e == "rs") {
                 let rel_path = path

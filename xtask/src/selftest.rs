@@ -4,23 +4,16 @@
 //! easy to break silently (a refactor of the scrubber, a typo in a
 //! needle). The fixtures under `xtask/fixtures/` pin the contract:
 //!
-//! * `seeded_violations.rs` must trigger every hygiene/CONGEST rule
-//!   listed for it in [`SEEDED_FIXTURES`],
-//! * `determinism_violations.rs` must trigger every determinism-auditor
-//!   rule (hashmap-iteration, wall-clock, env-read, unseeded-rng,
-//!   unsafe-without-safety, merge-order),
+//! * `seeded_violations.rs` must trigger `no-float-eq` and every CONGEST
+//!   rule, and nothing in its test module,
 //! * `arena_merge_violations.rs` must trigger `merge-order` on both
 //!   arena-merge misuse shapes (atomic offset allocation and a locked
 //!   shared arena inside parallel call sites),
 //! * `waiver_violations.rs` must trigger every waiver-audit rule
-//!   (stale-waiver, unknown-waiver-rule, waiver-syntax,
-//!   legacy-waiver-grammar),
-//! * `driver_drift_violations.rs` must trigger `driver-drift` on both
-//!   forbidden driver suffixes (`_lossy`, `_traced`) while sparing the
-//!   plain runner and private helpers,
+//!   (stale-waiver, unknown-waiver-rule, waiver-syntax),
 //! * `clean.rs` must produce zero violations — guarding against false
-//!   positives on comments, strings, waivers, sorted drains, justified
-//!   `unsafe`, and test modules.
+//!   positives on comments, strings, waivers, clean parallel closures,
+//!   and test modules.
 //!
 //! Every fixture runs through the *full* per-file pipeline (all passes
 //! plus waiver collection and application), so the self-test also
@@ -30,20 +23,18 @@
 //! stand in for another seed of the same rule that has stopped firing.
 
 use crate::source::SourceFile;
-use crate::{congest, determinism, hygiene, waivers, Violation};
+use crate::{congest, float_eq, merge_order, waivers, Violation};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::Path;
 
 /// Each fixture with the rules that must each fire at least once on it.
-/// Fixtures may trigger additional rules (e.g. the legacy-grammar seed
-/// also leaves an unwaived float equality); only the clean fixture is
-/// held to an exact count.
+/// Fixtures may trigger additional rules; only the clean fixture is held
+/// to an exact count.
 const SEEDED_FIXTURES: &[(&str, &[&str])] = &[
     (
         "xtask/fixtures/seeded_violations.rs",
         &[
-            "no-panic-paths",
             "no-float-eq",
             "payload-impl-required",
             "no-width-of-type",
@@ -51,30 +42,10 @@ const SEEDED_FIXTURES: &[(&str, &[&str])] = &[
             "no-flat-blob",
         ],
     ),
-    (
-        "xtask/fixtures/determinism_violations.rs",
-        &[
-            "hashmap-iteration",
-            "wall-clock",
-            "env-read",
-            "unseeded-rng",
-            "unsafe-without-safety",
-            "merge-order",
-        ],
-    ),
     ("xtask/fixtures/arena_merge_violations.rs", &["merge-order"]),
     (
         "xtask/fixtures/waiver_violations.rs",
-        &[
-            "stale-waiver",
-            "unknown-waiver-rule",
-            "waiver-syntax",
-            "legacy-waiver-grammar",
-        ],
-    ),
-    (
-        "xtask/fixtures/driver_drift_violations.rs",
-        &["driver-drift"],
+        &["stale-waiver", "unknown-waiver-rule", "waiver-syntax"],
     ),
 ];
 
@@ -85,18 +56,9 @@ fn check_fixture(root: &Path, rel: &str) -> Result<Vec<Violation>, String> {
     let file = SourceFile::load(&path, rel.to_owned())
         .map_err(|e| format!("cannot load fixture {rel}: {e}"))?;
     let mut v = Vec::new();
-    let full = file.raw.len();
-    let limit = file.test_code_start();
-    hygiene::check_panic_paths(&file, &mut v);
-    hygiene::check_float_eq(&file, &mut v);
-    hygiene::check_driver_drift(&file, &mut v);
+    float_eq::check(&file, &mut v);
+    merge_order::check(&file, &mut v);
     congest::check(&file, true, &mut v);
-    determinism::check_wall_clock(&file, full, &mut v);
-    determinism::check_env_read(&file, full, &mut v);
-    determinism::check_unseeded_rng(&file, full, &mut v);
-    determinism::check_unsafe_safety(&file, full, &mut v);
-    determinism::check_hashmap_iteration(&file, limit, &mut v);
-    determinism::check_merge_order(&file, limit, &mut v);
     let mut waiver_map = BTreeMap::new();
     let ws = waivers::collect(&file, &mut v);
     if !ws.is_empty() {
@@ -159,8 +121,9 @@ pub(crate) fn run(root: &Path) -> Result<(), String> {
         all_seeded.extend(found);
     }
 
-    // Test-module exemption: the fixture's #[cfg(test)] unwrap must not
-    // be flagged, so every hit in that file must precede the module.
+    // Test-module exemption: the fixture's #[cfg(test)] float equality
+    // must not be flagged, so every hit in that file must precede the
+    // module.
     let seeded_rel = "xtask/fixtures/seeded_violations.rs";
     let fixture = std::fs::read_to_string(root.join(seeded_rel)).map_err(|e| e.to_string())?;
     let test_line = fixture

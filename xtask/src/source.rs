@@ -1,11 +1,11 @@
 //! A minimal Rust source scrubber for line-oriented static checks.
 //!
 //! The checkers in this tool are textual: they look for forbidden tokens
-//! (`.unwrap()`, float `==`, …) in *code*, not in comments, doc comments,
-//! or string literals. `scrub` produces a same-length copy of the source
-//! in which every comment and literal body is blanked out with spaces, so
-//! byte offsets (and therefore line numbers) in the scrubbed text map 1:1
-//! onto the original file.
+//! (float `==`, a `.lock(` inside a parallel call, …) in *code*, not in
+//! comments, doc comments, or string literals. `scrub` produces a
+//! same-length copy of the source in which every comment and literal body
+//! is blanked out with spaces, so byte offsets (and therefore line
+//! numbers) in the scrubbed text map 1:1 onto the original file.
 //!
 //! Waiver parsing needs the opposite projection: the text of *comments
 //! only*, with code and string literals blanked. [`SourceFile::comments`]
@@ -78,12 +78,6 @@ impl SourceFile {
         self.slice_line(&self.raw, line).trim()
     }
 
-    /// The scrubbed text of the 1-indexed line `line` (untrimmed; empty
-    /// for out-of-range line numbers).
-    pub(crate) fn scrubbed_line(&self, line: usize) -> &str {
-        self.slice_line(&self.scrubbed, line)
-    }
-
     /// The comments-only text of the 1-indexed line `line`.
     pub(crate) fn comment_line(&self, line: usize) -> &str {
         self.slice_line(&self.comments, line)
@@ -106,13 +100,21 @@ impl SourceFile {
         &text[start..end]
     }
 
-    /// Byte offset where test-only code begins (`#[cfg(test)]`), or the
-    /// file length if the file has no test module. Checks that only apply
-    /// to shipping library code stop scanning there. The workspace style
-    /// keeps test modules at the bottom of each file, which this relies
-    /// on (the conformance self-test pins the behavior).
+    /// Byte offset where the test module begins (`#[cfg(test)]` before a
+    /// `mod`), or the file length if the file has none. Checks that only
+    /// apply to shipping code stop scanning there. A `#[cfg(test)]` on a
+    /// single item does not count: shipping code may follow it. The
+    /// workspace style keeps test modules at the bottom of each file,
+    /// which this relies on (the conformance self-test pins the behavior).
     pub(crate) fn test_code_start(&self) -> usize {
-        self.scrubbed.find("#[cfg(test)]").unwrap_or(self.raw.len())
+        self.scrubbed
+            .match_indices("#[cfg(test)]")
+            .find(|&(at, attr)| {
+                self.scrubbed[at + attr.len()..]
+                    .trim_start()
+                    .starts_with("mod ")
+            })
+            .map_or(self.raw.len(), |(at, _)| at)
     }
 }
 
@@ -413,13 +415,21 @@ mod tests {
     }
 
     #[test]
+    fn test_code_starts_at_the_test_module_not_a_test_only_item() {
+        let src = "struct A;\nimpl A {\n    #[cfg(test)]\n    fn probe(&self) {}\n    fn real(&self) {}\n}\n#[cfg(test)]\nmod tests {}\n";
+        let f = SourceFile::new("t.rs".into(), src.into());
+        assert_eq!(f.line_of(f.test_code_start()), 7);
+        let f = SourceFile::new("t.rs".into(), "fn f() {}\n".into());
+        assert_eq!(f.test_code_start(), f.raw.len());
+    }
+
+    #[test]
     fn line_slices_are_consistent() {
         let src = "code(); // note\nsecond\n";
         let f = SourceFile::new("t.rs".into(), src.into());
         assert_eq!(f.raw_line(1), "code(); // note");
         assert_eq!(f.raw_line(2), "second");
         assert_eq!(f.raw_line(3), "");
-        assert!(f.scrubbed_line(1).starts_with("code();"));
         assert!(f.comment_line(1).contains("// note"));
     }
 }

@@ -1,7 +1,7 @@
-//! Unified waiver grammar and the stale-waiver audit.
+//! Waiver grammar and the stale-waiver audit.
 //!
-//! Every escape hatch in the gate uses one grammar, written as a plain
-//! line comment on the violating line or an adjacent one:
+//! Every escape hatch for this tool's rules uses one grammar, written as
+//! a plain line comment on the violating line or an adjacent one:
 //!
 //! ```text
 //! // lint: <rule> — <reason>
@@ -21,11 +21,13 @@
 //! * **waiver-syntax** — a `// lint:` comment that does not parse
 //!   (missing rule, missing `—`/`--` separator, or empty reason).
 //! * **unknown-waiver-rule** — the rule token names no known rule.
-//! * **legacy-waiver-grammar** — the pre-unification `float-eq:`-style
-//!   grammar; migrate to `// lint: float-eq — <reason>`.
 //! * **stale-waiver** — the waiver suppressed nothing: its rule no
 //!   longer fires on the line (or an adjacent one). Stale waivers are
 //!   hard errors so escape hatches cannot outlive their justification.
+//!
+//! The compiler-enforced rules use `#[expect(clippy::…, reason = "…")]`
+//! instead, which rustc reports as `unfulfilled_lint_expectations` once
+//! it suppresses nothing.
 
 use crate::source::SourceFile;
 use crate::Violation;
@@ -35,26 +37,18 @@ use std::collections::BTreeMap;
 /// Structural/meta rules (manifest audits, the waiver audit itself) are
 /// deliberately absent: they cannot be waived.
 pub(crate) const WAIVABLE_RULES: &[&str] = &[
-    "no-panic-paths",
     "no-float-eq",
-    "hashmap-iteration",
-    "wall-clock",
-    "env-read",
-    "unseeded-rng",
-    "unsafe-without-safety",
     "merge-order",
     "payload-impl-required",
-    "bit-size-required",
     "no-width-of-type",
     "no-flat-blob",
     "quantized-floats",
-    "driver-drift",
 ];
 
 /// One parsed waiver comment.
 #[derive(Debug)]
 pub(crate) struct Waiver {
-    /// The rule token as written (`float-eq`, `hashmap-iteration`, …).
+    /// The rule token as written (`float-eq`, `merge-order`, …).
     pub(crate) token: String,
     /// 1-indexed line the comment sits on.
     pub(crate) line: usize,
@@ -76,7 +70,7 @@ fn known_token(token: &str) -> bool {
 const MARKER: &str = "// lint:";
 
 /// Parses all waivers in `file` from its comments-only shadow, emitting
-/// syntax/unknown-rule/legacy-grammar violations along the way.
+/// syntax and unknown-rule violations along the way.
 pub(crate) fn collect(file: &SourceFile, out: &mut Vec<Violation>) -> Vec<Waiver> {
     let mut waivers = Vec::new();
     for line_no in 1..=file.line_count() {
@@ -113,15 +107,6 @@ pub(crate) fn collect(file: &SourceFile, out: &mut Vec<Violation>) -> Vec<Waiver
                     ),
                 }),
             }
-        } else if comment.contains("// float-eq:") {
-            out.push(Violation {
-                rule: "legacy-waiver-grammar",
-                path: file.rel_path.clone(),
-                line: line_no,
-                message: "legacy waiver grammar; migrate to \
-                          `// lint: float-eq \u{2014} <reason>`"
-                    .to_owned(),
-            });
         }
     }
     waivers
@@ -220,7 +205,10 @@ mod tests {
     #[test]
     fn double_dash_separator_accepted() {
         let mut out = Vec::new();
-        let ws = collect(&file("// lint: wall-clock -- bench timing\n"), &mut out);
+        let ws = collect(
+            &file("// lint: merge-order -- per-shard counter\n"),
+            &mut out,
+        );
         assert!(out.is_empty(), "{out:?}");
         assert_eq!(ws.len(), 1);
     }
@@ -251,17 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_grammar_flagged() {
-        let mut out = Vec::new();
-        collect(
-            &file("x == 0.0 // float-eq: exact \u{2014} old style\n"),
-            &mut out,
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "legacy-waiver-grammar");
-    }
-
-    #[test]
     fn waiver_in_string_literal_ignored() {
         let mut out = Vec::new();
         let ws = collect(
@@ -286,7 +263,7 @@ mod tests {
     #[test]
     fn apply_suppresses_adjacent_and_reports_stale() {
         let src = "\n// lint: float-eq \u{2014} used below\n\n\
-                   // lint: wall-clock \u{2014} never used\n";
+                   // lint: merge-order \u{2014} never used\n";
         let f = file(src);
         let mut parse_errors = Vec::new();
         let ws = collect(&f, &mut parse_errors);
