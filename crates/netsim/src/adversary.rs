@@ -54,19 +54,19 @@
 //! Streams are consumed on the simulator's sequential merge path in
 //! global sender order, so a run is byte-identical at every
 //! `FTCLUST_THREADS` setting, and faults on one link never perturb the
-//! draws of another. The merge finds each envelope's slot with a cursor
-//! over the current sender's sorted neighbour row: senders emit mostly in
-//! ascending receiver order, so the cursor first tries the entry after
-//! its previous hit, and binary-searches only a receiver it skipped to or
-//! went back to.
+//! draws of another. The merge searches for no slot: while an adversary
+//! runs, each sender's context records every envelope's position in the
+//! sender's neighbour row (the one [`Context::send`](crate::Context::send)
+//! finds to check the recipient is a neighbour), and the slot is that
+//! row's first slot plus the position.
 
 use crate::message::Envelope;
+use crate::node::SELF_LINK;
 use crate::sim::splitmix64;
-use crate::topology::seek;
 use ftclust_graphs::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::ops::Range;
 
 /// A scheduled group partition: for every round in `rounds`, all links
@@ -227,11 +227,16 @@ pub(crate) struct AdversaryState<P> {
     /// one self-link entry per node (`slot_count + u`); `None` until the
     /// link's first draw seeds it.
     streams: Vec<Option<StdRng>>,
-    /// The merge's place in its current sender's neighbour row.
-    cursor: SlotCursor,
-    /// Jittered envelopes keyed by the physical round at whose merge
-    /// they are staged for (next-round) delivery.
-    delayed: BTreeMap<u64, Vec<Envelope<P>>>,
+    /// Jittered envelopes by the physical round at whose merge they are
+    /// staged for (next-round) delivery: bucket `i` holds round
+    /// `base + i`, in insertion order. A run needs `max_delay + 1`
+    /// buckets. A taken bucket is handed over and `spare` takes its
+    /// place at the back, so the buffers go round and round.
+    delayed: VecDeque<Vec<Envelope<P>>>,
+    /// The round of the front bucket: the first one not yet taken.
+    base: u64,
+    /// The emptied bucket handed back by [`AdversaryState::recycle`].
+    spare: Vec<Envelope<P>>,
     delayed_total: u64,
 }
 
@@ -240,19 +245,20 @@ impl<P> AdversaryState<P> {
     pub(crate) fn new(plan: AdversaryPlan, graph: &Graph) -> Self {
         let mut streams = Vec::new();
         streams.resize_with(graph.slot_count() + graph.node_count(), || None);
+        let buckets = plan.max_delay as usize + 1;
         AdversaryState {
             plan,
             streams,
-            cursor: SlotCursor::default(),
-            delayed: BTreeMap::new(),
+            delayed: (0..buckets).map(|_| Vec::new()).collect(),
+            base: 0,
+            spare: Vec::new(),
             delayed_total: 0,
         }
     }
 
-    /// Decides the fate of one message `from → to` on the merge path of
-    /// a run over `graph` (the state's own). Partition cuts are schedule
-    /// lookups (no randomness); the probabilistic draws all come from the
-    /// link's stream, in merge order.
+    /// [`AdversaryState::decide_at`] for the link `from → to` of a run
+    /// over `graph`, found by searching `from`'s neighbour row.
+    #[cfg(test)]
     pub(crate) fn decide(
         &mut self,
         graph: &Graph,
@@ -260,10 +266,32 @@ impl<P> AdversaryState<P> {
         to: NodeId,
         round: u64,
     ) -> Verdict {
+        let pos = if from == to {
+            SELF_LINK
+        } else {
+            let Ok(pos) = graph.neighbors(from).binary_search(&to) else {
+                unreachable!("{from} → {to} is no link");
+            };
+            pos as u32
+        };
+        self.decide_at(stream_slot(graph, from, pos), from, to, round)
+    }
+
+    /// Decides the fate of one message `from → to`, on the link whose
+    /// stream is `slot` ([`stream_slot`]), on the merge path.
+    /// Partition cuts are schedule lookups (no randomness); the
+    /// probabilistic draws all come from the link's stream, in merge
+    /// order.
+    pub(crate) fn decide_at(
+        &mut self,
+        slot: usize,
+        from: NodeId,
+        to: NodeId,
+        round: u64,
+    ) -> Verdict {
         if self.plan.cuts(from, to, round) {
             return Verdict::Cut;
         }
-        let slot = self.cursor.slot(graph, from, to);
         let seed = self.plan.seed;
         let rng = self.streams[slot]
             .get_or_insert_with(|| StdRng::seed_from_u64(link_stream_seed(seed, from, to)));
@@ -281,30 +309,52 @@ impl<P> AdversaryState<P> {
     }
 
     /// Queues a jittered envelope to be staged at the merge of
-    /// `due_round`.
+    /// `due_round`, a round not taken yet.
     pub(crate) fn push_delayed(&mut self, due_round: u64, env: Envelope<P>) {
-        self.delayed.entry(due_round).or_default().push(env);
+        debug_assert!(due_round >= self.base, "round {due_round} was taken");
+        let i = (due_round - self.base) as usize;
+        if i >= self.delayed.len() {
+            self.delayed.resize_with(i + 1, Vec::new);
+        }
+        self.delayed[i].push(env);
         self.delayed_total += 1;
     }
 
-    /// Takes every envelope due at (or before) `round`, in staging-round
-    /// then insertion order — deterministic regardless of thread count.
+    /// Hands over every envelope due at (or before) `round`, in
+    /// staging-round then insertion order — deterministic regardless of
+    /// thread count. The simulator takes every round, so one bucket is
+    /// due; the buckets of rounds a caller skipped are moved in front of
+    /// it first. Give the emptied bucket back with
+    /// [`AdversaryState::recycle`].
     pub(crate) fn take_due(&mut self, round: u64) -> Vec<Envelope<P>> {
-        let mut due: Vec<Envelope<P>> = Vec::new();
-        while let Some(entry) = self.delayed.first_entry() {
-            if *entry.key() > round {
-                break;
-            }
-            let batch = entry.remove();
-            // Usually one batch is due: hand over its buffer uncopied.
-            if due.is_empty() {
-                due = batch;
-            } else {
-                due.extend(batch);
-            }
+        if round < self.base {
+            return Vec::new();
         }
+        while self.base < round {
+            let Some(mut early) = self.delayed.pop_front() else {
+                unreachable!("the ring always holds a bucket");
+            };
+            self.base += 1;
+            if let Some(next) = self.delayed.front_mut() {
+                early.append(next);
+                std::mem::swap(&mut early, next);
+            }
+            self.delayed.push_back(early);
+        }
+        self.base = round + 1;
+        let Some(due) = self.delayed.pop_front() else {
+            unreachable!("the ring always holds a bucket");
+        };
+        self.delayed.push_back(std::mem::take(&mut self.spare));
         self.delayed_total -= due.len() as u64;
         due
+    }
+
+    /// Takes back a bucket [`AdversaryState::take_due`] handed over, for
+    /// reuse.
+    pub(crate) fn recycle(&mut self, mut bucket: Vec<Envelope<P>>) {
+        bucket.clear();
+        self.spare = bucket;
     }
 
     /// Number of jittered envelopes still held back (they are in flight
@@ -314,32 +364,14 @@ impl<P> AdversaryState<P> {
     }
 }
 
-/// The merge's position in the neighbour row of the sender it last
-/// resolved a link for. A sender's envelopes mostly arrive in ascending
-/// receiver order (broadcasts, per-link transport frames), so each lookup
-/// starts where the previous one ended.
-#[derive(Debug, Default)]
-struct SlotCursor {
-    sender: NodeId,
-    pos: usize,
-}
-
-impl SlotCursor {
-    /// The stream-table index of the link `from → to`: its CSR slot, or
-    /// `slot_count + from` for a self-send.
-    fn slot(&mut self, graph: &Graph, from: NodeId, to: NodeId) -> usize {
-        if to == from {
-            return graph.slot_count() + from.index();
-        }
-        if from != self.sender {
-            self.sender = from;
-            self.pos = 0;
-        }
-        let Some(pos) = seek(graph.neighbors(from), to, self.pos) else {
-            unreachable!("Context::send only accepts neighbors");
-        };
-        self.pos = pos;
-        graph.slot_range(from).start + pos
+/// The stream-table index of `from`'s link to its neighbour number `pos`
+/// (a position in `graph.neighbors(from)`): its CSR slot, or
+/// `slot_count + from` for [`SELF_LINK`], the self-link.
+pub(crate) fn stream_slot(graph: &Graph, from: NodeId, pos: u32) -> usize {
+    if pos == SELF_LINK {
+        graph.slot_count() + from.index()
+    } else {
+        graph.slot_range(from).start + pos as usize
     }
 }
 
@@ -486,29 +518,28 @@ mod tests {
     }
 
     #[test]
-    fn slot_cursor_resolves_every_send_order() {
+    fn recorded_positions_resolve_every_send_order() {
         // Ascending, descending, repeated, skipping and self-sends, with
-        // senders revisited: each lookup lands on the link's CSR slot,
-        // self-links after the last slot.
+        // senders revisited: each recorded position lands on the link's
+        // CSR slot, self-links after the last slot.
         let g = generators::gnp(40, 0.4, 5);
-        let mut cursor = SlotCursor::default();
         for u in (0..40).chain((0..40).rev()).map(n) {
             let row = g.neighbors(u);
-            let sends = row
-                .iter()
-                .chain(row.iter().rev())
-                .chain(row.first())
-                .chain(row.first())
-                .chain([&u])
-                .chain(row.iter().step_by(3))
-                .chain(row.last());
-            for &v in sends {
-                let expected = if v == u {
-                    g.slot_count() + u.index()
+            let positions = (0..row.len())
+                .chain((0..row.len()).rev())
+                .chain([0, 0])
+                .map(|p| p as u32)
+                .chain([SELF_LINK])
+                .chain((0..row.len()).step_by(3).map(|p| p as u32))
+                .chain(row.len().checked_sub(1).map(|p| p as u32));
+            for pos in positions {
+                let (v, expected) = if pos == SELF_LINK {
+                    (u, g.slot_count() + u.index())
                 } else {
-                    g.slot_of(u, v).unwrap()
+                    let v = row[pos as usize];
+                    (v, g.slot_of(u, v).unwrap())
                 };
-                assert_eq!(cursor.slot(&g, u, v), expected, "{u} → {v}");
+                assert_eq!(stream_slot(&g, u, pos), expected, "{u} → {v}");
             }
         }
     }

@@ -116,33 +116,17 @@ impl Metrics {
         self.duplicates_suppressed += c.duplicates_suppressed;
     }
 
-    pub(crate) fn record_send(&mut self, bits: usize) {
-        // A send outside any round would vanish from the per-round series
-        // and break `sum(per_round_messages) == messages`.
-        debug_assert!(
-            self.rounds > 0,
-            "record_send before begin_round loses per-round accounting"
-        );
-        self.messages += 1;
-        self.total_bits += bits as u64;
-        self.max_message_bits = self.max_message_bits.max(bits as u64);
-        if let Some(last) = self.per_round_messages.last_mut() {
-            *last += 1;
-        }
-        if let Some(last) = self.per_round_bits.last_mut() {
-            *last += bits as u64;
-        }
-    }
-
-    /// Batched [`Metrics::record_send`]: `count` messages totaling `bits`
-    /// with largest message `max_bits`, all within the current round.
-    /// Produces exactly the state `count` individual `record_send` calls
-    /// would (the folds are integer sums and a max), so the simulator's
-    /// fault-free merge path stays bit-identical to per-envelope metering.
+    /// Meters `count` messages totaling `bits`, the largest `max_bits`,
+    /// all sent in the current round. Every send is metered through
+    /// here: the merge folds a round's sends, so the totals, the maximum
+    /// and the per-round series are exactly those of metering each
+    /// message on its own.
     pub(crate) fn record_sends(&mut self, count: u64, bits: u64, max_bits: u64) {
         if count == 0 {
             return;
         }
+        // A send outside any round would vanish from the per-round series
+        // and break `sum(per_round_messages) == messages`.
         debug_assert!(
             self.rounds > 0,
             "record_send before begin_round loses per-round accounting"
@@ -189,8 +173,8 @@ mod tests {
     fn record_send_accumulates() {
         let mut m = Metrics::default();
         m.begin_round();
-        m.record_send(10);
-        m.record_send(30);
+        m.record_sends(1, 10, 10);
+        m.record_sends(1, 30, 30);
         assert_eq!(m.messages, 2);
         assert_eq!(m.total_bits, 40);
         assert_eq!(m.max_message_bits, 30);
@@ -220,7 +204,7 @@ mod tests {
     fn per_round_series_tracks_rounds() {
         let mut m = Metrics::default();
         m.begin_round();
-        m.record_send(1);
+        m.record_sends(1, 1, 1);
         m.begin_round();
         assert_eq!(m.rounds, 2);
         assert_eq!(m.per_round_messages, vec![1, 0]);
@@ -231,8 +215,8 @@ mod tests {
     fn transport_counters_fold_into_totals() {
         let mut m = Metrics::default();
         m.begin_round();
-        m.record_send(4);
-        m.record_send(4);
+        m.record_sends(1, 4, 4);
+        m.record_sends(1, 4, 4);
         m.delivered_messages = 2;
         let shard_a = TransportCounters {
             retransmits: 1,
@@ -275,6 +259,6 @@ mod tests {
     #[should_panic(expected = "record_send before begin_round")]
     fn send_before_any_round_is_rejected() {
         let mut m = Metrics::default();
-        m.record_send(8);
+        m.record_sends(1, 8, 8);
     }
 }

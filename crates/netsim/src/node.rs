@@ -13,6 +13,17 @@ pub enum Control {
     /// Stop: the node will not be scheduled again (its sent messages from
     /// this round are still delivered).
     Halt,
+    /// Keep participating, but there is nothing to do before round
+    /// `until` unless a message arrives: the simulator does not call the
+    /// node in a round before `until` in which its inbox is empty
+    /// (`u64::MAX` waits for a message alone). Only a logic that declares
+    /// [`NodeLogic::IDLES`] is skipped; for any other, `Idle` counts as
+    /// [`Control::Continue`]. See the idle contract on [`NodeLogic`].
+    Idle {
+        /// The first round in which the node must run even with an empty
+        /// inbox.
+        until: u64,
+    },
 }
 
 /// The per-node protocol state machine.
@@ -30,6 +41,18 @@ pub enum Control {
 /// the paper uses ("every iteration of the inner loop can be computed in 2
 /// rounds", proof of Theorem 4.5).
 ///
+/// # Idle rounds
+///
+/// A node that returns [`Control::Idle`] is not called again before round
+/// `until` unless a message arrives for it. The contract is the caller's:
+/// every round skipped this way must be one in which `on_round` would
+/// have been a no-op — no send, no random draw, no state change, no
+/// `note_*` call — and would have returned `Idle` again. Then skipping it
+/// changes nothing anybody can observe, and a run is the same whether
+/// the simulator calls the node or not. A logic that is unsure returns
+/// [`Control::Continue`], which is always correct. A logic that returns
+/// `Idle` declares [`NodeLogic::IDLES`].
+///
 /// Logic instances are `Send`: the simulator shards nodes across worker
 /// threads within a round (each instance is only ever touched by one
 /// thread at a time). Protocol state machines are plain data, so this is
@@ -37,6 +60,11 @@ pub enum Control {
 pub trait NodeLogic: Send {
     /// The message type this protocol exchanges.
     type Payload: Payload;
+
+    /// Whether this logic may return [`Control::Idle`]. The simulator
+    /// keeps and checks wake rounds only for a logic that declares it, so
+    /// every other logic runs the round loop unchanged.
+    const IDLES: bool = false;
 
     /// Executes one synchronous round at this node.
     fn on_round(
@@ -221,11 +249,9 @@ pub struct Context<'a, P> {
     pub(crate) topo: Topology<'a>,
     pub(crate) rng: &'a mut StdRng,
     pub(crate) outbox: &'a mut Vec<Envelope<P>>,
-    /// This node's publication slot for the round (see
-    /// [`Context::broadcast`]); `None` when the simulator keeps every
-    /// message as an envelope this round, and once the node has produced
-    /// any output other than a single broadcast.
-    pub(crate) slot: Option<&'a mut Option<P>>,
+    /// What else happens to this node's output this round: publication
+    /// or position recording, or neither.
+    pub(crate) outlet: Outlet<'a, P>,
     /// Transport-layer event counters for this worker shard, folded into
     /// [`crate::Metrics`] on the sequential merge path.
     pub(crate) transport: &'a mut TransportCounters,
@@ -240,6 +266,29 @@ pub struct Context<'a, P> {
     /// peer, where the next send's neighbour check starts.
     pub(crate) send_hint: usize,
 }
+
+/// What a [`Context`] does with a node's output besides appending it to
+/// the outbox as envelopes. Publication and recording never meet: the
+/// simulator publishes only when no per-envelope layer is engaged, and
+/// the layers that record are per-envelope ones.
+#[derive(Debug)]
+pub(crate) enum Outlet<'a, P> {
+    /// Nothing else.
+    Envelopes,
+    /// This node's publication slot for the round (see
+    /// [`Context::broadcast`]); it closes, turning into `Envelopes`, once
+    /// the node produces any output other than a single broadcast.
+    Publish(&'a mut Option<P>),
+    /// Where each envelope in the outbox is headed, in step with it: the
+    /// recipient's position in [`Context::neighbors`], or [`SELF_LINK`]
+    /// for a self-send. Recorded only for a layer that reads it (the
+    /// adversary's link streams, the transport's per-link bundles), so
+    /// that layer does not search the neighbour list again.
+    Record(&'a mut Vec<u32>),
+}
+
+/// The recorded position ([`Outlet::Record`]) of a self-send.
+pub(crate) const SELF_LINK: u32 = u32::MAX;
 
 impl<'a, P: Payload> Context<'a, P> {
     /// This node's identifier.
@@ -339,22 +388,29 @@ impl<'a, P: Payload> Context<'a, P> {
                 to
             );
             self.send_hint = found.unwrap_or_default();
+            self.push(to, self.send_hint, payload);
+        } else {
+            self.push(to, SELF_LINK as usize, payload);
         }
-        self.push(to, payload);
     }
 
-    /// Sends `payload` to neighbor number `pos` of [`Context::neighbors`]:
-    /// [`Context::send`] for a caller that already holds the position, so
-    /// the peer is a neighbor by construction and needs no edge lookup.
-    pub(crate) fn send_to_neighbor(&mut self, pos: usize, payload: P) {
-        let to = self.neighbors()[pos];
-        self.push(to, payload);
+    /// Sends `payload` to `to`, neighbor number `pos` of
+    /// [`Context::neighbors`]: [`Context::send`] for a caller that already
+    /// holds the neighbor and its position, so it needs no edge lookup.
+    pub(crate) fn send_to_neighbor(&mut self, to: NodeId, pos: usize, payload: P) {
+        debug_assert_eq!(self.neighbors()[pos], to);
+        self.push(to, pos, payload);
     }
 
-    /// Appends one envelope after closing the publication slot.
+    /// Appends one envelope, to neighbor number `pos` (or [`SELF_LINK`]),
+    /// after closing the publication slot or recording the position.
     #[inline]
-    fn push(&mut self, to: NodeId, payload: P) {
-        self.demote();
+    fn push(&mut self, to: NodeId, pos: usize, payload: P) {
+        match &mut self.outlet {
+            Outlet::Envelopes => {}
+            Outlet::Publish(_) => self.demote(),
+            Outlet::Record(positions) => positions.push(pos as u32),
+        }
         self.outbox.push(Envelope {
             from: self.me,
             to,
@@ -374,9 +430,9 @@ impl<'a, P: Payload> Context<'a, P> {
     /// each receiver sees, in what order, and what is metered are the
     /// same either way.
     pub fn broadcast(&mut self, payload: P) {
-        if let Some(slot) = self.slot.as_deref_mut() {
+        if let Outlet::Publish(slot) = &mut self.outlet {
             if slot.is_none() {
-                *slot = Some(payload);
+                **slot = Some(payload);
                 return;
             }
         }
@@ -387,14 +443,21 @@ impl<'a, P: Payload> Context<'a, P> {
     /// Closes the publication slot for the rest of the round, turning a
     /// payload already published back into envelopes.
     fn demote(&mut self) {
-        if let Some(payload) = self.slot.take().and_then(Option::take) {
-            self.materialize(payload);
+        if let Outlet::Publish(slot) = &mut self.outlet {
+            let published = slot.take();
+            self.outlet = Outlet::Envelopes;
+            if let Some(payload) = published {
+                self.materialize(payload);
+            }
         }
     }
 
     /// Appends one envelope of `payload` per neighbor to the outbox.
     fn materialize(&mut self, payload: P) {
         let neighbors = self.neighbors();
+        if let Outlet::Record(positions) = &mut self.outlet {
+            positions.extend(0..neighbors.len() as u32);
+        }
         self.outbox.reserve(neighbors.len());
         for &v in neighbors {
             self.outbox.push(Envelope {
@@ -433,7 +496,7 @@ mod tests {
             topo,
             rng,
             outbox,
-            slot: None,
+            outlet: Outlet::Envelopes,
             transport,
             tracing: false,
             trace,
@@ -506,7 +569,7 @@ mod tests {
             topo: Topology::from_graph(&g),
             rng: &mut rng,
             outbox: &mut outbox,
-            slot: Some(&mut slot),
+            outlet: Outlet::Publish(&mut slot),
             transport: &mut tc,
             tracing: false,
             trace: &mut tr,

@@ -1,7 +1,7 @@
-use crate::adversary::{AdversaryPlan, AdversaryState, Verdict};
+use crate::adversary::{stream_slot, AdversaryPlan, AdversaryState, Verdict};
 use crate::arena::{DeliverySorter, InboxArena};
 use crate::metrics::TransportCounters;
-use crate::node::Context;
+use crate::node::{Context, Outlet};
 use crate::trace::{EventLog, TraceEvent};
 use crate::{ChurnEvent, ChurnPlan, Control, Envelope, Metrics, NodeLogic, SimError, Topology};
 use ftclust_graphs::NodeId;
@@ -35,6 +35,10 @@ pub fn node_rng(master_seed: u64, node: NodeId) -> StdRng {
 struct ShardBuf<P> {
     /// Envelopes this shard's nodes sent this round, in node order.
     outbox: Vec<Envelope<P>>,
+    /// Each `outbox` envelope's link, as a position in its sender's
+    /// neighbour row ([`Outlet::Record`]); recorded only while an
+    /// adversary needs it to find the link's stream.
+    positions: Vec<u32>,
     /// Transport events noted by this shard's nodes; folded into
     /// [`Metrics`] sequentially after the parallel phase (sums are
     /// commutative, so the fold order cannot perturb determinism).
@@ -56,6 +60,7 @@ impl<P> ShardBuf<P> {
     fn new() -> Self {
         ShardBuf {
             outbox: Vec::new(),
+            positions: Vec::new(),
             counters: TransportCounters::default(),
             trace: Vec::new(),
             halted: 0,
@@ -65,14 +70,16 @@ impl<P> ShardBuf<P> {
 }
 
 /// One worker's contiguous share of a round: the node state it executes
-/// (struct-of-arrays: logic, RNG and liveness live in parallel slices, so
-/// the hot logic scan does not drag the cold 136-byte RNG state through
-/// the cache), its nodes' publication slots, and its buffers.
+/// (struct-of-arrays: logic, RNG, liveness and wake round live in
+/// parallel slices, so the hot logic scan does not drag the cold RNG
+/// state through the cache), its nodes' publication slots, and its
+/// buffers.
 struct StepShard<'t, L: NodeLogic> {
     start: usize,
     logics: &'t mut [L],
     rngs: &'t mut [StdRng],
     running: &'t mut [bool],
+    wake: &'t mut [u64],
     slots: &'t mut [Option<L::Payload>],
     buf: &'t mut ShardBuf<L::Payload>,
 }
@@ -124,8 +131,8 @@ fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
 ///
 /// # Memory layout
 ///
-/// Node state is struct-of-arrays (`logics` / `rngs` / `running` in
-/// parallel vectors) and inboxes live in a double-buffered contiguous
+/// Node state is struct-of-arrays (`logics` / `rngs` / `running` /
+/// `wake` in parallel vectors) and inboxes live in a double-buffered contiguous
 /// arena indexed by a CSR-style offset table (the private `arena` module):
 /// the merge phase counting-sorts each round's surviving envelopes by
 /// recipient instead of pushing into per-node `Vec`s, and delivery is
@@ -148,6 +155,10 @@ pub struct Simulator<'a, L: NodeLogic> {
     /// `running[i]` until node `i` halts (independent of liveness:
     /// a down node keeps its flag and resumes on recovery).
     running: Vec<bool>,
+    /// `wake[i]`: before this round, node `i` is called only in rounds
+    /// that deliver it a message ([`Control::Idle`]); 0 unless it asked.
+    /// Empty unless the logic declares [`NodeLogic::IDLES`].
+    wake: Vec<u64>,
     /// Number of `true` entries in `running` — halting is the only
     /// transition, counted on the sequential path, so quiescence on
     /// churn-free runs is O(1).
@@ -232,6 +243,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             logics,
             rngs,
             running: vec![true; n],
+            wake: vec![0; if L::IDLES { n } else { 0 }],
             running_total: n,
             inbox: InboxArena::new(n),
             pending: InboxArena::new(n),
@@ -401,8 +413,9 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     /// node — and pending deliveries to nodes that are now down are
     /// written off as dead on arrival (on churn-free untraced rounds the
     /// whole accounting collapses to one addition); (1) node logic
-    /// executes on worker threads over contiguous node shards; each node
-    /// reads its inbox in place through a view of the shared arena slice,
+    /// executes on worker threads over contiguous node shards, skipping
+    /// a node that went idle ([`Control::Idle`]) and has no message; each
+    /// node reads its inbox in place through a view of the shared arena slice,
     /// merged, when neighbours published last round, with their
     /// publication slots in sender order; it appends
     /// envelopes to its shard's recycled outbox in node order, or, when
@@ -411,9 +424,10 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     /// meters; (2) a sequential merge walks the shard outboxes in node
     /// order — on the fault-free untraced fast path it batch-meters the
     /// envelopes and stages them for the sorted scatter; with tracing,
-    /// loss or an adversary it meters, traces and draws the shared fault
-    /// stream per envelope, exactly in the order the serial engine used,
-    /// so every thread count yields identical state — and (3) the staged
+    /// loss or an adversary it traces and draws the shared fault stream
+    /// per envelope, exactly in the order the serial engine used, so
+    /// every thread count yields identical state, and meters the round
+    /// with the same batch fold — and (3) the staged
     /// survivors are counting-sorted into the next round's contiguous
     /// inbox arena and the quiescence cache is refreshed.
     pub fn step(&mut self) -> bool {
@@ -478,10 +492,12 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             let inbox: &InboxArena<L::Payload> = &self.inbox;
             let topo = self.topo;
             let down: &[bool] = &self.down;
+            let record = self.adversary.is_some();
             let mut shards: Vec<StepShard<'_, L>> = std::mem::take(&mut self.shard_views);
             let mut logics_rest: &mut [L] = &mut self.logics;
             let mut rngs_rest: &mut [StdRng] = &mut self.rngs;
             let mut running_rest: &mut [bool] = &mut self.running;
+            let mut wake_rest: &mut [u64] = &mut self.wake;
             let mut slots_rest = self.pending.open_slots();
             for (r, buf) in self.shard_ranges.iter().zip(self.bufs.iter_mut()) {
                 let len = r.end - r.start;
@@ -491,6 +507,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                 rngs_rest = rngs_tail;
                 let (running_head, running_tail) = running_rest.split_at_mut(len);
                 running_rest = running_tail;
+                let (wake_head, wake_tail) = wake_rest.split_at_mut(wake_rest.len().min(len));
+                wake_rest = wake_tail;
                 let (slots_head, slots_tail) = slots_rest.split_at_mut(len);
                 slots_rest = slots_tail;
                 shards.push(StepShard {
@@ -498,6 +516,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                     logics: logics_head,
                     rngs: rngs_head,
                     running: running_head,
+                    wake: wake_head,
                     slots: slots_head,
                     buf,
                 });
@@ -505,6 +524,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             par::par_each_mut(&mut shards, |_, shard| {
                 let buf = &mut *shard.buf;
                 buf.outbox.clear();
+                buf.positions.clear();
                 buf.counters.clear();
                 buf.trace.clear();
                 buf.halted = 0;
@@ -517,6 +537,11 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                     let me = NodeId::new(i as u32);
                     let neighbors = topo.graph().neighbors(me);
                     let received = inbox.view(i, neighbors);
+                    if L::IDLES && shard.wake[j] > round && received.is_empty() {
+                        // An idle round: the logic promised it would do
+                        // nothing (see `NodeLogic`), so it is not called.
+                        continue;
+                    }
                     let mut ctx = Context {
                         me,
                         round,
@@ -526,7 +551,13 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                         // A degree-0 broadcast sends nothing on either
                         // path; keeping it out of the slots makes
                         // `published_total > 0` mean "some slot is set".
-                        slot: (publish && !neighbors.is_empty()).then_some(&mut shard.slots[j]),
+                        outlet: if publish && !neighbors.is_empty() {
+                            Outlet::Publish(&mut shard.slots[j])
+                        } else if record {
+                            Outlet::Record(&mut buf.positions)
+                        } else {
+                            Outlet::Envelopes
+                        },
                         transport: &mut buf.counters,
                         tracing,
                         trace: &mut buf.trace,
@@ -547,6 +578,16 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                         *count += deg;
                         *bits += deg * b;
                         *max_bits = (*max_bits).max(b);
+                    }
+                    debug_assert!(
+                        L::IDLES || !matches!(control, Control::Idle { .. }),
+                        "a logic returned Control::Idle without declaring NodeLogic::IDLES"
+                    );
+                    if L::IDLES {
+                        shard.wake[j] = match control {
+                            Control::Idle { until } => until,
+                            _ => 0,
+                        };
                     }
                     if control == Control::Halt {
                         shard.running[j] = false;
@@ -586,9 +627,11 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         // delivery happens at phase 0 of the next round like any other
         // staged envelope.
         if let Some(adv) = &mut self.adversary {
-            for env in adv.take_due(round) {
+            let mut due = adv.take_due(round);
+            for env in due.drain(..) {
                 self.sorter.push(env);
             }
+            adv.recycle(due);
         }
         if envelope_free {
             // Fast path: no tracing and no per-envelope fault decisions —
@@ -608,17 +651,24 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             self.metrics.record_sends(count, bits, max_bits);
         } else {
             debug_assert_eq!(published.0, 0, "publication outside the fast path");
+            // Metered like the fast path, with one fold for the round;
+            // network duplicates count as sends too.
+            let (mut count, mut total_bits, mut max_bits) = (0u64, 0u64, 0u64);
             for buf in &mut self.bufs {
+                let mut positions = buf.positions.drain(..);
                 for env in buf.outbox.drain(..) {
-                    let bits = crate::Payload::bit_size(&env.payload);
-                    self.metrics.record_send(bits);
+                    let pos = positions.next();
+                    let bits = crate::Payload::bit_size(&env.payload) as u64;
+                    count += 1;
+                    total_bits += bits;
+                    max_bits = max_bits.max(bits);
                     if let Some(log) = &mut self.trace {
                         log.record(
                             round,
                             TraceEvent::Send {
                                 from: env.from,
                                 to: env.to,
-                                bits: bits as u64,
+                                bits,
                             },
                         );
                     }
@@ -641,7 +691,11 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                     // that survived churn, drawn per-link in the same
                     // global sender order.
                     if let Some(adv) = &mut self.adversary {
-                        match adv.decide(self.topo.graph(), env.from, env.to, round) {
+                        let Some(pos) = pos else {
+                            unreachable!("sends are positioned while an adversary runs");
+                        };
+                        let slot = stream_slot(self.topo.graph(), env.from, pos);
+                        match adv.decide_at(slot, env.from, env.to, round) {
                             Verdict::Cut => {
                                 self.metrics.dropped_messages += 1;
                                 if let Some(log) = &mut self.trace {
@@ -677,7 +731,8 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                                     // traffic; it rides on time even when
                                     // the original is jittered.
                                     let copy = env.clone();
-                                    self.metrics.record_send(bits);
+                                    count += 1;
+                                    total_bits += bits;
                                     self.metrics.net_duplicated += 1;
                                     if let Some(log) = &mut self.trace {
                                         log.record(
@@ -685,7 +740,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                                             TraceEvent::Send {
                                                 from: copy.from,
                                                 to: copy.to,
-                                                bits: bits as u64,
+                                                bits,
                                             },
                                         );
                                         log.record(
@@ -708,6 +763,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                     self.sorter.push(env);
                 }
             }
+            self.metrics.record_sends(count, total_bits, max_bits);
         }
         // Phase 3: counting-sort the staged survivors by recipient into
         // the next round's contiguous arena and refresh caches.
@@ -1637,6 +1693,63 @@ mod tests {
         assert_eq!(rollups[0].messages, 6); // complete(3): 3 nodes * 2 neighbors
         let total_rounds: u64 = rollups.iter().map(|r| r.rounds).sum();
         assert_eq!(total_rounds, sim.metrics().rounds);
+    }
+
+    /// Node 0 sleeps until round 10 unless woken, runs the round after
+    /// its wake-up message too, and halts at round 10; node 1 sends it
+    /// that message at round 4 and halts. Both record the rounds in
+    /// which they were called.
+    struct Sleeper {
+        calls: Vec<u64>,
+    }
+    impl NodeLogic for Sleeper {
+        type Payload = Num;
+        const IDLES: bool = true;
+        fn on_round(&mut self, inbox: Inbox<'_, Num>, ctx: &mut Context<'_, Num>) -> Control {
+            let round = ctx.round();
+            self.calls.push(round);
+            if ctx.me() == NodeId::new(1) {
+                if round == 4 {
+                    ctx.send(NodeId::new(0), Num(4));
+                    return Control::Halt;
+                }
+                return Control::Continue;
+            }
+            if round >= 10 {
+                Control::Halt
+            } else if inbox.is_empty() {
+                Control::Idle { until: 10 }
+            } else {
+                Control::Continue
+            }
+        }
+    }
+
+    #[test]
+    fn idle_nodes_run_only_on_a_message_or_at_their_wake_round() {
+        let g = generators::path(2);
+        let run = |threads: usize| {
+            ftclust_par::with_threads(threads, || {
+                let mut sim =
+                    Simulator::new(Topology::from_graph(&g), |_| Sleeper { calls: vec![] }, 0);
+                sim.run(100).unwrap();
+                (
+                    sim.logics().map(|l| l.calls.clone()).collect::<Vec<_>>(),
+                    sim.metrics().clone(),
+                )
+            })
+        };
+        let (calls, metrics) = run(1);
+        // Not called in rounds 1–4 (idle, nothing delivered), called in
+        // round 5 (the message arrives), in round 6 (it said Continue),
+        // not in rounds 7–9, and at its wake round 10.
+        assert_eq!(calls[0], [0, 5, 6, 10]);
+        assert_eq!(calls[1], [0, 1, 2, 3, 4]);
+        assert_eq!(metrics.rounds, 11);
+        assert_eq!(metrics.delivered_messages, 1);
+        // The wake rounds live in the sharded node state: one node per
+        // shard at two threads.
+        assert_eq!(run(2), (calls, metrics));
     }
 
     proptest! {

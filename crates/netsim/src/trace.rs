@@ -663,7 +663,7 @@ mod tests {
     fn reconcile_accepts_matching_metrics() {
         let mut m = Metrics::default();
         m.begin_round();
-        m.record_send(16);
+        m.record_sends(1, 16, 16);
         m.begin_round();
         m.delivered_messages = 1;
         assert_eq!(sample_log().reconcile(&m), Ok(()));
@@ -673,7 +673,7 @@ mod tests {
     fn reconcile_rejects_mismatched_counters() {
         let mut m = Metrics::default();
         m.begin_round();
-        m.record_send(16);
+        m.record_sends(1, 16, 16);
         m.begin_round();
         m.delivered_messages = 2; // log only delivered 1
         let err = sample_log().reconcile(&m).unwrap_err();

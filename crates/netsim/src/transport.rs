@@ -143,15 +143,42 @@
 //! * frames are addressed by neighbor position. An arriving frame's
 //!   position is looked up in the node's sorted neighbor ids, trying the
 //!   one after the previous frame's first, so no edge lookup is repeated
-//!   per frame.
+//!   per frame. The inner logic's messages reach their link's bundle by
+//!   the position its context recorded when they were sent;
+//! * a link keeps its first two unacked frames and its first two
+//!   received bundles in place, and while both ends run it never holds
+//!   more. A node executes logical round `r` only after its peer's frame
+//!   `r - 1`; the peer sent that frame after receiving the node's frame
+//!   `r - 2`, so it acks everything below `r - 1`, and only frames
+//!   `r - 1` and `r` stay unacked. Likewise the peer cannot send frame
+//!   `s` before the node's frame `s - 1`, so while the node waits to
+//!   execute round `r` at most the peer's bundles `r - 1` and `r` have
+//!   arrived;
+//! * the one case past two is a peer that halted: the node stops waiting
+//!   for it, the peer answers with pure acks only, and when those are
+//!   lost the node's frames to it pile up. They spill to a heap queue,
+//!   allocated only then;
+//! * once a node's inner logic has halted, an arriving frame still
+//!   updates the sequence state (next expected sequence, buffered
+//!   out-of-order sequence numbers, duplicate counting, the peer's
+//!   halting sequence) and is acked, but its payloads are not copied:
+//!   nothing reads them;
+//! * a round with nothing queued, no ack owed and an inner logic that is
+//!   halted or cannot execute returns [`Control::Idle`] until the
+//!   earliest retransmit timer, so the simulator does not call the node
+//!   again before a frame arrives or that timer is due. `can_execute`
+//!   resumes its link scan where it last stopped: a link that holds what
+//!   the next logical round needs keeps it until that round runs.
 //!
 //! None of this moves a frame: the schedule, every RNG draw and every
-//! metric are those of a pass over all links with `Vec` bundles.
+//! metric are those of a pass over all links in every round with `Vec`
+//! bundles and heap queues.
 //!
 //! The lossless path is untouched: a simulation without [`Reliable`] (and
 //! a [`Reliable`] one without loss) behaves exactly as before — the
 //! transport is pure opt-in.
 
+use crate::node::{Outlet, SELF_LINK};
 use crate::topology::seek;
 use crate::{bits_for_ids, Context, Control, Envelope, Inbox, NodeLogic, Payload, SimError};
 use ftclust_graphs::NodeId;
@@ -343,6 +370,82 @@ impl DeliveryFailure {
     }
 }
 
+/// A FIFO queue whose first two entries live in place: the per-link
+/// window of unacked frames and of received bundles (see the module docs
+/// on [what a frame costs](self#what-a-frame-costs)). Entries past the
+/// second spill to a heap queue, allocated only when first needed.
+#[derive(Debug)]
+struct Window<T> {
+    /// The two oldest entries; `slots[head]` is the front. The other
+    /// slot is filled only when the front is.
+    slots: [Option<T>; 2],
+    head: usize,
+    /// Entries after the two in place, oldest first.
+    spill: VecDeque<T>,
+}
+
+impl<T> Default for Window<T> {
+    fn default() -> Self {
+        Window {
+            slots: [None, None],
+            head: 0,
+            spill: VecDeque::new(),
+        }
+    }
+}
+
+impl<T> Window<T> {
+    fn is_empty(&self) -> bool {
+        self.slots[self.head].is_none()
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.iter().flatten().count() + self.spill.len()
+    }
+
+    fn front(&self) -> Option<&T> {
+        self.slots[self.head].as_ref()
+    }
+
+    fn front_mut(&mut self) -> Option<&mut T> {
+        self.slots[self.head].as_mut()
+    }
+
+    fn back(&self) -> Option<&T> {
+        self.spill
+            .back()
+            .or(self.slots[self.head ^ 1].as_ref())
+            .or(self.slots[self.head].as_ref())
+    }
+
+    fn back_mut(&mut self) -> Option<&mut T> {
+        let [a, b] = &mut self.slots;
+        let (front, second) = if self.head == 0 { (a, b) } else { (b, a) };
+        self.spill.back_mut().or(second.as_mut()).or(front.as_mut())
+    }
+
+    fn push_back(&mut self, item: T) {
+        if self.slots[self.head].is_none() {
+            self.slots[self.head] = Some(item);
+        } else if self.slots[self.head ^ 1].is_none() {
+            self.slots[self.head ^ 1] = Some(item);
+        } else {
+            self.spill.push_back(item);
+        }
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        let item = self.slots[self.head].take()?;
+        if self.slots[self.head ^ 1].is_some() {
+            // The vacated slot becomes the second one.
+            self.slots[self.head] = self.spill.pop_front();
+            self.head ^= 1;
+        }
+        Some(item)
+    }
+}
+
 /// An outbound frame awaiting acknowledgment.
 #[derive(Debug)]
 struct SentFrame<P> {
@@ -373,8 +476,9 @@ struct Link<P> {
     peer: NodeId,
     // --- send side ---
     /// Frames sent (or queued) but not yet cumulatively acked, oldest
-    /// first. Holds at most two entries: adjacent logical rounds.
-    unacked: VecDeque<SentFrame<P>>,
+    /// first. Two entries while the peer runs; more only toward a halted
+    /// peer whose pure acks were lost.
+    unacked: Window<SentFrame<P>>,
     /// Highest cumulative ack received from the peer.
     acked: u64,
     /// Current (backed-off) retransmission timeout.
@@ -384,9 +488,11 @@ struct Link<P> {
     due: u64,
     // --- receive side ---
     /// In-order bundles not yet consumed by the inner logic; the front
-    /// is sequence `consumed`.
-    ready: VecDeque<Bundle<P>>,
-    /// Out-of-order bundles with `seq > recv_next`.
+    /// is sequence `consumed`. At most two entries; none is added once
+    /// the inner logic has halted.
+    ready: Window<Bundle<P>>,
+    /// Out-of-order bundles with `seq > recv_next` (empty bundles once
+    /// the inner logic has halted: only the sequence is read then).
     ooo: Vec<(u64, Bundle<P>)>,
     /// Next in-order sequence expected — also the cumulative ack we send.
     recv_next: u64,
@@ -403,11 +509,11 @@ impl<P> Link<P> {
     fn new(peer: NodeId) -> Self {
         Link {
             peer,
-            unacked: VecDeque::new(),
+            unacked: Window::default(),
             acked: 0,
             rto_cur: 0,
             due: u64::MAX,
-            ready: VecDeque::new(),
+            ready: Window::default(),
             ooo: Vec::new(),
             recv_next: 0,
             consumed: 0,
@@ -450,7 +556,7 @@ impl<P: Payload> Link<P> {
         if fresh {
             // Priority 1: first transmission of a frame created this
             // round (always the newest entry).
-            let front_is_new = self.unacked.len() == 1;
+            let front_is_new = self.unacked.front().is_some_and(|f| f.attempts == 0);
             let Some(frame) = self.unacked.back_mut() else {
                 unreachable!("a fresh frame was queued on every link");
             };
@@ -461,7 +567,7 @@ impl<P: Payload> Link<P> {
                 self.due = now + self.rto_cur;
             }
             self.need_ack = false;
-            ctx.send_to_neighbor(pos, msg);
+            ctx.send_to_neighbor(self.peer, pos, msg);
         } else if self.due <= now {
             // Priority 2: retransmit the oldest unacked frame on timeout.
             let Some(frame) = self.unacked.front_mut() else {
@@ -480,7 +586,7 @@ impl<P: Payload> Link<P> {
             self.due = now + self.rto_cur;
             self.need_ack = false;
             ctx.note_retransmit();
-            ctx.send_to_neighbor(pos, msg);
+            ctx.send_to_neighbor(self.peer, pos, msg);
         } else if self.need_ack {
             // Priority 3: a pure ack if data arrived and nothing else
             // carried the acknowledgment.
@@ -494,6 +600,7 @@ impl<P: Payload> Link<P> {
         self.need_ack = false;
         ctx.note_ack();
         ctx.send_to_neighbor(
+            self.peer,
             pos,
             FrameMsg {
                 ack: self.recv_next,
@@ -537,8 +644,13 @@ pub struct Reliable<L: NodeLogic> {
     /// The inner logic may be able to execute: data arrived or a round
     /// executed since `can_execute` last said no.
     maybe_ready: bool,
-    /// Recycled buffers for the inner context and the per-link bundles.
+    /// The links before this position hold what logical round
+    /// `local_round` needs; `can_execute` resumes here.
+    ready_from: usize,
+    /// Recycled buffers for the inner context (its outbox and each
+    /// envelope's link position) and the per-link bundles.
     inner_outbox: Vec<Envelope<L::Payload>>,
+    inner_positions: Vec<u32>,
     inner_inbox: Vec<Envelope<L::Payload>>,
     bundles: Vec<Bundle<L::Payload>>,
 }
@@ -565,7 +677,9 @@ impl<L: NodeLogic> Reliable<L> {
             queued: false,
             owed: Vec::new(),
             maybe_ready: true,
+            ready_from: 0,
             inner_outbox: Vec::new(),
+            inner_positions: Vec::new(),
             inner_inbox: Vec::new(),
             bundles: Vec::new(),
         }
@@ -604,17 +718,25 @@ impl<L: NodeLogic> Reliable<L> {
         self.inner_halted && self.links.iter().all(Link::closed)
     }
 
-    /// Can the inner logic execute logical round `r` now? Round 0 needs
-    /// no input; round `r > 0` needs the round-`(r - 1)` bundle from
-    /// every neighbor that had not already halted before `r - 1`.
-    fn can_execute(&self, r: u64) -> bool {
-        if r == 0 {
+    /// Can the inner logic execute logical round `local_round` now?
+    /// Round 0 needs no input; round `r > 0` needs the round-`(r - 1)`
+    /// bundle from every neighbor that had not already halted before
+    /// `r - 1`. A link that has it keeps it until the round runs, so the
+    /// check resumes at the first link that did not have it last time.
+    fn can_execute(&mut self) -> bool {
+        let Some(prev) = self.local_round.checked_sub(1) else {
             return true;
-        }
-        let prev = r - 1;
-        self.links
+        };
+        let waiting = self.links[self.ready_from..]
             .iter()
-            .all(|l| prev > l.peer_halt_seq || (l.consumed == prev && !l.ready.is_empty()))
+            .position(|l| prev <= l.peer_halt_seq && (l.consumed != prev || l.ready.is_empty()));
+        match waiting {
+            Some(i) => {
+                self.ready_from += i;
+                false
+            }
+            None => true,
+        }
     }
 
     /// Reconstructs the synchronous inbox for logical round `r` into
@@ -693,16 +815,18 @@ impl<L: NodeLogic> Reliable<L> {
     fn execute_round(&mut self, me: NodeId, ctx: &mut Context<'_, FrameMsg<L::Payload>>) {
         let r = self.local_round;
         self.build_inbox(me, r);
+        self.ready_from = 0;
         let mut outbox = std::mem::take(&mut self.inner_outbox);
         let inner_inbox = std::mem::take(&mut self.inner_inbox);
         outbox.clear();
+        self.inner_positions.clear();
         let mut inner_ctx = Context {
             me,
             round: r,
             topo: ctx.topo,
             rng: &mut *ctx.rng,
             outbox: &mut outbox,
-            slot: None,
+            outlet: Outlet::Record(&mut self.inner_positions),
             transport: &mut *ctx.transport,
             tracing: ctx.tracing,
             trace: &mut *ctx.trace,
@@ -715,17 +839,12 @@ impl<L: NodeLogic> Reliable<L> {
         self.local_round = r + 1;
         let mut self_msgs = Bundle::default();
         self.bundles.resize_with(self.links.len(), Bundle::default);
-        let neighbors = ctx.neighbors();
-        let mut cursor = 0;
-        for env in outbox.drain(..) {
-            if env.to == me {
+        // The inner context recorded each envelope's link position.
+        for (env, &pos) in outbox.drain(..).zip(&self.inner_positions) {
+            if pos == SELF_LINK {
                 self_msgs.push(env.payload);
             } else {
-                let Some(pos) = seek(neighbors, env.to, cursor) else {
-                    unreachable!("Context::send only accepts neighbors");
-                };
-                cursor = pos;
-                self.bundles[pos].push(env.payload);
+                self.bundles[pos as usize].push(env.payload);
             }
         }
         if !self_msgs.as_slice().is_empty() {
@@ -739,6 +858,10 @@ impl<L: NodeLogic> Reliable<L> {
                 payloads: std::mem::take(payloads),
                 attempts: 0,
             });
+            debug_assert!(
+                link.unacked.spill.is_empty() || link.peer_halt_seq != u64::MAX,
+                "more than two frames unacked by a running peer"
+            );
         }
         self.inner_outbox = outbox;
         self.inner_inbox = inner_inbox;
@@ -747,6 +870,7 @@ impl<L: NodeLogic> Reliable<L> {
 
 impl<L: NodeLogic> NodeLogic for Reliable<L> {
     type Payload = FrameMsg<L::Payload>;
+    const IDLES: bool = true;
 
     fn on_round(
         &mut self,
@@ -801,16 +925,29 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
                     link.peer_halt_seq = data.seq;
                 }
                 self.maybe_ready = true;
+                // A halted inner logic reads no more bundles: keep the
+                // sequence numbers only.
+                let live = !self.inner_halted;
                 if data.seq != link.recv_next {
-                    link.ooo.push((data.seq, data.payloads.clone()));
+                    let payloads = if live {
+                        data.payloads.clone()
+                    } else {
+                        Bundle::default()
+                    };
+                    link.ooo.push((data.seq, payloads));
                     continue;
                 }
-                link.ready.push_back(data.payloads.clone());
+                if live {
+                    link.ready.push_back(data.payloads.clone());
+                    debug_assert!(link.ready.spill.is_empty(), "a peer ran two rounds ahead");
+                }
                 link.recv_next += 1;
                 // Drain buffered frames the arrival put back in order.
                 while let Some(i) = link.ooo.iter().position(|(s, _)| *s == link.recv_next) {
                     let (_, payloads) = link.ooo.swap_remove(i);
-                    link.ready.push_back(payloads);
+                    if live {
+                        link.ready.push_back(payloads);
+                    }
                     link.recv_next += 1;
                 }
             }
@@ -818,7 +955,7 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
 
         // --- Advance the inner logic by at most one logical round. ---
         if self.maybe_ready && !self.inner_halted {
-            if self.can_execute(self.local_round) {
+            if self.can_execute() {
                 self.execute_round(me, ctx);
                 self.queued = true;
             } else {
@@ -866,6 +1003,14 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
         // strand a peer whose retries were all lost (two generals).
         if self.inner_halted && self.links.is_empty() {
             return Control::Halt;
+        }
+        // Nothing is queued and no ack is owed. If the inner logic cannot
+        // run either, only an arrival or the earliest retransmit timer
+        // can give the next round work: until then it is idle.
+        if self.inner_halted || !self.maybe_ready {
+            return Control::Idle {
+                until: self.min_due,
+            };
         }
         Control::Continue
     }
@@ -1159,6 +1304,118 @@ mod tests {
         assert_eq!(link.peer_halt_seq, 6);
         assert!(m.acks > 0, "the halted node answered with pure acks");
         assert_eq!(m.retransmits, 0);
+    }
+
+    /// Runs `Recorder`s for `rounds(v)` rounds each through `Reliable`
+    /// under `plan`, stepping until every node is done; calls `watch`
+    /// after every step.
+    fn transport_run(
+        g: &ftclust_graphs::Graph,
+        seed: u64,
+        rounds: fn(NodeId) -> u64,
+        plan: AdversaryPlan,
+        mut watch: impl FnMut(&Simulator<'_, Reliable<Recorder>>),
+    ) -> (Vec<Recorder>, crate::Metrics) {
+        let mut sim = Simulator::new(
+            Topology::from_graph(g),
+            |v| Reliable::new(Recorder::new(v, rounds(v)), TransportConfig::default()),
+            seed,
+        );
+        sim.set_adversary(plan);
+        while sim.step() {
+            watch(&sim);
+            if sim.logics().all(Reliable::done) {
+                break;
+            }
+            assert!(sim.round() < 1_000, "run failed to converge");
+        }
+        let metrics = sim.metrics().clone();
+        let logics = sim.into_logics().into_iter().map(Reliable::into_inner);
+        (logics.collect(), metrics)
+    }
+
+    /// The lossless synchronous run of `Recorder`s for `rounds(v)` rounds.
+    fn direct_run_of(
+        g: &ftclust_graphs::Graph,
+        seed: u64,
+        rounds: fn(NodeId) -> u64,
+    ) -> Vec<Recorder> {
+        let mut sim = Simulator::new(
+            Topology::from_graph(g),
+            |v| Recorder::new(v, rounds(v)),
+            seed,
+        );
+        sim.run(1_000).unwrap();
+        sim.into_logics()
+    }
+
+    #[test]
+    fn backlog_to_a_halted_peer_spills_and_drains() {
+        // Node 0 halts after logical round 1; node 1 runs on to round 8
+        // without waiting for it. The only link is cut both ways for
+        // physical rounds 3..12, so node 0's pure acks are lost while
+        // node 1 queues frames: more than the two a link keeps in place.
+        let g = generators::path(2);
+        let rounds = |v: NodeId| if v.raw() == 0 { 1 } else { 8 };
+        let cut = AdversaryPlan::new(0).partition(&[NodeId::new(0)], 3..12);
+        let mut spilled = 0;
+        let (logics, m) = transport_run(&g, 5, rounds, cut, |sim| {
+            let link = &sim.logic(NodeId::new(1)).links[0];
+            spilled = spilled.max(link.unacked.spill.len());
+        });
+        assert!(
+            spilled >= 3,
+            "the backlog peaked at {spilled} spilled frames"
+        );
+        assert_eq!(
+            (
+                m.rounds,
+                m.messages,
+                m.retransmits,
+                m.dropped_messages,
+                m.acks
+            ),
+            (48, 28, 8, 8, 9),
+            "the metrics of the run without the in-place windows"
+        );
+        assert_eq!(logics, direct_run_of(&g, 5, rounds));
+    }
+
+    #[test]
+    fn frames_after_the_inner_halt_keep_sequence_state_only() {
+        // The hub halts after logical round 1 while its leaves run on to
+        // round 7 under jitter and network duplicates, so their frames
+        // keep arriving after the hub's inner logic halted: late, out of
+        // order and twice. They are counted and acked as ever, but no
+        // payload is kept. A leaf sends its frame 2 only after the hub's
+        // frame 1, the one its inner logic halted in.
+        let g = generators::star(4);
+        let rounds = |v: NodeId| if v.raw() == 0 { 1 } else { 7 };
+        let plan = AdversaryPlan::new(4).jitter(0.4, 3).duplicate(0.3);
+        let (logics, m) = transport_run(&g, 9, rounds, plan, |sim| {
+            let hub = sim.logic(NodeId::new(0));
+            for link in &hub.links {
+                assert!(link.consumed + link.ready.len() as u64 <= 2);
+                assert!(link
+                    .ooo
+                    .iter()
+                    .all(|(seq, b)| *seq < 2 || b.as_slice().is_empty()));
+            }
+        });
+        assert_eq!(logics, direct_run_of(&g, 9, rounds));
+        assert_eq!(
+            (
+                m.rounds,
+                m.messages,
+                m.total_bits,
+                m.retransmits,
+                m.acks,
+                m.duplicates_suppressed,
+                m.net_duplicated
+            ),
+            (13, 72, 975, 3, 22, 15, 17),
+            "the metrics of the run without the in-place windows"
+        );
     }
 
     #[test]

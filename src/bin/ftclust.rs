@@ -89,6 +89,15 @@ impl Options {
     fn flag(&self, key: &str) -> bool {
         self.get(key) == Some("true")
     }
+
+    /// Rejects the first option that `command` does not read: a typo
+    /// would otherwise run silently with the default.
+    fn only(&self, command: &str, known: &[&str]) -> Result<(), String> {
+        match self.0.keys().find(|key| !known.contains(&key.as_str())) {
+            Some(key) => Err(format!("`{command}` has no option --{key}")),
+            None => Ok(()),
+        }
+    }
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -119,6 +128,10 @@ fn load_graph(opts: &Options) -> Result<Graph, String> {
 }
 
 fn cmd_generate(opts: &Options) -> Result<(), String> {
+    opts.only(
+        "generate",
+        &["family", "nodes", "seed", "avg-degree", "out", "positions"],
+    )?;
     let family = opts.require("family")?;
     let n: u32 = opts.parse_num("nodes", 0)?;
     if n == 0 {
@@ -175,6 +188,7 @@ fn cmd_generate(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_info(opts: &Options) -> Result<(), String> {
+    opts.only("info", &["graph"])?;
     let g = load_graph(opts)?;
     let s = stats::degree_stats(&g);
     let comps = ftclust::graphs::traversal::connected_components(&g);
@@ -211,6 +225,10 @@ fn save_set(opts: &Options, set: &DominatingSet) -> Result<(), String> {
 }
 
 fn cmd_solve(opts: &Options) -> Result<(), String> {
+    opts.only(
+        "solve",
+        &["graph", "k", "t", "seed", "algorithm", "connect", "out"],
+    )?;
     let g = load_graph(opts)?;
     let k: u32 = opts.parse_num("k", 1)?;
     let t: u32 = opts.parse_num("t", 4)?;
@@ -259,6 +277,18 @@ fn cmd_solve(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_udg(opts: &Options) -> Result<(), String> {
+    opts.only(
+        "udg",
+        &[
+            "positions",
+            "radius",
+            "k",
+            "seed",
+            "algorithm",
+            "svg",
+            "out",
+        ],
+    )?;
     let pos_path = opts.require("positions")?;
     let pts = io::read_positions(&read_file(pos_path)?).map_err(|e| format!("{pos_path}: {e}"))?;
     let radius: f64 = opts.parse_num("radius", 1.0)?;
@@ -465,6 +495,66 @@ mod tests {
         };
         assert!(udg_k0("udg").is_err(), "udg --k 0");
         assert!(udg_k0("grid").is_ok(), "grid --k 0 is the empty set");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes a small geometric graph and its positions into a fresh
+    /// directory `name` under the temporary directory.
+    fn sample_files(name: &str) -> (std::path::PathBuf, String, String) {
+        let dir = std::env::temp_dir().join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = dir.join("g.txt").to_str().unwrap().to_owned();
+        let p = dir.join("p.txt").to_str().unwrap().to_owned();
+        let generate = ["generate", "--family", "rgg", "--nodes", "40"];
+        run(&strs(
+            &[&generate[..], &["--out", &g, "--positions", &p]].concat(),
+        ))
+        .unwrap();
+        (dir, g, p)
+    }
+
+    /// Runs `args` and returns its error, which must name `--key`.
+    fn rejected(args: &[&str], key: &str) {
+        let err = run(&strs(args)).expect_err("an unknown option was accepted");
+        assert!(err.contains(&format!("--{key}")), "{err}");
+    }
+
+    #[test]
+    fn generate_rejects_unknown_options() {
+        let out = std::env::temp_dir().join("ftclust_cli_unknown_generate.txt");
+        let _ = std::fs::remove_file(&out);
+        let out = out.to_str().unwrap();
+        let args = ["generate", "--family", "gnp", "--nodes", "20", "--out", out];
+        rejected(&[&args[..], &["--nodez", "30"]].concat(), "nodez");
+        assert!(!std::path::Path::new(out).exists(), "a graph was written");
+    }
+
+    #[test]
+    fn info_rejects_unknown_options() {
+        let (dir, g, _) = sample_files("ftclust_cli_unknown_info");
+        rejected(&["info", "--graph", &g, "--verbose"], "verbose");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn solve_rejects_unknown_options() {
+        let (dir, g, _) = sample_files("ftclust_cli_unknown_solve");
+        let solve = ["solve", "--graph", &g, "--k", "2"];
+        rejected(
+            &[&solve[..], &["--seeed", "5", "--bogus"]].concat(),
+            "bogus",
+        );
+        rejected(&[&solve[..], &["--seeed", "5"]].concat(), "seeed");
+        run(&strs(&[&solve[..], &["--seed", "5"]].concat())).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn udg_rejects_unknown_options() {
+        let (dir, _, p) = sample_files("ftclust_cli_unknown_udg");
+        let udg = ["udg", "--positions", &p, "--radius", "1.0", "--k", "2"];
+        rejected(&[&udg[..], &["--algo", "grid"]].concat(), "algo");
+        run(&strs(&[&udg[..], &["--algorithm", "grid"]].concat())).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -21,10 +21,13 @@ use ftclust::core::fractional::protocol::run_fractional_protocol;
 use ftclust::core::fractional::FractionalSolution;
 use ftclust::core::prelude::*;
 use ftclust::core::rounding::{protocol::run_rounding_protocol, RoundingParams};
-use ftclust::core::udg::protocol::run_udg_protocol;
+use ftclust::core::udg::protocol::{run_udg_protocol, run_udg_stack};
 use ftclust::graphs::{generators, Graph, NodeId};
 use ftclust::netsim::exec::{Executor, Stack};
-use ftclust::netsim::{Context, Control, Inbox, Metrics, NodeLogic, Payload, Topology};
+use ftclust::netsim::transport::TransportConfig;
+use ftclust::netsim::{
+    AdversaryPlan, Context, Control, Inbox, Metrics, NodeLogic, Payload, Topology,
+};
 use ftclust_par::with_threads;
 use proptest::prelude::*;
 use rand::Rng;
@@ -150,6 +153,43 @@ fn udg_algorithm_is_thread_invariant() {
                 proto_ref.metrics, proto.metrics,
                 "udg protocol metrics diverged at seed={seed}, threads={t}"
             );
+        }
+    }
+}
+
+/// Algorithm 3 over the reliable transport, lossless and under loss
+/// plus the chaos adversary: the transport's idle nodes, whose wake
+/// rounds are sharded with the rest of the node state, are skipped
+/// alike at every thread count.
+#[test]
+fn transport_stacks_are_thread_invariant() {
+    let chaos = |seed| {
+        AdversaryPlan::new(seed)
+            .jitter(0.05, 3)
+            .duplicate(0.05)
+            .corrupt(0.05)
+    };
+    for &seed in SEEDS {
+        let udg = generators::random_udg(200, 10.0, 1.0, seed);
+        let config = UdgAlgorithm::new(2).seed(seed);
+        for stack in [
+            Stack::new().transport(TransportConfig::default()),
+            Stack::new().lossy(0.1).adversarial(chaos(seed)),
+        ] {
+            let run = |t| {
+                with_threads(t, || {
+                    let (run, _) = run_udg_stack(&udg, &config, stack.clone()).expect("protocol");
+                    (run.run, run.metrics)
+                })
+            };
+            let reference = run(1);
+            for &t in THREADS {
+                assert_eq!(
+                    run(t),
+                    reference,
+                    "transport run diverged at seed={seed}, threads={t}"
+                );
+            }
         }
     }
 }

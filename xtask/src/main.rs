@@ -1,7 +1,14 @@
 //! Workspace automation tasks (`cargo xtask <task>`).
 //!
-//! The only task so far is `lint`: the part of the static-analysis gate
-//! that `rustc` and `clippy` cannot express (`DESIGN.md` §6 and §11).
+//! Two tasks:
+//!
+//! * `ab` ([`ab`]): paired benchmark runs of a parent and a change
+//!   checkout, reported as medians, quartiles and wins per end-to-end
+//!   metric;
+//! * `lint`: the part of the static-analysis gate that `rustc` and
+//!   `clippy` cannot express (`DESIGN.md` §6 and §11).
+//!
+//! The rest of this page is about `lint`.
 //! Panic hygiene, wall-clock and environment reads, hash-collection
 //! types and the `unsafe` ban are compiler lints, configured in the root
 //! `Cargo.toml`'s `[workspace.lints]` and in `clippy.toml`. This tool is
@@ -31,8 +38,10 @@
 //! Exit status: 0 when clean, 1 on any violation or a failed self-test,
 //! 2 on any argument after `lint`.
 
+mod ab;
 mod congest;
 mod float_eq;
+mod json;
 mod manifest;
 mod merge_order;
 mod selftest;
@@ -94,8 +103,9 @@ fn main() -> ExitCode {
             eprintln!("`cargo xtask lint` takes no options, got `{extra}`");
             return ExitCode::from(2);
         }
+        [task, rest @ ..] if task == "ab" => return ab::run(rest),
         _ => {
-            eprintln!("usage: cargo xtask lint");
+            eprintln!("usage: cargo xtask lint | cargo xtask ab <parent> <change> --workload W …");
             return ExitCode::from(2);
         }
     }
