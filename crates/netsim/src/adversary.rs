@@ -229,20 +229,18 @@ pub(crate) struct AdversaryState<P> {
     streams: Vec<Option<StdRng>>,
     /// Jittered envelopes by the physical round at whose merge they are
     /// staged for (next-round) delivery: bucket `i` holds round
-    /// `base + i`, in insertion order. A run needs `max_delay + 1`
-    /// buckets. A taken bucket is handed over and `spare` takes its
-    /// place at the back, so the buffers go round and round.
+    /// `base + i`, in insertion order. A staged bucket goes to the back
+    /// empty, so a run's `max_delay + 1` buffers go round and round.
     delayed: VecDeque<Vec<Envelope<P>>>,
-    /// The round of the front bucket: the first one not yet taken.
+    /// The round of the front bucket: the next one to be staged.
     base: u64,
-    /// The emptied bucket handed back by [`AdversaryState::recycle`].
-    spare: Vec<Envelope<P>>,
     delayed_total: u64,
 }
 
 impl<P> AdversaryState<P> {
-    /// The state of a run of `plan` over `graph`.
-    pub(crate) fn new(plan: AdversaryPlan, graph: &Graph) -> Self {
+    /// The state of a run of `plan` over `graph` whose next round is
+    /// `round`.
+    pub(crate) fn new(plan: AdversaryPlan, graph: &Graph, round: u64) -> Self {
         let mut streams = Vec::new();
         streams.resize_with(graph.slot_count() + graph.node_count(), || None);
         let buckets = plan.max_delay as usize + 1;
@@ -250,8 +248,7 @@ impl<P> AdversaryState<P> {
             plan,
             streams,
             delayed: (0..buckets).map(|_| Vec::new()).collect(),
-            base: 0,
-            spare: Vec::new(),
+            base: round,
             delayed_total: 0,
         }
     }
@@ -309,9 +306,9 @@ impl<P> AdversaryState<P> {
     }
 
     /// Queues a jittered envelope to be staged at the merge of
-    /// `due_round`, a round not taken yet.
+    /// `due_round`, a round not staged yet.
     pub(crate) fn push_delayed(&mut self, due_round: u64, env: Envelope<P>) {
-        debug_assert!(due_round >= self.base, "round {due_round} was taken");
+        debug_assert!(due_round >= self.base, "round {due_round} was staged");
         let i = (due_round - self.base) as usize;
         if i >= self.delayed.len() {
             self.delayed.resize_with(i + 1, Vec::new);
@@ -320,41 +317,20 @@ impl<P> AdversaryState<P> {
         self.delayed_total += 1;
     }
 
-    /// Hands over every envelope due at (or before) `round`, in
+    /// Passes every envelope due at (or before) `round` to `stage`, in
     /// staging-round then insertion order — deterministic regardless of
-    /// thread count. The simulator takes every round, so one bucket is
-    /// due; the buckets of rounds a caller skipped are moved in front of
-    /// it first. Give the emptied bucket back with
-    /// [`AdversaryState::recycle`].
-    pub(crate) fn take_due(&mut self, round: u64) -> Vec<Envelope<P>> {
-        if round < self.base {
-            return Vec::new();
-        }
-        while self.base < round {
-            let Some(mut early) = self.delayed.pop_front() else {
+    /// thread count. The simulator stages every round, so one bucket is
+    /// due.
+    pub(crate) fn stage_due(&mut self, round: u64, mut stage: impl FnMut(Envelope<P>)) {
+        while self.base <= round {
+            let Some(mut due) = self.delayed.pop_front() else {
                 unreachable!("the ring always holds a bucket");
             };
+            self.delayed_total -= due.len() as u64;
+            due.drain(..).for_each(&mut stage);
+            self.delayed.push_back(due);
             self.base += 1;
-            if let Some(next) = self.delayed.front_mut() {
-                early.append(next);
-                std::mem::swap(&mut early, next);
-            }
-            self.delayed.push_back(early);
         }
-        self.base = round + 1;
-        let Some(due) = self.delayed.pop_front() else {
-            unreachable!("the ring always holds a bucket");
-        };
-        self.delayed.push_back(std::mem::take(&mut self.spare));
-        self.delayed_total -= due.len() as u64;
-        due
-    }
-
-    /// Takes back a bucket [`AdversaryState::take_due`] handed over, for
-    /// reuse.
-    pub(crate) fn recycle(&mut self, mut bucket: Vec<Envelope<P>>) {
-        bucket.clear();
-        self.spare = bucket;
     }
 
     /// Number of jittered envelopes still held back (they are in flight
@@ -402,7 +378,7 @@ mod tests {
         let plan = AdversaryPlan::new(7);
         assert!(!plan.is_active());
         let g = k10();
-        let mut state: AdversaryState<()> = AdversaryState::new(plan, &g);
+        let mut state: AdversaryState<()> = AdversaryState::new(plan, &g, 0);
         for r in 0..20 {
             assert_eq!(
                 state.decide(&g, n(0), n(1), r),
@@ -438,6 +414,7 @@ mod tests {
                     .duplicate(0.3)
                     .corrupt(0.2),
                 &g,
+                0,
             )
         };
         let (mut a, mut b) = (make(), make());
@@ -463,8 +440,8 @@ mod tests {
         // Interleaving draws on another link must not perturb this one.
         let plan = AdversaryPlan::new(3).corrupt(0.5);
         let g = k10();
-        let mut solo: AdversaryState<()> = AdversaryState::new(plan.clone(), &g);
-        let mut mixed: AdversaryState<()> = AdversaryState::new(plan, &g);
+        let mut solo: AdversaryState<()> = AdversaryState::new(plan.clone(), &g, 0);
+        let mut mixed: AdversaryState<()> = AdversaryState::new(plan, &g, 0);
         let solo_run: Vec<Verdict> = (0..64).map(|r| solo.decide(&g, n(1), n(2), r)).collect();
         let mixed_run: Vec<Verdict> = (0..64)
             .map(|r| {
@@ -487,7 +464,7 @@ mod tests {
             .corrupt(0.3);
         let g = k10();
         let verdicts = |order: &[usize], round_robin: bool| {
-            let mut state: AdversaryState<()> = AdversaryState::new(plan.clone(), &g);
+            let mut state: AdversaryState<()> = AdversaryState::new(plan.clone(), &g, 0);
             let mut seen = vec![Vec::new(); links.len()];
             let mut draw = |i: usize, r: u64| {
                 let (from, to) = links[i];
@@ -553,7 +530,7 @@ mod tests {
             .duplicate(0.4)
             .corrupt(0.3);
         let g = k10();
-        let mut state: AdversaryState<()> = AdversaryState::new(plan.clone(), &g);
+        let mut state: AdversaryState<()> = AdversaryState::new(plan.clone(), &g, 0);
         for r in 0..30 {
             let _ = state.decide(&g, n(7), n(2), r);
             let _ = state.decide(&g, n(6), n(5), r);
@@ -585,7 +562,7 @@ mod tests {
 
     #[test]
     fn delay_queue_orders_by_due_round_and_insertion() {
-        let mut state: AdversaryState<u32> = AdversaryState::new(AdversaryPlan::new(0), &k10());
+        let mut state: AdversaryState<u32> = AdversaryState::new(AdversaryPlan::new(0), &k10(), 0);
         let env = |p: u32| Envelope {
             from: n(0),
             to: n(1),
@@ -595,11 +572,16 @@ mod tests {
         state.push_delayed(3, env(30));
         state.push_delayed(3, env(31));
         assert_eq!(state.delayed_total(), 3);
-        assert!(state.take_due(2).is_empty());
-        let due: Vec<u32> = state.take_due(3).into_iter().map(|e| e.payload).collect();
+        let take_due = |state: &mut AdversaryState<u32>, round| {
+            let mut due = Vec::new();
+            state.stage_due(round, |e| due.push(e.payload));
+            due
+        };
+        assert!(take_due(&mut state, 2).is_empty());
+        let due: Vec<u32> = take_due(&mut state, 3);
         assert_eq!(due, vec![30, 31]);
         assert_eq!(state.delayed_total(), 1);
-        let due: Vec<u32> = state.take_due(9).into_iter().map(|e| e.payload).collect();
+        let due: Vec<u32> = take_due(&mut state, 9);
         assert_eq!(due, vec![50]);
         assert_eq!(state.delayed_total(), 0);
     }

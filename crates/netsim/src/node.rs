@@ -16,9 +16,8 @@ pub enum Control {
     /// Keep participating, but there is nothing to do before round
     /// `until` unless a message arrives: the simulator does not call the
     /// node in a round before `until` in which its inbox is empty
-    /// (`u64::MAX` waits for a message alone). Only a logic that declares
-    /// [`NodeLogic::IDLES`] is skipped; for any other, `Idle` counts as
-    /// [`Control::Continue`]. See the idle contract on [`NodeLogic`].
+    /// (`u64::MAX` waits for a message alone). See the idle contract on
+    /// [`NodeLogic`].
     Idle {
         /// The first round in which the node must run even with an empty
         /// inbox.
@@ -50,8 +49,7 @@ pub enum Control {
 /// `note_*` call — and would have returned `Idle` again. Then skipping it
 /// changes nothing anybody can observe, and a run is the same whether
 /// the simulator calls the node or not. A logic that is unsure returns
-/// [`Control::Continue`], which is always correct. A logic that returns
-/// `Idle` declares [`NodeLogic::IDLES`].
+/// [`Control::Continue`], which is always correct.
 ///
 /// Logic instances are `Send`: the simulator shards nodes across worker
 /// threads within a round (each instance is only ever touched by one
@@ -60,11 +58,6 @@ pub enum Control {
 pub trait NodeLogic: Send {
     /// The message type this protocol exchanges.
     type Payload: Payload;
-
-    /// Whether this logic may return [`Control::Idle`]. The simulator
-    /// keeps and checks wake rounds only for a logic that declares it, so
-    /// every other logic runs the round loop unchanged.
-    const IDLES: bool = false;
 
     /// Executes one synchronous round at this node.
     fn on_round(
@@ -544,6 +537,51 @@ mod tests {
         let mut tos: Vec<u32> = outbox.iter().map(|e| e.to.raw()).collect();
         tos.sort_unstable();
         assert_eq!(tos, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn recorded_positions_stay_in_step_with_the_outbox() {
+        // Unicasts out of order and repeated, self-sends, a send by known
+        // position, and a broadcast after unicasts: one position per
+        // envelope, naming the envelope's recipient.
+        let g = generators::star(6);
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut outbox = Vec::new();
+        let mut positions = Vec::new();
+        let mut tc = TransportCounters::default();
+        let mut tr = Vec::new();
+        let mut ctx = ctx_fixture(
+            Topology::from_graph(&g),
+            &mut rng,
+            &mut outbox,
+            &mut tc,
+            &mut tr,
+        );
+        ctx.outlet = Outlet::Record(&mut positions);
+        let v = NodeId::new;
+        ctx.send(v(4), Ping);
+        ctx.send(v(0), Ping);
+        ctx.send(v(2), Ping);
+        ctx.send(v(2), Ping);
+        ctx.send(v(5), Ping);
+        ctx.send_to_neighbor(v(1), 0, Ping);
+        ctx.broadcast(Ping);
+        ctx.send(v(0), Ping);
+        ctx.send(v(3), Ping);
+        let neighbors = g.neighbors(v(0));
+        assert_eq!(
+            positions,
+            [3, SELF_LINK, 1, 1, 4, 0, 0, 1, 2, 3, 4, SELF_LINK, 2]
+        );
+        assert_eq!(positions.len(), outbox.len());
+        for (env, &pos) in outbox.iter().zip(&positions) {
+            let to = if pos == SELF_LINK {
+                v(0)
+            } else {
+                neighbors[pos as usize]
+            };
+            assert_eq!(env.to, to);
+        }
     }
 
     #[derive(Clone, Debug, PartialEq)]

@@ -157,7 +157,6 @@ pub struct Simulator<'a, L: NodeLogic> {
     running: Vec<bool>,
     /// `wake[i]`: before this round, node `i` is called only in rounds
     /// that deliver it a message ([`Control::Idle`]); 0 unless it asked.
-    /// Empty unless the logic declares [`NodeLogic::IDLES`].
     wake: Vec<u64>,
     /// Number of `true` entries in `running` — halting is the only
     /// transition, counted on the sequential path, so quiescence on
@@ -243,7 +242,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             logics,
             rngs,
             running: vec![true; n],
-            wake: vec![0; if L::IDLES { n } else { 0 }],
+            wake: vec![0; n],
             running_total: n,
             inbox: InboxArena::new(n),
             pending: InboxArena::new(n),
@@ -507,7 +506,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                 rngs_rest = rngs_tail;
                 let (running_head, running_tail) = running_rest.split_at_mut(len);
                 running_rest = running_tail;
-                let (wake_head, wake_tail) = wake_rest.split_at_mut(wake_rest.len().min(len));
+                let (wake_head, wake_tail) = wake_rest.split_at_mut(len);
                 wake_rest = wake_tail;
                 let (slots_head, slots_tail) = slots_rest.split_at_mut(len);
                 slots_rest = slots_tail;
@@ -537,7 +536,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                     let me = NodeId::new(i as u32);
                     let neighbors = topo.graph().neighbors(me);
                     let received = inbox.view(i, neighbors);
-                    if L::IDLES && shard.wake[j] > round && received.is_empty() {
+                    if shard.wake[j] > round && received.is_empty() {
                         // An idle round: the logic promised it would do
                         // nothing (see `NodeLogic`), so it is not called.
                         continue;
@@ -579,16 +578,10 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                         *bits += deg * b;
                         *max_bits = (*max_bits).max(b);
                     }
-                    debug_assert!(
-                        L::IDLES || !matches!(control, Control::Idle { .. }),
-                        "a logic returned Control::Idle without declaring NodeLogic::IDLES"
-                    );
-                    if L::IDLES {
-                        shard.wake[j] = match control {
-                            Control::Idle { until } => until,
-                            _ => 0,
-                        };
-                    }
+                    shard.wake[j] = match control {
+                        Control::Idle { until } => until,
+                        _ => 0,
+                    };
                     if control == Control::Halt {
                         shard.running[j] = false;
                         buf.halted += 1;
@@ -627,11 +620,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         // delivery happens at phase 0 of the next round like any other
         // staged envelope.
         if let Some(adv) = &mut self.adversary {
-            let mut due = adv.take_due(round);
-            for env in due.drain(..) {
-                self.sorter.push(env);
-            }
-            adv.recycle(due);
+            adv.stage_due(round, |env| self.sorter.push(env));
         }
         if envelope_free {
             // Fast path: no tracing and no per-envelope fault decisions —
@@ -655,6 +644,14 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             // network duplicates count as sends too.
             let (mut count, mut total_bits, mut max_bits) = (0u64, 0u64, 0u64);
             for buf in &mut self.bufs {
+                // Each envelope's stream slot is read off `positions` by
+                // its place in the outbox, so the two must stay in step.
+                debug_assert!(
+                    self.adversary.is_none() || buf.positions.len() == buf.outbox.len(),
+                    "{} positions recorded for {} envelopes",
+                    buf.positions.len(),
+                    buf.outbox.len()
+                );
                 let mut positions = buf.positions.drain(..);
                 for env in buf.outbox.drain(..) {
                     let pos = positions.next();
@@ -869,7 +866,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     /// installed at all, keeping the fault-free merge fast path.
     pub fn set_adversary(&mut self, plan: AdversaryPlan) {
         if plan.is_active() {
-            self.adversary = Some(AdversaryState::new(plan, self.topo.graph()));
+            self.adversary = Some(AdversaryState::new(plan, self.topo.graph(), self.round));
         }
     }
 
@@ -1024,7 +1021,7 @@ mod tests {
                 // the last one late by the delay.
                 let inbox = &sim.logic(to).received;
                 let mut seen = Vec::new();
-                let mut replay: AdversaryState<Tag> = AdversaryState::new(plan.clone(), &g);
+                let mut replay: AdversaryState<Tag> = AdversaryState::new(plan.clone(), &g, 0);
                 let mut expected = Vec::new();
                 for (k, &(_, round)) in sender.sent.iter().enumerate().filter(|(_, s)| s.0 == to) {
                     let tag = Tag(u.raw(), round, k as u32);
@@ -1704,7 +1701,6 @@ mod tests {
     }
     impl NodeLogic for Sleeper {
         type Payload = Num;
-        const IDLES: bool = true;
         fn on_round(&mut self, inbox: Inbox<'_, Num>, ctx: &mut Context<'_, Num>) -> Control {
             let round = ctx.round();
             self.calls.push(round);

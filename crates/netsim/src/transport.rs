@@ -840,6 +840,7 @@ impl<L: NodeLogic> Reliable<L> {
         let mut self_msgs = Bundle::default();
         self.bundles.resize_with(self.links.len(), Bundle::default);
         // The inner context recorded each envelope's link position.
+        debug_assert_eq!(outbox.len(), self.inner_positions.len());
         for (env, &pos) in outbox.drain(..).zip(&self.inner_positions) {
             if pos == SELF_LINK {
                 self_msgs.push(env.payload);
@@ -870,7 +871,6 @@ impl<L: NodeLogic> Reliable<L> {
 
 impl<L: NodeLogic> NodeLogic for Reliable<L> {
     type Payload = FrameMsg<L::Payload>;
-    const IDLES: bool = true;
 
     fn on_round(
         &mut self,

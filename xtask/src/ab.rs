@@ -2,19 +2,33 @@
 //!
 //! ```text
 //! cargo xtask ab <parent-checkout> <change-checkout> --workload W
-//!                [--pairs 10] [--seconds 20] [--seed 1]
+//!                [--pairs 10] [--seconds 20] [--seed 1] [--builds 1]
+//!                [--trace 0]
 //! ```
 //!
 //! Pair `i` (from 0) runs each checkout's own `python3 perfbench/run.py
-//! --workload W --seed S+i --seconds T --trace 0`, the parent first in
-//! even pairs and the change first in odd ones, so drift on the host
-//! falls on both sides alike. Each checkout builds with
-//! `RUSTFLAGS=--remap-path-prefix=<checkout>=/ftclust`: both binaries
-//! embed the same source paths, so a difference in the length of the
-//! two checkout paths cannot move the code's layout.
+//! --workload W --seed S+i --seconds T --trace X`, so drift on the host
+//! falls on both sides alike, the side that runs first alternates (see
+//! [`order`]). Each checkout builds with `--remap-path-prefix
+//! <checkout>=/ftclust` as its only compiler flag (passed as
+//! `CARGO_ENCODED_RUSTFLAGS`, so a path with spaces stays one flag; a
+//! `RUSTFLAGS` of the caller is not applied to either side) into its own
+//! `.bench_build/`: both binaries embed the same source paths, so a
+//! difference in the length of the two checkout paths cannot move the
+//! code's layout.
+//!
+//! Code placement still moves end-to-end times by a few per cent with
+//! any change to the binary. `--builds B` samples it: pair `i` runs
+//! build `i mod B` of both sides, and build `b` remaps the sources to
+//! `/ftclust` followed by `5b` underscores (a longer embedded path,
+//! hence another layout) and builds into `.bench_build/layout-b`. The
+//! report then adds each metric's per-build medians, so a difference
+//! between the sides can be set against the spread between builds of
+//! one side.
 //!
 //! The report gives, for every end-to-end metric the change checkout's
-//! `BENCHMARK.json` declares, each side's median and quartiles, the
+//! `BENCHMARK.json` declares (every per-layer one with `--trace 1`),
+//! each side's median and quartiles, the
 //! change's median over the parent's, the pairs the change won (strictly
 //! better in the metric's direction) and whether the medians lie further
 //! apart than the parent's interquartile range. A run that fails, prints
@@ -55,12 +69,17 @@ struct Plan {
     pairs: u64,
     seconds: u64,
     seed: u64,
+    builds: u64,
+    /// Run the harness's per-layer mode (`--trace 1`) instead of its
+    /// end-to-end one.
+    trace: bool,
 }
 
 impl Plan {
     fn parse(args: &[String]) -> Result<Plan, String> {
         let mut positional = Vec::new();
-        let (mut workload, mut pairs, mut seconds, mut seed) = (None, 10, 20, 1);
+        let (mut workload, mut pairs, mut seconds, mut seed, mut builds) = (None, 10, 20, 1, 1);
+        let mut trace = false;
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             let Some(key) = arg.strip_prefix("--") else {
@@ -78,13 +97,24 @@ impl Plan {
                 "pairs" => pairs = number()?,
                 "seconds" => seconds = number()?,
                 "seed" => seed = number()?,
+                "builds" => builds = number()?,
+                "trace" => {
+                    trace = match value.as_str() {
+                        "0" => false,
+                        "1" => true,
+                        _ => return Err(format!("--trace takes 0 or 1, got `{value}`")),
+                    }
+                }
                 _ => return Err(format!("unknown option --{key}")),
             }
         }
         let [parent, change] = <[PathBuf; 2]>::try_from(positional)
             .map_err(|p| format!("expected two checkouts, got {}", p.len()))?;
-        if pairs == 0 || seconds == 0 {
-            return Err("--pairs and --seconds must be at least 1".into());
+        if pairs == 0 || seconds == 0 || builds == 0 {
+            return Err("--pairs, --seconds and --builds must be at least 1".into());
+        }
+        if builds > pairs {
+            return Err(format!("{builds} builds need at least {builds} pairs"));
         }
         let workload = workload.ok_or("missing --workload")?;
         Ok(Plan {
@@ -94,13 +124,36 @@ impl Plan {
             pairs,
             seconds,
             seed,
+            builds,
+            trace,
         })
+    }
+
+    /// The build that pair `i` runs, on both sides.
+    fn build(&self, pair: u64) -> u64 {
+        pair % self.builds
+    }
+
+    /// The list of `BENCHMARK.json` whose metrics the runs report.
+    fn metric_list(&self) -> &'static str {
+        if self.trace {
+            "per_layer"
+        } else {
+            "end_to_end"
+        }
+    }
+
+    /// The order in which pair `i` runs the two sides: the parent first
+    /// in even rounds over the builds and the change first in odd ones,
+    /// so every build runs each side first in turn.
+    fn order(&self, pair: u64) -> [Side; 2] {
+        order(pair / self.builds)
     }
 }
 
-/// The order in which pair `i` runs the two sides.
-fn order(pair: u64) -> [Side; 2] {
-    if pair.is_multiple_of(2) {
+/// The order of the sides in the `k`-th run of one build.
+fn order(k: u64) -> [Side; 2] {
+    if k.is_multiple_of(2) {
         [Side::Parent, Side::Change]
     } else {
         [Side::Change, Side::Parent]
@@ -158,12 +211,12 @@ fn parse_result(stdout: &str) -> Result<Vec<(String, f64)>, String> {
         .collect()
 }
 
-/// The end-to-end metrics of `BENCHMARK.json`: name and whether lower
-/// is better.
-fn end_to_end_metrics(benchmark: &str) -> Result<Vec<(String, bool)>, String> {
+/// The metrics of the list `list` of `BENCHMARK.json` (`end_to_end`
+/// or `per_layer`): name and whether lower is better.
+fn benchmark_metrics(benchmark: &str, list: &str) -> Result<Vec<(String, bool)>, String> {
     let doc = Json::parse(benchmark)?;
-    let Some(Json::Arr(metrics)) = doc.get("end_to_end") else {
-        return Err("no end_to_end list".into());
+    let Some(Json::Arr(metrics)) = doc.get(list) else {
+        return Err(format!("no {list} list"));
     };
     metrics
         .iter()
@@ -174,25 +227,49 @@ fn end_to_end_metrics(benchmark: &str) -> Result<Vec<(String, bool)>, String> {
                 (Some(name), Some(dir @ ("lower" | "higher"))) => {
                     Ok((name.to_owned(), dir == "lower"))
                 }
-                _ => Err("an end_to_end entry lacks a name or direction".into()),
+                _ => Err(format!("a {list} entry lacks a name or direction")),
             }
         })
         .collect()
 }
 
-/// Runs one side's harness once.
-fn run_once(checkout: &Path, plan: &Plan, seed: u64) -> Result<Vec<(String, f64)>, String> {
-    let out = Command::new("python3")
-        .arg("perfbench/run.py")
+/// Where build `b` remaps the sources to: a path `5b` bytes longer
+/// than build 0's, so that every build lays the code out differently.
+fn remapped_root(build: u64) -> String {
+    format!("{REMAPPED_ROOT}{}", "_".repeat(5 * build as usize))
+}
+
+/// Runs build `build` of one side's harness once.
+fn run_once(
+    checkout: &Path,
+    plan: &Plan,
+    seed: u64,
+    build: u64,
+) -> Result<Vec<(String, f64)>, String> {
+    let mut cmd = Command::new("python3");
+    cmd.arg("perfbench/run.py")
         .args(["--workload", &plan.workload])
         .args(["--seed", &seed.to_string()])
         .args(["--seconds", &plan.seconds.to_string()])
-        .args(["--trace", "0"])
+        .args(["--trace", if plan.trace { "1" } else { "0" }])
         .current_dir(checkout)
+        .env_remove("RUSTFLAGS")
         .env(
-            "RUSTFLAGS",
-            format!("--remap-path-prefix={}={REMAPPED_ROOT}", checkout.display()),
-        )
+            "CARGO_ENCODED_RUSTFLAGS",
+            format!(
+                "--remap-path-prefix={}={}",
+                checkout.display(),
+                remapped_root(build)
+            ),
+        );
+    if build == 0 {
+        // run.py's own default, `<checkout>/.bench_build`.
+        cmd.env_remove("CARGO_TARGET_DIR");
+    } else {
+        // A relative target directory is taken from the checkout root.
+        cmd.env("CARGO_TARGET_DIR", format!(".bench_build/layout-{build}"));
+    }
+    let out = cmd
         .output()
         .map_err(|e| format!("cannot start python3: {e}"))?;
     if !out.status.success() {
@@ -237,6 +314,25 @@ fn report_row(name: &str, lower_is_better: bool, parent: &[f64], change: &[f64])
     )
 }
 
+/// One metric's medians per build, parent → change.
+fn build_row(name: &str, builds: u64, parent: &[f64], change: &[f64]) -> String {
+    let mut row = format!("{name:<14}");
+    for b in 0..builds as usize {
+        let of = |xs: &[f64]| {
+            let picked: Vec<f64> = xs
+                .iter()
+                .skip(b)
+                .step_by(builds as usize)
+                .copied()
+                .collect();
+            quartiles(&picked).1
+        };
+        let (p, c) = (of(parent), of(change));
+        row.push_str(&format!("  b{b}: {} → {} ({:.4})", num(p), num(c), c / p));
+    }
+    row
+}
+
 /// `cargo xtask ab …`: the exit code of the whole comparison.
 pub(crate) fn run(args: &[String]) -> ExitCode {
     let plan = match Plan::parse(args) {
@@ -245,7 +341,7 @@ pub(crate) fn run(args: &[String]) -> ExitCode {
             eprintln!("{msg}");
             eprintln!(
                 "usage: cargo xtask ab <parent-checkout> <change-checkout> --workload W \
-                 [--pairs 10] [--seconds 20] [--seed 1]"
+                 [--pairs 10] [--seconds 20] [--seed 1] [--builds 1] [--trace 0]"
             );
             return ExitCode::from(2);
         }
@@ -268,19 +364,24 @@ fn compare(plan: &Plan) -> Result<String, String> {
     let (parent, change) = (canon(&plan.parent)?, canon(&plan.change)?);
     let benchmark = std::fs::read_to_string(change.join("BENCHMARK.json"))
         .map_err(|e| format!("{}/BENCHMARK.json: {e}", change.display()))?;
-    let metrics = end_to_end_metrics(&benchmark)?;
+    let metrics = benchmark_metrics(&benchmark, plan.metric_list())?;
     // samples[m] = (parent values, change values), one per pair.
     let mut samples = vec![(Vec::new(), Vec::new()); metrics.len()];
     for pair in 0..plan.pairs {
         let seed = plan.seed + pair;
-        for side in order(pair) {
+        let build = plan.build(pair);
+        for side in plan.order(pair) {
             let checkout = if side == Side::Parent {
                 &parent
             } else {
                 &change
             };
-            let values = run_once(checkout, plan, seed)
-                .map_err(|e| format!("{} side, pair {pair}, seed {seed}: {e}", side.name()))?;
+            let values = run_once(checkout, plan, seed, build).map_err(|e| {
+                format!(
+                    "{} side, pair {pair}, seed {seed}, build {build}: {e}",
+                    side.name()
+                )
+            })?;
             for ((name, _), (p, c)) in metrics.iter().zip(&mut samples) {
                 let value = values
                     .iter()
@@ -295,16 +396,22 @@ fn compare(plan: &Plan) -> Result<String, String> {
                 if side == Side::Parent { p } else { c }.push(value);
             }
         }
-        eprintln!("pair {}/{} done (seed {seed})", pair + 1, plan.pairs);
+        eprintln!(
+            "pair {}/{} done (seed {seed}, build {build})",
+            pair + 1,
+            plan.pairs
+        );
     }
     let mut report = format!(
-        "{} · {} pairs of {} s · seeds {}..={}\n\
+        "{} · {} · {} pairs of {} s · seeds {}..={} · {} build(s) per side\n\
          {:<14} {:>12} {:<26} {:>12} {:<26} {:>6} {:>7} {}",
         plan.workload,
+        plan.metric_list(),
         plan.pairs,
         plan.seconds,
         plan.seed,
         plan.seed + plan.pairs - 1,
+        plan.builds,
         "metric",
         "parent",
         "[q1, q3]",
@@ -317,6 +424,13 @@ fn compare(plan: &Plan) -> Result<String, String> {
     for ((name, lower), (p, c)) in metrics.iter().zip(&samples) {
         report.push('\n');
         report.push_str(&report_row(name, *lower, p, c));
+    }
+    if plan.builds > 1 {
+        report.push_str("\nmedians per build, parent → change (ratio)");
+        for ((name, _), (p, c)) in metrics.iter().zip(&samples) {
+            report.push('\n');
+            report.push_str(&build_row(name, plan.builds, p, c));
+        }
     }
     Ok(report)
 }
@@ -340,6 +454,40 @@ mod tests {
             let [a, b] = order(i);
             assert_ne!(a, b, "pair {i} runs one side twice");
         }
+    }
+
+    #[test]
+    fn every_build_runs_each_side_first_in_turn() {
+        let plan = Plan::parse(&strs(&["a", "b", "--workload", "w", "--builds", "2"])).unwrap();
+        let runs: Vec<(u64, Side)> = (0..6).map(|i| (plan.build(i), plan.order(i)[0])).collect();
+        assert_eq!(
+            runs,
+            [
+                (0, Side::Parent),
+                (1, Side::Parent),
+                (0, Side::Change),
+                (1, Side::Change),
+                (0, Side::Parent),
+                (1, Side::Parent),
+            ]
+        );
+        assert_eq!(remapped_root(0), "/ftclust");
+        assert_eq!(remapped_root(2), "/ftclust__________");
+    }
+
+    #[test]
+    fn build_rows_take_each_builds_pairs() {
+        // Pairs 0, 2, 4 ran build 0; pairs 1, 3 build 1.
+        let row = build_row(
+            "solve_ms",
+            2,
+            &[1.0, 10.0, 2.0, 20.0, 3.0],
+            &[2.0, 10.0, 4.0, 20.0, 6.0],
+        );
+        assert_eq!(
+            row,
+            "solve_ms        b0: 2.0000 → 4.0000 (2.0000)  b1: 15.0000 → 15.0000 (1.0000)"
+        );
     }
 
     #[test]
@@ -377,15 +525,22 @@ mod tests {
     fn benchmark_metrics_keep_their_direction() {
         let doc = r#"{"end_to_end": [
             {"name": "solve_ms", "unit": "ms", "better": "lower", "bound": 0.25},
-            {"name": "nodes_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}"#;
+            {"name": "nodes_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}],
+            "per_layer": [{"name": "loss_goodput", "unit": "ratio", "better": "higher"}]}"#;
         assert_eq!(
-            end_to_end_metrics(doc).unwrap(),
+            benchmark_metrics(doc, "per_layer").unwrap(),
+            [("loss_goodput".to_owned(), false)]
+        );
+        assert_eq!(
+            benchmark_metrics(doc, "end_to_end").unwrap(),
             [
                 ("solve_ms".to_owned(), true),
                 ("nodes_per_s".to_owned(), false)
             ]
         );
-        assert!(end_to_end_metrics(r#"{"end_to_end": [{"name": "x", "better": "up"}]}"#).is_err());
+        let bad = r#"{"end_to_end": [{"name": "x", "better": "up"}]}"#;
+        assert!(benchmark_metrics(bad, "end_to_end").is_err());
+        assert!(benchmark_metrics(bad, "per_layer").is_err());
     }
 
     #[test]
@@ -415,15 +570,22 @@ mod tests {
                 pairs: 10,
                 seconds: 20,
                 seed: 1,
+                builds: 1,
+                trace: false,
             }
         );
+        let traced = strs(&["a", "b", "--workload", "w", "--trace", "1"]);
+        assert_eq!(Plan::parse(&traced).unwrap().metric_list(), "per_layer");
         for bad in [
             &["a", "--workload", "w"][..],
             &["a", "b"],
             &["a", "b", "--workload"],
             &["a", "b", "--workload", "w", "--pairs", "0"],
             &["a", "b", "--workload", "w", "--seconds", "x"],
-            &["a", "b", "--workload", "w", "--trace", "1"],
+            &["a", "b", "--workload", "w", "--trace", "2"],
+            &["a", "b", "--workload", "w", "--color", "1"],
+            &["a", "b", "--workload", "w", "--builds", "0"],
+            &["a", "b", "--workload", "w", "--pairs", "2", "--builds", "3"],
         ] {
             assert!(Plan::parse(&strs(bad)).is_err(), "{bad:?} accepted");
         }
