@@ -1,15 +1,22 @@
-//! Deterministic adversarial delivery layer: reordering, duplication,
-//! corruption, and scheduled group partitions.
+//! Message faults: i.i.d. loss, and the adversary's reordering,
+//! duplication, corruption and scheduled group partitions.
 //!
-//! [`ChurnPlan`](crate::ChurnPlan) models the faults the paper argues
-//! about — crash-stop nodes and i.i.d. message loss. Real radio networks
-//! additionally produce **reordered** frames (multipath, MAC retries),
-//! **duplicated** frames (a retry whose original also arrived),
-//! **corrupted** payloads (interference flipping bits), and group-level
-//! **partitions** (an obstacle or a jammed region cutting every link
-//! between two sides at once). An [`AdversaryPlan`] injects all four,
-//! composable into any executor [`Stack`](crate::exec::Stack) via
-//! [`Stack::adversarial`](crate::exec::Stack::adversarial).
+//! The paper's model has two kinds of fault: nodes that crash, scheduled
+//! by a [`ChurnPlan`](crate::ChurnPlan), and messages lost on a link,
+//! the raw channel's i.i.d. loss ([`Stack::lossy`](crate::exec::Stack::lossy)
+//! or [`Simulator::set_loss`](crate::Simulator::set_loss)). Real radio
+//! networks additionally produce **reordered** frames (multipath, MAC
+//! retries), **duplicated** frames (a retry whose original also
+//! arrived), **corrupted** payloads (interference flipping bits), and
+//! group-level **partitions** (an obstacle or a jammed region cutting
+//! every link between two sides at once). An [`AdversaryPlan`] injects
+//! all four, composable into any executor [`Stack`](crate::exec::Stack)
+//! via [`Stack::adversarial`](crate::exec::Stack::adversarial).
+//!
+//! Loss and the adversary are one runtime fault state inside the
+//! simulator, which decides each envelope once, on the sequential merge
+//! path: it is dropped (by loss or a cut), corrupted, or delivered,
+//! perhaps with a duplicate and perhaps late.
 //!
 //! # The four fault classes
 //!
@@ -42,8 +49,11 @@
 //!
 //! # Determinism
 //!
-//! Every probabilistic decision draws from a **per-link RNG stream**,
-//! seeded from the plan seed and the directed link endpoints
+//! Loss is drawn first, from the simulator's shared fault stream (the
+//! one random churn also draws from), and only while the loss rate is
+//! positive; a lost envelope meets no partition check and draws from no
+//! link. Every other probabilistic decision draws from a **per-link RNG
+//! stream**, seeded from the plan seed and the directed link endpoints
 //! (`splitmix64` mixing, same construction as
 //! [`node_rng`](crate::node_rng)). The streams live in one flat table
 //! addressed like the graph's CSR adjacency: one entry per directed slot
@@ -181,28 +191,57 @@ impl AdversaryPlan {
     }
 
     /// Whether this plan can inject any fault at all. A plan that cannot
-    /// lets the simulator keep its fault-free fast paths.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
+    /// is not installed, so the simulator keeps its fault-free fast paths.
+    pub(crate) fn is_active(&self) -> bool {
         self.delay_prob > 0.0
             || self.duplicate_prob > 0.0
             || self.corrupt_prob > 0.0
             || !self.partitions.is_empty()
     }
 
-    /// Whether some partition cuts the directed link `from → to` at
-    /// `round`.
-    #[must_use]
-    pub fn cuts(&self, from: NodeId, to: NodeId, round: u64) -> bool {
-        self.partitions.iter().any(|p| p.cuts(from, to, round))
+    /// The verdict on a message `from → to` sent in `round` that loss
+    /// spared. A partition cut is a schedule lookup (no randomness).
+    /// Corruption, duplication and delay draw, in that order, from the
+    /// stream in `streams` of the link at `pos` in `from`'s neighbour row
+    /// of `graph` ([`Context::send`](crate::Context::send) records it).
+    // Kept out of the merge loop: see `FaultState::decide`.
+    #[inline(never)]
+    fn decide(
+        &self,
+        streams: &mut [Option<StdRng>],
+        graph: &Graph,
+        from: NodeId,
+        to: NodeId,
+        pos: Option<u32>,
+        round: u64,
+    ) -> Verdict {
+        if self.partitions.iter().any(|p| p.cuts(from, to, round)) {
+            return Verdict::Drop;
+        }
+        let Some(pos) = pos else {
+            unreachable!("sends are positioned while an adversary runs");
+        };
+        let rng = streams[stream_slot(graph, from, pos)]
+            .get_or_insert_with(|| StdRng::seed_from_u64(link_stream_seed(self.seed, from, to)));
+        if self.corrupt_prob > 0.0 && rng.random::<f64>() < self.corrupt_prob {
+            return Verdict::Corrupt;
+        }
+        let duplicate = self.duplicate_prob > 0.0 && rng.random::<f64>() < self.duplicate_prob;
+        let delay = if self.delay_prob > 0.0 && rng.random::<f64>() < self.delay_prob {
+            rng.random_range(1..=self.max_delay)
+        } else {
+            0
+        };
+        Verdict::Deliver { duplicate, delay }
     }
 }
 
-/// What the adversary decided for one in-flight message.
+/// What the fault state decided for one in-flight message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
-    /// A partition window cuts the link: the message is dropped.
-    Cut,
+    /// The message is lost, to i.i.d. loss or to a partition cut:
+    /// counted in `Metrics::dropped_messages`.
+    Drop,
     /// The payload was corrupted in flight: the message is erased and
     /// counted in `Metrics::corrupted`.
     Corrupt,
@@ -217,12 +256,17 @@ pub(crate) enum Verdict {
     },
 }
 
-/// Runtime state of an adversary inside one simulator: the per-link RNG
-/// streams and the delay queue of jittered envelopes. Consumed only on
-/// the sequential merge path.
+/// Runtime fault state of one simulator: the raw channel's i.i.d. loss
+/// rate, the adversary with its per-link RNG streams, and the delay queue
+/// of jittered envelopes. Consumed only on the sequential merge path.
 #[derive(Debug)]
-pub(crate) struct AdversaryState<P> {
-    plan: AdversaryPlan,
+pub(crate) struct FaultState<P> {
+    /// Per-message loss probability, drawn from the simulator's shared
+    /// fault stream.
+    loss: f64,
+    /// The adversary; `None` until an active plan is installed, so a
+    /// loss-only run records no link positions and holds no streams.
+    plan: Option<AdversaryPlan>,
     /// Per-directed-link streams, one entry per CSR slot `u → v` and then
     /// one self-link entry per node (`slot_count + u`); `None` until the
     /// link's first draw seeds it.
@@ -230,79 +274,74 @@ pub(crate) struct AdversaryState<P> {
     /// Jittered envelopes by the physical round at whose merge they are
     /// staged for (next-round) delivery: bucket `i` holds round
     /// `base + i`, in insertion order. A staged bucket goes to the back
-    /// empty, so a run's `max_delay + 1` buffers go round and round.
+    /// empty, so the buffers go round and round; the ring starts with
+    /// one bucket and grows to the longest delay drawn.
     delayed: VecDeque<Vec<Envelope<P>>>,
     /// The round of the front bucket: the next one to be staged.
     base: u64,
     delayed_total: u64,
 }
 
-impl<P> AdversaryState<P> {
-    /// The state of a run of `plan` over `graph` whose next round is
+impl<P> FaultState<P> {
+    /// A state that injects nothing yet, for a run whose next round is
     /// `round`.
-    pub(crate) fn new(plan: AdversaryPlan, graph: &Graph, round: u64) -> Self {
-        let mut streams = Vec::new();
-        streams.resize_with(graph.slot_count() + graph.node_count(), || None);
-        let buckets = plan.max_delay as usize + 1;
-        AdversaryState {
-            plan,
-            streams,
-            delayed: (0..buckets).map(|_| Vec::new()).collect(),
+    pub(crate) fn new(round: u64) -> Self {
+        FaultState {
+            loss: 0.0,
+            plan: None,
+            streams: Vec::new(),
+            delayed: VecDeque::from([Vec::new()]),
             base: round,
             delayed_total: 0,
         }
     }
 
-    /// [`AdversaryState::decide_at`] for the link `from → to` of a run
-    /// over `graph`, found by searching `from`'s neighbour row.
-    #[cfg(test)]
+    /// Sets the i.i.d. loss probability.
+    pub(crate) fn set_loss(&mut self, p: f64) {
+        self.loss = p;
+    }
+
+    /// Installs `plan` over `graph` with fresh per-link streams.
+    pub(crate) fn set_plan(&mut self, plan: AdversaryPlan, graph: &Graph) {
+        self.streams.clear();
+        self.streams
+            .resize_with(graph.slot_count() + graph.node_count(), || None);
+        self.plan = Some(plan);
+    }
+
+    /// Whether a decision needs each send's link position: only the
+    /// adversary's per-link draws read it.
+    pub(crate) fn needs_positions(&self) -> bool {
+        self.plan.is_some()
+    }
+
+    /// Decides the fate of one message `from → to` sent in `round`, on
+    /// the merge path. Loss comes first, drawn from the shared
+    /// `fault_rng` only while the loss rate is positive; a message it
+    /// spares goes to the adversary, if any ([`AdversaryPlan::decide`]).
+    // Only the loss draw is inlined into the merge loop. With all of the
+    // decision out of line a `lossy-chaos` solve ran 1.5% slower; with
+    // all of it inline, a `udg-sensor` solve, which never calls it, did.
+    #[inline]
     pub(crate) fn decide(
         &mut self,
+        fault_rng: &mut StdRng,
         graph: &Graph,
         from: NodeId,
         to: NodeId,
+        pos: Option<u32>,
         round: u64,
     ) -> Verdict {
-        let pos = if from == to {
-            SELF_LINK
-        } else {
-            let Ok(pos) = graph.neighbors(from).binary_search(&to) else {
-                unreachable!("{from} → {to} is no link");
-            };
-            pos as u32
-        };
-        self.decide_at(stream_slot(graph, from, pos), from, to, round)
-    }
-
-    /// Decides the fate of one message `from → to`, on the link whose
-    /// stream is `slot` ([`stream_slot`]), on the merge path.
-    /// Partition cuts are schedule lookups (no randomness); the
-    /// probabilistic draws all come from the link's stream, in merge
-    /// order.
-    pub(crate) fn decide_at(
-        &mut self,
-        slot: usize,
-        from: NodeId,
-        to: NodeId,
-        round: u64,
-    ) -> Verdict {
-        if self.plan.cuts(from, to, round) {
-            return Verdict::Cut;
+        if self.loss > 0.0 && fault_rng.random::<f64>() < self.loss {
+            return Verdict::Drop;
         }
-        let seed = self.plan.seed;
-        let rng = self.streams[slot]
-            .get_or_insert_with(|| StdRng::seed_from_u64(link_stream_seed(seed, from, to)));
-        if self.plan.corrupt_prob > 0.0 && rng.random::<f64>() < self.plan.corrupt_prob {
-            return Verdict::Corrupt;
+        match &self.plan {
+            Some(plan) => plan.decide(&mut self.streams, graph, from, to, pos, round),
+            None => Verdict::Deliver {
+                duplicate: false,
+                delay: 0,
+            },
         }
-        let duplicate =
-            self.plan.duplicate_prob > 0.0 && rng.random::<f64>() < self.plan.duplicate_prob;
-        let delay = if self.plan.delay_prob > 0.0 && rng.random::<f64>() < self.plan.delay_prob {
-            rng.random_range(1..=self.plan.max_delay)
-        } else {
-            0
-        };
-        Verdict::Deliver { duplicate, delay }
     }
 
     /// Queues a jittered envelope to be staged at the merge of
@@ -360,7 +399,7 @@ fn link_stream_seed(plan_seed: u64, from: NodeId, to: NodeId) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ftclust_graphs::generators;
 
@@ -373,15 +412,44 @@ mod tests {
         generators::complete(10)
     }
 
+    /// A loss-free state running `plan` over `graph` from round 0.
+    pub(crate) fn installed<P>(plan: AdversaryPlan, graph: &Graph) -> FaultState<P> {
+        let mut state = FaultState::new(0);
+        state.set_plan(plan, graph);
+        state
+    }
+
+    /// `state`'s verdict on one message `from → to` of a run over
+    /// `graph`, its link found by searching `from`'s neighbour row.
+    pub(crate) fn decide_link<P>(
+        state: &mut FaultState<P>,
+        graph: &Graph,
+        from: NodeId,
+        to: NodeId,
+        round: u64,
+    ) -> Verdict {
+        let pos = if from == to {
+            SELF_LINK
+        } else {
+            let Ok(pos) = graph.neighbors(from).binary_search(&to) else {
+                unreachable!("{from} → {to} is no link");
+            };
+            pos as u32
+        };
+        // A loss-free state draws nothing from the shared stream.
+        let mut shared = StdRng::seed_from_u64(0);
+        state.decide(&mut shared, graph, from, to, Some(pos), round)
+    }
+
     #[test]
     fn default_plan_is_inert() {
         let plan = AdversaryPlan::new(7);
         assert!(!plan.is_active());
         let g = k10();
-        let mut state: AdversaryState<()> = AdversaryState::new(plan, &g, 0);
+        let mut state: FaultState<()> = installed(plan, &g);
         for r in 0..20 {
             assert_eq!(
-                state.decide(&g, n(0), n(1), r),
+                decide_link(&mut state, &g, n(0), n(1), r),
                 Verdict::Deliver {
                     duplicate: false,
                     delay: 0
@@ -395,31 +463,35 @@ mod tests {
     fn partitions_cut_exactly_the_crossing_links_in_window() {
         let plan = AdversaryPlan::new(0).partition(&[n(0), n(1)], 3..6);
         assert!(plan.is_active());
+        let cut = &plan.partitions[0];
         for r in 3..6 {
-            assert!(plan.cuts(n(0), n(2), r), "crossing link at round {r}");
-            assert!(plan.cuts(n(2), n(1), r), "cut is symmetric in sides");
-            assert!(!plan.cuts(n(0), n(1), r), "intra-side link survives");
+            assert!(cut.cuts(n(0), n(2), r), "crossing link at round {r}");
+            assert!(cut.cuts(n(2), n(1), r), "cut is symmetric in sides");
+            assert!(!cut.cuts(n(0), n(1), r), "intra-side link survives");
         }
-        assert!(!plan.cuts(n(0), n(2), 2), "window is half-open");
-        assert!(!plan.cuts(n(0), n(2), 6));
+        assert!(!cut.cuts(n(0), n(2), 2), "window is half-open");
+        assert!(!cut.cuts(n(0), n(2), 6));
     }
 
     #[test]
     fn decisions_replay_identically_per_link() {
         let g = k10();
         let make = || {
-            AdversaryState::<()>::new(
+            installed::<()>(
                 AdversaryPlan::new(11)
                     .jitter(0.4, 5)
                     .duplicate(0.3)
                     .corrupt(0.2),
                 &g,
-                0,
             )
         };
         let (mut a, mut b) = (make(), make());
-        let verdicts_a: Vec<Verdict> = (0..200).map(|r| a.decide(&g, n(2), n(5), r)).collect();
-        let verdicts_b: Vec<Verdict> = (0..200).map(|r| b.decide(&g, n(2), n(5), r)).collect();
+        let verdicts_a: Vec<Verdict> = (0..200)
+            .map(|r| decide_link(&mut a, &g, n(2), n(5), r))
+            .collect();
+        let verdicts_b: Vec<Verdict> = (0..200)
+            .map(|r| decide_link(&mut b, &g, n(2), n(5), r))
+            .collect();
         assert_eq!(verdicts_a, verdicts_b);
         // Mixed fates at these probabilities over 200 draws.
         assert!(verdicts_a.contains(&Verdict::Corrupt));
@@ -440,13 +512,15 @@ mod tests {
         // Interleaving draws on another link must not perturb this one.
         let plan = AdversaryPlan::new(3).corrupt(0.5);
         let g = k10();
-        let mut solo: AdversaryState<()> = AdversaryState::new(plan.clone(), &g, 0);
-        let mut mixed: AdversaryState<()> = AdversaryState::new(plan, &g, 0);
-        let solo_run: Vec<Verdict> = (0..64).map(|r| solo.decide(&g, n(1), n(2), r)).collect();
+        let mut solo: FaultState<()> = installed(plan.clone(), &g);
+        let mut mixed: FaultState<()> = installed(plan, &g);
+        let solo_run: Vec<Verdict> = (0..64)
+            .map(|r| decide_link(&mut solo, &g, n(1), n(2), r))
+            .collect();
         let mixed_run: Vec<Verdict> = (0..64)
             .map(|r| {
-                let _ = mixed.decide(&g, n(2), n(1), r); // reverse direction interleaved
-                mixed.decide(&g, n(1), n(2), r)
+                let _ = decide_link(&mut mixed, &g, n(2), n(1), r); // reverse direction interleaved
+                decide_link(&mut mixed, &g, n(1), n(2), r)
             })
             .collect();
         assert_eq!(solo_run, mixed_run);
@@ -464,11 +538,11 @@ mod tests {
             .corrupt(0.3);
         let g = k10();
         let verdicts = |order: &[usize], round_robin: bool| {
-            let mut state: AdversaryState<()> = AdversaryState::new(plan.clone(), &g, 0);
+            let mut state: FaultState<()> = installed(plan.clone(), &g);
             let mut seen = vec![Vec::new(); links.len()];
             let mut draw = |i: usize, r: u64| {
                 let (from, to) = links[i];
-                seen[i].push(state.decide(&g, n(from), n(to), r));
+                seen[i].push(decide_link(&mut state, &g, n(from), n(to), r));
             };
             if round_robin {
                 for r in 0..40 {
@@ -530,10 +604,10 @@ mod tests {
             .duplicate(0.4)
             .corrupt(0.3);
         let g = k10();
-        let mut state: AdversaryState<()> = AdversaryState::new(plan.clone(), &g, 0);
+        let mut state: FaultState<()> = installed(plan.clone(), &g);
         for r in 0..30 {
-            let _ = state.decide(&g, n(7), n(2), r);
-            let _ = state.decide(&g, n(6), n(5), r);
+            let _ = decide_link(&mut state, &g, n(7), n(2), r);
+            let _ = decide_link(&mut state, &g, n(6), n(5), r);
         }
         let replay = |from: u32, to: u32| {
             let mut rng = StdRng::seed_from_u64(link_stream_seed(plan.seed, n(from), n(to)));
@@ -554,15 +628,43 @@ mod tests {
         };
         for (from, to) in [(2, 7), (6, 6), (0, 9)] {
             let drawn: Vec<Verdict> = (0..30)
-                .map(|r| state.decide(&g, n(from), n(to), r))
+                .map(|r| decide_link(&mut state, &g, n(from), n(to), r))
                 .collect();
             assert_eq!(drawn, replay(from, to), "link {from} → {to}");
         }
     }
 
     #[test]
+    fn loss_is_drawn_first_and_only_while_positive() {
+        // Lost envelopes, on a cut link and an open one, advance the
+        // shared stream once each and seed no link stream; without loss
+        // the shared stream is left alone, and the cut still drops.
+        let g = k10();
+        let plan = AdversaryPlan::new(2).corrupt(0.5).partition(&[n(0)], 0..5);
+        let mut state: FaultState<()> = installed(plan, &g);
+        let (mut shared, mut replay) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(1));
+        state.set_loss(1.0);
+        for r in 0..6 {
+            for (from, to, pos) in [(0, 1, 0), (1, 2, 1)] {
+                let verdict = state.decide(&mut shared, &g, n(from), n(to), Some(pos), r);
+                assert_eq!(verdict, Verdict::Drop, "{from} → {to} at round {r}");
+                let _ = replay.random::<f64>();
+            }
+        }
+        assert!(
+            state.streams.iter().all(Option::is_none),
+            "a lost envelope drew"
+        );
+        state.set_loss(0.0);
+        let cut = state.decide(&mut shared, &g, n(0), n(1), Some(0), 4);
+        assert_eq!(cut, Verdict::Drop);
+        let _ = state.decide(&mut shared, &g, n(1), n(2), Some(1), 6);
+        assert_eq!(shared.random::<u64>(), replay.random::<u64>());
+    }
+
+    #[test]
     fn delay_queue_orders_by_due_round_and_insertion() {
-        let mut state: AdversaryState<u32> = AdversaryState::new(AdversaryPlan::new(0), &k10(), 0);
+        let mut state: FaultState<u32> = FaultState::new(0);
         let env = |p: u32| Envelope {
             from: n(0),
             to: n(1),
@@ -572,7 +674,7 @@ mod tests {
         state.push_delayed(3, env(30));
         state.push_delayed(3, env(31));
         assert_eq!(state.delayed_total(), 3);
-        let take_due = |state: &mut AdversaryState<u32>, round| {
+        let take_due = |state: &mut FaultState<u32>, round| {
             let mut due = Vec::new();
             state.stage_due(round, |e| due.push(e.payload));
             due

@@ -1,21 +1,24 @@
-//! Live churn: crash **and recovery** events, random membership churn,
-//! and i.i.d. message loss.
+//! Live churn: crash **and recovery** events and random membership
+//! churn.
 //!
-//! A [`ChurnPlan`] is the simulator's fault schedule for nodes and the
-//! raw channel. It covers both halves of the paper's motivation: crash-stop
-//! failures (crashes with no recovery), and the dynamic case where nodes
-//! die *and come back* while the protocol is running (the
-//! mobile/churning networks of Gao et al.'s *Discrete Mobile Centers*,
-//! the basis of Algorithm 3 Part I). Messages suffer i.i.d. loss, and
-//! failures can arrive at seeded-random rounds rather than a fixed
-//! schedule. Links cut for a window of rounds are
+//! A [`ChurnPlan`] is the simulator's fault schedule for nodes: it says
+//! which nodes are up in each round. It covers both halves of the
+//! paper's motivation: crash-stop failures (crashes with no recovery),
+//! and the dynamic case where nodes die *and come back* while the
+//! protocol is running (the mobile/churning networks of Gao et al.'s
+//! *Discrete Mobile Centers*, the basis of Algorithm 3 Part I). Failures
+//! can also arrive at seeded-random rounds rather than a fixed schedule.
+//! Faults of messages are not its business: i.i.d. loss is
+//! [`Simulator::set_loss`](crate::Simulator::set_loss) (or
+//! [`Stack::lossy`](crate::exec::Stack::lossy)), and links cut for a
+//! window of rounds are
 //! [`AdversaryPlan::partition`](crate::AdversaryPlan::partition)s.
 //!
-//! All churn decisions are made **on the simulator's sequential merge
-//! path** (see `DESIGN.md` §8): scheduled events are applied in plan
-//! order, random churn draws one uniform per node per round from the
-//! shared fault stream, and message losses are drawn in sender order —
-//! so every execution is bit-for-bit identical at every thread count.
+//! All churn decisions are made **on the simulator's sequential path**
+//! (see `DESIGN.md` §8): scheduled events are applied in plan order, and
+//! random churn draws one uniform per node per round from the shared
+//! fault stream (the one loss draws from on the merge path) — so every
+//! execution is bit-for-bit identical at every thread count.
 //!
 //! # Semantics
 //!
@@ -37,10 +40,10 @@
 //!
 //! let plan = ChurnPlan::none()
 //!     .crash(NodeId::new(3), 5)       // node 3 dies at round 5...
-//!     .recover(NodeId::new(3), 9)     // ...and returns at round 9
-//!     .drop_probability(0.01);
+//!     .recover(NodeId::new(3), 9);    // ...and returns at round 9
 //! assert_eq!(plan.scheduled_events().len(), 2);
 //! assert!(plan.can_wake(NodeId::new(3), 6));
+//! assert!(!plan.can_wake(NodeId::new(3), 10));
 //! ```
 
 use ftclust_graphs::NodeId;
@@ -63,8 +66,8 @@ pub struct RandomChurn {
     pub recover_prob: f64,
 }
 
-/// A live-churn plan: scheduled crash/recovery events, seeded-random
-/// churn, and i.i.d. message loss.
+/// A live-churn plan: scheduled crash/recovery events and seeded-random
+/// churn.
 ///
 /// Pass it to [`crate::Simulator::with_churn`], or to the executor
 /// through [`crate::exec::Stack::churned`]. A crash-stop schedule is a
@@ -76,11 +79,10 @@ pub struct ChurnPlan {
     /// order (later entries win).
     events: Vec<(u64, NodeId, ChurnEvent)>,
     random: Option<RandomChurn>,
-    drop_probability: f64,
 }
 
 impl ChurnPlan {
-    /// A plan with no churn and no losses.
+    /// A plan with no churn.
     pub fn none() -> Self {
         ChurnPlan::default()
     }
@@ -117,25 +119,6 @@ impl ChurnPlan {
         self
     }
 
-    /// Sets the independent per-message loss probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn drop_probability(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "drop probability must be in [0, 1], got {p}"
-        );
-        self.drop_probability = p;
-        self
-    }
-
-    /// The configured message loss probability.
-    pub fn drop_prob(&self) -> f64 {
-        self.drop_probability
-    }
-
     /// The random-churn parameters, if enabled.
     pub fn random(&self) -> Option<RandomChurn> {
         self.random
@@ -170,7 +153,6 @@ mod tests {
     #[test]
     fn none_has_no_churn() {
         let p = ChurnPlan::none();
-        assert_eq!(p.drop_prob(), 0.0);
         assert!(p.scheduled_events().is_empty());
         assert!(p.random().is_none());
         assert!(!p.can_wake(NodeId::new(0), 0));
@@ -204,12 +186,6 @@ mod tests {
         // Random churn without recovery does not.
         let p = ChurnPlan::none().random_churn(0.1, 0.0);
         assert!(!p.can_wake(NodeId::new(7), 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "drop probability")]
-    fn invalid_drop_probability_panics() {
-        let _ = ChurnPlan::none().drop_probability(1.5);
     }
 
     #[test]

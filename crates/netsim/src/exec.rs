@@ -9,10 +9,11 @@
 //! driver composed from orthogonal layers, selected by a [`Stack`]:
 //!
 //! * **transport** — wrap every node in [`Reliable`] so message loss and
-//!   partition windows are masked by retransmission ([`Stack::lossy`],
-//!   [`Stack::transport`]);
-//! * **churn** — a [`ChurnPlan`] of crashes, recoveries, random churn
-//!   and message loss ([`Stack::churned`]);
+//!   partition windows are masked by retransmission ([`Stack::transport`]);
+//! * **loss** — i.i.d. message loss, which implies the transport
+//!   ([`Stack::lossy`]);
+//! * **churn** — a [`ChurnPlan`] of crashes, recoveries and random churn
+//!   ([`Stack::churned`]);
 //! * **tracing** — record an [`EventLog`] with per-phase spans driven by
 //!   a declarative [`Phase`] plan ([`Stack::traced`]);
 //! * **adversary** — an [`AdversaryPlan`] of delay jitter, duplication,
@@ -130,7 +131,7 @@ impl Phase {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stack {
     churn: Option<ChurnPlan>,
-    loss: Option<f64>,
+    loss: f64,
     transport: Option<TransportConfig>,
     traced: bool,
     adversary: Option<AdversaryPlan>,
@@ -142,11 +143,11 @@ impl Stack {
         Stack::default()
     }
 
-    /// Engages i.i.d. message loss with probability `p`. A positive `p`
-    /// implies the reliable-transport layer (with
-    /// [`TransportConfig::default`] unless [`Stack::transport`] picked a
-    /// policy). An explicit `p` overrides the drop rate of a
-    /// [`Stack::churned`] plan, whichever of the two calls comes first.
+    /// Engages i.i.d. message loss with probability `p`
+    /// ([`Simulator::set_loss`]). A positive `p` implies the
+    /// reliable-transport layer (with [`TransportConfig::default`] unless
+    /// [`Stack::transport`] picked a policy); `p = 0` engages nothing, so
+    /// `Stack::new().lossy(0.0) == Stack::new()`.
     ///
     /// # Panics
     ///
@@ -156,14 +157,14 @@ impl Stack {
             (0.0..=1.0).contains(&p),
             "drop probability must be in [0, 1], got {p}"
         );
-        self.loss = Some(p);
+        self.loss = p;
         self
     }
 
-    /// Engages the churn layer with `plan` (crashes, recoveries, random
-    /// churn, and the plan's own drop rate unless [`Stack::lossy`] sets
-    /// one). Links cut for a window of rounds are an
-    /// [`AdversaryPlan::partition`] on [`Stack::adversarial`].
+    /// Engages the churn layer with `plan`: crashes, recoveries and
+    /// random churn. Lost messages are [`Stack::lossy`]; links cut for a
+    /// window of rounds are an [`AdversaryPlan::partition`] on
+    /// [`Stack::adversarial`].
     pub fn churned(mut self, plan: ChurnPlan) -> Self {
         self.churn = Some(plan);
         self
@@ -186,7 +187,7 @@ impl Stack {
 
     /// Engages the adversarial delivery layer (see [`crate::adversary`]):
     /// the plan's delay jitter, duplication, corruption and scheduled
-    /// partitions apply to every message that survives the churn layer.
+    /// partitions apply to every message that loss spares.
     /// Compose with [`Stack::transport`] to mask the injected faults; an
     /// inert plan leaves the run untouched.
     pub fn adversarial(mut self, plan: AdversaryPlan) -> Self {
@@ -196,7 +197,7 @@ impl Stack {
 
     /// Will [`Executor::run`] wrap nodes in the reliable transport?
     pub fn engages_transport(&self) -> bool {
-        self.transport.is_some() || self.loss.is_some_and(|p| p > 0.0)
+        self.transport.is_some() || self.loss > 0.0
     }
 
     /// Is the tracing layer engaged?
@@ -204,25 +205,17 @@ impl Stack {
         self.traced
     }
 
-    /// The simulator's effective fault schedule: the churn plan (none if
-    /// unset) with the explicit loss rate, if any, in place of its own.
-    fn take_churn_plan(&mut self) -> ChurnPlan {
-        let plan = self.churn.take().unwrap_or_default();
-        match self.loss {
-            Some(p) => plan.drop_probability(p),
-            None => plan,
-        }
-    }
-
-    /// A simulator over `topo` with this stack's churn, adversary and
-    /// tracing layers installed.
+    /// A simulator over `topo` with this stack's churn, loss, adversary
+    /// and tracing layers installed.
     fn simulator<'a, M: NodeLogic>(
         &mut self,
         topo: Topology<'a>,
         make: impl FnMut(NodeId) -> M,
         seed: u64,
     ) -> Simulator<'a, M> {
-        let mut sim = Simulator::with_churn(topo, make, seed, self.take_churn_plan());
+        let churn = self.churn.take().unwrap_or_default();
+        let mut sim = Simulator::with_churn(topo, make, seed, churn);
+        sim.set_loss(self.loss);
         if let Some(plan) = self.adversary.take() {
             sim.set_adversary(plan);
         }
@@ -889,23 +882,20 @@ mod tests {
     }
 
     #[test]
-    fn explicit_loss_overrides_the_churn_plan_in_either_order() {
-        let plan = ChurnPlan::none().drop_probability(0.1);
-        let loss_first = Stack::new().lossy(0.0).churned(plan.clone());
-        let plan_first = Stack::new().churned(plan).lossy(0.0);
-        assert_eq!(loss_first, plan_first);
+    fn zero_loss_is_no_layer() {
+        let stack = Stack::new().lossy(0.0);
+        assert_eq!(stack, Stack::new());
+        assert!(!stack.engages_transport());
         let g = generators::gnp(20, 0.2, 3);
         let lossless = Executor::new(Topology::from_graph(&g), flood, 9)
             .run(10)
             .unwrap();
-        for stack in [loss_first, plan_first] {
-            let run = Executor::new(Topology::from_graph(&g), flood, 9)
-                .stack(stack)
-                .run(10)
-                .unwrap();
-            assert_eq!(run.metrics.dropped_messages, 0);
-            assert_eq!(run.metrics, lossless.metrics);
-            assert_eq!(run.logics, lossless.logics);
-        }
+        let run = Executor::new(Topology::from_graph(&g), flood, 9)
+            .stack(stack)
+            .run(10)
+            .unwrap();
+        assert_eq!(run.metrics.dropped_messages, 0);
+        assert_eq!(run.metrics, lossless.metrics);
+        assert_eq!(run.logics, lossless.logics);
     }
 }

@@ -16,17 +16,19 @@
 //!   ([`Context::distance_to`]).
 //!
 //! Protocols implement [`NodeLogic`]; a [`Simulator`] executes one logic
-//! instance per node until all halt. Faults are injected via a
-//! [`ChurnPlan`]: crash-stop failures and random message loss — the
-//! paper's *motivation* is that k-fold dominating sets tolerate exactly
-//! such faults — as well as live churn (crash **and recovery** events,
+//! instance per node until all halt. Faults come in the paper's two
+//! kinds — the paper's *motivation* is that k-fold dominating sets
+//! tolerate exactly such faults. Node faults are a [`ChurnPlan`]:
+//! crash-stop failures and live churn (crash **and recovery** events,
 //! seeded-random membership churn), which drives the self-healing repair
-//! protocol in `ftclust-core`. Beyond loss, an [`AdversaryPlan`] injects
-//! the faults real radios produce — reordering delay jitter, frame
+//! protocol in `ftclust-core`. Message faults are one runtime fault
+//! state that decides each message once: i.i.d. loss
+//! ([`Simulator::set_loss`]) and, through an [`AdversaryPlan`], the
+//! faults real radios produce — reordering delay jitter, frame
 //! duplication, payload corruption, scheduled group partitions (the one
-//! way to cut links for a window of rounds) — and the [`monitor`] module measures detection latency and
-//! time-to-repair when the repair protocol runs continuously under that
-//! chaos.
+//! way to cut links for a window of rounds). The [`monitor`] module
+//! measures detection latency and time-to-repair when the repair
+//! protocol runs continuously under that chaos.
 //!
 //! Protocols run through one driver, [`exec::Executor`], whose
 //! [`exec::Stack`] engages the reliable transport, loss, churn,

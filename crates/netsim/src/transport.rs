@@ -2,9 +2,9 @@
 //! links.
 //!
 //! The paper's model (and [`crate::Simulator`]) assumes reliable
-//! synchronous delivery, but [`crate::ChurnPlan`] and
-//! [`crate::AdversaryPlan`] inject exactly the faults real sensor links
-//! exhibit — i.i.d. message loss and transient partitions — under which
+//! synchronous delivery, but i.i.d. loss
+//! ([`crate::Simulator::set_loss`]) and [`crate::AdversaryPlan`]
+//! partitions inject exactly the faults real sensor links exhibit, under which
 //! a bare protocol run silently computes a wrong (possibly infeasible)
 //! result. This module closes that gap with a
 //! classic ARQ layer, [`Reliable`], that wraps any [`NodeLogic`] and
@@ -1020,7 +1020,7 @@ impl<L: NodeLogic> NodeLogic for Reliable<L> {
 mod tests {
     use super::*;
     use crate::exec::{Executor, Run, Stack};
-    use crate::{AdversaryPlan, ChurnPlan, Simulator, Topology};
+    use crate::{AdversaryPlan, Simulator, Topology};
     use ftclust_graphs::generators;
     use rand::Rng;
 
@@ -1176,13 +1176,12 @@ mod tests {
     fn conservation_law_extends_to_transport_counters() {
         let g = generators::gnp(18, 0.3, 2);
         let topo = Topology::from_graph(&g);
-        let churn = ChurnPlan::none().drop_probability(0.25);
-        let mut sim = Simulator::with_churn(
+        let mut sim = Simulator::new(
             topo,
             |v| Reliable::new(Recorder::new(v, 6), TransportConfig::default()),
             4,
-            churn,
         );
+        sim.set_loss(0.25);
         while sim.step() {
             if sim.logics().all(Reliable::done) {
                 break;

@@ -70,7 +70,6 @@ fn unique_delivered_never_underflows_under_loss_and_churn() {
     for seed in 0..24u64 {
         let g = generators::gnp(12, 0.3, seed);
         let churn = ChurnPlan::none()
-            .drop_probability(0.3)
             .crash(NodeId::new(1), 2)
             .recover(NodeId::new(1), 9)
             .random_churn(0.03, 0.4);
@@ -88,6 +87,7 @@ fn unique_delivered_never_underflows_under_loss_and_churn() {
             seed,
             churn,
         );
+        sim.set_loss(0.3);
         let mut rounds = 0u64;
         while sim.step() {
             rounds += 1;

@@ -188,15 +188,15 @@ fn message_loss_degrades_gracefully_not_catastrophically() {
     let run = UdgAlgorithm::new(3).seed(1).run(&udg).unwrap();
     let set = run.set.clone();
     let topo = Topology::from_udg(&udg);
-    let mut sim = Simulator::with_churn(
+    let mut sim = Simulator::new(
         topo,
         |v| Head {
             is_head: set.contains(v),
             heard: 0,
         },
         7,
-        ChurnPlan::none().drop_probability(0.10),
     );
+    sim.set_loss(0.10);
     sim.run(10).unwrap();
     let silent = udg
         .graph()

@@ -202,7 +202,7 @@ proptest! {
         events in proptest::collection::vec((0u32..40, 0u64..10, 1u64..6), 0..8),
     ) {
         let n = g.node_count() as u32;
-        let mut plan = ChurnPlan::none().drop_probability(p);
+        let mut plan = ChurnPlan::none();
         let mut scheduled = Vec::new();
         for (v, at, dur) in events {
             if v < n && !scheduled.contains(&v) {
@@ -218,6 +218,7 @@ proptest! {
             seed,
             plan,
         );
+        sim.set_loss(p);
         for _ in 0..40 {
             let running = sim.step();
             assert_conservation(sim.metrics(), sim.in_flight_messages());
