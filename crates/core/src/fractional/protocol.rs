@@ -20,6 +20,18 @@
 //! The protocol performs the same floating-point operations in the same
 //! order as [`super::solve_fractional`]; their outputs are bit-identical
 //! (asserted in the tests and in experiment E13).
+//!
+//! ### Per-node work
+//!
+//! Every round but the dual exchange sends one value to all neighbors
+//! ([`Context::broadcast`]). The dual exchange sends each neighbor its
+//! own `(α, β, y)`, which [`Context::scatter`] hands over as one row, so
+//! an unlayered run publishes it per link instead of sorting `deg`
+//! envelopes per node. A node keeps `α`, `β` and the `x⁺` each neighbor
+//! shared last in one allocation, made in round 0. Phase B walks the
+//! share inbox once: it sums `x⁺` in sender order and files each value at
+//! its sender's neighbor position, so a share that does not arrive (its
+//! sender was down) leaves 0 there and credits nobody else's `α`/`β`.
 
 use super::engine::account;
 use super::{FractionalParams, FractionalSolution};
@@ -98,10 +110,12 @@ pub struct LpNode {
     cov: f64,
     white: bool,
     dyndeg: u32,
-    /// `α_{j,me}` / `β_{j,me}` per neighbor, aligned with the sorted
-    /// neighbor list; `_self` entries hold `α_{me,me}` / `β_{me,me}`.
-    alpha: Vec<f64>,
-    beta: Vec<f64>,
+    /// Three rows of one value per neighbor, aligned with the sorted
+    /// neighbor list and sized in round 0: `α_{j,me}`, then `β_{j,me}`,
+    /// then the `x_j^+` of the last phase B (0 for a neighbor whose share
+    /// did not arrive). `alpha_self` / `beta_self` hold `α_{me,me}` /
+    /// `β_{me,me}`.
+    rows: Vec<f64>,
     alpha_self: f64,
     beta_self: f64,
     y: f64,
@@ -120,8 +134,7 @@ impl LpNode {
             cov: 0.0,
             white: k > 0,
             dyndeg: 0,
-            alpha: Vec::new(),
-            beta: Vec::new(),
+            rows: Vec::new(),
             alpha_self: 0.0,
             beta_self: 0.0,
             y: 0.0,
@@ -150,9 +163,8 @@ impl NodeLogic for LpNode {
         let t = self.t as u64;
         let total_iters = t * t;
         if r == 0 {
-            // Initial color exchange; also size the per-neighbor duals.
-            self.alpha = vec![0.0; ctx.degree()];
-            self.beta = vec![0.0; ctx.degree()];
+            // Initial color exchange; also size the per-neighbor rows.
+            self.rows = vec![0.0; 3 * ctx.degree()];
             ctx.broadcast(LpMsg::Color { white: self.white });
             return Control::Continue;
         }
@@ -192,18 +204,31 @@ impl NodeLogic for LpNode {
             } else {
                 // Phase B: dual accounting from the shares, then color.
                 if self.white {
+                    // One walk over the shares: sum x⁺ in sender order
+                    // (the engine's order) and file each at its sender's
+                    // neighbor position, so a share that did not arrive
+                    // leaves 0 there and credits nobody else.
+                    let neighbors = ctx.neighbors();
+                    let deg = neighbors.len();
+                    let (alpha, rest) = self.rows.split_at_mut(deg);
+                    let (beta, xplus_row) = rest.split_at_mut(deg);
                     let mut cplus = self.xplus;
+                    let mut o = 0;
                     for env in inbox {
-                        match *env.payload {
-                            LpMsg::Share { xplus, .. } => cplus += xplus,
-                            _ => unreachable!("expected Share messages"),
+                        let LpMsg::Share { xplus, .. } = *env.payload else {
+                            unreachable!("expected Share messages")
+                        };
+                        cplus += xplus;
+                        while o < deg && neighbors[o] < env.from {
+                            xplus_row[o] = 0.0;
+                            o += 1;
+                        }
+                        if o < deg && neighbors[o] == env.from {
+                            xplus_row[o] = xplus;
+                            o += 1;
                         }
                     }
-                    let neighbor_xplus = inbox.iter().map(|env| match *env.payload {
-                        LpMsg::Share { xplus, .. } => xplus,
-                        _ => unreachable!(),
-                    });
-                    let (alpha, beta) = (&mut self.alpha, &mut self.beta);
+                    xplus_row[o..].fill(0.0);
                     let turned_gray = account(
                         self.k,
                         threshold,
@@ -212,7 +237,7 @@ impl NodeLogic for LpNode {
                         self.xplus,
                         &mut self.alpha_self,
                         &mut self.beta_self,
-                        neighbor_xplus,
+                        xplus_row.iter().copied(),
                         |o, da, db| {
                             alpha[o] += da;
                             beta[o] += db;
@@ -228,18 +253,16 @@ impl NodeLogic for LpNode {
             return Control::Continue;
         }
         if r == 2 * total_iters + 1 {
-            // Dual exchange: send (α_{j,me}, β_{j,me}, y_me) to each j.
-            // (The final color inbox needs no processing.)
-            for (o, &j) in ctx.neighbors().iter().enumerate() {
-                ctx.send(
-                    j,
-                    LpMsg::Dual {
-                        alpha: self.alpha[o],
-                        beta: self.beta[o],
-                        y: self.y,
-                    },
-                );
-            }
+            // Dual exchange: send (α_{j,me}, β_{j,me}, y_me) to each j, a
+            // different message per link. (The final color inbox needs no
+            // processing.)
+            let (deg, y) = (ctx.degree(), self.y);
+            let (alpha, beta) = (&self.rows[..deg], &self.rows[deg..2 * deg]);
+            ctx.scatter(alpha.iter().zip(beta).map(|(&alpha, &beta)| LpMsg::Dual {
+                alpha,
+                beta,
+                y,
+            }));
             return Control::Continue;
         }
         // Final round: assemble z (line 27) and halt. Inbox arrives in
@@ -333,25 +356,24 @@ fn lp_phases(t2: u64) -> Vec<Phase> {
 ///
 /// # Errors
 ///
+/// Returns [`KmdsError::InvalidInput`] if `params` requests `TwoHopMax`
+/// Δ-knowledge: the metered protocol implements global-Δ knowledge only
+/// (the engine, [`super::solve_fractional`], implements both).
 /// Returns [`KmdsError::Sim`] if the round budget is exceeded (cannot
 /// happen for well-formed instances), or — with the transport engaged —
 /// wrapping [`ftclust_netsim::SimError::DeliveryFailed`] if loss exceeds
 /// a retransmit budget.
-///
-/// # Panics
-///
-/// Panics if `params` requests `TwoHopMax` Δ-knowledge: the metered
-/// protocol implements global-Δ knowledge only.
 pub fn run_fractional_stack(
     inst: &Instance<'_>,
     params: &FractionalParams,
     stack: Stack,
 ) -> Result<(FractionalProtocolRun, Option<EventLog>), KmdsError> {
-    assert_eq!(
-        params.knowledge,
-        super::DeltaKnowledge::Global,
-        "the metered protocol implements global-Δ knowledge; use the engine for TwoHopMax"
-    );
+    if params.knowledge != super::DeltaKnowledge::Global {
+        return Err(KmdsError::InvalidInput {
+            what:
+                "the metered protocol implements global-Δ knowledge; use the engine for TwoHopMax",
+        });
+    }
     let g = inst.graph();
     let t = params.t;
     let delta = params.resolve_delta(inst);
@@ -390,8 +412,10 @@ pub fn run_fractional_stack(
 ///
 /// # Errors
 ///
-/// Returns [`KmdsError::Sim`] if the simulation exceeds its round budget
-/// (cannot happen for well-formed instances; the budget is `2t² + 8`).
+/// Returns [`KmdsError::InvalidInput`] for `TwoHopMax` Δ-knowledge, and
+/// [`KmdsError::Sim`] if the simulation exceeds its round budget (cannot
+/// happen for well-formed instances; the budget is `2t² + 8`); see
+/// [`run_fractional_stack`].
 ///
 /// # Example
 ///
@@ -480,6 +504,58 @@ mod tests {
                 assert!(run.metrics.retransmits > 0, "no retransmits at p = {p}");
             }
         }
+    }
+
+    #[test]
+    fn two_hop_knowledge_is_rejected_with_a_typed_error() {
+        let g = generators::cycle(6);
+        let inst = Instance::uniform_clamped(&g, 1);
+        let params = FractionalParams::new(2).without_global_delta();
+        let err = run_fractional_protocol(&inst, &params).unwrap_err();
+        assert!(matches!(err, KmdsError::InvalidInput { .. }), "{err:?}");
+        assert!(run_fractional_stack(&inst, &params, Stack::new().traced()).is_err());
+    }
+
+    #[test]
+    fn phase_b_credits_each_share_to_its_sender() {
+        use ftclust_graphs::Graph;
+        use ftclust_netsim::{ChurnPlan, Simulator};
+        // A star whose centre, node 4, has a higher id than its leaves.
+        // Leaf 0 is down in round 1, phase A of the first iteration, so
+        // its share is missing from the centre's phase B in round 2. With
+        // t = 1 every node raises x by 1 in round 1, and λ is shared.
+        let g = Graph::from_edges(5, &[(0, 4), (1, 4), (2, 4), (3, 4)]).unwrap();
+        let (t, k) = (1, 2);
+        let powers = power_table(t, g.max_degree());
+        let churn = ChurnPlan::none()
+            .crash(NodeId::new(0), 1)
+            .recover(NodeId::new(0), 2);
+        let mut sim = Simulator::with_churn(
+            Topology::from_graph(&g),
+            |_| LpNode::new(k, t, Arc::clone(&powers)),
+            0,
+            churn,
+        );
+        sim.step();
+        sim.step();
+        let xplus: Vec<f64> = (0..5).map(|v| sim.logic(NodeId::new(v)).xplus).collect();
+        assert!(xplus[1..].iter().all(|&xp| xp > 0.0), "{xplus:?}");
+        sim.step();
+        let centre = sim.logic(NodeId::new(4));
+        let (alpha, beta) = (&centre.rows[..4], &centre.rows[4..8]);
+        assert_eq!(
+            (alpha[0], beta[0]),
+            (0.0, 0.0),
+            "the down leaf was credited"
+        );
+        let cplus = xplus[4] + xplus[1] + xplus[2] + xplus[3];
+        let lambda = 1.0f64.min(f64::from(k) / cplus);
+        let threshold = powers[0];
+        for o in 1..4 {
+            assert_eq!(alpha[o], lambda * xplus[o], "α of leaf {o}");
+            assert_eq!(beta[o], lambda * xplus[o] / threshold, "β of leaf {o}");
+        }
+        assert_eq!(&centre.rows[8..], &[0.0, xplus[1], xplus[2], xplus[3]]);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //!
 //! Flags cost 1 bit, `REQ`s 1 bit — far below the `O(log n)` budget.
 //! Seed-for-seed identical to [`super::round_fractional`].
+//!
+//! In step 2 a node first counts the covering flags; only a node still
+//! short of `k` walks its inbox again to gather the non-selected closed
+//! neighbors it may ask, so covered nodes allocate nothing.
 
 use super::{select_repair_targets, RoundingOutcome, RoundingParams};
 use crate::{DominatingSet, Instance, KmdsError};
@@ -72,24 +76,26 @@ impl NodeLogic for RoundingNode {
                 if !self.repair {
                     return Control::Halt;
                 }
-                let mut covered = u32::from(self.selected);
-                let mut zeros: Vec<NodeId> = Vec::new();
-                if !self.selected {
-                    zeros.push(ctx.me());
-                }
-                for env in inbox {
-                    match *env.payload {
-                        RoundingMsg::Flag { selected } => {
-                            if selected {
-                                covered += 1;
-                            } else {
-                                zeros.push(env.from);
-                            }
-                        }
-                        RoundingMsg::Req => unreachable!("no REQ in round 1"),
-                    }
-                }
+                // Count the covering flags first: most nodes are
+                // covered, and only a node short of `k` gathers the
+                // non-selected closed neighbors it may ask.
+                let flag = |payload: &RoundingMsg| match *payload {
+                    RoundingMsg::Flag { selected } => selected,
+                    RoundingMsg::Req => unreachable!("no REQ in round 1"),
+                };
+                let covered = u32::from(self.selected)
+                    + inbox.iter().filter(|env| flag(env.payload)).count() as u32;
                 if covered < self.k {
+                    let zeros: Vec<NodeId> = (!self.selected)
+                        .then(|| ctx.me())
+                        .into_iter()
+                        .chain(
+                            inbox
+                                .iter()
+                                .filter(|env| !flag(env.payload))
+                                .map(|env| env.from),
+                        )
+                        .collect();
                     let deficit = (self.k - covered) as usize;
                     for w in select_repair_targets(zeros, deficit) {
                         ctx.send(w, RoundingMsg::Req);

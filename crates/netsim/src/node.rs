@@ -1,3 +1,4 @@
+use crate::arena::LinkRows;
 use crate::metrics::TransportCounters;
 use crate::topology::seek;
 use crate::trace::TraceEvent;
@@ -89,8 +90,9 @@ impl<P> Copy for Msg<'_, P> {}
 /// order and, per sender, in send order.
 ///
 /// The view copies nothing. It reads the receiver's envelopes (unicasts,
-/// self-sends and materialized broadcasts) from the simulator's inbox
-/// arena and merges in the neighbours' published broadcasts (see
+/// self-sends, materialized broadcasts and scatters, published scatters
+/// too: see [`Context::scatter`]) from the simulator's inbox arena and
+/// merges in the neighbours' published broadcasts (see
 /// [`Context::broadcast`]) from their slots, walking the sorted
 /// neighbour list. Layers that assemble an inbox themselves wrap it with
 /// [`Inbox::from_slice`].
@@ -268,10 +270,18 @@ pub struct Context<'a, P> {
 pub(crate) enum Outlet<'a, P> {
     /// Nothing else.
     Envelopes,
-    /// This node's publication slot for the round (see
-    /// [`Context::broadcast`]); it closes, turning into `Envelopes`, once
-    /// the node produces any output other than a single broadcast.
-    Publish(&'a mut Option<P>),
+    /// This node's publication slot and its row of the link table for the
+    /// round (see [`Context::broadcast`] and [`Context::scatter`]); it
+    /// closes, turning into `Envelopes`, once the node produces any
+    /// output other than a single broadcast or a single scatter.
+    Publish {
+        /// The broadcast slot.
+        slot: &'a mut Option<P>,
+        /// The shard's part of the link table, where the node's row is.
+        links: &'a mut LinkRows<P>,
+        /// Whether the node's row holds its scatter.
+        scattered: bool,
+    },
     /// Where each envelope in the outbox is headed, in step with it: the
     /// recipient's position in [`Context::neighbors`], or [`SELF_LINK`]
     /// for a self-send. Recorded only for a layer that reads it (the
@@ -401,7 +411,7 @@ impl<'a, P: Payload> Context<'a, P> {
     fn push(&mut self, to: NodeId, pos: usize, payload: P) {
         match &mut self.outlet {
             Outlet::Envelopes => {}
-            Outlet::Publish(_) => self.demote(),
+            Outlet::Publish { .. } => self.demote(),
             Outlet::Record(positions) => positions.push(pos as u32),
         }
         self.outbox.push(Envelope {
@@ -417,30 +427,123 @@ impl<'a, P: Payload> Context<'a, P> {
     /// engaged, a broadcast that is the node's first output of the round
     /// is *published*: the payload is stored once in the node's slot and
     /// receivers read it through the adjacency,
-    /// instead of `deg` cloned envelopes being sorted. Any later `send`
-    /// or `broadcast` in the same round first turns the published
-    /// broadcast back into envelopes at its original position, so what
-    /// each receiver sees, in what order, and what is metered are the
-    /// same either way.
+    /// instead of `deg` cloned envelopes being sorted. Any later `send`,
+    /// `broadcast` or `scatter` in the same round first turns the
+    /// published broadcast back into envelopes at its original position,
+    /// so what each receiver sees, in what order, and what is metered are
+    /// the same either way.
     pub fn broadcast(&mut self, payload: P) {
-        if let Outlet::Publish(slot) = &mut self.outlet {
+        if let Outlet::Publish {
+            slot,
+            scattered: false,
+            ..
+        } = &mut self.outlet
+        {
             if slot.is_none() {
                 **slot = Some(payload);
                 return;
             }
         }
-        self.demote();
+        if let Outlet::Publish { .. } = self.outlet {
+            self.demote();
+        }
         self.materialize(payload);
     }
 
-    /// Closes the publication slot for the rest of the round, turning a
-    /// payload already published back into envelopes.
+    /// Sends one payload to each neighbor, a different one per link: the
+    /// `o`-th item of `payloads` goes to `neighbors()[o]`. It is the
+    /// counterpart of [`Context::broadcast`] for a message that differs
+    /// per recipient, and delivers exactly what `send`ing the payloads in
+    /// neighbor order would.
+    ///
+    /// It follows the broadcast's publication rules. When no per-envelope
+    /// layer is engaged, a scatter that is the node's first output of the
+    /// round is *published per link*: each payload is stored in the
+    /// node's row of the simulator's link table, at the directed slot of
+    /// its link, instead of going through the outbox and the delivery
+    /// sort. After the round each receiver's payloads are collected from
+    /// the slots towards it (the reverse slots), in ascending sender
+    /// order. Any later output of the node in the same round first turns
+    /// the scatter back into envelopes at its original position.
+    /// Otherwise the payloads become envelopes right away, in neighbor
+    /// order, so a tracer, a fault layer or the transport sees what the
+    /// `send`s would have produced.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `payloads` yields exactly [`Context::degree`] items.
+    pub fn scatter(&mut self, payloads: impl IntoIterator<Item = P>) {
+        let (me, neighbors) = (self.me, self.neighbors());
+        let mut payloads = payloads.into_iter();
+        if let Outlet::Publish {
+            slot,
+            links,
+            scattered,
+        } = &mut self.outlet
+        {
+            if slot.is_none() && !*scattered {
+                let row = links.row(self.topo.graph().slot_range(me));
+                for cell in row.iter_mut() {
+                    *cell = payloads.next();
+                }
+                assert!(
+                    row.last().is_some_and(Option::is_some) && payloads.next().is_none(),
+                    "{me} scattered a payload count other than its degree {}",
+                    neighbors.len()
+                );
+                *scattered = true;
+                return;
+            }
+            self.demote();
+        }
+        if let Outlet::Record(positions) = &mut self.outlet {
+            positions.extend(0..neighbors.len() as u32);
+        }
+        let start = self.outbox.len();
+        self.outbox.reserve(neighbors.len());
+        for (&to, payload) in neighbors.iter().zip(&mut payloads) {
+            self.outbox.push(Envelope {
+                from: me,
+                to,
+                payload,
+            });
+        }
+        assert!(
+            self.outbox.len() - start == neighbors.len() && payloads.next().is_none(),
+            "{me} scattered a payload count other than its degree {}",
+            neighbors.len()
+        );
+    }
+
+    /// Closes an open publication slot and link row for the rest of the
+    /// round, turning a payload already published or a row already
+    /// scattered back into envelopes. Out of line: it runs at most once
+    /// per node and round, and keeps every `send` and `broadcast` site
+    /// small.
+    #[inline(never)]
     fn demote(&mut self) {
-        if let Outlet::Publish(slot) = &mut self.outlet {
-            let published = slot.take();
-            self.outlet = Outlet::Envelopes;
-            if let Some(payload) = published {
-                self.materialize(payload);
+        let Outlet::Publish {
+            slot,
+            links,
+            scattered,
+        } = std::mem::replace(&mut self.outlet, Outlet::Envelopes)
+        else {
+            return;
+        };
+        if let Some(payload) = slot.take() {
+            self.materialize(payload);
+        } else if scattered {
+            let me = self.me;
+            let row = links.row(self.topo.graph().slot_range(me));
+            self.outbox.reserve(row.len());
+            for (&to, cell) in self.neighbors().iter().zip(row) {
+                if let Some(payload) = cell.take() {
+                    self.outbox.push(Envelope {
+                        from: me,
+                        to,
+                        payload,
+                    });
+                }
             }
         }
     }
@@ -542,8 +645,8 @@ mod tests {
     #[test]
     fn recorded_positions_stay_in_step_with_the_outbox() {
         // Unicasts out of order and repeated, self-sends, a send by known
-        // position, and a broadcast after unicasts: one position per
-        // envelope, naming the envelope's recipient.
+        // position, and a broadcast and a scatter after unicasts: one
+        // position per envelope, naming the envelope's recipient.
         let g = generators::star(6);
         let mut rng = StdRng::seed_from_u64(0);
         let mut outbox = Vec::new();
@@ -568,10 +671,11 @@ mod tests {
         ctx.broadcast(Ping);
         ctx.send(v(0), Ping);
         ctx.send(v(3), Ping);
+        ctx.scatter(std::iter::repeat_n(Ping, 5));
         let neighbors = g.neighbors(v(0));
         assert_eq!(
             positions,
-            [3, SELF_LINK, 1, 1, 4, 0, 0, 1, 2, 3, 4, SELF_LINK, 2]
+            [3, SELF_LINK, 1, 1, 4, 0, 0, 1, 2, 3, 4, SELF_LINK, 2, 0, 1, 2, 3, 4]
         );
         assert_eq!(positions.len(), outbox.len());
         for (env, &pos) in outbox.iter().zip(&positions) {
@@ -592,13 +696,17 @@ mod tests {
         }
     }
 
-    /// Runs `act` on node 0 of a 4-star with an open publication slot;
-    /// returns what is left in the slot and the `(to, tag)` outbox.
-    fn publishing(act: impl FnOnce(&mut Context<'_, Tag>)) -> (Option<Tag>, Vec<(u32, u8)>) {
+    /// What `act` left on node 0 of a 4-star with an open publication
+    /// slot and link row: the slot, the row, and the `(to, tag)` outbox.
+    type Published = (Option<Tag>, Vec<Option<Tag>>, Vec<(u32, u8)>);
+
+    fn publishing(act: impl FnOnce(&mut Context<'_, Tag>)) -> Published {
         let g = generators::star(4);
         let mut rng = StdRng::seed_from_u64(0);
         let mut outbox = Vec::new();
         let mut slot = None;
+        let mut rows = LinkRows::new();
+        rows.own(0..g.slot_count());
         let mut tc = TransportCounters::default();
         let mut tr = Vec::new();
         let mut ctx = Context {
@@ -607,7 +715,11 @@ mod tests {
             topo: Topology::from_graph(&g),
             rng: &mut rng,
             outbox: &mut outbox,
-            outlet: Outlet::Publish(&mut slot),
+            outlet: Outlet::Publish {
+                slot: &mut slot,
+                links: &mut rows,
+                scattered: false,
+            },
             transport: &mut tc,
             tracing: false,
             trace: &mut tr,
@@ -615,22 +727,26 @@ mod tests {
         };
         act(&mut ctx);
         let sent = outbox.iter().map(|e| (e.to.raw(), e.payload.0)).collect();
-        (slot, sent)
+        let row = rows.scattered(g.slot_range(NodeId::new(0)));
+        (slot, row.unwrap_or_default().to_vec(), sent)
     }
 
     #[test]
     fn lone_broadcast_is_published_and_later_output_demotes_it() {
         let b = |t| [(1, t), (2, t), (3, t)];
-        assert_eq!(publishing(|c| c.broadcast(Tag(1))), (Some(Tag(1)), vec![]));
+        assert_eq!(
+            publishing(|c| c.broadcast(Tag(1))),
+            (Some(Tag(1)), vec![], vec![])
+        );
         // A second broadcast, a send or a self-send after a published
         // broadcast: the broadcast's envelopes come first.
-        let (slot, sent) = publishing(|c| {
+        let (slot, _, sent) = publishing(|c| {
             c.broadcast(Tag(1));
             c.broadcast(Tag(2));
         });
         assert_eq!(slot, None);
         assert_eq!(sent, [b(1), b(2)].concat());
-        let (slot, sent) = publishing(|c| {
+        let (slot, _, sent) = publishing(|c| {
             c.broadcast(Tag(1));
             c.send(NodeId::new(2), Tag(2));
             c.send(NodeId::new(0), Tag(3));
@@ -638,12 +754,80 @@ mod tests {
         assert_eq!(slot, None);
         assert_eq!(sent, [&b(1)[..], &[(2, 2), (0, 3)]].concat());
         // A send first closes the slot, so the broadcast is materialized.
-        let (slot, sent) = publishing(|c| {
+        let (slot, _, sent) = publishing(|c| {
             c.send(NodeId::new(3), Tag(1));
             c.broadcast(Tag(2));
         });
         assert_eq!(slot, None);
         assert_eq!(sent, [&[(3, 1)][..], &b(2)].concat());
+    }
+
+    #[test]
+    fn lone_scatter_fills_the_row_and_later_output_demotes_it() {
+        let tags = |base: u8| (1..=3).map(move |o| Tag(base + o));
+        let s = |base: u8| [(1, base + 1), (2, base + 2), (3, base + 3)];
+        let filled = |base: u8| tags(base).map(Some).collect::<Vec<_>>();
+        assert_eq!(
+            publishing(|c| c.scatter(tags(10))),
+            (None, filled(10), vec![])
+        );
+        // Any later output turns the scatter into envelopes first, in
+        // neighbour order, and leaves the row empty.
+        for (then, after) in [
+            (
+                Box::new(|c: &mut Context<'_, Tag>| c.send(NodeId::new(2), Tag(9)))
+                    as Box<dyn Fn(&mut Context<'_, Tag>)>,
+                vec![(2, 9)],
+            ),
+            (
+                Box::new(|c: &mut Context<'_, Tag>| c.send(NodeId::new(0), Tag(9))),
+                vec![(0, 9)],
+            ),
+            (
+                Box::new(|c: &mut Context<'_, Tag>| c.broadcast(Tag(9))),
+                vec![(1, 9), (2, 9), (3, 9)],
+            ),
+            (
+                Box::new(|c: &mut Context<'_, Tag>| c.scatter(tags(20))),
+                s(20).to_vec(),
+            ),
+        ] {
+            let (slot, row, sent) = publishing(|c| {
+                c.scatter(tags(10));
+                then(c);
+            });
+            assert_eq!((slot, row), (None, vec![]));
+            assert_eq!(sent, [&s(10)[..], &after].concat());
+        }
+        // Output before the scatter closes the row, so the scatter is
+        // materialized behind it.
+        let (slot, row, sent) = publishing(|c| {
+            c.send(NodeId::new(3), Tag(9));
+            c.scatter(tags(10));
+        });
+        assert_eq!((slot, row), (None, vec![]));
+        assert_eq!(sent, [&[(3, 9)][..], &s(10)].concat());
+        let (slot, row, sent) = publishing(|c| {
+            c.broadcast(Tag(9));
+            c.scatter(tags(10));
+        });
+        assert_eq!((slot, row), (None, vec![]));
+        assert_eq!(sent, [&[(1, 9), (2, 9), (3, 9)][..], &s(10)].concat());
+    }
+
+    #[test]
+    #[should_panic(expected = "payload count other than its degree")]
+    fn published_scatter_of_the_wrong_length_panics() {
+        publishing(|c| c.scatter([Tag(1), Tag(2)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "payload count other than its degree")]
+    fn materialized_scatter_of_the_wrong_length_panics() {
+        publishing(|c| {
+            c.send(NodeId::new(1), Tag(0));
+            c.scatter([Tag(1), Tag(2), Tag(3), Tag(4)]);
+        });
     }
 
     #[test]

@@ -257,9 +257,12 @@ impl Payload for Mix {
 
 /// Mixed traffic: each round a node picks one sender shape from its
 /// private stream — one broadcast, two broadcasts, broadcast then send,
-/// send then broadcast, broadcast then self-send, or silence — and at
-/// `halt_at` it broadcasts and halts in the same round. It records every
-/// message it receives as `(round, from, payload)`, in inbox order.
+/// send then broadcast, broadcast then self-send, one scatter, scatter
+/// then send, send then scatter, broadcast then scatter, scatter then
+/// self-send, scatter then broadcast then scatter, or silence — and at
+/// `halt_at` it broadcasts (even ids) or scatters (odd ids) and halts in
+/// the same round. It records every message it receives as `(round,
+/// from, payload)`, in inbox order.
 struct Mixed {
     halt_at: u64,
     heard: Heard,
@@ -294,11 +297,22 @@ impl NodeLogic for Mixed {
             },
             ..msg(k)
         };
+        // A different message per link, for scatters.
+        let links = |k: u64| {
+            (0..neighbors.len() as u64).map(move |o| Mix {
+                tag: (base + k) * 1_000 + o,
+                bits: 1 + ((base + k + o) % 13) as usize,
+            })
+        };
         if round >= self.halt_at {
-            ctx.broadcast(wide(0));
+            if me.raw() % 2 == 0 {
+                ctx.broadcast(wide(0));
+            } else {
+                ctx.scatter(links(0));
+            }
             return Control::Halt;
         }
-        let shape = ctx.rng().random_range(0..6u32);
+        let shape = ctx.rng().random_range(0..12u32);
         let peer = if neighbors.is_empty() {
             me
         } else {
@@ -321,6 +335,28 @@ impl NodeLogic for Mixed {
             4 => {
                 ctx.broadcast(wide(0));
                 ctx.send(me, msg(1));
+            }
+            5 => ctx.scatter(links(0)),
+            6 => {
+                ctx.scatter(links(0));
+                ctx.send(peer, msg(1));
+            }
+            7 => {
+                ctx.send(peer, msg(0));
+                ctx.scatter(links(1));
+            }
+            8 => {
+                ctx.broadcast(wide(0));
+                ctx.scatter(links(1));
+            }
+            9 => {
+                ctx.scatter(links(0));
+                ctx.send(me, msg(1));
+            }
+            10 => {
+                ctx.scatter(links(0));
+                ctx.broadcast(wide(1));
+                ctx.scatter(links(2));
             }
             _ => {}
         }
@@ -345,11 +381,16 @@ fn mixed_run(g: &Graph, seed: u64, stack: Stack) -> (Vec<Heard>, Metrics) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Property: published broadcasts reach every receiver exactly as
-    /// envelopes do — the same `(from, payload)` sequence in the same
-    /// order, and identical metrics. The plain stack takes the
+    /// Property: published broadcasts and scatters reach every receiver
+    /// exactly as envelopes do — the same `(from, payload)` sequence in
+    /// the same order, and identical metrics. Each node picks a sender
+    /// shape per round (a broadcast or a scatter alone, either followed
+    /// or preceded by other output, self-sends, silence), so rounds mix
+    /// publishers, scatterers and unicasters, and nodes halt in
+    /// broadcast and scatter rounds. The plain stack takes the
     /// publication path; tracing forces the envelope path. Two isolated
-    /// nodes are appended so degree-0 broadcasters always occur.
+    /// nodes are appended so degree-0 broadcasters and scatterers always
+    /// occur.
     #[test]
     fn published_broadcasts_match_envelopes(
         n in 2u32..60,
