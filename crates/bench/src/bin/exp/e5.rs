@@ -41,7 +41,7 @@ pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
                 n,
                 k,
                 run.part1_rounds,
-                theta_schedule(n as usize, 1.0).len(),
+                theta_schedule(n as usize, 1.0).expect("radius 1").len(),
                 run.part2_iterations,
                 proto.metrics.rounds,
                 run.set.len(),

@@ -11,7 +11,7 @@ use ftclust_graphs::generators;
 
 fn print_series(label: &str, n: u32, history: &[usize], orphans: usize) {
     let mut table = Table::new(&["round", "theta", "active", "shrink", "sqrt(prev)"]);
-    let schedule = theta_schedule(n as usize, 1.0);
+    let schedule = theta_schedule(n as usize, 1.0).expect("radius 1");
     let mut prev = n as usize;
     for (i, &a) in history.iter().enumerate() {
         table.row(&[

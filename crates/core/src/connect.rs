@@ -66,9 +66,10 @@ impl Dsu {
 ///
 /// # Errors
 ///
-/// Returns [`KmdsError::IterationLimit`] if `set` is not a dominating set
-/// of `g` (some node has no dominator in its closed neighborhood), since
-/// then no labeling exists.
+/// Returns [`KmdsError::InvalidInput`] if `set` is over a universe other
+/// than `g`'s nodes, or if it is not a dominating set of `g` (some node
+/// has no dominator in its closed neighborhood), since then no labeling
+/// exists.
 ///
 /// # Example
 ///
@@ -91,7 +92,11 @@ pub fn connect_dominating_set(
     set: &DominatingSet,
 ) -> Result<(DominatingSet, usize), KmdsError> {
     let n = g.node_count();
-    assert_eq!(set.universe(), n, "set universe mismatch");
+    if set.universe() != n {
+        return Err(KmdsError::InvalidInput {
+            what: "connect: set universe differs from the node count",
+        });
+    }
     // Label every node with a dominator in its closed neighborhood.
     let mut label = vec![u32::MAX; n];
     for v in g.nodes() {
@@ -100,9 +105,8 @@ pub fn connect_dominating_set(
         } else if let Some(d) = g.closed_neighbors(v).find(|&w| set.contains(w)) {
             label[v.index()] = d.raw();
         } else if g.degree(v) > 0 || !set.is_empty() {
-            return Err(KmdsError::IterationLimit {
-                stage: "connect: input not dominating",
-                limit: 0,
+            return Err(KmdsError::InvalidInput {
+                what: "connect: input not dominating",
             });
         }
     }
@@ -223,6 +227,7 @@ mod tests {
     use crate::validate::{is_k_dominating, is_k_dominating_instance, Semantics};
     use crate::Instance;
     use ftclust_graphs::generators;
+    use ftclust_graphs::traversal::connected_components;
     use proptest::prelude::*;
 
     #[test]
@@ -288,7 +293,21 @@ mod tests {
     fn non_dominating_input_is_rejected() {
         let g = generators::path(5);
         let ds = DominatingSet::from_ids(5, [NodeId::new(0)]);
-        assert!(connect_dominating_set(&g, &ds).is_err());
+        assert!(matches!(
+            connect_dominating_set(&g, &ds),
+            Err(KmdsError::InvalidInput { .. })
+        ));
+    }
+
+    #[test]
+    fn set_over_another_universe_is_rejected() {
+        let g = generators::path(5);
+        for ds in [DominatingSet::full(4), DominatingSet::full(6)] {
+            assert!(matches!(
+                connect_dominating_set(&g, &ds),
+                Err(KmdsError::InvalidInput { .. })
+            ));
+        }
     }
 
     #[test]
@@ -362,7 +381,24 @@ mod tests {
             let (cds, _) = connect_dominating_set(&g, &set).unwrap();
             prop_assert!(is_backbone_connected(&g, &cds));
             prop_assert!(is_k_dominating_instance(&inst, &cds, Semantics::Strict));
-            prop_assert!(cds.len() <= 3 * set.len().max(1));
+            // The documented bound: at most 3·|S| − 2 backbone nodes in
+            // every component that holds a member of S.
+            let comps = connected_components(&g);
+            let mut sizes = vec![(0usize, 0usize); comps.component_count()];
+            for v in g.nodes() {
+                let (members, backbone) = &mut sizes[comps.label(v) as usize];
+                *members += usize::from(set.contains(v));
+                *backbone += usize::from(cds.contains(v));
+            }
+            for (c, &(members, backbone)) in sizes.iter().enumerate() {
+                prop_assert!(
+                    members == 0 || backbone + 2 <= 3 * members,
+                    "component {} holds {} backbone nodes for {} members",
+                    c,
+                    backbone,
+                    members
+                );
+            }
         }
     }
 }

@@ -26,8 +26,8 @@
 //! Every round but the dual exchange sends one value to all neighbors
 //! ([`Context::broadcast`]). The dual exchange sends each neighbor its
 //! own `(α, β, y)`, which [`Context::scatter`] hands over as one row, so
-//! an unlayered run publishes it per link instead of sorting `deg`
-//! envelopes per node. A node keeps `α`, `β` and the `x⁺` each neighbor
+//! an unlayered run gathers the round's envelopes into the receivers'
+//! inboxes instead of sorting them. A node keeps `α`, `β` and the `x⁺` each neighbor
 //! shared last in one allocation, made in round 0. Phase B walks the
 //! share inbox once: it sums `x⁺` in sender order and files each value at
 //! its sender's neighbor position, so a share that does not arrive (its

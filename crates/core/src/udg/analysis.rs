@@ -109,7 +109,7 @@ pub fn lemma_5_2_census(udg: &UnitDiskGraph, seed: u64) -> Result<Vec<RoundCensu
         return Ok(Vec::new());
     }
     let run = protocol::execute(udg, &UdgAlgorithm::new(1).seed(seed), Stack::new())?;
-    let schedule = theta_schedule(udg.node_count(), udg.radius());
+    let schedule = theta_schedule(udg.node_count(), udg.radius())?;
     let masks = protocol::active_masks(&run.logics, schedule.len() as u32);
     let mut census = Vec::new();
     for (i, &theta) in schedule.iter().enumerate() {

@@ -58,8 +58,17 @@ use ftclust_graphs::UnitDiskGraph;
 ///
 /// The final `θ_R` always equals `radius/2`, so Lemma 5.1's coverage radius
 /// `2·θ_R = radius` holds exactly.
-pub fn theta_schedule(n: usize, radius: f64) -> Vec<f64> {
-    assert!(radius > 0.0, "radius must be positive");
+///
+/// # Errors
+///
+/// Returns [`KmdsError::InvalidInput`] unless `radius` is positive and
+/// finite, the rule [`UnitDiskGraph::build`] applies.
+pub fn theta_schedule(n: usize, radius: f64) -> Result<Vec<f64>, KmdsError> {
+    if !(radius.is_finite() && radius > 0.0) {
+        return Err(KmdsError::InvalidInput {
+            what: "theta schedule: radius must be positive and finite",
+        });
+    }
     let log2n = (n.max(4) as f64).log2(); // clamp so tiny n behave sanely
     let xi: f64 = 1.5;
     let rounds = ((log2n.ln() / xi.ln()).ceil() as usize).max(1);
@@ -72,7 +81,7 @@ pub fn theta_schedule(n: usize, radius: f64) -> Vec<f64> {
     if let Some(last) = schedule.last_mut() {
         *last = 0.5 * radius;
     }
-    schedule
+    Ok(schedule)
 }
 
 /// How Part I assigns the random identifiers.
@@ -195,9 +204,9 @@ mod tests {
 
     #[test]
     fn rounds_grow_double_logarithmically() {
-        let r100 = theta_schedule(100, 1.0).len();
-        let r10k = theta_schedule(10_000, 1.0).len();
-        let r1m = theta_schedule(1_000_000, 1.0).len();
+        let r100 = theta_schedule(100, 1.0).unwrap().len();
+        let r10k = theta_schedule(10_000, 1.0).unwrap().len();
+        let r1m = theta_schedule(1_000_000, 1.0).unwrap().len();
         assert!(r100 <= r10k && r10k <= r1m);
         // log_{1.5} log₂ 10⁶ ≈ 7.4 → 8 rounds; tiny either way.
         assert!(r1m <= 9, "r1m = {r1m}");
@@ -327,10 +336,20 @@ mod tests {
     }
 
     #[test]
+    fn schedule_rejects_radii_a_deployment_rejects() {
+        for r in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(theta_schedule(100, r), Err(KmdsError::InvalidInput { .. })),
+                "radius {r}"
+            );
+        }
+    }
+
+    #[test]
     fn schedule_ends_at_half_radius() {
         for n in [1usize, 2, 10, 100, 10_000, 1_000_000] {
             for r in [1.0, 2.5] {
-                let s = theta_schedule(n, r);
+                let s = theta_schedule(n, r).unwrap();
                 assert!(!s.is_empty());
                 assert!((s.last().unwrap() - 0.5 * r).abs() < 1e-12, "n={n}");
                 // Doubling until the cap.

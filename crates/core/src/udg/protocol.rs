@@ -292,7 +292,7 @@ pub(crate) fn execute(
     stack: Stack,
 ) -> Result<Run<UdgNode>, KmdsError> {
     let n = udg.node_count();
-    let schedule: Arc<[f64]> = theta_schedule(n, udg.radius()).into();
+    let schedule: Arc<[f64]> = theta_schedule(n, udg.radius())?.into();
     let part1_rounds = schedule.len() as u32;
     let cap = id_cap(n);
     let id_bits = (4 * bits_for_ids(n.max(2))) as u16;
@@ -484,7 +484,7 @@ mod tests {
         let udg = generators::random_udg(1000, 10.0, 1.0, 3);
         let config = UdgAlgorithm::new(2).seed(1);
         let run = run_udg_protocol(&udg, &config).unwrap();
-        let r = theta_schedule(1000, 1.0).len() as u64;
+        let r = theta_schedule(1000, 1.0).unwrap().len() as u64;
         assert!(run.metrics.rounds >= 2 * r);
         assert!(
             run.metrics.rounds <= 2 * r + 3 * 12,

@@ -1,4 +1,3 @@
-use crate::arena::LinkRows;
 use crate::metrics::TransportCounters;
 use crate::topology::seek;
 use crate::trace::TraceEvent;
@@ -90,9 +89,8 @@ impl<P> Copy for Msg<'_, P> {}
 /// order and, per sender, in send order.
 ///
 /// The view copies nothing. It reads the receiver's envelopes (unicasts,
-/// self-sends, materialized broadcasts and scatters, published scatters
-/// too: see [`Context::scatter`]) from the simulator's inbox arena and
-/// merges in the neighbours' published broadcasts (see
+/// self-sends, scatters and materialized broadcasts) from the simulator's
+/// inbox arena and merges in the neighbours' published broadcasts (see
 /// [`Context::broadcast`]) from their slots, walking the sorted
 /// neighbour list. Layers that assemble an inbox themselves wrap it with
 /// [`Inbox::from_slice`].
@@ -270,16 +268,16 @@ pub struct Context<'a, P> {
 pub(crate) enum Outlet<'a, P> {
     /// Nothing else.
     Envelopes,
-    /// This node's publication slot and its row of the link table for the
-    /// round (see [`Context::broadcast`] and [`Context::scatter`]); it
-    /// closes, turning into `Envelopes`, once the node produces any
-    /// output other than a single broadcast or a single scatter.
+    /// This node's publication slot for the round (see
+    /// [`Context::broadcast`]); it closes, turning into `Envelopes`, once
+    /// the node produces any output other than a single broadcast or a
+    /// single scatter.
     Publish {
         /// The broadcast slot.
         slot: &'a mut Option<P>,
-        /// The shard's part of the link table, where the node's row is.
-        links: &'a mut LinkRows<P>,
-        /// Whether the node's row holds its scatter.
+        /// Whether the node's output so far is one scatter, whose
+        /// envelopes are the node's whole run in the outbox (see
+        /// [`Context::scatter`]).
         scattered: bool,
     },
     /// Where each envelope in the outbox is headed, in step with it: the
@@ -436,7 +434,6 @@ impl<'a, P: Payload> Context<'a, P> {
         if let Outlet::Publish {
             slot,
             scattered: false,
-            ..
         } = &mut self.outlet
         {
             if slot.is_none() {
@@ -453,21 +450,16 @@ impl<'a, P: Payload> Context<'a, P> {
     /// Sends one payload to each neighbor, a different one per link: the
     /// `o`-th item of `payloads` goes to `neighbors()[o]`. It is the
     /// counterpart of [`Context::broadcast`] for a message that differs
-    /// per recipient, and delivers exactly what `send`ing the payloads in
-    /// neighbor order would.
+    /// per recipient, and appends exactly the envelopes `send`ing the
+    /// payloads in neighbor order would.
     ///
-    /// It follows the broadcast's publication rules. When no per-envelope
-    /// layer is engaged, a scatter that is the node's first output of the
-    /// round is *published per link*: each payload is stored in the
-    /// node's row of the simulator's link table, at the directed slot of
-    /// its link, instead of going through the outbox and the delivery
-    /// sort. After the round each receiver's payloads are collected from
-    /// the slots towards it (the reverse slots), in ascending sender
-    /// order. Any later output of the node in the same round first turns
-    /// the scatter back into envelopes at its original position.
-    /// Otherwise the payloads become envelopes right away, in neighbor
-    /// order, so a tracer, a fault layer or the transport sees what the
-    /// `send`s would have produced.
+    /// When no per-envelope layer is engaged and the scatter is the
+    /// node's first output of the round, it is also marked as a *lone
+    /// scatter*; a later output clears the mark and leaves the envelopes
+    /// where they are. A round whose envelopes all come from lone
+    /// scatters is delivered without the sort: each receiver's messages
+    /// are picked from the senders' runs in the outbox, in ascending
+    /// sender order.
     ///
     /// # Panics
     ///
@@ -475,29 +467,14 @@ impl<'a, P: Payload> Context<'a, P> {
     pub fn scatter(&mut self, payloads: impl IntoIterator<Item = P>) {
         let (me, neighbors) = (self.me, self.neighbors());
         let mut payloads = payloads.into_iter();
-        if let Outlet::Publish {
-            slot,
-            links,
-            scattered,
-        } = &mut self.outlet
-        {
-            if slot.is_none() && !*scattered {
-                let row = links.row(self.topo.graph().slot_range(me));
-                for cell in row.iter_mut() {
-                    *cell = payloads.next();
-                }
-                assert!(
-                    row.last().is_some_and(Option::is_some) && payloads.next().is_none(),
-                    "{me} scattered a payload count other than its degree {}",
-                    neighbors.len()
-                );
-                *scattered = true;
-                return;
-            }
-            self.demote();
-        }
-        if let Outlet::Record(positions) = &mut self.outlet {
-            positions.extend(0..neighbors.len() as u32);
+        match &mut self.outlet {
+            Outlet::Publish {
+                slot: None,
+                scattered,
+            } if !*scattered => *scattered = true,
+            Outlet::Publish { .. } => self.demote(),
+            Outlet::Record(positions) => positions.extend(0..neighbors.len() as u32),
+            Outlet::Envelopes => {}
         }
         let start = self.outbox.len();
         self.outbox.reserve(neighbors.len());
@@ -515,35 +492,17 @@ impl<'a, P: Payload> Context<'a, P> {
         );
     }
 
-    /// Closes an open publication slot and link row for the rest of the
-    /// round, turning a payload already published or a row already
-    /// scattered back into envelopes. Out of line: it runs at most once
+    /// Closes an open publication slot for the rest of the round, turning
+    /// a payload already published back into envelopes (a lone scatter's
+    /// envelopes are in place already). Out of line: it runs at most once
     /// per node and round, and keeps every `send` and `broadcast` site
     /// small.
     #[inline(never)]
     fn demote(&mut self) {
-        let Outlet::Publish {
-            slot,
-            links,
-            scattered,
-        } = std::mem::replace(&mut self.outlet, Outlet::Envelopes)
-        else {
-            return;
-        };
-        if let Some(payload) = slot.take() {
-            self.materialize(payload);
-        } else if scattered {
-            let me = self.me;
-            let row = links.row(self.topo.graph().slot_range(me));
-            self.outbox.reserve(row.len());
-            for (&to, cell) in self.neighbors().iter().zip(row) {
-                if let Some(payload) = cell.take() {
-                    self.outbox.push(Envelope {
-                        from: me,
-                        to,
-                        payload,
-                    });
-                }
+        if let Outlet::Publish { slot, .. } = std::mem::replace(&mut self.outlet, Outlet::Envelopes)
+        {
+            if let Some(payload) = slot.take() {
+                self.materialize(payload);
             }
         }
     }
@@ -697,16 +656,14 @@ mod tests {
     }
 
     /// What `act` left on node 0 of a 4-star with an open publication
-    /// slot and link row: the slot, the row, and the `(to, tag)` outbox.
-    type Published = (Option<Tag>, Vec<Option<Tag>>, Vec<(u32, u8)>);
+    /// slot: the slot, the lone-scatter mark, and the `(to, tag)` outbox.
+    type Published = (Option<Tag>, bool, Vec<(u32, u8)>);
 
     fn publishing(act: impl FnOnce(&mut Context<'_, Tag>)) -> Published {
         let g = generators::star(4);
         let mut rng = StdRng::seed_from_u64(0);
         let mut outbox = Vec::new();
         let mut slot = None;
-        let mut rows = LinkRows::new();
-        rows.own(0..g.slot_count());
         let mut tc = TransportCounters::default();
         let mut tr = Vec::new();
         let mut ctx = Context {
@@ -717,7 +674,6 @@ mod tests {
             outbox: &mut outbox,
             outlet: Outlet::Publish {
                 slot: &mut slot,
-                links: &mut rows,
                 scattered: false,
             },
             transport: &mut tc,
@@ -726,9 +682,15 @@ mod tests {
             send_hint: 0,
         };
         act(&mut ctx);
+        let lone = matches!(
+            ctx.outlet,
+            Outlet::Publish {
+                scattered: true,
+                ..
+            }
+        );
         let sent = outbox.iter().map(|e| (e.to.raw(), e.payload.0)).collect();
-        let row = rows.scattered(g.slot_range(NodeId::new(0)));
-        (slot, row.unwrap_or_default().to_vec(), sent)
+        (slot, lone, sent)
     }
 
     #[test]
@@ -736,7 +698,7 @@ mod tests {
         let b = |t| [(1, t), (2, t), (3, t)];
         assert_eq!(
             publishing(|c| c.broadcast(Tag(1))),
-            (Some(Tag(1)), vec![], vec![])
+            (Some(Tag(1)), false, vec![])
         );
         // A second broadcast, a send or a self-send after a published
         // broadcast: the broadcast's envelopes come first.
@@ -763,16 +725,15 @@ mod tests {
     }
 
     #[test]
-    fn lone_scatter_fills_the_row_and_later_output_demotes_it() {
+    fn lone_scatter_is_marked_and_later_output_demotes_it() {
         let tags = |base: u8| (1..=3).map(move |o| Tag(base + o));
         let s = |base: u8| [(1, base + 1), (2, base + 2), (3, base + 3)];
-        let filled = |base: u8| tags(base).map(Some).collect::<Vec<_>>();
         assert_eq!(
             publishing(|c| c.scatter(tags(10))),
-            (None, filled(10), vec![])
+            (None, true, s(10).to_vec())
         );
-        // Any later output turns the scatter into envelopes first, in
-        // neighbour order, and leaves the row empty.
+        // Any later output clears the mark and goes behind the scatter's
+        // envelopes, which stay in place.
         for (then, after) in [
             (
                 Box::new(|c: &mut Context<'_, Tag>| c.send(NodeId::new(2), Tag(9)))
@@ -792,38 +753,38 @@ mod tests {
                 s(20).to_vec(),
             ),
         ] {
-            let (slot, row, sent) = publishing(|c| {
+            let (slot, lone, sent) = publishing(|c| {
                 c.scatter(tags(10));
                 then(c);
             });
-            assert_eq!((slot, row), (None, vec![]));
+            assert_eq!((slot, lone), (None, false));
             assert_eq!(sent, [&s(10)[..], &after].concat());
         }
-        // Output before the scatter closes the row, so the scatter is
-        // materialized behind it.
-        let (slot, row, sent) = publishing(|c| {
+        // Output before the scatter closes the slot, so the scatter is
+        // not marked and goes behind it.
+        let (slot, lone, sent) = publishing(|c| {
             c.send(NodeId::new(3), Tag(9));
             c.scatter(tags(10));
         });
-        assert_eq!((slot, row), (None, vec![]));
+        assert_eq!((slot, lone), (None, false));
         assert_eq!(sent, [&[(3, 9)][..], &s(10)].concat());
-        let (slot, row, sent) = publishing(|c| {
+        let (slot, lone, sent) = publishing(|c| {
             c.broadcast(Tag(9));
             c.scatter(tags(10));
         });
-        assert_eq!((slot, row), (None, vec![]));
+        assert_eq!((slot, lone), (None, false));
         assert_eq!(sent, [&[(1, 9), (2, 9), (3, 9)][..], &s(10)].concat());
     }
 
     #[test]
     #[should_panic(expected = "payload count other than its degree")]
-    fn published_scatter_of_the_wrong_length_panics() {
+    fn lone_scatter_of_the_wrong_length_panics() {
         publishing(|c| c.scatter([Tag(1), Tag(2)]));
     }
 
     #[test]
     #[should_panic(expected = "payload count other than its degree")]
-    fn materialized_scatter_of_the_wrong_length_panics() {
+    fn later_scatter_of_the_wrong_length_panics() {
         publishing(|c| {
             c.send(NodeId::new(1), Tag(0));
             c.scatter([Tag(1), Tag(2), Tag(3), Tag(4)]);

@@ -1,5 +1,5 @@
 use crate::adversary::{AdversaryPlan, FaultState, Verdict};
-use crate::arena::{DeliverySorter, InboxArena, LinkRows, LinkTable};
+use crate::arena::{DeliverySorter, InboxArena};
 use crate::metrics::TransportCounters;
 use crate::node::{Context, Outlet};
 use crate::trace::{EventLog, TraceEvent};
@@ -51,13 +51,11 @@ struct ShardBuf<P> {
     /// Nodes this shard halted this round; folded into the simulator's
     /// running total sequentially after the parallel phase.
     halted: usize,
-    /// This shard's publications and scatters this round, metered as
-    /// `(messages, bits, largest message bits)`.
+    /// This shard's publications this round, metered as `(messages,
+    /// bits, largest message bits)`.
     shared: (u64, u64, u64),
-    /// The link payloads among `shared`'s messages.
-    linked: u64,
-    /// This shard's rows of the link table being built.
-    links: LinkRows<P>,
+    /// The envelopes of this shard's lone scatters this round.
+    scattered: u64,
 }
 
 impl<P> ShardBuf<P> {
@@ -69,8 +67,7 @@ impl<P> ShardBuf<P> {
             trace: Vec::new(),
             halted: 0,
             shared: (0, 0, 0),
-            linked: 0,
-            links: LinkRows::new(),
+            scattered: 0,
         }
     }
 }
@@ -88,16 +85,6 @@ struct StepShard<'t, L: NodeLogic> {
     wake: &'t mut [u64],
     slots: &'t mut [Option<L::Payload>],
     buf: &'t mut ShardBuf<L::Payload>,
-}
-
-/// The directed slots owned by the nodes of the non-empty shard `nodes`.
-fn shard_slots(
-    graph: &ftclust_graphs::Graph,
-    nodes: &std::ops::Range<usize>,
-) -> std::ops::Range<usize> {
-    let first = graph.slot_range(NodeId::new(nodes.start as u32));
-    let last = graph.slot_range(NodeId::new(nodes.end as u32 - 1));
-    first.start..last.end
 }
 
 /// Empties `v` and hands its allocation back as a vector of `U`. `Vec`'s
@@ -156,17 +143,15 @@ fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
 /// pure slicing. A broadcast that is its sender's only output of the round
 /// skips the sorter: it is published once per sender and receivers read
 /// it in place through the adjacency ([`Context::broadcast`],
-/// [`crate::Inbox`]). A lone scatter, one payload per link, skips the
-/// outbox and the sorter too: it fills the sender's row of a link table
-/// indexed by directed CSR slot, and after the round each receiver's
-/// payloads are read off its reverse slots straight into the arena, which
-/// needs no sort ([`Context::scatter`]). All buffers — the two arenas and
-/// their publication slots, the link table, the sorter's partition
-/// blocks, the per-worker outboxes, and the shard list — are recycled
-/// across rounds, and the thread count is resolved once per simulator, so
-/// steady-state rounds allocate nothing beyond what message volume itself
-/// demands. The link table is allocated the first time a round scatters.
-/// See `DESIGN.md` §12.
+/// [`crate::Inbox`]). A round whose envelopes all come from lone
+/// scatters, one payload per link, skips the sorter too: each receiver's
+/// messages are gathered from the senders' runs in the outboxes
+/// ([`Context::scatter`]). All buffers — the two arenas and their
+/// publication slots, the sorter's partition blocks, the per-worker
+/// outboxes, and the shard list — are recycled across rounds, and the
+/// thread count is resolved once per simulator, so steady-state rounds
+/// allocate nothing beyond what message volume itself demands. See
+/// `DESIGN.md` §12.
 pub struct Simulator<'a, L: NodeLogic> {
     topo: Topology<'a>,
     /// Per-node protocol state, indexed by node id (a structure of
@@ -189,11 +174,9 @@ pub struct Simulator<'a, L: NodeLogic> {
     /// Messages to deliver in the upcoming round (swapped into `inbox` at
     /// the start of the next step).
     pending: InboxArena<L::Payload>,
-    /// Recycled scratch of the sorted scatter that builds `pending`.
+    /// Recycled scratch of the sorted scatter (or the gather) that
+    /// builds `pending`.
     sorter: DeliverySorter<L::Payload>,
-    /// Where lone scatters are published, one cell per directed slot,
-    /// and delivered from; allocated the first time a round scatters.
-    links: LinkTable<L::Payload>,
     /// The node range of each worker shard: [`par::split_ranges`] over
     /// the thread count [`par::num_threads`] gave at construction.
     shard_ranges: Vec<std::ops::Range<usize>>,
@@ -274,7 +257,6 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             inbox: InboxArena::new(n),
             pending: InboxArena::new(n),
             sorter: DeliverySorter::new(n),
-            links: LinkTable::new(),
             bufs: shard_ranges.iter().map(|_| ShardBuf::new()).collect(),
             shard_views: Vec::with_capacity(shard_ranges.len()),
             shard_ranges,
@@ -442,9 +424,9 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     /// merged, when neighbours published last round, with their
     /// publication slots in sender order; it appends envelopes to its
     /// shard's recycled outbox in node order, or, when no per-envelope
-    /// layer is engaged and its only output is one broadcast or one
-    /// scatter, publishes it in its slot or its row of the link table,
-    /// which the shard meters; (2) a sequential merge walks the shard
+    /// layer is engaged and its only output is one broadcast, publishes
+    /// it in its slot, which the shard meters (a lone scatter's envelopes
+    /// are counted instead); (2) a sequential merge walks the shard
     /// outboxes in node order — on the fault-free untraced fast path it
     /// batch-meters the envelopes and stages them for the sorted
     /// scatter; with tracing or
@@ -454,11 +436,9 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
     /// thread count yields identical state, and meters the round with
     /// the same batch fold — and (3) the staged
     /// survivors are counting-sorted into the next round's contiguous
-    /// inbox arena and the quiescence cache is refreshed. A round whose
-    /// only messages are scatters and publications skips the sort: the
-    /// arena is read off the link table receiver by receiver. Scatters
-    /// that share a round with envelopes are staged among them in sender
-    /// order.
+    /// inbox arena and the quiescence cache is refreshed. A fast-path
+    /// round whose envelopes all come from lone scatters skips the sort:
+    /// the arena is gathered from the outboxes receiver by receiver.
     pub fn step(&mut self) -> bool {
         if self.quiescent {
             return false;
@@ -509,8 +489,9 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         }
         self.metrics.begin_round();
         // Every message stays an envelope while a layer has to see or
-        // decide it one at a time; otherwise lone broadcasts and scatters
-        // are published (see `Context::broadcast`, `Context::scatter`).
+        // decide it one at a time; otherwise lone broadcasts are published
+        // and lone scatters marked (see `Context::broadcast`,
+        // `Context::scatter`).
         let envelope_free = !tracing && self.faults.is_none();
         // Only the adversary's per-link draws read a send's link position.
         let record = matches!(&self.faults, Some(f) if f.needs_positions());
@@ -519,8 +500,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             // Phase 1: execute node logic, sharded. Shared state is
             // read-only (topology, liveness, the frozen inbox arena);
             // each shard owns its slices of the SoA node state and of the
-            // publication slots, and its buffers (its link table rows
-            // among them), exclusively.
+            // publication slots, and its buffers, exclusively.
             let inbox: &InboxArena<L::Payload> = &self.inbox;
             let topo = self.topo;
             let graph = topo.graph();
@@ -530,10 +510,6 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
             let mut rngs_rest: &mut [StdRng] = &mut self.rngs;
             let mut running_rest: &mut [bool] = &mut self.running;
             let mut wake_rest: &mut [u64] = &mut self.wake;
-            // A single shard writes its rows into the link table itself.
-            if let [only] = &mut self.bufs[..] {
-                self.links.lend(&mut only.links);
-            }
             let mut slots_rest = self.pending.open_slots();
             for (r, buf) in self.shard_ranges.iter().zip(self.bufs.iter_mut()) {
                 let len = r.end - r.start;
@@ -547,7 +523,6 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                 wake_rest = wake_tail;
                 let (slots_head, slots_tail) = slots_rest.split_at_mut(len);
                 slots_rest = slots_tail;
-                buf.links.own(shard_slots(graph, r));
                 shards.push(StepShard {
                     start: r.start,
                     logics: logics_head,
@@ -566,7 +541,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                 buf.trace.clear();
                 buf.halted = 0;
                 buf.shared = (0, 0, 0);
-                buf.linked = 0;
+                buf.scattered = 0;
                 for j in 0..shard.logics.len() {
                     let i = shard.start + j;
                     if down[i] || !shard.running[j] {
@@ -593,7 +568,6 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                         outlet: if publish && !neighbors.is_empty() {
                             Outlet::Publish {
                                 slot: &mut shard.slots[j],
-                                links: &mut buf.links,
                                 scattered: false,
                             }
                         } else if record {
@@ -607,32 +581,25 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
                         send_hint: 0,
                     };
                     let control = shard.logics[j].on_round(received, &mut ctx);
-                    let scattered = matches!(
-                        ctx.outlet,
-                        Outlet::Publish {
-                            scattered: true,
-                            ..
-                        }
-                    );
                     if publish && !neighbors.is_empty() {
-                        // One message per neighbour, exactly as `deg`
-                        // envelopes would have been metered.
-                        let (count, bits, max_bits) = &mut buf.shared;
+                        let scattered = matches!(
+                            ctx.outlet,
+                            Outlet::Publish {
+                                scattered: true,
+                                ..
+                            }
+                        );
+                        let deg = neighbors.len() as u64;
                         if let Some(payload) = &shard.slots[j] {
-                            let deg = neighbors.len() as u64;
+                            // One message per neighbour, exactly as `deg`
+                            // envelopes would have been metered.
+                            let (count, bits, max_bits) = &mut buf.shared;
                             let b = crate::Payload::bit_size(payload) as u64;
                             *count += deg;
                             *bits += deg * b;
                             *max_bits = (*max_bits).max(b);
                         } else if scattered {
-                            let row = buf.links.row(graph.slot_range(me));
-                            for payload in row.iter().flatten() {
-                                let b = crate::Payload::bit_size(payload) as u64;
-                                *count += 1;
-                                *bits += b;
-                                *max_bits = (*max_bits).max(b);
-                            }
-                            buf.linked += neighbors.len() as u64;
+                            buf.scattered += deg;
                         }
                     }
                     shard.wake[j] = match control {
@@ -652,23 +619,17 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         // engine did, and survivors are staged for the sorted scatter.
         // Dead-on-arrival is decided at *delivery* time (phase 0 of the
         // next round), so every sent message is accounted for.
-        let (mut shared, mut linked) = ((0u64, 0u64, 0u64), 0u64);
+        let (mut shared, mut scattered, mut sent) = ((0u64, 0u64, 0u64), 0u64, 0u64);
         for buf in &self.bufs {
             self.running_total -= buf.halted;
             self.metrics.absorb_transport(&buf.counters);
             shared.0 += buf.shared.0;
             shared.1 += buf.shared.1;
             shared.2 = shared.2.max(buf.shared.2);
-            linked += buf.linked;
+            scattered += buf.scattered;
+            sent += buf.outbox.len() as u64;
         }
-        if let [only] = &mut self.bufs[..] {
-            self.links.lend(&mut only.links);
-        } else if linked > 0 {
-            let slots = self.topo.graph().slot_count();
-            self.links
-                .gather(slots, self.bufs.iter_mut().map(|buf| &mut buf.links));
-        }
-        self.pending.set_published_total(shared.0 - linked);
+        self.pending.set_published_total(shared.0);
         // Drain the per-shard trace buffers in shard index order: shards
         // are contiguous ascending node ranges, so the merged event
         // stream is in node order for every worker count.
@@ -687,41 +648,34 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         if let Some(faults) = &mut self.faults {
             faults.stage_due(round, |env| self.sorter.push(env));
         }
-        // Whether this round's scatters alone built the next arena.
-        let mut delivered = false;
+        // Whether the next arena was gathered, not sorted.
+        let gathered = envelope_free && scattered > 0 && scattered == sent;
         if envelope_free {
             // Fast path: no tracing and no per-envelope fault decisions —
-            // meter the batch, publications and scatters included, with
-            // three integer folds (identical totals to per-envelope
-            // metering) and stage everything.
+            // meter the batch, publications included, with three integer
+            // folds (identical totals to per-envelope metering) and stage
+            // everything, unless lone scatters are all there is to deliver.
             let (mut count, mut bits, mut max_bits) = shared;
-            let graph = self.topo.graph();
-            // Scatters sharing the sorter with envelopes are staged in
-            // sender order: every sender below `next` is staged.
-            let mut next = 0;
-            for buf in &mut self.bufs {
-                for env in buf.outbox.drain(..) {
-                    let b = crate::Payload::bit_size(&env.payload) as u64;
-                    count += 1;
-                    bits += b;
-                    max_bits = max_bits.max(b);
-                    if linked > 0 {
-                        let from = env.from.index();
-                        self.links.stage(graph, next..from, &mut self.sorter);
-                        next = from;
+            let mut meter = |env: &Envelope<L::Payload>| {
+                let b = crate::Payload::bit_size(&env.payload) as u64;
+                count += 1;
+                bits += b;
+                max_bits = max_bits.max(b);
+            };
+            if gathered {
+                self.bufs
+                    .iter()
+                    .flat_map(|buf| &buf.outbox)
+                    .for_each(&mut meter);
+                let outboxes = self.bufs.iter_mut().map(|buf| &mut buf.outbox);
+                self.sorter
+                    .gather(self.topo.graph(), outboxes, &mut self.pending);
+            } else {
+                for buf in &mut self.bufs {
+                    for env in buf.outbox.drain(..) {
+                        meter(&env);
+                        self.sorter.push(env);
                     }
-                    self.sorter.push(env);
-                }
-            }
-            if linked > 0 {
-                if count == shared.0 {
-                    // Publications and scatters only: the scatters are the
-                    // whole arena, built by reverse slots without a sort.
-                    self.links
-                        .deliver(graph, linked as usize, &mut self.pending);
-                    delivered = true;
-                } else {
-                    self.links.stage(graph, next..n, &mut self.sorter);
                 }
             }
             self.metrics.record_sends(count, bits, max_bits);
@@ -798,7 +752,7 @@ impl<'a, L: NodeLogic> Simulator<'a, L> {
         }
         // Phase 3: counting-sort the staged survivors by recipient into
         // the next round's contiguous arena and refresh caches.
-        if !delivered {
+        if !gathered {
             self.sorter.finish(n, &mut self.pending);
         }
         if let Some(log) = &mut self.trace {
@@ -1670,21 +1624,16 @@ mod tests {
         }
     }
 
-    /// Whether the link table is allocated.
-    fn links_allocated<L: NodeLogic>(sim: &Simulator<'_, L>) -> bool {
-        sim.links.buffer().1 > 0
-    }
-
-    /// Whether no shard's outbox ever held an envelope.
-    fn outboxes_unused<L: NodeLogic>(sim: &Simulator<'_, L>) -> bool {
-        sim.bufs.iter().all(|b| b.outbox.capacity() == 0)
+    /// Whether any envelope was ever staged in the sorter.
+    fn sorter_used<L: NodeLogic>(sim: &Simulator<'_, L>) -> bool {
+        sim.sorter.capacity() > 0
     }
 
     #[test]
-    fn published_scatters_are_conserved() {
-        // Scatter-only rounds publish per link: no envelope is built in
-        // an outbox, yet every payload is sent, in flight and then
-        // delivered to the neighbour it names.
+    fn gathered_scatters_are_conserved() {
+        // Scatter-only rounds are gathered: no envelope is staged in the
+        // sorter, yet every payload is sent, in flight and then delivered
+        // to the neighbour it names.
         let g = generators::complete(5);
         let topo = Topology::from_graph(&g);
         let mut sim = Simulator::new(topo, |_| Scatterer { seen: 0, rounds: 3 }, 0);
@@ -1695,17 +1644,10 @@ mod tests {
             assert_eq!(m.total_bits, sent * 16);
             assert_eq!(sim.in_flight_messages(), 20);
             assert_eq!(m.messages, m.delivered_messages + sim.in_flight_messages());
-            assert!(outboxes_unused(&sim), "a scatter went through an outbox");
+            assert!(!sorter_used(&sim), "a scatter went through the sorter");
         }
-        // The table is allocated once and emptied by every delivery.
-        let before = sim.links.buffer();
-        assert_eq!(before.1, g.slot_count());
         sim.run(100).unwrap();
-        assert_eq!(
-            sim.links.buffer(),
-            before,
-            "steady state must not reallocate"
-        );
+        assert!(!sorter_used(&sim), "a scatter went through the sorter");
         let m = sim.metrics();
         assert_eq!((m.messages, m.delivered_messages), (60, 60));
         assert_eq!(sim.in_flight_messages(), 0);
@@ -1714,14 +1656,14 @@ mod tests {
 
     #[test]
     fn scatters_are_conserved_at_every_shard_count() {
-        // Several shards each fill a spare buffer in the round that
-        // allocates the table, and write to it directly after that.
+        // Several shards' outboxes are gathered as one, in shard order.
         let g = generators::gnp(37, 0.2, 4);
         let run = |threads: usize| {
             ftclust_par::with_threads(threads, || {
                 let topo = Topology::from_graph(&g);
                 let mut sim = Simulator::new(topo, |_| Scatterer { seen: 0, rounds: 4 }, 0);
                 sim.run(100).unwrap();
+                assert!(!sorter_used(&sim), "a scatter went through the sorter");
                 let seen: Vec<u64> = sim.logics().map(|l| l.seen).collect();
                 (seen, sim.metrics().clone())
             })
@@ -1737,8 +1679,9 @@ mod tests {
     #[test]
     fn tracer_attached_while_scatters_pend_accounts_them() {
         // Round 0 scatters; the log attached before round 1 closes the
-        // fast path, but round 0's link payloads must still be delivered,
-        // counted and traced as envelopes would have been.
+        // fast path, but round 0's gathered payloads must still be
+        // delivered, counted and traced as sorted envelopes would have
+        // been.
         let g = generators::gnp(20, 0.3, 5);
         let run = |attach: bool| {
             let topo = Topology::from_graph(&g);
@@ -1746,7 +1689,7 @@ mod tests {
             sim.step();
             let before = sim.metrics().clone();
             assert_eq!(sim.in_flight_messages(), before.messages);
-            assert!(outboxes_unused(&sim), "round 0 was published");
+            assert!(!sorter_used(&sim), "round 0 was gathered");
             if attach {
                 sim.set_event_log(EventLog::new());
             }
@@ -1772,16 +1715,15 @@ mod tests {
 
     #[test]
     fn per_envelope_layers_materialize_every_scatter() {
-        // A tracer, scheduled churn or loss closes the gate: scatters
-        // become envelopes, the link tables are never allocated, and the
-        // results match the published run wherever the layer drops
-        // nothing.
+        // A tracer, scheduled churn or loss closes the gate: scatters go
+        // through the sorter, and the results match the gathered run
+        // wherever the layer drops nothing.
         let g = generators::gnp(24, 0.3, 9);
         let topo = Topology::from_graph(&g);
         let make = |_| Scatterer { seen: 0, rounds: 4 };
         let mut plain = Simulator::new(topo, make, 1);
         plain.run(100).unwrap();
-        assert!(links_allocated(&plain));
+        assert!(!sorter_used(&plain));
         let seen =
             |sim: &Simulator<'_, Scatterer>| sim.logics().map(|l| l.seen).collect::<Vec<_>>();
 
@@ -1793,8 +1735,7 @@ mod tests {
         let mut churned = Simulator::with_churn(topo, make, 1, late);
         churned.run(100).unwrap();
         for sim in [&traced, &churned] {
-            assert!(!links_allocated(sim), "a scatter was published");
-            assert!(!outboxes_unused(sim));
+            assert!(sorter_used(sim), "a scatter was gathered");
             assert_eq!(seen(sim), seen(&plain));
             assert_eq!(sim.metrics(), plain.metrics());
         }
@@ -1807,7 +1748,7 @@ mod tests {
         let mut lossy = Simulator::new(topo, make, 1);
         lossy.set_loss(0.3);
         lossy.run(100).unwrap();
-        assert!(!links_allocated(&lossy), "a scatter was published");
+        assert!(sorter_used(&lossy), "a scatter was gathered");
         let m = lossy.metrics();
         assert!(m.dropped_messages > 0);
         assert_eq!(m.messages, plain.metrics().messages);

@@ -755,22 +755,22 @@ impl<L: NodeLogic> Reliable<L> {
             .iter()
             .position(|(round, _)| *round == prev);
         let mut self_payloads = self_pos.map(|i| self.pending_self.swap_remove(i).1);
-        let mut self_done = false;
-        for link in &mut self.links {
-            if prev <= link.peer_halt_seq && link.consumed == prev {
-                // Self-sends sort between neighbors by id.
-                if !self_done && me < link.peer {
-                    if let Some(payloads) = self_payloads.take() {
-                        for p in payloads {
-                            self.inner_inbox.push(Envelope {
-                                from: me,
-                                to: me,
-                                payload: p,
-                            });
-                        }
-                    }
-                    self_done = true;
+        // Self-sends sort between neighbors by id.
+        let self_at = self.links.partition_point(|l| l.peer < me);
+        for i in 0..=self.links.len() {
+            if i == self_at {
+                for payload in self_payloads.take().into_iter().flatten() {
+                    self.inner_inbox.push(Envelope {
+                        from: me,
+                        to: me,
+                        payload,
+                    });
                 }
+            }
+            let Some(link) = self.links.get_mut(i) else {
+                break;
+            };
+            if prev <= link.peer_halt_seq && link.consumed == prev {
                 let Some(payloads) = link.ready.pop_front() else {
                     unreachable!("can_execute checked ready is non-empty");
                 };
@@ -782,28 +782,6 @@ impl<L: NodeLogic> Reliable<L> {
                         payload: p,
                     });
                 }
-            } else if !self_done && me < link.peer {
-                // Still emit self-sends at the right position even when
-                // this link contributes nothing this round.
-                if let Some(payloads) = self_payloads.take() {
-                    for p in payloads {
-                        self.inner_inbox.push(Envelope {
-                            from: me,
-                            to: me,
-                            payload: p,
-                        });
-                    }
-                }
-                self_done = true;
-            }
-        }
-        if let Some(payloads) = self_payloads.take() {
-            for p in payloads {
-                self.inner_inbox.push(Envelope {
-                    from: me,
-                    to: me,
-                    payload: p,
-                });
             }
         }
     }
