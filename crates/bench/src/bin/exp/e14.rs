@@ -6,24 +6,26 @@
 //! dead nodes come back), detects the surviving topology with a heartbeat
 //! protocol running on the simulator, cross-checks the detection against
 //! the simulator's ground-truth liveness mask, and then runs the
-//! distributed coverage repair of `ftclust_core::repair`. After every
+//! distributed coverage repair of `ftclust_core::repair` as a protocol on
+//! the simulator (`run_repair_stack` on the plain stack). After every
 //! epoch the repaired set is re-validated as a **strict** k-fold
 //! dominating set of the surviving subgraph — the run aborts if healing
 //! ever fails.
 //!
 //! Reported per epoch: churn applied, peak coverage deficit, re-election
-//! iterations and protocol rounds to heal, repair message/bit cost, and
-//! set growth. The closing table summarizes time-to-heal versus `k`.
+//! iterations, and the repair's rounds, messages and bits as the
+//! simulator metered them, and set growth. The closing table summarizes time-to-heal versus `k`.
 //!
 //! `--smoke` is the CI-sized run.
 
 use ftclust_bench::families::udg_workload;
 use ftclust_bench::table::Table;
-use ftclust_core::repair::{repair_coverage, surviving_instance};
+use ftclust_core::repair::{run_repair_stack, surviving_instance};
 use ftclust_core::udg::UdgAlgorithm;
 use ftclust_core::validate::{is_k_dominating, Semantics};
 use ftclust_core::DominatingSet;
 use ftclust_graphs::{Graph, NodeId};
+use ftclust_netsim::exec::Stack;
 use ftclust_netsim::{ChurnPlan, Context, Control, Inbox, NodeLogic, Payload, Simulator, Topology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -160,7 +162,8 @@ fn run_epoch(
     let doa = m.dead_on_arrival;
 
     let before_len = set.ids().filter(|v| alive_now[v.index()]).count();
-    let out = repair_coverage(g, set, &alive_now, k).expect("repair converges");
+    let (run, _) = run_repair_stack(g, set, &alive_now, k, Stack::new()).expect("repair converges");
+    let (out, cost) = (run.outcome, run.metrics);
     let (sub, survivors) =
         surviving_instance(g, &out.set, &alive_now).expect("mask and set fit the graph");
     assert!(
@@ -178,16 +181,16 @@ fn run_epoch(
             out.deficit_nodes.to_string(),
             out.peak_deficit.to_string(),
             out.iterations.to_string(),
-            out.rounds.to_string(),
-            out.messages.to_string(),
-            out.message_bits.to_string(),
+            cost.rounds.to_string(),
+            cost.messages.to_string(),
+            cost.total_bits.to_string(),
             format!("{before_len}→{}", out.set.len()),
             "yes".into(),
         ],
         iterations: out.iterations,
-        repair_rounds: out.rounds,
-        messages: out.messages,
-        bits: out.message_bits,
+        repair_rounds: cost.rounds,
+        messages: cost.messages,
+        bits: cost.total_bits,
         added: out.added.len(),
     };
     *alive = alive_now;

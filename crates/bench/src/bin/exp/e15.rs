@@ -201,9 +201,9 @@ pub(crate) fn run(opts: &crate::Opts) -> std::io::Result<()> {
     let baser = Cost::default().add(&directr.metrics);
     println!(
         "repair (k=2, {kills} members killed): {} added, {} iterations, peak deficit {}",
-        directr.added.len(),
-        directr.iterations,
-        directr.peak_deficit
+        directr.outcome.added.len(),
+        directr.outcome.iterations,
+        directr.outcome.peak_deficit
     );
     let mut tr = Table::new(&HEADERS);
     tr.push_row(row("direct", &baser, &baser, true));
@@ -212,8 +212,7 @@ pub(crate) fn run(opts: &crate::Opts) -> std::io::Result<()> {
             run_repair_stack(g, &direct3.run.set, &alive, 2, lossy(p)).expect("lossy repair");
         check_conservation(&r.metrics, "repair");
         let c = Cost::default().add(&r.metrics);
-        let identical =
-            r.set == directr.set && r.added == directr.added && r.iterations == directr.iterations;
+        let identical = r.outcome == directr.outcome;
         assert!(identical, "repair diverged at p = {p}");
         if p == 0.0 {
             check_zero_overhead(&c, "repair");
@@ -270,7 +269,7 @@ pub(crate) fn run(opts: &crate::Opts) -> std::io::Result<()> {
             .expect("lossy+traced repair");
     let lt_rep_log = lt_rep_log.expect("traced stack records a log");
     assert_eq!(
-        lt_rep.set, directr.set,
+        lt_rep.outcome, directr.outcome,
         "lossy+traced repair diverged from the direct run"
     );
     check_conservation(&lt_rep.metrics, "repair lossy+traced");

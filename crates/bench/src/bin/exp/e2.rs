@@ -1,10 +1,13 @@
 //! **E2 — Theorem 4.5 (time) + model**: Algorithm 1 as a message-passing
 //! protocol uses exactly `2t² + 3` rounds and `O(log n)`-bit messages.
+//! Fails unless every row has that round count and no message larger
+//! than three of this repo's fixed-point values (`3·VALUE_BITS`).
 
 use ftclust_bench::cells;
 use ftclust_bench::families::{run_trials_par, Family};
 use ftclust_bench::table::Table;
-use ftclust_core::fractional::{protocol::run_fractional_stack, FractionalParams};
+use ftclust_core::fractional::protocol::{run_fractional_stack, VALUE_BITS};
+use ftclust_core::fractional::FractionalParams;
 use ftclust_core::Instance;
 use ftclust_netsim::exec::Stack;
 
@@ -32,6 +35,11 @@ pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
                 .expect("protocol completes");
             let predicted = 2 * (t as u64).pow(2) + 3;
             assert_eq!(run.metrics.rounds, predicted, "round count mismatch");
+            assert!(
+                run.metrics.max_message_bits <= 3 * VALUE_BITS as u64,
+                "n = {n}, t = {t}: a message of {} bits exceeds 3·VALUE_BITS",
+                run.metrics.max_message_bits
+            );
             out.push(cells![
                 g.node_count(),
                 t,

@@ -7,8 +7,9 @@ use ftclust_bench::cells;
 use ftclust_bench::families::{run_trials_par, udg_workload};
 use ftclust_bench::table::{f2, Table};
 use ftclust_core::bounds::udg_packing_lower_bound;
-use ftclust_core::udg::{protocol::run_udg_protocol, theta_schedule, UdgAlgorithm};
+use ftclust_core::udg::{protocol::run_udg_stack, theta_schedule, UdgAlgorithm};
 use ftclust_core::validate::{is_k_dominating, Semantics};
+use ftclust_netsim::exec::Stack;
 
 pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
     println!("E5: UDG algorithm scaling (Theorem 5.7)");
@@ -34,7 +35,8 @@ pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
         let pack = udg_packing_lower_bound(&udg).max(1);
         let mut out = Vec::new();
         for k in [1u32, 3] {
-            let proto = run_udg_protocol(&udg, &UdgAlgorithm::new(k).seed(5)).expect("protocol");
+            let (proto, _) =
+                run_udg_stack(&udg, &UdgAlgorithm::new(k).seed(5), Stack::new()).expect("protocol");
             let run = proto.run;
             assert!(is_k_dominating(udg.graph(), &run.set, k, Semantics::Strict));
             out.push(cells![

@@ -1,10 +1,14 @@
 //! **E8 — the `O(log n)` message-size model**: maximum message size of
-//! both protocols, measured in bits, against `log₂ n`.
+//! both protocols, measured in bits, against `log₂ n`. Fails unless every
+//! UDG message fits the paper's `[1, n⁴]` identifier (`1 + 4·⌈log₂ n⌉`
+//! bits) and every LP message fits three of this repo's fixed-point
+//! values (`3·VALUE_BITS`).
 
 use ftclust_bench::cells;
 use ftclust_bench::families::{run_trials_par, udg_workload, Family};
 use ftclust_bench::table::{f2, Table};
-use ftclust_core::fractional::{protocol::run_fractional_stack, FractionalParams};
+use ftclust_core::fractional::protocol::{run_fractional_stack, VALUE_BITS};
+use ftclust_core::fractional::FractionalParams;
 use ftclust_core::udg::{protocol::run_udg_stack, UdgAlgorithm};
 use ftclust_core::Instance;
 use ftclust_netsim::exec::Stack;
@@ -35,6 +39,17 @@ pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
             .expect("udg protocol")
             .0
             .metrics;
+        let id_bits = 1 + 4 * u64::from(n.next_power_of_two().trailing_zeros());
+        assert!(
+            u.max_message_bits <= id_bits,
+            "n = {n}: a UDG message of {} bits exceeds the identifier's {id_bits}",
+            u.max_message_bits
+        );
+        assert!(
+            lp.max_message_bits <= 3 * VALUE_BITS as u64,
+            "n = {n}: an LP message of {} bits exceeds 3·VALUE_BITS",
+            lp.max_message_bits
+        );
         cells![
             n,
             f2(log2n),

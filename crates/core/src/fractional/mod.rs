@@ -24,7 +24,7 @@
 //!
 //! * [`solve_fractional`] — the in-memory engine (deterministic, no
 //!   simulator overhead), and
-//! * [`protocol::run_fractional_protocol`] — the same algorithm as a
+//! * [`protocol::run_fractional_stack`] — the same algorithm as a
 //!   message-passing protocol on [`ftclust_netsim`], metering rounds
 //!   (`2t² + 2`) and message bits.
 //!

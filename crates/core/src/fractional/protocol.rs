@@ -342,9 +342,8 @@ fn lp_phases(t2: u64) -> Vec<Phase> {
 
 /// Runs **Algorithm 1** through the composable executor stack of
 /// [`ftclust_netsim::exec`]: the reliable transport (loss masking), churn
-/// and tracing layers selected by `stack` compose freely. This is the
-/// canonical driver — [`run_fractional_protocol`] is a thin wrapper
-/// over it on the empty stack.
+/// and tracing layers selected by `stack` compose freely; `Stack::new()`
+/// is the plain synchronous run.
 ///
 /// When the stack is traced, the run's [`EventLog`] attributes every
 /// round, message and bit of Theorem 4.5's `O(t²)` schedule to its phase
@@ -363,6 +362,22 @@ fn lp_phases(t2: u64) -> Vec<Phase> {
 /// happen for well-formed instances), or — with the transport engaged —
 /// wrapping [`ftclust_netsim::SimError::DeliveryFailed`] if loss exceeds
 /// a retransmit budget.
+///
+/// # Example
+///
+/// ```
+/// use ftclust_core::fractional::{protocol::run_fractional_stack, FractionalParams};
+/// use ftclust_core::Instance;
+/// use ftclust_graphs::generators;
+/// use ftclust_netsim::exec::Stack;
+///
+/// let g = generators::cycle(12);
+/// let inst = Instance::uniform(&g, 2)?;
+/// let (run, _) = run_fractional_stack(&inst, &FractionalParams::new(3), Stack::new())?;
+/// assert_eq!(run.metrics.rounds, 2 * 9 + 3); // 2t² + 3
+/// assert!(run.solution.is_primal_feasible(&inst, 1e-9));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub fn run_fractional_stack(
     inst: &Instance<'_>,
     params: &FractionalParams,
@@ -408,36 +423,6 @@ pub fn run_fractional_stack(
     ))
 }
 
-/// Runs Algorithm 1 as a message-passing protocol and collects metrics.
-///
-/// # Errors
-///
-/// Returns [`KmdsError::InvalidInput`] for `TwoHopMax` Δ-knowledge, and
-/// [`KmdsError::Sim`] if the simulation exceeds its round budget (cannot
-/// happen for well-formed instances; the budget is `2t² + 8`); see
-/// [`run_fractional_stack`].
-///
-/// # Example
-///
-/// ```
-/// use ftclust_core::fractional::{protocol::run_fractional_protocol, FractionalParams};
-/// use ftclust_core::Instance;
-/// use ftclust_graphs::generators;
-///
-/// let g = generators::cycle(12);
-/// let inst = Instance::uniform(&g, 2)?;
-/// let run = run_fractional_protocol(&inst, &FractionalParams::new(3))?;
-/// assert_eq!(run.metrics.rounds, 2 * 9 + 3); // 2t² + 3
-/// assert!(run.solution.is_primal_feasible(&inst, 1e-9));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn run_fractional_protocol(
-    inst: &Instance<'_>,
-    params: &FractionalParams,
-) -> Result<FractionalProtocolRun, KmdsError> {
-    run_fractional_stack(inst, params, Stack::new()).map(|(run, _)| run)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,7 +447,10 @@ mod tests {
             for t in 1..=6 {
                 let params = FractionalParams::new(t);
                 let engine = solve_fractional(&inst, &params).unwrap();
-                let proto = run_fractional_protocol(&inst, &params).unwrap().solution;
+                let proto = run_fractional_stack(&inst, &params, Stack::new())
+                    .unwrap()
+                    .0
+                    .solution;
                 assert_eq!(engine, proto, "engine/protocol divergence at t={t}");
             }
         }
@@ -473,7 +461,8 @@ mod tests {
         let g = generators::gnp(30, 0.2, 1);
         let inst = Instance::uniform_clamped(&g, 2);
         for t in [1, 2, 4] {
-            let run = run_fractional_protocol(&inst, &FractionalParams::new(t)).unwrap();
+            let (run, _) =
+                run_fractional_stack(&inst, &FractionalParams::new(t), Stack::new()).unwrap();
             assert_eq!(run.metrics.rounds, 2 * (t as u64).pow(2) + 3);
         }
     }
@@ -482,7 +471,8 @@ mod tests {
     fn message_bits_are_logarithmic() {
         let g = generators::gnp(200, 0.05, 9);
         let inst = Instance::uniform_clamped(&g, 2);
-        let run = run_fractional_protocol(&inst, &FractionalParams::new(3)).unwrap();
+        let (run, _) =
+            run_fractional_stack(&inst, &FractionalParams::new(3), Stack::new()).unwrap();
         // 2 values + a degree: comfortably O(log n).
         assert!(run.metrics.max_message_bits <= (3 * VALUE_BITS) as u64);
         assert!(run.metrics.messages > 0);
@@ -511,7 +501,7 @@ mod tests {
         let g = generators::cycle(6);
         let inst = Instance::uniform_clamped(&g, 1);
         let params = FractionalParams::new(2).without_global_delta();
-        let err = run_fractional_protocol(&inst, &params).unwrap_err();
+        let err = run_fractional_stack(&inst, &params, Stack::new()).unwrap_err();
         assert!(matches!(err, KmdsError::InvalidInput { .. }), "{err:?}");
         assert!(run_fractional_stack(&inst, &params, Stack::new().traced()).is_err());
     }
@@ -562,7 +552,8 @@ mod tests {
     fn isolated_nodes_complete_locally() {
         let g = generators::empty(3);
         let inst = Instance::uniform_clamped(&g, 1);
-        let run = run_fractional_protocol(&inst, &FractionalParams::new(2)).unwrap();
+        let (run, _) =
+            run_fractional_stack(&inst, &FractionalParams::new(2), Stack::new()).unwrap();
         assert_eq!(run.solution.x, vec![1.0, 1.0, 1.0]);
         assert_eq!(run.metrics.messages, 0);
     }
@@ -573,7 +564,7 @@ mod tests {
         let g = generators::gnp(40, 0.2, 2);
         let inst = Instance::uniform_clamped(&g, 2);
         let params = FractionalParams::new(2);
-        let base = run_fractional_protocol(&inst, &params).unwrap();
+        let (base, _) = run_fractional_stack(&inst, &params, Stack::new()).unwrap();
         let (traced, log) = run_fractional_stack(&inst, &params, Stack::new().traced()).unwrap();
         let log = log.expect("traced stack records a log");
         assert_eq!(base.solution, traced.solution);

@@ -106,22 +106,25 @@ impl GeneralPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fractional::protocol::run_fractional_protocol;
-    use crate::rounding::protocol::run_rounding_protocol;
+    use crate::fractional::protocol::run_fractional_stack;
+    use crate::rounding::protocol::run_rounding_stack;
     use crate::validate::{is_k_dominating_instance, Semantics};
     use ftclust_graphs::generators;
+    use ftclust_netsim::exec::Stack;
 
     /// Runs Algorithms 1 and 2 as message-passing protocols and asserts
     /// the pipeline's engine result equals theirs.
     fn assert_matches_protocols(inst: &Instance<'_>, t: u32, seed: u64) -> GeneralRun {
         let run = GeneralPipeline::new(t).seed(seed).run(inst).unwrap();
-        let frac = run_fractional_protocol(inst, &FractionalParams::new(t)).unwrap();
-        let round = run_rounding_protocol(
+        let (frac, _) =
+            run_fractional_stack(inst, &FractionalParams::new(t), Stack::new()).unwrap();
+        let (round, _) = run_rounding_stack(
             inst,
             &frac.solution.x,
             frac.solution.delta,
             seed,
             &RoundingParams::default(),
+            Stack::new(),
         )
         .unwrap();
         assert_eq!(run.fractional, frac.solution);

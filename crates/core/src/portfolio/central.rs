@@ -75,6 +75,23 @@ impl NodeLogic for GreedyNode {
 /// happen), or — with the transport engaged — wrapping
 /// [`ftclust_netsim::SimError::DeliveryFailed`] if loss exceeds a
 /// retransmit budget.
+///
+/// # Example
+///
+/// ```
+/// use ftclust_core::portfolio::run_cgreedy_stack;
+/// use ftclust_core::validate::{is_k_dominating_instance, Semantics};
+/// use ftclust_core::Instance;
+/// use ftclust_graphs::generators;
+/// use ftclust_netsim::exec::Stack;
+///
+/// let g = generators::gnp(40, 0.15, 7);
+/// let inst = Instance::uniform_clamped(&g, 2);
+/// let (run, _) = run_cgreedy_stack(&inst, Stack::new())?;
+/// assert!(is_k_dominating_instance(&inst, &run.set, Semantics::CoverSelf));
+/// assert_eq!(run.metrics.rounds, 2);
+/// # Ok::<(), ftclust_core::KmdsError>(())
+/// ```
 pub fn run_cgreedy_stack(
     inst: &Instance<'_>,
     stack: Stack,
@@ -123,31 +140,6 @@ pub fn run_cgreedy_stack(
     ))
 }
 
-/// [`run_cgreedy_stack`] on the empty stack: the plain synchronous run.
-///
-/// # Errors
-///
-/// As [`run_cgreedy_stack`].
-///
-/// # Example
-///
-/// ```
-/// use ftclust_core::portfolio::run_cgreedy_protocol;
-/// use ftclust_core::validate::{is_k_dominating_instance, Semantics};
-/// use ftclust_core::Instance;
-/// use ftclust_graphs::generators;
-///
-/// let g = generators::gnp(40, 0.15, 7);
-/// let inst = Instance::uniform_clamped(&g, 2);
-/// let run = run_cgreedy_protocol(&inst)?;
-/// assert!(is_k_dominating_instance(&inst, &run.set, Semantics::CoverSelf));
-/// assert_eq!(run.metrics.rounds, 2);
-/// # Ok::<(), ftclust_core::KmdsError>(())
-/// ```
-pub fn run_cgreedy_protocol(inst: &Instance<'_>) -> Result<PortfolioRun, KmdsError> {
-    run_cgreedy_stack(inst, Stack::new()).map(|(run, _)| run)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +150,7 @@ mod tests {
         let g = generators::gnp(50, 0.15, 4);
         let inst = Instance::uniform_clamped(&g, 2);
         let engine = greedy_kmds(&inst, Semantics::CoverSelf);
-        let run = run_cgreedy_protocol(&inst).unwrap();
+        let (run, _) = run_cgreedy_stack(&inst, Stack::new()).unwrap();
         assert_eq!(run.set, engine);
         assert_eq!(run.metrics.rounds, 2);
         // Announce costs one beacon per member edge, nothing else.
@@ -170,9 +162,9 @@ mod tests {
         for seed in [2u64, 8] {
             let g = generators::gnp(70, 0.12, seed);
             let inst = Instance::uniform_clamped(&g, 2);
-            let cg = run_cgreedy_protocol(&inst).unwrap();
-            let dkm = super::super::run_dkm_protocol(&inst).unwrap();
-            let pb = super::super::run_pb_protocol(&inst).unwrap();
+            let (cg, _) = run_cgreedy_stack(&inst, Stack::new()).unwrap();
+            let dkm = super::super::run_dkm_stack(&inst, Stack::new()).unwrap().0;
+            let pb = super::super::run_pb_stack(&inst, Stack::new()).unwrap().0;
             assert!(cg.set.len() <= dkm.set.len());
             assert!(cg.set.len() <= pb.set.len());
         }

@@ -39,6 +39,22 @@ use super::PortfolioRun;
 /// happen for well-formed instances), or — with the transport engaged —
 /// wrapping [`ftclust_netsim::SimError::DeliveryFailed`] if loss
 /// exceeds a retransmit budget.
+///
+/// # Example
+///
+/// ```
+/// use ftclust_core::portfolio::run_dkm_stack;
+/// use ftclust_core::validate::{is_k_dominating_instance, Semantics};
+/// use ftclust_core::Instance;
+/// use ftclust_graphs::generators;
+/// use ftclust_netsim::exec::Stack;
+///
+/// let g = generators::gnp(40, 0.15, 7);
+/// let inst = Instance::uniform_clamped(&g, 2);
+/// let (run, _) = run_dkm_stack(&inst, Stack::new())?;
+/// assert!(is_k_dominating_instance(&inst, &run.set, Semantics::CoverSelf));
+/// # Ok::<(), ftclust_core::KmdsError>(())
+/// ```
 pub fn run_dkm_stack(
     inst: &Instance<'_>,
     stack: Stack,
@@ -50,30 +66,6 @@ pub fn run_dkm_stack(
         "Deurer–Kuhn–Maus span greedy",
         stack,
     )
-}
-
-/// [`run_dkm_stack`] on the empty stack: the plain synchronous run.
-///
-/// # Errors
-///
-/// As [`run_dkm_stack`].
-///
-/// # Example
-///
-/// ```
-/// use ftclust_core::portfolio::run_dkm_protocol;
-/// use ftclust_core::validate::{is_k_dominating_instance, Semantics};
-/// use ftclust_core::Instance;
-/// use ftclust_graphs::generators;
-///
-/// let g = generators::gnp(40, 0.15, 7);
-/// let inst = Instance::uniform_clamped(&g, 2);
-/// let run = run_dkm_protocol(&inst)?;
-/// assert!(is_k_dominating_instance(&inst, &run.set, Semantics::CoverSelf));
-/// # Ok::<(), ftclust_core::KmdsError>(())
-/// ```
-pub fn run_dkm_protocol(inst: &Instance<'_>) -> Result<PortfolioRun, KmdsError> {
-    run_dkm_stack(inst, Stack::new()).map(|(run, _)| run)
 }
 
 #[cfg(test)]
@@ -92,7 +84,7 @@ mod tests {
             (generators::empty(5), 1),
         ] {
             let inst = Instance::uniform_clamped(&g, k);
-            let run = run_dkm_protocol(&inst).unwrap();
+            let (run, _) = run_dkm_stack(&inst, Stack::new()).unwrap();
             assert!(
                 is_k_dominating_instance(&inst, &run.set, Semantics::CoverSelf),
                 "invalid set at k={k}"
@@ -107,7 +99,7 @@ mod tests {
         // it alone for k = 1.
         let g = generators::star(16);
         let inst = Instance::uniform_clamped(&g, 1);
-        let run = run_dkm_protocol(&inst).unwrap();
+        let (run, _) = run_dkm_stack(&inst, Stack::new()).unwrap();
         assert_eq!(run.set.len(), 1, "span greedy should pick only the hub");
         assert!(run.set.contains(ftclust_graphs::NodeId::new(0)));
     }
@@ -117,8 +109,8 @@ mod tests {
         for seed in [1u64, 5, 9] {
             let g = generators::gnp(80, 0.1, seed);
             let inst = Instance::uniform_clamped(&g, 2);
-            let dkm = run_dkm_protocol(&inst).unwrap();
-            let pb = super::super::run_pb_protocol(&inst).unwrap();
+            let (dkm, _) = run_dkm_stack(&inst, Stack::new()).unwrap();
+            let pb = super::super::run_pb_stack(&inst, Stack::new()).unwrap().0;
             assert!(
                 dkm.set.len() <= pb.set.len(),
                 "span greedy ({}) beat by layered growth ({}) at seed {seed}",

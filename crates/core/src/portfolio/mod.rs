@@ -40,10 +40,10 @@ mod cover;
 pub mod dkm;
 pub mod pb;
 
-pub use central::{run_cgreedy_protocol, run_cgreedy_stack, GreedyMsg};
+pub use central::{run_cgreedy_stack, GreedyMsg};
 pub use cover::CoverMsg;
-pub use dkm::{run_dkm_protocol, run_dkm_stack};
-pub use pb::{run_pb_protocol, run_pb_stack};
+pub use dkm::run_dkm_stack;
+pub use pb::run_pb_stack;
 
 use crate::DominatingSet;
 use ftclust_netsim::Metrics;

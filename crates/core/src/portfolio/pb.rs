@@ -37,6 +37,22 @@ use super::PortfolioRun;
 /// happen for well-formed instances), or — with the transport engaged —
 /// wrapping [`ftclust_netsim::SimError::DeliveryFailed`] if loss
 /// exceeds a retransmit budget.
+///
+/// # Example
+///
+/// ```
+/// use ftclust_core::portfolio::run_pb_stack;
+/// use ftclust_core::validate::{is_k_dominating_instance, Semantics};
+/// use ftclust_core::Instance;
+/// use ftclust_graphs::generators;
+/// use ftclust_netsim::exec::Stack;
+///
+/// let g = generators::gnp(40, 0.15, 7);
+/// let inst = Instance::uniform_clamped(&g, 2);
+/// let (run, _) = run_pb_stack(&inst, Stack::new())?;
+/// assert!(is_k_dominating_instance(&inst, &run.set, Semantics::CoverSelf));
+/// # Ok::<(), ftclust_core::KmdsError>(())
+/// ```
 pub fn run_pb_stack(
     inst: &Instance<'_>,
     stack: Stack,
@@ -48,30 +64,6 @@ pub fn run_pb_stack(
         "Penso–Barbosa layered growth",
         stack,
     )
-}
-
-/// [`run_pb_stack`] on the empty stack: the plain synchronous run.
-///
-/// # Errors
-///
-/// As [`run_pb_stack`].
-///
-/// # Example
-///
-/// ```
-/// use ftclust_core::portfolio::run_pb_protocol;
-/// use ftclust_core::validate::{is_k_dominating_instance, Semantics};
-/// use ftclust_core::Instance;
-/// use ftclust_graphs::generators;
-///
-/// let g = generators::gnp(40, 0.15, 7);
-/// let inst = Instance::uniform_clamped(&g, 2);
-/// let run = run_pb_protocol(&inst)?;
-/// assert!(is_k_dominating_instance(&inst, &run.set, Semantics::CoverSelf));
-/// # Ok::<(), ftclust_core::KmdsError>(())
-/// ```
-pub fn run_pb_protocol(inst: &Instance<'_>) -> Result<PortfolioRun, KmdsError> {
-    run_pb_stack(inst, Stack::new()).map(|(run, _)| run)
 }
 
 #[cfg(test)]
@@ -90,7 +82,7 @@ mod tests {
             (generators::empty(5), 1),
         ] {
             let inst = Instance::uniform_clamped(&g, k);
-            let run = run_pb_protocol(&inst).unwrap();
+            let (run, _) = run_pb_stack(&inst, Stack::new()).unwrap();
             assert!(
                 is_k_dominating_instance(&inst, &run.set, Semantics::CoverSelf),
                 "invalid set at k={k}"
@@ -103,7 +95,7 @@ mod tests {
     fn isolated_nodes_join_themselves() {
         let g = generators::empty(4);
         let inst = Instance::uniform_clamped(&g, 1);
-        let run = run_pb_protocol(&inst).unwrap();
+        let (run, _) = run_pb_stack(&inst, Stack::new()).unwrap();
         assert_eq!(run.set.len(), 4);
         assert_eq!(run.metrics.messages, 0);
     }
@@ -112,7 +104,7 @@ mod tests {
     fn zero_demand_elects_nobody() {
         let g = generators::path(6);
         let inst = Instance::uniform_clamped(&g, 0);
-        let run = run_pb_protocol(&inst).unwrap();
+        let (run, _) = run_pb_stack(&inst, Stack::new()).unwrap();
         assert_eq!(run.set.len(), 0);
     }
 
@@ -123,7 +115,7 @@ mod tests {
         // the iteration count well below n/3.
         let g = generators::grid_2d(12, 12);
         let inst = Instance::uniform_clamped(&g, 1);
-        let run = run_pb_protocol(&inst).unwrap();
+        let (run, _) = run_pb_stack(&inst, Stack::new()).unwrap();
         assert!(
             run.logical_rounds < g.node_count() as u64,
             "degenerate sequential election: {} rounds",

@@ -10,7 +10,7 @@
 //! repeat:
 //!
 //! 1. *Needy* — a non-member with `cov < k` broadcasts
-//!    [`PromotionMsg::Needy`] carrying its `cov`.
+//!    [`PromotionMsg::Needy`].
 //! 2. *Re-election* — every member promotes the `k` lowest-id needy
 //!    neighbours it heard (all of them if fewer; the paper's line 20
 //!    leaves the choice open); a needy node with degree `< k` or with no
@@ -32,13 +32,15 @@
 //! leader could ever promote it or a connected cluster of such nodes
 //! (DESIGN §5).
 //!
-//! Message sizes: `Status`, `Promote` and `Join` are 1 bit, `Needy` is
-//! `1 + ⌈log₂(cov + 2)⌉` bits. The protocols wrap these messages in their
-//! own payload without a tag bit. The continuous repair service reuses
-//! the re-election and join steps inside its 4-round beacon cycle.
+//! Message sizes: every message is 1 bit. A receiver tells the four
+//! apart by the round it arrives in (and a `Status` by its one bit), so
+//! no tag goes on the wire. Algorithm 3 wraps these messages in its own
+//! payload without a tag bit; the coverage repair sends them as they are.
+//! The continuous repair service reuses the status, needy, re-election
+//! and join steps inside its 4-round probe cycle.
 
 use ftclust_graphs::NodeId;
-use ftclust_netsim::{bits_for_ids, Context, Control, Inbox, Payload};
+use ftclust_netsim::{Context, Control, Inbox, Payload};
 
 /// Wire messages of the promotion loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,13 +50,8 @@ pub enum PromotionMsg {
         /// Whether the sender is in the set.
         member: bool,
     },
-    /// "I am needy", with the sender's current coverage (`< k`).
-    /// Nothing reads `cov`; it stays on the wire so the metered sizes
-    /// stay as recorded.
-    Needy {
-        /// Members in the sender's closed neighbourhood.
-        cov: u32,
-    },
+    /// "I am needy": the sender has fewer than `k` members around it.
+    Needy,
     /// Promotion order from a member to a needy neighbour.
     Promote,
     /// New-member announcement (promoted or self-elected).
@@ -63,10 +60,7 @@ pub enum PromotionMsg {
 
 impl Payload for PromotionMsg {
     fn bit_size(&self) -> usize {
-        match self {
-            PromotionMsg::Status { .. } | PromotionMsg::Promote | PromotionMsg::Join => 1,
-            PromotionMsg::Needy { cov } => 1 + bits_for_ids(*cov as usize + 2),
-        }
+        1
     }
 }
 
@@ -74,6 +68,13 @@ impl Payload for PromotionMsg {
 pub(crate) trait CarriesPromotion: Payload + From<PromotionMsg> {
     /// The loop message inside this payload, if it is one.
     fn promotion(&self) -> Option<PromotionMsg>;
+}
+
+/// The coverage repair sends the loop's messages bare.
+impl CarriesPromotion for PromotionMsg {
+    fn promotion(&self) -> Option<PromotionMsg> {
+        Some(*self)
+    }
 }
 
 /// The promotion targets among the (ascending) needy neighbours: the `k`
@@ -157,11 +158,11 @@ impl PromotionLoop {
     }
 
     /// The needy step, once `cov` is current: a non-member short of `k`
-    /// members announces its coverage.
+    /// members announces that it is needy.
     pub(crate) fn announce_need<P: CarriesPromotion>(&mut self, ctx: &mut Context<'_, P>) {
         self.needy = !self.member && self.cov < self.k;
         if self.needy {
-            ctx.broadcast(PromotionMsg::Needy { cov: self.cov }.into());
+            ctx.broadcast(PromotionMsg::Needy.into());
         }
     }
 
@@ -186,7 +187,7 @@ impl PromotionLoop {
     ) -> bool {
         let mut needy: Vec<NodeId> = inbox
             .iter()
-            .filter(|e| matches!(e.payload.promotion(), Some(PromotionMsg::Needy { .. })))
+            .filter(|e| matches!(e.payload.promotion(), Some(PromotionMsg::Needy)))
             .map(|e| e.from)
             .collect();
         needy.sort_unstable();
@@ -230,21 +231,14 @@ mod tests {
         for msg in [
             Status { member: false },
             Status { member: true },
+            Needy,
             Promote,
             Join,
         ] {
             assert_eq!(msg.bit_size(), 1, "{msg:?}");
-        }
-        for (cov, bits) in [(0u32, 2usize), (1, 3), (2, 3), (3, 4), (6, 4), (7, 5)] {
-            assert_eq!(Needy { cov }.bit_size(), bits, "cov {cov}");
-            assert_eq!(Needy { cov }.bit_size(), 1 + bits_for_ids(cov as usize + 2));
-        }
-        // The protocols wrap the loop's messages without a tag bit.
-        for msg in [Status { member: true }, Needy { cov: 5 }, Promote, Join] {
+            // Algorithm 3 wraps the loop's messages without a tag bit.
             let udg = crate::udg::protocol::UdgMsg::Loop(msg);
-            let repair = crate::repair::RepairMsg::Loop(msg);
-            assert_eq!(udg.bit_size(), msg.bit_size(), "{msg:?}");
-            assert_eq!(repair.bit_size(), msg.bit_size(), "{msg:?}");
+            assert_eq!(udg.bit_size(), 1, "{msg:?}");
         }
     }
 

@@ -20,8 +20,8 @@
 //! 1. *Detection* — every survivor broadcasts its membership status; a
 //!    non-member whose count of surviving dominators `c(v)` is below `k`
 //!    becomes **needy** with deficit `k − c(v)`.
-//! 2. *Deficit broadcast* — needy nodes announce their coverage to their
-//!    surviving neighbors.
+//! 2. *Need broadcast* — needy nodes announce that they are needy to
+//!    their surviving neighbors.
 //! 3. *Re-election* — a needy node with fewer than `k` surviving
 //!    neighbors, or with no surviving member neighbor at all, promotes
 //!    **itself** (members are exempt under strict semantics, and no
@@ -31,32 +31,34 @@
 //! 4. *Announcement* — new members announce themselves; coverage counts
 //!    update and the loop repeats steps 2–4 while anyone is still needy.
 //!
+//! Every message is a 1-bit [`PromotionMsg`]: the repair sends the
+//! promotion loop's own messages and nothing else.
+//!
 //! # Engine and protocol
 //!
-//! [`repair_coverage`] is the analytic engine: a serial reference that
-//! evaluates the rounds directly on shared state, one loop over the
-//! nodes per round.
-//! [`run_repair_protocol`] executes the same rounds as real message
-//! passing on [`ftclust_netsim`], and [`run_repair_stack`] does so under
-//! any executor stack, including **lossy links** behind the reliable
-//! transport of [`ftclust_netsim::transport`]. All three produce the
-//! identical healed set, additions and iteration count for the same
-//! inputs; the stack drivers seed the stack's own loss and churn draws
-//! with a fixed constant.
+//! [`repair_coverage`] is the engine: a serial reference that evaluates
+//! the rounds directly on shared state, one loop over the nodes per
+//! round. It computes the outcome only; the cost of a repair is what
+//! [`run_repair_stack`] meters when it executes the same rounds as real
+//! message passing on [`ftclust_netsim`], under any executor stack
+//! (**lossy links** behind the reliable transport of
+//! [`ftclust_netsim::transport`] included). Both produce the identical
+//! [`RepairOutcome`] for the same inputs; the stack driver seeds the
+//! stack's own loss and churn draws with a fixed constant.
 //!
 //! # Continuous mode
 //!
 //! The epoch-based entry points above heal once, *after* a churn epoch
 //! has ended. [`run_repair_continuous`] instead runs the repair as a
 //! standing service **while** churn and adversarial delivery faults are
-//! live: every 4-round cycle probes coverage with membership beacons,
+//! live: every 4-round cycle probes coverage with membership statuses,
 //! records each node's observed deficit, and immediately re-elects and
 //! joins replacements. The per-cycle deficit series feeds
 //! [`ftclust_netsim::monitor::HealthMonitor`], which derives detection
 //! latency and mean time to repair per fault burst. Continuous mode runs
 //! *without* the reliable transport — ARQ cannot mask crash churn (a
 //! frame addressed to a crashed node exhausts its retransmit budget) —
-//! so the protocol itself is loss-tolerant: a lost or corrupted beacon
+//! so the protocol itself is loss-tolerant: a lost or corrupted status
 //! undercounts coverage, which can only cause a spurious *extra*
 //! promotion, never a missed deficit.
 //!
@@ -76,10 +78,11 @@
 //! # Example
 //!
 //! ```
-//! use ftclust_core::repair::repair_coverage;
+//! use ftclust_core::repair::{repair_coverage, run_repair_stack, surviving_instance};
 //! use ftclust_core::udg::UdgAlgorithm;
 //! use ftclust_core::validate::{is_k_dominating, Semantics};
 //! use ftclust_graphs::generators;
+//! use ftclust_netsim::exec::Stack;
 //!
 //! let udg = generators::random_udg(300, 10.0, 1.0, 7);
 //! let run = UdgAlgorithm::new(2).seed(1).run(&udg)?;
@@ -89,71 +92,30 @@
 //!     alive[v.index()] = false;
 //! }
 //! let out = repair_coverage(udg.graph(), &run.set, &alive, 2)?;
-//! let keep: Vec<_> = udg.graph().nodes().filter(|v| alive[v.index()]).collect();
-//! let (sub, old_ids) = udg.graph().induced_subgraph(&keep);
-//! let survivors = ftclust_core::DominatingSet::from_ids(
-//!     sub.node_count(),
-//!     old_ids.iter().enumerate().filter(|(_, old)| out.set.contains(**old))
-//!         .map(|(new, _)| ftclust_graphs::NodeId::new(new as u32)),
-//! );
+//! // The protocol heals identically, and every message it sends is 1 bit.
+//! let (proto, _) = run_repair_stack(udg.graph(), &run.set, &alive, 2, Stack::new())?;
+//! assert_eq!(proto.outcome, out);
+//! assert_eq!(proto.metrics.total_bits, proto.metrics.messages);
+//! let (sub, survivors) = surviving_instance(udg.graph(), &out.set, &alive)?;
 //! assert!(is_k_dominating(&sub, &survivors, 2, Semantics::Strict));
 //! # Ok::<(), ftclust_core::KmdsError>(())
 //! ```
 
-use crate::promotion::{select_promotions, CarriesPromotion, PromotionLoop, PromotionMsg};
+use crate::promotion::{select_promotions, PromotionLoop, PromotionMsg};
 use crate::validate::mask_coverage;
 use crate::{DominatingSet, KmdsError};
 use ftclust_graphs::{Graph, NodeId};
 use ftclust_netsim::exec::{completed_iterations, Executor, Phase, Stack};
 use ftclust_netsim::monitor::HealthMonitor;
-use ftclust_netsim::{Context, Control, EventLog, Inbox, Metrics, NodeLogic, Payload, Topology};
+use ftclust_netsim::{Context, Control, EventLog, Inbox, Metrics, NodeLogic, Topology};
 
 /// Master seed of the stack drivers' loss and churn draws. The repair
 /// draws nothing itself, so the seed only picks which frames the lossy
 /// layers drop; it is fixed because no caller needs another.
 const STACK_SEED: u64 = 9;
 
-/// Wire messages of the repair protocol. All `O(log k)` bits or smaller —
-/// repair stays inside the paper's small-message model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairMsg {
-    /// Continuous-mode probe beacon: liveness plus current membership,
-    /// so receivers can measure their live coverage every cycle (see
-    /// [`run_repair_continuous`]).
-    Beacon {
-        /// Whether the sender is currently in the dominating set.
-        member: bool,
-    },
-    /// A promotion-loop message: all of the epoch repair's traffic, and
-    /// the continuous service's needy and promotion messages.
-    Loop(PromotionMsg),
-}
-
-impl Payload for RepairMsg {
-    fn bit_size(&self) -> usize {
-        match self {
-            RepairMsg::Beacon { .. } => 2,
-            RepairMsg::Loop(m) => m.bit_size(),
-        }
-    }
-}
-
-impl From<PromotionMsg> for RepairMsg {
-    fn from(m: PromotionMsg) -> Self {
-        RepairMsg::Loop(m)
-    }
-}
-
-impl CarriesPromotion for RepairMsg {
-    fn promotion(&self) -> Option<PromotionMsg> {
-        match self {
-            RepairMsg::Loop(m) => Some(*m),
-            RepairMsg::Beacon { .. } => None,
-        }
-    }
-}
-
-/// Result of a coverage repair.
+/// Result of a coverage repair, the same from the engine
+/// ([`repair_coverage`]) and the protocol ([`run_repair_stack`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairOutcome {
     /// The healed set over the full node universe. Dead members are
@@ -163,13 +125,6 @@ pub struct RepairOutcome {
     pub added: Vec<NodeId>,
     /// Re-election iterations executed (0 if nothing was needy).
     pub iterations: u32,
-    /// Protocol rounds: 1 detection round + 3 per iteration.
-    pub rounds: u64,
-    /// Messages the protocol would send (status broadcasts, deficit
-    /// broadcasts, promotions, join announcements).
-    pub messages: u64,
-    /// Total bits across those messages ([`RepairMsg`] sizes).
-    pub message_bits: u64,
     /// Largest coverage deficit `k − c(v)` observed at detection time.
     pub peak_deficit: u32,
     /// Number of nodes below target coverage at detection time.
@@ -181,8 +136,8 @@ pub struct RepairOutcome {
 ///
 /// `alive[v]` tells whether node `v` survived the churn epoch; dead
 /// members are pruned from the set and only surviving nodes are added.
-/// See the [module docs](self) for the protocol, its cost model, and the
-/// locality guarantee.
+/// See the [module docs](self) for the protocol and the locality
+/// guarantee; [`run_repair_stack`] meters what it costs.
 ///
 /// # Errors
 ///
@@ -212,18 +167,6 @@ pub fn repair_coverage(
         .map(|v| g.neighbors(v).iter().filter(|w| alive[w.index()]).count() as u32)
         .collect();
 
-    let mut messages = 0u64;
-    let mut message_bits = 0u64;
-    // Detection round: every survivor sends its status to all its graph
-    // neighbors (it cannot yet know which of them are alive).
-    let status = PromotionMsg::Status { member: true }.bit_size() as u64;
-    for v in g.nodes().filter(|v| alive[v.index()]) {
-        let deg = g.degree(v) as u64;
-        messages += deg;
-        message_bits += deg * status;
-    }
-    let mut rounds = 1u64;
-
     let mut added: Vec<NodeId> = Vec::new();
     let mut peak_deficit = 0u32;
     let mut deficit_nodes = 0usize;
@@ -244,15 +187,8 @@ pub fn repair_coverage(
             break;
         }
         iterations += 1;
-        rounds += 3;
-        // Round 1 of the iteration: deficit broadcasts to surviving
-        // neighbors.
-        for i in needy_ids() {
-            let deg = u64::from(alive_deg[i]);
-            messages += deg;
-            message_bits += deg * PromotionMsg::Needy { cov: cov[i] }.bit_size() as u64;
-        }
-        // Round 2: self-elections and member promotions.
+        // Round 2 of the iteration (round 1 announces the need):
+        // self-elections and member promotions.
         let mut joins: Vec<bool> = (0..n)
             .map(|i| {
                 needy[i]
@@ -263,7 +199,6 @@ pub fn repair_coverage(
                             .any(|w| member[w.index()]))
             })
             .collect();
-        let mut promote_msgs = 0u64;
         let mut needy_nbrs: Vec<NodeId> = Vec::new();
         for i in (0..n).filter(|&i| member[i]) {
             needy_nbrs.clear();
@@ -274,13 +209,10 @@ pub fn repair_coverage(
                     .filter(|w| needy[w.index()]),
             );
             for w in select_promotions(&needy_nbrs, k as usize) {
-                promote_msgs += 1;
                 joins[w.index()] = true;
             }
         }
-        messages += promote_msgs;
-        message_bits += promote_msgs * PromotionMsg::Promote.bit_size() as u64;
-        // Round 3: join announcements from the new members.
+        // Round 3: the promoted and self-elected nodes join.
         let before = added.len();
         for i in 0..n {
             if joins[i] && !member[i] {
@@ -289,9 +221,6 @@ pub fn repair_coverage(
                 for w in g.closed_neighbors(NodeId::new(i as u32)) {
                     cov[w.index()] += 1;
                 }
-                let deg = u64::from(alive_deg[i]);
-                messages += deg;
-                message_bits += deg * PromotionMsg::Join.bit_size() as u64;
             }
         }
         if added.len() == before {
@@ -306,9 +235,6 @@ pub fn repair_coverage(
         set: DominatingSet::from_members(member),
         added,
         iterations,
-        rounds,
-        messages,
-        message_bits,
         peak_deficit,
         deficit_nodes,
     };
@@ -361,10 +287,8 @@ fn check_inputs(
 }
 
 /// Per-node state of the repair protocol on the **surviving subgraph** —
-/// the message-passing twin of [`repair_coverage`], identical for the
-/// same inputs in its healed set, additions and iteration count (message
-/// counts differ: the engine also accounts status messages addressed to
-/// dead neighbors, which the induced subgraph has no edges for).
+/// the message-passing twin of [`repair_coverage`], with the identical
+/// outcome for the same inputs.
 ///
 /// Each node runs the promotion loop from round 0, seeded with its own
 /// pre-churn membership; it learns its neighbors' membership from their
@@ -377,12 +301,12 @@ pub struct RepairNode {
 }
 
 impl NodeLogic for RepairNode {
-    type Payload = RepairMsg;
+    type Payload = PromotionMsg;
 
     fn on_round(
         &mut self,
-        inbox: Inbox<'_, RepairMsg>,
-        ctx: &mut Context<'_, RepairMsg>,
+        inbox: Inbox<'_, PromotionMsg>,
+        ctx: &mut Context<'_, PromotionMsg>,
     ) -> Control {
         let r = ctx.round();
         let control = self.promotion.on_round(r, inbox, ctx);
@@ -393,25 +317,14 @@ impl NodeLogic for RepairNode {
     }
 }
 
-/// Result of a metered repair-protocol execution
-/// ([`run_repair_protocol`] / [`run_repair_stack`]).
+/// Result of a metered repair-protocol execution ([`run_repair_stack`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairProtocolRun {
-    /// The healed set over the **full** node universe — identical to
-    /// [`repair_coverage`]'s.
-    pub set: DominatingSet,
-    /// Nodes added by the repair, in original ids, ascending — identical
-    /// to the engine's.
-    pub added: Vec<NodeId>,
-    /// Re-election iterations executed — identical to the engine's.
-    pub iterations: u32,
-    /// Largest deficit `k − c(v)` observed at detection time.
-    pub peak_deficit: u32,
-    /// Nodes below target coverage at detection time.
-    pub deficit_nodes: usize,
-    /// Measured communication metrics of the execution (unlike the
-    /// engine's analytic counts, these include nothing for dead
-    /// neighbors; under loss they include the transport overhead).
+    /// The outcome, identical to [`repair_coverage`]'s for the same
+    /// inputs; the healed set is over the **full** node universe.
+    pub outcome: RepairOutcome,
+    /// Measured communication metrics of the execution (under loss they
+    /// include the transport overhead).
     pub metrics: Metrics,
 }
 
@@ -443,11 +356,13 @@ fn assemble_repair(
     // everyone halts) = 3·(iterations + 1) in total.
     let iterations = completed_iterations(logical_rounds, 1, 3, 2);
     RepairProtocolRun {
-        set: DominatingSet::from_members(members),
-        added,
-        iterations,
-        peak_deficit,
-        deficit_nodes,
+        outcome: RepairOutcome {
+            set: DominatingSet::from_members(members),
+            added,
+            iterations,
+            peak_deficit,
+            deficit_nodes,
+        },
         metrics,
     }
 }
@@ -466,20 +381,19 @@ fn repair_phases() -> Vec<Phase> {
     ]
 }
 
-/// Runs the coverage repair through the composable executor stack of
-/// [`ftclust_netsim::exec`] on the surviving subgraph: the reliable
-/// transport (loss masking), churn and tracing layers selected by
-/// `stack` compose freely. This is the canonical driver —
-/// [`run_repair_protocol`] is a thin wrapper over it on the empty stack.
-/// The repair itself draws nothing; the stack's loss and churn draws use
-/// a fixed master seed.
+/// Runs the coverage repair as a **message-passing protocol** on the
+/// surviving subgraph, through the composable executor stack of
+/// [`ftclust_netsim::exec`], metering real rounds, messages and bits: the
+/// reliable transport (loss masking), churn and tracing layers selected
+/// by `stack` compose freely, and `Stack::new()` is the plain
+/// synchronous run. The repair itself draws nothing; the stack's loss
+/// and churn draws use a fixed master seed.
 ///
 /// When the stack is traced, [`EventLog::rollups`] shows how the repair
 /// cost is spread over iterations versus detection via the plan above.
 /// When the transport is engaged, drops and partition windows add metered
-/// retransmissions but leave the healed set, additions and iteration
-/// count identical to [`repair_coverage`]'s for the same inputs (asserted in
-/// debug builds).
+/// retransmissions but leave the outcome identical to
+/// [`repair_coverage`]'s for the same inputs (asserted in debug builds).
 ///
 /// # Errors
 ///
@@ -521,43 +435,9 @@ pub fn run_repair_stack(
     let out = assemble_repair(n, &old_of_new, &run.logics, run.logical_rounds, run.metrics);
     if cfg!(debug_assertions) && transported {
         let engine = repair_coverage(g, set, alive, k)?;
-        crate::audit::loss_transparent(
-            "coverage repair",
-            &(
-                out.set.clone(),
-                out.added.clone(),
-                out.iterations,
-                out.peak_deficit,
-                out.deficit_nodes,
-            ),
-            &(
-                engine.set,
-                engine.added,
-                engine.iterations,
-                engine.peak_deficit,
-                engine.deficit_nodes,
-            ),
-        );
+        crate::audit::loss_transparent("coverage repair", &out.outcome, &engine);
     }
     Ok((out, run.log))
-}
-
-/// Runs the coverage repair as a **message-passing protocol** on the
-/// surviving subgraph, metering real rounds, messages and bits. The
-/// healed set, additions and iteration count are identical to
-/// [`repair_coverage`]'s for the same inputs (asserted in the tests; the
-/// engine remains the fast path for sweeps).
-///
-/// # Errors
-///
-/// As [`run_repair_stack`].
-pub fn run_repair_protocol(
-    g: &Graph,
-    set: &DominatingSet,
-    alive: &[bool],
-    k: u32,
-) -> Result<RepairProtocolRun, KmdsError> {
-    run_repair_stack(g, set, alive, k, Stack::new()).map(|(run, _)| run)
 }
 
 /// Logical-round budget of a repair run: detection + one three-round
@@ -572,21 +452,21 @@ fn repair_round_budget(n_sub: usize) -> u64 {
 /// under live churn — liveness is whatever the simulator's churn plan
 /// says at each round — in repeating 4-round cycles:
 ///
-/// 1. *Probe* (round `4c`) — every live node broadcasts a
-///    [`RepairMsg::Beacon`] carrying its membership.
+/// 1. *Probe* (round `4c`) — every live node broadcasts the loop's
+///    [`PromotionMsg::Status`] carrying its membership.
 /// 2. *Deficit* (round `4c + 1`) — each node counts the **distinct**
-///    member beacon senders it heard (network duplicates must not
+///    senders of a member status it heard (network duplicates must not
 ///    double-count coverage), records its observed deficit for the
 ///    monitor, and broadcasts [`PromotionMsg::Needy`] if under-covered.
 /// 3. *Re-election* (round `4c + 2`) — the promotion loop's re-election
 ///    step: members promote up to `k` needy neighbors; a needy node that
-///    heard no member beacon at all (or whose degree is below `k`) marks
+///    heard no member status at all (or whose degree is below `k`) marks
 ///    itself for self-election.
 /// 4. *Join* (round `4c + 3`) — the loop's join step: promoted and
-///    self-elected nodes enter the set; the next cycle's beacon
+///    self-elected nodes enter the set; the next cycle's probe
 ///    announces it.
 ///
-/// Loss, corruption and partitions make beacons *undercount* coverage,
+/// Loss, corruption and partitions make the probe *undercount* coverage,
 /// which can only trigger spurious extra promotions — the deficit probe
 /// never misses a real deficit for longer than one cycle. Jittered
 /// messages landing outside their cycle phase are ignored (each phase
@@ -604,12 +484,12 @@ pub struct ContinuousRepairNode {
 }
 
 impl NodeLogic for ContinuousRepairNode {
-    type Payload = RepairMsg;
+    type Payload = PromotionMsg;
 
     fn on_round(
         &mut self,
-        inbox: Inbox<'_, RepairMsg>,
-        ctx: &mut Context<'_, RepairMsg>,
+        inbox: Inbox<'_, PromotionMsg>,
+        ctx: &mut Context<'_, PromotionMsg>,
     ) -> Control {
         let r = ctx.round();
         if r >= self.horizon_rounds {
@@ -617,17 +497,15 @@ impl NodeLogic for ContinuousRepairNode {
         }
         let p = &mut self.promotion;
         match r % 4 {
-            0 => ctx.broadcast(RepairMsg::Beacon { member: p.member }),
+            0 => ctx.broadcast(PromotionMsg::Status { member: p.member }),
             1 => {
-                // Coverage probe readout: distinct member beacon senders
+                // Coverage probe readout: distinct member status senders
                 // only — the adversary may deliver duplicates, and a
-                // duplicated beacon must not count as two dominators.
+                // duplicated status must not count as two dominators.
                 let mut members: Vec<NodeId> = inbox
                     .iter()
-                    .filter_map(|e| match *e.payload {
-                        RepairMsg::Beacon { member: true } => Some(e.from),
-                        _ => None,
-                    })
+                    .filter(|e| *e.payload == PromotionMsg::Status { member: true })
+                    .map(|e| e.from)
                     .collect();
                 members.sort_unstable();
                 members.dedup();
@@ -681,7 +559,7 @@ pub struct ContinuousRepairRun {
 /// graph, `k == 0`, or the stack engages the reliable transport:
 /// continuous repair runs bare — ARQ cannot mask crash churn (frames to
 /// crashed nodes exhaust their retransmit budget), and the protocol is
-/// loss-tolerant by design (a lost beacon undercounts coverage, which
+/// loss-tolerant by design (a lost status undercounts coverage, which
 /// only over-promotes). Returns [`KmdsError::Sim`] if the physical-round
 /// budget (the horizon plus recovery slack) is exceeded — only possible
 /// if the churn plan keeps nodes down-but-wakeable long past the
@@ -792,8 +670,6 @@ mod tests {
             );
             // Dead nodes never stay in (or enter) the repaired set.
             assert!(out.set.ids().all(|v| alive[v.index()]));
-            assert_eq!(out.rounds, 1 + 3 * u64::from(out.iterations));
-            assert!(out.messages > 0);
         }
     }
 
@@ -805,7 +681,6 @@ mod tests {
         let alive = vec![true; g.node_count()];
         let out = repair_coverage(g, &run.set, &alive, 2).unwrap();
         assert_eq!(out.iterations, 0);
-        assert_eq!(out.rounds, 1);
         assert_eq!(out.added, vec![]);
         assert_eq!(out.deficit_nodes, 0);
         assert_eq!(out.peak_deficit, 0);
@@ -895,10 +770,8 @@ mod tests {
         }
     }
 
-    /// Pins every field of the engine's outcome, the analytic round,
-    /// message and bit counts included (the protocol parity tests skip
-    /// those): a change to the engine's masks or coverage scans that moves
-    /// one count moves this digest.
+    /// Pins every field of the engine's outcome: a change to the engine's
+    /// masks or coverage scans that moves one count moves this digest.
     #[test]
     fn repair_outcomes_are_pinned() {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -921,9 +794,6 @@ mod tests {
                     set,
                     added,
                     iterations,
-                    rounds,
-                    messages,
-                    message_bits,
                     peak_deficit,
                     deficit_nodes,
                 } = repair_coverage(g, &run.set, &alive, k).unwrap();
@@ -932,15 +802,12 @@ mod tests {
                 fold(added.len() as u64);
                 added.iter().for_each(|v| fold(u64::from(v.raw())));
                 fold(u64::from(iterations));
-                fold(rounds);
-                fold(messages);
-                fold(message_bits);
                 fold(u64::from(peak_deficit));
                 fold(deficit_nodes as u64);
             }
         }
         assert_eq!(
-            hash, 0x903c_a053_b926_c28e,
+            hash, 0x0add_f2c1_d11c_7e08,
             "repair outcome digest {hash:#018x}"
         );
     }
@@ -953,26 +820,6 @@ mod tests {
         let out = repair_coverage(&g, &set, &alive, 2).unwrap();
         assert!(out.set.is_empty());
         assert_eq!(out.iterations, 0);
-        assert_eq!(out.messages, 0);
-    }
-
-    /// Asserts the engine-visible fields of a protocol run against the
-    /// engine outcome for the same inputs.
-    fn assert_protocol_matches(proto: &RepairProtocolRun, engine: &RepairOutcome, what: &str) {
-        assert_eq!(proto.set, engine.set, "{what}: set diverged");
-        assert_eq!(proto.added, engine.added, "{what}: additions diverged");
-        assert_eq!(
-            proto.iterations, engine.iterations,
-            "{what}: iteration count diverged"
-        );
-        assert_eq!(
-            proto.peak_deficit, engine.peak_deficit,
-            "{what}: peak deficit diverged"
-        );
-        assert_eq!(
-            proto.deficit_nodes, engine.deficit_nodes,
-            "{what}: deficit node count diverged"
-        );
     }
 
     #[test]
@@ -983,8 +830,8 @@ mod tests {
         for seed in 2u64..8 {
             let alive = churn_mask(g, &run.set, 6, seed);
             let engine = repair_coverage(g, &run.set, &alive, 3).unwrap();
-            let proto = run_repair_protocol(g, &run.set, &alive, 3).unwrap();
-            assert_protocol_matches(&proto, &engine, &format!("seed {seed}"));
+            let (proto, _) = run_repair_stack(g, &run.set, &alive, 3, Stack::new()).unwrap();
+            assert_eq!(proto.outcome, engine, "seed {seed}");
             // Detection + 3 rounds per iteration + the trailing no-op
             // iteration in which everyone observes silence and halts.
             assert_eq!(
@@ -1004,8 +851,8 @@ mod tests {
                 alive[v.index()] = false;
             }
             let engine = repair_coverage(g, &run.set, &alive, 2).unwrap();
-            let proto = run_repair_protocol(g, &run.set, &alive, 2).unwrap();
-            assert_protocol_matches(&proto, &engine, &format!("k=2 seed {seed}"));
+            let (proto, _) = run_repair_stack(g, &run.set, &alive, 2, Stack::new()).unwrap();
+            assert_eq!(proto.outcome, engine, "k=2 seed {seed}");
         }
     }
 
@@ -1013,9 +860,10 @@ mod tests {
     fn protocol_handles_trivial_and_islanded_cases() {
         // Nobody alive: nothing to simulate.
         let g = generators::cycle(5);
-        let out = run_repair_protocol(&g, &DominatingSet::full(5), &[false; 5], 2).unwrap();
-        assert!(out.set.is_empty());
-        assert_eq!(out.iterations, 0);
+        let (out, _) =
+            run_repair_stack(&g, &DominatingSet::full(5), &[false; 5], 2, Stack::new()).unwrap();
+        assert!(out.outcome.set.is_empty());
+        assert_eq!(out.outcome.iterations, 0);
         assert_eq!(out.metrics.messages, 0);
 
         // Memberless island: self-election path, including isolated nodes.
@@ -1023,10 +871,10 @@ mod tests {
         let set = DominatingSet::from_ids(3, [NodeId::new(1)]);
         let alive = vec![true, false, true];
         let engine = repair_coverage(&g, &set, &alive, 1).unwrap();
-        let proto = run_repair_protocol(&g, &set, &alive, 1).unwrap();
-        assert_protocol_matches(&proto, &engine, "severed path");
-        assert!(proto.set.contains(NodeId::new(0)));
-        assert!(proto.set.contains(NodeId::new(2)));
+        let (proto, _) = run_repair_stack(&g, &set, &alive, 1, Stack::new()).unwrap();
+        assert_eq!(proto.outcome, engine, "severed path");
+        assert!(proto.outcome.set.contains(NodeId::new(0)));
+        assert!(proto.outcome.set.contains(NodeId::new(2)));
     }
 
     #[test]
@@ -1039,7 +887,7 @@ mod tests {
         for p in [0.0, 0.05, 0.2] {
             let stack = Stack::new().lossy(p).transport(TransportConfig::default());
             let (proto, _) = run_repair_stack(g, &run.set, &alive, 2, stack).unwrap();
-            assert_protocol_matches(&proto, &engine, &format!("p = {p}"));
+            assert_eq!(proto.outcome, engine, "p = {p}");
             if p == 0.0 {
                 assert_eq!(proto.metrics.retransmits, 0, "lossless run retransmitted");
             } else {
@@ -1058,7 +906,7 @@ mod tests {
         let g = udg.graph();
         let run = UdgAlgorithm::new(2).seed(3).run(&udg).unwrap();
         let alive = churn_mask(g, &run.set, 6, 2);
-        let base = run_repair_protocol(g, &run.set, &alive, 2).unwrap();
+        let (base, _) = run_repair_stack(g, &run.set, &alive, 2, Stack::new()).unwrap();
         let (traced, log) =
             run_repair_stack(g, &run.set, &alive, 2, Stack::new().traced()).unwrap();
         let log = log.expect("traced stack records a log");
@@ -1121,33 +969,45 @@ mod tests {
         assert!(is_k_dominating(&sub, &survivors, 2, Semantics::Strict));
     }
 
-    #[test]
-    fn continuous_repair_heals_under_adversarial_chaos() {
+    /// The continuous service on a 300-node deployment whose member slice
+    /// crashes at the cycle-2 probe, under jitter, duplication and
+    /// corruption. Returns the graph, the run and the churn plan.
+    fn chaos_continuous_run() -> (
+        ftclust_graphs::UnitDiskGraph,
+        ContinuousRepairRun,
+        ftclust_netsim::ChurnPlan,
+    ) {
         use ftclust_netsim::{AdversaryPlan, ChurnPlan};
         let udg = generators::random_udg(300, 10.0, 1.0, 33);
-        let g = udg.graph();
         let run = UdgAlgorithm::new(2).seed(4).run(&udg).unwrap();
         let members: Vec<NodeId> = run.set.ids().collect();
         let mut churn = ChurnPlan::none();
         for &m in members.iter().step_by(3).take(8) {
             churn = churn.crash(m, 8);
         }
-        // Jitter capped at 3 rounds: a delayed probe beacon can never
-        // alias into a later deficit round (that needs delay ≡ 0 mod 4),
-        // so out-of-phase arrivals degrade to loss, which the protocol
+        // Jitter capped at 3 rounds: a delayed probe can never alias into
+        // a later deficit round (that needs delay ≡ 0 mod 4), so
+        // out-of-phase arrivals degrade to loss, which the protocol
         // tolerates by design.
         let plan = AdversaryPlan::new(0xC4A05)
             .jitter(0.15, 3)
             .duplicate(0.1)
             .corrupt(0.1);
         let (out, _) = run_repair_continuous(
-            g,
+            udg.graph(),
             &run.set,
             2,
             16,
             Stack::new().churned(churn.clone()).adversarial(plan),
         )
         .unwrap();
+        (udg, out, churn)
+    }
+
+    #[test]
+    fn continuous_repair_heals_under_adversarial_chaos() {
+        let (udg, out, churn) = chaos_continuous_run();
+        let g = udg.graph();
         assert!(out.metrics.corrupted > 0, "chaos run saw no corruption");
         assert!(
             out.metrics.net_duplicated > 0,
@@ -1163,6 +1023,42 @@ mod tests {
         let alive = alive_after(g.node_count(), &churn);
         let (sub, survivors) = surviving_instance(g, &out.set, &alive).unwrap();
         assert!(is_k_dominating(&sub, &survivors, 2, Semantics::Strict));
+    }
+
+    /// Pins the chaos run of the continuous service: its set, additions,
+    /// deficit series, cycles and every metered count but the bits. The
+    /// bits are pinned on their own, so a change to a message's size
+    /// moves only that line.
+    #[test]
+    fn continuous_repair_is_pinned() {
+        let (_, out, _) = chaos_continuous_run();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        out.set.ids().for_each(|v| fold(u64::from(v.raw())));
+        fold(out.added.len() as u64);
+        out.added.iter().for_each(|v| fold(u64::from(v.raw())));
+        out.monitor.deficits().iter().for_each(|&d| fold(d));
+        fold(out.cycles);
+        let m = &out.metrics;
+        for word in [
+            m.messages,
+            m.rounds,
+            m.dropped_messages,
+            m.corrupted,
+            m.net_duplicated,
+        ] {
+            fold(word);
+        }
+        assert_eq!(
+            hash, 0xd4e3_69e4_65e2_02c2,
+            "continuous repair digest {hash:#018x}"
+        );
+        assert_eq!(m.total_bits, 48_051);
     }
 
     #[test]
@@ -1294,9 +1190,9 @@ mod tests {
         let g = generators::path(4);
         let set = DominatingSet::from_ids(4, [NodeId::new(0)]);
         let (out, _) = run_repair_stack(&g, &set, &[true; 4], 1, Stack::new()).unwrap();
-        assert!(is_k_dominating(&g, &out.set, 1, Semantics::Strict));
-        assert!(out.set.contains(NodeId::new(3)));
+        assert!(is_k_dominating(&g, &out.outcome.set, 1, Semantics::Strict));
+        assert!(out.outcome.set.contains(NodeId::new(3)));
         let engine = repair_coverage(&g, &set, &[true; 4], 1).unwrap();
-        assert_protocol_matches(&out, &engine, "orphan cluster");
+        assert_eq!(out.outcome, engine, "orphan cluster");
     }
 }

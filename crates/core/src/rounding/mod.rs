@@ -74,7 +74,7 @@ pub struct RoundingOutcome {
 ///
 /// Randomness comes from per-node streams derived from `seed`
 /// ([`ftclust_netsim::node_rng`]), so the in-memory run equals the
-/// protocol run ([`protocol::run_rounding_protocol`]) seed-for-seed.
+/// protocol run ([`protocol::run_rounding_stack`]) seed-for-seed.
 ///
 /// # Panics
 ///

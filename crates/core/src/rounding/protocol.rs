@@ -124,9 +124,8 @@ pub struct RoundingProtocolRun {
 
 /// Runs **Algorithm 2** through the composable executor stack of
 /// [`ftclust_netsim::exec`]: the reliable transport (loss masking), churn
-/// and tracing layers selected by `stack` compose freely. This is the
-/// canonical driver — [`run_rounding_protocol`] is a thin wrapper over
-/// it on the empty stack.
+/// and tracing layers selected by `stack` compose freely; `Stack::new()`
+/// is the plain synchronous run.
 ///
 /// When the stack is traced, each of Algorithm 2's (at most three)
 /// rounds runs under a `rounding_round(r)` span — flag draw,
@@ -196,26 +195,6 @@ pub fn run_rounding_stack(
     ))
 }
 
-/// Runs **Algorithm 2** as a message-passing protocol.
-///
-/// # Errors
-///
-/// Returns [`KmdsError::Sim`] only if the (constant) round budget is
-/// exceeded, which cannot happen.
-///
-/// # Panics
-///
-/// Panics if `x.len()` differs from the node count.
-pub fn run_rounding_protocol(
-    inst: &Instance<'_>,
-    x: &[f64],
-    delta: usize,
-    seed: u64,
-    params: &RoundingParams,
-) -> Result<RoundingProtocolRun, KmdsError> {
-    run_rounding_stack(inst, x, delta, seed, params, Stack::new()).map(|(run, _)| run)
-}
-
 /// Assembles the [`RoundingOutcome`] from the final per-node states.
 fn assemble_outcome<'n>(nodes: impl Iterator<Item = &'n RoundingNode>) -> RoundingOutcome {
     let mut members = Vec::new();
@@ -250,7 +229,9 @@ mod tests {
         let params = RoundingParams::default();
         for seed in [0u64, 1, 2, 3, 7, 9, 42, 99] {
             let engine = round_fractional(&inst, &frac.x, frac.delta, seed, &params);
-            let proto = run_rounding_protocol(&inst, &frac.x, frac.delta, seed, &params).unwrap();
+            let (proto, _) =
+                run_rounding_stack(&inst, &frac.x, frac.delta, seed, &params, Stack::new())
+                    .unwrap();
             assert_eq!(engine, proto.outcome, "divergence at seed {seed}");
         }
     }
@@ -260,8 +241,15 @@ mod tests {
         let g = generators::gnp(100, 0.08, 2);
         let inst = Instance::uniform_clamped(&g, 2);
         let frac = solve_fractional(&inst, &FractionalParams::new(2)).unwrap();
-        let run = run_rounding_protocol(&inst, &frac.x, frac.delta, 1, &RoundingParams::default())
-            .unwrap();
+        let (run, _) = run_rounding_stack(
+            &inst,
+            &frac.x,
+            frac.delta,
+            1,
+            &RoundingParams::default(),
+            Stack::new(),
+        )
+        .unwrap();
         assert!(run.metrics.rounds <= 3);
         assert_eq!(run.metrics.max_message_bits, 1);
         assert!(is_k_dominating_instance(
@@ -295,8 +283,16 @@ mod tests {
     fn repair_off_halts_after_two_rounds() {
         let g = generators::cycle(10);
         let inst = Instance::uniform(&g, 1).unwrap();
-        let run = run_rounding_protocol(&inst, &[0.0; 10], 2, 0, &RoundingParams { repair: false })
-            .unwrap();
+        let run = run_rounding_stack(
+            &inst,
+            &[0.0; 10],
+            2,
+            0,
+            &RoundingParams { repair: false },
+            Stack::new(),
+        )
+        .unwrap()
+        .0;
         assert!(run.metrics.rounds <= 2);
         assert_eq!(run.outcome.set.len(), 0);
     }
@@ -308,7 +304,8 @@ mod tests {
         let inst = Instance::uniform_clamped(&g, 2);
         let frac = solve_fractional(&inst, &FractionalParams::new(2)).unwrap();
         let params = RoundingParams::default();
-        let base = run_rounding_protocol(&inst, &frac.x, frac.delta, 3, &params).unwrap();
+        let (base, _) =
+            run_rounding_stack(&inst, &frac.x, frac.delta, 3, &params, Stack::new()).unwrap();
         let (traced, log) = run_rounding_stack(
             &inst,
             &frac.x,

@@ -49,6 +49,7 @@ pub mod protocol;
 
 use crate::{DominatingSet, KmdsError};
 use ftclust_graphs::UnitDiskGraph;
+use ftclust_netsim::exec::Stack;
 
 /// The consideration-radius schedule `θ_1, …, θ_R` in **absolute** units
 /// (multiples of `radius`):
@@ -157,7 +158,8 @@ impl UdgAlgorithm {
     }
 
     /// Runs Algorithm 3 as the message-passing protocol on the plain
-    /// simulator ([`protocol::run_udg_protocol`]) and returns its outputs.
+    /// simulator ([`protocol::run_udg_stack`] with `Stack::new()`) and
+    /// returns its outputs.
     ///
     /// # Errors
     ///
@@ -165,7 +167,7 @@ impl UdgAlgorithm {
     /// budget — impossible, since every Part II iteration with a needy
     /// node adds a member ([`crate::promotion`]).
     pub fn run(&self, udg: &UnitDiskGraph) -> Result<UdgRun, KmdsError> {
-        protocol::run_udg_protocol(udg, self).map(|r| r.run)
+        protocol::run_udg_stack(udg, self, Stack::new()).map(|(r, _)| r.run)
     }
 }
 

@@ -16,8 +16,8 @@
 //! Part I leaves with no leader within one hop.
 //!
 //! Identifier messages are metered at `4·⌈log₂ n⌉` bits — the paper's
-//! `[1, n⁴]` range — plus a bit; everything else is `O(log k)` or a single
-//! bit. This is the protocol whose maximum message size scales visibly as
+//! `[1, n⁴]` range — plus a bit; everything else, Part II included, is a
+//! single bit. This is the protocol whose maximum message size scales visibly as
 //! `Θ(log n)` in experiment E8.
 //!
 //! This is the only implementation of Algorithm 3:
@@ -232,9 +232,8 @@ fn empty_udg_run() -> UdgProtocolRun {
 
 /// Runs **Algorithm 3** through the composable executor stack of
 /// [`ftclust_netsim::exec`]: the reliable transport (loss masking), churn
-/// and tracing layers selected by `stack` compose freely. This is the
-/// canonical driver — [`run_udg_protocol`] is a thin wrapper over it on
-/// the empty stack.
+/// and tracing layers selected by `stack` compose freely; `Stack::new()`
+/// is the plain synchronous run, which [`UdgAlgorithm::run`] returns.
 ///
 /// When the stack is traced, [`EventLog::rollups`] splits the run's cost
 /// between Part I sparsification and Part II promotion via the plan
@@ -328,20 +327,6 @@ pub(crate) fn active_masks(nodes: &[UdgNode], part1_rounds: u32) -> Vec<Vec<bool
         .collect()
 }
 
-/// Runs **Algorithm 3** as a message-passing protocol with distance
-/// sensing, collecting communication metrics.
-///
-/// # Errors
-///
-/// Returns [`KmdsError::Sim`] if the round budget (`2·part1 + 3·(n+2)`) is
-/// exceeded — impossible for valid unit disk graphs.
-pub fn run_udg_protocol(
-    udg: &UnitDiskGraph,
-    config: &UdgAlgorithm,
-) -> Result<UdgProtocolRun, KmdsError> {
-    run_udg_stack(udg, config, Stack::new()).map(|(run, _)| run)
-}
-
 /// Assembles the [`UdgRun`] from the final per-node states.
 /// `logical_rounds` is the number of protocol rounds *executed by the
 /// nodes* (equal to the simulator rounds in a lossless run, and to the
@@ -411,7 +396,7 @@ mod tests {
             (3, Fixed, (100, 82, 1, 0xa2a5_a23f_b32e_e57a)),
         ] {
             let config = UdgAlgorithm::new(k).seed(5).id_mode(mode);
-            let run = run_udg_protocol(&udg, &config).unwrap().run;
+            let run = run_udg_stack(&udg, &config, Stack::new()).unwrap().0.run;
             let got = (
                 run.set.len(),
                 run.leaders.len(),
@@ -427,7 +412,7 @@ mod tests {
         ] {
             let udg = generators::random_udg(350, 9.0, 1.0, seed);
             let config = UdgAlgorithm::new(k).seed(seed ^ 0x5eed);
-            let run = run_udg_protocol(&udg, &config).unwrap().run;
+            let run = run_udg_stack(&udg, &config, Stack::new()).unwrap().0.run;
             let got = (
                 run.set.len(),
                 run.leaders.len(),
@@ -442,7 +427,7 @@ mod tests {
     fn lossy_execution_matches_lossless() {
         let udg = generators::random_udg(120, 8.0, 1.0, 21);
         let config = UdgAlgorithm::new(2).seed(4);
-        let lossless = run_udg_protocol(&udg, &config).unwrap().run;
+        let lossless = run_udg_stack(&udg, &config, Stack::new()).unwrap().0.run;
         for p in [0.0, 0.05, 0.2] {
             let stack = Stack::new().lossy(p).transport(TransportConfig::default());
             let (run, _) = run_udg_stack(&udg, &config, stack).unwrap();
@@ -460,7 +445,7 @@ mod tests {
         let udg = generators::random_udg(200, 9.0, 1.0, 77);
         let config = UdgAlgorithm::new(1).seed(5);
         let nodes = execute(&udg, &config, Stack::new()).unwrap().logics;
-        let run = run_udg_protocol(&udg, &config).unwrap().run;
+        let run = run_udg_stack(&udg, &config, Stack::new()).unwrap().0.run;
         let masks = active_masks(&nodes, run.part1_rounds);
         assert_eq!(masks.len(), run.part1_rounds as usize + 1);
         assert!(masks[0].iter().all(|&a| a));
@@ -483,7 +468,7 @@ mod tests {
     fn rounds_are_double_logarithmic_plus_constant() {
         let udg = generators::random_udg(1000, 10.0, 1.0, 3);
         let config = UdgAlgorithm::new(2).seed(1);
-        let run = run_udg_protocol(&udg, &config).unwrap();
+        let (run, _) = run_udg_stack(&udg, &config, Stack::new()).unwrap();
         let r = theta_schedule(1000, 1.0).unwrap().len() as u64;
         assert!(run.metrics.rounds >= 2 * r);
         assert!(
@@ -502,7 +487,7 @@ mod tests {
     #[test]
     fn message_bits_scale_as_four_log_n() {
         let udg = generators::random_udg(500, 8.0, 1.0, 2);
-        let run = run_udg_protocol(&udg, &UdgAlgorithm::new(1)).unwrap();
+        let (run, _) = run_udg_stack(&udg, &UdgAlgorithm::new(1), Stack::new()).unwrap();
         let expected = 1 + 4 * bits_for_ids(500);
         assert_eq!(run.metrics.max_message_bits, expected as u64);
     }
@@ -510,12 +495,12 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let empty = ftclust_graphs::UnitDiskGraph::build(vec![], 1.0).unwrap();
-        let run = run_udg_protocol(&empty, &UdgAlgorithm::new(2)).unwrap();
+        let (run, _) = run_udg_stack(&empty, &UdgAlgorithm::new(2), Stack::new()).unwrap();
         assert_eq!(run.run.set.len(), 0);
         let single =
             ftclust_graphs::UnitDiskGraph::build(vec![ftclust_geometry::Point::new(0.0, 0.0)], 1.0)
                 .unwrap();
-        let run = run_udg_protocol(&single, &UdgAlgorithm::new(3)).unwrap();
+        let (run, _) = run_udg_stack(&single, &UdgAlgorithm::new(3), Stack::new()).unwrap();
         assert_eq!(run.run.set.len(), 1);
     }
 
@@ -524,7 +509,7 @@ mod tests {
         use ftclust_netsim::trace::{REGISTERED_SPANS, UNSPANNED};
         let udg = generators::random_udg(120, 8.0, 1.0, 11);
         let config = UdgAlgorithm::new(2).seed(4);
-        let base = run_udg_protocol(&udg, &config).unwrap();
+        let (base, _) = run_udg_stack(&udg, &config, Stack::new()).unwrap();
         let (traced, log) = run_udg_stack(&udg, &config, Stack::new().traced()).unwrap();
         let log = log.expect("traced stack records a log");
         assert_eq!(base.run, traced.run);

@@ -17,10 +17,10 @@ pub struct Metrics {
     /// so serialized `Metrics` agree across 32- and 64-bit targets.
     pub max_message_bits: u64,
     /// Messages sent per round, for time-series experiments: one entry
-    /// per round.
+    /// per round. A traced run's
+    /// [`RoundEnd`](crate::trace::TraceEvent::RoundEnd) events carry the
+    /// bits of each round.
     pub per_round_messages: Vec<u64>,
-    /// Bits sent per round (the communication-volume time series).
-    pub per_round_bits: Vec<u64>,
     /// Number of messages lost to fault injection (random loss or an
     /// [`AdversaryPlan::partition`](crate::AdversaryPlan::partition)
     /// cut).
@@ -137,15 +137,11 @@ impl Metrics {
         if let Some(last) = self.per_round_messages.last_mut() {
             *last += count;
         }
-        if let Some(last) = self.per_round_bits.last_mut() {
-            *last += bits;
-        }
     }
 
     pub(crate) fn begin_round(&mut self) {
         self.rounds += 1;
         self.per_round_messages.push(0);
-        self.per_round_bits.push(0);
     }
 }
 
@@ -180,7 +176,6 @@ mod tests {
         assert_eq!(m.max_message_bits, 30);
         assert_eq!(m.mean_message_bits(), 20.0);
         assert_eq!(m.per_round_messages, vec![2]);
-        assert_eq!(m.per_round_bits, vec![40]);
     }
 
     #[test]
@@ -197,7 +192,6 @@ mod tests {
         assert_eq!(m.messages, 0);
         assert_eq!(m.mean_message_bits(), 0.0);
         assert_eq!(m.per_round_messages, vec![0, 0]);
-        assert_eq!(m.per_round_bits, vec![0, 0]);
     }
 
     #[test]
@@ -208,7 +202,6 @@ mod tests {
         m.begin_round();
         assert_eq!(m.rounds, 2);
         assert_eq!(m.per_round_messages, vec![1, 0]);
-        assert_eq!(m.per_round_bits, vec![1, 0]);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use ftclust::core::prelude::*;
-use ftclust::core::udg::protocol::run_udg_protocol;
+use ftclust::core::udg::protocol::run_udg_stack;
 use ftclust::core::udg::UdgAlgorithm;
 use ftclust::graphs::generators;
+use ftclust::netsim::exec::Stack;
 
 fn main() -> Result<(), KmdsError> {
     // 1. A deployment: 800 sensors, communication radius 1, average ~10
@@ -35,7 +36,7 @@ fn main() -> Result<(), KmdsError> {
 
     // The same algorithm as a message-passing protocol, with communication
     // metering:
-    let metered = run_udg_protocol(&udg, &UdgAlgorithm::new(k).seed(7))?;
+    let (metered, _) = run_udg_stack(&udg, &UdgAlgorithm::new(k).seed(7), Stack::new())?;
     assert_eq!(metered.run.set, run.set); // identical, seed-for-seed
     println!(
         "  as a protocol: {} rounds, {} messages, max message {} bits",

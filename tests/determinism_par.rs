@@ -17,11 +17,11 @@
     reason = "integration-test helpers outside `#[test]` abort the test on failure"
 )]
 
-use ftclust::core::fractional::protocol::run_fractional_protocol;
+use ftclust::core::fractional::protocol::run_fractional_stack;
 use ftclust::core::fractional::FractionalSolution;
 use ftclust::core::prelude::*;
-use ftclust::core::rounding::{protocol::run_rounding_protocol, RoundingParams};
-use ftclust::core::udg::protocol::{run_udg_protocol, run_udg_stack};
+use ftclust::core::rounding::{protocol::run_rounding_stack, RoundingParams};
+use ftclust::core::udg::protocol::run_udg_stack;
 use ftclust::graphs::{generators, Graph, NodeId};
 use ftclust::netsim::exec::{Executor, Stack};
 use ftclust::netsim::transport::TransportConfig;
@@ -77,11 +77,15 @@ fn fractional_protocol_is_thread_invariant() {
         let inst = Instance::uniform_clamped(&g, k);
         let params = FractionalParams::new(2);
         let reference = with_threads(1, || {
-            run_fractional_protocol(&inst, &params).expect("protocol")
+            run_fractional_stack(&inst, &params, Stack::new())
+                .expect("protocol")
+                .0
         });
         for &t in THREADS {
             let parallel = with_threads(t, || {
-                run_fractional_protocol(&inst, &params).expect("protocol")
+                run_fractional_stack(&inst, &params, Stack::new())
+                    .expect("protocol")
+                    .0
             });
             assert_eq!(
                 reference.solution, parallel.solution,
@@ -108,7 +112,9 @@ fn rounding_is_thread_invariant() {
             round_fractional(&inst, &sol.x, sol.delta, seed, &params)
         });
         let proto_ref = with_threads(1, || {
-            run_rounding_protocol(&inst, &sol.x, sol.delta, seed, &params).expect("protocol")
+            run_rounding_stack(&inst, &sol.x, sol.delta, seed, &params, Stack::new())
+                .expect("protocol")
+                .0
         });
         assert_eq!(reference.set, proto_ref.outcome.set);
         for &t in THREADS {
@@ -120,7 +126,9 @@ fn rounding_is_thread_invariant() {
                 "rounding engine diverged at seed={seed}, threads={t}"
             );
             let proto = with_threads(t, || {
-                run_rounding_protocol(&inst, &sol.x, sol.delta, seed, &params).expect("protocol")
+                run_rounding_stack(&inst, &sol.x, sol.delta, seed, &params, Stack::new())
+                    .expect("protocol")
+                    .0
             });
             assert_eq!(
                 proto_ref.outcome, proto.outcome,
@@ -142,9 +150,17 @@ fn udg_algorithm_is_thread_invariant() {
     for &seed in SEEDS {
         let udg = generators::random_udg_in_square(500, 8.0, 1.0, seed);
         let config = UdgAlgorithm::new(2).seed(seed);
-        let proto_ref = with_threads(1, || run_udg_protocol(&udg, &config).expect("protocol"));
+        let proto_ref = with_threads(1, || {
+            run_udg_stack(&udg, &config, Stack::new())
+                .expect("protocol")
+                .0
+        });
         for &t in THREADS {
-            let proto = with_threads(t, || run_udg_protocol(&udg, &config).expect("protocol"));
+            let proto = with_threads(t, || {
+                run_udg_stack(&udg, &config, Stack::new())
+                    .expect("protocol")
+                    .0
+            });
             assert_eq!(
                 proto_ref.run, proto.run,
                 "udg protocol run diverged at seed={seed}, threads={t}"

@@ -1,10 +1,10 @@
 //! Cross-crate integration tests: full pipelines over generated networks,
 //! engines vs. protocols vs. asynchronous (jittered-transport) runs.
 
-use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_stack};
+use ftclust::core::fractional::protocol::run_fractional_stack;
 use ftclust::core::fractional::{solve_fractional, FractionalParams};
 use ftclust::core::prelude::*;
-use ftclust::core::udg::protocol::run_udg_protocol;
+use ftclust::core::udg::protocol::run_udg_stack;
 use ftclust::core::udg::UdgAlgorithm;
 use ftclust::graphs::generators;
 use ftclust::netsim::exec::Stack;
@@ -66,7 +66,10 @@ fn three_execution_modes_agree_exactly() {
     let inst = Instance::uniform_clamped(&g, 2);
     let params = FractionalParams::new(3);
     let engine = solve_fractional(&inst, &params).unwrap();
-    let synchronous = run_fractional_protocol(&inst, &params).unwrap().solution;
+    let synchronous = run_fractional_stack(&inst, &params, Stack::new())
+        .unwrap()
+        .0
+        .solution;
     let rto = 2 * (4 + 1) + 1;
     let cfg = TransportConfig {
         rto,
@@ -92,7 +95,7 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 fn udg_protocol_and_engine_agree_on_clustered_deployments() {
     let udg = generators::clustered_udg(250, 5, 10.0, 0.7, 1.0, 31);
     let config = UdgAlgorithm::new(2).seed(12);
-    let proto = run_udg_protocol(&udg, &config).unwrap();
+    let (proto, _) = run_udg_stack(&udg, &config, Stack::new()).unwrap();
     // The in-memory engine, since deleted, computed exactly this run.
     let run = &proto.run;
     assert_eq!(run.active_history, [242, 234, 201, 134, 71, 55]);

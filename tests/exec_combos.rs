@@ -22,13 +22,13 @@
 use ftclust::core::fractional::protocol::run_fractional_stack;
 use ftclust::core::fractional::{FractionalParams, FractionalSolution};
 use ftclust::core::portfolio::{run_cgreedy_stack, run_dkm_stack, run_pb_stack, PortfolioRun};
-use ftclust::core::repair::run_repair_stack;
+use ftclust::core::repair::{run_repair_stack, RepairOutcome};
 use ftclust::core::rounding::protocol::run_rounding_stack;
 use ftclust::core::rounding::{RoundingOutcome, RoundingParams};
 use ftclust::core::udg::protocol::run_udg_stack;
 use ftclust::core::udg::{UdgAlgorithm, UdgRun};
 use ftclust::core::validate::{is_k_dominating_instance, Semantics};
-use ftclust::core::{DominatingSet, Instance};
+use ftclust::core::Instance;
 use ftclust::graphs::generators;
 use ftclust::graphs::NodeId;
 use ftclust::netsim::exec::Stack;
@@ -188,7 +188,10 @@ fn repair_lossy_traced_is_thread_invariant_and_reconciles() {
     let (udg, set, alive) = repair_fixture();
     let g = udg.graph();
     let (lossless, _) = run_repair_stack(g, &set, &alive, 2, Stack::new()).expect("lossless");
-    assert!(!lossless.added.is_empty(), "fixture repairs nothing");
+    assert!(
+        !lossless.outcome.added.is_empty(),
+        "fixture repairs nothing"
+    );
     let (ref_run, ref_log) = with_threads(1, || {
         let (run, log) =
             run_repair_stack(g, &set, &alive, 2, lossy_traced(0.1)).expect("lossy+traced");
@@ -197,9 +200,7 @@ fn repair_lossy_traced_is_thread_invariant_and_reconciles() {
         check_conservation(&run.metrics, "repair lossy+traced");
         (run, log)
     });
-    assert_eq!(ref_run.set, lossless.set, "loss changed the healed set");
-    assert_eq!(ref_run.added, lossless.added);
-    assert_eq!(ref_run.iterations, lossless.iterations);
+    assert_eq!(ref_run.outcome, lossless.outcome, "loss changed the repair");
     assert!(ref_run.metrics.retransmits > 0, "no loss was exercised");
     for &t in THREADS {
         let (run, log) = with_threads(t, || {
@@ -207,7 +208,7 @@ fn repair_lossy_traced_is_thread_invariant_and_reconciles() {
                 run_repair_stack(g, &set, &alive, 2, lossy_traced(0.1)).expect("lossy+traced");
             (run, log.expect("traced stack records a log"))
         });
-        assert_eq!(ref_run.set, run.set, "t={t}");
+        assert_eq!(ref_run.outcome, run.outcome, "t={t}");
         assert_eq!(ref_run.metrics, run.metrics, "t={t}");
         assert_eq!(ref_log, log, "log diverged t={t}");
         assert_eq!(ref_log.to_jsonl(), log.to_jsonl(), "jsonl diverged t={t}");
@@ -229,17 +230,15 @@ fn repair_churned_lossy_is_thread_invariant_and_reconciles() {
         (run, log)
     });
     assert_eq!(
-        ref_run.set, lossless.set,
-        "churn+loss changed the healed set"
+        ref_run.outcome, lossless.outcome,
+        "churn+loss changed the repair"
     );
-    assert_eq!(ref_run.added, lossless.added);
-    assert_eq!(ref_run.iterations, lossless.iterations);
     for &t in THREADS {
         let (run, log) = with_threads(t, || {
             let (run, log) = run_repair_stack(g, &set, &alive, 2, stack()).expect("churned+lossy");
             (run, log.expect("traced stack records a log"))
         });
-        assert_eq!(ref_run.set, run.set, "t={t}");
+        assert_eq!(ref_run.outcome, run.outcome, "t={t}");
         assert_eq!(ref_run.metrics, run.metrics, "t={t}");
         assert_eq!(ref_log, log, "log diverged t={t}");
     }
@@ -384,14 +383,8 @@ fn asynchronous(max_delay: u64, p: f64) -> Stack {
         .lossy(p)
 }
 
-/// The results of Algorithms 1, 2 and 3 and of the repair (healed set,
-/// added nodes, iterations).
-type Results = (
-    FractionalSolution,
-    RoundingOutcome,
-    UdgRun,
-    (DominatingSet, Vec<NodeId>, u32),
-);
+/// The results of Algorithms 1, 2 and 3 and of the repair.
+type Results = (FractionalSolution, RoundingOutcome, UdgRun, RepairOutcome);
 
 /// Algorithms 1, 2 and 3 and the repair on one stack: their results
 /// and, separately, their metrics.
@@ -412,12 +405,7 @@ fn run_all(stack: impl Fn() -> Stack) -> (Results, Vec<Metrics>) {
     let (repair, _) =
         run_repair_stack(udg.graph(), &alg3.run.set, &alive, 2, stack()).expect("repair");
     let metrics = vec![alg1.metrics, alg2.metrics, alg3.metrics, repair.metrics];
-    let results = (
-        alg1.solution,
-        alg2.outcome,
-        alg3.run,
-        (repair.set, repair.added, repair.iterations),
-    );
+    let results = (alg1.solution, alg2.outcome, alg3.run, repair.outcome);
     (results, metrics)
 }
 
@@ -427,7 +415,10 @@ fn run_all(stack: impl Fn() -> Stack) -> (Results, Vec<Metrics>) {
 #[test]
 fn asynchronous_runs_equal_synchronous_runs() {
     let (sync, _) = run_all(Stack::new);
-    assert!(!sync.3 .1.is_empty(), "the repair fixture repairs nothing");
+    assert!(
+        !sync.3.added.is_empty(),
+        "the repair fixture repairs nothing"
+    );
     for max_delay in [1u64, 4, 8] {
         for p in [0.0, 0.1] {
             let (ref_results, ref_metrics) =

@@ -20,7 +20,7 @@
     reason = "integration-test helpers outside `#[test]` abort the test on failure"
 )]
 
-use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_stack};
+use ftclust::core::fractional::protocol::run_fractional_stack;
 use ftclust::core::fractional::FractionalParams;
 use ftclust::core::portfolio::run_cgreedy_stack;
 use ftclust::core::repair::run_repair_stack;
@@ -185,7 +185,7 @@ fn traced_runs_equal_untraced_runs() {
     let g = generators::gnp(40, 0.15, 5);
     let inst = Instance::uniform_clamped(&g, 2);
     let params = FractionalParams::new(2);
-    let untraced = run_fractional_protocol(&inst, &params).expect("untraced");
+    let (untraced, _) = run_fractional_stack(&inst, &params, Stack::new()).expect("untraced");
     let (traced, log) =
         run_fractional_stack(&inst, &params, Stack::new().traced()).expect("traced");
     assert!(log.is_some());
@@ -246,8 +246,8 @@ fn synchronous_traced_logs_are_pinned() {
         [
             0xd6c8_e7a9_00a0_36fb,
             0xfcf6_7d29_d727_b375,
-            0x87e0_bb27_19db_ba72,
-            0x4dbe_2e0b_0d34_0da9,
+            0x1025_c07c_0784_77d0,
+            0x2466_26a1_d09f_9a9e,
             0x2103_45d3_0f78_b11a,
         ],
         "a synchronous traced log moved"

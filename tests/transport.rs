@@ -7,12 +7,12 @@
 //! All tests drive the composable executor stack directly
 //! (`run_*_stack` with `.lossy(p)`).
 
-use ftclust::core::fractional::protocol::{run_fractional_protocol, run_fractional_stack};
+use ftclust::core::fractional::protocol::run_fractional_stack;
 use ftclust::core::fractional::FractionalParams;
-use ftclust::core::repair::{run_repair_protocol, run_repair_stack};
-use ftclust::core::rounding::protocol::{run_rounding_protocol, run_rounding_stack};
+use ftclust::core::repair::run_repair_stack;
+use ftclust::core::rounding::protocol::run_rounding_stack;
 use ftclust::core::rounding::RoundingParams;
-use ftclust::core::udg::protocol::{run_udg_protocol, run_udg_stack};
+use ftclust::core::udg::protocol::run_udg_stack;
 use ftclust::core::udg::UdgAlgorithm;
 use ftclust::core::Instance;
 use ftclust::graphs::generators;
@@ -49,9 +49,16 @@ fn algorithms_1_and_2_survive_loss_unchanged() {
     let inst = Instance::uniform_clamped(&g, 2);
     let fparams = FractionalParams::new(2);
     let rparams = RoundingParams::default();
-    let frac = run_fractional_protocol(&inst, &fparams).unwrap();
-    let rounded =
-        run_rounding_protocol(&inst, &frac.solution.x, frac.solution.delta, 3, &rparams).unwrap();
+    let (frac, _) = run_fractional_stack(&inst, &fparams, Stack::new()).unwrap();
+    let (rounded, _) = run_rounding_stack(
+        &inst,
+        &frac.solution.x,
+        frac.solution.delta,
+        3,
+        &rparams,
+        Stack::new(),
+    )
+    .unwrap();
     for p in DROPS {
         let (f, _) = run_fractional_stack(&inst, &fparams, lossy_stack(p)).unwrap();
         assert_eq!(f.solution, frac.solution, "Algorithm 1 diverged at p = {p}");
@@ -79,7 +86,7 @@ fn algorithms_1_and_2_survive_loss_unchanged() {
 fn algorithm_3_survives_loss_unchanged() {
     let udg = generators::random_udg(180, 9.0, 1.0, 31);
     let config = UdgAlgorithm::new(2).seed(7);
-    let direct = run_udg_protocol(&udg, &config).unwrap();
+    let (direct, _) = run_udg_stack(&udg, &config, Stack::new()).unwrap();
     for p in DROPS {
         let (r, _) = run_udg_stack(&udg, &config, lossy_stack(p)).unwrap();
         assert_eq!(r.run, direct.run, "Algorithm 3 diverged at p = {p}");
@@ -95,16 +102,11 @@ fn repair_survives_loss_unchanged() {
     for v in base.set.ids().take(10) {
         alive[v.index()] = false;
     }
-    let direct = run_repair_protocol(g, &base.set, &alive, 2).unwrap();
-    assert!(!direct.added.is_empty(), "fixture repairs nothing");
+    let (direct, _) = run_repair_stack(g, &base.set, &alive, 2, Stack::new()).unwrap();
+    assert!(!direct.outcome.added.is_empty(), "fixture repairs nothing");
     for p in DROPS {
         let (r, _) = run_repair_stack(g, &base.set, &alive, 2, lossy_stack(p)).unwrap();
-        assert_eq!(r.set, direct.set, "repair set diverged at p = {p}");
-        assert_eq!(
-            r.added, direct.added,
-            "repair additions diverged at p = {p}"
-        );
-        assert_eq!(r.iterations, direct.iterations);
+        assert_eq!(r.outcome, direct.outcome, "repair diverged at p = {p}");
     }
 }
 
@@ -128,8 +130,7 @@ fn lossy_executions_are_thread_invariant() {
             fingerprint(&f.metrics),
             u.run,
             fingerprint(&u.metrics),
-            r.set,
-            r.added,
+            r.outcome,
             fingerprint(&r.metrics),
         )
     };
