@@ -1,12 +1,13 @@
 //! **E2 — Theorem 4.5 (time) + model**: Algorithm 1 as a message-passing
 //! protocol uses exactly `2t² + 3` rounds and `O(log n)`-bit messages.
 //! Fails unless every row has that round count and no message larger
-//! than three of this repo's fixed-point values (`3·VALUE_BITS`).
+//! than the protocol's stated bound, `LpMsg::MAX_BITS` (three of this
+//! repo's fixed-point values, `3·VALUE_BITS`).
 
 use ftclust_bench::cells;
 use ftclust_bench::families::{run_trials_par, Family};
 use ftclust_bench::table::Table;
-use ftclust_core::fractional::protocol::{run_fractional_stack, VALUE_BITS};
+use ftclust_core::fractional::protocol::{run_fractional_stack, LpMsg};
 use ftclust_core::fractional::FractionalParams;
 use ftclust_core::Instance;
 use ftclust_netsim::exec::Stack;
@@ -36,8 +37,8 @@ pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
             let predicted = 2 * (t as u64).pow(2) + 3;
             assert_eq!(run.metrics.rounds, predicted, "round count mismatch");
             assert!(
-                run.metrics.max_message_bits <= 3 * VALUE_BITS as u64,
-                "n = {n}, t = {t}: a message of {} bits exceeds 3·VALUE_BITS",
+                run.metrics.max_message_bits <= LpMsg::MAX_BITS as u64,
+                "n = {n}, t = {t}: a message of {} bits exceeds LpMsg::MAX_BITS",
                 run.metrics.max_message_bits
             );
             out.push(cells![
@@ -57,7 +58,8 @@ pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
     table.print();
     println!();
     println!("expected shape: rounds = 2t²+3 exactly (independent of n); max message");
-    println!("bits bounded by a constant multiple of log2(n) (the 64-bit value fields");
-    println!("dominate at these sizes — see the encoding note in fractional::protocol).");
+    println!("bits bounded by a constant multiple of log2(n) (the dual exchange's three");
+    println!("32-bit values, 3·VALUE_BITS = 96 bits, dominate at these sizes — see the");
+    println!("encoding note in fractional::protocol).");
     Ok(())
 }

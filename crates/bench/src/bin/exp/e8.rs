@@ -1,15 +1,17 @@
 //! **E8 — the `O(log n)` message-size model**: maximum message size of
 //! both protocols, measured in bits, against `log₂ n`. Fails unless every
-//! UDG message fits the paper's `[1, n⁴]` identifier (`1 + 4·⌈log₂ n⌉`
-//! bits) and every LP message fits three of this repo's fixed-point
-//! values (`3·VALUE_BITS`).
+//! message fits its protocol's stated bound: `UdgMsg::max_bits(n)`, the
+//! paper's `[1, n⁴]` identifier (`1 + 4·⌈log₂ n⌉` bits), and
+//! `LpMsg::MAX_BITS`, three of this repo's fixed-point values
+//! (`3·VALUE_BITS`).
 
 use ftclust_bench::cells;
 use ftclust_bench::families::{run_trials_par, udg_workload, Family};
 use ftclust_bench::table::{f2, Table};
-use ftclust_core::fractional::protocol::{run_fractional_stack, VALUE_BITS};
+use ftclust_core::fractional::protocol::{run_fractional_stack, LpMsg};
 use ftclust_core::fractional::FractionalParams;
-use ftclust_core::udg::{protocol::run_udg_stack, UdgAlgorithm};
+use ftclust_core::udg::protocol::{run_udg_stack, UdgMsg};
+use ftclust_core::udg::UdgAlgorithm;
 use ftclust_core::Instance;
 use ftclust_netsim::exec::Stack;
 
@@ -39,15 +41,15 @@ pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
             .expect("udg protocol")
             .0
             .metrics;
-        let id_bits = 1 + 4 * u64::from(n.next_power_of_two().trailing_zeros());
+        let udg_bound = UdgMsg::max_bits(n as usize);
         assert!(
-            u.max_message_bits <= id_bits,
-            "n = {n}: a UDG message of {} bits exceeds the identifier's {id_bits}",
+            u.max_message_bits <= udg_bound as u64,
+            "n = {n}: a UDG message of {} bits exceeds UdgMsg::max_bits = {udg_bound}",
             u.max_message_bits
         );
         assert!(
-            lp.max_message_bits <= 3 * VALUE_BITS as u64,
-            "n = {n}: an LP message of {} bits exceeds 3·VALUE_BITS",
+            lp.max_message_bits <= LpMsg::MAX_BITS as u64,
+            "n = {n}: an LP message of {} bits exceeds LpMsg::MAX_BITS",
             lp.max_message_bits
         );
         cells![
@@ -64,8 +66,8 @@ pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
     println!();
     println!("expected shape: the UDG protocol's biggest message is the [1, n⁴]");
     println!("identifier, 1 + 4·⌈log2 n⌉ bits — the udg/logn column sits at ≈ 4.");
-    println!("The LP protocol's messages are dominated by two fixed 32-bit value");
-    println!("fields (an O(log Δ·t)-bit encoding exists; see fractional::protocol),");
-    println!("so lp_max_bits is constant — comfortably O(log n).");
+    println!("The LP protocol's biggest message is the dual exchange's three 32-bit");
+    println!("values, 3·VALUE_BITS = 96 bits (an O(log Δ·t)-bit encoding exists; see");
+    println!("fractional::protocol), so lp_max_bits is constant — comfortably O(log n).");
     Ok(())
 }

@@ -27,6 +27,11 @@
 //!   whenever the pre-failure set was itself strictly k-dominating —
 //!   every added node lies within 2 hops of a failure (the locality
 //!   guarantee of the repair protocol).
+//! * **The CONGEST model** ([`congest`]) — no message of a run is larger
+//!   than its protocol's stated bound (the paper's Section 3 restriction
+//!   to `O(log n)`-bit messages). Each message type states its bound once,
+//!   beside its `bit_size`; every driver audits its runs without the
+//!   reliable transport against it.
 //!
 //! The audits assume a *validated* instance (`k_i ≤ |N[i]|`), the same
 //! precondition the algorithms themselves document.
@@ -36,6 +41,7 @@ use crate::validate::{is_k_dominating, mask_coverage, Semantics};
 use crate::{DominatingSet, Instance};
 use ftclust_geometry::SpatialGrid;
 use ftclust_graphs::{Graph, NodeId, UnitDiskGraph};
+use ftclust_netsim::Metrics;
 
 /// Tolerance for the feasibility certificates.
 const CERT_TOL: f64 = 1e-7;
@@ -175,6 +181,19 @@ pub(crate) fn loss_transparent<T: PartialEq + std::fmt::Debug>(
     );
 }
 
+/// Audits a run's message sizes against the CONGEST bound its protocol
+/// states for the instance (`LpMsg::MAX_BITS`, `UdgMsg::max_bits(n)`, …):
+/// the largest message the run metered must fit. Called by the
+/// `run_*_stack` drivers on runs that do not engage the reliable
+/// transport, whose frame headers add bits to every payload.
+pub(crate) fn congest(what: &str, metrics: &Metrics, bound: usize) {
+    debug_assert!(
+        metrics.max_message_bits <= bound as u64,
+        "{what} sent a {}-bit message, above its {bound}-bit CONGEST bound",
+        metrics.max_message_bits
+    );
+}
+
 /// Audits [`crate::repair::repair_coverage`]'s postconditions: the healed
 /// set re-validates as strictly k-dominating on the surviving subgraph,
 /// no dead node is a member, and — when the pre-failure set was valid on
@@ -274,6 +293,18 @@ mod tests {
         // the monotonicity audit must fire.
         let before = vec![3u32; 6];
         rounding_monotone(&inst, &before, &[false; 6], false);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "above its 1-bit CONGEST bound")]
+    fn congest_audit_catches_an_oversized_message() {
+        // One 2-bit message against a protocol whose bound is 1 bit.
+        let metrics = Metrics {
+            max_message_bits: 2,
+            ..Metrics::default()
+        };
+        congest("Algorithm 2", &metrics, 1);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   simulator overhead), and
 //! * [`protocol::run_fractional_stack`] — the same algorithm as a
 //!   message-passing protocol on [`ftclust_netsim`], metering rounds
-//!   (`2t² + 2`) and message bits.
+//!   (`2t² + 3`) and message bits.
 //!
 //! Both produce bit-identical results (Algorithm 1 is deterministic).
 //!

@@ -15,7 +15,9 @@
 //! at most `t²` known powers `(Δ+1)^{-q/t}`, so an index-based encoding of
 //! `O(t log t + log Δ) ⊆ O(log n)` bits exists; we charge a fixed 32 bits
 //! for simplicity, which dominates that bound for all tested sizes.
-//! Dynamic degrees are charged their actual width, colors 1 bit.
+//! Dynamic degrees are charged their actual width, colors 1 bit. The
+//! largest message is the dual exchange's three values,
+//! [`LpMsg::MAX_BITS`], the bound every debug run is audited against.
 //!
 //! The protocol performs the same floating-point operations in the same
 //! order as [`super::solve_fractional`]; their outputs are bit-identical
@@ -73,6 +75,13 @@ pub enum LpMsg {
         /// The sender's dual variable `y_i`.
         y: f64,
     },
+}
+
+impl LpMsg {
+    /// The CONGEST bound on every message, at any `n`: the dual
+    /// exchange's three values. A share's degree field adds
+    /// `⌈log₂(δ̃ + 2)⌉ ≤ VALUE_BITS` bits to its two values.
+    pub const MAX_BITS: usize = 3 * VALUE_BITS;
 }
 
 impl Payload for LpMsg {
@@ -407,12 +416,16 @@ pub fn run_fractional_stack(
     .phases(lp_phases(t2))
     .run(budget)?;
     let solution = assemble_solution(inst, t, delta, run.logics.iter());
-    if cfg!(debug_assertions) && transported {
-        crate::audit::loss_transparent(
-            "Algorithm 1",
-            &solution,
-            &super::solve_fractional(inst, params)?,
-        );
+    if cfg!(debug_assertions) {
+        if transported {
+            crate::audit::loss_transparent(
+                "Algorithm 1",
+                &solution,
+                &super::solve_fractional(inst, params)?,
+            );
+        } else {
+            crate::audit::congest("Algorithm 1", &run.metrics, LpMsg::MAX_BITS);
+        }
     }
     Ok((
         FractionalProtocolRun {
@@ -473,9 +486,29 @@ mod tests {
         let inst = Instance::uniform_clamped(&g, 2);
         let (run, _) =
             run_fractional_stack(&inst, &FractionalParams::new(3), Stack::new()).unwrap();
-        // 2 values + a degree: comfortably O(log n).
-        assert!(run.metrics.max_message_bits <= (3 * VALUE_BITS) as u64);
+        // 2 values + a degree, or 3 values: comfortably O(log n).
+        assert!(run.metrics.max_message_bits <= LpMsg::MAX_BITS as u64);
         assert!(run.metrics.messages > 0);
+        // Every variant fits at a small and a large n, with the largest
+        // dynamic degree (a closed neighbourhood of n nodes).
+        for n in [4usize, 1 << 20] {
+            let dyndeg = n as u32;
+            for msg in [
+                LpMsg::Color { white: true },
+                LpMsg::Share {
+                    x: 1.0,
+                    xplus: 1.0,
+                    dyndeg,
+                },
+                LpMsg::Dual {
+                    alpha: 1.0,
+                    beta: 1.0,
+                    y: 1.0,
+                },
+            ] {
+                assert!(msg.bit_size() <= LpMsg::MAX_BITS, "n = {n}: {msg:?}");
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,11 @@ pub enum GreedyMsg {
     Member,
 }
 
+impl GreedyMsg {
+    /// The CONGEST bound on every message, at any `n`: one bit.
+    pub const MAX_BITS: usize = 1;
+}
+
 impl Payload for GreedyMsg {
     fn bit_size(&self) -> usize {
         1
@@ -128,6 +133,8 @@ pub fn run_cgreedy_stack(
         }
         if transported {
             crate::audit::loss_transparent("centralized greedy", &set, &engine_set);
+        } else {
+            crate::audit::congest("centralized greedy", &run.metrics, GreedyMsg::MAX_BITS);
         }
     }
     Ok((
@@ -153,8 +160,10 @@ mod tests {
         let (run, _) = run_cgreedy_stack(&inst, Stack::new()).unwrap();
         assert_eq!(run.set, engine);
         assert_eq!(run.metrics.rounds, 2);
-        // Announce costs one beacon per member edge, nothing else.
+        // Announce costs one beacon per member edge, nothing else. The
+        // beacon carries no field, so its bound holds at every n.
         assert_eq!(run.metrics.max_message_bits, 1);
+        assert!(GreedyMsg::Member.bit_size() <= GreedyMsg::MAX_BITS);
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //! at their logarithmic width via [`bits_for_ids`]; candidacy
 //! declarations without a bid and `Joined` announcements are 1-bit
 //! beacons. No flat words are transmitted — the skeleton is
-//! CONGEST-conformant with `O(log Δ)` bits per message.
+//! CONGEST-conformant with `O(log Δ)` bits per message
+//! ([`CoverMsg::max_bits`]).
 
 use crate::{DominatingSet, Instance, KmdsError};
 use ftclust_graphs::NodeId;
@@ -72,6 +73,15 @@ pub enum CoverMsg {
     },
     /// The sender joined the dominating set this iteration.
     Joined,
+}
+
+impl CoverMsg {
+    /// The CONGEST bound on every message in a graph of maximum degree
+    /// `delta`: a residual or a span is at most `δ(v) + 1`, metered as
+    /// one of `delta + 3` values.
+    pub fn max_bits(delta: usize) -> usize {
+        bits_for_ids(delta + 3)
+    }
 }
 
 impl Payload for CoverMsg {
@@ -274,6 +284,8 @@ pub(crate) fn run_cover_stack(
         if transported {
             let (lossless, _) = run_cover_stack(inst, election, span_name, what, Stack::new())?;
             crate::audit::loss_transparent(what, &set, &lossless.set);
+        } else {
+            crate::audit::congest(what, &run.metrics, CoverMsg::max_bits(g.max_degree()));
         }
     }
     Ok((
@@ -284,4 +296,30 @@ pub(crate) fn run_cover_stack(
         },
         run.log,
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn messages_fit_their_congest_bound() {
+        for n in [4usize, 1 << 20] {
+            // Δ = n − 1, a complete graph: a residual or a span reaches
+            // δ(v) + 1 = n.
+            let delta = n - 1;
+            let top = n as u32;
+            for msg in [
+                CoverMsg::Status { residual: top },
+                CoverMsg::Candidate,
+                CoverMsg::SpanBid { span: top },
+                CoverMsg::Joined,
+            ] {
+                assert!(
+                    msg.bit_size() <= CoverMsg::max_bits(delta),
+                    "n = {n}: {msg:?}"
+                );
+            }
+        }
+    }
 }

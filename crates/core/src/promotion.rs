@@ -32,12 +32,13 @@
 //! leader could ever promote it or a connected cluster of such nodes
 //! (DESIGN §5).
 //!
-//! Message sizes: every message is 1 bit. A receiver tells the four
-//! apart by the round it arrives in (and a `Status` by its one bit), so
-//! no tag goes on the wire. Algorithm 3 wraps these messages in its own
-//! payload without a tag bit; the coverage repair sends them as they are.
-//! The continuous repair service reuses the status, needy, re-election
-//! and join steps inside its 4-round probe cycle.
+//! Message sizes: every message is 1 bit ([`PromotionMsg::MAX_BITS`]).
+//! A receiver tells the four apart by the round it arrives in (and a
+//! `Status` by its one bit), so no tag goes on the wire. Algorithm 3
+//! wraps these messages in its own payload without a tag bit; the
+//! coverage repair sends them as they are. The continuous repair service
+//! reuses the status, needy, re-election and join steps inside its
+//! 4-round probe cycle.
 
 use ftclust_graphs::NodeId;
 use ftclust_netsim::{Context, Control, Inbox, Payload};
@@ -56,6 +57,11 @@ pub enum PromotionMsg {
     Promote,
     /// New-member announcement (promoted or self-elected).
     Join,
+}
+
+impl PromotionMsg {
+    /// The CONGEST bound on every message, at any `n`: one bit.
+    pub const MAX_BITS: usize = 1;
 }
 
 impl Payload for PromotionMsg {
@@ -235,7 +241,8 @@ mod tests {
             Promote,
             Join,
         ] {
-            assert_eq!(msg.bit_size(), 1, "{msg:?}");
+            // No field scales with n, so this covers n = 4 and n = 2²⁰.
+            assert_eq!(msg.bit_size(), PromotionMsg::MAX_BITS, "{msg:?}");
             // Algorithm 3 wraps the loop's messages without a tag bit.
             let udg = crate::udg::protocol::UdgMsg::Loop(msg);
             assert_eq!(udg.bit_size(), 1, "{msg:?}");

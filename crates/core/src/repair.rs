@@ -433,9 +433,13 @@ pub fn run_repair_stack(
     .phases(repair_phases())
     .run(repair_round_budget(sub.node_count()))?;
     let out = assemble_repair(n, &old_of_new, &run.logics, run.logical_rounds, run.metrics);
-    if cfg!(debug_assertions) && transported {
-        let engine = repair_coverage(g, set, alive, k)?;
-        crate::audit::loss_transparent("coverage repair", &out.outcome, &engine);
+    if cfg!(debug_assertions) {
+        if transported {
+            let engine = repair_coverage(g, set, alive, k)?;
+            crate::audit::loss_transparent("coverage repair", &out.outcome, &engine);
+        } else {
+            crate::audit::congest("coverage repair", &out.metrics, PromotionMsg::MAX_BITS);
+        }
     }
     Ok((out, run.log))
 }
@@ -560,10 +564,12 @@ pub struct ContinuousRepairRun {
 /// continuous repair runs bare — ARQ cannot mask crash churn (frames to
 /// crashed nodes exhaust their retransmit budget), and the protocol is
 /// loss-tolerant by design (a lost status undercounts coverage, which
-/// only over-promotes). Returns [`KmdsError::Sim`] if the physical-round
-/// budget (the horizon plus recovery slack) is exceeded — only possible
-/// if the churn plan keeps nodes down-but-wakeable long past the
-/// horizon.
+/// only over-promotes). Message faults reach it through
+/// [`Stack::adversarial`]: corruption, partitions, duplication and
+/// jitter all run without the transport. Returns [`KmdsError::Sim`] if
+/// the physical-round budget (the horizon plus recovery slack) is
+/// exceeded — only possible if the churn plan keeps nodes
+/// down-but-wakeable long past the horizon.
 pub fn run_repair_continuous(
     g: &Graph,
     set: &DominatingSet,
@@ -576,7 +582,8 @@ pub fn run_repair_continuous(
     if stack.engages_transport() {
         return Err(KmdsError::InvalidInput {
             what: "continuous repair runs without the transport layer (ARQ cannot mask \
-                   crash churn); inject loss via the churn plan instead",
+                   crash churn); inject message faults via Stack::adversarial instead \
+                   (corruption, partitions, duplication, jitter)",
         });
     }
     let horizon = 4 * cycles;
@@ -612,6 +619,9 @@ pub fn run_repair_continuous(
     let mut monitor = HealthMonitor::new();
     for s in sums {
         monitor.observe(s);
+    }
+    if cfg!(debug_assertions) {
+        crate::audit::congest("continuous repair", &run.metrics, PromotionMsg::MAX_BITS);
     }
     Ok((
         ContinuousRepairRun {
@@ -1126,7 +1136,8 @@ mod tests {
         )
         .unwrap_err();
         assert!(
-            matches!(err, KmdsError::InvalidInput { what } if what.contains("without the transport layer")),
+            matches!(err, KmdsError::InvalidInput { what }
+                if what.contains("without the transport layer") && what.contains("Stack::adversarial")),
             "{err}"
         );
     }

@@ -9,7 +9,8 @@
 //!    first (lines 4–6),
 //! 3. nodes receiving a `REQ` join (line 7); everyone halts.
 //!
-//! Flags cost 1 bit, `REQ`s 1 bit — far below the `O(log n)` budget.
+//! Flags cost 1 bit, `REQ`s 1 bit — far below the `O(log n)` budget
+//! ([`RoundingMsg::MAX_BITS`]).
 //! Seed-for-seed identical to [`super::round_fractional`].
 //!
 //! In step 2 a node first counts the covering flags; only a node still
@@ -33,6 +34,12 @@ pub enum RoundingMsg {
     },
     /// A coverage request (line 5).
     Req,
+}
+
+impl RoundingMsg {
+    /// The CONGEST bound on every message, at any `n`: a flag or a `REQ`
+    /// is one bit.
+    pub const MAX_BITS: usize = 1;
 }
 
 impl Payload for RoundingMsg {
@@ -179,12 +186,16 @@ pub fn run_rounding_stack(
     .phases(vec![Phase::repeat("rounding_round", 1)])
     .run(budget)?;
     let outcome = assemble_outcome(run.logics.iter());
-    if cfg!(debug_assertions) && transported {
-        crate::audit::loss_transparent(
-            "Algorithm 2",
-            &outcome,
-            &super::round_fractional(inst, x, delta, seed, params),
-        );
+    if cfg!(debug_assertions) {
+        if transported {
+            crate::audit::loss_transparent(
+                "Algorithm 2",
+                &outcome,
+                &super::round_fractional(inst, x, delta, seed, params),
+            );
+        } else {
+            crate::audit::congest("Algorithm 2", &run.metrics, RoundingMsg::MAX_BITS);
+        }
     }
     Ok((
         RoundingProtocolRun {
@@ -252,6 +263,14 @@ mod tests {
         .unwrap();
         assert!(run.metrics.rounds <= 3);
         assert_eq!(run.metrics.max_message_bits, 1);
+        // No field scales with n, so this covers n = 4 and n = 2²⁰.
+        for msg in [
+            RoundingMsg::Flag { selected: false },
+            RoundingMsg::Flag { selected: true },
+            RoundingMsg::Req,
+        ] {
+            assert!(msg.bit_size() <= RoundingMsg::MAX_BITS, "{msg:?}");
+        }
         assert!(is_k_dominating_instance(
             &inst,
             &run.outcome.set,

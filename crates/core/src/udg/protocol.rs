@@ -16,9 +16,9 @@
 //! Part I leaves with no leader within one hop.
 //!
 //! Identifier messages are metered at `4·⌈log₂ n⌉` bits — the paper's
-//! `[1, n⁴]` range — plus a bit; everything else, Part II included, is a
-//! single bit. This is the protocol whose maximum message size scales visibly as
-//! `Θ(log n)` in experiment E8.
+//! `[1, n⁴]` range — plus a bit, which is [`UdgMsg::max_bits`]; everything
+//! else, Part II included, is a single bit. This is the protocol whose
+//! maximum message size scales visibly as `Θ(log n)` in experiment E8.
 //!
 //! This is the only implementation of Algorithm 3:
 //! [`super::UdgAlgorithm::run`] runs it on the plain simulator.
@@ -51,6 +51,15 @@ pub enum UdgMsg {
     Loop(PromotionMsg),
 }
 
+impl UdgMsg {
+    /// The CONGEST bound on every message of an `n`-node run: an
+    /// identifier from the paper's `[1, n⁴]` range plus a bit. Elections
+    /// and Part II messages are 1 bit.
+    pub fn max_bits(n: usize) -> usize {
+        1 + 4 * bits_for_ids(n)
+    }
+}
+
 impl Payload for UdgMsg {
     fn bit_size(&self) -> usize {
         match self {
@@ -79,6 +88,11 @@ impl CarriesPromotion for UdgMsg {
 /// The u64 cap for the paper's identifier range `[1, n⁴]`.
 fn id_cap(n: usize) -> u64 {
     (n.max(2) as u128).pow(4).min(u64::MAX as u128) as u64
+}
+
+/// The metered width of an identifier from `[1, n⁴]`: `4·⌈log₂ n⌉`.
+fn id_bits(n: usize) -> u16 {
+    (4 * bits_for_ids(n)) as u16
 }
 
 /// Per-node protocol state for Algorithm 3.
@@ -272,6 +286,8 @@ pub fn run_udg_stack(
         );
         if transported {
             crate::audit::loss_transparent("Algorithm 3", &assembled, &config.run(udg)?);
+        } else {
+            crate::audit::congest("Algorithm 3", &run.metrics, UdgMsg::max_bits(n));
         }
     }
     Ok((
@@ -294,7 +310,7 @@ pub(crate) fn execute(
     let schedule: Arc<[f64]> = theta_schedule(n, udg.radius())?.into();
     let part1_rounds = schedule.len() as u32;
     let cap = id_cap(n);
-    let id_bits = (4 * bits_for_ids(n.max(2))) as u16;
+    let id_bits = id_bits(n);
     let budget = 2 * u64::from(part1_rounds) + 3 * (n as u64 + 2) + 8;
     let run = Executor::new(
         Topology::from_udg(udg),
@@ -486,10 +502,29 @@ mod tests {
 
     #[test]
     fn message_bits_scale_as_four_log_n() {
+        use PromotionMsg::{Join, Needy, Promote, Status};
         let udg = generators::random_udg(500, 8.0, 1.0, 2);
         let (run, _) = run_udg_stack(&udg, &UdgAlgorithm::new(1), Stack::new()).unwrap();
-        let expected = 1 + 4 * bits_for_ids(500);
-        assert_eq!(run.metrics.max_message_bits, expected as u64);
+        // The identifier announcements reach the bound exactly.
+        assert_eq!(run.metrics.max_message_bits, UdgMsg::max_bits(500) as u64);
+        // So does every identifier the protocol would draw at a small
+        // and a large n, and the other messages fit under it.
+        for n in [4usize, 1 << 20] {
+            let id = UdgMsg::Id {
+                id: id_cap(n),
+                id_bits: id_bits(n),
+            };
+            assert_eq!(id.bit_size(), UdgMsg::max_bits(n), "n = {n}");
+            for msg in [
+                UdgMsg::Elect,
+                UdgMsg::Loop(Status { member: true }),
+                UdgMsg::Loop(Needy),
+                UdgMsg::Loop(Promote),
+                UdgMsg::Loop(Join),
+            ] {
+                assert!(msg.bit_size() <= UdgMsg::max_bits(n), "n = {n}: {msg:?}");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use ftclust::core::fractional::protocol::run_fractional_stack;
 use ftclust::core::fractional::{solve_fractional, FractionalParams};
 use ftclust::core::prelude::*;
-use ftclust::core::udg::protocol::run_udg_stack;
+use ftclust::core::udg::protocol::{run_udg_stack, UdgMsg};
 use ftclust::core::udg::UdgAlgorithm;
 use ftclust::graphs::generators;
 use ftclust::netsim::exec::Stack;
@@ -104,7 +104,7 @@ fn udg_protocol_and_engine_agree_on_clustered_deployments() {
     let members = run.set.as_members().iter().map(|&b| u8::from(b));
     assert_eq!(fnv1a(members), 0x72dd_8c15_5353_969c);
     // Communication stays within the model's budget.
-    assert!(proto.metrics.max_message_bits <= 1 + 4 * 16);
+    assert!(proto.metrics.max_message_bits <= UdgMsg::max_bits(250) as u64);
 }
 
 #[test]

@@ -1,29 +1,7 @@
 //! NOT COMPILED — lint self-test fixture that must produce zero
-//! violations: floats compared through tolerances or waived; payloads
-//! quantized; parallel regions returning per-shard results; the
-//! checkers' tokens only in comments, strings and tests.
-//!
-//! Message values are quantized to `FIXTURE_BITS` fixed-point bits.
-
-/// Quantization constant for the fixture payload (see module docs).
-pub const FIXTURE_BITS: usize = 24;
-
-/// A well-accounted protocol message.
-pub enum CleanMsg {
-    /// One-bit flag.
-    Flag(bool),
-    /// A quantized value plus a neighbor-count field.
-    Share { value: f64, others: u32 },
-}
-
-impl Payload for CleanMsg {
-    fn bit_size(&self) -> usize {
-        match self {
-            CleanMsg::Flag(_) => 1,
-            CleanMsg::Share { others, .. } => FIXTURE_BITS + bits_for_ids(*others as usize + 2),
-        }
-    }
-}
+//! violations: floats compared through tolerances or waived; parallel
+//! regions returning per-shard results; the checkers' tokens only in
+//! comments, strings and tests.
 
 /// Comparing floats through a tolerance is fine.
 pub fn close(a: f64, b: f64) -> bool {

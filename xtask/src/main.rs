@@ -22,13 +22,14 @@
 //!    crates,
 //! 3. merge order ([`merge_order`]): no scheduler-order shared-state
 //!    merge inside a parallel call site,
-//! 4. CONGEST conformance ([`congest`]): every protocol message charges
-//!    an `O(log n)`-bounded `bit_size`,
-//! 5. waiver audit ([`waivers`]): one `// lint: <rule> — <reason>`
+//! 4. waiver audit ([`waivers`]): one `// lint: <rule> — <reason>`
 //!    grammar for every escape hatch; stale waivers are hard errors.
 //!
 //! The source passes walk the `src/` tree of every workspace member
 //! (binaries included) and stop at each file's `#[cfg(test)]` region.
+//! Message sizes are not a lint: each protocol's message type states its
+//! CONGEST bound beside its `bit_size`, and `ftclust-core`'s debug audit
+//! checks every run against it.
 //!
 //! `cargo xtask lint` takes no options. It first runs the checkers
 //! against the seeded-violation fixtures in `xtask/fixtures/` and fails
@@ -39,7 +40,6 @@
 //! 2 on any argument after `lint`.
 
 mod ab;
-mod congest;
 mod float_eq;
 mod json;
 mod manifest;
@@ -78,22 +78,6 @@ impl std::fmt::Display for Violation {
 
 /// Numeric crates where float `==` is checked.
 const FLOAT_EQ_TREES: &[&str] = &["crates/lp/src", "crates/geometry/src"];
-
-/// Files subject to the CONGEST pass: the whole simulator crate plus the
-/// core protocol modules. The `bool` marks protocol modules, where every
-/// `*Msg` type must have a `Payload` impl.
-const CONGEST_SCOPES: &[(&str, bool)] = &[
-    ("crates/netsim/src", false),
-    ("crates/netsim/src/trace.rs", true),
-    ("crates/netsim/src/transport.rs", true),
-    ("crates/netsim/src/adversary.rs", true),
-    ("crates/core/src/fractional/protocol.rs", true),
-    ("crates/core/src/rounding/protocol.rs", true),
-    ("crates/core/src/udg/protocol.rs", true),
-    ("crates/core/src/promotion.rs", true),
-    ("crates/core/src/repair.rs", true),
-    ("crates/core/src/portfolio", true),
-];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -150,11 +134,6 @@ fn run_lint(root: &Path) -> ExitCode {
             files_checked += 1;
         }
     }
-    for &(scope, protocol_module) in CONGEST_SCOPES {
-        for file in load_tree(root, scope) {
-            congest::check(&file, protocol_module, &mut violations);
-        }
-    }
     let mut violations = waivers::apply(violations, &mut waiver_map);
     if violations.is_empty() {
         println!("lint clean: {files_checked} files, 0 violations");
@@ -168,18 +147,11 @@ fn run_lint(root: &Path) -> ExitCode {
     ExitCode::from(1)
 }
 
-/// Loads and scrubs every `.rs` file under `root/rel` (a directory or a
-/// single file), sorted by path.
+/// Loads and scrubs every `.rs` file under the directory `root/rel`,
+/// sorted by path.
 fn load_tree(root: &Path, rel: &str) -> Vec<SourceFile> {
     let mut out = Vec::new();
-    let base = root.join(rel);
-    if base.is_file() {
-        if let Ok(f) = SourceFile::load(&base, rel.to_owned()) {
-            out.push(f);
-        }
-        return out;
-    }
-    let mut stack = vec![base];
+    let mut stack = vec![root.join(rel)];
     while let Some(dir) = stack.pop() {
         let Ok(entries) = std::fs::read_dir(&dir) else {
             continue;

@@ -36,14 +36,7 @@ use std::collections::BTreeMap;
 /// Rules that may be waived with `// lint: <rule> — <reason>`.
 /// Structural/meta rules (manifest audits, the waiver audit itself) are
 /// deliberately absent: they cannot be waived.
-pub(crate) const WAIVABLE_RULES: &[&str] = &[
-    "no-float-eq",
-    "merge-order",
-    "payload-impl-required",
-    "no-width-of-type",
-    "no-flat-blob",
-    "quantized-floats",
-];
+pub(crate) const WAIVABLE_RULES: &[&str] = &["no-float-eq", "merge-order"];
 
 /// One parsed waiver comment.
 #[derive(Debug)]
