@@ -26,35 +26,42 @@ pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
         "log2(n)",
     ]);
     let sizes = [100u32, 400, 1600];
-    let rows = run_trials_par(0..sizes.len() as u64, |ni| {
-        let n = sizes[ni as usize];
-        let g = Family::Gnp.build(n, 3);
+    let runs = run_trials_par(0..sizes.len() as u64, |ni| {
+        let g = Family::Gnp.build(sizes[ni as usize], 3);
         let inst = Instance::uniform_clamped(&g, 2);
-        let mut out = Vec::new();
-        for t in [1u32, 2, 4, 6] {
+        [1u32, 2, 4, 6].map(|t| {
             let (run, _) = run_fractional_stack(&inst, &FractionalParams::new(t), Stack::new())
                 .expect("protocol completes");
-            let predicted = 2 * (t as u64).pow(2) + 3;
-            assert_eq!(run.metrics.rounds, predicted, "round count mismatch");
-            assert!(
-                run.metrics.max_message_bits <= LpMsg::MAX_BITS as u64,
-                "n = {n}, t = {t}: a message of {} bits exceeds LpMsg::MAX_BITS",
-                run.metrics.max_message_bits
-            );
-            out.push(cells![
-                g.node_count(),
-                t,
-                run.metrics.rounds,
-                predicted,
-                run.metrics.messages,
-                run.metrics.max_message_bits,
-                format!("{:.1}", run.metrics.mean_message_bits()),
-                format!("{:.1}", (g.node_count() as f64).log2())
-            ]);
-        }
-        out
+            (g.node_count(), t, run.metrics)
+        })
     });
-    table.push_rows(rows.into_iter().flatten());
+    // Checked here, not in the trials: a broken bound is one error.
+    for (n, t, m) in runs.iter().flatten() {
+        let predicted = 2 * u64::from(*t).pow(2) + 3;
+        if m.rounds != predicted {
+            return Err(std::io::Error::other(format!(
+                "E2: n = {n}, t = {t}: {} rounds, not 2t²+3 = {predicted}",
+                m.rounds
+            )));
+        }
+        if m.max_message_bits > LpMsg::MAX_BITS as u64 {
+            return Err(std::io::Error::other(format!(
+                "E2: n = {n}, t = {t}: a message of {} bits exceeds LpMsg::MAX_BITS = {}",
+                m.max_message_bits,
+                LpMsg::MAX_BITS
+            )));
+        }
+        table.push_row(cells![
+            n,
+            t,
+            m.rounds,
+            predicted,
+            m.messages,
+            m.max_message_bits,
+            format!("{:.1}", m.mean_message_bits()),
+            format!("{:.1}", (*n as f64).log2())
+        ]);
+    }
     table.print();
     println!();
     println!("expected shape: rounds = 2t²+3 exactly (independent of n); max message");

@@ -29,7 +29,6 @@ pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
     let sizes = [100u32, 400, 1600, 6400];
     let rows = run_trials_par(0..sizes.len() as u64, |ni| {
         let n = sizes[ni as usize];
-        let log2n = (n as f64).log2();
         let g = Family::Gnp.build(n, 2);
         let inst = Instance::uniform_clamped(&g, 2);
         let lp = run_fractional_stack(&inst, &FractionalParams::new(3), Stack::new())
@@ -41,27 +40,32 @@ pub(crate) fn run(_: &crate::Opts) -> std::io::Result<()> {
             .expect("udg protocol")
             .0
             .metrics;
+        (n, lp.max_message_bits, u.max_message_bits)
+    });
+    // Checked here, not in the trials: a broken bound is one error.
+    for &(n, lp_bits, udg_bits) in &rows {
         let udg_bound = UdgMsg::max_bits(n as usize);
-        assert!(
-            u.max_message_bits <= udg_bound as u64,
-            "n = {n}: a UDG message of {} bits exceeds UdgMsg::max_bits = {udg_bound}",
-            u.max_message_bits
-        );
-        assert!(
-            lp.max_message_bits <= LpMsg::MAX_BITS as u64,
-            "n = {n}: an LP message of {} bits exceeds LpMsg::MAX_BITS",
-            lp.max_message_bits
-        );
-        cells![
+        if udg_bits > udg_bound as u64 {
+            return Err(std::io::Error::other(format!(
+                "E8: n = {n}: a UDG message of {udg_bits} bits exceeds UdgMsg::max_bits = {udg_bound}"
+            )));
+        }
+        if lp_bits > LpMsg::MAX_BITS as u64 {
+            return Err(std::io::Error::other(format!(
+                "E8: n = {n}: an LP message of {lp_bits} bits exceeds LpMsg::MAX_BITS = {}",
+                LpMsg::MAX_BITS
+            )));
+        }
+        let log2n = f64::from(n).log2();
+        table.push_row(cells![
             n,
             f2(log2n),
-            lp.max_message_bits,
-            f2(lp.max_message_bits as f64 / log2n),
-            u.max_message_bits,
-            f2(u.max_message_bits as f64 / log2n)
-        ]
-    });
-    table.push_rows(rows);
+            lp_bits,
+            f2(lp_bits as f64 / log2n),
+            udg_bits,
+            f2(udg_bits as f64 / log2n)
+        ]);
+    }
     table.print();
     println!();
     println!("expected shape: the UDG protocol's biggest message is the [1, n⁴]");

@@ -43,7 +43,6 @@ use ftclust_netsim::exec::{Executor, Phase, Stack};
 use ftclust_netsim::{
     bits_for_ids, Context, Control, EventLog, Inbox, Metrics, NodeLogic, Payload, Topology,
 };
-use std::sync::Arc;
 
 /// Bits charged per transmitted numeric value (see the module docs).
 pub const VALUE_BITS: usize = 32;
@@ -98,22 +97,23 @@ impl Payload for LpMsg {
 /// `j ∈ 0..t` (thresholds and the Lemma 4.1 bound, which is only checked
 /// after the first outer iteration, so `j = t` never occurs), then
 /// `(Δ+1)^{-j/t}` for `j ∈ 0..t` (the raises) at index `t + j`. Computed
-/// once per run and shared by every node; each entry is the `powf` the
+/// once per run and borrowed by every node; each entry is the `powf` the
 /// engine evaluates, on the same operands, so results stay bit-identical.
-fn power_table(t: u32, delta: usize) -> Arc<[f64]> {
+fn power_table(t: u32, delta: usize) -> Vec<f64> {
     let d1 = (delta + 1) as f64;
     let up = (0..t).map(|j| d1.powf(j as f64 / t as f64));
     let down = (0..t).map(|j| d1.powf(-(j as f64) / t as f64));
     up.chain(down).collect()
 }
 
-/// Per-node protocol state for Algorithm 1.
+/// Per-node protocol state for Algorithm 1, borrowing the run's table of
+/// powers of `Δ+1` for `'r`.
 #[derive(Debug)]
-pub struct LpNode {
+pub struct LpNode<'r> {
     k: f64,
     t: u32,
     /// The run's [`power_table`].
-    powers: Arc<[f64]>,
+    powers: &'r [f64],
     x: f64,
     xplus: f64,
     cov: f64,
@@ -132,8 +132,8 @@ pub struct LpNode {
     lemma41_violations: u64,
 }
 
-impl LpNode {
-    fn new(k: u32, t: u32, powers: Arc<[f64]>) -> Self {
+impl<'r> LpNode<'r> {
+    fn new(k: u32, t: u32, powers: &'r [f64]) -> Self {
         LpNode {
             k: k as f64,
             t,
@@ -164,7 +164,7 @@ impl LpNode {
     }
 }
 
-impl NodeLogic for LpNode {
+impl NodeLogic for LpNode<'_> {
     type Payload = LpMsg;
 
     fn on_round(&mut self, inbox: Inbox<'_, LpMsg>, ctx: &mut Context<'_, LpMsg>) -> Control {
@@ -174,7 +174,7 @@ impl NodeLogic for LpNode {
         if r == 0 {
             // Initial color exchange; also size the per-neighbor rows.
             self.rows = vec![0.0; 3 * ctx.degree()];
-            ctx.broadcast(LpMsg::Color { white: self.white });
+            ctx.broadcast_with(|| LpMsg::Color { white: self.white });
             return Control::Continue;
         }
         if r <= 2 * total_iters {
@@ -205,7 +205,7 @@ impl NodeLogic for LpNode {
                 } else {
                     0.0
                 };
-                ctx.broadcast(LpMsg::Share {
+                ctx.broadcast_with(|| LpMsg::Share {
                     x: self.x,
                     xplus: self.xplus,
                     dyndeg: self.dyndeg,
@@ -257,7 +257,7 @@ impl NodeLogic for LpNode {
                         self.y = y;
                     }
                 }
-                ctx.broadcast(LpMsg::Color { white: self.white });
+                ctx.broadcast_with(|| LpMsg::Color { white: self.white });
             }
             return Control::Continue;
         }
@@ -303,7 +303,7 @@ fn assemble_solution<'n>(
     inst: &Instance<'_>,
     t: u32,
     delta: usize,
-    nodes: impl Iterator<Item = &'n LpNode>,
+    nodes: impl Iterator<Item = &'n LpNode<'n>>,
 ) -> FractionalSolution {
     let n = inst.graph().node_count();
     let mut x = vec![0.0f64; n];
@@ -409,7 +409,7 @@ pub fn run_fractional_stack(
     let powers = power_table(t, delta);
     let run = Executor::new(
         Topology::from_graph(g),
-        |v: NodeId| LpNode::new(inst.demand(v), t, Arc::clone(&powers)),
+        |v: NodeId| LpNode::new(inst.demand(v), t, &powers),
         0,
     )
     .stack(stack)
@@ -555,7 +555,7 @@ mod tests {
             .recover(NodeId::new(0), 2);
         let mut sim = Simulator::with_churn(
             Topology::from_graph(&g),
-            |_| LpNode::new(k, t, Arc::clone(&powers)),
+            |_| LpNode::new(k, t, &powers),
             0,
             churn,
         );

@@ -129,7 +129,7 @@ impl PromotionLoop {
         if t == 0 {
             self.cov = u32::from(self.member);
             let member = self.member;
-            ctx.broadcast(PromotionMsg::Status { member }.into());
+            ctx.broadcast_with(|| PromotionMsg::Status { member }.into());
             return Control::Continue;
         }
         match t % 3 {
@@ -156,7 +156,7 @@ impl PromotionLoop {
             }
             _ => {
                 if self.join(inbox) {
-                    ctx.broadcast(PromotionMsg::Join.into());
+                    ctx.broadcast_with(|| PromotionMsg::Join.into());
                 }
                 Control::Continue
             }
@@ -168,7 +168,7 @@ impl PromotionLoop {
     pub(crate) fn announce_need<P: CarriesPromotion>(&mut self, ctx: &mut Context<'_, P>) {
         self.needy = !self.member && self.cov < self.k;
         if self.needy {
-            ctx.broadcast(PromotionMsg::Needy.into());
+            ctx.broadcast_with(|| PromotionMsg::Needy.into());
         }
     }
 

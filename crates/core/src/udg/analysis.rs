@@ -108,8 +108,10 @@ pub fn lemma_5_2_census(udg: &UnitDiskGraph, seed: u64) -> Result<Vec<RoundCensu
     if udg.node_count() == 0 {
         return Ok(Vec::new());
     }
-    let run = protocol::execute(udg, &UdgAlgorithm::new(1).seed(seed), Stack::new())?;
     let schedule = theta_schedule(udg.node_count(), udg.radius())?;
+    let limits = protocol::square_limits(&schedule);
+    let config = UdgAlgorithm::new(1).seed(seed);
+    let run = protocol::execute(udg, &config, Stack::new(), &limits)?;
     let masks = protocol::active_masks(&run.logics, schedule.len() as u32);
     let mut census = Vec::new();
     for (i, &theta) in schedule.iter().enumerate() {

@@ -85,6 +85,23 @@ pub fn theta_schedule(n: usize, radius: f64) -> Result<Vec<f64>, KmdsError> {
     Ok(schedule)
 }
 
+/// Part I's squared limit `T` for the radius `theta`: the largest double
+/// whose square root is at most `theta`. IEEE square root is correctly
+/// rounded and monotone, so for every double `s ≥ 0`, `s ≤ T` holds
+/// exactly when `s.sqrt() ≤ theta`: "within `θ`" is decided on the squared
+/// distance, with no square root and the same answer.
+pub(crate) fn square_limit(theta: f64) -> f64 {
+    // `θ²` rounded is within an ulp or two of `T`.
+    let mut limit = theta * theta;
+    while limit.sqrt() > theta {
+        limit = limit.next_down();
+    }
+    while limit.next_up().sqrt() <= theta {
+        limit = limit.next_up();
+    }
+    limit
+}
+
 /// How Part I assigns the random identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IdMode {
@@ -344,6 +361,48 @@ mod tests {
                 matches!(theta_schedule(100, r), Err(KmdsError::InvalidInput { .. })),
                 "radius {r}"
             );
+        }
+    }
+
+    /// Whether `square_limit(θ)` decides "within `θ`" as the square root
+    /// does, at `T` itself, the doubles either side of it, `θ²` and the
+    /// squares `(θ·u)²` and `(θ·(1 + e))²`.
+    fn limit_agrees_with_sqrt(theta: f64, u: f64, e: f64) {
+        let limit = square_limit(theta);
+        let (a, b) = (theta * u, theta * (1.0 + e));
+        for s in [
+            limit,
+            limit.next_up(),
+            limit.next_down(),
+            theta * theta,
+            a * a,
+            b * b,
+        ] {
+            assert_eq!(
+                s <= limit,
+                s.sqrt() <= theta,
+                "θ = {theta:e}, T = {limit:e}, s = {s:e}"
+            );
+        }
+        assert!(limit.sqrt() <= theta && limit.next_up().sqrt() > theta);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+        #[test]
+        fn square_limit_is_exact(
+            n in 2usize..=1_000_000,
+            r in 1e-3f64..1e3,
+            u in 0.0f64..1.5,
+            e in -1e-15f64..1e-15,
+        ) {
+            for n in [n, 2, 1_000_000] {
+                for radius in [r, 1e-3, 0.7, 1.0, 2.5, 1e3] {
+                    for theta in theta_schedule(n, radius).unwrap() {
+                        limit_agrees_with_sqrt(theta, u, e);
+                    }
+                }
+            }
         }
     }
 

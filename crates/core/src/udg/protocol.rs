@@ -4,7 +4,9 @@
 //!
 //! * phase 0: (process last round's election messages;) active nodes draw
 //!   `ID_i ∈ [1, n⁴]` and send it to every neighbor within `θ_i`
-//!   (lines 5–7),
+//!   (lines 5–7): those whose squared distance is at most `T_i`, the
+//!   largest double whose square root is `≤ θ_i`, which selects exactly
+//!   the neighbours at distance `≤ θ_i` with no square root,
 //! * phase 1: active nodes elect the maximum identifier among the received
 //!   ones and their own, and send `M` to the winner — possibly themselves
 //!   (lines 8–9); a node that receives no `M` turns passive (lines 10–12).
@@ -23,7 +25,7 @@
 //! This is the only implementation of Algorithm 3:
 //! [`super::UdgAlgorithm::run`] runs it on the plain simulator.
 
-use super::{theta_schedule, IdMode, UdgAlgorithm, UdgRun};
+use super::{square_limit, theta_schedule, IdMode, UdgAlgorithm, UdgRun};
 use crate::promotion::{CarriesPromotion, PromotionLoop, PromotionMsg};
 use crate::{DominatingSet, KmdsError};
 use ftclust_graphs::{NodeId, UnitDiskGraph};
@@ -32,7 +34,6 @@ use ftclust_netsim::{
     bits_for_ids, Context, Control, EventLog, Inbox, Metrics, NodeLogic, Payload, Topology,
 };
 use rand::Rng;
-use std::sync::Arc;
 
 /// Wire messages of the UDG protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,31 +96,28 @@ fn id_bits(n: usize) -> u16 {
     (4 * bits_for_ids(n)) as u16
 }
 
-/// Per-node protocol state for Algorithm 3.
+/// Per-node protocol state for Algorithm 3, borrowing the run's Part I
+/// table for `'r`.
 #[derive(Debug)]
-pub struct UdgNode {
+pub struct UdgNode<'r> {
     id_mode: IdMode,
-    /// Part I: consideration radii (absolute), one table shared by every
-    /// node of the run.
-    schedule: Arc<[f64]>,
+    /// Part I: each round's [`square_limit`] of `θ_i`, one table shared by
+    /// every node of the run.
+    limits: &'r [f64],
     id_cap: u64,
     id_bits: u16,
     active: bool,
     my_id: u64,
     fixed_drawn: bool,
-    /// Part I: the sensed distance to each neighbor, in `ctx.neighbors()`
-    /// order, read on the first announcement and compared with each
-    /// round's `θ` after that.
-    neighbor_dist: Vec<f64>,
     /// Paper round after which this node turned passive (None = leader).
     pub passive_after: Option<u32>,
     /// Part II: the promotion loop, seeded with the leaders.
     part2: PromotionLoop,
 }
 
-impl UdgNode {
+impl UdgNode<'_> {
     fn part1_rounds(&self) -> u64 {
-        self.schedule.len() as u64
+        self.limits.len() as u64
     }
 
     /// Whether the node was still active after `i` Part I rounds
@@ -129,7 +127,7 @@ impl UdgNode {
     }
 }
 
-impl NodeLogic for UdgNode {
+impl NodeLogic for UdgNode<'_> {
     type Payload = UdgMsg;
 
     fn on_round(&mut self, inbox: Inbox<'_, UdgMsg>, ctx: &mut Context<'_, UdgMsg>) -> Control {
@@ -158,22 +156,13 @@ impl NodeLogic for UdgNode {
                             }
                         }
                     }
-                    let neighbors = ctx.neighbors();
-                    if self.neighbor_dist.len() != neighbors.len() {
-                        self.neighbor_dist = neighbors
-                            .iter()
-                            .map(|&w| {
-                                let Some(d) = ctx.distance_to(w) else {
-                                    unreachable!("UDG topologies sense all neighbor distances");
-                                };
-                                d
-                            })
-                            .collect();
-                    }
-                    let theta = self.schedule[paper_round];
+                    let Some(sq_distances) = ctx.sq_distances() else {
+                        unreachable!("UDG topologies sense all neighbor distances");
+                    };
+                    let limit = self.limits[paper_round];
                     let (id, id_bits) = (self.my_id, self.id_bits);
-                    for (&w, &d) in neighbors.iter().zip(&self.neighbor_dist) {
-                        if d <= theta {
+                    for (&w, d2) in ctx.neighbors().iter().zip(sq_distances) {
+                        if d2 <= limit {
                             ctx.send(w, UdgMsg::Id { id, id_bits });
                         }
                     }
@@ -274,15 +263,17 @@ pub fn run_udg_stack(
         return Ok((empty_udg_run(), log));
     }
     let transported = stack.engages_transport();
-    let run = execute(udg, config, stack)?;
-    let part1_rounds = run.logics[0].part1_rounds() as u32;
+    let schedule = theta_schedule(n, udg.radius())?;
+    let limits = square_limits(&schedule);
+    let run = execute(udg, config, stack, &limits)?;
+    let part1_rounds = schedule.len() as u32;
     let assembled = assemble_run(part1_rounds, run.logical_rounds, &run.logics);
     if cfg!(debug_assertions) {
         crate::audit::part1_invariants(
             udg,
             &active_masks(&run.logics, part1_rounds),
             assembled.leaders.as_members(),
-            run.logics[0].schedule.iter().sum(),
+            schedule.iter().sum(),
         );
         if transported {
             crate::audit::loss_transparent("Algorithm 3", &assembled, &config.run(udg)?);
@@ -299,16 +290,22 @@ pub fn run_udg_stack(
     ))
 }
 
-/// Executes the protocol on a non-empty deployment and returns the
-/// executor's [`Run`]: the final node states, metrics and log.
-pub(crate) fn execute(
+/// Part I's table: the [`square_limit`] of each round's `θ_i`.
+pub(crate) fn square_limits(schedule: &[f64]) -> Vec<f64> {
+    schedule.iter().map(|&theta| square_limit(theta)).collect()
+}
+
+/// Executes the protocol on a non-empty deployment, with Part I's
+/// [`square_limits`] table, and returns the executor's [`Run`]: the final
+/// node states, metrics and log.
+pub(crate) fn execute<'r>(
     udg: &UnitDiskGraph,
     config: &UdgAlgorithm,
     stack: Stack,
-) -> Result<Run<UdgNode>, KmdsError> {
+    limits: &'r [f64],
+) -> Result<Run<UdgNode<'r>>, KmdsError> {
     let n = udg.node_count();
-    let schedule: Arc<[f64]> = theta_schedule(n, udg.radius())?.into();
-    let part1_rounds = schedule.len() as u32;
+    let part1_rounds = limits.len() as u32;
     let cap = id_cap(n);
     let id_bits = id_bits(n);
     let budget = 2 * u64::from(part1_rounds) + 3 * (n as u64 + 2) + 8;
@@ -316,13 +313,12 @@ pub(crate) fn execute(
         Topology::from_udg(udg),
         |_: NodeId| UdgNode {
             id_mode: config.id_mode,
-            schedule: Arc::clone(&schedule),
+            limits,
             id_cap: cap,
             id_bits,
             active: true,
             my_id: 0,
             fixed_drawn: false,
-            neighbor_dist: Vec::new(),
             passive_after: None,
             part2: PromotionLoop::new(config.k, false),
         },
@@ -337,7 +333,7 @@ pub(crate) fn execute(
 /// Part I's active masks from the final node states: entry `i`
 /// (`0 ..= part1_rounds`) marks the nodes still active after `i` rounds,
 /// so entry 0 is every node and the last entry is the leaders.
-pub(crate) fn active_masks(nodes: &[UdgNode], part1_rounds: u32) -> Vec<Vec<bool>> {
+pub(crate) fn active_masks(nodes: &[UdgNode<'_>], part1_rounds: u32) -> Vec<Vec<bool>> {
     (0..=part1_rounds)
         .map(|i| nodes.iter().map(|v| v.active_after(i)).collect())
         .collect()
@@ -348,7 +344,7 @@ pub(crate) fn active_masks(nodes: &[UdgNode], part1_rounds: u32) -> Vec<Vec<bool
 /// nodes* (equal to the simulator rounds in a lossless run, and to the
 /// transport's logical-round count in a lossy one), from which the
 /// Part II iteration count is derived.
-fn assemble_run(part1_rounds: u32, logical_rounds: u64, nodes: &[UdgNode]) -> UdgRun {
+fn assemble_run(part1_rounds: u32, logical_rounds: u64, nodes: &[UdgNode<'_>]) -> UdgRun {
     let members = nodes.iter().map(|v| v.part2.member).collect();
     let leaders = nodes.iter().map(|v| v.passive_after.is_none()).collect();
     let active_history: Vec<usize> = (1..=part1_rounds)
@@ -460,7 +456,10 @@ mod tests {
     fn active_masks_follow_passive_rounds() {
         let udg = generators::random_udg(200, 9.0, 1.0, 77);
         let config = UdgAlgorithm::new(1).seed(5);
-        let nodes = execute(&udg, &config, Stack::new()).unwrap().logics;
+        let limits = square_limits(&theta_schedule(200, 1.0).unwrap());
+        let nodes = execute(&udg, &config, Stack::new(), &limits)
+            .unwrap()
+            .logics;
         let run = run_udg_stack(&udg, &config, Stack::new()).unwrap().0.run;
         let masks = active_masks(&nodes, run.part1_rounds);
         assert_eq!(masks.len(), run.part1_rounds as usize + 1);
@@ -471,6 +470,85 @@ mod tests {
             .collect();
         assert_eq!(counts, run.active_history);
         assert_eq!(masks.last().unwrap(), run.leaders.as_members());
+    }
+
+    #[test]
+    fn neighbours_exactly_at_theta_are_reached() {
+        use ftclust_geometry::Point;
+        use ftclust_netsim::TraceEvent;
+        // Node 0 at the origin and, for every θ_i, neighbours on twelve
+        // rays at distance θ_i (as computed, a hair either side or
+        // exactly on it), on the axis at exactly θ_i and one double past
+        // it; far-off fillers bring the count to n.
+        let (n, radius) = (96usize, 0.7);
+        let schedule = theta_schedule(n, radius).unwrap();
+        let mut points = vec![Point::new(0.0, 0.0)];
+        for &theta in &schedule {
+            for j in 0..12 {
+                let angle = f64::from(j) * std::f64::consts::PI / 6.0 + 0.1;
+                points.push(Point::new(theta * angle.cos(), theta * angle.sin()));
+            }
+            points.push(Point::new(theta, 0.0));
+            points.push(Point::new(0.0, -theta.next_up()));
+        }
+        let far = (n - points.len()) as u32;
+        points.extend((0..far).map(|j| Point::new(10.0 + 2.0 * f64::from(j), 10.0)));
+        let udg = UnitDiskGraph::build(points, radius).unwrap();
+        let origin = NodeId::new(0);
+        for &theta in &schedule {
+            let at = |d: f64| {
+                udg.graph()
+                    .neighbors(origin)
+                    .iter()
+                    .any(|&w| udg.distance(origin, w) == d)
+            };
+            assert!(
+                at(theta) && at(theta.next_up()),
+                "θ = {theta} not straddled"
+            );
+        }
+        let config = UdgAlgorithm::new(2).seed(9);
+        let (run, log) = run_udg_stack(&udg, &config, Stack::new().traced()).unwrap();
+        let limits = square_limits(&schedule);
+        let nodes = execute(&udg, &config, Stack::new(), &limits)
+            .unwrap()
+            .logics;
+        let masks = active_masks(&nodes, schedule.len() as u32);
+        // Part I's sends, as the square-root comparison selects them.
+        let mut expected = Vec::new();
+        for (i, &theta) in schedule.iter().enumerate() {
+            for u in udg.graph().nodes().filter(|u| masks[i][u.index()]) {
+                for &w in udg.graph().neighbors(u) {
+                    if udg.distance(u, w) <= theta {
+                        expected.push((2 * i as u64, u, w));
+                    }
+                }
+            }
+        }
+        let sent: Vec<_> = log
+            .unwrap()
+            .records
+            .iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::Send { from, to, .. }
+                    if r.round % 2 == 0 && r.round < 2 * schedule.len() as u64 =>
+                {
+                    Some((r.round, from, to))
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(
+            expected
+                .iter()
+                .any(|&(r, u, w)| udg.distance(u, w) == schedule[r as usize / 2]),
+            "no send crosses a distance of exactly θ_i"
+        );
+        assert_eq!(sent, expected);
+        assert_eq!(
+            (sent.len(), run.run.leaders.len(), run.run.set.len()),
+            (1655, 27, 28)
+        );
     }
 
     #[test]

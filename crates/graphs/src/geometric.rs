@@ -10,8 +10,9 @@ use std::fmt;
 /// This is the network model of Section 5 of the paper (with `radius = 1`
 /// conventionally). Nodes can *sense distances* to their neighbors —
 /// [`UnitDiskGraph::distance`] — which the UDG algorithm relies on to
-/// restrict attention to neighbors within its per-round range `θ`
-/// ([`UnitDiskGraph::neighbors_within`]).
+/// restrict attention to neighbors within its per-round range `θ` (a
+/// simulated node senses them, squared, through the simulator's
+/// topology).
 ///
 /// Construction uses a flat spatial grid, so building a UDG over `n` points
 /// costs `O(n + m)` expected time rather than `O(n²)`.
@@ -126,33 +127,6 @@ impl UnitDiskGraph {
         self.position(u).dist(self.position(v))
     }
 
-    /// The neighbors of `v` within distance `tau` — the paper's
-    /// `N_v(τ) \ {v}` (callers that need `v` itself include it explicitly).
-    ///
-    /// Only meaningful for `tau ≤ radius`: beyond the connection radius a
-    /// node cannot communicate, so `N_v(τ) ⊆ N_v` is the sensible regime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tau` is negative or exceeds the connection radius by more
-    /// than a rounding tolerance.
-    pub fn neighbors_within(&self, v: NodeId, tau: f64) -> Vec<NodeId> {
-        assert!(tau >= 0.0, "tau must be non-negative");
-        assert!(
-            tau <= self.radius * (1.0 + 1e-12),
-            "tau = {tau} exceeds communication radius {}",
-            self.radius
-        );
-        let p = self.position(v);
-        let t_sq = tau * tau;
-        self.graph
-            .neighbors(v)
-            .iter()
-            .copied()
-            .filter(|&w| self.position(w).dist_sq(p) <= t_sq)
-            .collect()
-    }
-
     /// Bounding box of the node positions as `(lower_left, upper_right)`,
     /// or `None` for an empty graph.
     pub fn bounding_box(&self) -> Option<(Point, Point)> {
@@ -208,31 +182,6 @@ mod tests {
         assert_eq!(udg.node_count(), 2);
         assert!(udg.graph().has_edge(NodeId::new(0), NodeId::new(1)));
         assert_eq!(udg.distance(NodeId::new(0), NodeId::new(1)), 0.0);
-    }
-
-    #[test]
-    fn neighbors_within_filters_by_distance() {
-        let pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(0.3, 0.0),
-            Point::new(0.9, 0.0),
-        ];
-        let udg = UnitDiskGraph::build(pts, 1.0).unwrap();
-        assert_eq!(
-            udg.neighbors_within(NodeId::new(0), 0.5),
-            vec![NodeId::new(1)]
-        );
-        let mut all = udg.neighbors_within(NodeId::new(0), 1.0);
-        all.sort_unstable();
-        assert_eq!(all, vec![NodeId::new(1), NodeId::new(2)]);
-        assert!(udg.neighbors_within(NodeId::new(0), 0.0).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds communication radius")]
-    fn neighbors_within_rejects_tau_beyond_radius() {
-        let udg = UnitDiskGraph::build(vec![Point::ORIGIN], 1.0).unwrap();
-        let _ = udg.neighbors_within(NodeId::new(0), 1.5);
     }
 
     #[test]

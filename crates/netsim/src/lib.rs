@@ -13,7 +13,7 @@
 //!   every payload ([`Payload::bit_size`]) so experiments can verify the
 //!   `O(log n)` bound instead of assuming it,
 //! * in unit disk graphs, nodes can sense distances to their neighbors
-//!   ([`Context::distance_to`]).
+//!   (squared, [`Context::sq_distances`]).
 //!
 //! Protocols implement [`NodeLogic`]; a [`Simulator`] executes one logic
 //! instance per node until all halt. Faults come in the paper's two

@@ -234,7 +234,8 @@ impl<'a, P> Iterator for InboxIter<'a, P> {
 ///
 /// Mirrors the paper's model: a node knows its own identifier, its
 /// neighbors, `n` (and through configuration, `Δ`), can draw local random
-/// bits, and — on geometric topologies — senses distances to neighbors.
+/// bits, and — on geometric topologies — senses (squared) distances to
+/// neighbors.
 #[derive(Debug)]
 pub struct Context<'a, P> {
     pub(crate) me: NodeId,
@@ -323,10 +324,13 @@ impl<'a, P: Payload> Context<'a, P> {
         self.neighbors().len()
     }
 
-    /// Sensed distance to `v`, on geometric topologies.
+    /// The squared sensed distance to each neighbor, in
+    /// [`Context::neighbors`] order, on geometric topologies (`None`
+    /// otherwise). Squared, so that a node comparing against a radius
+    /// takes no square root; the coordinates stay hidden.
     #[inline]
-    pub fn distance_to(&self, v: NodeId) -> Option<f64> {
-        self.topo.distance(self.me, v)
+    pub fn sq_distances(&self) -> Option<impl ExactSizeIterator<Item = f64> + 'a> {
+        self.topo.sq_distances(self.me)
     }
 
     /// This node's private random stream (deterministic per master seed and
@@ -372,24 +376,24 @@ impl<'a, P: Payload> Context<'a, P> {
     /// Sends `payload` to neighbor `to` (or to `self.me()`: self-delivery
     /// next round, used e.g. by the UDG algorithm's self-election).
     ///
+    /// Inlined into the caller's loop, so the payload is written once,
+    /// into the outbox, rather than built on the caller's stack and copied.
+    ///
     /// # Panics
     ///
     /// Panics if `to` is neither a neighbor nor the node itself — sending
     /// beyond the communication graph is a protocol bug, not a runtime
     /// condition.
+    #[inline(always)]
     pub fn send(&mut self, to: NodeId, payload: P) {
         if to != self.me {
             // Protocols mostly unicast in ascending neighbour order, so the
             // check first tries the neighbour after the previous send's.
-            let found = seek(self.neighbors(), to, self.send_hint);
-            assert!(
-                found.is_some(),
-                "{} attempted to send to non-neighbor {}",
-                self.me,
-                to
-            );
-            self.send_hint = found.unwrap_or_default();
-            self.push(to, self.send_hint, payload);
+            let Some(pos) = seek(self.neighbors(), to, self.send_hint) else {
+                non_neighbor(self.me, to)
+            };
+            self.send_hint = pos;
+            self.push(to, pos, payload);
         } else {
             self.push(to, SELF_LINK as usize, payload);
         }
@@ -405,7 +409,7 @@ impl<'a, P: Payload> Context<'a, P> {
 
     /// Appends one envelope, to neighbor number `pos` (or [`SELF_LINK`]),
     /// after closing the publication slot or recording the position.
-    #[inline]
+    #[inline(always)]
     fn push(&mut self, to: NodeId, pos: usize, payload: P) {
         match &mut self.outlet {
             Outlet::Envelopes => {}
@@ -430,21 +434,31 @@ impl<'a, P: Payload> Context<'a, P> {
     /// published broadcast back into envelopes at its original position,
     /// so what each receiver sees, in what order, and what is metered are
     /// the same either way.
+    #[inline]
     pub fn broadcast(&mut self, payload: P) {
+        self.broadcast_with(|| payload);
+    }
+
+    /// [`Context::broadcast`] of the payload `build` returns, built where
+    /// it lands: in the publication slot when the broadcast is published,
+    /// so a payload assembled from several fields is not first built on
+    /// the caller's stack and then copied in.
+    #[inline]
+    pub fn broadcast_with(&mut self, build: impl FnOnce() -> P) {
         if let Outlet::Publish {
             slot,
             scattered: false,
         } = &mut self.outlet
         {
             if slot.is_none() {
-                **slot = Some(payload);
+                **slot = Some(build());
                 return;
             }
         }
         if let Outlet::Publish { .. } = self.outlet {
             self.demote();
         }
-        self.materialize(payload);
+        self.materialize(build());
     }
 
     /// Sends one payload to each neighbor, a different one per link: the
@@ -524,6 +538,15 @@ impl<'a, P: Payload> Context<'a, P> {
     }
 }
 
+/// The panic of a [`Context::send`] beyond the communication graph, out of
+/// the send loops' way.
+#[cold]
+#[inline(never)]
+#[expect(clippy::panic, reason = "sending to a non-neighbor is a protocol bug")]
+fn non_neighbor(me: NodeId, to: NodeId) -> ! {
+    panic!("{me} attempted to send to non-neighbor {to}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,7 +600,7 @@ mod tests {
         assert_eq!(ctx.round(), 3);
         assert_eq!(ctx.node_count(), 4);
         assert_eq!(ctx.degree(), 3);
-        assert!(ctx.distance_to(NodeId::new(1)).is_none());
+        assert!(ctx.sq_distances().is_none());
     }
 
     #[test]

@@ -42,15 +42,19 @@ impl<'a> Topology<'a> {
         self.positions
     }
 
-    /// Sensed distance between `u` and `v`; `None` when the topology has no
-    /// geometry.
+    /// The squared sensed distance from `u` to each of its neighbors, in
+    /// the order of `graph().neighbors(u)`; `None` when the topology has no
+    /// geometry. Its square root is exactly [`UnitDiskGraph::distance`].
     ///
     /// # Panics
     ///
-    /// Panics if `u` or `v` is out of range.
-    pub fn distance(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        self.positions
-            .map(|pos| pos[u.index()].dist(pos[v.index()]))
+    /// Panics if `u` is out of range.
+    #[inline]
+    pub fn sq_distances(&self, u: NodeId) -> Option<impl ExactSizeIterator<Item = f64> + 'a> {
+        let pos = self.positions?;
+        let here = pos[u.index()];
+        let row = self.graph.neighbors(u);
+        Some(row.iter().map(move |v| here.dist_sq(pos[v.index()])))
     }
 }
 
@@ -82,17 +86,23 @@ mod tests {
     fn graph_topology_has_no_distances() {
         let g = generators::path(3);
         let t = Topology::from_graph(&g);
-        assert!(t.distance(NodeId::new(0), NodeId::new(1)).is_none());
+        assert!(t.sq_distances(NodeId::new(1)).is_none());
         assert_eq!(t.graph().node_count(), 3);
         assert!(t.positions().is_none());
     }
 
     #[test]
-    fn udg_topology_senses_distances() {
-        let udg = generators::random_udg(10, 5.0, 1.0, 1);
+    fn udg_topology_senses_squared_distances_along_the_row() {
+        let udg = generators::random_udg(40, 5.0, 1.0, 1);
         let t = Topology::from_udg(&udg);
-        let d = t.distance(NodeId::new(0), NodeId::new(1)).unwrap();
-        assert_eq!(d, udg.distance(NodeId::new(0), NodeId::new(1)));
+        for u in udg.graph().nodes() {
+            let row = udg.graph().neighbors(u);
+            let sq: Vec<f64> = t.sq_distances(u).unwrap().collect();
+            assert_eq!(sq.len(), row.len());
+            for (&v, &d2) in row.iter().zip(&sq) {
+                assert_eq!(d2.sqrt(), udg.distance(u, v), "{u}-{v}");
+            }
+        }
         assert!(t.positions().is_some());
     }
 
